@@ -109,3 +109,33 @@ func TestRunFBHadoop(t *testing.T) {
 		t.Fatalf("buckets = %+v", res.BucketP95)
 	}
 }
+
+// A handle returned by StartFlow keeps reading its own transfer however
+// many flows complete after it: CompletedFlowWindow evicts the flow from
+// the host's map, but a flow whose handle left the simulator is never
+// recycled into a later one.
+func TestFlowHandleOutlivesCompletedWindow(t *testing.T) {
+	net, err := hpcc.Experiment{Scheme: "hpcc", Topology: hpcc.Star{Hosts: 3}, CompletedFlowWindow: 2}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := net.StartFlow(0, 2, 5000)
+	late := net.StartFlowAt(time.Microsecond, 0, 2, 7000)
+	net.RunUntilIdle()
+	fct, lateFCT := first.FCT(), late.FCT()
+	if !first.Done() || !late.Done() || fct <= 0 || lateFCT <= 0 {
+		t.Fatalf("flows did not complete: done %v/%v, FCT %v/%v", first.Done(), late.Done(), fct, lateFCT)
+	}
+	for i := 0; i < 10; i++ {
+		net.StartFlow(0, 2, 100_000)
+		net.RunUntilIdle()
+	}
+	if !first.Done() || first.Acked() != 5000 || first.FCT() != fct {
+		t.Fatalf("StartFlow handle changed after 10 later completions: done %v, acked %d (want 5000), FCT %v (want %v)",
+			first.Done(), first.Acked(), first.FCT(), fct)
+	}
+	if !late.Done() || late.Acked() != 7000 || late.FCT() != lateFCT {
+		t.Fatalf("StartFlowAt handle changed after 10 later completions: done %v, acked %d (want 7000), FCT %v (want %v)",
+			late.Done(), late.Acked(), late.FCT(), lateFCT)
+	}
+}

@@ -187,7 +187,8 @@ func main() {
 	add("parkinglot-4seg", func() outcome { return parkingLot(*quick) })
 	// The streaming-statistics memory family: same scenario at 4× the
 	// flow count. In sketch mode RetainedStatBytes must stay flat —
-	// gateRetained below fails the run if it grows with the flows.
+	// gateRetained below fails the run if it grows with the flows, and
+	// gateStreamAllocs if starting and finishing a flow allocates.
 	small, big := 250_000, 1_000_000
 	if *quick {
 		small, big = 25_000, 100_000
@@ -237,9 +238,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if err := gateRetained(run.Scenarios); err != nil {
-		fmt.Fprintln(os.Stderr, "hpccbench:", err)
-		os.Exit(1)
+	for _, gate := range []func([]ScenarioResult) error{gateRetained, gateStreamAllocs} {
+		if err := gate(run.Scenarios); err != nil {
+			fmt.Fprintln(os.Stderr, "hpccbench:", err)
+			os.Exit(1)
+		}
 	}
 	if *baseline != "" {
 		if err := gateAllocs(run, *baseline); err != nil {
@@ -283,6 +286,28 @@ func gateRetained(rows []ScenarioResult) error {
 			maxName, max, limit, minName, min)
 	}
 	fmt.Printf("retained-stat-bytes gate (stream-flows family): ok (%d..%d B)\n", min, max)
+	return nil
+}
+
+// streamAllocsLimit is the allocation budget of a stream-flows row, in
+// heap objects per data packet. One flow is one packet there, so the
+// row measures the flow lifecycle: 7.1 when every flow allocated its
+// Flow, callbacks, CC instance and receiver state, ≈ 0.01 with the
+// host's free lists (what is left is warm-up, amortized over the run).
+const streamAllocsLimit = 0.5
+
+// gateStreamAllocs is the flow-lifecycle allocation gate: with bounded
+// retention (streamFlows sets CompletedWindow) starting and finishing a
+// flow must not allocate. Baseline-free, like gateRetained: the limit is
+// absolute.
+func gateStreamAllocs(rows []ScenarioResult) error {
+	for _, s := range rows {
+		if strings.HasPrefix(s.Name, "stream-flows-") && s.AllocsPerPacket > streamAllocsLimit {
+			return fmt.Errorf("flow-lifecycle allocation regression: %s allocates %.3f objects/packet > limit %.1f; per-flow state is no longer recycled",
+				s.Name, s.AllocsPerPacket, streamAllocsLimit)
+		}
+	}
+	fmt.Printf("allocs/packet gate (stream-flows family): ok (limit %.1f)\n", streamAllocsLimit)
 	return nil
 }
 
@@ -524,10 +549,12 @@ func runScenario(s experiment.LoadScenario) outcome {
 }
 
 // streamFlows floods a 4-host star with fixed-1KB Poisson flows at 50%
-// load in streaming-statistics mode. The scenario exists for its
-// RetainedStatBytes number: one flow is one packet, so a million flows
+// load in streaming-statistics mode with bounded flow retention — the
+// configuration of a long campaign. The scenario exists for two
+// numbers: RetainedStatBytes (one flow is one packet, so a million flows
 // is cheap to simulate, and the sketch footprint must not move between
-// the family's flow counts.
+// the family's flow counts) and allocs/packet, which here is the cost of
+// a flow's whole lifecycle.
 func streamFlows(flows int) outcome {
 	fixed1KB := workload.MustCDF("fixed-1KB", []workload.Point{{Bytes: 1000, Prob: 0}, {Bytes: 1000, Prob: 1}})
 	return runScenario(experiment.LoadScenario{
@@ -540,6 +567,9 @@ func streamFlows(flows int) outcome {
 		PFC:         true,
 		Seed:        1,
 		SketchStats: true,
+		// Bounded retention, as a long campaign runs: evicted flows are
+		// recycled, which is what gateStreamAllocs holds the row to.
+		CompletedWindow: 256,
 	})
 }
 

@@ -99,7 +99,11 @@ type Experiment struct {
 	// CompletedFlowWindow, when positive, bounds per-host memory over
 	// long campaigns: each host retains at most this many completed
 	// flows, folding older ones into aggregate counters. Results are
-	// unchanged; only post-run per-flow inspection is truncated.
+	// unchanged; only post-run per-flow inspection is truncated. It
+	// also makes the flow lifecycle allocation-free: the hosts recycle
+	// the state of evicted Traffic-generated flows into later ones.
+	// Flow handles returned by Network.StartFlow/StartFlowAt are exempt
+	// and stay valid for as long as the caller holds them.
 	CompletedFlowWindow int
 	// SketchStats switches result statistics to streaming mode: instead
 	// of retaining every FCT record and queue sample, observations

@@ -51,8 +51,12 @@ type AckEvent struct {
 type Algorithm interface {
 	// Name identifies the scheme in experiment output.
 	Name() string
-	// Init binds the algorithm to its flow's environment. Called once
-	// before any traffic.
+	// Init binds the algorithm to its flow's environment, before any
+	// traffic. The host recycles instances across flows, so Init may be
+	// called again on a used instance and must then behave exactly as
+	// on a fresh one from the same Factory: every piece of state except
+	// the factory's configuration starts over, and callbacks armed
+	// under an earlier Init are never run (the host drops them).
 	Init(env Env)
 	// OnAck processes one acknowledgment.
 	OnAck(ev *AckEvent)

@@ -78,8 +78,13 @@ func (c *Config) normalize(env *cc.Env) {
 
 // DCQCN is one flow's sender state.
 type DCQCN struct {
+	raw Config // as given to New; Init resolves its defaults into cfg
 	cfg Config
 	env cc.Env
+
+	// alphaFn/rateFn are the two clock callbacks, bound once by New so
+	// re-arming a timer never allocates a method value.
+	alphaFn, rateFn func()
 
 	rc, rt       float64 // current / target rate, bits per second
 	alpha        float64
@@ -116,7 +121,11 @@ func (d *DCQCN) Rollback() {
 
 // New returns a factory producing DCQCN instances.
 func New(cfg Config) cc.Factory {
-	return func() cc.Algorithm { return &DCQCN{cfg: cfg} }
+	return func() cc.Algorithm {
+		d := &DCQCN{raw: cfg, cfg: cfg}
+		d.alphaFn, d.rateFn = d.alphaTick, d.rateTick
+		return d
+	}
 }
 
 // Name implements cc.Algorithm.
@@ -130,14 +139,14 @@ func (d *DCQCN) Name() string {
 // Init implements cc.Algorithm: start at line rate (§2.2 "RDMA hosts
 // start sending at line rate") and arm the two timers.
 func (d *DCQCN) Init(env cc.Env) {
-	d.env = env
+	*d = DCQCN{raw: d.raw, cfg: d.raw, env: env, alphaFn: d.alphaFn, rateFn: d.rateFn, snap: d.snap}
 	d.cfg.normalize(&env)
 	d.rc = float64(env.LineRate)
 	d.rt = d.rc
 	d.alpha = 1
 	d.lastDecrease = -d.cfg.MinDecGap
-	env.Schedule(d.cfg.AlphaTimer, d.alphaTick)
-	env.Schedule(d.cfg.RateIncTimer, d.rateTick)
+	env.Schedule(d.cfg.AlphaTimer, d.alphaFn)
+	env.Schedule(d.cfg.RateIncTimer, d.rateFn)
 }
 
 func (d *DCQCN) alphaTick() {
@@ -145,13 +154,13 @@ func (d *DCQCN) alphaTick() {
 		d.alpha *= 1 - d.cfg.G
 	}
 	d.cnpSeen = false
-	d.env.Schedule(d.cfg.AlphaTimer, d.alphaTick)
+	d.env.Schedule(d.cfg.AlphaTimer, d.alphaFn)
 }
 
 func (d *DCQCN) rateTick() {
 	d.timeStage++
 	d.increase()
-	d.env.Schedule(d.cfg.RateIncTimer, d.rateTick)
+	d.env.Schedule(d.cfg.RateIncTimer, d.rateFn)
 }
 
 // increase applies one rate-increase event: fast recovery while both

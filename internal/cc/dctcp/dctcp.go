@@ -74,10 +74,9 @@ func (d *DCTCP) Name() string { return "DCTCP" }
 
 // Init implements cc.Algorithm: no slow start, W starts at one BDP.
 func (d *DCTCP) Init(env cc.Env) {
-	d.env = env
+	*d = DCTCP{cfg: d.cfg, env: env, snap: d.snap}
 	d.cfg.normalize()
 	d.w = env.BDP()
-	d.alpha = 0
 }
 
 // OnAck implements cc.Algorithm: accumulate marked/acked bytes; once

@@ -79,6 +79,7 @@ func (c *Config) normalize(env *cc.Env) {
 
 // HPCC is one flow's sender state (Algorithm 1).
 type HPCC struct {
+	raw Config // as given to New; Init resolves its defaults into cfg
 	cfg Config
 	env cc.Env
 
@@ -126,7 +127,7 @@ func (h *HPCC) Rollback() {
 
 // New returns a factory producing HPCC instances with the given config.
 func New(cfg Config) cc.Factory {
-	return func() cc.Algorithm { return &HPCC{cfg: cfg} }
+	return func() cc.Algorithm { return &HPCC{raw: cfg, cfg: cfg} }
 }
 
 // Name implements cc.Algorithm.
@@ -145,15 +146,13 @@ func (h *HPCC) Name() string {
 
 // Init implements cc.Algorithm: W_init = B_NIC × T, start at line rate.
 func (h *HPCC) Init(env cc.Env) {
-	h.env = env
+	*h = HPCC{raw: h.raw, cfg: h.raw, env: env, snap: h.snap}
 	h.cfg.normalize(&env)
 	h.winInit = env.BDP()
 	h.minWnd = h.cfg.MinRate.BytesPerSec() * env.BaseRTT.Seconds()
 	h.w = h.winInit
 	h.wc = h.winInit
 	h.rate = float64(env.LineRate)
-	h.lastUpdateSeq = 0
-	h.u = 0
 }
 
 // Window returns W in bytes (exported for tests and tracing).

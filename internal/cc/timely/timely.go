@@ -59,6 +59,7 @@ func (c *Config) normalize(env *cc.Env) {
 
 // Timely is one flow's sender state.
 type Timely struct {
+	raw Config // as given to New; Init resolves its defaults into cfg
 	cfg Config
 	env cc.Env
 
@@ -92,7 +93,7 @@ func (t *Timely) Rollback() {
 
 // New returns a factory producing TIMELY instances.
 func New(cfg Config) cc.Factory {
-	return func() cc.Algorithm { return &Timely{cfg: cfg} }
+	return func() cc.Algorithm { return &Timely{raw: cfg, cfg: cfg} }
 }
 
 // Name implements cc.Algorithm.
@@ -105,7 +106,7 @@ func (t *Timely) Name() string {
 
 // Init implements cc.Algorithm: flows start at line rate.
 func (t *Timely) Init(env cc.Env) {
-	t.env = env
+	*t = Timely{raw: t.raw, cfg: t.raw, env: env, snap: t.snap}
 	t.cfg.normalize(&env)
 	t.rate = float64(env.LineRate)
 }

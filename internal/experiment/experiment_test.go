@@ -13,11 +13,14 @@ import (
 // the paper's qualitative claims — who wins, in which direction — not
 // absolute numbers.
 
+// schemeNames are ByName's nine spellings.
+var schemeNames = []string{
+	"hpcc", "hpcc-rxrate", "hpcc-perack", "hpcc-perrtt",
+	"dcqcn", "dcqcn+win", "timely", "timely+win", "dctcp",
+}
+
 func TestByName(t *testing.T) {
-	for _, name := range []string{
-		"hpcc", "hpcc-rxrate", "hpcc-perack", "hpcc-perrtt",
-		"dcqcn", "dcqcn+win", "timely", "timely+win", "dctcp",
-	} {
+	for _, name := range schemeNames {
 		s, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)

@@ -122,7 +122,9 @@ type LoadScenario struct {
 	SpecWindow int
 	// CompletedWindow, when positive, bounds per-host memory on long
 	// runs: each host retains at most this many completed flows, evicting
-	// the oldest into aggregate counters.
+	// the oldest into aggregate counters and recycling its *host.Flow
+	// for a later flow (host.Config.CompletedWindow) — so a *host.Flow
+	// seen in a generator's OnDone must not be kept past the callback.
 	CompletedWindow int
 
 	// SketchStats switches result statistics to streaming mode: FCT

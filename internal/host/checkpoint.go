@@ -54,9 +54,10 @@ type readSnap struct {
 
 // wrapSnap is one in-flight CC trampoline's binding at checkpoint time.
 type wrapSnap struct {
-	w  *schedWrap
-	f  *Flow
-	fn func()
+	w   *schedWrap
+	f   *Flow
+	gen uint32
+	fn  func()
 }
 
 type hostSnap struct {
@@ -147,7 +148,7 @@ func (h *Host) Checkpoint() {
 
 	s.wraps = s.wraps[:0]
 	for _, w := range h.liveWraps {
-		s.wraps = append(s.wraps, wrapSnap{w: w, f: w.f, fn: w.fn}) //hpcclint:alias journals the trampoline binding only; Rollback writes f/fn/idx back through w, and the Flow value itself is restored by the flowSnap pass
+		s.wraps = append(s.wraps, wrapSnap{w: w, f: w.f, gen: w.gen, fn: w.fn}) //hpcclint:alias journals the trampoline binding only; Rollback writes f/fn/idx back through w, and the Flow value itself is restored by the flowSnap pass
 	}
 	s.wrapFree = append(s.wrapFree[:0], h.wrapFree...)
 
@@ -212,7 +213,7 @@ func (h *Host) Rollback() {
 	h.liveWraps = h.liveWraps[:0]
 	for i := range s.wraps {
 		ws := &s.wraps[i]
-		ws.w.f, ws.w.fn = ws.f, ws.fn
+		ws.w.f, ws.w.gen, ws.w.fn = ws.f, ws.gen, ws.fn
 		ws.w.idx = i
 		h.liveWraps = append(h.liveWraps, ws.w)
 	}

@@ -24,7 +24,15 @@ type Flow struct {
 	dst  fabric.NodeID
 	size int64
 	port *fabric.Port
-	alg  cc.Algorithm
+
+	// Bound to this *Flow rather than to one transfer, and therefore
+	// kept when the host recycles it (StartFlow): the CC instance
+	// (re-armed by Init), its environment (Schedule captures the
+	// pointer) and the generation that tells this transfer's CC timers
+	// from an earlier one's.
+	alg cc.Algorithm
+	env cc.Env
+	gen uint32
 
 	sndNxt, sndUna int64
 	nextSendAt     sim.Time
@@ -32,8 +40,9 @@ type Flow struct {
 	rtoEv          sim.Timer
 	lastProgress   sim.Time
 
-	// sendFn/rtoFn are the flow's timer callbacks, built once at start
-	// so re-arming the pacer or the RTO never allocates a closure.
+	// sendFn/rtoFn are the flow's timer callbacks, built once per *Flow
+	// (Host.newFlow) so re-arming the pacer or the RTO never allocates a
+	// closure.
 	sendFn, rtoFn func()
 	// ackEv is the reusable event passed to the CC algorithm on every
 	// ACK (algorithms treat it as transient; HPCC copies the hop
@@ -55,6 +64,7 @@ type Flow struct {
 	alive    bool
 	pending  bool // waiting for a flow-scheduler engine slot (§4.3)
 	admitted bool // holds a scheduler slot (must be released at teardown)
+	pinned   bool // a handle left the simulator: evict and count, never recycle
 	onDone   func(*Flow)
 
 	// OnProgress, if set, observes every cumulative-ACK advance (for
@@ -87,6 +97,12 @@ func (f *Flow) Dst() fabric.NodeID { return f.dst }
 
 // Host returns the sending host that owns this flow.
 func (f *Flow) Host() *Host { return f.host }
+
+// Pin marks the flow as referenced from outside the simulator (a handle
+// returned to a library user): under Config.CompletedWindow it is still
+// evicted and counted, but its *Flow is never reused for a later flow,
+// so the handle keeps reading this transfer's results.
+func (f *Flow) Pin() { f.pinned = true }
 
 // Alg exposes the flow's CC instance for tracing.
 func (f *Flow) Alg() cc.Algorithm { return f.alg }
@@ -202,16 +218,6 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 		base = now
 	}
 	f.nextSendAt = base + gap
-}
-
-// initTimers builds the flow's reusable timer callbacks (one-time
-// allocations; every later re-arm is closure-free).
-func (f *Flow) initTimers() {
-	f.sendFn = func() {
-		f.sendEv = sim.Timer{}
-		f.trySend()
-	}
-	f.rtoFn = f.onRTO
 }
 
 func (f *Flow) armSendTimer() {

@@ -63,7 +63,11 @@ type Config struct {
 	// retained (a ring of recent completions for post-run inspection);
 	// older ones are folded into aggregate counters (EvictedFlows) and
 	// dropped from the flow map, so the map stops growing with
-	// campaign length. Zero retains every flow.
+	// campaign length. An evicted flow's *Flow — with its timer
+	// callbacks and CC instance — is recycled by a later StartFlow, so
+	// the flow lifecycle stops allocating once the window has filled:
+	// a *Flow seen in onDone must not be kept past the callback unless
+	// it was pinned (Flow.Pin). Zero retains every flow.
 	CompletedWindow int
 	// Seed feeds per-flow deterministic randomness.
 	Seed int64
@@ -96,6 +100,7 @@ func (c *Config) normalize() {
 type Host struct {
 	id    fabric.NodeID   //hpcclint:nosnap immutable identity
 	eng   *sim.Engine     //hpcclint:nosnap immutable wiring
+	now   func() sim.Time //hpcclint:nosnap eng.Now bound once (a method value allocates), shared by every flow's cc.Env
 	cfg   Config          //hpcclint:nosnap immutable config
 	pool  *packet.Pool    //hpcclint:nosnap shared pool checkpointed as its own component
 	ports []*fabric.Port  //hpcclint:nosnap immutable wiring; each port checkpoints itself
@@ -129,6 +134,12 @@ type Host struct {
 	retiredHead int
 	evicted     int
 	evictedPkts uint64
+
+	// Free lists (Config.CompletedWindow > 0): sender flows evicted
+	// from the retention ring and receiver states freed at FlowEnd,
+	// reused by StartFlow and handleData in place of an allocation.
+	flowFree []*Flow      //hpcclint:nosnap frozen while journal is set: never pushed to or popped from once checkpointing starts
+	recvFree []*recvState //hpcclint:nosnap frozen while journal is set: never pushed to or popped from once checkpointing starts
 
 	// Speculative-execution support (see checkpoint.go). liveList
 	// tracks the not-yet-done sender flows so a checkpoint walks live
@@ -172,9 +183,13 @@ func (h *Host) recentlyRecvDone(flowID int32) bool {
 // schedWrap adapts one cc.Env.Schedule call onto the engine: it guards
 // the callback behind the flow's liveness and follows it with trySend,
 // like the old per-call closure did, but the wrap (and its bound run
-// closure) returns to the host's free list on firing.
+// closure) returns to the host's free list on firing. gen is the
+// flow's generation when the callback was armed: a timer armed for a
+// finished transfer must not fire into the next one that reuses the
+// same *Flow.
 type schedWrap struct {
 	f   *Flow
+	gen uint32
 	fn  func()
 	run func()
 	idx int // position in the host's liveWraps list; -1 when free
@@ -188,17 +203,17 @@ func (h *Host) scheduleCC(f *Flow, d sim.Time, fn func()) {
 	} else {
 		w = &schedWrap{}
 		w.run = func() {
-			f, fn := w.f, w.fn
+			f, gen, fn := w.f, w.gen, w.fn
 			w.f, w.fn = nil, nil
 			h.unlinkWrap(w)
 			h.wrapFree = append(h.wrapFree, w)
-			if f.alive {
+			if f.alive && f.gen == gen {
 				fn()
 				f.trySend()
 			}
 		}
 	}
-	w.f, w.fn = f, fn
+	w.f, w.gen, w.fn = f, f.gen, fn
 	w.idx = len(h.liveWraps)
 	h.liveWraps = append(h.liveWraps, w)
 	h.eng.After(d, w.run)
@@ -243,6 +258,7 @@ func New(eng *sim.Engine, id fabric.NodeID, cfg Config) *Host {
 	return &Host{
 		id:    id,
 		eng:   eng,
+		now:   eng.Now,
 		cfg:   cfg,
 		pool:  pool,
 		flows: make(map[int32]*Flow),
@@ -257,12 +273,13 @@ func (h *Host) ID() fabric.NodeID { return h.id }
 // Rebind moves the host's event scheduling onto another engine and
 // gives it a shard-local packet pool. Part of partitioning a built
 // network across shard engines; must happen before any flow starts
-// (flows capture h.eng through their timers and CC environment).
+// (flows capture the engine's clock through their CC environment).
 func (h *Host) Rebind(eng *sim.Engine, pool *packet.Pool) {
 	if len(h.flows) > 0 {
 		panic("host: Rebind with flows started")
 	}
 	h.eng = eng
+	h.now = eng.Now
 	if pool != nil {
 		h.pool = pool
 	}
@@ -339,37 +356,22 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 		panic(fmt.Sprintf("host: duplicate flow id %d", id))
 	}
 	port := h.ports[portIdx]
-	f := &Flow{
-		ID:      id,
-		host:    h,
-		dst:     dst,
-		size:    size,
-		port:    port,
-		started: h.eng.Now(),
-		onDone:  onDone,
-		alive:   true,
-	}
+	f := h.getFlow()
+	f.ID, f.dst, f.size, f.port = id, dst, size, port
+	f.started, f.onDone, f.alive = h.eng.Now(), onDone, true
+	f.env.LineRate = port.Rate()
+	f.env.Seed = h.cfg.Seed ^ int64(id)
 	if h.cfg.FlowCtl == IRN {
 		f.sacked = make(map[int64]int32)
 		f.rtx = make(map[int64]int32)
-		env := cc.Env{LineRate: port.Rate(), BaseRTT: h.cfg.BaseRTT}
-		f.irnCap = env.BDP()
+		f.irnCap = f.env.BDP()
 	}
 	f.liveIdx = len(h.liveList)
 	h.liveList = append(h.liveList, f)
 	if h.journal {
 		h.jAdded = append(h.jAdded, f)
 	}
-	f.initTimers()
-	f.alg = h.cfg.CC()
-	f.alg.Init(cc.Env{
-		Now:      h.eng.Now,
-		Schedule: func(d sim.Time, fn func()) { h.scheduleCC(f, d, fn) },
-		LineRate: port.Rate(),
-		BaseRTT:  h.cfg.BaseRTT,
-		MTU:      h.cfg.MTU,
-		Seed:     h.cfg.Seed ^ int64(id),
-	})
+	f.alg.Init(f.env)
 	h.flows[id] = f
 	if size <= 0 {
 		// Degenerate zero-byte transfer: complete immediately (after
@@ -383,6 +385,43 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 		return f
 	}
 	h.admit(f)
+	return f
+}
+
+// getFlow returns a blank flow for StartFlow, recycled when it can be:
+// a recycled flow keeps everything newFlow bound to its pointer and has
+// every other field reset by one whole-struct assignment.
+//
+//hpcclint:alloc-free
+func (h *Host) getFlow() *Flow {
+	n := len(h.flowFree)
+	if n == 0 || h.journal {
+		return h.newFlow() //hpcclint:allow hotpathalloc -- free-list miss: with CompletedWindow > 0 a host allocates as many flows as its peak live + retained count, then recycles
+	}
+	f := h.flowFree[n-1]
+	h.flowFree = h.flowFree[:n-1]
+	// A new generation: CC timers the previous transfer left armed die
+	// in their trampolines (scheduleCC).
+	*f = Flow{host: h, sendFn: f.sendFn, rtoFn: f.rtoFn, alg: f.alg, env: f.env, gen: f.gen + 1}
+	return f
+}
+
+// newFlow allocates a flow and what is bound to the *Flow rather than
+// to one transfer: the timer callbacks, the CC instance and its
+// environment (Schedule captures the pointer).
+func (h *Host) newFlow() *Flow {
+	f := &Flow{host: h, alg: h.cfg.CC()}
+	f.sendFn = func() {
+		f.sendEv = sim.Timer{}
+		f.trySend()
+	}
+	f.rtoFn = f.onRTO
+	f.env = cc.Env{
+		Now:      h.now,
+		Schedule: func(d sim.Time, fn func()) { h.scheduleCC(f, d, fn) },
+		BaseRTT:  h.cfg.BaseRTT,
+		MTU:      h.cfg.MTU,
+	}
 	return f
 }
 
@@ -451,7 +490,9 @@ func (h *Host) EvictedFlows() (flows int, pkts uint64) { return h.evicted, h.evi
 // noteFlowDone records a completion in the retention ring and evicts
 // the oldest retained completion once the window is full. Called after
 // the flow's onDone observers ran; an evicted flow's stats are folded
-// into the aggregate counters first, so nothing is lost.
+// into the aggregate counters first, so nothing is lost. The evicted
+// *Flow then goes to the free list — unless a handle to it left the
+// simulator (pinned), or a speculation journal holds it by pointer.
 func (h *Host) noteFlowDone(f *Flow) {
 	w := h.cfg.CompletedWindow
 	if w <= 0 {
@@ -472,6 +513,8 @@ func (h *Host) noteFlowDone(f *Flow) {
 		h.evictedPkts += g.pktsSent
 		if h.journal {
 			h.jRemoved = append(h.jRemoved, g) //hpcclint:allow hotpathalloc -- membership journal grows per eviction inside a speculation epoch, amortized and truncated at each checkpoint
+		} else if !g.pinned {
+			h.flowFree = append(h.flowFree, g) //hpcclint:allow hotpathalloc -- free list grows to the host's peak live flow count, then recycles in place
 		}
 		delete(h.flows, old)
 	}

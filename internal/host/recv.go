@@ -10,7 +10,8 @@ import (
 // NACK (go-back-N) or out-of-order buffer (IRN) machinery, and DCQCN's
 // CNP rate limiter. It is freed as soon as the flow's final byte has
 // been delivered in order (the sender marks the last chunk with
-// FlowEnd), so long campaigns do not accumulate dead receiver state.
+// FlowEnd), so long campaigns do not accumulate dead receiver state;
+// with Config.CompletedWindow set it goes to the host's free list.
 type recvState struct {
 	rcvNxt   int64
 	nackSent bool            // GBN: one NACK per out-of-sequence episode
@@ -39,9 +40,14 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 			h.pool.Put(p)
 			return
 		}
-		rs = &recvState{} //hpcclint:allow hotpathalloc -- first packet of a flow: per-flow setup, not per-packet
+		if n := len(h.recvFree); n > 0 && !h.journal {
+			rs = h.recvFree[n-1]
+			h.recvFree = h.recvFree[:n-1]
+		} else {
+			rs = &recvState{} //hpcclint:allow hotpathalloc -- free-list miss on a flow's first packet: bounded by the host's peak concurrent inbound flows when CompletedWindow > 0
+		}
 		if h.cfg.FlowCtl == IRN {
-			rs.ooo = make(map[int64]int32) //hpcclint:allow hotpathalloc -- first packet of a flow: per-flow setup, not per-packet
+			rs.ooo = make(map[int64]int32) //hpcclint:allow hotpathalloc -- first packet of a flow, IRN only: the reorder map is still per flow
 		}
 		h.recv[flowID] = rs
 	}
@@ -116,6 +122,10 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	if rs.hasEnd && rs.rcvNxt >= rs.endSeq {
 		delete(h.recv, flowID)
 		h.noteRecvDone(flowID)
+		if h.cfg.CompletedWindow > 0 && !h.journal {
+			*rs = recvState{}
+			h.recvFree = append(h.recvFree, rs) //hpcclint:allow hotpathalloc -- free list grows to the host's peak concurrent inbound flows, then recycles in place
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package host
 import (
 	"testing"
 
+	"hpcc/internal/cc"
+	"hpcc/internal/cc/dcqcn"
 	"hpcc/internal/fabric"
 	"hpcc/internal/sim"
 )
@@ -80,5 +82,72 @@ func TestCompletedWindowOffRetainsAll(t *testing.T) {
 	}
 	if evicted, _ := nw.hosts[0].EvictedFlows(); evicted != 0 {
 		t.Fatalf("evicted %d flows with the window off", evicted)
+	}
+}
+
+// epochCC wraps a CC instance to catch a timer outliving its transfer:
+// every callback armed through Env.Schedule remembers which Init armed
+// it, and counts as stale if it runs after a later Init.
+type epochCC struct {
+	cc.Algorithm
+	epoch int
+	stale *int
+}
+
+func (e *epochCC) Init(env cc.Env) {
+	e.epoch++
+	schedule := env.Schedule
+	env.Schedule = func(d sim.Time, fn func()) {
+		armed := e.epoch
+		schedule(d, func() {
+			if e.epoch != armed {
+				*e.stale++
+			}
+			fn()
+		})
+	}
+	e.Algorithm.Init(env)
+}
+
+// A recycled flow must not hear from its previous transfer. DCQCN's
+// alpha (55 µs) and rate (300 µs) clocks are still queued when a one-
+// packet flow finishes ≈ 4 µs after it started, and with a window of 1
+// its *Flow and CC instance are running the third flow after it by then:
+// the generation stamped into the trampoline is what stops those clocks
+// from ticking (and re-arming themselves) against the new transfer.
+func TestRecycledFlowDropsStaleCCTimers(t *testing.T) {
+	stale, instances := 0, 0
+	hcfg := Config{
+		CC: func() cc.Algorithm {
+			instances++
+			return &epochCC{Algorithm: dcqcn.New(dcqcn.Config{})(), stale: &stale}
+		},
+		BaseRTT:         10 * sim.Microsecond,
+		CompletedWindow: 1,
+	}
+	nw := buildStar(2, hcfg, fabric.SwitchConfig{}, line100, sim.Microsecond)
+
+	// One-packet flows, each started up to 8 µs after the previous one
+	// finished. The jitter matters: strictly back-to-back flows make the
+	// run periodic (4.18 µs a flow, three *Flow taking turns), and a
+	// 55 µs clock then lands on another object's turn every time.
+	const rounds = 200
+	left := rounds
+	var next func(*Flow)
+	next = func(*Flow) {
+		if left > 0 {
+			left--
+			gap := sim.Time(uint32(left)*2654435761>>29) * sim.Microsecond
+			nw.eng.After(gap, func() { nw.start(0, 1, 1000, next) })
+		}
+	}
+	next(nil)
+	nw.eng.Run()
+
+	if left != 0 || instances > 3 {
+		t.Fatalf("%d flows left, %d CC instances for %d flows: flows were not recycled", left, instances, rounds)
+	}
+	if stale != 0 {
+		t.Fatalf("%d CC timer callbacks armed by a finished transfer ran against a later one", stale)
 	}
 }

@@ -14,6 +14,7 @@ type QueueMonitor struct {
 	prio     uint8          //hpcclint:nosnap immutable config
 	interval sim.Time       //hpcclint:nosnap immutable config
 	until    sim.Time       //hpcclint:nosnap immutable config
+	tickFn   func()         //hpcclint:nosnap m.tick bound once: re-arming with the method value would allocate a closure per tick
 
 	// Samples holds the retained per-port observations (bytes), pooled.
 	Samples []float64
@@ -130,7 +131,8 @@ type TimePoint struct {
 // NewQueueMonitor starts sampling immediately; it stops after until.
 func NewQueueMonitor(eng *sim.Engine, ports []*fabric.Port, prio uint8, interval, until sim.Time) *QueueMonitor {
 	m := &QueueMonitor{eng: eng, ports: ports, prio: prio, interval: interval, until: until}
-	eng.After(interval, m.tick)
+	m.tickFn = m.tick
+	eng.After(interval, m.tickFn)
 	return m
 }
 
@@ -213,7 +215,7 @@ func (m *QueueMonitor) tick() {
 	if m.OnSample != nil {
 		m.OnSample(TimePoint{now, total})
 	}
-	m.eng.After(m.interval, m.tick)
+	m.eng.After(m.interval, m.tickFn)
 }
 
 // Summary summarizes the per-port depth observations, mode-agnostic:

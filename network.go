@@ -149,9 +149,17 @@ func (n *Network) fctRecord(size int64, fct sim.Time) stats.FCTRecord {
 	}
 }
 
+// startPinned starts a flow whose handle is about to leave the
+// simulator: under CompletedFlowWindow the host must not recycle it.
+func (n *Network) startPinned(src, dst int, size int64) *host.Flow {
+	f := n.nw.StartFlow(src, dst, size, n.flowDone())
+	f.Pin()
+	return f
+}
+
 // StartFlow launches size bytes from host src to host dst immediately.
 func (n *Network) StartFlow(src, dst int, size int64) *Flow {
-	return &Flow{inner: n.nw.StartFlow(src, dst, size, n.flowDone()), net: n}
+	return &Flow{inner: n.startPinned(src, dst, size), net: n}
 }
 
 // StartFlowAt schedules a flow to begin after delay d. The returned
@@ -160,7 +168,7 @@ func (n *Network) StartFlow(src, dst int, size int64) *Flow {
 func (n *Network) StartFlowAt(d time.Duration, src, dst int, size int64) *Flow {
 	f := &Flow{net: n}
 	n.eng.After(toSim(d), func() {
-		f.inner = n.nw.StartFlow(src, dst, size, n.flowDone())
+		f.inner = n.startPinned(src, dst, size)
 		if f.onProgress != nil {
 			f.inner.OnProgress = f.onProgress
 		}
