@@ -6,12 +6,11 @@
 // trajectory (BENCH_PR2.json, BENCH_PR4.json and successors); CI runs
 // `-quick` as a smoke test and uploads the artifact.
 //
-// The FatTree scenario runs three ways: the default 4-ary-heap
-// scheduler, the calendar-queue scheduler, and sharded across
-// -shards engines (conservative-lookahead partitioning) — all three
-// produce byte-identical simulation results, so the numbers compare
-// pure engine mechanics. -paper adds the full 320-host paper-scale
-// fabric (the ROADMAP wall-clock target).
+// The FatTree scenario runs on one engine and sharded across -shards
+// engines (conservative-lookahead partitioning, plain and speculative)
+// — all produce byte-identical simulation results, so the numbers
+// compare pure engine mechanics. -paper adds the full 320-host
+// paper-scale fabric (the ROADMAP wall-clock target).
 //
 // Usage:
 //
@@ -175,13 +174,12 @@ func main() {
 			}
 		}
 	}
-	add("fattree-websearch-50", func() outcome { return fattreeWebSearch(*quick, false, 1, false) })
-	add("fattree-websearch-50-calendar", func() outcome { return fattreeWebSearch(*quick, true, 1, false) })
+	add("fattree-websearch-50", func() outcome { return fattreeWebSearch(*quick, 1, false) })
 	if *shards > 1 {
 		add(fmt.Sprintf("fattree-websearch-50-shards%d", *shards),
-			func() outcome { return fattreeWebSearch(*quick, false, *shards, false) })
+			func() outcome { return fattreeWebSearch(*quick, *shards, false) })
 		add(fmt.Sprintf("fattree-websearch-50-spec-shards%d", *shards),
-			func() outcome { return fattreeWebSearch(*quick, false, *shards, true) })
+			func() outcome { return fattreeWebSearch(*quick, *shards, true) })
 	}
 	add("incast-16-1", func() outcome { return incast16(*quick) })
 	add("parkinglot-4seg", func() outcome { return parkingLot(*quick) })
@@ -196,15 +194,12 @@ func main() {
 	add(fmt.Sprintf("stream-flows-%dk", small/1000), func() outcome { return streamFlows(small) })
 	add(fmt.Sprintf("stream-flows-%dk", big/1000), func() outcome { return streamFlows(big) })
 	if *paper {
-		add("paper-fattree-websearch", func() outcome { return paperFatTree(false, 1, false) })
-		add("paper-fattree-websearch-calendar", func() outcome { return paperFatTree(true, 1, false) })
+		add("paper-fattree-websearch", func() outcome { return paperFatTree(1, false) })
 		if *shards > 1 {
-			// Calendar engines under sharding: the name encodes both
-			// knobs so the row is not read as sharding alone.
-			add(fmt.Sprintf("paper-fattree-websearch-calendar-shards%d", *shards),
-				func() outcome { return paperFatTree(true, *shards, false) })
+			add(fmt.Sprintf("paper-fattree-websearch-shards%d", *shards),
+				func() outcome { return paperFatTree(*shards, false) })
 			add(fmt.Sprintf("paper-fattree-websearch-spec-shards%d", *shards),
-				func() outcome { return paperFatTree(false, *shards, true) })
+				func() outcome { return paperFatTree(*shards, true) })
 		}
 	}
 
@@ -487,9 +482,9 @@ func measure(name string, fn func() outcome) ScenarioResult {
 
 // fattreeWebSearch is the paper's §5.3 setup at half scale: WebSearch
 // Poisson arrivals at 50% load on the CI-sized FatTree, HPCC with INT.
-// The calendar and shards knobs swap engine mechanics without changing
+// The shards and speculate knobs swap engine mechanics without changing
 // results.
-func fattreeWebSearch(quick, calendar bool, shards int, speculate bool) outcome {
+func fattreeWebSearch(quick bool, shards int, speculate bool) outcome {
 	s := experiment.LoadScenario{
 		Scheme:    mustScheme("hpcc"),
 		Topo:      experiment.FatTreeTopo(topology.ScaledFatTree()),
@@ -499,7 +494,6 @@ func fattreeWebSearch(quick, calendar bool, shards int, speculate bool) outcome 
 		Drain:     20 * sim.Millisecond,
 		PFC:       true,
 		Seed:      1,
-		Calendar:  calendar,
 		Shards:    shards,
 		Speculate: speculate,
 	}
@@ -513,7 +507,7 @@ func fattreeWebSearch(quick, calendar bool, shards int, speculate bool) outcome 
 
 // paperFatTree is the ROADMAP scale target: WebSearch at 50% load on
 // the full 320-host, 16-core/20-agg/20-ToR paper fabric.
-func paperFatTree(calendar bool, shards int, speculate bool) outcome {
+func paperFatTree(shards int, speculate bool) outcome {
 	s := experiment.LoadScenario{
 		Scheme:      mustScheme("hpcc"),
 		Topo:        experiment.FatTreeTopo(topology.PaperFatTree()),
@@ -523,7 +517,6 @@ func paperFatTree(calendar bool, shards int, speculate bool) outcome {
 		Drain:       20 * sim.Millisecond,
 		PFC:         true,
 		Seed:        1,
-		Calendar:    calendar,
 		Shards:      shards,
 		Speculate:   speculate,
 		BufferBytes: experiment.BufferFor(320),

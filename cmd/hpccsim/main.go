@@ -119,6 +119,7 @@ func main() {
 		mode = "sketch"
 	}
 	fmt.Printf("stat memory   %d B retained (%s mode)\n", res.RetainedStatBytes, mode)
+	fmt.Printf("engine        %d events fired, %d pending at most\n", res.Events, res.PendingHighWater)
 	fmt.Println("\np95 slowdown by flow size:")
 	for _, b := range res.BucketP95 {
 		if b.N == 0 {

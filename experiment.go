@@ -272,6 +272,8 @@ func summarize(r *experiment.LoadResult, edges []int64) *SimResult {
 		PFCPauseFraction:     r.PauseFrac,
 		Drops:                r.Drops,
 		RetainedStatBytes:    r.RetainedStatBytes,
+		Events:               r.Events,
+		PendingHighWater:     r.PendingHighWater,
 		ShardsUsed:           r.Shards,
 		Speculated:           r.Speculated,
 		Epochs:               r.Sync.Epochs,

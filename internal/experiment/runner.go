@@ -104,10 +104,6 @@ type LoadScenario struct {
 	// simultaneous deliveries included, via the canonical
 	// (time, key, seq) event rank (see hpcc.Experiment.Shards).
 	Shards int
-	// Calendar selects the calendar-queue event scheduler instead of the
-	// default 4-ary heap — same fire order (so identical results),
-	// better constants with >100K pending events.
-	Calendar bool
 	// Speculate requests optimistic shard synchronization on sharded
 	// runs: every shard checkpoints at the epoch barrier, runs past the
 	// conservative horizon, and rolls back + replays conservatively when
@@ -151,14 +147,6 @@ type LoadScenario struct {
 
 	// Obs streams per-flow, queue and PFC events to observers.
 	Obs Obs
-}
-
-// newEngine builds an engine with the scenario's scheduler choice.
-func (s *LoadScenario) newEngine() *sim.Engine {
-	if s.Calendar {
-		return sim.NewEngineWith(sim.NewCalendar())
-	}
-	return sim.NewEngine()
 }
 
 func (s *LoadScenario) normalize() {
@@ -227,6 +215,13 @@ type LoadResult struct {
 	// in streaming mode). Deterministic and identical across shard
 	// counts — the memory-regression gate compares it between runs.
 	RetainedStatBytes int64
+
+	// Events counts the engine events fired and PendingHighWater is the
+	// deepest any engine's pending-event set got — what the scheduler
+	// had to carry. Deterministic, but they describe the execution, not
+	// the simulated network: both vary with the shard count.
+	Events           uint64
+	PendingHighWater int
 }
 
 // ShortFlowP95Latency returns the 95th-percentile FCT (µs) of flows no
@@ -353,7 +348,7 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 			return res, nil
 		}
 	}
-	eng := s.newEngine()
+	eng := sim.NewEngine()
 	nw := s.build(eng)
 
 	res := &LoadResult{Scheme: s.Scheme.Name, Shards: 1}
@@ -386,6 +381,7 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 	}
 	res.RetainedStatBytes = res.FCT.RetainedBytes() + mon.RetainedBytes()
 	collectFabric(res, nw, s.Until+s.Drain)
+	collectEngines(res, eng)
 	res.Elapsed = eng.Now()
 	return res, nil
 }
@@ -426,6 +422,15 @@ func collectFabric(res *LoadResult, nw *topology.Network, elapsed sim.Time) {
 	}
 	for _, p := range nw.SwitchPorts() {
 		res.PortPackets += p.PacketsSent()
+	}
+}
+
+// collectEngines gathers the scheduler's own counters over the engines
+// that executed the run.
+func collectEngines(res *LoadResult, engines ...*sim.Engine) {
+	for _, e := range engines {
+		res.Events += e.Fired()
+		res.PendingHighWater = max(res.PendingHighWater, e.PendingHighWater())
 	}
 }
 

@@ -42,7 +42,7 @@ func runLoadSharded(s LoadScenario) (*LoadResult, bool, error) {
 	}
 	rate := s.Topo.Rate()
 	baseRTT := s.Topo.BaseRTT()
-	eng0 := s.newEngine()
+	eng0 := sim.NewEngine()
 	nw := s.build(eng0)
 	plan, ok := workload.PlanArrivals(s.Traffic, len(nw.Hosts), workload.Env{
 		HostRate: rate,
@@ -53,7 +53,7 @@ func runLoadSharded(s LoadScenario) (*LoadResult, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	sh, err := topology.Shard(nw, s.Shards, s.newEngine)
+	sh, err := topology.Shard(nw, s.Shards)
 	if err != nil {
 		return nil, false, nil
 	}
@@ -177,6 +177,7 @@ func runLoadSharded(s LoadScenario) (*LoadResult, bool, error) {
 	}
 	res.RetainedStatBytes = res.FCT.RetainedBytes() + queueBytes
 	collectFabric(res, nw, s.Until+s.Drain)
+	collectEngines(res, sh.Engines...)
 	res.Elapsed = sh.Engines[0].Now()
 	return res, true, nil
 }

@@ -13,7 +13,7 @@ import (
 	"hpcc/internal/workload"
 )
 
-func dumbbellScenario(shards int, calendar bool) LoadScenario {
+func dumbbellScenario(shards int) LoadScenario {
 	return LoadScenario{
 		Scheme: ByNameMust("hpcc"),
 		Topo: topology.DumbbellSpec{Pairs: 4, HostRate: 100 * sim.Gbps,
@@ -28,7 +28,6 @@ func dumbbellScenario(shards int, calendar bool) LoadScenario {
 		PFC:      true,
 		Seed:     3,
 		Shards:   shards,
-		Calendar: calendar,
 	}
 }
 
@@ -98,12 +97,12 @@ func compareRuns(t *testing.T, name string, base, got *LoadResult) {
 // The golden sharding contract: 2-shard and 4-shard dumbbell runs are
 // byte-identical to the single-engine run at the same seed.
 func TestShardedDumbbellGolden(t *testing.T) {
-	base := runLoadT(t, dumbbellScenario(1, false))
+	base := runLoadT(t, dumbbellScenario(1))
 	if base.Shards != 1 || len(base.FCT.Records) == 0 {
 		t.Fatalf("baseline: shards=%d records=%d", base.Shards, len(base.FCT.Records))
 	}
 	for _, k := range []int{2, 4} {
-		got := runLoadT(t, dumbbellScenario(k, false))
+		got := runLoadT(t, dumbbellScenario(k))
 		// The dumbbell has 2 rack-level host clusters; asking for more
 		// engages the per-host refinement (each host its own cluster, the
 		// cores one switch cluster), so 4 shards really means 4 engines.
@@ -112,17 +111,6 @@ func TestShardedDumbbellGolden(t *testing.T) {
 		}
 		compareRuns(t, "dumbbell-shards", base, got)
 	}
-}
-
-// The calendar-queue scheduler must not change results either — same
-// fire order, different structure.
-func TestCalendarSchedulerGolden(t *testing.T) {
-	base := runLoadT(t, dumbbellScenario(1, false))
-	cal := runLoadT(t, dumbbellScenario(1, true))
-	compareRuns(t, "calendar", base, cal)
-	// And combined: sharded execution on calendar engines.
-	both := runLoadT(t, dumbbellScenario(2, true))
-	compareRuns(t, "calendar+shards", base, both)
 }
 
 // Sharding the CI FatTree (multi-hop boundaries through aggs and
@@ -161,9 +149,9 @@ func TestShardedFatTreeGolden(t *testing.T) {
 // node actually happen. Before the canonical (time, key, seq) rank,
 // those ties fell back to arming order and the sharded run drifted at
 // picosecond granularity; now Shards 1, 2 and 4 must match
-// byte-for-byte on both schedulers.
+// byte-for-byte.
 func TestShardedSaturatedMultipathGolden(t *testing.T) {
-	mk := func(shards int, calendar bool) LoadScenario {
+	mk := func(shards int) LoadScenario {
 		return LoadScenario{
 			Scheme: ByNameMust("hpcc"),
 			Topo:   FatTreeTopo(topology.ScaledFatTree()),
@@ -178,29 +166,24 @@ func TestShardedSaturatedMultipathGolden(t *testing.T) {
 			Seed:        5,
 			BufferBytes: BufferFor(32),
 			Shards:      shards,
-			Calendar:    calendar,
 		}
 	}
-	base := runLoadT(t, mk(1, false))
+	base := runLoadT(t, mk(1))
 	if len(base.FCT.Records) == 0 {
 		t.Fatal("saturated baseline produced no flows — test is vacuous")
 	}
 	for _, k := range []int{2, 4, 8} {
-		got := runLoadT(t, mk(k, false))
+		got := runLoadT(t, mk(k))
 		if got.Shards != k {
 			t.Fatalf("requested %d shards, engaged %d", k, got.Shards)
 		}
-		compareRuns(t, "saturated-heap", base, got)
+		compareRuns(t, "saturated-shards", base, got)
 	}
-	// Calendar engines, alone and sharded, fire in the same canonical
-	// order.
-	compareRuns(t, "saturated-calendar", base, runLoadT(t, mk(1, true)))
-	compareRuns(t, "saturated-calendar-shards", base, runLoadT(t, mk(4, true)))
 
 	// Speculative barriers on the same saturated fabric: commits and
 	// rollbacks both happen here, and the result must not move a byte.
 	for _, k := range []int{2, 4, 8} {
-		s := mk(k, false)
+		s := mk(k)
 		s.Speculate = true
 		got := runLoadT(t, s)
 		if !got.Speculated {
@@ -211,35 +194,30 @@ func TestShardedSaturatedMultipathGolden(t *testing.T) {
 		}
 		compareRuns(t, "saturated-spec", base, got)
 	}
-	sc := mk(8, true)
-	sc.Speculate = true
-	compareRuns(t, "saturated-spec-calendar", base, runLoadT(t, sc))
 }
 
-// Speculation on the dumbbell: every knob combination — scheduler ×
-// window — replays the serial bytes, and a tight window forces the
-// adaptive machinery through its rollback path.
+// Speculation on the dumbbell: either window replays the serial bytes,
+// and the tight one forces the adaptive machinery through its rollback
+// path.
 func TestSpeculativeDumbbellGolden(t *testing.T) {
-	base := runLoadT(t, dumbbellScenario(1, false))
-	for _, cal := range []bool{false, true} {
-		for _, win := range []int{0, 2} {
-			s := dumbbellScenario(2, cal)
-			s.Speculate = true
-			s.SpecWindow = win
-			got := runLoadT(t, s)
-			if !got.Speculated {
-				t.Fatalf("cal=%v win=%d: speculation did not engage", cal, win)
-			}
-			if got.Sync.SpecEpochs == 0 {
-				t.Fatalf("cal=%v win=%d: no speculative epochs attempted", cal, win)
-			}
-			compareRuns(t, "spec-dumbbell", base, got)
+	base := runLoadT(t, dumbbellScenario(1))
+	for _, win := range []int{0, 2} {
+		s := dumbbellScenario(2)
+		s.Speculate = true
+		s.SpecWindow = win
+		got := runLoadT(t, s)
+		if !got.Speculated {
+			t.Fatalf("win=%d: speculation did not engage", win)
 		}
+		if got.Sync.SpecEpochs == 0 {
+			t.Fatalf("win=%d: no speculative epochs attempted", win)
+		}
+		compareRuns(t, "spec-dumbbell", base, got)
 	}
 }
 
 // The randomized speculation property: whatever the workload mix,
-// seed, shard count, scheduler or window, a speculative run replays
+// seed, shard count or window, a speculative run replays
 // the serial bytes. Scenario parameters are drawn from a seeded RNG so
 // a failure reproduces; across the trials at least one rollback must
 // occur, or the property was never exercised on its hard path.
@@ -265,7 +243,6 @@ func TestSpeculativePropertyRandomized(t *testing.T) {
 		base := runLoadT(t, s)
 		sp := s
 		sp.Shards = 2 + rng.Intn(3)
-		sp.Calendar = rng.Intn(2) == 1
 		sp.Speculate = true
 		sp.SpecWindow = []int{0, 2, 4, 8}[rng.Intn(4)]
 		got := runLoadT(t, sp)
@@ -290,7 +267,7 @@ func TestSpeculativePropertyRandomized(t *testing.T) {
 // and not diverge.
 func TestSpeculationFallsBackOnECN(t *testing.T) {
 	mk := func(shards int, spec bool) LoadScenario {
-		s := dumbbellScenario(shards, false)
+		s := dumbbellScenario(shards)
 		s.Scheme = ByNameMust("dcqcn")
 		s.Speculate = spec
 		return s
@@ -309,14 +286,14 @@ func TestSpeculationFallsBackOnECN(t *testing.T) {
 // Closed-loop traffic and observer attachment both fall back to a
 // single engine — silently, with identical results.
 func TestShardedFallbacks(t *testing.T) {
-	s := dumbbellScenario(2, false)
+	s := dumbbellScenario(2)
 	s.Traffic = append(s.Traffic, workload.AllToAllSpec{Size: 5_000})
 	r := runLoadT(t, s)
 	if r.Shards != 1 {
 		t.Fatalf("closed-loop traffic ran on %d shards, want fallback to 1", r.Shards)
 	}
 
-	s2 := dumbbellScenario(2, false)
+	s2 := dumbbellScenario(2)
 	var qs []stats.TimePoint
 	s2.Obs.OnQueue = func(tp stats.TimePoint) { qs = append(qs, tp) }
 	r2 := runLoadT(t, s2)
@@ -330,7 +307,7 @@ func TestShardedFallbacks(t *testing.T) {
 	// A flat star used to be a fallback case; per-host sharding now
 	// partitions it (each host its own cluster, the hub switch whole),
 	// still byte-identical to the serial run.
-	s3 := dumbbellScenario(2, false)
+	s3 := dumbbellScenario(2)
 	s3.Topo = StarTopo(8)
 	serial := s3
 	serial.Shards = 1
@@ -342,7 +319,7 @@ func TestShardedFallbacks(t *testing.T) {
 	compareRuns(t, "star-per-host", base3, r3)
 
 	// A single-host fabric genuinely cannot partition.
-	s4 := dumbbellScenario(2, false)
+	s4 := dumbbellScenario(2)
 	s4.Topo = StarTopo(1)
 	s4.Traffic = nil
 	if r4 := runLoadT(t, s4); r4.Shards != 1 {
@@ -357,7 +334,7 @@ func TestShardedFallbacks(t *testing.T) {
 func TestQueueSampleCapSharded(t *testing.T) {
 	const capTicks = 16
 	mk := func(shards int) LoadScenario {
-		s := dumbbellScenario(shards, false)
+		s := dumbbellScenario(shards)
 		s.QueueSampleCap = capTicks
 		return s
 	}
@@ -367,7 +344,7 @@ func TestQueueSampleCapSharded(t *testing.T) {
 	if len(base.QueueKB) == 0 || len(base.QueueKB) > capTicks*8 {
 		t.Fatalf("capped run retained %d samples, want (0, %d]", len(base.QueueKB), capTicks*8)
 	}
-	uncapped := runLoadT(t, dumbbellScenario(1, false))
+	uncapped := runLoadT(t, dumbbellScenario(1))
 	if len(uncapped.QueueKB) <= len(base.QueueKB) {
 		t.Fatalf("cap retained %d samples but uncapped has %d — cap never engaged",
 			len(base.QueueKB), len(uncapped.QueueKB))
@@ -381,8 +358,8 @@ func TestQueueSampleCapSharded(t *testing.T) {
 
 // Bounded completed-flow retention must not change any aggregate.
 func TestCompletedWindowAccounting(t *testing.T) {
-	base := runLoadT(t, dumbbellScenario(1, false))
-	s := dumbbellScenario(1, false)
+	base := runLoadT(t, dumbbellScenario(1))
+	s := dumbbellScenario(1)
 	s.CompletedWindow = 4
 	got := runLoadT(t, s)
 	compareRuns(t, "completed-window", base, got)

@@ -34,8 +34,8 @@ func bracketCheck(t *testing.T, name string, got float64, xs []float64, p, alpha
 // scenario (the dumbbell with incast the shard goldens use).
 func TestSketchStatsWithinAccuracy(t *testing.T) {
 	const alpha = 0.01
-	exact := runLoadT(t, dumbbellScenario(1, false))
-	sc := dumbbellScenario(1, false)
+	exact := runLoadT(t, dumbbellScenario(1))
+	sc := dumbbellScenario(1)
 	sc.SketchStats = true
 	sketch := runLoadT(t, sc)
 
@@ -82,7 +82,7 @@ func TestSketchStatsWithinAccuracy(t *testing.T) {
 // piece and are deliberately not compared.)
 func TestShardedSketchInvariance(t *testing.T) {
 	base := func() LoadScenario {
-		sc := dumbbellScenario(1, false)
+		sc := dumbbellScenario(1)
 		sc.SketchStats = true
 		return sc
 	}

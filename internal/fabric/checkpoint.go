@@ -142,15 +142,15 @@ func (pt *Port) Rollback() {
 }
 
 type switchSnap struct {
-	used       int64
-	ingressB   [][NumPrio]int64
-	pauseSent  [][NumPrio]bool
-	drops      uint64
-	pfcSent    uint64
-	maxUsed    int64
-	enqueued   uint64
-	ecnMarked  uint64
-	routeErrsr uint64
+	used      int64
+	ingressB  [][NumPrio]int64
+	pauseSent [][NumPrio]bool
+	drops     uint64
+	pfcSent   uint64
+	maxUsed   int64
+	enqueued  uint64
+	ecnMarked uint64
+	routeErrs uint64
 }
 
 // UsesRNG reports whether the switch's forwarding consults its random
@@ -176,7 +176,7 @@ func (s *Switch) Checkpoint() {
 	sn.maxUsed = s.maxUsed
 	sn.enqueued = s.enqueued
 	sn.ecnMarked = s.ecnMarked
-	sn.routeErrsr = s.routeErrsr
+	sn.routeErrs = s.routeErrs
 }
 
 // Rollback restores the last Checkpoint in place.
@@ -193,5 +193,5 @@ func (s *Switch) Rollback() {
 	s.maxUsed = sn.maxUsed
 	s.enqueued = sn.enqueued
 	s.ecnMarked = sn.ecnMarked
-	s.routeErrsr = sn.routeErrsr
+	s.routeErrs = sn.routeErrs
 }

@@ -413,12 +413,28 @@ func TestBufferConservationProperty(t *testing.T) {
 	}
 }
 
+// A packet for a destination the switch has no route to — never
+// installed, negative, or beyond the dense table — is dropped, counted
+// once and handed back to the pool; a bad custom graph must not index
+// out of range.
 func TestUnroutableDrops(t *testing.T) {
-	eng, a, s, _ := lineTopo(t, SwitchConfig{}, 100*sim.Gbps, 0)
-	p := data(1, a.id, 99, 0, 1064) // destination 99 has no route
-	a.ports[0].Enqueue(p, -1)
-	eng.Run()
-	if s.Drops() != 1 {
-		t.Fatalf("drops = %d, want 1", s.Drops())
+	pool := packet.NewPool()
+	eng, a, s, b := lineTopo(t, SwitchConfig{Pool: pool}, 100*sim.Gbps, 0)
+	for i, dst := range []NodeID{0, -1, -1 << 31, 3, 99, 1<<31 - 1} { // the table covers IDs 0..2
+		if s.Route(dst) != nil {
+			t.Fatalf("Route(%d) = %v, want none", dst, s.Route(dst))
+		}
+		p := data(1, a.id, dst, 0, 1064)
+		a.ports[0].Enqueue(p, -1)
+		eng.Run()
+		if want := uint64(i + 1); s.Drops() != want || s.RouteErrors() != want {
+			t.Fatalf("dst %d: drops = %d, route errors = %d, want %d each", dst, s.Drops(), s.RouteErrors(), want)
+		}
+		if got := pool.Get(); got != p {
+			t.Fatalf("dst %d: dropped packet was not returned to the pool", dst)
+		}
+	}
+	if len(b.got) != 0 {
+		t.Fatalf("%d unroutable packets were delivered", len(b.got))
 	}
 }

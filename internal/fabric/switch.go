@@ -83,20 +83,20 @@ type Switch struct {
 	rng  *rand.Rand   //hpcclint:nosnap WRED/ECN stream; speculation is refused for RNG fabrics up front (UsesRNG)
 	pool *packet.Pool //hpcclint:nosnap shared pool checkpointed as its own component
 
-	ports  []*Port          //hpcclint:nosnap immutable wiring; each port checkpoints itself
-	routes map[NodeID][]int //hpcclint:nosnap immutable routing table built at wiring time
+	ports  []*Port //hpcclint:nosnap immutable wiring; each port checkpoints itself
+	routes [][]int //hpcclint:nosnap immutable routing table built at wiring time: ECMP port set by destination NodeID (IDs are dense)
 
 	used      int64 // shared buffer bytes in use (data priorities)
 	ingressB  [][NumPrio]int64
 	pauseSent [][NumPrio]bool
 
 	// Statistics.
-	drops      uint64
-	pfcSent    uint64
-	maxUsed    int64
-	enqueued   uint64
-	ecnMarked  uint64
-	routeErrsr uint64
+	drops     uint64
+	pfcSent   uint64
+	maxUsed   int64
+	enqueued  uint64
+	ecnMarked uint64
+	routeErrs uint64
 
 	// snap is the speculative-execution checkpoint slot (see
 	// checkpoint.go); allocated lazily.
@@ -112,12 +112,11 @@ func NewSwitch(eng *sim.Engine, id NodeID, cfg SwitchConfig) *Switch {
 		pool = packet.NewPool()
 	}
 	return &Switch{
-		id:     id,
-		eng:    eng,
-		cfg:    cfg,
-		rng:    sim.NewRNG(cfg.Seed, fmt.Sprintf("switch-%d-wred", id)),
-		pool:   pool,
-		routes: make(map[NodeID][]int),
+		id:   id,
+		eng:  eng,
+		cfg:  cfg,
+		rng:  sim.NewRNG(cfg.Seed, fmt.Sprintf("switch-%d-wred", id)),
+		pool: pool,
 	}
 }
 
@@ -155,14 +154,27 @@ func (s *Switch) Ports() []*Port { return s.ports }
 
 // InstallRoute sets the ECMP egress port set for a destination host.
 func (s *Switch) InstallRoute(dst NodeID, portIdx []int) {
+	for int(dst) >= len(s.routes) {
+		s.routes = append(s.routes, nil)
+	}
 	s.routes[dst] = portIdx
 }
 
-// Routes returns the installed routing table (read-only use).
-func (s *Switch) Routes() map[NodeID][]int { return s.routes }
+// Route returns the ECMP egress port set installed for dst, or nil when
+// there is none (read-only use).
+func (s *Switch) Route(dst NodeID) []int {
+	if uint(dst) >= uint(len(s.routes)) {
+		return nil
+	}
+	return s.routes[dst]
+}
 
 // Drops returns the number of packets dropped at this switch.
 func (s *Switch) Drops() uint64 { return s.drops }
+
+// RouteErrors returns how many of those drops were packets for a
+// destination with no installed route.
+func (s *Switch) RouteErrors() uint64 { return s.routeErrs }
 
 // ECNMarked returns the number of packets CE-marked at this switch.
 func (s *Switch) ECNMarked() uint64 { return s.ecnMarked }
@@ -201,9 +213,9 @@ func (s *Switch) HandleArrival(p *packet.Packet, in *Port) {
 		return
 	}
 
-	cand, ok := s.routes[NodeID(p.Dst)]
-	if !ok || len(cand) == 0 {
-		s.routeErrsr++
+	cand := s.Route(NodeID(p.Dst))
+	if len(cand) == 0 {
+		s.routeErrs++
 		s.drops++
 		s.pool.Put(p)
 		return

@@ -2,18 +2,12 @@ package host
 
 import (
 	"math"
-	"sync/atomic"
 
 	"hpcc/internal/cc"
 	"hpcc/internal/fabric"
 	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
-
-// pktID is the process-wide packet-ID source, used only for tracing
-// (forwarding never branches on it). It is atomic so independent
-// engines may run on concurrent goroutines (campaign workers).
-var pktID atomic.Uint64
 
 // Flow is one sender-side queue pair: it segments size bytes into
 // MTU-sized packets, enforces the CC window and pacing rate, and runs
@@ -183,7 +177,7 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 		size += packet.INTOverhead
 	}
 	p := f.host.pool.Get()
-	p.ID = pktID.Add(1)
+	p.ID = f.host.nextPktID()
 	p.Type = packet.Data
 	p.FlowID = f.ID
 	p.Src = int32(f.host.id)

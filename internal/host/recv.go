@@ -154,7 +154,7 @@ func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, cumSeq int64) {
 	if h.cfg.INT {
 		size += packet.INTOverhead
 	}
-	p.ID = pktID.Add(1)
+	p.ID = h.nextPktID()
 	p.Type = packet.Ack
 	p.Src, p.Dst = p.Dst, p.Src
 	p.Prio = fabric.PrioCtrl
@@ -169,7 +169,7 @@ func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, cumSeq int64) {
 // sendCtrl emits a NACK or CNP toward the sender of p.
 func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, typ packet.Type, expSeq, gotSeq int64) {
 	ctrl := h.pool.Get()
-	ctrl.ID = pktID.Add(1)
+	ctrl.ID = h.nextPktID()
 	ctrl.Type = typ
 	ctrl.FlowID = p.FlowID
 	ctrl.Src = p.Dst

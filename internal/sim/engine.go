@@ -11,7 +11,7 @@ type Event struct {
 	seq   uint64
 	gen   uint64
 	fn    func()
-	index int // heap index; -1 when not owned by a heap scheduler
+	index int // heap slot; -1 when not queued
 }
 
 // At reports when the event is (or was) scheduled to fire.
@@ -23,7 +23,7 @@ func (e *Event) At() Time { return e.at }
 // the world runs on one engine or many shards (wire deliveries carry
 // their port's build-time ID, traffic arrivals their generator's rank;
 // ordinary events carry 0) — and only then by the per-engine scheduling
-// sequence (first scheduled, first fired). Schedulers must agree on
+// sequence (first scheduled, first fired). The engine's heap pops in
 // exactly this order.
 func (e *Event) Before(o *Event) bool {
 	if e.at != o.at {
@@ -51,39 +51,6 @@ const KeyArrivalBase uint64 = 1 << 32
 // ArrivalKey returns the canonical key for traffic-arrival events of
 // scenario generator i.
 func ArrivalKey(i int) uint64 { return KeyArrivalBase + uint64(i) }
-
-// Scheduler is the pending-event set of an Engine: a priority queue
-// over (time, key, seq). Implementations must pop events in exactly
-// Event.Before order — the engine's determinism contract — but are free
-// to trade structure for constant factors (binary heap for small
-// pending sets, calendar queue for >100K pending events).
-//
-// Cancellation is cooperative: the engine marks cancelled events (fn =
-// nil) and either removes them eagerly via Remove or lazily discards
-// them at Pop/Peek, so implementations without O(log n) removal return
-// false from Remove and simply keep the tombstone queued.
-type Scheduler interface {
-	// Push inserts a scheduled event.
-	Push(ev *Event)
-	// Pop removes and returns the earliest event (Before order), or nil.
-	Pop() *Event
-	// Peek returns the earliest event without removing it, or nil.
-	Peek() *Event
-	// Remove eagerly extracts a cancelled event if the structure
-	// supports it, reporting whether ev was taken out.
-	Remove(ev *Event) bool
-	// Len returns the number of queued events, including tombstones.
-	Len() int
-	// Do calls fn for every queued event (tombstones included) in
-	// unspecified order. Engine.Checkpoint snapshots the pending set
-	// through it; order is irrelevant because a restore re-Pushes and
-	// the (time, key, seq) rank is total.
-	Do(fn func(*Event))
-	// Reset discards every queued event, retaining internal capacity.
-	// Engine.Rollback empties the structure through it before
-	// re-pushing the checkpointed pending set.
-	Reset()
-}
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer
 // is inert: cancelling it is a no-op. Handles are values; they embed
@@ -113,24 +80,16 @@ func (t Timer) When() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	sched   Scheduler
-	live    int      // queued events that are not cancelled tombstones
+	q       heap4    // pending events
 	stopped bool     //hpcclint:nosnap transient Stop flag; only ever true inside Run, never at a checkpoint barrier (Rollback clears it)
 	pool    []*Event // freelist for fired events
 	fired   uint64
 	snap    engineSnap
 }
 
-// NewEngine returns an engine with the clock at zero, backed by the
-// default 4-ary heap scheduler (order-identical to the binary heap and
-// the calendar queue; see Scheduler).
-func NewEngine() *Engine { return NewEngineWith(NewHeap4()) }
-
-// NewEngineWith returns an engine backed by the given scheduler (which
-// must be empty). Use NewCalendar for workloads holding >100K pending
-// events.
-func NewEngineWith(s Scheduler) *Engine {
-	e := &Engine{sched: s}
+// NewEngine returns an engine with the clock at zero.
+func NewEngine() *Engine {
+	e := &Engine{}
 	noteEngine(e)
 	return e
 }
@@ -139,7 +98,11 @@ func NewEngineWith(s Scheduler) *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return e.live }
+func (e *Engine) Pending() int { return e.q.len() }
+
+// PendingHighWater returns the largest Pending has been: the depth the
+// scheduler actually worked at.
+func (e *Engine) PendingHighWater() int { return e.q.high }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -166,15 +129,14 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 		ev = e.pool[n-1]
 		e.pool = e.pool[:n-1]
 	} else {
-		ev = &Event{index: -1} //hpcclint:allow hotpathalloc -- pool miss warms the free list once; steady state reuses recycled events (TestCalendarSteadyStateAllocs)
+		ev = &Event{index: -1} //hpcclint:allow hotpathalloc -- pool miss warms the free list once; steady state reuses recycled events (TestEngineSteadyStateAllocs)
 	}
 	ev.at = t
 	ev.key = key
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	e.live++
-	e.sched.Push(ev)
+	e.q.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -204,13 +166,9 @@ func (e *Engine) Cancel(t Timer) {
 	if ev == nil || ev.gen != t.gen || ev.fn == nil {
 		return
 	}
-	ev.fn = nil
 	ev.gen++ // invalidate every outstanding handle
-	e.live--
-	if e.sched.Remove(ev) {
-		e.recycle(ev)
-	}
-	// Otherwise the tombstone stays queued and is discarded at Pop.
+	e.q.remove(ev)
+	e.recycle(ev)
 }
 
 //hpcclint:alloc-free
@@ -219,34 +177,17 @@ func (e *Engine) recycle(ev *Event) {
 	e.pool = append(e.pool, ev) //hpcclint:allow hotpathalloc -- free-list growth is amortized over reuse; capacity is retained across checkpoints
 }
 
-// head returns the earliest live event without removing it, discarding
-// cancelled tombstones along the way.
-func (e *Engine) head() *Event {
-	for {
-		ev := e.sched.Peek()
-		if ev == nil {
-			return nil
-		}
-		if ev.fn != nil {
-			return ev
-		}
-		e.sched.Pop()
-		e.recycle(ev)
-	}
-}
-
 // PeekTime returns the fire time of the earliest pending event.
 func (e *Engine) PeekTime() (Time, bool) {
-	ev := e.head()
+	ev := e.q.peek()
 	if ev == nil {
 		return 0, false
 	}
 	return ev.at, true
 }
 
-// fire executes a live event that has already been removed from the
-// scheduler — the shared tail of Step and the deadline-bounded run
-// loops.
+// fire executes an event that has already been popped — the shared
+// tail of Step and the deadline-bounded run loops.
 //
 //hpcclint:alloc-free
 func (e *Engine) fire(ev *Event) {
@@ -254,54 +195,46 @@ func (e *Engine) fire(ev *Event) {
 	fn := ev.fn
 	ev.fn = nil
 	ev.gen++ // invalidate handles before fn can reschedule
-	e.live--
 	e.recycle(ev)
 	e.fired++
 	fn()
 }
 
+// maxTime is the latest representable instant.
+const maxTime = Time(1<<63 - 1)
+
 // Step fires the earliest pending event and returns true, or returns
 // false if the queue is empty.
 func (e *Engine) Step() bool {
-	for {
-		ev := e.sched.Pop()
-		if ev == nil {
-			return false
-		}
-		if ev.fn == nil { // lazily-cancelled tombstone
-			e.recycle(ev)
-			continue
-		}
-		e.fire(ev)
-		return true
+	ev := e.q.popThrough(maxTime)
+	if ev == nil {
+		return false
 	}
+	e.fire(ev)
+	return true
 }
 
 // Run fires events until the queue empties or Stop is called.
-func (e *Engine) Run() {
+func (e *Engine) Run() { e.runThrough(maxTime) }
+
+// runThrough fires events with timestamps <= last until none is left or
+// Stop is called.
+func (e *Engine) runThrough(last Time) {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.stopped {
+		ev := e.q.popThrough(last)
+		if ev == nil {
+			break
+		}
+		e.fire(ev)
 	}
 }
 
 // RunUntil fires events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled beyond the deadline remain
 // queued.
-//
-// Pop fast path: head() already discarded every tombstone ahead of the
-// live head, so the subsequent Pop is guaranteed to return exactly that
-// event — one tombstone-discard scan per fired event instead of the
-// head()-then-Step() double scan.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		ev := e.head()
-		if ev == nil || ev.at > deadline {
-			break
-		}
-		e.sched.Pop()
-		e.fire(ev)
-	}
+	e.runThrough(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -311,17 +244,9 @@ func (e *Engine) RunUntil(deadline Time) {
 // advances the clock to the deadline. It is the epoch primitive of
 // ShardGroup: an epoch [T, T+L) runs every event before the boundary
 // and leaves boundary-time events for the next epoch, after the
-// cross-shard exchange. Uses the same pop fast path as RunUntil.
+// cross-shard exchange.
 func (e *Engine) RunBefore(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		ev := e.head()
-		if ev == nil || ev.at >= deadline {
-			break
-		}
-		e.sched.Pop()
-		e.fire(ev)
-	}
+	e.runThrough(deadline - 1) // times are whole picoseconds
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -362,27 +287,27 @@ type engineSnap struct {
 	valid bool
 	now   Time
 	seq   uint64
-	live  int
 	fired uint64
+	high  int
 	evs   []evSnap
 	pool  []*Event
 }
 
 // Checkpoint captures the engine's complete state — clock, sequence
-// counter, pending-event set (tombstones included) and event freelist —
-// into an internal snapshot slot, overwriting any previous snapshot.
+// counter, pending-event set and event freelist — into an internal
+// snapshot slot, overwriting any previous snapshot.
 func (e *Engine) Checkpoint() {
 	s := &e.snap
 	s.valid = true
-	s.now, s.seq, s.live, s.fired = e.now, e.seq, e.live, e.fired
+	s.now, s.seq, s.fired, s.high = e.now, e.seq, e.fired, e.q.high
 	s.evs = s.evs[:0]
-	e.sched.Do(func(ev *Event) {
-		s.evs = append(s.evs, evSnap{ptr: ev, val: *ev})
-	})
+	for _, sl := range e.q.pending() {
+		s.evs = append(s.evs, evSnap{ptr: sl.ev, val: *sl.ev})
+	}
 	s.pool = append(s.pool[:0], e.pool...)
 }
 
-// Rollback restores the last Checkpoint in place: the scheduler is
+// Rollback restores the last Checkpoint in place: the heap is
 // emptied and the checkpointed pending set re-pushed through the
 // original Event pointers (restoring at/key/seq/gen/fn), and the
 // freelist is reset to its checkpointed contents. Event structs
@@ -393,14 +318,14 @@ func (e *Engine) Rollback() {
 	if !s.valid {
 		panic("sim: Engine.Rollback without Checkpoint")
 	}
-	e.now, e.seq, e.live, e.fired = s.now, s.seq, s.live, s.fired
+	e.now, e.seq, e.fired = s.now, s.seq, s.fired
 	e.stopped = false
-	e.sched.Reset()
+	e.q.reset()
 	for i := range s.evs {
 		ev := s.evs[i].ptr
 		*ev = s.evs[i].val
-		ev.index = -1
-		e.sched.Push(ev)
+		e.q.push(ev)
 	}
+	e.q.high = s.high
 	e.pool = append(e.pool[:0], s.pool...)
 }

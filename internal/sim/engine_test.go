@@ -133,6 +133,40 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// PendingHighWater is the deepest the pending set has been: holds that
+// refill a pop's hole do not raise it, a rollback restores it, and
+// RunBefore leaves events at the boundary queued.
+func TestPendingHighWater(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	for i := 1; i <= 5; i++ {
+		e.At(Time(i)*Microsecond, nop)
+	}
+	e.Cancel(e.At(Millisecond, nop)) // six queued, briefly
+	for i := 0; i < 3; i++ {
+		e.Step()
+		e.After(Millisecond, nop) // a hold: depth stays at five
+	}
+	if got := e.PendingHighWater(); got != 6 || e.Pending() != 5 {
+		t.Fatalf("high water %d with %d pending, want 6 with 5", got, e.Pending())
+	}
+	e.Checkpoint()
+	for i := 0; i < 10; i++ {
+		e.After(Microsecond, nop)
+	}
+	if got := e.PendingHighWater(); got != 15 {
+		t.Fatalf("high water %d after ten more, want 15", got)
+	}
+	e.Rollback()
+	if got := e.PendingHighWater(); got != 6 || e.Pending() != 5 {
+		t.Fatalf("after rollback: high water %d with %d pending, want 6 with 5", got, e.Pending())
+	}
+	e.RunBefore(5 * Microsecond)
+	if e.Pending() != 4 || e.Now() != 5*Microsecond {
+		t.Fatalf("RunBefore(5us) left %d pending at %v, want 4 (the 5us event and three holds) at 5us", e.Pending(), e.Now())
+	}
+}
+
 func TestEnginePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(Millisecond, func() {})

@@ -1,150 +1,227 @@
 package sim
 
-// Heap4 is the default Scheduler: an implicit 4-ary heap over the
-// canonical (time, key, seq) rank. Compared to the binary heap it is
-// half as deep, so a sift touches fewer cache lines per level crossed;
-// the extra comparisons per level are against four children sitting in
-// adjacent slots of one array, which the prefetcher hands over for
-// free. Pop order is exactly Event.Before — identical to Heap and
-// Calendar — which the three-way scheduler-equivalence property test
-// pins down, so swapping schedulers never changes simulation results.
-type Heap4 struct {
-	q []*Event
+// slot is one pending event in the heap array with its (time, key, seq)
+// rank held inline, so a sift compares adjacent 32-byte slots and never
+// dereferences a scattered Event.
+type slot struct {
+	at  Time
+	key uint64
+	seq uint64
+	ev  *Event
 }
 
-// NewHeap4 returns an empty 4-ary heap scheduler.
-func NewHeap4() *Heap4 { return &Heap4{} }
-
-// Push implements Scheduler.
-func (h *Heap4) Push(ev *Event) {
-	ev.index = len(h.q)
-	h.q = append(h.q, ev)
-	h.siftUp(len(h.q) - 1)
+// before is Event.Before on inline ranks.
+func (a *slot) before(b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
 }
 
-// Pop implements Scheduler.
-func (h *Heap4) Pop() *Event {
-	n := len(h.q)
-	if n == 0 {
+// heap4 is the engine's pending-event set: an implicit 4-ary heap over
+// the canonical (time, key, seq) rank, popping in exactly Event.Before
+// order. Event.index tracks each event's slot for O(log n) removal.
+//
+// A pop defers its sift: it vacates the root (hole) and the next push
+// drops the new event there and sifts it down once — the hold operation
+// nearly every fired event performs — instead of a pop sift followed by
+// a push sift. While the hole is open the root slot holds at = -1, below
+// every real time, so a sift toward the root stops beneath it unaided.
+type heap4 struct {
+	q    []slot
+	hole bool // q[0] is vacant, left by a pop not yet followed by a push
+	high int  // most events ever queued at once
+}
+
+// len returns the number of queued events.
+func (h *heap4) len() int {
+	if h.hole {
+		return len(h.q) - 1
+	}
+	return len(h.q)
+}
+
+// push inserts a scheduled event.
+//
+//hpcclint:alloc-free
+func (h *heap4) push(ev *Event) {
+	s := slot{ev.at, ev.key, ev.seq, ev}
+	if h.hole {
+		h.hole = false
+		h.siftDown(0, s)
+		return
+	}
+	i := len(h.q)
+	h.q = append(h.q, s) //hpcclint:allow hotpathalloc -- heap array growth is amortized; capacity is retained across pops, Reset and rollbacks
+	if i >= h.high {
+		h.high = i + 1
+	}
+	h.siftUp(i, s)
+}
+
+// settle closes an open hole by sifting the last slot down from the
+// root, so q[0] is the minimum again.
+//
+//hpcclint:alloc-free
+func (h *heap4) settle() {
+	h.hole = false
+	n := len(h.q) - 1
+	last := h.q[n]
+	h.q[n].ev = nil
+	h.q = h.q[:n]
+	if n > 0 {
+		h.siftDown(0, last)
+	}
+}
+
+// popThrough removes and returns the earliest event if it fires at or
+// before limit, or returns nil.
+//
+//hpcclint:alloc-free
+func (h *heap4) popThrough(limit Time) *Event {
+	if h.hole {
+		h.settle()
+	}
+	if len(h.q) == 0 || h.q[0].at > limit {
 		return nil
 	}
-	top := h.q[0]
-	last := h.q[n-1]
-	h.q[n-1] = nil
-	h.q = h.q[:n-1]
-	if n > 1 {
-		last.index = 0
-		h.q[0] = last
-		h.siftDown(0)
-	}
-	top.index = -1
-	return top
+	ev := h.q[0].ev
+	ev.index = -1
+	h.q[0] = slot{at: -1}
+	h.hole = true
+	return ev
 }
 
-// Peek implements Scheduler.
-func (h *Heap4) Peek() *Event {
+// peek returns the earliest event without removing it, or nil.
+func (h *heap4) peek() *Event {
+	if h.hole {
+		h.settle()
+	}
 	if len(h.q) == 0 {
 		return nil
 	}
-	return h.q[0]
+	return h.q[0].ev
 }
 
-// Remove implements Scheduler: like the binary heap, the 4-ary heap
-// supports eager O(log n) extraction of cancelled events through the
-// per-event index.
-func (h *Heap4) Remove(ev *Event) bool {
+// remove extracts a queued event from the middle of the heap. An open
+// hole stays open: the slot that replaces ev cannot rise past the
+// vacant root.
+//
+//hpcclint:alloc-free
+func (h *heap4) remove(ev *Event) {
 	i := ev.index
-	if i < 0 {
-		return false
-	}
+	ev.index = -1
 	n := len(h.q) - 1
 	last := h.q[n]
-	h.q[n] = nil
+	h.q[n].ev = nil
 	h.q = h.q[:n]
-	if i < n {
-		last.index = i
-		h.q[i] = last
-		if !h.siftDown(i) {
-			h.siftUp(i)
-		}
+	if i == n {
+		return
 	}
-	ev.index = -1
-	return true
-}
-
-// Len implements Scheduler.
-func (h *Heap4) Len() int { return len(h.q) }
-
-// Do implements Scheduler: heap order is irrelevant for snapshots, so
-// this is a plain slice walk.
-func (h *Heap4) Do(fn func(*Event)) {
-	for _, ev := range h.q {
-		fn(ev)
+	if i > 0 && last.before(&h.q[(i-1)>>2]) {
+		h.siftUp(i, last)
+	} else {
+		h.siftDown(i, last)
 	}
 }
 
-// Reset implements Scheduler, keeping the backing array for reuse.
-func (h *Heap4) Reset() {
-	for i := range h.q {
-		h.q[i] = nil
+// pending returns the queued events' slots in unspecified order.
+func (h *heap4) pending() []slot {
+	if h.hole {
+		return h.q[1:]
 	}
+	return h.q
+}
+
+// reset discards every queued event, keeping the backing array.
+func (h *heap4) reset() {
+	clear(h.q)
 	h.q = h.q[:0]
+	h.hole = false
 }
 
-// siftUp restores heap order from slot i toward the root. The moved
-// event is held out of the array until its final slot is known, so each
-// level costs one comparison and one pointer store.
+// siftUp places s at slot i or the nearest ancestor slot that keeps
+// heap order, moving the ancestors it passes down one level.
 //
 //hpcclint:alloc-free
-func (h *Heap4) siftUp(i int) {
-	ev := h.q[i]
+func (h *heap4) siftUp(i int, s slot) {
+	q := h.q
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := h.q[parent]
-		if !ev.Before(p) {
+		if !s.before(&q[parent]) {
 			break
 		}
-		h.q[i] = p
-		p.index = i
+		q[i] = q[parent]
+		q[i].ev.index = i
 		i = parent
 	}
-	h.q[i] = ev
-	ev.index = i
+	q[i] = s
+	s.ev.index = i
 }
 
-// siftDown restores heap order from slot i toward the leaves,
-// reporting whether the event moved. The four children of slot i are
-// the adjacent slots 4i+1..4i+4, so selecting the minimum child scans
-// one cache line.
+// siftDown places s at slot i or the nearest descendant slot that keeps
+// heap order, moving the smallest child of each level it passes up.
 //
 //hpcclint:alloc-free
-func (h *Heap4) siftDown(i int) bool {
-	ev := h.q[i]
-	start := i
-	n := len(h.q)
+func (h *heap4) siftDown(i int, s slot) {
+	q := h.q
+	n := len(q)
 	for {
 		c := i<<2 + 1
-		if c >= n {
+		var m int
+		if c+4 <= n {
+			m = c + minOf4((*[4]slot)(q[c:c+4]))
+		} else if c < n {
+			m = c
+			for j := c + 1; j < n; j++ {
+				if q[j].before(&q[m]) {
+					m = j
+				}
+			}
+		} else {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
+		if !q[m].before(&s) {
+			break
 		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if h.q[j].Before(h.q[m]) {
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = s
+	s.ev.index = i
+}
+
+// minOf4 returns the index of the earliest of four sibling slots. Which
+// child of a heap level is smallest is a coin flip to the branch
+// predictor, so the common case — four distinct times — is decided by
+// arithmetic alone: times are non-negative, so a-b cannot overflow and
+// (a-b)>>63 is all ones exactly when a < b. Only when another sibling
+// shares the minimum time does the exact (time, key, seq) rank decide.
+//
+//hpcclint:alloc-free
+func minOf4(g *[4]slot) int {
+	a0, a1, a2, a3 := int64(g[0].at), int64(g[1].at), int64(g[2].at), int64(g[3].at)
+	lt01 := (a1 - a0) >> 63 // a1 < a0
+	lo01 := a0 + (a1-a0)&lt01
+	lt23 := (a3 - a2) >> 63 // a3 < a2
+	lo23 := a2 + (a3-a2)&lt23
+	i01, i23 := int(lt01&1), 2+int(lt23&1)
+	lt := (lo23 - lo01) >> 63 // min(a2,a3) < min(a0,a1)
+	lo := lo01 + (lo23-lo01)&lt
+	m := i01 + (i23-i01)&int(lt)
+	// x >= 0 is zero exactly when (x-1)>>63 is -1: count the siblings
+	// sitting at the minimum time.
+	if (a0-lo-1)>>63+(a1-lo-1)>>63+(a2-lo-1)>>63+(a3-lo-1)>>63 != -1 {
+		m = 0
+		for j := 1; j < 4; j++ {
+			if g[j].before(&g[m]) {
 				m = j
 			}
 		}
-		if !h.q[m].Before(ev) {
-			break
-		}
-		h.q[i] = h.q[m]
-		h.q[i].index = i
-		i = m
 	}
-	h.q[i] = ev
-	ev.index = i
-	return i > start
+	return m
 }

@@ -5,9 +5,9 @@ import (
 )
 
 // Engine.Checkpoint/Rollback must replay the exact firing sequence —
-// same times, same order — on both schedulers, including when the
-// workload reschedules and cancels through pre-checkpoint Timer
-// handles (the pointer-stability contract).
+// same times, same order — including when the workload reschedules and
+// cancels through pre-checkpoint Timer handles (the pointer-stability
+// contract).
 func TestEngineCheckpointRollback(t *testing.T) {
 	type fireRec struct {
 		at Time
@@ -18,7 +18,6 @@ func TestEngineCheckpointRollback(t *testing.T) {
 		fn   func() *Engine
 	}{
 		{"heap", NewEngine},
-		{"calendar", func() *Engine { return NewEngineWith(NewCalendar()) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			// Deterministic self-rescheduling workload: no runtime
@@ -271,25 +270,34 @@ func TestShardGroupConfigErrors(t *testing.T) {
 	}
 }
 
-// The calendar scheduler must not allocate in steady state: window
-// refills ping-pong the overflow arrays and bucket activation swaps
-// backing arrays, so a stable workload reuses everything.
-func TestCalendarSteadyStateAllocs(t *testing.T) {
-	e := NewEngineWith(NewCalendar())
+// The scheduler must not allocate at steady depth: a hold fills the
+// hole its pop left, a cancel takes its slot back out, and fired events
+// recycle through the free list.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	for i := 0; i < 512; i++ {
+		e.After(Time(1+i)*Microsecond, nop)
+	}
 	spread := []Time{0, 3 * Nanosecond, 40 * Nanosecond, 2 * Microsecond, 800 * Microsecond}
 	i := 0
-	op := func() {
+	hold := func() {
 		for k := 0; k < 512; k++ {
-			e.After(spread[i%len(spread)], func() {})
+			e.After(spread[i%len(spread)], nop)
 			i++
 			e.Step()
 		}
 	}
-	for warm := 0; warm < 50; warm++ {
-		op()
+	cancel := func() {
+		for k := 0; k < 512; k++ {
+			e.Cancel(e.After(spread[i%len(spread)], nop))
+			i++
+		}
 	}
-	per := testing.AllocsPerRun(100, op) / 512
-	if per > 0.05 {
-		t.Fatalf("calendar steady state allocates %.3f allocs/op, want ~0", per)
+	for name, op := range map[string]func(){"hold": hold, "cancel": cancel} {
+		op() // warm the free list and the heap array
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Errorf("%s at depth %d allocates %v objects per 512 ops, want 0", name, e.Pending(), n)
+		}
 	}
 }

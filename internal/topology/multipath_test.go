@@ -89,7 +89,7 @@ func TestRouteChangeResetsHPCCPath(t *testing.T) {
 	nw := b.Build()
 
 	// Pin the forward path through S2 only (strip ECMP).
-	viaS2 := nw.Switches[0].Routes()[hb.ID()][:1]
+	viaS2 := nw.Switches[0].Route(hb.ID())[:1]
 	nw.Switches[0].InstallRoute(hb.ID(), viaS2)
 
 	f := nw.StartFlow(0, 1, 1<<30, nil)

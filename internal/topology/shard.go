@@ -135,10 +135,9 @@ func (s *Sharding) exchange(now sim.Time) {
 // spread.
 //
 // It must be called before any traffic is installed (flows bind their
-// host's engine at start). mkEngine builds the additional engines —
-// shard 0 keeps the network's own. Errors (no retained builder, a
-// single cluster, a zero-delay boundary link) leave the network
-// untouched and usable single-engine.
+// host's engine at start). Shard 0 keeps the network's own engine.
+// Errors (no retained builder, a single cluster, a zero-delay boundary
+// link) leave the network untouched and usable single-engine.
 //
 // Determinism: a sharded run is a pure function of (network, k, seed),
 // and it replays the single-engine run byte-for-byte — including
@@ -146,7 +145,7 @@ func (s *Sharding) exchange(now sim.Time) {
 // build-time structural key, so the canonical (time, key, seq) rank
 // orders same-picosecond deliveries identically on one engine or N
 // shards; no execution history (arming order) is consulted.
-func Shard(nw *Network, k int, mkEngine func() *sim.Engine) (*Sharding, error) {
+func Shard(nw *Network, k int) (*Sharding, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("topology: Shard needs k >= 2, got %d", k)
 	}
@@ -333,7 +332,7 @@ func Shard(nw *Network, k int, mkEngine func() *sim.Engine) (*Sharding, error) {
 	engines := make([]*sim.Engine, k)
 	engines[0] = nw.Eng
 	for i := 1; i < k; i++ {
-		engines[i] = mkEngine()
+		engines[i] = sim.NewEngine()
 	}
 	pools := make([]*packet.Pool, k)
 	for i := range pools {

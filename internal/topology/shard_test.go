@@ -73,7 +73,7 @@ func TestShardDumbbellEquivalence(t *testing.T) {
 		eng := sim.NewEngine()
 		nw := Dumbbell(eng, 6, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
 		if shards > 1 {
-			sh, err := Shard(nw, shards, sim.NewEngine)
+			sh, err := Shard(nw, shards)
 			if err != nil {
 				t.Fatalf("Shard(%d): %v", shards, err)
 			}
@@ -122,7 +122,7 @@ func TestShardFatTreePartition(t *testing.T) {
 	hcfg, scfg := shardCfg()
 	eng := sim.NewEngine()
 	nw := FatTree(eng, ScaledFatTree(), hcfg, scfg)
-	sh, err := Shard(nw, 4, sim.NewEngine)
+	sh, err := Shard(nw, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestShardBarePlacementCutsBoundary(t *testing.T) {
 	} {
 		hcfg, scfg := shardCfg()
 		nw := FatTree(sim.NewEngine(), ScaledFatTree(), hcfg, scfg)
-		sh, err := Shard(nw, tc.k, sim.NewEngine)
+		sh, err := Shard(nw, tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestShardBarePlacementCutsBoundary(t *testing.T) {
 	// not regress past the round-robin figure (4 boundary ports).
 	hcfg, scfg := shardCfg()
 	nw := Pod(sim.NewEngine(), PodSpec{}, hcfg, scfg)
-	sh, err := Shard(nw, 2, sim.NewEngine)
+	sh, err := Shard(nw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestShardStarPerHost(t *testing.T) {
 		eng := sim.NewEngine()
 		nw := Star(eng, 5, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
 		if shards > 1 {
-			sh, err := Shard(nw, shards, sim.NewEngine)
+			sh, err := Shard(nw, shards)
 			if err != nil {
 				t.Fatalf("Shard(star, %d): %v", shards, err)
 			}
@@ -258,7 +258,7 @@ func TestShardSingleHostRefuses(t *testing.T) {
 	hcfg, scfg := shardCfg()
 	eng := sim.NewEngine()
 	nw := Star(eng, 1, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
-	if _, err := Shard(nw, 2, sim.NewEngine); err == nil {
+	if _, err := Shard(nw, 2); err == nil {
 		t.Fatal("Shard(1-host star) succeeded, want error")
 	}
 	done := false
@@ -283,7 +283,7 @@ func TestShardSpeculationEquivalence(t *testing.T) {
 			eng.RunUntil(horizon)
 			return fates(t, nw), sim.SyncStats{}
 		}
-		sh, err := Shard(nw, shards, sim.NewEngine)
+		sh, err := Shard(nw, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestShardSpeculationRefusesECN(t *testing.T) {
 	hcfg, scfg := shardCfg()
 	scfg.ECNEnabled = true
 	nw := Dumbbell(sim.NewEngine(), 6, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
-	sh, err := Shard(nw, 2, sim.NewEngine)
+	sh, err := Shard(nw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,9 @@ func TestStarRoutes(t *testing.T) {
 	if len(nw.Hosts) != 4 || len(nw.Switches) != 1 {
 		t.Fatalf("star: %d hosts, %d switches", len(nw.Hosts), len(nw.Switches))
 	}
-	routes := nw.Switches[0].Routes()
 	for _, h := range nw.Hosts {
-		ports, ok := routes[h.ID()]
-		if !ok || len(ports) != 1 {
+		ports := nw.Switches[0].Route(h.ID())
+		if len(ports) != 1 {
 			t.Fatalf("switch route to host %d = %v", h.ID(), ports)
 		}
 	}
@@ -110,7 +109,7 @@ func TestFatTreeShape(t *testing.T) {
 	// in other racks.
 	tor := nw.Switches[spec.Cores+spec.Aggs] // first ToR
 	remote := nw.Hosts[len(nw.Hosts)-1]      // host in the last rack
-	ports := tor.Routes()[remote.ID()]
+	ports := tor.Route(remote.ID())
 	if len(ports) != spec.Aggs {
 		t.Fatalf("ToR ECMP set to remote host = %d ports, want %d", len(ports), spec.Aggs)
 	}

@@ -86,6 +86,12 @@ type SimResult struct {
 	// buckets in sketch-stats mode). Deterministic and identical across
 	// shard counts; flat in flow count when SketchStats is set.
 	RetainedStatBytes int64
+	// Events counts the engine events the run fired and PendingHighWater
+	// is the deepest any engine's pending-event set got. They describe
+	// the execution rather than the simulated network, so — unlike every
+	// field above — they vary with the shard count.
+	Events           uint64
+	PendingHighWater int
 	// ShardsUsed is how many engines actually executed the run. Sharded
 	// execution is best-effort (closed-loop traffic, observers and
 	// non-partitionable topologies fall back to one engine), so this can

@@ -9,11 +9,13 @@ import (
 )
 
 // clearSyncFields zeroes the fields that legitimately differ between a
-// serial run and a (possibly speculative) sharded one — engine count
-// and synchronization accounting — so the rest of the SimResult can be
-// compared byte-for-byte as JSON.
+// serial run and a (possibly speculative) sharded one — engine count,
+// the engines' own counters and synchronization accounting — so the
+// rest of the SimResult can be compared byte-for-byte as JSON.
 func clearSyncFields(r *hpcc.SimResult) {
 	r.ShardsUsed = 0
+	r.Events = 0
+	r.PendingHighWater = 0
 	r.Speculated = false
 	r.Epochs = 0
 	r.SpecEpochs = 0
