@@ -7,10 +7,10 @@
 // `-quick` as a smoke test and uploads the artifact.
 //
 // The FatTree scenario runs on one engine and sharded across -shards
-// engines (conservative-lookahead partitioning, plain and speculative)
-// — all produce byte-identical simulation results, so the numbers
-// compare pure engine mechanics. -paper adds the full 320-host
-// paper-scale fabric (the ROADMAP wall-clock target).
+// engines (conservative-lookahead partitioning) — both produce
+// byte-identical simulation results, so the numbers compare pure engine
+// mechanics. -paper adds the full 320-host paper-scale fabric (the
+// ROADMAP wall-clock target).
 //
 // Usage:
 //
@@ -81,16 +81,10 @@ type ScenarioResult struct {
 	RetainedStatBytes int64 `json:"retained_stat_bytes,omitempty"`
 
 	// Shard-synchronization accounting (sharded scenarios only).
-	// Epochs counts conservative epochs, including post-rollback
-	// replays; SpecEpochs/SpecCommits/SpecRollbacks describe the
-	// optimistic barriers when Speculated; SyncOverhead is the fraction
-	// of wall time spent synchronizing rather than running engines.
-	Speculated    bool    `json:"speculated,omitempty"`
-	Epochs        uint64  `json:"epochs,omitempty"`
-	SpecEpochs    uint64  `json:"spec_epochs,omitempty"`
-	SpecCommits   uint64  `json:"spec_commits,omitempty"`
-	SpecRollbacks uint64  `json:"spec_rollbacks,omitempty"`
-	SyncOverhead  float64 `json:"sync_overhead,omitempty"`
+	// Epochs counts lookahead epochs; SyncOverhead is the fraction of
+	// wall time spent synchronizing rather than running engines.
+	Epochs       uint64  `json:"epochs,omitempty"`
+	SyncOverhead float64 `json:"sync_overhead,omitempty"`
 }
 
 // Speedup is one sharded scenario's wall-clock gain over its
@@ -119,14 +113,13 @@ type Run struct {
 // outcome is what a scenario body reports back to the measurement
 // wrapper: simulated packets and virtual time elapsed.
 type outcome struct {
-	dataPkts   uint64
-	portPkts   uint64
-	flows      int
-	shards     int
-	simTime    sim.Time
-	speculated bool
-	sync       sim.SyncStats
-	retained   int64
+	dataPkts uint64
+	portPkts uint64
+	flows    int
+	shards   int
+	simTime  sim.Time
+	sync     sim.SyncStats
+	retained int64
 }
 
 func main() {
@@ -160,26 +153,11 @@ func main() {
 					name, want, s.Shards)
 			}
 		}
-		// Likewise a "-spec" row that silently fell back to conservative
-		// barriers, or whose optimistic bet mostly lost, is not measuring
-		// what its name claims.
-		if strings.Contains(name, "-spec") {
-			if !s.Speculated {
-				fmt.Fprintf(os.Stderr,
-					"hpccbench: %s: speculation requested but the run used conservative barriers\n", name)
-			} else if s.SpecRollbacks > s.SpecCommits {
-				fmt.Fprintf(os.Stderr,
-					"hpccbench: %s: speculative rollbacks (%d) outnumbered commits (%d); conservative sync dominated\n",
-					name, s.SpecRollbacks, s.SpecCommits)
-			}
-		}
 	}
-	add("fattree-websearch-50", func() outcome { return fattreeWebSearch(*quick, 1, false) })
+	add("fattree-websearch-50", func() outcome { return fattreeWebSearch(*quick, 1) })
 	if *shards > 1 {
 		add(fmt.Sprintf("fattree-websearch-50-shards%d", *shards),
-			func() outcome { return fattreeWebSearch(*quick, *shards, false) })
-		add(fmt.Sprintf("fattree-websearch-50-spec-shards%d", *shards),
-			func() outcome { return fattreeWebSearch(*quick, *shards, true) })
+			func() outcome { return fattreeWebSearch(*quick, *shards) })
 	}
 	add("incast-16-1", func() outcome { return incast16(*quick) })
 	add("parkinglot-4seg", func() outcome { return parkingLot(*quick) })
@@ -194,12 +172,10 @@ func main() {
 	add(fmt.Sprintf("stream-flows-%dk", small/1000), func() outcome { return streamFlows(small) })
 	add(fmt.Sprintf("stream-flows-%dk", big/1000), func() outcome { return streamFlows(big) })
 	if *paper {
-		add("paper-fattree-websearch", func() outcome { return paperFatTree(1, false) })
+		add("paper-fattree-websearch", func() outcome { return paperFatTree(1) })
 		if *shards > 1 {
 			add(fmt.Sprintf("paper-fattree-websearch-shards%d", *shards),
-				func() outcome { return paperFatTree(*shards, false) })
-			add(fmt.Sprintf("paper-fattree-websearch-spec-shards%d", *shards),
-				func() outcome { return paperFatTree(*shards, true) })
+				func() outcome { return paperFatTree(*shards) })
 		}
 	}
 
@@ -320,9 +296,7 @@ func speedups(rows []ScenarioResult) []Speedup {
 		if i < 0 {
 			continue
 		}
-		// A speculative row's single-engine counterpart is the plain
-		// scenario: serial execution has no barriers to speculate past.
-		base, ok := byName[strings.TrimSuffix(s.Name[:i], "-spec")]
+		base, ok := byName[s.Name[:i]]
 		if !ok || s.WallMS <= 0 {
 			continue
 		}
@@ -458,12 +432,8 @@ func measure(name string, fn func() outcome) ScenarioResult {
 		PortPackets:       oc.portPkts,
 		Allocs:            allocs,
 		Flows:             oc.flows,
-		Speculated:        oc.speculated,
 		RetainedStatBytes: oc.retained,
 		Epochs:            oc.sync.Epochs,
-		SpecEpochs:        oc.sync.SpecEpochs,
-		SpecCommits:       oc.sync.SpecCommits,
-		SpecRollbacks:     oc.sync.SpecRollbacks,
 		SyncOverhead:      oc.sync.SyncOverhead(),
 	}
 	if secs := wall.Seconds(); secs > 0 {
@@ -482,20 +452,18 @@ func measure(name string, fn func() outcome) ScenarioResult {
 
 // fattreeWebSearch is the paper's §5.3 setup at half scale: WebSearch
 // Poisson arrivals at 50% load on the CI-sized FatTree, HPCC with INT.
-// The shards and speculate knobs swap engine mechanics without changing
-// results.
-func fattreeWebSearch(quick bool, shards int, speculate bool) outcome {
+// The shard count swaps engine mechanics without changing results.
+func fattreeWebSearch(quick bool, shards int) outcome {
 	s := experiment.LoadScenario{
-		Scheme:    mustScheme("hpcc"),
-		Topo:      experiment.FatTreeTopo(topology.ScaledFatTree()),
-		Traffic:   []workload.Generator{workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.5}},
-		MaxFlows:  1200,
-		Until:     8 * sim.Millisecond,
-		Drain:     20 * sim.Millisecond,
-		PFC:       true,
-		Seed:      1,
-		Shards:    shards,
-		Speculate: speculate,
+		Scheme:   mustScheme("hpcc"),
+		Topo:     experiment.FatTreeTopo(topology.ScaledFatTree()),
+		Traffic:  []workload.Generator{workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.5}},
+		MaxFlows: 1200,
+		Until:    8 * sim.Millisecond,
+		Drain:    20 * sim.Millisecond,
+		PFC:      true,
+		Seed:     1,
+		Shards:   shards,
 	}
 	if quick {
 		s.MaxFlows = 200
@@ -507,7 +475,7 @@ func fattreeWebSearch(quick bool, shards int, speculate bool) outcome {
 
 // paperFatTree is the ROADMAP scale target: WebSearch at 50% load on
 // the full 320-host, 16-core/20-agg/20-ToR paper fabric.
-func paperFatTree(shards int, speculate bool) outcome {
+func paperFatTree(shards int) outcome {
 	s := experiment.LoadScenario{
 		Scheme:      mustScheme("hpcc"),
 		Topo:        experiment.FatTreeTopo(topology.PaperFatTree()),
@@ -518,7 +486,6 @@ func paperFatTree(shards int, speculate bool) outcome {
 		PFC:         true,
 		Seed:        1,
 		Shards:      shards,
-		Speculate:   speculate,
 		BufferBytes: experiment.BufferFor(320),
 		// Paper-scale runs hold hundreds of thousands of flows over a
 		// campaign; bound per-host retention like a long campaign would.
@@ -527,9 +494,9 @@ func paperFatTree(shards int, speculate bool) outcome {
 	return runScenario(s)
 }
 
-// runScenario is the harness's RunLoad: a sharded run dying mid-epoch
-// is a harness bug, and a half-measured scenario must not land in the
-// recorded trajectory.
+// runScenario is the harness's RunLoad: an error is a misconfigured
+// shard group, and an unmeasured scenario must not land in the recorded
+// trajectory.
 func runScenario(s experiment.LoadScenario) outcome {
 	r, err := experiment.RunLoad(s)
 	if err != nil {
@@ -537,7 +504,7 @@ func runScenario(s experiment.LoadScenario) outcome {
 		os.Exit(1)
 	}
 	return outcome{dataPkts: r.DataPackets, portPkts: r.PortPackets, flows: r.Started,
-		shards: r.Shards, simTime: r.Elapsed, speculated: r.Speculated, sync: r.Sync,
+		shards: r.Shards, simTime: r.Elapsed, sync: r.Sync,
 		retained: r.RetainedStatBytes}
 }
 

@@ -19,12 +19,10 @@
 // hpcc packages pay the typechecking cost during the facts-only pass.
 //
 // Findings print as file:line:col: message and exit with status 2, the
-// convention go vet interprets as "diagnostics reported". Note-level
-// findings (advisories) are printed and serialized but do not affect
-// the exit status. When the HPCCLINT_JSON environment variable names a
-// file, every finding is also appended to it as one JSON object per
-// line — units run as separate processes, so CI collects one merged
-// JSONL artifact there.
+// convention go vet interprets as "diagnostics reported". When the
+// HPCCLINT_JSON environment variable names a file, every finding is
+// also appended to it as one JSON object per line — units run as
+// separate processes, so CI collects one merged JSONL artifact there.
 package main
 
 import (
@@ -49,7 +47,7 @@ import (
 // version feeds the go build cache key: bump it whenever analyzer
 // behavior or the fact schema changes, or cached empty vetx files from
 // older runs would be replayed as "no facts".
-const version = "2.0.0"
+const version = "2.1.0"
 
 func main() {
 	flagV := flag.String("V", "", "print version and exit (use -V=full for the build-cache id)")
@@ -205,7 +203,6 @@ type jsonFinding struct {
 	Analyzer string   `json:"analyzer"`
 	Message  string   `json:"message"`
 	Chain    []string `json:"chain,omitempty"`
-	Note     bool     `json:"note,omitempty"`
 }
 
 func runUnit(cfgPath string, jsonOut bool) (int, error) {
@@ -300,7 +297,6 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 
 	findings := make([]jsonFinding, 0, len(diags))
-	hard := 0
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
 		findings = append(findings, jsonFinding{
@@ -310,11 +306,7 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
 			Chain:    d.Chain,
-			Note:     d.Note,
 		})
-		if !d.Note {
-			hard++
-		}
 	}
 	if err := appendJSONL(findings); err != nil {
 		return 1, err
@@ -330,7 +322,7 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 			fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), findings[i].Message)
 		}
 	}
-	if hard == 0 {
+	if len(diags) == 0 {
 		return 0, nil
 	}
 	return 2, nil

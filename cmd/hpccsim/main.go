@@ -33,8 +33,6 @@ func main() {
 		incast   = flag.Bool("incast", false, "add periodic fan-in events (2% of capacity)")
 		lossy    = flag.Bool("lossy", false, "disable PFC (go-back-N recovery)")
 		shards   = flag.Int("shards", 1, "partition the fabric across this many engines (multi-core; byte-identical results)")
-		spec     = flag.Bool("spec", true, "speculative shard synchronization (checkpoint + rollback instead of a barrier every epoch; byte-identical results)")
-		specWin  = flag.Int("spec-window", 0, "speculation window in lookahead epochs (0 = default 8)")
 		sketch   = flag.Bool("sketch", false, "streaming statistics: constant-memory DDSketch quantiles instead of exact per-flow retention")
 		accuracy = flag.Float64("stats-accuracy", 0, "sketch relative accuracy with -sketch (0 = default 0.01)")
 		seed     = flag.Int64("seed", 1, "RNG seed")
@@ -50,22 +48,20 @@ func main() {
 
 	lossless := !*lossy
 	res, err := hpcc.Run(hpcc.SimConfig{
-		Scheme:            *scheme,
-		Topology:          *topo,
-		PaperScale:        *paper,
-		Workload:          *work,
-		Load:              *load,
-		Flows:             *flows,
-		Duration:          *duration,
-		Drain:             *drain,
-		Incast:            *incast,
-		Lossless:          &lossless,
-		Shards:            *shards,
-		Speculate:         spec,
-		SpeculationWindow: *specWin,
-		SketchStats:       *sketch,
-		StatsAccuracy:     *accuracy,
-		Seed:              *seed,
+		Scheme:        *scheme,
+		Topology:      *topo,
+		PaperScale:    *paper,
+		Workload:      *work,
+		Load:          *load,
+		Flows:         *flows,
+		Duration:      *duration,
+		Drain:         *drain,
+		Incast:        *incast,
+		Lossless:      &lossless,
+		Shards:        *shards,
+		SketchStats:   *sketch,
+		StatsAccuracy: *accuracy,
+		Seed:          *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hpccsim:", err)
@@ -82,19 +78,6 @@ func main() {
 				"(sharding is best-effort and limited by the fabric's host "+
 				"clusters; results are unaffected)\n",
 			*shards, res.ShardsUsed)
-	}
-	if *spec && res.ShardsUsed > 1 && !res.Speculated {
-		fmt.Fprintln(os.Stderr,
-			"hpccsim: speculation is unavailable for this scenario (ECN-marking "+
-				"schemes replay with an RNG); the run used conservative barriers; "+
-				"results are unaffected")
-	}
-	if res.Speculated && res.SpecRollbacks > res.SpecCommits {
-		fmt.Fprintf(os.Stderr,
-			"hpccsim: speculative rollbacks (%d) outnumbered commits (%d); "+
-				"cross-shard traffic arrives too densely for this fabric to "+
-				"speculate profitably; results are unaffected\n",
-			res.SpecRollbacks, res.SpecCommits)
 	}
 
 	if *asJSON {

@@ -77,25 +77,6 @@ type Experiment struct {
 	// reported in SimResult.ShardsUsed. Start always drives a single
 	// engine.
 	Shards int
-	// Speculate controls optimistic shard synchronization on sharded
-	// runs (default on). Instead of a barrier every lookahead epoch,
-	// each shard checkpoints its whole world, runs up to
-	// SpeculationWindow epochs ahead, and rolls back + replays
-	// conservatively when cross-shard traffic arrives inside the
-	// speculated span — one barrier paid for many epochs' progress on
-	// fabrics where shards rarely interact at the lookahead bound. The
-	// determinism contract is unchanged: committed spans had no
-	// cross-shard arrivals to order, rolled-back spans replay under
-	// conservative barriers, so results stay byte-identical to the
-	// serial run. Best-effort like Shards itself: ECN-marking schemes
-	// (RNG in the forwarding path) run with plain conservative
-	// barriers. SimResult.Speculated reports what engaged.
-	Speculate *bool
-	// SpeculationWindow caps the speculative horizon in lookahead
-	// epochs beyond the conservative one (default 8). The effective
-	// window adapts at runtime: it grows toward the cap while epochs
-	// commit and halves on rollback.
-	SpeculationWindow int
 	// CompletedFlowWindow, when positive, bounds per-host memory over
 	// long campaigns: each host retains at most this many completed
 	// flows, folding older ones into aggregate counters. Results are
@@ -170,8 +151,6 @@ func (e Experiment) scenario() (experiment.LoadScenario, []int64, error) {
 		PFC:             e.Lossless == nil || *e.Lossless,
 		Seed:            e.Seed,
 		Shards:          e.Shards,
-		Speculate:       e.Speculate == nil || *e.Speculate,
-		SpecWindow:      e.SpeculationWindow,
 		CompletedWindow: e.CompletedFlowWindow,
 		QueueSampleCap:  e.QueueSampleCap,
 		SketchStats:     e.SketchStats,
@@ -275,11 +254,7 @@ func summarize(r *experiment.LoadResult, edges []int64) *SimResult {
 		Events:               r.Events,
 		PendingHighWater:     r.PendingHighWater,
 		ShardsUsed:           r.Shards,
-		Speculated:           r.Speculated,
 		Epochs:               r.Sync.Epochs,
-		SpecEpochs:           r.Sync.SpecEpochs,
-		SpecCommits:          r.Sync.SpecCommits,
-		SpecRollbacks:        r.Sync.SpecRollbacks,
 		SyncOverhead:         r.Sync.SyncOverhead(),
 	}
 	for _, row := range r.FCT.Buckets(edges) {

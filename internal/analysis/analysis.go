@@ -1,5 +1,5 @@
 // Package analysis is hpcclint: a static-analysis suite that enforces
-// the simulator's determinism, checkpoint and hot-path invariants at
+// the simulator's determinism, event-rank and hot-path invariants at
 // build time. Each analyzer pins a contract the repo otherwise
 // guarantees only through golden tests that fire *after* a regression
 // lands:
@@ -7,26 +7,18 @@
 //   - determinism: no wall clock, global RNG, goroutines or
 //     order-sensitive map iteration in simulation packages — the bug
 //     classes that break byte-identical 1-vs-N shard replay.
-//   - checkpointfields: every field of a sim.Checkpointable type is
-//     covered by both Checkpoint and Rollback (or annotated), so "added
-//     a field, forgot to snapshot it" is a lint error instead of a
-//     speculative-rollback golden failure three PRs later.
 //   - eventkey: packet-delivery and arrival paths schedule through the
 //     keyed AtKey/AfterKey variants, so same-picosecond ties order by
 //     the canonical structural rank.
 //   - hotpathalloc: functions annotated //hpcclint:alloc-free contain
 //     no allocating constructs.
-//   - snapalias: Checkpoint methods deep-copy reference-typed state
-//     (maps, slices, pointed-to structs holding them) instead of
-//     aliasing the live simulation's storage into the snapshot.
 //
-// The determinism, eventkey and hotpathalloc analyzers are
-// interprocedural: a facts pass (facts.go, callgraph.go) computes
-// per-function summaries — MayWallClock, MayGlobalRand, MayAlloc,
-// SchedulesUnkeyed — propagates them bottom-up through the package call
-// graph, and serializes them per package through the vet unitchecker
-// protocol, so calling a helper that transitively reaches time.Now is
-// flagged at the sim-package call site with the full chain
+// All three are interprocedural: a facts pass (facts.go, callgraph.go)
+// computes per-function summaries — MayWallClock, MayGlobalRand,
+// MayAlloc, SchedulesUnkeyed — propagates them bottom-up through the
+// package call graph, and serializes them per package through the vet
+// unitchecker protocol, so calling a helper that transitively reaches
+// time.Now is flagged at the sim-package call site with the full chain
 // ("a → b → time.Now") in the diagnostic.
 //
 // The suite is framework-compatible in spirit with
@@ -42,12 +34,6 @@
 //	                                          this line or the next; also
 //	                                          cleanses the construct from
 //	                                          interprocedural summaries
-//	//hpcclint:nosnap <reason>                exempt a struct field from
-//	                                          checkpointfields coverage
-//	//hpcclint:alias <reason>                 accept an intentional alias
-//	                                          in a Checkpoint method
-//	                                          (journaled/pointer-stable
-//	                                          snapshot patterns)
 //	//hpcclint:alloc-free                     opt a function into
 //	                                          hotpathalloc checking
 //
@@ -78,9 +64,6 @@ type Diagnostic struct {
 	// root for interprocedural findings ("a → b → time.Now"); empty for
 	// direct findings.
 	Chain []string
-	// Note marks an advisory finding: printed, carried in -json output,
-	// but not counted toward the exit status (go vet stays green).
-	Note bool
 }
 
 // Analyzer is one named invariant checker.
@@ -101,10 +84,8 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		CheckpointFieldsAnalyzer,
 		EventKeyAnalyzer,
 		HotPathAllocAnalyzer,
-		SnapAliasAnalyzer,
 	}
 }
 
@@ -133,23 +114,17 @@ type Pass struct {
 // invariant name and README anchor are appended so the message is
 // self-explanatory wherever it surfaces.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(pos, nil, false, format, args...)
+	p.report(pos, nil, format, args...)
 }
 
 // ReportChainf is Reportf for interprocedural findings: the taint chain
 // (call path from the flagged call to the root construct) is appended to
 // the message and carried structurally for -json output.
 func (p *Pass) ReportChainf(pos token.Pos, chain []string, format string, args ...interface{}) {
-	p.report(pos, chain, false, format, args...)
+	p.report(pos, chain, format, args...)
 }
 
-// Notef emits an advisory diagnostic: same filtering and formatting as
-// Reportf, but marked Note so it never trips the vet exit status.
-func (p *Pass) Notef(pos token.Pos, format string, args ...interface{}) {
-	p.report(pos, nil, true, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, chain []string, note bool, format string, args ...interface{}) {
+func (p *Pass) report(pos token.Pos, chain []string, format string, args ...interface{}) {
 	if p.Allowed(p.Analyzer.Name, pos) {
 		return
 	}
@@ -157,17 +132,12 @@ func (p *Pass) report(pos token.Pos, chain []string, note bool, format string, a
 	if len(chain) > 0 {
 		msg = fmt.Sprintf("%s [chain: %s]", msg, strings.Join(chain, " → "))
 	}
-	severity := "invariant"
-	if note {
-		severity = "note; invariant"
-	}
 	p.Report(Diagnostic{
 		Pos: pos,
-		Message: fmt.Sprintf("%s [%s: %s; see %s]",
-			msg, severity, p.Analyzer.Invariant, ReadmeAnchor),
+		Message: fmt.Sprintf("%s [invariant: %s; see %s]",
+			msg, p.Analyzer.Invariant, ReadmeAnchor),
 		Analyzer: p.Analyzer.Name,
 		Chain:    chain,
-		Note:     note,
 	})
 }
 
@@ -223,41 +193,30 @@ func buildAllowIndex(fset *token.FileSet, f *ast.File) map[int][]string {
 }
 
 // AllowedAnalyzers decodes an escape comment into the analyzer names it
-// suppresses. "//hpcclint:allow a,b -- reason" suppresses a and b;
-// "//hpcclint:alias reason" is snapalias's dedicated escape and
-// suppresses snapalias. A reasonless escape suppresses nothing (the
-// diagnostic still fires), so every escape in the tree documents why it
-// is legitimate.
+// suppresses: "//hpcclint:allow a,b -- reason" suppresses a and b. A
+// reasonless escape suppresses nothing (the diagnostic still fires), so
+// every escape in the tree documents why it is legitimate.
 func AllowedAnalyzers(comment string) []string {
 	kind, rest, ok := ParseDirective(comment)
-	if !ok {
+	if !ok || kind != "allow" {
 		return nil
 	}
-	switch kind {
-	case "alias":
-		if strings.TrimSpace(rest) == "" {
-			return nil
-		}
-		return []string{"snapalias"}
-	case "allow":
-		names, reason, found := strings.Cut(rest, "--")
-		if !found || strings.TrimSpace(reason) == "" {
-			return nil
-		}
-		var out []string
-		for _, name := range strings.Split(names, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				out = append(out, name)
-			}
-		}
-		return out
+	names, reason, found := strings.Cut(rest, "--")
+	if !found || strings.TrimSpace(reason) == "" {
+		return nil
 	}
-	return nil
+	var out []string
+	for _, name := range strings.Split(names, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // ParseDirective decodes an "//hpcclint:<kind> <rest>" comment,
-// reporting ok = false for ordinary comments. Kind is "allow",
-// "nosnap", "alias" or "alloc-free".
+// reporting ok = false for ordinary comments. Kind is "allow" or
+// "alloc-free".
 func ParseDirective(text string) (kind, rest string, ok bool) {
 	const prefix = "//hpcclint:"
 	if !strings.HasPrefix(text, prefix) {
@@ -266,7 +225,7 @@ func ParseDirective(text string) (kind, rest string, ok bool) {
 	body := strings.TrimPrefix(text, prefix)
 	kind, rest, _ = strings.Cut(body, " ")
 	switch kind {
-	case "allow", "nosnap", "alias", "alloc-free":
+	case "allow", "alloc-free":
 		return kind, strings.TrimSpace(rest), true
 	}
 	return "", "", false

@@ -93,30 +93,6 @@ type DCQCN struct {
 	timeStage    int
 	byteStage    int
 	bytesSince   int64
-
-	snap *DCQCN //hpcclint:nosnap speculative-execution checkpoint slot
-}
-
-// Checkpoint captures the algorithm's state for speculative execution
-// (the sim.Checkpointable contract): DCQCN's state is a flat value, so
-// a struct copy into a reused internal slot captures it completely. The
-// alpha/rate timer events live in the engine and are checkpointed
-// there.
-func (d *DCQCN) Checkpoint() {
-	s := d.snap
-	if s == nil {
-		s = new(DCQCN)
-	}
-	*s = *d
-	s.snap = nil
-	d.snap = s
-}
-
-// Rollback restores the last Checkpoint in place.
-func (d *DCQCN) Rollback() {
-	s := d.snap
-	*d = *s
-	d.snap = s
 }
 
 // New returns a factory producing DCQCN instances.
@@ -139,7 +115,7 @@ func (d *DCQCN) Name() string {
 // Init implements cc.Algorithm: start at line rate (§2.2 "RDMA hosts
 // start sending at line rate") and arm the two timers.
 func (d *DCQCN) Init(env cc.Env) {
-	*d = DCQCN{raw: d.raw, cfg: d.raw, env: env, alphaFn: d.alphaFn, rateFn: d.rateFn, snap: d.snap}
+	*d = DCQCN{raw: d.raw, cfg: d.raw, env: env, alphaFn: d.alphaFn, rateFn: d.rateFn}
 	d.cfg.normalize(&env)
 	d.rc = float64(env.LineRate)
 	d.rt = d.rc

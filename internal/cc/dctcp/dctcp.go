@@ -40,28 +40,6 @@ type DCTCP struct {
 	windowEnd   int64 // seq marking the end of the current observation window
 	ackedBytes  int64
 	markedBytes int64
-
-	snap *DCTCP //hpcclint:nosnap speculative-execution checkpoint slot
-}
-
-// Checkpoint captures the algorithm's state for speculative execution
-// (the sim.Checkpointable contract): DCTCP's state is a flat value, so
-// a struct copy into a reused internal slot captures it completely.
-func (d *DCTCP) Checkpoint() {
-	s := d.snap
-	if s == nil {
-		s = new(DCTCP)
-	}
-	*s = *d
-	s.snap = nil
-	d.snap = s
-}
-
-// Rollback restores the last Checkpoint in place.
-func (d *DCTCP) Rollback() {
-	s := d.snap
-	*d = *s
-	d.snap = s
 }
 
 // New returns a factory producing DCTCP instances.
@@ -74,7 +52,7 @@ func (d *DCTCP) Name() string { return "DCTCP" }
 
 // Init implements cc.Algorithm: no slow start, W starts at one BDP.
 func (d *DCTCP) Init(env cc.Env) {
-	*d = DCTCP{cfg: d.cfg, env: env, snap: d.snap}
+	*d = DCTCP{cfg: d.cfg, env: env}
 	d.cfg.normalize()
 	d.w = env.BDP()
 }

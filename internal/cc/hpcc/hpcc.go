@@ -100,29 +100,6 @@ type HPCC struct {
 
 	winInit float64
 	minWnd  float64
-
-	snap *HPCC //hpcclint:nosnap speculative-execution checkpoint slot
-}
-
-// Checkpoint captures the algorithm's state for speculative execution
-// (the sim.Checkpointable contract): HPCC's state is a flat value, so a
-// struct copy into an internal slot captures it completely. The slot is
-// allocated once and reused across checkpoints.
-func (h *HPCC) Checkpoint() {
-	s := h.snap
-	if s == nil {
-		s = new(HPCC)
-	}
-	*s = *h
-	s.snap = nil
-	h.snap = s
-}
-
-// Rollback restores the last Checkpoint in place.
-func (h *HPCC) Rollback() {
-	s := h.snap
-	*h = *s
-	h.snap = s
 }
 
 // New returns a factory producing HPCC instances with the given config.
@@ -146,7 +123,7 @@ func (h *HPCC) Name() string {
 
 // Init implements cc.Algorithm: W_init = B_NIC × T, start at line rate.
 func (h *HPCC) Init(env cc.Env) {
-	*h = HPCC{raw: h.raw, cfg: h.raw, env: env, snap: h.snap}
+	*h = HPCC{raw: h.raw, cfg: h.raw, env: env}
 	h.cfg.normalize(&env)
 	h.winInit = env.BDP()
 	h.minWnd = h.cfg.MinRate.BytesPerSec() * env.BaseRTT.Seconds()

@@ -67,28 +67,6 @@ type Timely struct {
 	prevRTT  sim.Time
 	rttDiff  float64 // EWMA of RTT differences, picoseconds
 	negCount int     // consecutive non-positive gradients
-
-	snap *Timely //hpcclint:nosnap speculative-execution checkpoint slot
-}
-
-// Checkpoint captures the algorithm's state for speculative execution
-// (the sim.Checkpointable contract): TIMELY's state is a flat value, so
-// a struct copy into a reused internal slot captures it completely.
-func (t *Timely) Checkpoint() {
-	s := t.snap
-	if s == nil {
-		s = new(Timely)
-	}
-	*s = *t
-	s.snap = nil
-	t.snap = s
-}
-
-// Rollback restores the last Checkpoint in place.
-func (t *Timely) Rollback() {
-	s := t.snap
-	*t = *s
-	t.snap = s
 }
 
 // New returns a factory producing TIMELY instances.
@@ -106,7 +84,7 @@ func (t *Timely) Name() string {
 
 // Init implements cc.Algorithm: flows start at line rate.
 func (t *Timely) Init(env cc.Env) {
-	*t = Timely{raw: t.raw, cfg: t.raw, env: env, snap: t.snap}
+	*t = Timely{raw: t.raw, cfg: t.raw, env: env}
 	t.cfg.normalize(&env)
 	t.rate = float64(env.LineRate)
 }

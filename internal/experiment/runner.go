@@ -104,18 +104,6 @@ type LoadScenario struct {
 	// simultaneous deliveries included, via the canonical
 	// (time, key, seq) event rank (see hpcc.Experiment.Shards).
 	Shards int
-	// Speculate requests optimistic shard synchronization on sharded
-	// runs: every shard checkpoints at the epoch barrier, runs past the
-	// conservative horizon, and rolls back + replays conservatively when
-	// a cross-shard arrival lands inside the speculated span — so the
-	// result stays byte-identical to the serial run. Best-effort, like
-	// Shards itself: fabrics whose switches mark ECN with an RNG, and
-	// schemes whose CC state cannot checkpoint itself, run with plain
-	// conservative barriers (LoadResult.Speculated reports what engaged).
-	Speculate bool
-	// SpecWindow caps the speculative horizon in lookahead epochs beyond
-	// the conservative one (0 means the sim-layer default, 8).
-	SpecWindow int
 	// CompletedWindow, when positive, bounds per-host memory on long
 	// runs: each host retains at most this many completed flows, evicting
 	// the oldest into aggregate counters and recycling its *host.Flow
@@ -197,11 +185,9 @@ type LoadResult struct {
 	// Shards is how many engines actually executed the run (1 unless
 	// sharded execution was requested and engaged).
 	Shards int
-	// Speculated reports whether optimistic shard synchronization was
-	// engaged; Sync counts its epochs, commits and rollbacks and the
-	// fraction of wall time spent synchronizing.
-	Speculated bool
-	Sync       sim.SyncStats
+	// Sync counts a sharded run's epochs and the fraction of wall time
+	// spent synchronizing.
+	Sync sim.SyncStats
 
 	// DataPackets counts data packets emitted by every sender flow
 	// (retransmissions included); PortPackets counts packets serialized
@@ -333,10 +319,11 @@ func (s *LoadScenario) installTraffic(eng *sim.Engine, nw *topology.Network, fct
 // RunLoad executes the scenario to its horizon and collects results.
 // With Shards > 1 it partitions the fabric across per-cluster engines
 // (falling back to one engine when the scenario cannot shard); results
-// are byte-identical either way. The error is non-nil only when a
-// sharded run dies mid-flight (a shard goroutine panicked, or the
-// speculation machinery detected a broken invariant) — scenario specs
-// that merely cannot shard fall back, they do not error.
+// are byte-identical either way. The error is non-nil only when the
+// shard group is misconfigured (sim.ShardGroup.RunUntil refuses it
+// before any engine runs) — scenario specs that merely cannot shard
+// fall back, they do not error, and a panic on a shard goroutine is not
+// recovered: it terminates the process.
 func RunLoad(s LoadScenario) (*LoadResult, error) {
 	s.normalize()
 	if s.Shards > 1 {

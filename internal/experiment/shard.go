@@ -24,11 +24,12 @@ import (
 //
 // Anything else returns !ok and RunLoad falls back to one engine.
 //
-// The error return is reserved for runs that engaged and then died:
-// a shard goroutine panicking mid-epoch, or the speculation machinery
-// catching a broken invariant. Those are surfaced, not swallowed —
-// falling back after half a run executed would silently double-count
-// fabric state.
+// The error return carries sim.ShardGroup.RunUntil's: a misconfigured
+// group, refused before any engine runs. topology.Shard builds the
+// group, so that is a bug in the wiring, not a property of the
+// scenario, and it is surfaced rather than hidden by a fallback. A
+// panic on a shard goroutine is not recovered: it terminates the
+// process.
 func runLoadSharded(s LoadScenario) (*LoadResult, bool, error) {
 	if s.Obs.OnFlow != nil || s.Obs.OnQueue != nil || s.Obs.OnPFC != nil || s.Obs.OnQueueFlush != nil {
 		return nil, false, nil
@@ -120,31 +121,11 @@ func runLoadSharded(s LoadScenario) (*LoadResult, bool, error) {
 		}
 	}
 
-	// Optimistic barriers: best-effort, like sharding itself. The CC
-	// algorithm's state rolls back through the host checkpoint only when
-	// the scheme's instances can checkpoint themselves, so probe one;
-	// EnableSpeculation separately refuses RNG-marking fabrics. Either
-	// refusal leaves the run on plain conservative barriers.
-	speculated := false
-	if s.Speculate {
-		if _, ok := s.Scheme.Factory().(sim.Checkpointable); ok {
-			if sh.EnableSpeculation(s.SpecWindow) == nil {
-				speculated = true
-				// Result collectors mutate during speculative epochs, so
-				// they must roll back alongside the world they observe.
-				for i := 0; i < k; i++ {
-					sh.Attach(i, &fcts[i])
-					sh.Attach(i, mons[i])
-				}
-			}
-		}
-	}
-
 	if err := sh.Group.RunUntil(s.Until + s.Drain); err != nil {
 		return nil, false, err
 	}
 
-	res := &LoadResult{Scheme: s.Scheme.Name, Shards: k, Speculated: speculated, Sync: sh.Group.Stats}
+	res := &LoadResult{Scheme: s.Scheme.Name, Shards: k, Sync: sh.Group.Stats}
 	for _, m := range mons {
 		m.Stop()
 	}

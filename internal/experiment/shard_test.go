@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -95,21 +93,33 @@ func compareRuns(t *testing.T, name string, base, got *LoadResult) {
 }
 
 // The golden sharding contract: 2-shard and 4-shard dumbbell runs are
-// byte-identical to the single-engine run at the same seed.
+// byte-identical to the single-engine run at the same seed — for HPCC
+// and for DCQCN, whose switches draw ECN marks from an RNG and whose
+// flows run per-flow timers.
 func TestShardedDumbbellGolden(t *testing.T) {
-	base := runLoadT(t, dumbbellScenario(1))
-	if base.Shards != 1 || len(base.FCT.Records) == 0 {
-		t.Fatalf("baseline: shards=%d records=%d", base.Shards, len(base.FCT.Records))
-	}
-	for _, k := range []int{2, 4} {
-		got := runLoadT(t, dumbbellScenario(k))
-		// The dumbbell has 2 rack-level host clusters; asking for more
-		// engages the per-host refinement (each host its own cluster, the
-		// cores one switch cluster), so 4 shards really means 4 engines.
-		if got.Shards != k {
-			t.Fatalf("%d-shard run engaged %d shards, want %d", k, got.Shards, k)
+	for _, scheme := range []string{"hpcc", "dcqcn"} {
+		mk := func(shards int) LoadScenario {
+			s := dumbbellScenario(shards)
+			s.Scheme = ByNameMust(scheme)
+			return s
 		}
-		compareRuns(t, "dumbbell-shards", base, got)
+		base := runLoadT(t, mk(1))
+		if base.Shards != 1 || len(base.FCT.Records) == 0 {
+			t.Fatalf("%s baseline: shards=%d records=%d", scheme, base.Shards, len(base.FCT.Records))
+		}
+		for _, k := range []int{2, 4} {
+			got := runLoadT(t, mk(k))
+			// The dumbbell has 2 rack-level host clusters; asking for more
+			// engages the per-host refinement (each host its own cluster, the
+			// cores one switch cluster), so 4 shards really means 4 engines.
+			if got.Shards != k {
+				t.Fatalf("%s: %d-shard run engaged %d shards, want %d", scheme, k, got.Shards, k)
+			}
+			if got.Sync.Epochs == 0 {
+				t.Fatalf("%s: %d-shard run counted no epochs", scheme, k)
+			}
+			compareRuns(t, scheme+"-dumbbell-shards", base, got)
+		}
 	}
 }
 
@@ -179,108 +189,6 @@ func TestShardedSaturatedMultipathGolden(t *testing.T) {
 		}
 		compareRuns(t, "saturated-shards", base, got)
 	}
-
-	// Speculative barriers on the same saturated fabric: commits and
-	// rollbacks both happen here, and the result must not move a byte.
-	for _, k := range []int{2, 4, 8} {
-		s := mk(k)
-		s.Speculate = true
-		got := runLoadT(t, s)
-		if !got.Speculated {
-			t.Fatalf("%d-shard run did not engage speculation", k)
-		}
-		if got.Sync.SpecEpochs == 0 {
-			t.Fatalf("%d-shard speculative run attempted no speculative epochs", k)
-		}
-		compareRuns(t, "saturated-spec", base, got)
-	}
-}
-
-// Speculation on the dumbbell: either window replays the serial bytes,
-// and the tight one forces the adaptive machinery through its rollback
-// path.
-func TestSpeculativeDumbbellGolden(t *testing.T) {
-	base := runLoadT(t, dumbbellScenario(1))
-	for _, win := range []int{0, 2} {
-		s := dumbbellScenario(2)
-		s.Speculate = true
-		s.SpecWindow = win
-		got := runLoadT(t, s)
-		if !got.Speculated {
-			t.Fatalf("win=%d: speculation did not engage", win)
-		}
-		if got.Sync.SpecEpochs == 0 {
-			t.Fatalf("win=%d: no speculative epochs attempted", win)
-		}
-		compareRuns(t, "spec-dumbbell", base, got)
-	}
-}
-
-// The randomized speculation property: whatever the workload mix,
-// seed, shard count or window, a speculative run replays
-// the serial bytes. Scenario parameters are drawn from a seeded RNG so
-// a failure reproduces; across the trials at least one rollback must
-// occur, or the property was never exercised on its hard path.
-func TestSpeculativePropertyRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var rollbacks, commits uint64
-	for trial := 0; trial < 5; trial++ {
-		seed := 1 + rng.Int63n(1000)
-		s := LoadScenario{
-			Scheme: ByNameMust("hpcc"),
-			Topo: topology.DumbbellSpec{Pairs: 3 + rng.Intn(3), HostRate: 100 * sim.Gbps,
-				CoreRate: 100 * sim.Gbps, Delay: sim.Microsecond},
-			Traffic: []workload.Generator{
-				workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3 + 0.5*rng.Float64()},
-				workload.IncastSpec{FanIn: 2 + rng.Intn(4), Size: 100_000, LoadFrac: 0.02},
-			},
-			MaxFlows: 80,
-			Until:    sim.Millisecond,
-			Drain:    8 * sim.Millisecond,
-			PFC:      true,
-			Seed:     seed,
-		}
-		base := runLoadT(t, s)
-		sp := s
-		sp.Shards = 2 + rng.Intn(3)
-		sp.Speculate = true
-		sp.SpecWindow = []int{0, 2, 4, 8}[rng.Intn(4)]
-		got := runLoadT(t, sp)
-		if !got.Speculated {
-			t.Fatalf("trial %d (seed %d): speculation did not engage", trial, seed)
-		}
-		name := fmt.Sprintf("trial%d-seed%d-shards%d-win%d", trial, seed, sp.Shards, sp.SpecWindow)
-		compareRuns(t, name, base, got)
-		rollbacks += got.Sync.SpecRollbacks
-		commits += got.Sync.SpecCommits
-	}
-	if rollbacks == 0 {
-		t.Fatal("no trial rolled back — the hard path of the property went untested")
-	}
-	if commits == 0 {
-		t.Fatal("no trial committed — speculation never paid off in any trial")
-	}
-}
-
-// Speculation is best-effort: an ECN-marking scheme (RNG in the
-// forwarding path) must fall back to conservative barriers, not error
-// and not diverge.
-func TestSpeculationFallsBackOnECN(t *testing.T) {
-	mk := func(shards int, spec bool) LoadScenario {
-		s := dumbbellScenario(shards)
-		s.Scheme = ByNameMust("dcqcn")
-		s.Speculate = spec
-		return s
-	}
-	base := runLoadT(t, mk(1, false))
-	got := runLoadT(t, mk(2, true))
-	if got.Speculated {
-		t.Fatal("ECN fabric engaged speculation; RNG marking cannot replay")
-	}
-	if got.Shards != 2 {
-		t.Fatalf("conservative fallback ran on %d shards, want 2", got.Shards)
-	}
-	compareRuns(t, "ecn-conservative", base, got)
 }
 
 // Closed-loop traffic and observer attachment both fall back to a

@@ -77,9 +77,8 @@ func TestSketchStatsWithinAccuracy(t *testing.T) {
 
 // Sharded sketch runs merge per-shard sketches by exact bucket
 // addition, so every reported statistic — quantiles, counts, retained
-// bytes — must be identical across 1/2/4/8 engines, conservative and
-// speculative alike. (Float sums/means are the one order-sensitive
-// piece and are deliberately not compared.)
+// bytes — must be identical across 1/2/4/8 engines. (Float sums/means
+// are the one order-sensitive piece and are deliberately not compared.)
 func TestShardedSketchInvariance(t *testing.T) {
 	base := func() LoadScenario {
 		sc := dumbbellScenario(1)
@@ -114,20 +113,17 @@ func TestShardedSketchInvariance(t *testing.T) {
 	}
 	want := fingerprint(ref)
 	for _, shards := range []int{2, 4, 8} {
-		for _, spec := range []bool{false, true} {
-			sc := base()
-			sc.Shards = shards
-			sc.Speculate = spec
-			r := runLoadT(t, sc)
-			if r.Shards < 2 {
-				t.Fatalf("shards=%d spec=%v: ran on %d engines", shards, spec, r.Shards)
-			}
-			got := fingerprint(r)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("shards=%d spec=%v: %s = %v, want %v (serial)",
-						shards, spec, got[i].name, got[i].v, want[i].v)
-				}
+		sc := base()
+		sc.Shards = shards
+		r := runLoadT(t, sc)
+		if r.Shards < 2 {
+			t.Fatalf("shards=%d: ran on %d engines", shards, r.Shards)
+		}
+		got := fingerprint(r)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("shards=%d: %s = %v, want %v (serial)",
+					shards, got[i].name, got[i].v, want[i].v)
 			}
 		}
 	}

@@ -58,17 +58,17 @@ func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 // honors per-priority PFC pause, and keeps the counters INT exposes
 // (cumulative tx bytes) plus pause-time statistics.
 type Port struct {
-	eng   *sim.Engine //hpcclint:nosnap immutable wiring
-	owner Node        //hpcclint:nosnap immutable wiring
-	peer  Node        //hpcclint:nosnap immutable wiring
+	eng   *sim.Engine
+	owner Node
+	peer  Node
 	// peerPort is the reverse-direction port at the peer. An arriving
 	// packet is delivered as peer.HandleArrival(p, peerPort), so the
 	// receiver can identify its ingress and reach back upstream (PFC).
-	peerPort *Port //hpcclint:nosnap immutable wiring
+	peerPort *Port
 
-	index int      //hpcclint:nosnap immutable; position in owner's port list
-	rate  sim.Rate //hpcclint:nosnap immutable link config
-	delay sim.Time //hpcclint:nosnap immutable link config
+	index int // position in owner's port list
+	rate  sim.Rate
+	delay sim.Time
 
 	// wireKey is the directed link's build-time structural ID — the
 	// canonical rank class of this wire's delivery events (see
@@ -76,7 +76,7 @@ type Port struct {
 	// simultaneous deliveries into one node fire in an order derivable
 	// from the topology alone, identically on one engine or N shards.
 	// Zero (hand-wired fabrics) falls back to scheduling order.
-	wireKey uint64 //hpcclint:nosnap immutable build-time structural ID
+	wireKey uint64
 
 	queues    [NumPrio]fifo[entry]
 	qBytes    [NumPrio]int64
@@ -106,15 +106,15 @@ type Port struct {
 	// path schedules no fresh closures at all.
 	wire      fifo[wireEntry]
 	wireArmed bool
-	deliverFn func() //hpcclint:nosnap reusable closure built once at wiring time
-	kickFn    func() //hpcclint:nosnap reusable closure built once at wiring time
+	deliverFn func() // reusable closure built once at wiring time
+	kickFn    func() // reusable closure built once at wiring time
 
 	// remote, when set, marks this transmitter as a shard-boundary
 	// port: instead of riding the local wire, a serialized packet is
 	// handed to remote with its (deterministic) arrival instant, and
 	// the shard exchange delivers it into the peer's engine at an epoch
 	// barrier. Serialization, pacing and INT accounting stay local.
-	remote func(p *packet.Packet, arrive sim.Time) //hpcclint:nosnap immutable shard wiring; the exchange buffer is checkpointed by the speculator
+	remote func(p *packet.Packet, arrive sim.Time)
 
 	txBytes uint64          // cumulative bytes fully handed to the serializer
 	rxQ     [NumPrio]uint64 // cumulative bytes enqueued, per priority (INT rxRate ablation)
@@ -128,12 +128,7 @@ type Port struct {
 
 	// pauseHook, if set, observes every pause/resume transition of this
 	// transmitter (the observer layer's PFC event stream).
-	pauseHook func(prio uint8, paused bool) //hpcclint:nosnap observer callback installed at setup
-
-	// snap is the speculative-execution checkpoint slot (see
-	// checkpoint.go); allocated lazily so non-speculative runs pay
-	// nothing.
-	snap *portSnap
+	pauseHook func(prio uint8, paused bool)
 }
 
 // SetPauseHook installs fn to observe every PFC pause/resume transition

@@ -77,14 +77,14 @@ func (c *SwitchConfig) Normalize() {
 // Switch is a shared-buffer output-queued switch with ECMP routing,
 // optional PFC, WRED/ECN and INT stamping.
 type Switch struct {
-	id   NodeID       //hpcclint:nosnap immutable identity
-	eng  *sim.Engine  //hpcclint:nosnap immutable wiring
-	cfg  SwitchConfig //hpcclint:nosnap immutable config
-	rng  *rand.Rand   //hpcclint:nosnap WRED/ECN stream; speculation is refused for RNG fabrics up front (UsesRNG)
-	pool *packet.Pool //hpcclint:nosnap shared pool checkpointed as its own component
+	id   NodeID
+	eng  *sim.Engine
+	cfg  SwitchConfig
+	rng  *rand.Rand // WRED/ECN stream
+	pool *packet.Pool
 
-	ports  []*Port //hpcclint:nosnap immutable wiring; each port checkpoints itself
-	routes [][]int //hpcclint:nosnap immutable routing table built at wiring time: ECMP port set by destination NodeID (IDs are dense)
+	ports  []*Port
+	routes [][]int // ECMP port set by destination NodeID (IDs are dense); built at wiring time
 
 	used      int64 // shared buffer bytes in use (data priorities)
 	ingressB  [][NumPrio]int64
@@ -97,10 +97,6 @@ type Switch struct {
 	enqueued  uint64
 	ecnMarked uint64
 	routeErrs uint64
-
-	// snap is the speculative-execution checkpoint slot (see
-	// checkpoint.go); allocated lazily.
-	snap *switchSnap
 }
 
 // NewSwitch creates a switch; ports are attached afterwards with

@@ -11,9 +11,6 @@ func (h *Host) AuditFreeLists() error {
 	for _, f := range h.flows {
 		held[f] = "flows"
 	}
-	for _, f := range h.liveList {
-		held[f] = "liveList"
-	}
 	for _, f := range h.waiting {
 		held[f] = "waiting"
 	}
@@ -48,3 +45,6 @@ func (h *Host) AuditFreeLists() error {
 // Every flow it ever allocated is one of them (bar pinned or aborted
 // evictions), so started flows / FlowObjects is the mean reuse count.
 func (h *Host) FlowObjects() int { return len(h.flows) + len(h.flowFree) }
+
+// FreeListLens returns how many *Flow and *recvState wait for reuse.
+func (h *Host) FreeListLens() (flows, recvs int) { return len(h.flowFree), len(h.recvFree) }

@@ -53,7 +53,6 @@ type Flow struct {
 
 	started  sim.Time
 	finished sim.Time
-	liveIdx  int // position in the host's liveList; -1 once torn down
 	done     bool
 	alive    bool
 	pending  bool // waiting for a flow-scheduler engine slot (§4.3)
@@ -373,9 +372,6 @@ func (f *Flow) teardown(now sim.Time) {
 	f.done = true
 	f.alive = false
 	f.finished = now
-	if f.liveIdx >= 0 {
-		f.host.unlinkFlow(f)
-	}
 	f.host.eng.Cancel(f.sendEv)
 	f.sendEv = sim.Timer{}
 	f.host.eng.Cancel(f.rtoEv)

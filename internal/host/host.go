@@ -98,15 +98,15 @@ func (c *Config) normalize() {
 
 // Host is a server endpoint with one or more NIC ports.
 type Host struct {
-	id    fabric.NodeID   //hpcclint:nosnap immutable identity
-	eng   *sim.Engine     //hpcclint:nosnap immutable wiring
-	now   func() sim.Time //hpcclint:nosnap eng.Now bound once (a method value allocates), shared by every flow's cc.Env
-	cfg   Config          //hpcclint:nosnap immutable config
-	pool  *packet.Pool    //hpcclint:nosnap shared pool checkpointed as its own component
-	ports []*fabric.Port  //hpcclint:nosnap immutable wiring; each port checkpoints itself
-	flows map[int32]*Flow //hpcclint:nosnap membership journaled via jAdded/jRemoved; live values snapshotted via liveList
+	id    fabric.NodeID
+	eng   *sim.Engine
+	now   func() sim.Time // eng.Now bound once (a method value allocates), shared by every flow's cc.Env
+	cfg   Config
+	pool  *packet.Pool
+	ports []*fabric.Port
+	flows map[int32]*Flow
 	recv  map[int32]*recvState
-	pktN  uint64 //hpcclint:nosnap trace-only packet-ID counter: nothing simulated reads Packet.ID, so a rolled-back span just leaves a gap
+	pktN  uint64 // trace-only packet-ID counter: nothing simulated reads Packet.ID
 
 	// RDMA READ requester state: flow ID -> (expected bytes, callback).
 	reads map[int32]*pendingRead
@@ -139,22 +139,8 @@ type Host struct {
 	// Free lists (Config.CompletedWindow > 0): sender flows evicted
 	// from the retention ring and receiver states freed at FlowEnd,
 	// reused by StartFlow and handleData in place of an allocation.
-	flowFree []*Flow      //hpcclint:nosnap frozen while journal is set: never pushed to or popped from once checkpointing starts
-	recvFree []*recvState //hpcclint:nosnap frozen while journal is set: never pushed to or popped from once checkpointing starts
-
-	// Speculative-execution support (see checkpoint.go). liveList
-	// tracks the not-yet-done sender flows so a checkpoint walks live
-	// state instead of the whole retained-flow map; liveWraps tracks
-	// in-flight CC trampolines so their (flow, callback) pairs can be
-	// restored; the journals record flow-map membership changes since
-	// the last checkpoint so a rollback undoes insertions and evictions
-	// in O(changes).
-	liveList  []*Flow
-	liveWraps []*schedWrap
-	journal   bool //hpcclint:nosnap checkpoint-mode flag flipped by Checkpoint itself, not simulated state
-	jAdded    []*Flow
-	jRemoved  []*Flow
-	snap      *hostSnap
+	flowFree []*Flow
+	recvFree []*recvState
 }
 
 // doneRingSize bounds the completed-inbound-flow memory (power of two).
@@ -193,7 +179,6 @@ type schedWrap struct {
 	gen uint32
 	fn  func()
 	run func()
-	idx int // position in the host's liveWraps list; -1 when free
 }
 
 func (h *Host) scheduleCC(f *Flow, d sim.Time, fn func()) {
@@ -206,7 +191,6 @@ func (h *Host) scheduleCC(f *Flow, d sim.Time, fn func()) {
 		w.run = func() {
 			f, gen, fn := w.f, w.gen, w.fn
 			w.f, w.fn = nil, nil
-			h.unlinkWrap(w)
 			h.wrapFree = append(h.wrapFree, w)
 			if f.alive && f.gen == gen {
 				fn()
@@ -215,32 +199,7 @@ func (h *Host) scheduleCC(f *Flow, d sim.Time, fn func()) {
 		}
 	}
 	w.f, w.gen, w.fn = f, f.gen, fn
-	w.idx = len(h.liveWraps)
-	h.liveWraps = append(h.liveWraps, w)
 	h.eng.After(d, w.run)
-}
-
-// unlinkWrap removes a firing trampoline from the live list (swap
-// delete; order is irrelevant, only membership matters for snapshots).
-func (h *Host) unlinkWrap(w *schedWrap) {
-	last := len(h.liveWraps) - 1
-	lw := h.liveWraps[last]
-	h.liveWraps[w.idx] = lw
-	lw.idx = w.idx
-	h.liveWraps[last] = nil
-	h.liveWraps = h.liveWraps[:last]
-	w.idx = -1
-}
-
-// unlinkFlow removes a finished flow from the live list (swap delete).
-func (h *Host) unlinkFlow(f *Flow) {
-	last := len(h.liveList) - 1
-	lf := h.liveList[last]
-	h.liveList[f.liveIdx] = lf
-	lf.liveIdx = f.liveIdx
-	h.liveList[last] = nil
-	h.liveList = h.liveList[:last]
-	f.liveIdx = -1
 }
 
 type pendingRead struct {
@@ -367,11 +326,6 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 		f.rtx = make(map[int64]int32)
 		f.irnCap = f.env.BDP()
 	}
-	f.liveIdx = len(h.liveList)
-	h.liveList = append(h.liveList, f)
-	if h.journal {
-		h.jAdded = append(h.jAdded, f)
-	}
 	f.alg.Init(f.env)
 	h.flows[id] = f
 	if size <= 0 {
@@ -396,7 +350,7 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 //hpcclint:alloc-free
 func (h *Host) getFlow() *Flow {
 	n := len(h.flowFree)
-	if n == 0 || h.journal {
+	if n == 0 {
 		return h.newFlow() //hpcclint:allow hotpathalloc -- free-list miss: with CompletedWindow > 0 a host allocates as many flows as its peak live + retained count, then recycles
 	}
 	f := h.flowFree[n-1]
@@ -501,7 +455,7 @@ func (h *Host) EvictedFlows() (flows int, pkts uint64) { return h.evicted, h.evi
 // the flow's onDone observers ran; an evicted flow's stats are folded
 // into the aggregate counters first, so nothing is lost. The evicted
 // *Flow then goes to the free list — unless a handle to it left the
-// simulator (pinned), or a speculation journal holds it by pointer.
+// simulator (pinned).
 func (h *Host) noteFlowDone(f *Flow) {
 	w := h.cfg.CompletedWindow
 	if w <= 0 {
@@ -520,9 +474,7 @@ func (h *Host) noteFlowDone(f *Flow) {
 	if g := h.flows[old]; g != nil && g.done {
 		h.evicted++
 		h.evictedPkts += g.pktsSent
-		if h.journal {
-			h.jRemoved = append(h.jRemoved, g) //hpcclint:allow hotpathalloc -- membership journal grows per eviction inside a speculation epoch, amortized and truncated at each checkpoint
-		} else if !g.pinned {
+		if !g.pinned {
 			h.flowFree = append(h.flowFree, g) //hpcclint:allow hotpathalloc -- free list grows to the host's peak live flow count, then recycles in place
 		}
 		delete(h.flows, old)

@@ -40,7 +40,7 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 			h.pool.Put(p)
 			return
 		}
-		if n := len(h.recvFree); n > 0 && !h.journal {
+		if n := len(h.recvFree); n > 0 {
 			rs = h.recvFree[n-1]
 			h.recvFree = h.recvFree[:n-1]
 		} else {
@@ -122,7 +122,7 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	if rs.hasEnd && rs.rcvNxt >= rs.endSeq {
 		delete(h.recv, flowID)
 		h.noteRecvDone(flowID)
-		if h.cfg.CompletedWindow > 0 && !h.journal {
+		if h.cfg.CompletedWindow > 0 {
 			*rs = recvState{}
 			h.recvFree = append(h.recvFree, rs) //hpcclint:allow hotpathalloc -- free list grows to the host's peak concurrent inbound flows, then recycles in place
 		}

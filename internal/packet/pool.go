@@ -16,8 +16,6 @@ type Pool struct {
 	free []*Packet
 
 	gets, news, puts uint64
-
-	snap poolSnap
 }
 
 // maxPoolFree bounds retained free packets (~1.5 MB at 4096); beyond
@@ -69,27 +67,3 @@ func (pl *Pool) Recycled() uint64 { return pl.gets - pl.news }
 
 // Allocated returns how many Gets fell through to the heap.
 func (pl *Pool) Allocated() uint64 { return pl.news }
-
-// snap is the pool's speculative-execution checkpoint: the freelist and
-// counters as of the last Checkpoint call.
-type poolSnap struct {
-	free             []*Packet
-	gets, news, puts uint64
-}
-
-// Checkpoint captures the freelist (pointers only — Get zeroes packets,
-// so free packets' contents are irrelevant) and counters, overwriting
-// the previous checkpoint. Part of the sim.Checkpointable contract used
-// by speculative shard synchronization.
-func (pl *Pool) Checkpoint() {
-	pl.snap.free = append(pl.snap.free[:0], pl.free...)
-	pl.snap.gets, pl.snap.news, pl.snap.puts = pl.gets, pl.news, pl.puts
-}
-
-// Rollback restores the last Checkpoint. Packets handed out during the
-// rolled-back run return to the freelist with it; packets allocated
-// fresh during that run are orphaned to the garbage collector.
-func (pl *Pool) Rollback() {
-	pl.free = append(pl.free[:0], pl.snap.free...)
-	pl.gets, pl.news, pl.puts = pl.snap.gets, pl.snap.news, pl.snap.puts
-}

@@ -80,11 +80,10 @@ func (t Timer) When() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	q       heap4    // pending events
-	stopped bool     //hpcclint:nosnap transient Stop flag; only ever true inside Run, never at a checkpoint barrier (Rollback clears it)
+	q       heap4 // pending events
+	stopped bool
 	pool    []*Event // freelist for fired events
 	fired   uint64
-	snap    engineSnap
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -174,7 +173,7 @@ func (e *Engine) Cancel(t Timer) {
 //hpcclint:alloc-free
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	e.pool = append(e.pool, ev) //hpcclint:allow hotpathalloc -- free-list growth is amortized over reuse; capacity is retained across checkpoints
+	e.pool = append(e.pool, ev) //hpcclint:allow hotpathalloc -- free-list growth is amortized over reuse
 }
 
 // PeekTime returns the fire time of the earliest pending event.
@@ -255,77 +254,3 @@ func (e *Engine) RunBefore(deadline Time) {
 // Stop makes the innermost Run/RunUntil return after the current event
 // completes. Callable from inside event callbacks.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Checkpointable is mutable world state that can be captured at a
-// speculation barrier and restored on rollback. Checkpoint overwrites
-// the component's single internal snapshot slot (so repeated
-// checkpoints reuse its buffers); Rollback restores the last
-// checkpoint and may be called any number of times.
-//
-// The contract that makes cheap snapshots possible is pointer
-// stability: every implementation restores state in place, through the
-// same pointers the rest of the world already holds (pooled events,
-// pooled packets, flow structs), so cross-references — Timer handles,
-// queued *Packet entries, callback closures — survive a rollback
-// without any fix-up pass.
-type Checkpointable interface {
-	Checkpoint()
-	Rollback()
-}
-
-// evSnap is one pending event at checkpoint time: the pooled struct's
-// identity and a full value copy. Restoring writes the value back
-// through the pointer, so Timer handles taken before the checkpoint
-// (and held inside checkpointed host state) become valid again for
-// free — same struct, same generation.
-type evSnap struct {
-	ptr *Event
-	val Event
-}
-
-type engineSnap struct {
-	valid bool
-	now   Time
-	seq   uint64
-	fired uint64
-	high  int
-	evs   []evSnap
-	pool  []*Event
-}
-
-// Checkpoint captures the engine's complete state — clock, sequence
-// counter, pending-event set and event freelist — into an internal
-// snapshot slot, overwriting any previous snapshot.
-func (e *Engine) Checkpoint() {
-	s := &e.snap
-	s.valid = true
-	s.now, s.seq, s.fired, s.high = e.now, e.seq, e.fired, e.q.high
-	s.evs = s.evs[:0]
-	for _, sl := range e.q.pending() {
-		s.evs = append(s.evs, evSnap{ptr: sl.ev, val: *sl.ev})
-	}
-	s.pool = append(s.pool[:0], e.pool...)
-}
-
-// Rollback restores the last Checkpoint in place: the heap is
-// emptied and the checkpointed pending set re-pushed through the
-// original Event pointers (restoring at/key/seq/gen/fn), and the
-// freelist is reset to its checkpointed contents. Event structs
-// allocated during the rolled-back run are simply dropped. Panics if
-// no checkpoint was taken.
-func (e *Engine) Rollback() {
-	s := &e.snap
-	if !s.valid {
-		panic("sim: Engine.Rollback without Checkpoint")
-	}
-	e.now, e.seq, e.fired = s.now, s.seq, s.fired
-	e.stopped = false
-	e.q.reset()
-	for i := range s.evs {
-		ev := s.evs[i].ptr
-		*ev = s.evs[i].val
-		e.q.push(ev)
-	}
-	e.q.high = s.high
-	e.pool = append(e.pool[:0], s.pool...)
-}

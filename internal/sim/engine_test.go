@@ -134,8 +134,8 @@ func TestEngineStop(t *testing.T) {
 }
 
 // PendingHighWater is the deepest the pending set has been: holds that
-// refill a pop's hole do not raise it, a rollback restores it, and
-// RunBefore leaves events at the boundary queued.
+// refill a pop's hole do not raise it, and RunBefore leaves events at
+// the boundary queued.
 func TestPendingHighWater(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
@@ -149,17 +149,6 @@ func TestPendingHighWater(t *testing.T) {
 	}
 	if got := e.PendingHighWater(); got != 6 || e.Pending() != 5 {
 		t.Fatalf("high water %d with %d pending, want 6 with 5", got, e.Pending())
-	}
-	e.Checkpoint()
-	for i := 0; i < 10; i++ {
-		e.After(Microsecond, nop)
-	}
-	if got := e.PendingHighWater(); got != 15 {
-		t.Fatalf("high water %d after ten more, want 15", got)
-	}
-	e.Rollback()
-	if got := e.PendingHighWater(); got != 6 || e.Pending() != 5 {
-		t.Fatalf("after rollback: high water %d with %d pending, want 6 with 5", got, e.Pending())
 	}
 	e.RunBefore(5 * Microsecond)
 	if e.Pending() != 4 || e.Now() != 5*Microsecond {
@@ -324,5 +313,37 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(Nanosecond, func() {})
 		e.Step()
+	}
+}
+
+// The scheduler must not allocate at steady depth: a hold fills the
+// hole its pop left, a cancel takes its slot back out, and fired events
+// recycle through the free list.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	for i := 0; i < 512; i++ {
+		e.After(Time(1+i)*Microsecond, nop)
+	}
+	spread := []Time{0, 3 * Nanosecond, 40 * Nanosecond, 2 * Microsecond, 800 * Microsecond}
+	i := 0
+	hold := func() {
+		for k := 0; k < 512; k++ {
+			e.After(spread[i%len(spread)], nop)
+			i++
+			e.Step()
+		}
+	}
+	cancel := func() {
+		for k := 0; k < 512; k++ {
+			e.Cancel(e.After(spread[i%len(spread)], nop))
+			i++
+		}
+	}
+	for name, op := range map[string]func(){"hold": hold, "cancel": cancel} {
+		op() // warm the free list and the heap array
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Errorf("%s at depth %d allocates %v objects per 512 ops, want 0", name, e.Pending(), n)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func (h *heap4) push(ev *Event) {
 		return
 	}
 	i := len(h.q)
-	h.q = append(h.q, s) //hpcclint:allow hotpathalloc -- heap array growth is amortized; capacity is retained across pops, Reset and rollbacks
+	h.q = append(h.q, s) //hpcclint:allow hotpathalloc -- heap array growth is amortized; capacity is retained across pops
 	if i >= h.high {
 		h.high = i + 1
 	}
@@ -126,21 +126,6 @@ func (h *heap4) remove(ev *Event) {
 	} else {
 		h.siftDown(i, last)
 	}
-}
-
-// pending returns the queued events' slots in unspecified order.
-func (h *heap4) pending() []slot {
-	if h.hole {
-		return h.q[1:]
-	}
-	return h.q
-}
-
-// reset discards every queued event, keeping the backing array.
-func (h *heap4) reset() {
-	clear(h.q)
-	h.q = h.q[:0]
-	h.hole = false
 }
 
 // siftUp places s at slot i or the nearest ancestor slot that keeps

@@ -48,8 +48,6 @@ type simulator interface {
 	PeekTime() (Time, bool)
 	schedule(at Time, key uint64, fn func()) (cancel func())
 	RunUntil(deadline Time)
-	Checkpoint()
-	Rollback()
 }
 
 type realEngine struct{ *Engine }
@@ -60,17 +58,11 @@ func (e realEngine) schedule(at Time, key uint64, fn func()) func() {
 }
 
 // oracleEngine is the simplest engine that can be right: events are
-// never pooled, the pending set is the container/heap oracle, and a
-// checkpoint is a value copy of every pending event.
+// never pooled and the pending set is the container/heap oracle.
 type oracleEngine struct {
-	now  Time
-	seq  uint64
-	q    eventQueue
-	snap struct {
-		now Time
-		seq uint64
-		evs []evSnap
-	}
+	now Time
+	seq uint64
+	q   eventQueue
 }
 
 func (o *oracleEngine) Now() Time    { return o.now }
@@ -102,26 +94,6 @@ func (o *oracleEngine) RunUntil(deadline Time) {
 	}
 	if o.now < deadline {
 		o.now = deadline
-	}
-}
-
-func (o *oracleEngine) Checkpoint() {
-	o.snap.now, o.snap.seq = o.now, o.seq
-	o.snap.evs = o.snap.evs[:0]
-	for _, ev := range o.q {
-		o.snap.evs = append(o.snap.evs, evSnap{ptr: ev, val: *ev})
-	}
-}
-
-func (o *oracleEngine) Rollback() {
-	o.now, o.seq = o.snap.now, o.snap.seq
-	for _, ev := range o.q {
-		ev.index = -1
-	}
-	o.q = o.q[:0]
-	for _, s := range o.snap.evs {
-		*s.ptr = s.val
-		heap.Push(&o.q, s.ptr)
 	}
 }
 
@@ -164,15 +136,14 @@ func TestCancelAfterFire(t *testing.T) {
 	}
 }
 
-// Property: under any random mix of keyed schedules, cancels, and
-// engine checkpoint/rollback cycles, the Engine fires exactly the
-// (time, key, order) sequence of the container/heap oracle engine, and
+// Property: under any random mix of keyed schedules, cancels and
+// bounded run slices, the Engine fires exactly the (time, key, order)
+// sequence of the container/heap oracle engine, and
 // reports the same Pending and PeekTime from inside every callback —
 // that is, while the pop's hole is still open. This is the contract the
 // sharded runner's byte-identical results build on; the canonical key
 // is drawn from all three bands (ordinary 0, wire keys, arrival keys)
-// with dense same-timestamp ties, and the rollback leg drives the
-// snapshot walk and the reset-and-re-push restore mid-stream.
+// with dense same-timestamp ties.
 func TestSchedulerEquivalence(t *testing.T) {
 	type fireRec struct {
 		at, peek Time
@@ -210,21 +181,10 @@ func TestSchedulerEquivalence(t *testing.T) {
 		for i := 0; i < 24; i++ {
 			schedule(Time(rng.Intn(2000)) * Nanosecond)
 		}
-		// Run in bounded slices with a checkpoint/rollback cycle between
-		// them: take a snapshot, run ahead a window, roll back (discarding
-		// the speculative firings), and replay the same window for keeps.
-		// The restore re-pushes the pending set in array order, so this
-		// catches any ordering state the heap fails to rebuild.
+		// Run in bounded slices, so deadlines fall between, on and past
+		// pending events.
 		for e.Pending() > 0 {
-			e.Checkpoint()
-			window := e.Now() + Time(1+rng.Intn(3000))*Nanosecond
-			mark := len(fired)
-			savedID, savedCancels := id, len(cancels)
-			e.RunUntil(window)
-			fired = fired[:mark] // discard the speculative leg
-			id, cancels = savedID, cancels[:savedCancels]
-			e.Rollback()
-			e.RunUntil(window) // replay for keeps
+			e.RunUntil(e.Now() + Time(1+rng.Intn(3000))*Nanosecond)
 		}
 		return fired
 	}
@@ -336,8 +296,6 @@ func TestHeap4AgainstOracle(t *testing.T) {
 		opPeek
 		opRemove
 		opRemoveLast
-		opRestore
-		opReset
 		numOps
 	)
 	for _, mode := range []string{"ties", "spread"} {
@@ -352,13 +310,9 @@ func TestHeap4AgainstOracle(t *testing.T) {
 					}
 					return Time(10 + rng.Intn(1_000_000))
 				}
-				var snap []uint64 // ids queued at the last snapshot
 				for step := 0; step < 3000; step++ {
 					op := [...]int{opPush, opPush, opPush, opPush, opPushMin, opPop, opPop, opPop,
-						opPopLimit, opPeek, opRemove, opRemoveLast, opRestore, opReset}[rng.Intn(14)]
-					if op == opReset && rng.Intn(20) > 0 {
-						op = opPush // keep resets rare so the heap gets deep
-					}
+						opPopLimit, opPeek, opRemove, opRemoveLast}[rng.Intn(12)]
 					if p.h.hole {
 						holeOps[op]++
 					}
@@ -388,24 +342,6 @@ func TestHeap4AgainstOracle(t *testing.T) {
 						if p.h.len() > 0 {
 							p.remove(p.h.q[len(p.h.q)-1].ev.gen)
 						}
-					case opRestore: // Engine.Checkpoint / Rollback, in miniature
-						if snap == nil {
-							for _, s := range p.h.pending() {
-								snap = append(snap, s.ev.gen)
-							}
-							break
-						}
-						p.h.reset()
-						p.o = p.o[:0]
-						for _, id := range snap {
-							p.mine[id].index, p.ref[id].index = -1, -1
-							p.h.push(p.mine[id])
-							heap.Push(&p.o, p.ref[id])
-						}
-						snap = nil
-					case opReset:
-						p.h.reset()
-						p.o, snap = p.o[:0], nil
 					}
 					p.check()
 				}

@@ -7,45 +7,13 @@ import (
 	"time"
 )
 
-// Speculator is the world-state interface ShardGroup needs for
-// optimistic epochs: per-shard checkpoint/restore plus a staged
-// variant of the cross-shard exchange, so a barrier can inspect what
-// would be delivered before deciding to commit or roll back.
-//
-// Save and Restore are invoked concurrently, one call per shard on
-// that shard's worker goroutine; shards' states must be disjoint.
-// Stage, Commit and Discard run single-threaded at the barrier.
-type Speculator interface {
-	// Save checkpoints shard i's world state (engine, nodes, wires,
-	// statistics), overwriting the previous checkpoint.
-	Save(shard int)
-	// Restore rolls shard i back to its last checkpoint.
-	Restore(shard int)
-	// Stage drains every cross-shard outbox into a staging area
-	// WITHOUT delivering, and reports the earliest staged arrival
-	// time (any is false when nothing was staged).
-	Stage() (earliest Time, any bool)
-	// Commit delivers everything staged into the receiver shards, in
-	// the same deterministic order the conservative exchange uses.
-	Commit()
-	// Discard drops the staged packets after a rollback (their state
-	// was produced by a run that never happened).
-	Discard()
-}
-
 // SyncStats counts synchronization work done by one ShardGroup run.
 type SyncStats struct {
-	// Epochs is the number of conservative epochs executed, including
-	// post-rollback replays.
+	// Epochs is the number of lookahead epochs executed.
 	Epochs uint64
-	// SpecEpochs counts speculative epochs attempted; each either
-	// committed or rolled back.
-	SpecEpochs    uint64
-	SpecCommits   uint64
-	SpecRollbacks uint64
 	// WorkNS is wall time spent with the engines running concurrently;
 	// TotalNS is the whole RunUntil. The difference is single-threaded
-	// synchronization: barriers, exchanges, checkpoints, restores.
+	// synchronization: barriers and exchanges.
 	WorkNS  int64
 	TotalNS int64
 }
@@ -58,72 +26,38 @@ func (s SyncStats) SyncOverhead() float64 {
 	return float64(s.TotalNS-s.WorkNS) / float64(s.TotalNS)
 }
 
-// ShardGroup runs several engines in lockstep epochs — conservative
-// lookahead barriers by default, optimistic (speculative) epochs when
-// Speculate is set.
-//
-// Conservative mode is the classic conservative parallel-DES scheme:
-// every epoch [T, T+L) is executed concurrently (one goroutine per
-// engine); at the epoch barrier the group calls Exchange, which moves
-// cross-shard traffic between engines single-threaded. The scheme is
-// sound when every cross-shard interaction initiated during an epoch
-// takes effect at least Lookahead later — for a network partition, the
-// minimum propagation delay of the links that cross shards.
-//
-// Speculative mode bets that low-delay fabrics rarely ship cross-shard
-// traffic at the lookahead bound: each epoch checkpoints every shard,
-// runs up to Window lookaheads past the conservative horizon, then
-// stages (without delivering) the would-be exchange. If nothing staged
-// lands inside the speculated span, the epoch commits — one barrier
-// paid for Window epochs' progress. Otherwise every shard rolls back
-// to the checkpoint and the span is replayed with conservative
-// barriers, which is exact by construction; the canonical
-// (time, key, seq) event rank makes the committed path equally exact,
-// because a committed span had no cross-shard arrivals to order. The
-// window adapts: it grows back toward Window after commits, halves on
-// rollback, and falls back to conservative epochs (with periodic
-// re-probes) when rollbacks dominate.
+// ShardGroup runs several engines in lockstep epochs separated by
+// conservative lookahead barriers — the classic conservative
+// parallel-DES scheme: every epoch [T, T+L) is executed concurrently
+// (one goroutine per engine); at the epoch barrier the group calls
+// Exchange, which moves cross-shard traffic between engines
+// single-threaded. The scheme is sound when every cross-shard
+// interaction initiated during an epoch takes effect at least Lookahead
+// later — for a network partition, the minimum propagation delay of
+// the links that cross shards.
 //
 // Determinism: each engine fires its own events in canonical order
-// exactly as it would alone; Exchange/Commit inject cross-shard events
-// in a caller-fixed order at every barrier; and the commit-or-rollback
-// decision is a pure function of staged arrival times. A ShardGroup
-// run is therefore a pure function of its inputs — independent of
-// goroutine scheduling — and byte-identical to the serial run.
+// exactly as it would alone, and Exchange injects cross-shard events in
+// a caller-fixed order at every barrier. A ShardGroup run is therefore
+// a pure function of its inputs — independent of goroutine scheduling —
+// and byte-identical to the serial run.
 type ShardGroup struct {
 	Engines   []*Engine
 	Lookahead Time
-	// Exchange, if set, runs at every conservative epoch boundary
-	// (single-threaded, all engines parked at time now) and moves
-	// cross-shard work into the destination engines.
+	// Exchange, if set, runs at every epoch boundary (single-threaded,
+	// all engines parked at time now) and moves cross-shard work into
+	// the destination engines.
 	Exchange func(now Time)
-
-	// Speculate enables optimistic epochs; it requires Spec.
-	Speculate bool
-	// Window caps the speculative horizon at Window lookahead epochs
-	// beyond the conservative one (default 8).
-	Window int
-	// Spec provides checkpoint/restore and the staged exchange.
-	Spec Speculator
 
 	// Stats is reset and refilled by each RunUntil.
 	Stats SyncStats
 }
-
-const (
-	defaultSpecWindow = 8
-	// specCooldownEpochs is how many conservative epochs run after the
-	// adaptive window collapses before speculation is probed again.
-	specCooldownEpochs = 16
-)
 
 type opKind uint8
 
 const (
 	opRunBefore opKind = iota
 	opRunUntil
-	opSave
-	opRestore
 )
 
 type shardOp struct {
@@ -159,8 +93,9 @@ func (g *ShardGroup) run(w *shardWorkers, op shardOp) {
 // time, the group skips ahead (still conservatively: an epoch never
 // extends past earliest-pending-event + Lookahead). A misconfigured
 // group — no engines, nil or duplicated engines, a non-positive
-// Lookahead, Speculate without a Speculator — is reported as an error
-// before any engine runs.
+// Lookahead — is reported as an error before any engine runs, and that
+// is the only error: a panic on a worker goroutine is not recovered and
+// terminates the process.
 func (g *ShardGroup) RunUntil(deadline Time) error {
 	g.Stats = SyncStats{}
 	if len(g.Engines) == 0 {
@@ -186,9 +121,6 @@ func (g *ShardGroup) RunUntil(deadline Time) error {
 	if g.Lookahead <= 0 {
 		return fmt.Errorf("sim: ShardGroup needs a positive Lookahead, got %d", g.Lookahead)
 	}
-	if g.Speculate && g.Spec == nil {
-		return errors.New("sim: ShardGroup.Speculate requires a Speculator")
-	}
 
 	start := time.Now() //hpcclint:allow determinism -- wall-clock metering for SyncStats overhead accounting; never feeds back into simulated state
 	defer func() { g.Stats.TotalNS = time.Since(start).Nanoseconds() }()
@@ -198,21 +130,17 @@ func (g *ShardGroup) RunUntil(deadline Time) error {
 		ch := make(chan shardOp, 1)
 		w.cmds[i] = ch
 		//hpcclint:allow determinism -- one long-lived worker per engine; the barrier protocol serializes all cross-engine effects
-		go func(i int, e *Engine, ch chan shardOp) {
+		go func(e *Engine, ch chan shardOp) {
 			for m := range ch {
 				switch m.kind {
 				case opRunBefore:
 					e.RunBefore(m.until)
 				case opRunUntil:
 					e.RunUntil(m.until)
-				case opSave:
-					g.Spec.Save(i)
-				case opRestore:
-					g.Spec.Restore(i)
 				}
 				w.wg.Done()
 			}
-		}(i, e, ch)
+		}(e, ch)
 	}
 	defer func() {
 		for _, ch := range w.cmds {
@@ -220,11 +148,7 @@ func (g *ShardGroup) RunUntil(deadline Time) error {
 		}
 	}()
 
-	if g.Speculate {
-		g.runSpeculative(w, deadline)
-	} else {
-		g.runConservative(w, deadline)
-	}
+	g.runConservative(w, deadline)
 	return nil
 }
 
@@ -248,9 +172,8 @@ func (g *ShardGroup) nextEpoch(now, deadline Time) (next Time, final bool) {
 	return next, false
 }
 
-// runConservative is the PR4/PR5 loop: exclusive epochs with an
-// exchange at every barrier, then one final inclusive epoch at the
-// deadline.
+// runConservative runs exclusive epochs with an exchange at every
+// barrier, then one final inclusive epoch at the deadline.
 func (g *ShardGroup) runConservative(w *shardWorkers, deadline Time) {
 	now := g.Engines[0].Now()
 	for {
@@ -266,100 +189,6 @@ func (g *ShardGroup) runConservative(w *shardWorkers, deadline Time) {
 		}
 		if final {
 			return
-		}
-		now = next
-	}
-}
-
-// runSpeculative interleaves speculative epochs with conservative
-// fallbacks under an adaptive window.
-func (g *ShardGroup) runSpeculative(w *shardWorkers, deadline Time) {
-	window := g.Window
-	if window <= 0 {
-		window = defaultSpecWindow
-	}
-	now := g.Engines[0].Now()
-	curWin := window
-	cooldown := 0
-	for {
-		next, final := g.nextEpoch(now, deadline)
-		if final {
-			// The conservative horizon already reaches the deadline, so
-			// no cross-shard arrival can land before it: finish with the
-			// plain inclusive epoch. Speculation has nothing to add.
-			g.Stats.Epochs++
-			g.run(w, shardOp{kind: opRunUntil, until: next})
-			if g.Exchange != nil {
-				g.Exchange(next)
-			}
-			return
-		}
-		if curWin < 2 {
-			// Rollbacks collapsed the window; a 1-lookahead speculation
-			// can never lose its bet (arrivals land at >= the horizon by
-			// the lookahead guarantee) but pays the checkpoint for no
-			// extra progress. Run conservatively for a while, then probe
-			// speculation again with a minimal window.
-			g.Stats.Epochs++
-			g.run(w, shardOp{kind: opRunBefore, until: next})
-			if g.Exchange != nil {
-				g.Exchange(next)
-			}
-			now = next
-			if cooldown++; cooldown >= specCooldownEpochs {
-				cooldown = 0
-				curWin = 2
-			}
-			continue
-		}
-
-		// Speculative epoch: checkpoint, run everything strictly before
-		// the speculated horizon, then look at what would be exchanged.
-		h := next + Time(curWin-1)*g.Lookahead
-		if h > deadline {
-			h = deadline
-		}
-		g.Stats.SpecEpochs++
-		w.do(shardOp{kind: opSave})
-		g.run(w, shardOp{kind: opRunBefore, until: h})
-		earliest, any := g.Spec.Stage()
-		if !any || earliest >= h {
-			// The bet held: nothing crossed a shard boundary inside the
-			// speculated span, so every shard's run is exactly its
-			// serial-order run. Deliver the staged packets (all at or
-			// past the horizon) and move on.
-			g.Spec.Commit()
-			g.Stats.SpecCommits++
-			now = h
-			if curWin < window {
-				curWin++
-			}
-			continue
-		}
-		// A cross-shard packet landed inside the window: the receiver
-		// ran past its arrival without seeing it. Roll every shard back
-		// to the checkpoint, drop the staged packets, and replay the
-		// span with conservative barriers — the proven-exact path.
-		w.do(shardOp{kind: opRestore})
-		g.Spec.Discard()
-		g.Stats.SpecRollbacks++
-		g.replayConservative(w, now, h)
-		now = h
-		curWin /= 2
-	}
-}
-
-// replayConservative re-runs [from, to) with exclusive conservative
-// epochs and an exchange at every barrier including at to itself; the
-// caller resumes from to.
-func (g *ShardGroup) replayConservative(w *shardWorkers, from, to Time) {
-	now := from
-	for now < to {
-		next, _ := g.nextEpoch(now, to)
-		g.Stats.Epochs++
-		g.run(w, shardOp{kind: opRunBefore, until: next})
-		if g.Exchange != nil {
-			g.Exchange(next)
 		}
 		now = next
 	}

@@ -80,3 +80,24 @@ func TestShardGroupSingle(t *testing.T) {
 		t.Fatalf("fired=%v barriers=%d now=%v", fired, barriers, e.Now())
 	}
 }
+
+// Misconfigured groups must report errors before running anything —
+// the former panics.
+func TestShardGroupConfigErrors(t *testing.T) {
+	a, b := NewEngine(), NewEngine()
+	for name, g := range map[string]*ShardGroup{
+		"no engines":       {},
+		"nil engine":       {Engines: []*Engine{a, nil}, Lookahead: Nanosecond},
+		"duplicate engine": {Engines: []*Engine{a, a}, Lookahead: Nanosecond},
+		"zero lookahead":   {Engines: []*Engine{a, b}},
+	} {
+		if err := g.RunUntil(Microsecond); err == nil {
+			t.Errorf("%s: RunUntil returned nil error", name)
+		}
+	}
+	// A valid group still runs.
+	ok := &ShardGroup{Engines: []*Engine{a, b}, Lookahead: Nanosecond}
+	if err := ok.RunUntil(Microsecond); err != nil {
+		t.Errorf("valid group errored: %v", err)
+	}
+}

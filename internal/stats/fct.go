@@ -62,8 +62,6 @@ const ShortFlowLimit = 7_000
 type FCTSet struct {
 	Records []FCTRecord
 
-	mark int // exact-mode Checkpoint high-water mark
-
 	str *fctStream // non-nil => streaming mode
 }
 
@@ -234,38 +232,6 @@ func (s *FCTSet) RetainedBytes() int64 {
 		total += b.RetainedBytes()
 	}
 	return total
-}
-
-// Checkpoint marks the current state (sim.Checkpointable, used by
-// speculative shard synchronization). Exact mode records a high-water
-// mark (the record list is append-only); streaming mode snapshots every
-// sketch's bucket counts in place.
-func (s *FCTSet) Checkpoint() {
-	if s.str == nil {
-		s.mark = len(s.Records)
-		return
-	}
-	s.str.all.Checkpoint()
-	s.str.short.Checkpoint()
-	s.str.shortUS.Checkpoint()
-	for _, b := range s.str.buckets {
-		b.Checkpoint()
-	}
-}
-
-// Rollback restores the last Checkpoint, dropping state added by a
-// rolled-back speculative run.
-func (s *FCTSet) Rollback() {
-	if s.str == nil {
-		s.Records = s.Records[:s.mark]
-		return
-	}
-	s.str.all.Rollback()
-	s.str.short.Rollback()
-	s.str.shortUS.Rollback()
-	for _, b := range s.str.buckets {
-		b.Rollback()
-	}
 }
 
 // SlowdownSketch returns a sketch of every flow's slowdown: streaming

@@ -120,24 +120,6 @@ func TestStreamingFCTMergeOrderInvariance(t *testing.T) {
 	}
 }
 
-func TestStreamingFCTCheckpointRollback(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	set := NewStreamingFCT(nil, 0)
-	for _, r := range randRecords(rng, 500) {
-		set.Add(r)
-	}
-	p99, short, bytes := set.SlowdownQuantile(99), set.ShortCount(), set.RetainedBytes()
-	set.Checkpoint()
-	for _, r := range randRecords(rng, 800) {
-		set.Add(r)
-	}
-	set.Rollback()
-	if set.Count() != 500 || set.SlowdownQuantile(99) != p99 || set.ShortCount() != short || set.RetainedBytes() != bytes {
-		t.Fatalf("rollback drifted: count %d p99 %g short %d bytes %d",
-			set.Count(), set.SlowdownQuantile(99), set.ShortCount(), set.RetainedBytes())
-	}
-}
-
 // Streaming retention must stay flat in flow count while exact
 // retention grows linearly — the point of the refactor. Bucket
 // occupancy saturates once the value range has been seen, so compare

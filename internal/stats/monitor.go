@@ -9,12 +9,12 @@ import (
 // interval, building the queue-length distributions of Figures 9f/10b/
 // 10d and the time series of Figures 9a–d/13b.
 type QueueMonitor struct {
-	eng      *sim.Engine    //hpcclint:nosnap immutable wiring
-	ports    []*fabric.Port //hpcclint:nosnap immutable wiring
-	prio     uint8          //hpcclint:nosnap immutable config
-	interval sim.Time       //hpcclint:nosnap immutable config
-	until    sim.Time       //hpcclint:nosnap immutable config
-	tickFn   func()         //hpcclint:nosnap m.tick bound once: re-arming with the method value would allocate a closure per tick
+	eng      *sim.Engine
+	ports    []*fabric.Port
+	prio     uint8
+	interval sim.Time
+	until    sim.Time
+	tickFn   func() // m.tick bound once: re-arming with the method value would allocate a closure per tick
 
 	// Samples holds the retained per-port observations (bytes), pooled.
 	Samples []float64
@@ -26,7 +26,7 @@ type QueueMonitor struct {
 	// QueueObserver ride. Set it right after NewQueueMonitor; the first
 	// tick fires one interval later. Streaming sees every tick,
 	// regardless of SampleCap.
-	OnSample func(TimePoint) //hpcclint:nosnap observer callback installed at setup
+	OnSample func(TimePoint)
 
 	// Sketch mode (EnableSketch): per-port depth observations stream
 	// into a mergeable quantile sketch instead of the Samples/Series
@@ -41,8 +41,8 @@ type QueueMonitor struct {
 	// window's depth summary plus the cumulative one, then the window
 	// resets. Works in either retention mode (the window itself is
 	// always a sketch); set both right after NewQueueMonitor.
-	FlushEvery int              //hpcclint:nosnap immutable config
-	OnFlush    func(QueueFlush) //hpcclint:nosnap observer callback installed at setup
+	FlushEvery int
+	OnFlush    func(QueueFlush)
 	winTicks   int
 	winStart   sim.Time
 
@@ -57,69 +57,9 @@ type QueueMonitor struct {
 	// same instants as a single whole-fabric monitor (the sharded
 	// byte-identity contract). Set it right after NewQueueMonitor.
 	// Zero (the default) retains every tick.
-	SampleCap int    //hpcclint:nosnap immutable config set before the run
+	SampleCap int
 	stride    uint64 // tick keep-stride (power of two; 0 until first tick)
 	ticks     uint64 // absolute tick counter
-
-	snap monSnap // speculative-execution checkpoint
-}
-
-// monSnap is the monitor's checkpoint. Without a SampleCap the retained
-// rows are append-only, so lengths suffice; with a cap, decimation
-// rewrites the retained prefix in place, so full copies are kept.
-type monSnap struct {
-	valid             bool
-	deep              bool
-	nSamples, nSeries int
-	stride, ticks     uint64
-	samples           []float64
-	series            []TimePoint
-	winTicks          int
-	winStart          sim.Time
-}
-
-// Checkpoint captures the monitor's retained rows and tick counters,
-// overwriting the previous checkpoint (sim.Checkpointable; the tick
-// event itself is engine state).
-func (m *QueueMonitor) Checkpoint() {
-	s := &m.snap
-	s.valid = true
-	s.stride, s.ticks = m.stride, m.ticks
-	if m.sketch != nil {
-		m.sketch.Checkpoint()
-		m.window.Checkpoint()
-		s.winTicks, s.winStart = m.winTicks, m.winStart
-		return
-	}
-	s.deep = m.SampleCap > 0
-	if s.deep {
-		s.samples = append(s.samples[:0], m.Samples...)
-		s.series = append(s.series[:0], m.Series...)
-		return
-	}
-	s.nSamples, s.nSeries = len(m.Samples), len(m.Series)
-}
-
-// Rollback restores the last Checkpoint.
-func (m *QueueMonitor) Rollback() {
-	s := &m.snap
-	if !s.valid {
-		panic("stats: QueueMonitor.Rollback without Checkpoint")
-	}
-	m.stride, m.ticks = s.stride, s.ticks
-	if m.sketch != nil {
-		m.sketch.Rollback()
-		m.window.Rollback()
-		m.winTicks, m.winStart = s.winTicks, s.winStart
-		return
-	}
-	if s.deep {
-		m.Samples = append(m.Samples[:0], s.samples...)
-		m.Series = append(m.Series[:0], s.series...)
-		return
-	}
-	m.Samples = m.Samples[:s.nSamples]
-	m.Series = m.Series[:s.nSeries]
 }
 
 // TimePoint is one time-series observation.

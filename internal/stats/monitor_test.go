@@ -109,29 +109,3 @@ func TestQueueMonitorSketchFlushCadence(t *testing.T) {
 		t.Fatalf("last window closed at %v, want 10ms", prev)
 	}
 }
-
-// Sketch-mode Checkpoint/Rollback must restore the cumulative sketch,
-// the open window, and the window phase — the speculative shard-sync
-// contract.
-func TestQueueMonitorSketchCheckpointRollback(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewQueueMonitor(eng, nil, 0, 10*sim.Microsecond, 10*sim.Millisecond)
-	m.EnableSketch(0)
-	m.FlushEvery = 64
-	eng.RunUntil(sim.Millisecond) // 100 ticks: mid-window (100 mod 64 = 36)
-	m.sketch.Add(5)               // stand in for port observations
-	m.window.Add(5)
-	m.Checkpoint()
-	wantTicks, wantStart := m.winTicks, m.winStart
-	eng.RunUntil(2 * sim.Millisecond)
-	m.sketch.Add(9)
-	m.window.Add(9)
-	m.Rollback()
-	if m.winTicks != wantTicks || m.winStart != wantStart {
-		t.Fatalf("window phase drifted: (%d, %v) vs (%d, %v)", m.winTicks, m.winStart, wantTicks, wantStart)
-	}
-	if m.sketch.Count() != 1 || m.sketch.Max() != 5 || m.window.Count() != 1 {
-		t.Fatalf("sketch state not restored: count %d max %g window %d",
-			m.sketch.Count(), m.sketch.Max(), m.window.Count())
-	}
-}

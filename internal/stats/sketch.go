@@ -20,9 +20,9 @@ import "math"
 // (including zero and negatives) are counted in a dedicated zero bucket
 // and only influence quantiles through the exact Min.
 type Sketch struct {
-	gamma   float64 //hpcclint:nosnap immutable; derived from α at construction: (1+α)/(1-α)
-	invLogG float64 //hpcclint:nosnap immutable; 1 / ln(gamma)
-	maxBins int     //hpcclint:nosnap immutable; collapse bound on len(bins)
+	gamma   float64 // derived from α at construction: (1+α)/(1-α)
+	invLogG float64 // 1 / ln(gamma)
+	maxBins int     // collapse bound on len(bins)
 
 	// bins[i] counts values whose key is lo+i; a key k covers the value
 	// range (gamma^(k-1), gamma^k].
@@ -30,21 +30,6 @@ type Sketch struct {
 	lo   int // key of bins[0]
 
 	zeros    uint64 // values < minIndexable
-	count    uint64
-	sum      float64
-	min, max float64
-
-	snap sketchSnap
-}
-
-// sketchSnap is the single in-place checkpoint slot (sim.Checkpointable
-// contract): buffers are reused across checkpoints, so speculative
-// epochs snapshot bucket counts without allocating after warmup.
-type sketchSnap struct {
-	valid    bool
-	bins     []uint64
-	lo       int
-	zeros    uint64
 	count    uint64
 	sum      float64
 	min, max float64
@@ -177,8 +162,7 @@ func (s *Sketch) growUp(by int) {
 // collapse folds the lowest buckets together until the store fits
 // maxBins again — the DDSketch collapsing-lowest policy: tail quantiles
 // (the ones the paper reports) keep full accuracy, the low extreme
-// degrades. Deterministic, so checkpoint/replay and sharded merges stay
-// byte-identical.
+// degrades. Deterministic, so sharded merges stay byte-identical.
 func (s *Sketch) collapse() {
 	drop := len(s.bins) - s.maxBins
 	if drop <= 0 {
@@ -311,11 +295,10 @@ func (s *Sketch) Merge(o *Sketch) {
 	}
 }
 
-// Clone returns an independent copy (checkpoint slot excluded).
+// Clone returns an independent copy.
 func (s *Sketch) Clone() *Sketch {
 	c := *s
 	c.bins = append([]uint64(nil), s.bins...)
-	c.snap = sketchSnap{}
 	return &c
 }
 
@@ -339,27 +322,4 @@ func (s *Sketch) RetainedBytes() int64 {
 		}
 	}
 	return 8*occupied + 64
-}
-
-// Checkpoint snapshots the bucket counts in place, reusing the snapshot
-// buffer (sim.Checkpointable).
-func (s *Sketch) Checkpoint() {
-	sn := &s.snap
-	sn.valid = true
-	sn.bins = append(sn.bins[:0], s.bins...)
-	sn.lo = s.lo
-	sn.zeros, sn.count, sn.sum = s.zeros, s.count, s.sum
-	sn.min, sn.max = s.min, s.max
-}
-
-// Rollback restores the last Checkpoint.
-func (s *Sketch) Rollback() {
-	sn := &s.snap
-	if !sn.valid {
-		panic("stats: Sketch.Rollback without Checkpoint")
-	}
-	s.bins = append(s.bins[:0], sn.bins...)
-	s.lo = sn.lo
-	s.zeros, s.count, s.sum = sn.zeros, sn.count, sn.sum
-	s.min, s.max = sn.min, sn.max
 }

@@ -133,45 +133,18 @@ func TestSketchMergeAccuracyMismatchPanics(t *testing.T) {
 	a.Merge(b)
 }
 
-func TestSketchCheckpointRollback(t *testing.T) {
-	sk := NewSketch(0.01)
-	for i := 1; i <= 100; i++ {
-		sk.Add(float64(i))
-	}
-	want := sk.Clone()
-	sk.Checkpoint()
-	for i := 0; i < 500; i++ {
-		sk.Add(float64(i) * 7.3)
-	}
-	sk.Rollback()
-	sameSketch(t, sk, want, "rollback")
-	// Rollback is repeatable.
-	sk.Add(9e6)
-	sk.Rollback()
-	sameSketch(t, sk, want, "second rollback")
-}
-
-// Hot-path contract: once the value range has been seen, Add and the
-// Checkpoint/Rollback cycle allocate nothing.
+// Hot-path contract: once the value range has been seen, Add
+// allocates nothing.
 func TestSketchAllocFreeAfterWarmup(t *testing.T) {
 	sk := NewSketch(0.01)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 2000; i++ {
 		sk.Add(math.Exp(rng.NormFloat64() * 2))
 	}
-	sk.Checkpoint()
-	sk.Rollback()
 	if n := testing.AllocsPerRun(200, func() {
 		sk.Add(1 + rng.Float64()*100)
 	}); n > 0 {
 		t.Errorf("Add allocates %.1f/op after warmup", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		sk.Checkpoint()
-		sk.Add(2.5)
-		sk.Rollback()
-	}); n > 0 {
-		t.Errorf("Checkpoint/Rollback allocates %.1f/op after warmup", n)
 	}
 }
 

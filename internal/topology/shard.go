@@ -31,14 +31,6 @@ type Sharding struct {
 	BoundaryPorts int
 
 	outs []*boundary
-
-	// Speculation support (see speculate.go): per-shard packet pools,
-	// per-shard checkpointable world state (engine, nodes, ports, plus
-	// anything the caller Attaches), and the boundaries grouped by
-	// receiver shard (their wires are receiver-side state).
-	pools    []*packet.Pool
-	ck       [][]sim.Checkpointable
-	inBounds [][]*boundary
 }
 
 // xpkt is one serialized packet in flight across a shard boundary: the
@@ -68,13 +60,6 @@ type boundary struct {
 	rhead   int
 	armed   bool
 	deliver func()
-
-	// Speculation state (see speculate.go): outbox packets staged at a
-	// speculative barrier, and the outbox/receiver-wire checkpoints.
-	staged []xpkt
-	sbuf   []xwireSnap
-	swire  []xwireSnap
-	sarmed bool
 }
 
 // cluster is one unsplittable partition unit: a connected component of
@@ -344,12 +329,6 @@ func Shard(nw *Network, k int) (*Sharding, error) {
 		HostShard: make([]int, len(nw.Hosts)),
 		NodeShard: nodeShard,
 		Lookahead: lookahead,
-		pools:     pools,
-		ck:        make([][]sim.Checkpointable, k),
-		inBounds:  make([][]*boundary, k),
-	}
-	for i := range engines {
-		s.ck[i] = append(s.ck[i], engines[i], pools[i])
 	}
 	addBoundary := func(pt *fabric.Port, owner fabric.NodeID) {
 		peerShard := nodeShard[pt.Peer().ID()]
@@ -357,7 +336,6 @@ func Shard(nw *Network, k int) (*Sharding, error) {
 			return
 		}
 		bd := &boundary{port: pt, eng: engines[peerShard], key: pt.WireKey()}
-		s.inBounds[peerShard] = append(s.inBounds[peerShard], bd)
 		bd.deliver = func() {
 			e := bd.pop()
 			if bd.rhead < len(bd.rwire) {
@@ -376,20 +354,16 @@ func Shard(nw *Network, k int) (*Sharding, error) {
 		sh := nodeShard[h.ID()]
 		s.HostShard[i] = sh
 		h.Rebind(engines[sh], pools[sh])
-		s.ck[sh] = append(s.ck[sh], h)
 		for _, pt := range h.Ports() {
 			pt.Rebind(engines[sh])
-			s.ck[sh] = append(s.ck[sh], pt)
 			addBoundary(pt, h.ID())
 		}
 	}
 	for _, sw := range nw.Switches {
 		sh := nodeShard[sw.ID()]
 		sw.Rebind(engines[sh], pools[sh])
-		s.ck[sh] = append(s.ck[sh], sw)
 		for _, pt := range sw.Ports() {
 			pt.Rebind(engines[sh])
-			s.ck[sh] = append(s.ck[sh], pt)
 			addBoundary(pt, sw.ID())
 		}
 	}

@@ -268,66 +268,3 @@ func TestShardSingleHostRefuses(t *testing.T) {
 		t.Fatal("network unusable after refused Shard")
 	}
 }
-
-// Speculative barriers on a real fabric must replay the serial run
-// byte-for-byte — whether the bets commit (dumbbell with its 2us
-// cross-shard lookahead) or roll back — and must actually speculate.
-func TestShardSpeculationEquivalence(t *testing.T) {
-	const horizon = 40 * sim.Millisecond
-	run := func(shards, window int) ([]flowFate, sim.SyncStats) {
-		hcfg, scfg := shardCfg()
-		eng := sim.NewEngine()
-		nw := Dumbbell(eng, 6, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
-		if shards == 1 {
-			dumbbellWorkload(nw)
-			eng.RunUntil(horizon)
-			return fates(t, nw), sim.SyncStats{}
-		}
-		sh, err := Shard(nw, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if window > 0 {
-			if err := sh.EnableSpeculation(window); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dumbbellWorkload(nw)
-		if err := sh.Group.RunUntil(horizon); err != nil {
-			t.Fatal(err)
-		}
-		return fates(t, nw), sh.Group.Stats
-	}
-
-	base, _ := run(1, 0)
-	for _, k := range []int{2, 3} {
-		got, st := run(k, 8)
-		if st.SpecEpochs == 0 {
-			t.Fatalf("%d shards: no speculative epochs attempted", k)
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("%d shards speculative: flow %d diverged:\n  serial: %+v\n  spec:   %+v",
-					k, base[i].id, base[i], got[i])
-			}
-		}
-	}
-}
-
-// EnableSpeculation must refuse a fabric whose switches flip RNG coins
-// in the forwarding path (WRED/ECN marking).
-func TestShardSpeculationRefusesECN(t *testing.T) {
-	hcfg, scfg := shardCfg()
-	scfg.ECNEnabled = true
-	nw := Dumbbell(sim.NewEngine(), 6, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
-	sh, err := Shard(nw, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.EnableSpeculation(0); err == nil {
-		t.Fatal("EnableSpeculation succeeded on an ECN fabric, want error")
-	}
-	if sh.Group.Speculate {
-		t.Fatal("refused EnableSpeculation still set Group.Speculate")
-	}
-}

@@ -40,12 +40,6 @@ type SimConfig struct {
 	// Shards requests multi-core execution of the scenario (see
 	// Experiment.Shards for the determinism contract).
 	Shards int
-	// Speculate controls optimistic shard synchronization on sharded
-	// runs (default on; see Experiment.Speculate).
-	Speculate *bool
-	// SpeculationWindow caps the speculative horizon (see
-	// Experiment.SpeculationWindow; default 8).
-	SpeculationWindow int
 	// SketchStats switches result statistics to streaming quantile
 	// sketches: O(buckets) retained stat memory regardless of flow
 	// count, percentiles within StatsAccuracy of exact (see
@@ -98,20 +92,12 @@ type SimResult struct {
 	// be less than the requested Shards; results are identical either
 	// way, only the core usage differs.
 	ShardsUsed int
-	// Speculated reports whether optimistic shard synchronization was
-	// engaged (see Experiment.Speculate); the counters below describe
-	// how it went. Epochs counts conservative epochs (including
-	// post-rollback replays); SpecEpochs counts speculative attempts,
-	// each either a commit or a rollback. SyncOverhead is the fraction
-	// of wall time spent synchronizing shards rather than running them
-	// (barriers, exchanges, checkpoints, restores); it is meaningful
-	// for any sharded run, speculative or not.
-	Speculated    bool
-	Epochs        uint64
-	SpecEpochs    uint64
-	SpecCommits   uint64
-	SpecRollbacks uint64
-	SyncOverhead  float64
+	// Epochs counts a sharded run's lookahead epochs; SyncOverhead is
+	// the fraction of its wall time spent synchronizing shards (barriers
+	// and exchanges) rather than running them. Both are zero on one
+	// engine.
+	Epochs       uint64
+	SyncOverhead float64
 	// BucketP95 maps each flow-size bucket edge to its 95th-percentile
 	// slowdown (the paper's FCT-figure series). Buckets with N == 0
 	// report P95 = 0.
@@ -163,18 +149,16 @@ func Run(cfg SimConfig) (*SimResult, error) {
 		traffic = append(traffic, Incast{FanIn: fanIn, FlowSizeBytes: 500_000, LoadFraction: 0.02})
 	}
 	return Experiment{
-		Scheme:            cfg.Scheme,
-		Topology:          topo,
-		Traffic:           traffic,
-		Horizon:           cfg.Duration,
-		Drain:             cfg.Drain,
-		MaxFlows:          cfg.Flows,
-		Lossless:          cfg.Lossless,
-		Shards:            cfg.Shards,
-		Speculate:         cfg.Speculate,
-		SpeculationWindow: cfg.SpeculationWindow,
-		SketchStats:       cfg.SketchStats,
-		StatsAccuracy:     cfg.StatsAccuracy,
-		Seed:              cfg.Seed,
+		Scheme:        cfg.Scheme,
+		Topology:      topo,
+		Traffic:       traffic,
+		Horizon:       cfg.Duration,
+		Drain:         cfg.Drain,
+		MaxFlows:      cfg.Flows,
+		Lossless:      cfg.Lossless,
+		Shards:        cfg.Shards,
+		SketchStats:   cfg.SketchStats,
+		StatsAccuracy: cfg.StatsAccuracy,
+		Seed:          cfg.Seed,
 	}.Run()
 }
