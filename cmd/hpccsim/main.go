@@ -102,7 +102,7 @@ func main() {
 		mode = "sketch"
 	}
 	fmt.Printf("stat memory   %d B retained (%s mode)\n", res.RetainedStatBytes, mode)
-	fmt.Printf("engine        %d events fired, %d pending at most\n", res.Events, res.PendingHighWater)
+	fmt.Printf("engine        %d events fired, %d pending at most, %d wire deliveries (%d off-lane)\n", res.Events, res.PendingHighWater, res.Deliveries, res.OffLane)
 	fmt.Println("\np95 slowdown by flow size:")
 	for _, b := range res.BucketP95 {
 		if b.N == 0 {

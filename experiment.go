@@ -253,6 +253,8 @@ func summarize(r *experiment.LoadResult, edges []int64) *SimResult {
 		RetainedStatBytes:    r.RetainedStatBytes,
 		Events:               r.Events,
 		PendingHighWater:     r.PendingHighWater,
+		Deliveries:           r.Deliveries,
+		OffLane:              r.OffLane,
 		ShardsUsed:           r.Shards,
 		Epochs:               r.Sync.Epochs,
 		SyncOverhead:         r.Sync.SyncOverhead(),

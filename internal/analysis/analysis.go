@@ -8,8 +8,8 @@
 //     order-sensitive map iteration in simulation packages — the bug
 //     classes that break byte-identical 1-vs-N shard replay.
 //   - eventkey: packet-delivery and arrival paths schedule through the
-//     keyed AtKey/AfterKey variants, so same-picosecond ties order by
-//     the canonical structural rank.
+//     keyed AtKey/AfterKey/Deliver calls, so same-picosecond ties order
+//     by the canonical structural rank.
 //   - hotpathalloc: functions annotated //hpcclint:alloc-free contain
 //     no allocating constructs.
 //

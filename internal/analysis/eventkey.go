@@ -10,13 +10,14 @@ import (
 // workload). PR 5's canonical event rank orders same-picosecond events
 // by a structural key derived from the spec; an unkeyed call falls back
 // to key 0 and ties break by arming order, which differs between 1 and
-// N shards. Delivery and arrival paths must use AtKey/AfterKey with
-// sim.ArrivalKey or the port's WireKey. Interprocedurally, calling a
+// N shards. Delivery and arrival paths must use the keyed calls —
+// AtKey/AfterKey with sim.ArrivalKey, Engine.Deliver with the port's
+// WireKey. Interprocedurally, calling a
 // helper outside the delivery scope whose summary says it schedules
 // unkeyed is flagged at the call site with the chain.
 var EventKeyAnalyzer = &Analyzer{
 	Name:      "eventkey",
-	Doc:       "packet-delivery and arrival paths must schedule via AtKey/AfterKey so same-picosecond ties order by the canonical rank",
+	Doc:       "packet-delivery and arrival paths must schedule via AtKey/AfterKey/Deliver so same-picosecond ties order by the canonical rank",
 	Invariant: "canonical-event-rank",
 	Run:       runEventKey,
 }
@@ -41,7 +42,7 @@ func runEventKey(pass *Pass) error {
 			if isEngineMethod(fn, "At", "After") {
 				pass.Reportf(call.Pos(),
 					"unkeyed Engine.%s on a delivery/arrival path: same-picosecond ties break by arming order, "+
-						"which diverges between 1 and N shards; use %sKey with sim.ArrivalKey or the port's WireKey, "+
+						"which diverges between 1 and N shards; use %sKey with sim.ArrivalKey, or Deliver with the port's WireKey, "+
 						"or annotate //hpcclint:allow eventkey -- <reason> if ties are provably local",
 					fn.Name(), fn.Name())
 				return true
@@ -69,7 +70,7 @@ func checkTaintedSchedCall(pass *Pass, call *ast.CallExpr, fn *types.Func) {
 	pass.ReportChainf(call.Pos(), chain,
 		"call to %s schedules through unkeyed Engine.At/After on a delivery/arrival path: same-picosecond "+
 			"ties break by arming order, which diverges between 1 and N shards; plumb a key down to the "+
-			"AtKey/AfterKey call or annotate //hpcclint:allow eventkey -- <reason> if ties are provably local",
+			"AtKey/AfterKey/Deliver call or annotate //hpcclint:allow eventkey -- <reason> if ties are provably local",
 		displayName(fn, pass.Pkg))
 }
 

@@ -19,6 +19,10 @@ func (e *Engine) AtKey(t Time, key EventKey, fn func()) {}
 
 func (e *Engine) AfterKey(d Time, key EventKey, fn func()) {}
 
+type Sink interface{ Arrive(arg any) }
+
+func (e *Engine) Deliver(t Time, key EventKey, sink Sink, arg any) {}
+
 // Defer schedules unkeyed through Engine.After: package sim is outside
 // the delivery scope, so nothing is flagged here, but the facts pass
 // records the SchedulesUnkeyed summary and delivery-scope callers are

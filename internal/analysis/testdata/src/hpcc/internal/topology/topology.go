@@ -26,6 +26,16 @@ func (n *node) arriveKeyed(d sim.Time, fn func()) {
 	n.eng.AfterKey(d, n.key, fn)
 }
 
+func (n *node) Arrive(arg any) {}
+
+// deliverFrame schedules a wire delivery through Engine.Deliver, which
+// takes the canonical key like AtKey: not flagged. The unkeyed timer
+// beside it on the same path still is.
+func (n *node) deliverFrame(t sim.Time, fn func()) {
+	n.eng.Deliver(t, n.key, n, nil)
+	n.eng.At(t, fn) // want `unkeyed Engine\.At on a delivery/arrival path`
+}
+
 func (n *node) localTimer(d sim.Time, fn func()) {
 	n.eng.After(d, fn) //hpcclint:allow eventkey -- engine-local timer, ties cannot span shards
 }

@@ -203,11 +203,16 @@ type LoadResult struct {
 	RetainedStatBytes int64
 
 	// Events counts the engine events fired and PendingHighWater is the
-	// deepest any engine's pending-event set got — what the scheduler
-	// had to carry. Deterministic, but they describe the execution, not
-	// the simulated network: both vary with the shard count.
+	// most any engine had pending at once, every frame in flight on a
+	// wire included. Deliveries of those events were frames reaching the
+	// far end of a link (sim.Engine.Deliver) and OffLane of them fit none
+	// of the engine's lanes and went through its heap. Deterministic, but
+	// they describe the execution, not the simulated network: they vary
+	// with the shard count.
 	Events           uint64
 	PendingHighWater int
+	Deliveries       uint64
+	OffLane          uint64
 }
 
 // ShortFlowP95Latency returns the 95th-percentile FCT (µs) of flows no
@@ -418,6 +423,8 @@ func collectEngines(res *LoadResult, engines ...*sim.Engine) {
 	for _, e := range engines {
 		res.Events += e.Fired()
 		res.PendingHighWater = max(res.PendingHighWater, e.PendingHighWater())
+		res.Deliveries += e.Delivered()
+		res.OffLane += e.OffLane()
 	}
 }
 

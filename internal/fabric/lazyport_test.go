@@ -208,3 +208,37 @@ func TestTotalQueueBytesRunningSum(t *testing.T) {
 		t.Fatalf("arrivals = %d, want 3", len(b.got))
 	}
 }
+
+// Two hand-wired links (wire key 0) into one node, two frames arriving
+// in the same picosecond: the tie goes to the frame whose serialization
+// began first, even though the other wire was idle when its frame was
+// sent and this one still had an earlier frame in flight.
+func TestZeroKeyWiresTieInSerializationOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	a := &mockHost{id: 1, eng: eng}
+	b := &mockHost{id: 2, eng: eng}
+	c := &mockHost{id: 3, eng: eng}
+	const delay = 10 * sim.Microsecond
+	ac, _ := Connect(eng, a, c, 0, 0, sim.Gbps, delay)
+	bc, _ := Connect(eng, b, c, 0, 1, sim.Gbps, delay)
+
+	ser := sim.Gbps.TxTime(1064)
+	half := sim.Gbps.TxTime(532)
+	ac.Enqueue(data(1, 1, 3, 0, 1064), -1)
+	ac.Enqueue(data(1, 1, 3, 1000, 1064), -1) // serialized at ser, arrives 2*ser+delay
+	// Sent while a's second frame is serializing and its first is still
+	// propagating; arrives at 2*ser+delay too.
+	eng.At(2*ser-half, func() { bc.Enqueue(data(2, 2, 3, 0, 532), -1) })
+	eng.Run()
+
+	if len(c.got) != 3 {
+		t.Fatalf("arrivals = %d, want 3", len(c.got))
+	}
+	if c.got[1].at != 2*ser+delay || c.got[2].at != 2*ser+delay {
+		t.Fatalf("arrivals at %v, %v; want both at %v", c.got[1].at, c.got[2].at, 2*ser+delay)
+	}
+	if c.got[1].p.FlowID != 1 || c.got[2].p.FlowID != 2 {
+		t.Fatalf("tie fired flow %d before flow %d, want serialization order (1 then 2)",
+			c.got[1].p.FlowID, c.got[2].p.FlowID)
+	}
+}

@@ -10,13 +10,6 @@ type entry struct {
 	ingress int // arriving port index at the owner, -1 if locally generated
 }
 
-// wireEntry is one packet in flight on a link: the frame plus its
-// (fully deterministic) arrival instant at the far end.
-type wireEntry struct {
-	p  *packet.Packet
-	at sim.Time
-}
-
 // fifo is an amortized O(1) queue.
 type fifo[T any] struct {
 	buf  []T
@@ -75,7 +68,12 @@ type Port struct {
 	// sim.Event.Before). topology.Builder assigns keys in Link order, so
 	// simultaneous deliveries into one node fire in an order derivable
 	// from the topology alone, identically on one engine or N shards.
-	// Zero (hand-wired fabrics) falls back to scheduling order.
+	// Zero (hand-wired fabrics) falls back to scheduling order, which for
+	// a delivery is serialization order: of two frames on key-0 wires that
+	// arrive in the same picosecond, the one whose serialization began
+	// first arrives first (TestZeroKeyWiresTieInSerializationOrder).
+	// topology.Builder, the only non-test caller of Connect, always
+	// assigns non-zero keys.
 	wireKey uint64
 
 	queues    [NumPrio]fifo[entry]
@@ -98,16 +96,11 @@ type Port struct {
 	kickArmed bool
 	kickEv    sim.Timer
 
-	// wire holds packets whose serialization finished (or is finishing)
-	// but which have not yet propagated to the peer. The link delay is
-	// constant, so arrivals happen in push order: one scheduled
-	// head-of-wire event suffices, re-armed as packets drain. Combined
-	// with the reusable tx-complete closure below, the per-packet hot
-	// path schedules no fresh closures at all.
-	wire      fifo[wireEntry]
-	wireArmed bool
-	deliverFn func() // reusable closure built once at wiring time
-	kickFn    func() // reusable closure built once at wiring time
+	// onWire counts packets serialized onto the local wire and not yet
+	// arrived at the peer: each is one sim.Engine.Deliver in flight, with
+	// this port as the sink.
+	onWire int
+	kickFn func() // reusable closure built once at wiring time
 
 	// remote, when set, marks this transmitter as a shard-boundary
 	// port: instead of riding the local wire, a serialized packet is
@@ -140,7 +133,7 @@ func (pt *Port) SetPauseHook(fn func(prio uint8, paused bool)) { pt.pauseHook = 
 // instead of being delivered locally. Pass nil to restore local
 // delivery. Must not be called while packets are in flight on the wire.
 func (pt *Port) SetRemote(fn func(p *packet.Packet, arrive sim.Time)) {
-	if fn != nil && !pt.wire.empty() {
+	if fn != nil && pt.onWire > 0 {
 		panic("fabric: SetRemote with packets in flight")
 	}
 	pt.remote = fn
@@ -149,7 +142,7 @@ func (pt *Port) SetRemote(fn func(p *packet.Packet, arrive sim.Time)) {
 // Rebind moves the port's event scheduling onto another engine — the
 // shard-partitioning step. Must happen before any traffic flows.
 func (pt *Port) Rebind(eng *sim.Engine) {
-	if pt.kickArmed || !pt.wire.empty() || pt.eng.Now() < pt.busyUntil {
+	if pt.kickArmed || pt.onWire > 0 || pt.eng.Now() < pt.busyUntil {
 		panic("fabric: Rebind with packets in flight")
 	}
 	pt.eng = eng
@@ -162,7 +155,6 @@ func newPort(eng *sim.Engine, owner Node, index int, rate sim.Rate, delay sim.Ti
 		pt.kickEv = sim.Timer{}
 		pt.kick()
 	}
-	pt.deliverFn = pt.deliver
 	return pt
 }
 
@@ -286,7 +278,7 @@ func (pt *Port) kick() {
 		// adds work or eligibility (Enqueue, a later resume) kicks again.
 		if !pt.kickArmed && pt.totQBytes > 0 {
 			pt.kickArmed = true
-			pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn) //hpcclint:allow eventkey -- kick fires on this port's own engine and mutates only this transmitter's state; cross-shard arrivals enter through the exchange at epoch barriers under explicit AtKey arrival ranks, so a same-picosecond tie with the kick is broken by the arrival's canonical key and cannot span shards (TestShardDumbbellEquivalence)
+			pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn) //hpcclint:allow eventkey -- kick fires on this port's own engine and mutates only this transmitter's state; cross-shard arrivals enter through the exchange at epoch barriers as Deliver calls under their wire's key, so a same-picosecond tie with the kick is broken by the arrival's canonical key and cannot span shards (TestShardDumbbellEquivalence)
 		}
 		return
 	}
@@ -318,31 +310,21 @@ func (pt *Port) kick() {
 
 	if pt.totQBytes > 0 && !pt.kickArmed {
 		pt.kickArmed = true
-		pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn) //hpcclint:allow eventkey -- kick fires on this port's own engine and mutates only this transmitter's state; cross-shard arrivals enter through the exchange at epoch barriers under explicit AtKey arrival ranks, so a same-picosecond tie with the kick is broken by the arrival's canonical key and cannot span shards (TestShardDumbbellEquivalence)
+		pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn) //hpcclint:allow eventkey -- kick fires on this port's own engine and mutates only this transmitter's state; cross-shard arrivals enter through the exchange at epoch barriers as Deliver calls under their wire's key, so a same-picosecond tie with the kick is broken by the arrival's canonical key and cannot span shards (TestShardDumbbellEquivalence)
 	}
 	if pt.remote != nil {
 		pt.remote(e.p, pt.busyUntil+pt.delay)
 		return
 	}
-	pt.wire.push(wireEntry{e.p, pt.busyUntil + pt.delay})
-	if !pt.wireArmed {
-		pt.wireArmed = true
-		pt.eng.AtKey(pt.wire.peek().at, pt.wireKey, pt.deliverFn)
-	}
+	pt.onWire++
+	pt.eng.Deliver(pt.busyUntil+pt.delay, pt.wireKey, pt, e.p)
 }
 
-// deliver fires the head-of-wire packet into the peer and re-arms the
-// single wire event for the next in-flight packet, if any. Serialization
-// intervals never overlap and the propagation delay is constant, so wire
-// arrival times are nondecreasing in push order.
+// Arrive is the far end of the local wire (sim.Sink): the frame handed
+// to Deliver at serialization time reaches the peer.
 //
 //hpcclint:alloc-free
-func (pt *Port) deliver() {
-	e := pt.wire.pop()
-	if pt.wire.empty() {
-		pt.wireArmed = false
-	} else {
-		pt.eng.AtKey(pt.wire.peek().at, pt.wireKey, pt.deliverFn)
-	}
-	pt.peer.HandleArrival(e.p, pt.peerPort)
+func (pt *Port) Arrive(arg any) {
+	pt.onWire--
+	pt.peer.HandleArrival(arg.(*packet.Packet), pt.peerPort)
 }

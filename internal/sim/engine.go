@@ -12,6 +12,11 @@ type Event struct {
 	gen   uint64
 	fn    func()
 	index int // heap slot; -1 when not queued
+
+	// sink and arg replace fn on a delivery that fit no lane (see
+	// Engine.Deliver); sink is nil on every other event.
+	sink Sink
+	arg  any
 }
 
 // At reports when the event is (or was) scheduled to fire.
@@ -80,10 +85,24 @@ func (t Timer) When() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	q       heap4 // pending events
+	q       heap4 // pending events that may be cancelled or fire at irregular times
 	stopped bool
 	pool    []*Event // freelist for fired events
 	fired   uint64
+	high    int // most events ever pending at once
+
+	// Deliveries in flight (see Deliver). Lanes are claimed from index 0
+	// and never released; tails[i] is the time of the last frame pushed
+	// onto lane i — at or before the clock once the lane has drained, so
+	// an empty lane fits every delivery — and cur caches minLane's answer
+	// (-1: rescan).
+	lanes     [numLanes]lane
+	tails     [numLanes]Time
+	used      int
+	cur       int
+	inFlight  int
+	delivered uint64
+	offLane   uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -96,12 +115,21 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return e.q.len() }
+// Pending returns the number of scheduled, not-yet-fired events,
+// deliveries in flight included.
+func (e *Engine) Pending() int { return e.q.len() + e.inFlight }
 
-// PendingHighWater returns the largest Pending has been: the depth the
-// scheduler actually worked at.
-func (e *Engine) PendingHighWater() int { return e.q.high }
+// PendingHighWater returns the largest Pending has been. Every frame in
+// flight on a wire counts, so on a busy fabric this is mostly the lanes'
+// population; the heap's own depth is what is left of it.
+func (e *Engine) PendingHighWater() int { return e.high }
+
+// Delivered returns how many deliveries Deliver has scheduled.
+func (e *Engine) Delivered() uint64 { return e.delivered }
+
+// OffLane returns how many deliveries fit no lane and went through the
+// heap.
+func (e *Engine) OffLane() uint64 { return e.offLane }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -123,6 +151,18 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
+	ev := e.newEvent(t, key, e.seq)
+	e.seq++
+	ev.fn = fn
+	e.q.push(ev)
+	e.notePending()
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// newEvent takes an event off the free list and ranks it.
+//
+//hpcclint:alloc-free
+func (e *Engine) newEvent(t Time, key, seq uint64) *Event {
 	var ev *Event
 	if n := len(e.pool); n > 0 {
 		ev = e.pool[n-1]
@@ -130,13 +170,17 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 	} else {
 		ev = &Event{index: -1} //hpcclint:allow hotpathalloc -- pool miss warms the free list once; steady state reuses recycled events (TestEngineSteadyStateAllocs)
 	}
-	ev.at = t
-	ev.key = key
-	ev.seq = e.seq
-	ev.fn = fn
-	e.seq++
-	e.q.push(ev)
-	return Timer{ev: ev, gen: ev.gen}
+	ev.at, ev.key, ev.seq = t, key, seq
+	return ev
+}
+
+// notePending keeps the high-water mark after Pending has grown.
+//
+//hpcclint:alloc-free
+func (e *Engine) notePending() {
+	if p := e.Pending(); p > e.high {
+		e.high = p
+	}
 }
 
 // After schedules fn to run d after the current time.
@@ -178,24 +222,32 @@ func (e *Engine) recycle(ev *Event) {
 
 // PeekTime returns the fire time of the earliest pending event.
 func (e *Engine) PeekTime() (Time, bool) {
-	ev := e.q.peek()
-	if ev == nil {
+	root := e.q.min()
+	if i := e.minLane(); i >= 0 {
+		if at := e.lanes[i].front().at; root == nil || at < root.at {
+			return at, true
+		}
+	}
+	if root == nil {
 		return 0, false
 	}
-	return ev.at, true
+	return root.at, true
 }
 
-// fire executes an event that has already been popped — the shared
-// tail of Step and the deadline-bounded run loops.
+// fire executes a heap event that has already been popped.
 //
 //hpcclint:alloc-free
 func (e *Engine) fire(ev *Event) {
 	e.now = ev.at
-	fn := ev.fn
-	ev.fn = nil
+	fn, sink, arg := ev.fn, ev.sink, ev.arg
+	ev.sink, ev.arg = nil, nil
 	ev.gen++ // invalidate handles before fn can reschedule
 	e.recycle(ev)
 	e.fired++
+	if sink != nil {
+		sink.Arrive(arg)
+		return
+	}
 	fn()
 }
 
@@ -204,14 +256,7 @@ const maxTime = Time(1<<63 - 1)
 
 // Step fires the earliest pending event and returns true, or returns
 // false if the queue is empty.
-func (e *Engine) Step() bool {
-	ev := e.q.popThrough(maxTime)
-	if ev == nil {
-		return false
-	}
-	e.fire(ev)
-	return true
-}
+func (e *Engine) Step() bool { return e.next(maxTime) }
 
 // Run fires events until the queue empties or Stop is called.
 func (e *Engine) Run() { e.runThrough(maxTime) }
@@ -220,12 +265,7 @@ func (e *Engine) Run() { e.runThrough(maxTime) }
 // Stop is called.
 func (e *Engine) runThrough(last Time) {
 	e.stopped = false
-	for !e.stopped {
-		ev := e.q.popThrough(last)
-		if ev == nil {
-			break
-		}
-		e.fire(ev)
+	for !e.stopped && e.next(last) {
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -153,6 +154,13 @@ func TestPendingHighWater(t *testing.T) {
 	e.RunBefore(5 * Microsecond)
 	if e.Pending() != 4 || e.Now() != 5*Microsecond {
 		t.Fatalf("RunBefore(5us) left %d pending at %v, want 4 (the 5us event and three holds) at 5us", e.Pending(), e.Now())
+	}
+	// Frames in flight are pending too, each of them.
+	for i := 0; i < 3; i++ {
+		e.Deliver(e.Now()+Time(i)*Nanosecond, 1, fnSink{}, nop)
+	}
+	if got := e.PendingHighWater(); got != 7 || e.Pending() != 7 {
+		t.Fatalf("high water %d with %d pending after three deliveries, want 7 with 7", got, e.Pending())
 	}
 }
 
@@ -345,5 +353,76 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(20, op); n != 0 {
 			t.Errorf("%s at depth %d allocates %v objects per 512 ops, want 0", name, e.Pending(), n)
 		}
+	}
+
+	// Deliveries: 512 frames in flight over a few offset classes ride the
+	// lanes' rings; with every lane's tail parked in the far future they
+	// fall back to pooled heap events. Neither allocates.
+	for _, c := range []struct {
+		name    string
+		classes int
+		park    bool
+	}{{"deliver/classes=2", 2, false}, {"deliver/classes=6", 6, false}, {"deliver/off-lane", 2, true}} {
+		e := NewEngine()
+		if c.park {
+			for j := Time(numLanes); j > 0; j-- {
+				e.Deliver(Second+j, 1, fnSink{}, nop)
+			}
+		}
+		hold := deliverHold(e, c.classes)
+		op := func() {
+			for k := 0; k < 512; k++ {
+				hold()
+			}
+		}
+		op()
+		before := e.OffLane()
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Errorf("%s with %d pending allocates %v objects per 512 ops, want 0", c.name, e.Pending(), n)
+		}
+		if off := e.OffLane() - before; c.park != (off > 0) {
+			t.Errorf("%s sent %d of %d deliveries through the heap", c.name, off, e.Delivered())
+		}
+	}
+}
+
+// deliverHold puts 512 frames in flight on e, spread over the given
+// number of offset classes, and returns the delivery hold: schedule one
+// more delivery a class offset past the clock and fire the earliest
+// pending event.
+func deliverHold(e *Engine, classes int) func() {
+	nop := func() {}
+	offsets := []Time{600 * Nanosecond, 680 * Nanosecond, 1080 * Nanosecond, 1360 * Nanosecond, 1680 * Nanosecond, 2680 * Nanosecond}[:classes]
+	for i := 0; i < 512; i++ {
+		e.Deliver(e.Now()+Time(i)*Nanosecond+offsets[i%classes], uint64(1+i%classes), fnSink{}, nop)
+	}
+	i := 0
+	return func() {
+		e.Deliver(e.Now()+offsets[i%classes], uint64(1+i%classes), fnSink{}, nop)
+		i++
+		e.Step()
+	}
+}
+
+// BenchmarkEngineDeliver is BenchmarkEngineHold for frames in flight:
+// 512 pending deliveries over a stream's two offset classes or a
+// fabric's six; each op schedules one more and fires the earliest.
+func BenchmarkEngineDeliver(b *testing.B) {
+	for _, classes := range []int{2, 6} {
+		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
+			e := NewEngine()
+			hold := deliverHold(e, classes)
+			for i := 0; i < 512; i++ {
+				hold() // grow the rings
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hold()
+			}
+			if e.OffLane() != 0 {
+				b.Fatalf("%d deliveries left the lanes", e.OffLane())
+			}
+		})
 	}
 }

@@ -1,17 +1,15 @@
 package sim
 
-// slot is one pending event in the heap array with its (time, key, seq)
-// rank held inline, so a sift compares adjacent 32-byte slots and never
-// dereferences a scattered Event.
-type slot struct {
+// rank is the canonical (time, key, seq) firing order of Event.Before,
+// held inline by the heap's slots and the lanes' frames.
+type rank struct {
 	at  Time
 	key uint64
 	seq uint64
-	ev  *Event
 }
 
 // before is Event.Before on inline ranks.
-func (a *slot) before(b *slot) bool {
+func (a *rank) before(b *rank) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -19,6 +17,14 @@ func (a *slot) before(b *slot) bool {
 		return a.key < b.key
 	}
 	return a.seq < b.seq
+}
+
+// slot is one pending event in the heap array with its rank held
+// inline, so a sift compares adjacent 32-byte slots and never
+// dereferences a scattered Event.
+type slot struct {
+	rank
+	ev *Event
 }
 
 // heap4 is the engine's pending-event set: an implicit 4-ary heap over
@@ -33,7 +39,6 @@ func (a *slot) before(b *slot) bool {
 type heap4 struct {
 	q    []slot
 	hole bool // q[0] is vacant, left by a pop not yet followed by a push
-	high int  // most events ever queued at once
 }
 
 // len returns the number of queued events.
@@ -48,18 +53,14 @@ func (h *heap4) len() int {
 //
 //hpcclint:alloc-free
 func (h *heap4) push(ev *Event) {
-	s := slot{ev.at, ev.key, ev.seq, ev}
+	s := slot{rank{ev.at, ev.key, ev.seq}, ev}
 	if h.hole {
 		h.hole = false
 		h.siftDown(0, s)
 		return
 	}
-	i := len(h.q)
 	h.q = append(h.q, s) //hpcclint:allow hotpathalloc -- heap array growth is amortized; capacity is retained across pops
-	if i >= h.high {
-		h.high = i + 1
-	}
-	h.siftUp(i, s)
+	h.siftUp(len(h.q)-1, s)
 }
 
 // settle closes an open hole by sifting the last slot down from the
@@ -90,20 +91,22 @@ func (h *heap4) popThrough(limit Time) *Event {
 	}
 	ev := h.q[0].ev
 	ev.index = -1
-	h.q[0] = slot{at: -1}
+	h.q[0] = slot{rank: rank{at: -1}}
 	h.hole = true
 	return ev
 }
 
-// peek returns the earliest event without removing it, or nil.
-func (h *heap4) peek() *Event {
+// min returns the earliest event's slot without removing it, or nil.
+//
+//hpcclint:alloc-free
+func (h *heap4) min() *slot {
 	if h.hole {
 		h.settle()
 	}
 	if len(h.q) == 0 {
 		return nil
 	}
-	return h.q[0].ev
+	return &h.q[0]
 }
 
 // remove extracts a queued event from the middle of the heap. An open
@@ -121,7 +124,7 @@ func (h *heap4) remove(ev *Event) {
 	if i == n {
 		return
 	}
-	if i > 0 && last.before(&h.q[(i-1)>>2]) {
+	if i > 0 && last.before(&h.q[(i-1)>>2].rank) {
 		h.siftUp(i, last)
 	} else {
 		h.siftDown(i, last)
@@ -136,7 +139,7 @@ func (h *heap4) siftUp(i int, s slot) {
 	q := h.q
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !s.before(&q[parent]) {
+		if !s.before(&q[parent].rank) {
 			break
 		}
 		q[i] = q[parent]
@@ -162,14 +165,14 @@ func (h *heap4) siftDown(i int, s slot) {
 		} else if c < n {
 			m = c
 			for j := c + 1; j < n; j++ {
-				if q[j].before(&q[m]) {
+				if q[j].before(&q[m].rank) {
 					m = j
 				}
 			}
 		} else {
 			break
 		}
-		if !q[m].before(&s) {
+		if !q[m].before(&s.rank) {
 			break
 		}
 		q[i] = q[m]
@@ -203,7 +206,7 @@ func minOf4(g *[4]slot) int {
 	if (a0-lo-1)>>63+(a1-lo-1)>>63+(a2-lo-1)>>63+(a3-lo-1)>>63 != -1 {
 		m = 0
 		for j := 1; j < 4; j++ {
-			if g[j].before(&g[m]) {
+			if g[j].before(&g[m].rank) {
 				m = j
 			}
 		}

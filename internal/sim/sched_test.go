@@ -47,7 +47,10 @@ type simulator interface {
 	Pending() int
 	PeekTime() (Time, bool)
 	schedule(at Time, key uint64, fn func()) (cancel func())
+	deliver(at Time, key uint64, fn func())
 	RunUntil(deadline Time)
+	RunBefore(deadline Time)
+	audit(t *testing.T)
 }
 
 type realEngine struct{ *Engine }
@@ -57,16 +60,64 @@ func (e realEngine) schedule(at Time, key uint64, fn func()) func() {
 	return func() { e.Cancel(t) }
 }
 
+// fnSink runs a delivery's argument as a callback.
+type fnSink struct{}
+
+func (fnSink) Arrive(arg any) { arg.(func())() }
+
+func (e realEngine) deliver(at Time, key uint64, fn func()) { e.Deliver(at, key, fnSink{}, fn) }
+
+// audit checks the lanes' structure: frames rank-sorted head to tail,
+// tails naming each lane's last frame, a drained lane back at slot 0,
+// unclaimed lanes empty, the in-flight count exact and a cached minimum
+// lane really the minimum.
+func (e realEngine) audit(t *testing.T) {
+	t.Helper()
+	n := 0
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		n += l.n
+		if l.n == 0 {
+			if l.head != 0 {
+				t.Fatalf("drained lane %d rests at slot %d, want 0", i, l.head)
+			}
+			continue
+		}
+		if i >= e.used {
+			t.Fatalf("lane %d holds %d frames but only %d lanes are claimed", i, l.n, e.used)
+		}
+		mask := len(l.buf) - 1
+		for k := 1; k < l.n; k++ {
+			a, b := &l.buf[(l.head+k-1)&mask], &l.buf[(l.head+k)&mask]
+			if !a.before(&b.rank) {
+				t.Fatalf("lane %d: frame %d (%v,%d,%d) does not rank before frame %d (%v,%d,%d)",
+					i, k-1, a.at, a.key, a.seq, k, b.at, b.key, b.seq)
+			}
+		}
+		if last := l.buf[(l.head+l.n-1)&mask].at; last != e.tails[i] {
+			t.Fatalf("lane %d: tail time %v, last frame at %v", i, e.tails[i], last)
+		}
+		if c := e.cur; c >= 0 && c != i && l.front().before(&e.lanes[c].front().rank) {
+			t.Fatalf("lane %d's head ranks before the cached minimum lane %d's", i, c)
+		}
+	}
+	if n != e.inFlight {
+		t.Fatalf("lanes hold %d frames, engine counts %d in flight", n, e.inFlight)
+	}
+}
+
 // oracleEngine is the simplest engine that can be right: events are
-// never pooled and the pending set is the container/heap oracle.
+// never pooled, deliveries are ordinary events, and the pending set is
+// the container/heap oracle.
 type oracleEngine struct {
 	now Time
 	seq uint64
 	q   eventQueue
 }
 
-func (o *oracleEngine) Now() Time    { return o.now }
-func (o *oracleEngine) Pending() int { return len(o.q) }
+func (o *oracleEngine) Now() Time        { return o.now }
+func (o *oracleEngine) Pending() int     { return len(o.q) }
+func (o *oracleEngine) audit(*testing.T) {}
 
 func (o *oracleEngine) PeekTime() (Time, bool) {
 	if len(o.q) == 0 {
@@ -86,6 +137,8 @@ func (o *oracleEngine) schedule(at Time, key uint64, fn func()) func() {
 	}
 }
 
+func (o *oracleEngine) deliver(at Time, key uint64, fn func()) { o.schedule(at, key, fn) }
+
 func (o *oracleEngine) RunUntil(deadline Time) {
 	for len(o.q) > 0 && o.q[0].at <= deadline {
 		ev := heap.Pop(&o.q).(*Event)
@@ -95,6 +148,11 @@ func (o *oracleEngine) RunUntil(deadline Time) {
 	if o.now < deadline {
 		o.now = deadline
 	}
+}
+
+func (o *oracleEngine) RunBefore(deadline Time) {
+	o.RunUntil(deadline - 1)
+	o.now = max(o.now, deadline)
 }
 
 // The pooled-Event ABA regression: a handle whose event has fired (and
@@ -136,65 +194,136 @@ func TestCancelAfterFire(t *testing.T) {
 	}
 }
 
-// Property: under any random mix of keyed schedules, cancels and
-// bounded run slices, the Engine fires exactly the (time, key, order)
-// sequence of the container/heap oracle engine, and
-// reports the same Pending and PeekTime from inside every callback —
-// that is, while the pop's hole is still open. This is the contract the
-// sharded runner's byte-identical results build on; the canonical key
-// is drawn from all three bands (ordinary 0, wire keys, arrival keys)
-// with dense same-timestamp ties.
+// Property: under any random mix of keyed timers, deliveries, cancels
+// and bounded run slices, the Engine fires exactly the (time, key,
+// order) sequence of the container/heap oracle engine, and reports the
+// same Pending and PeekTime after every operation and from inside every
+// callback — that is, while the pop's hole is still open. This is the
+// contract the sharded runner's byte-identical results build on; the
+// canonical key is drawn from all three bands (ordinary 0, wire keys,
+// arrival keys) with dense same-timestamp ties. Deliveries cover every
+// way a frame can meet the rest of the pending set: a few offset classes
+// (all on lanes), bursts of strictly decreasing times (more runs than
+// lanes: the heap fallback), equal times pushed in descending key order
+// (tail insertion), key-0 ties lane against lane and lane against heap
+// (seq decides), and times that run slices then end on, inclusively and
+// exclusively.
 func TestSchedulerEquivalence(t *testing.T) {
-	type fireRec struct {
+	type rec struct {
 		at, peek Time
 		id, pend int
 	}
 	keys := []uint64{0, 0, 1, 2, 7, 40, ArrivalKey(0), ArrivalKey(3)}
-	run := func(e simulator, seed int64, n int) []fireRec {
+	offsets := []Time{3 * Nanosecond, 5 * Nanosecond, 7 * Nanosecond, 400 * Nanosecond}
+	run := func(e simulator, seed int64, n int) []rec {
 		rng := rand.New(rand.NewSource(seed))
-		var fired []fireRec
+		var log []rec
 		var cancels []func()
+		var marks []Time // delivery times for run slices to end on
 		id := 0
-		// Seed events; each fired event may reschedule and cancel.
-		var schedule func(at Time)
-		schedule = func(at Time) {
+		// note logs the engine's view of the pending set; id < 0 marks an
+		// operation rather than a fired event.
+		note := func(id int) {
+			peek, _ := e.PeekTime()
+			log = append(log, rec{e.Now(), peek, id, e.Pending()})
+			e.audit(t)
+		}
+		var body func() func()
+		timer := func(at Time, key uint64) {
+			if id < n {
+				cancels = append(cancels, e.schedule(at, key, body()))
+				note(-1)
+			}
+		}
+		deliver := func(at Time, key uint64) {
+			if id < n {
+				e.deliver(at, key, body())
+				note(-2)
+			}
+		}
+		// body is the callback of event id, timer or delivery alike: it
+		// schedules follow-ups of both kinds and cancels.
+		body = func() func() {
 			me := id
 			id++
-			cancels = append(cancels, e.schedule(at, keys[rng.Intn(len(keys))], func() {
-				peek, _ := e.PeekTime()
-				fired = append(fired, fireRec{e.Now(), peek, me, e.Pending()})
-				// Reschedule zero to two follow-ups with varied gaps,
-				// including zero-gap ties and far-future tails.
-				for k := []int{0, 1, 1, 1, 2, 2}[rng.Intn(6)]; k > 0 && id < n; k-- {
+			return func() {
+				note(me)
+				// Zero to two follow-up timers with varied gaps, including
+				// zero-gap ties and far-future tails.
+				for k := []int{0, 1, 1, 1, 2, 2}[rng.Intn(6)]; k > 0; k-- {
 					gaps := []Time{0, Time(rng.Intn(5)) * Nanosecond,
 						Time(rng.Intn(1000)) * Nanosecond,
 						Time(rng.Intn(100)) * Microsecond}
-					schedule(e.Now() + gaps[rng.Intn(len(gaps))])
+					timer(e.Now()+gaps[rng.Intn(len(gaps))], keys[rng.Intn(len(keys))])
+				}
+				now := e.Now()
+				switch rng.Intn(10) {
+				case 0, 1, 2, 3: // the common case: clock plus a class offset
+					deliver(now+offsets[rng.Intn(len(offsets))], keys[rng.Intn(len(keys))])
+				case 4: // more descending runs than lanes
+					for j := Time(10); j > 0; j-- {
+						deliver(now+j*13*Nanosecond, keys[rng.Intn(len(keys))])
+					}
+				case 5: // one time, keys descending
+					at := now + offsets[rng.Intn(len(offsets))]
+					for _, key := range []uint64{ArrivalKey(3), 40, 7, 2, 2, 1, 0} {
+						deliver(at, key)
+					}
+				case 6: // key 0 everywhere: lane, then heap, then a second lane
+					at := now + offsets[rng.Intn(len(offsets))]
+					deliver(at, 0)
+					timer(at, 0)
+					deliver(at+9*Nanosecond, 0)
+					deliver(at, 0)
+					timer(at, 0)
+				case 7:
+					at := now + Time(rng.Intn(2000))*Nanosecond
+					deliver(at, keys[rng.Intn(len(keys))])
+					marks = append(marks, at)
 				}
 				// Randomly cancel an old handle (often already fired —
 				// exercising stale-handle safety).
 				if rng.Intn(3) == 0 {
 					cancels[rng.Intn(len(cancels))]()
+					note(-3)
 				}
-			}))
+			}
 		}
 		for i := 0; i < 24; i++ {
-			schedule(Time(rng.Intn(2000)) * Nanosecond)
+			timer(Time(rng.Intn(2000))*Nanosecond, keys[rng.Intn(len(keys))])
 		}
 		// Run in bounded slices, so deadlines fall between, on and past
 		// pending events.
 		for e.Pending() > 0 {
-			e.RunUntil(e.Now() + Time(1+rng.Intn(3000))*Nanosecond)
+			deadline := e.Now() + Time(1+rng.Intn(3000))*Nanosecond
+			if len(marks) > 0 && rng.Intn(2) == 0 {
+				if m := marks[len(marks)-1]; m > e.Now() {
+					deadline = m
+				}
+				marks = marks[:len(marks)-1]
+			}
+			if rng.Intn(2) == 0 {
+				e.RunUntil(deadline)
+			} else {
+				e.RunBefore(deadline)
+			}
+			note(-4)
 		}
-		return fired
+		return log
 	}
 
+	var onLane, offLane uint64
+	lanes := 0
 	f := func(seed int64) bool {
-		const n = 400
+		const n = 600
 		want := run(&oracleEngine{}, seed, n)
-		got := run(realEngine{NewEngine()}, seed, n)
+		eng := NewEngine()
+		got := run(realEngine{eng}, seed, n)
+		onLane += eng.Delivered() - eng.OffLane()
+		offLane += eng.OffLane()
+		lanes = max(lanes, eng.used)
 		if len(got) != len(want) {
-			t.Logf("seed %d: oracle fired %d, engine fired %d", seed, len(want), len(got))
+			t.Logf("seed %d: oracle logged %d, engine logged %d", seed, len(want), len(got))
 			return false
 		}
 		for i := range want {
@@ -203,10 +332,50 @@ func TestSchedulerEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return len(want) >= n/2
+		return len(want) >= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	if onLane == 0 || offLane == 0 || lanes != numLanes {
+		t.Fatalf("%d deliveries rode %d lanes and %d the heap: the program must exercise both, on every lane", onLane, lanes, offLane)
+	}
+}
+
+// Directed delivery ties: frames and heap events that share a time fire
+// in (key, seq) order whichever structure holds them, and a lane keeps
+// that order when equal-time frames are pushed with keys descending.
+func TestDeliverTieOrder(t *testing.T) {
+	e := NewEngine()
+	const at = Microsecond
+	var got []int
+	rec := func(id int) func() { return func() { got = append(got, id) } }
+	e.Deliver(at, 7, fnSink{}, rec(70))
+	e.AtKey(at, 5, rec(50))
+	e.Deliver(at, 5, fnSink{}, rec(51)) // one lane: walked back past key 7
+	e.Deliver(at, 0, fnSink{}, rec(1))  // and to the lane's head
+	e.At(at, rec(2))
+	e.Deliver(at+Nanosecond, 0, fnSink{}, rec(100))
+	e.Deliver(at, 0, fnSink{}, rec(3)) // a second lane: the first has moved on
+	e.AtKey(at, 9, rec(90))
+	if e.used != 2 || e.OffLane() != 0 {
+		t.Fatalf("deliveries claimed %d lanes with %d off-lane, want 2 and 0", e.used, e.OffLane())
+	}
+	if p, _ := e.PeekTime(); p != at || e.Pending() != 8 {
+		t.Fatalf("PeekTime %v with %d pending, want %v with 8", p, e.Pending(), at)
+	}
+	e.RunBefore(at)
+	if len(got) != 0 {
+		t.Fatalf("RunBefore(%v) fired %v", at, got)
+	}
+	e.RunUntil(at)
+	want := []int{1, 2, 3, 50, 51, 70, 90}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v at the boundary, want %v", got, want)
+	}
+	e.Run()
+	if got[len(got)-1] != 100 || e.Pending() != 0 || e.Fired() != 8 {
+		t.Fatalf("fired %v with %d pending after %d events", got, e.Pending(), e.Fired())
 	}
 }
 
@@ -275,7 +444,7 @@ func (p *heapPair) check() {
 			p.t.Fatalf("slot %d holds (%v,%d,%d) for event %d with rank (%v,%d,%d) index %d",
 				i, s.at, s.key, s.seq, s.ev.gen, s.ev.at, s.ev.key, s.ev.seq, s.ev.index)
 		}
-		if parent := (i - 1) >> 2; i > 0 && parent >= first && s.before(&h.q[parent]) {
+		if parent := (i - 1) >> 2; i > 0 && parent >= first && s.before(&h.q[parent].rank) {
 			p.t.Fatalf("slot %d ranks before its parent %d", i, parent)
 		}
 	}
@@ -329,11 +498,14 @@ func TestHeap4AgainstOracle(t *testing.T) {
 					case opPopLimit:
 						p.pop(randAt())
 					case opPeek:
-						var want *Event
+						var got, want *Event
+						if s := p.h.min(); s != nil {
+							got = s.ev
+						}
 						if len(p.o) > 0 {
 							want = p.o[0]
 						}
-						p.same("peek", p.h.peek(), want)
+						p.same("peek", got, want)
 					case opRemove:
 						if n := len(p.o); n > 0 {
 							p.remove(p.o[rng.Intn(n)].gen)
@@ -376,7 +548,7 @@ func TestMinOf4MatchesBefore(t *testing.T) {
 			}
 			// seq is a permutation of 0..3, so ranks are distinct.
 			evs[j] = Event{at: Time(at), key: uint64(key[j] % 3), seq: uint64((j + int(perm)) % 4)}
-			g[j] = slot{evs[j].at, evs[j].key, evs[j].seq, &evs[j]}
+			g[j] = slot{rank{evs[j].at, evs[j].key, evs[j].seq}, &evs[j]}
 		}
 		want := 0
 		for j := 1; j < 4; j++ {

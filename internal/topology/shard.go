@@ -46,20 +46,23 @@ type xpkt struct {
 
 // boundary is one directed cross-shard link: the sender side appends
 // serialized packets to an outbox on its shard's goroutine during an
-// epoch; the barrier moves them onto a receiver-side wire that mirrors
-// Port's single-event head-of-wire delivery — the delivery callback
-// pops the head, re-arms for the next packet under the same wire key,
-// then delivers.
+// epoch; the barrier schedules each as a delivery on the receiver's
+// engine under the sender port's wire key — what Port.kick does on a
+// local wire — with the boundary itself as the sink.
 type boundary struct {
 	port *fabric.Port // sender-side transmitter
 	eng  *sim.Engine  // receiver shard's engine
 	key  uint64       // the sender port's structural wire key
 	buf  []xpkt       // sender-side outbox (epoch-local)
+}
 
-	rwire   []xpkt // receiver-side wire, FIFO
-	rhead   int
-	armed   bool
-	deliver func()
+// Arrive hands a frame that crossed the boundary to the peer node. It
+// runs on the receiver's goroutine and reads only the sender port's
+// wiring, which is fixed at build time.
+//
+//hpcclint:alloc-free
+func (bd *boundary) Arrive(arg any) {
+	bd.port.Peer().HandleArrival(arg.(*packet.Packet), bd.port.PeerPort())
 }
 
 // cluster is one unsplittable partition unit: a connected component of
@@ -70,42 +73,22 @@ type cluster struct {
 	hosts int
 }
 
-func (bd *boundary) pop() xpkt {
-	e := bd.rwire[bd.rhead]
-	bd.rwire[bd.rhead].p = nil
-	bd.rhead++
-	if bd.rhead == len(bd.rwire) {
-		bd.rwire = bd.rwire[:0]
-		bd.rhead = 0
-	} else if bd.rhead > 256 && bd.rhead*2 >= len(bd.rwire) {
-		n := copy(bd.rwire, bd.rwire[bd.rhead:])
-		bd.rwire = bd.rwire[:n]
-		bd.rhead = 0
-	}
-	return e
-}
-
-// exchange drains every boundary outbox onto its receiver-side wire
-// and arms idle wires. Arming order is irrelevant to results: each
-// delivery event carries its wire's structural key, so its position
-// among simultaneous events at the receiver is the canonical
-// (time, key, seq) rank — the same rank the local wire would have used
-// on a single engine. Outboxes are still drained in boundary creation
-// order to keep the exchange itself a pure function of the partition.
+// exchange drains every boundary outbox into its receiver's engine.
+// Scheduling order is irrelevant to results: each delivery carries its
+// wire's structural key, so its position among simultaneous events at
+// the receiver is the canonical (time, key, seq) rank — the same rank
+// the local wire would have used on a single engine. Times ascend
+// within an outbox but not from one outbox to the next; the engine's
+// best-fit lanes and heap fallback absorb that. Outboxes are still
+// drained in boundary creation order to keep the exchange itself a pure
+// function of the partition.
 func (s *Sharding) exchange(now sim.Time) {
 	for _, bd := range s.outs {
-		if len(bd.buf) == 0 {
-			continue
-		}
-		bd.rwire = append(bd.rwire, bd.buf...)
-		for i := range bd.buf {
+		for i, x := range bd.buf {
+			bd.eng.Deliver(x.at, bd.key, bd, x.p)
 			bd.buf[i].p = nil
 		}
 		bd.buf = bd.buf[:0]
-		if !bd.armed {
-			bd.armed = true
-			bd.eng.AtKey(bd.rwire[bd.rhead].at, bd.key, bd.deliver)
-		}
 	}
 }
 
@@ -336,15 +319,6 @@ func Shard(nw *Network, k int) (*Sharding, error) {
 			return
 		}
 		bd := &boundary{port: pt, eng: engines[peerShard], key: pt.WireKey()}
-		bd.deliver = func() {
-			e := bd.pop()
-			if bd.rhead < len(bd.rwire) {
-				bd.eng.AtKey(bd.rwire[bd.rhead].at, bd.key, bd.deliver)
-			} else {
-				bd.armed = false
-			}
-			bd.port.Peer().HandleArrival(e.p, bd.port.PeerPort())
-		}
 		pt.SetRemote(func(p *packet.Packet, arrive sim.Time) {
 			bd.buf = append(bd.buf, xpkt{p, arrive})
 		})

@@ -81,11 +81,16 @@ type SimResult struct {
 	// shard counts; flat in flow count when SketchStats is set.
 	RetainedStatBytes int64
 	// Events counts the engine events the run fired and PendingHighWater
-	// is the deepest any engine's pending-event set got. They describe
-	// the execution rather than the simulated network, so — unlike every
+	// is the most any engine had pending at once, every frame in flight
+	// on a wire included. Deliveries of the events were frames reaching
+	// the far end of a link; OffLane of those fit none of the engine's
+	// delivery lanes and went through its heap instead. They describe the
+	// execution rather than the simulated network, so — unlike every
 	// field above — they vary with the shard count.
 	Events           uint64
 	PendingHighWater int
+	Deliveries       uint64
+	OffLane          uint64
 	// ShardsUsed is how many engines actually executed the run. Sharded
 	// execution is best-effort (closed-loop traffic, observers and
 	// non-partitionable topologies fall back to one engine), so this can

@@ -16,6 +16,8 @@ func clearSyncFields(r *hpcc.SimResult) {
 	r.ShardsUsed = 0
 	r.Events = 0
 	r.PendingHighWater = 0
+	r.Deliveries = 0
+	r.OffLane = 0
 	r.Epochs = 0
 	r.SyncOverhead = 0
 }
