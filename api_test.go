@@ -1,6 +1,7 @@
 package hpcc_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -137,5 +138,31 @@ func TestFlowHandleOutlivesCompletedWindow(t *testing.T) {
 	if !late.Done() || late.Acked() != 7000 || late.FCT() != lateFCT {
 		t.Fatalf("StartFlowAt handle changed after 10 later completions: done %v, acked %d (want 7000), FCT %v (want %v)",
 			late.Done(), late.Acked(), late.FCT(), lateFCT)
+	}
+}
+
+// A FatTree run with a bounded completed-flow window matches the
+// unbounded run field for field, the engine's own counters included.
+func TestExperimentCompletedWindowFatTree(t *testing.T) {
+	run := func(window int) *hpcc.SimResult {
+		res, err := hpcc.Experiment{
+			Topology:            hpcc.FatTree{},
+			Traffic:             []hpcc.Traffic{hpcc.Poisson{CDF: hpcc.WebSearchCDF(), Load: 0.5}},
+			Horizon:             time.Millisecond,
+			Drain:               8 * time.Millisecond,
+			MaxFlows:            80,
+			CompletedFlowWindow: window,
+		}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want, got := run(0), run(8)
+	if want.Flows == 0 {
+		t.Fatal("no flows completed — test is vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("window 8 diverged from unbounded retention:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -6,15 +6,12 @@
 // trajectory (BENCH_PR2.json, BENCH_PR4.json and successors); CI runs
 // `-quick` as a smoke test and uploads the artifact.
 //
-// The FatTree scenario runs on one engine and sharded across -shards
-// engines (conservative-lookahead partitioning) — both produce
-// byte-identical simulation results, so the numbers compare pure engine
-// mechanics. -paper adds the full 320-host paper-scale fabric (the
-// ROADMAP wall-clock target).
+// -paper adds the full 320-host paper-scale fabric (the ROADMAP
+// wall-clock target).
 //
 // Usage:
 //
-//	hpccbench [-quick] [-paper] [-shards n] [-label name] [-out bench.json]
+//	hpccbench [-quick] [-paper] [-label name] [-out bench.json]
 //	          [-baseline old.json] [-perfbaseline old.json]
 //	          [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
@@ -35,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -51,7 +47,6 @@ import (
 // ScenarioResult is one scenario's measurement.
 type ScenarioResult struct {
 	Name        string  `json:"name"`
-	Shards      int     `json:"shards,omitempty"`
 	WallMS      float64 `json:"wall_ms"`
 	SimulatedMS float64 `json:"simulated_ms"`
 	// PacketsPerSec (simulated data packets retired per wall second) is
@@ -79,23 +74,6 @@ type ScenarioResult struct {
 	// Deterministic, so it gates like allocs/packet: the stream-flows
 	// family must stay flat as the flow count grows.
 	RetainedStatBytes int64 `json:"retained_stat_bytes,omitempty"`
-
-	// Shard-synchronization accounting (sharded scenarios only).
-	// Epochs counts lookahead epochs; SyncOverhead is the fraction of
-	// wall time spent synchronizing rather than running engines.
-	Epochs       uint64  `json:"epochs,omitempty"`
-	SyncOverhead float64 `json:"sync_overhead,omitempty"`
-}
-
-// Speedup is one sharded scenario's wall-clock gain over its
-// single-engine counterpart in the same harness run. Only meaningful on
-// a multi-core host (GOMAXPROCS in the record says which); on one core
-// the shard engines execute serially and the factor hovers near 1.
-type Speedup struct {
-	Scenario string  `json:"scenario"`
-	Base     string  `json:"base"`
-	Shards   int     `json:"shards"`
-	Factor   float64 `json:"speedup"`
 }
 
 // Run is one full harness invocation.
@@ -105,9 +83,6 @@ type Run struct {
 	GoVersion string           `json:"go_version"`
 	Procs     int              `json:"gomaxprocs"`
 	Scenarios []ScenarioResult `json:"scenarios"`
-	// Speedups pairs every "<name>-shardsN" scenario with its "<name>"
-	// baseline row from the same run.
-	Speedups []Speedup `json:"speedups,omitempty"`
 }
 
 // outcome is what a scenario body reports back to the measurement
@@ -116,9 +91,7 @@ type outcome struct {
 	dataPkts uint64
 	portPkts uint64
 	flows    int
-	shards   int
 	simTime  sim.Time
-	sync     sim.SyncStats
 	retained int64
 }
 
@@ -126,7 +99,6 @@ func main() {
 	var (
 		quick    = flag.Bool("quick", false, "reduced sizes for CI smoke runs")
 		paper    = flag.Bool("paper", false, "add the full 320-host paper-scale FatTree scenarios (slow)")
-		shards   = flag.Int("shards", 2, "shard count for the sharded FatTree scenarios (<2 disables them)")
 		label    = flag.String("label", "", "label recorded in the JSON output")
 		out      = flag.String("out", "", "write JSON to this file (default: stdout table only)")
 		baseline = flag.String("baseline", "", "prior bench JSON; exit 1 if allocs/packet regresses against it")
@@ -142,23 +114,9 @@ func main() {
 
 	run := Run{Label: *label, Quick: *quick, GoVersion: runtime.Version(), Procs: runtime.GOMAXPROCS(0)}
 	add := func(name string, fn func() outcome) {
-		s := measure(name, fn)
-		run.Scenarios = append(run.Scenarios, s)
-		// A "-shardsN" row that ran on fewer engines would otherwise be
-		// misread as a multi-core measurement.
-		if i := strings.LastIndex(name, "-shards"); i >= 0 {
-			if want, err := strconv.Atoi(name[i+len("-shards"):]); err == nil && s.Shards != want {
-				fmt.Fprintf(os.Stderr,
-					"hpccbench: %s: requested %d shards but ran on %d engine(s)\n",
-					name, want, s.Shards)
-			}
-		}
+		run.Scenarios = append(run.Scenarios, measure(name, fn))
 	}
-	add("fattree-websearch-50", func() outcome { return fattreeWebSearch(*quick, 1) })
-	if *shards > 1 {
-		add(fmt.Sprintf("fattree-websearch-50-shards%d", *shards),
-			func() outcome { return fattreeWebSearch(*quick, *shards) })
-	}
+	add("fattree-websearch-50", func() outcome { return fattreeWebSearch(*quick) })
 	add("incast-16-1", func() outcome { return incast16(*quick) })
 	add("parkinglot-4seg", func() outcome { return parkingLot(*quick) })
 	// The streaming-statistics memory family: same scenario at 4× the
@@ -172,14 +130,8 @@ func main() {
 	add(fmt.Sprintf("stream-flows-%dk", small/1000), func() outcome { return streamFlows(small) })
 	add(fmt.Sprintf("stream-flows-%dk", big/1000), func() outcome { return streamFlows(big) })
 	if *paper {
-		add("paper-fattree-websearch", func() outcome { return paperFatTree(1) })
-		if *shards > 1 {
-			add(fmt.Sprintf("paper-fattree-websearch-shards%d", *shards),
-				func() outcome { return paperFatTree(*shards) })
-		}
+		add("paper-fattree-websearch", paperFatTree)
 	}
-
-	run.Speedups = speedups(run.Scenarios)
 
 	// Profiles cover the measured scenarios only: flush before the
 	// reporting and gate paths so their work doesn't pollute the data.
@@ -193,10 +145,6 @@ func main() {
 	for _, s := range run.Scenarios {
 		fmt.Printf("%-34s %10.1f %14d %14.0f %12d %12.0f %11.3f %10.3f %10d\n",
 			s.Name, s.WallMS, s.DataPackets, s.PacketsPerSec, s.Events, s.EventsPerSec, s.EventsPerPortPacket, s.AllocsPerPacket, s.RetainedStatBytes)
-	}
-	for _, sp := range run.Speedups {
-		fmt.Printf("speedup %-26s %10.2fx vs %s (%d shards, GOMAXPROCS %d)\n",
-			sp.Scenario, sp.Factor, sp.Base, sp.Shards, run.Procs)
 	}
 
 	if *out != "" {
@@ -280,34 +228,6 @@ func gateStreamAllocs(rows []ScenarioResult) error {
 	}
 	fmt.Printf("allocs/packet gate (stream-flows family): ok (limit %.1f)\n", streamAllocsLimit)
 	return nil
-}
-
-// speedups pairs each "<base>-shardsN" row with its "<base>" row and
-// records the wall-clock ratio — the multi-core gain the ROADMAP
-// tracks (BENCH_PR5.json and successors).
-func speedups(rows []ScenarioResult) []Speedup {
-	byName := map[string]ScenarioResult{}
-	for _, s := range rows {
-		byName[s.Name] = s
-	}
-	var out []Speedup
-	for _, s := range rows {
-		i := strings.LastIndex(s.Name, "-shards")
-		if i < 0 {
-			continue
-		}
-		base, ok := byName[s.Name[:i]]
-		if !ok || s.WallMS <= 0 {
-			continue
-		}
-		out = append(out, Speedup{
-			Scenario: s.Name,
-			Base:     base.Name,
-			Shards:   s.Shards,
-			Factor:   base.WallMS / s.WallMS,
-		})
-	}
-	return out
 }
 
 // loadBaseline reads a prior bench JSON: either a bare Run or a
@@ -424,7 +344,6 @@ func measure(name string, fn func() outcome) ScenarioResult {
 	bytes := m1.TotalAlloc - m0.TotalAlloc
 	r := ScenarioResult{
 		Name:              name,
-		Shards:            oc.shards,
 		WallMS:            float64(wall.Nanoseconds()) / 1e6,
 		SimulatedMS:       oc.simTime.Seconds() * 1e3,
 		Events:            meter.Events(),
@@ -433,8 +352,6 @@ func measure(name string, fn func() outcome) ScenarioResult {
 		Allocs:            allocs,
 		Flows:             oc.flows,
 		RetainedStatBytes: oc.retained,
-		Epochs:            oc.sync.Epochs,
-		SyncOverhead:      oc.sync.SyncOverhead(),
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		r.EventsPerSec = float64(r.Events) / secs
@@ -452,8 +369,7 @@ func measure(name string, fn func() outcome) ScenarioResult {
 
 // fattreeWebSearch is the paper's §5.3 setup at half scale: WebSearch
 // Poisson arrivals at 50% load on the CI-sized FatTree, HPCC with INT.
-// The shard count swaps engine mechanics without changing results.
-func fattreeWebSearch(quick bool, shards int) outcome {
+func fattreeWebSearch(quick bool) outcome {
 	s := experiment.LoadScenario{
 		Scheme:   mustScheme("hpcc"),
 		Topo:     experiment.FatTreeTopo(topology.ScaledFatTree()),
@@ -463,7 +379,6 @@ func fattreeWebSearch(quick bool, shards int) outcome {
 		Drain:    20 * sim.Millisecond,
 		PFC:      true,
 		Seed:     1,
-		Shards:   shards,
 	}
 	if quick {
 		s.MaxFlows = 200
@@ -475,7 +390,7 @@ func fattreeWebSearch(quick bool, shards int) outcome {
 
 // paperFatTree is the ROADMAP scale target: WebSearch at 50% load on
 // the full 320-host, 16-core/20-agg/20-ToR paper fabric.
-func paperFatTree(shards int) outcome {
+func paperFatTree() outcome {
 	s := experiment.LoadScenario{
 		Scheme:      mustScheme("hpcc"),
 		Topo:        experiment.FatTreeTopo(topology.PaperFatTree()),
@@ -485,7 +400,6 @@ func paperFatTree(shards int) outcome {
 		Drain:       20 * sim.Millisecond,
 		PFC:         true,
 		Seed:        1,
-		Shards:      shards,
 		BufferBytes: experiment.BufferFor(320),
 		// Paper-scale runs hold hundreds of thousands of flows over a
 		// campaign; bound per-host retention like a long campaign would.
@@ -494,8 +408,8 @@ func paperFatTree(shards int) outcome {
 	return runScenario(s)
 }
 
-// runScenario is the harness's RunLoad: an error is a misconfigured
-// shard group, and an unmeasured scenario must not land in the recorded
+// runScenario is the harness's RunLoad: an error is an invalid
+// scenario, and an unmeasured scenario must not land in the recorded
 // trajectory.
 func runScenario(s experiment.LoadScenario) outcome {
 	r, err := experiment.RunLoad(s)
@@ -504,8 +418,7 @@ func runScenario(s experiment.LoadScenario) outcome {
 		os.Exit(1)
 	}
 	return outcome{dataPkts: r.DataPackets, portPkts: r.PortPackets, flows: r.Started,
-		shards: r.Shards, simTime: r.Elapsed, sync: r.Sync,
-		retained: r.RetainedStatBytes}
+		simTime: r.Elapsed, retained: r.RetainedStatBytes}
 }
 
 // streamFlows floods a 4-host star with fixed-1KB Poisson flows at 50%
@@ -566,7 +479,7 @@ func incast16(quick bool) outcome {
 	}
 	startRound()
 	eng.Run()
-	return outcome{dataPkts: flowPackets(nw), portPkts: portPackets(nw), flows: flows, shards: 1, simTime: eng.Now()}
+	return outcome{dataPkts: flowPackets(nw), portPkts: portPackets(nw), flows: flows, simTime: eng.Now()}
 }
 
 // parkingLot runs the §3.2 multi-bottleneck chain: one long flow across
@@ -593,7 +506,7 @@ func parkingLot(quick bool) outcome {
 		nw.StartFlow(2+2*i, 3+2*i, size, nil)
 	}
 	eng.Run()
-	return outcome{dataPkts: flowPackets(nw), portPkts: portPackets(nw), flows: flows, shards: 1, simTime: eng.Now()}
+	return outcome{dataPkts: flowPackets(nw), portPkts: portPackets(nw), flows: flows, simTime: eng.Now()}
 }
 
 func flowPackets(nw *topology.Network) uint64 {

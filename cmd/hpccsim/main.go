@@ -24,7 +24,7 @@ func main() {
 	var (
 		scheme   = flag.String("scheme", "hpcc", "congestion control: hpcc, dcqcn, dcqcn+win, timely, timely+win, dctcp, hpcc-rxrate, hpcc-perack, hpcc-perrtt")
 		topo     = flag.String("topo", "pod", "topology: pod, fattree")
-		paper    = flag.Bool("paper-scale", false, "full 320-host FatTree (slow)")
+		paper    = flag.Bool("paper-scale", false, "full 320-host FatTree (slow; needs -topo fattree)")
 		work     = flag.String("workload", "websearch", "flow sizes: websearch, fbhadoop")
 		load     = flag.Float64("load", 0.3, "average link load")
 		flows    = flag.Int("flows", 1000, "max generated flows")
@@ -32,7 +32,6 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Millisecond, "extra drain time")
 		incast   = flag.Bool("incast", false, "add periodic fan-in events (2% of capacity)")
 		lossy    = flag.Bool("lossy", false, "disable PFC (go-back-N recovery)")
-		shards   = flag.Int("shards", 1, "partition the fabric across this many engines (multi-core; byte-identical results)")
 		sketch   = flag.Bool("sketch", false, "streaming statistics: constant-memory DDSketch quantiles instead of exact per-flow retention")
 		accuracy = flag.Float64("stats-accuracy", 0, "sketch relative accuracy with -sketch (0 = default 0.01)")
 		seed     = flag.Int64("seed", 1, "RNG seed")
@@ -58,7 +57,6 @@ func main() {
 		Drain:         *drain,
 		Incast:        *incast,
 		Lossless:      &lossless,
-		Shards:        *shards,
 		SketchStats:   *sketch,
 		StatsAccuracy: *accuracy,
 		Seed:          *seed,
@@ -72,14 +70,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hpccsim:", err)
 		os.Exit(1)
 	}
-	if *shards > 1 && res.ShardsUsed != *shards {
-		fmt.Fprintf(os.Stderr,
-			"hpccsim: requested %d shards but the run used %d engine(s) "+
-				"(sharding is best-effort and limited by the fabric's host "+
-				"clusters; results are unaffected)\n",
-			*shards, res.ShardsUsed)
-	}
-
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

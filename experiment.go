@@ -56,27 +56,6 @@ type Experiment struct {
 	// Observers stream per-flow records, queue samples and PFC events
 	// while the simulation runs.
 	Observers []Observer
-	// Shards requests multi-core execution of this one experiment: the
-	// fabric is partitioned into per-cluster engines (per-rack on the
-	// FatTree) synchronized by conservative lookahead, so Run can use up
-	// to Shards cores for a single large scenario. Best-effort: when the
-	// topology does not partition (Star), the traffic is closed-loop
-	// (AllToAll, RPC), or Observers are attached, Run falls back to one
-	// engine.
-	//
-	// Determinism contract: a sharded run is a pure function of the
-	// Experiment (same spec + Seed + Shards → identical bytes, on any
-	// machine), and it replays the single-engine run exactly — flow
-	// IDs, arrival scheduling, and the order of simultaneous deliveries
-	// all follow the canonical (time, structural key, seq) event rank,
-	// which is derived from the topology and traffic specs rather than
-	// execution history. Golden tests verify byte-identical results on
-	// the dumbbell, Pod and CI FatTree configurations, including a
-	// saturated multipath FatTree where same-picosecond cross-shard
-	// delivery ties actually occur. The run's actual engine count is
-	// reported in SimResult.ShardsUsed. Start always drives a single
-	// engine.
-	Shards int
 	// CompletedFlowWindow, when positive, bounds per-host memory over
 	// long campaigns: each host retains at most this many completed
 	// flows, folding older ones into aggregate counters. Results are
@@ -105,8 +84,7 @@ type Experiment struct {
 	// as needed), so a multi-second campaign holds at most this many
 	// instants, spread evenly over the whole run, instead of growing
 	// with the horizon. Queue percentiles are then computed over the
-	// thinned set. Thinning is by tick index alone, so sharded and
-	// single-engine runs retain identical sample sets.
+	// thinned set.
 	QueueSampleCap int
 	// Seed makes runs reproducible (default 1).
 	Seed int64
@@ -150,11 +128,13 @@ func (e Experiment) scenario() (experiment.LoadScenario, []int64, error) {
 		Drain:           toSim(e.Drain),
 		PFC:             e.Lossless == nil || *e.Lossless,
 		Seed:            e.Seed,
-		Shards:          e.Shards,
 		CompletedWindow: e.CompletedFlowWindow,
 		QueueSampleCap:  e.QueueSampleCap,
 		SketchStats:     e.SketchStats,
 		StatsAccuracy:   e.StatsAccuracy,
+	}
+	if err := sc.Validate(); err != nil {
+		return experiment.LoadScenario{}, nil, err
 	}
 	edges := e.edges()
 	if e.SketchStats {
@@ -255,9 +235,6 @@ func summarize(r *experiment.LoadResult, edges []int64) *SimResult {
 		PendingHighWater:     r.PendingHighWater,
 		Deliveries:           r.Deliveries,
 		OffLane:              r.OffLane,
-		ShardsUsed:           r.Shards,
-		Epochs:               r.Sync.Epochs,
-		SyncOverhead:         r.Sync.SyncOverhead(),
 	}
 	for _, row := range r.FCT.Buckets(edges) {
 		out.BucketP95 = append(out.BucketP95, BucketPoint{SizeHi: row.Hi, P95: row.Stats.P95, N: row.Stats.N})

@@ -193,6 +193,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := hpcc.Run(hpcc.SimConfig{Topology: "nope"}); err == nil {
 		t.Fatal("accepted unknown topology")
 	}
+	// PaperScale is the 320-host FatTree; no other topology takes it.
+	for _, topo := range []string{"", "pod"} {
+		if _, err := hpcc.Run(hpcc.SimConfig{Topology: topo, PaperScale: true, Flows: 1}); err == nil {
+			t.Fatalf("accepted PaperScale with topology %q", topo)
+		}
+	}
 	if _, err := hpcc.NewNetwork(hpcc.NetConfig{Topology: "nope"}); err == nil {
 		t.Fatal("NewNetwork accepted unknown topology")
 	}

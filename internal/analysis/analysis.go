@@ -1,21 +1,18 @@
 // Package analysis is hpcclint: a static-analysis suite that enforces
-// the simulator's determinism, event-rank and hot-path invariants at
-// build time. Each analyzer pins a contract the repo otherwise
-// guarantees only through golden tests that fire *after* a regression
-// lands:
+// the simulator's determinism and hot-path invariants at build time.
+// Each analyzer pins a contract the repo otherwise guarantees only
+// through golden tests that fire *after* a regression lands:
 //
 //   - determinism: no wall clock, global RNG, goroutines or
 //     order-sensitive map iteration in simulation packages — the bug
-//     classes that break byte-identical 1-vs-N shard replay.
-//   - eventkey: packet-delivery and arrival paths schedule through the
-//     keyed AtKey/AfterKey/Deliver calls, so same-picosecond ties order
-//     by the canonical structural rank.
+//     classes that break byte-identical results from run to run and
+//     across campaign worker counts (-parallel N).
 //   - hotpathalloc: functions annotated //hpcclint:alloc-free contain
 //     no allocating constructs.
 //
-// All three are interprocedural: a facts pass (facts.go, callgraph.go)
+// Both are interprocedural: a facts pass (facts.go, callgraph.go)
 // computes per-function summaries — MayWallClock, MayGlobalRand,
-// MayAlloc, SchedulesUnkeyed — propagates them bottom-up through the
+// MayAlloc — propagates them bottom-up through the
 // package call graph, and serializes them per package through the vet
 // unitchecker protocol, so calling a helper that transitively reaches
 // time.Now is flagged at the sim-package call site with the full chain
@@ -84,7 +81,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		EventKeyAnalyzer,
 		HotPathAllocAnalyzer,
 	}
 }
@@ -242,20 +238,6 @@ var simScope = []string{"sim", "fabric", "host", "topology", "workload", "cc", "
 // internal/cc/hpcc).
 func inSimScope(path string) bool {
 	for _, name := range simScope {
-		if hasSegments(path, "internal", name) {
-			return true
-		}
-	}
-	return false
-}
-
-// deliveryScope lists the packages whose At/After calls sit on
-// packet-delivery or arrival paths, where PR 5's canonical event rank
-// requires the keyed variants.
-var deliveryScope = []string{"fabric", "topology", "workload"}
-
-func inDeliveryScope(path string) bool {
-	for _, name := range deliveryScope {
 		if hasSegments(path, "internal", name) {
 			return true
 		}

@@ -11,8 +11,8 @@ import (
 // simple and deterministic:
 //
 //   - Roots are the direct constructs each analyzer flags: wall-clock
-//     reads (time.Now/Since), global math/rand draws, unkeyed
-//     Engine.At/After calls, and allocating constructs.
+//     reads (time.Now/Since), global math/rand draws, and allocating
+//     constructs.
 //   - A call edge to a function in the same package propagates the
 //     callee's taint to the caller via fixpoint iteration; a call into
 //     another package resolves against that package's serialized facts.
@@ -133,10 +133,6 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			case "fmt":
 				addTaint(KindAlloc, call.Pos(), "fmt."+fn.Name())
 				return
-			}
-			if isEngineMethod(fn, "At", "After") {
-				addTaint(KindUnkeyedSched, call.Pos(), displayName(fn, pkg))
-				// Engine.At may still carry other taints; fall through.
 			}
 			if fn.Pkg() == pkg {
 				fi.edges = append(fi.edges, callEdge{callee: fn, pos: call.Pos()})

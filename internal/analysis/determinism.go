@@ -6,22 +6,22 @@ import (
 	"go/types"
 )
 
-// DeterminismAnalyzer flags the constructs that break byte-identical
-// 1-vs-N shard replay in simulation packages: wall-clock reads, draws
-// from the global math/rand source, goroutine launches, and iteration
-// over maps where the body's effects depend on iteration order. It is
-// interprocedural: calling a helper outside the simulation scope that
-// transitively reaches time.Now/time.Since or a global RNG draw is
-// flagged at the call site with the full chain (helpers inside the
-// scope are flagged where their own body offends, so each root is
-// reported exactly once). The invariant is pinned at runtime by the
-// sharded golden tests (TestShardedSaturatedMultipathGolden and
-// friends) and the CI 1-vs-4-shard bytewise smoke; this analyzer
-// catches the regression at build time instead.
+// DeterminismAnalyzer flags the constructs that make a simulation
+// package's results differ from run to run or with the campaign's
+// worker count (-parallel N): wall-clock reads, draws from the global
+// math/rand source, goroutine launches, and iteration over maps where
+// the body's effects depend on iteration order. It is interprocedural:
+// calling a helper outside the simulation scope that transitively
+// reaches time.Now/time.Since or a global RNG draw is flagged at the
+// call site with the full chain (helpers inside the scope are flagged
+// where their own body offends, so each root is reported exactly
+// once). The invariant is pinned at runtime by the golden tests
+// (internal/experiment/golden_test.go) and the CI run-twice and
+// -parallel smokes; this analyzer catches it at build time instead.
 var DeterminismAnalyzer = &Analyzer{
 	Name:      "determinism",
 	Doc:       "forbid wall clock, global RNG, goroutines and order-sensitive map iteration in simulation packages",
-	Invariant: "byte-identical-sharded-replay",
+	Invariant: "byte-identical-replay",
 	Run:       runDeterminism,
 }
 
@@ -59,7 +59,7 @@ func checkNondeterministicCall(pass *Pass, call *ast.CallExpr) {
 	case "time":
 		if fn.Name() == "Now" || fn.Name() == "Since" {
 			pass.Reportf(call.Pos(),
-				"time.%s in a simulation package: wall-clock reads diverge across runs and shard counts; "+
+				"time.%s in a simulation package: wall-clock reads diverge from run to run; "+
 					"use the engine clock (Engine.Now) or annotate //hpcclint:allow determinism -- <reason>", fn.Name())
 		}
 		return
@@ -89,7 +89,7 @@ func checkTaintedDetCall(pass *Pass, call *ast.CallExpr, fn *types.Func) {
 	if t := pass.Facts.TaintOf(fn, KindWallClock); t != nil {
 		chain := append([]string{displayName(fn, pass.Pkg)}, t.Chain...)
 		pass.ReportChainf(call.Pos(), chain,
-			"call to %s reaches a wall-clock read: wall-clock values diverge across runs and shard counts; "+
+			"call to %s reaches a wall-clock read: wall-clock values diverge from run to run; "+
 				"use the engine clock (Engine.Now) or annotate //hpcclint:allow determinism -- <reason>",
 			displayName(fn, pass.Pkg))
 	}
@@ -122,7 +122,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	}
 	pass.Reportf(rng.Pos(),
 		"iteration over a map with an order-sensitive body (%s): map order is randomized per process, "+
-			"so this diverges across runs and shard counts; iterate sorted keys, make the body commutative, "+
+			"so this diverges from run to run; iterate sorted keys, make the body commutative, "+
 			"or annotate //hpcclint:allow determinism -- <reason>", hazard)
 }
 

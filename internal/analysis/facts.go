@@ -8,8 +8,8 @@ import (
 
 // This file defines the interprocedural fact store. A fact is a
 // per-function summary — "this function may transitively reach a
-// wall-clock read / a global RNG draw / an allocating construct / an
-// unkeyed Engine.At" — computed bottom-up over the package call graph
+// wall-clock read / a global RNG draw / an allocating construct" —
+// computed bottom-up over the package call graph
 // (callgraph.go) and serialized per package through the vet unitchecker
 // protocol: cmd/hpcclint writes this package's facts to the unit's
 // VetxOutput file and reads dependency facts from the files listed in
@@ -29,9 +29,6 @@ const (
 	// (make/new/append, reference literals, closures, fmt, string
 	// building).
 	KindAlloc
-	// KindUnkeyedSched: the function may schedule through unkeyed
-	// Engine.At/Engine.After.
-	KindUnkeyedSched
 
 	numKinds
 )
@@ -45,8 +42,6 @@ func (k Kind) String() string {
 		return "global-rand"
 	case KindAlloc:
 		return "alloc"
-	case KindUnkeyedSched:
-		return "unkeyed-sched"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -59,8 +54,6 @@ func (k Kind) analyzer() string {
 		return "determinism"
 	case KindAlloc:
 		return "hotpathalloc"
-	case KindUnkeyedSched:
-		return "eventkey"
 	}
 	return ""
 }

@@ -11,8 +11,7 @@ import (
 // The remaining workload-breadth scenarios ROADMAP lists: FB_Hadoop
 // incast mixes and an RPC request-response job at FatTree scale, both
 // composed from the spec-based generators (PR 3) and registered like
-// every reproduction job. Sharded execution engages for the open-loop
-// incast mix when the campaign requests it.
+// every reproduction job.
 func init() {
 	Register(Scenario{
 		Name:  "extra-hadoop-incast",

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"math"
+
 	"hpcc/internal/fabric"
 	"hpcc/internal/host"
 	"hpcc/internal/packet"
@@ -94,16 +97,6 @@ type LoadScenario struct {
 	// precision (ASIC emulation ablation).
 	INTQuantize bool
 
-	// Shards > 1 requests sharded execution: the fabric is partitioned
-	// into per-cluster engines synchronized by conservative lookahead,
-	// using up to Shards cores for one scenario. Best-effort: when the
-	// topology does not partition, the traffic is closed-loop (AllToAll,
-	// RPC), or observers are attached, the run falls back to one engine
-	// (LoadResult.Shards reports the actual count). Sharded runs are
-	// deterministic and replay the single-engine run byte-for-byte —
-	// simultaneous deliveries included, via the canonical
-	// (time, key, seq) event rank (see hpcc.Experiment.Shards).
-	Shards int
 	// CompletedWindow, when positive, bounds per-host memory on long
 	// runs: each host retains at most this many completed flows, evicting
 	// the oldest into aggregate counters and recycling its *host.Flow
@@ -135,6 +128,25 @@ type LoadScenario struct {
 
 	// Obs streams per-flow, queue and PFC events to observers.
 	Obs Obs
+}
+
+// Validate rejects parameters that have no meaning rather than letting
+// the run return nonsense: a negative arrival window, drain or flow cap
+// (zero means the default), and a sketch accuracy that is NaN or ≥ 1,
+// where the sketch's bucket ratio (1+α)/(1−α) is no longer finite and
+// positive. RunLoad and the public hpcc.Experiment both call it.
+func (s *LoadScenario) Validate() error {
+	switch {
+	case s.Until < 0:
+		return fmt.Errorf("experiment: negative arrival window %v", s.Until)
+	case s.Drain < 0:
+		return fmt.Errorf("experiment: negative drain %v", s.Drain)
+	case s.MaxFlows < 0:
+		return fmt.Errorf("experiment: negative flow cap %d", s.MaxFlows)
+	case math.IsNaN(s.StatsAccuracy) || s.StatsAccuracy >= 1:
+		return fmt.Errorf("experiment: stats accuracy %v, want below 1 (or <= 0 for the default)", s.StatsAccuracy)
+	}
+	return nil
 }
 
 func (s *LoadScenario) normalize() {
@@ -182,12 +194,6 @@ type LoadResult struct {
 	Started   int // flows started
 	Censored  int // flows still unfinished at the horizon
 	Elapsed   sim.Time
-	// Shards is how many engines actually executed the run (1 unless
-	// sharded execution was requested and engaged).
-	Shards int
-	// Sync counts a sharded run's epochs and the fraction of wall time
-	// spent synchronizing.
-	Sync sim.SyncStats
 
 	// DataPackets counts data packets emitted by every sender flow
 	// (retransmissions included); PortPackets counts packets serialized
@@ -198,17 +204,17 @@ type LoadResult struct {
 
 	// RetainedStatBytes is the run's logical retained-statistics
 	// footprint: FCT retention plus pooled queue samples (sketch buckets
-	// in streaming mode). Deterministic and identical across shard
-	// counts — the memory-regression gate compares it between runs.
+	// in streaming mode). Deterministic — the memory-regression gate
+	// compares it between runs.
 	RetainedStatBytes int64
 
 	// Events counts the engine events fired and PendingHighWater is the
-	// most any engine had pending at once, every frame in flight on a
+	// most the engine had pending at once, every frame in flight on a
 	// wire included. Deliveries of those events were frames reaching the
 	// far end of a link (sim.Engine.Deliver) and OffLane of them fit none
-	// of the engine's lanes and went through its heap. Deterministic, but
-	// they describe the execution, not the simulated network: they vary
-	// with the shard count.
+	// of the engine's lanes and went through its heap. They describe the
+	// execution rather than the simulated network, and are as
+	// deterministic as the rest of the result.
 	Events           uint64
 	PendingHighWater int
 	Deliveries       uint64
@@ -322,28 +328,17 @@ func (s *LoadScenario) installTraffic(eng *sim.Engine, nw *topology.Network, fct
 }
 
 // RunLoad executes the scenario to its horizon and collects results.
-// With Shards > 1 it partitions the fabric across per-cluster engines
-// (falling back to one engine when the scenario cannot shard); results
-// are byte-identical either way. The error is non-nil only when the
-// shard group is misconfigured (sim.ShardGroup.RunUntil refuses it
-// before any engine runs) — scenario specs that merely cannot shard
-// fall back, they do not error, and a panic on a shard goroutine is not
-// recovered: it terminates the process.
+// The error is Validate's: the scenario is refused before anything is
+// built.
 func RunLoad(s LoadScenario) (*LoadResult, error) {
-	s.normalize()
-	if s.Shards > 1 {
-		res, ok, err := runLoadSharded(s)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return res, nil
-		}
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
+	s.normalize()
 	eng := sim.NewEngine()
 	nw := s.build(eng)
 
-	res := &LoadResult{Scheme: s.Scheme.Name, Shards: 1}
+	res := &LoadResult{Scheme: s.Scheme.Name}
 	if s.SketchStats {
 		res.FCT = stats.NewStreamingFCT(s.FCTBucketEdges, s.StatsAccuracy)
 	}
@@ -373,7 +368,10 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 	}
 	res.RetainedStatBytes = res.FCT.RetainedBytes() + mon.RetainedBytes()
 	collectFabric(res, nw, s.Until+s.Drain)
-	collectEngines(res, eng)
+	res.Events = eng.Fired()
+	res.PendingHighWater = eng.PendingHighWater()
+	res.Deliveries = eng.Delivered()
+	res.OffLane = eng.OffLane()
 	res.Elapsed = eng.Now()
 	return res, nil
 }
@@ -391,9 +389,9 @@ func mustRunLoad(s LoadScenario) *LoadResult {
 	return res
 }
 
-// collectFabric gathers the post-run counters shared by the single and
-// sharded paths: PFC pause, drops, per-flow and per-port packet counts
-// (including flows already evicted into host aggregate counters).
+// collectFabric gathers the post-run fabric counters: PFC pause, drops,
+// per-flow and per-port packet counts (including flows already evicted
+// into host aggregate counters).
 func collectFabric(res *LoadResult, nw *topology.Network, elapsed sim.Time) {
 	res.PauseFrac = stats.PFCPauseFraction(nw.Switches, fabric.PrioData, elapsed)
 	res.Drops = nw.TotalDrops()
@@ -414,17 +412,6 @@ func collectFabric(res *LoadResult, nw *topology.Network, elapsed sim.Time) {
 	}
 	for _, p := range nw.SwitchPorts() {
 		res.PortPackets += p.PacketsSent()
-	}
-}
-
-// collectEngines gathers the scheduler's own counters over the engines
-// that executed the run.
-func collectEngines(res *LoadResult, engines ...*sim.Engine) {
-	for _, e := range engines {
-		res.Events += e.Fired()
-		res.PendingHighWater = max(res.PendingHighWater, e.PendingHighWater())
-		res.Deliveries += e.Delivered()
-		res.OffLane += e.OffLane()
 	}
 }
 

@@ -31,11 +31,11 @@ func bracketCheck(t *testing.T, name string, got float64, xs []float64, p, alpha
 
 // A sketch-stats run must reproduce the exact run's percentiles within
 // the configured relative accuracy, on a registry-representative
-// scenario (the dumbbell with incast the shard goldens use).
+// scenario (the golden dumbbell with incast).
 func TestSketchStatsWithinAccuracy(t *testing.T) {
 	const alpha = 0.01
-	exact := runLoadT(t, dumbbellScenario(1))
-	sc := dumbbellScenario(1)
+	exact := runLoadT(t, dumbbellLoad())
+	sc := dumbbellLoad()
 	sc.SketchStats = true
 	sketch := runLoadT(t, sc)
 
@@ -72,60 +72,6 @@ func TestSketchStatsWithinAccuracy(t *testing.T) {
 
 	if sketch.RetainedStatBytes >= exact.RetainedStatBytes {
 		t.Errorf("sketch retention %d B not below exact %d B", sketch.RetainedStatBytes, exact.RetainedStatBytes)
-	}
-}
-
-// Sharded sketch runs merge per-shard sketches by exact bucket
-// addition, so every reported statistic — quantiles, counts, retained
-// bytes — must be identical across 1/2/4/8 engines. (Float sums/means
-// are the one order-sensitive piece and are deliberately not compared.)
-func TestShardedSketchInvariance(t *testing.T) {
-	base := func() LoadScenario {
-		sc := dumbbellScenario(1)
-		sc.SketchStats = true
-		return sc
-	}
-	ref := runLoadT(t, base())
-	type key struct {
-		name string
-		v    float64
-	}
-	fingerprint := func(r *LoadResult) []key {
-		ks := []key{
-			{"flows", float64(r.FCT.Count())},
-			{"short-flows", float64(r.FCT.ShortCount())},
-			{"short-p99", r.FCT.ShortSlowdownQuantile(99)},
-			{"short-lat-p95", r.FCT.ShortLatencyQuantile(95)},
-			{"queue-n", float64(r.Queue.N)},
-			{"queue-p50", r.Queue.P50},
-			{"queue-p95", r.Queue.P95},
-			{"queue-p99", r.Queue.P99},
-			{"queue-max", r.Queue.Max},
-			{"retained", float64(r.RetainedStatBytes)},
-		}
-		for _, p := range []float64{50, 95, 99, 99.9} {
-			ks = append(ks, key{"slowdown", r.FCT.SlowdownQuantile(p)})
-		}
-		for _, b := range r.FCT.Buckets(nil) {
-			ks = append(ks, key{"bucket-n", float64(b.Stats.N)}, key{"bucket-p95", b.Stats.P95})
-		}
-		return ks
-	}
-	want := fingerprint(ref)
-	for _, shards := range []int{2, 4, 8} {
-		sc := base()
-		sc.Shards = shards
-		r := runLoadT(t, sc)
-		if r.Shards < 2 {
-			t.Fatalf("shards=%d: ran on %d engines", shards, r.Shards)
-		}
-		got := fingerprint(r)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("shards=%d: %s = %v, want %v (serial)",
-					shards, got[i].name, got[i].v, want[i].v)
-			}
-		}
 	}
 }
 

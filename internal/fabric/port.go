@@ -67,7 +67,7 @@ type Port struct {
 	// canonical rank class of this wire's delivery events (see
 	// sim.Event.Before). topology.Builder assigns keys in Link order, so
 	// simultaneous deliveries into one node fire in an order derivable
-	// from the topology alone, identically on one engine or N shards.
+	// from the topology alone.
 	// Zero (hand-wired fabrics) falls back to scheduling order, which for
 	// a delivery is serialization order: of two frames on key-0 wires that
 	// arrive in the same picosecond, the one whose serialization began
@@ -95,19 +95,7 @@ type Port struct {
 	busyUntil sim.Time
 	kickArmed bool
 	kickEv    sim.Timer
-
-	// onWire counts packets serialized onto the local wire and not yet
-	// arrived at the peer: each is one sim.Engine.Deliver in flight, with
-	// this port as the sink.
-	onWire int
-	kickFn func() // reusable closure built once at wiring time
-
-	// remote, when set, marks this transmitter as a shard-boundary
-	// port: instead of riding the local wire, a serialized packet is
-	// handed to remote with its (deterministic) arrival instant, and
-	// the shard exchange delivers it into the peer's engine at an epoch
-	// barrier. Serialization, pacing and INT accounting stay local.
-	remote func(p *packet.Packet, arrive sim.Time)
+	kickFn    func() // reusable closure built once at wiring time
 
 	txBytes uint64          // cumulative bytes fully handed to the serializer
 	rxQ     [NumPrio]uint64 // cumulative bytes enqueued, per priority (INT rxRate ablation)
@@ -128,26 +116,6 @@ type Port struct {
 // applied to this port. Pass nil to remove.
 func (pt *Port) SetPauseHook(fn func(prio uint8, paused bool)) { pt.pauseHook = fn }
 
-// SetRemote marks this transmitter as a shard-boundary port: serialized
-// packets are handed to fn with their arrival instant at the peer
-// instead of being delivered locally. Pass nil to restore local
-// delivery. Must not be called while packets are in flight on the wire.
-func (pt *Port) SetRemote(fn func(p *packet.Packet, arrive sim.Time)) {
-	if fn != nil && pt.onWire > 0 {
-		panic("fabric: SetRemote with packets in flight")
-	}
-	pt.remote = fn
-}
-
-// Rebind moves the port's event scheduling onto another engine — the
-// shard-partitioning step. Must happen before any traffic flows.
-func (pt *Port) Rebind(eng *sim.Engine) {
-	if pt.kickArmed || pt.onWire > 0 || pt.eng.Now() < pt.busyUntil {
-		panic("fabric: Rebind with packets in flight")
-	}
-	pt.eng = eng
-}
-
 func newPort(eng *sim.Engine, owner Node, index int, rate sim.Rate, delay sim.Time) *Port {
 	pt := &Port{eng: eng, owner: owner, index: index, rate: rate, delay: delay}
 	pt.kickFn = func() {
@@ -166,9 +134,6 @@ func (pt *Port) Index() int { return pt.index }
 // once at build time, before any traffic flows.
 func (pt *Port) SetWireKey(key uint64) { pt.wireKey = key }
 
-// WireKey returns the directed link's structural ID (0 if unassigned).
-func (pt *Port) WireKey() uint64 { return pt.wireKey }
-
 // Rate returns the link bandwidth.
 func (pt *Port) Rate() sim.Rate { return pt.rate }
 
@@ -177,12 +142,6 @@ func (pt *Port) Delay() sim.Time { return pt.delay }
 
 // Peer returns the node at the far end of the link.
 func (pt *Port) Peer() Node { return pt.peer }
-
-// PeerPort returns the reverse-direction port at the peer node.
-func (pt *Port) PeerPort() *Port { return pt.peerPort }
-
-// Owner returns the node this transmitter belongs to.
-func (pt *Port) Owner() Node { return pt.owner }
 
 // QueueBytes returns the bytes currently queued at priority prio.
 func (pt *Port) QueueBytes(prio uint8) int64 { return pt.qBytes[prio] }
@@ -278,7 +237,7 @@ func (pt *Port) kick() {
 		// adds work or eligibility (Enqueue, a later resume) kicks again.
 		if !pt.kickArmed && pt.totQBytes > 0 {
 			pt.kickArmed = true
-			pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn) //hpcclint:allow eventkey -- kick fires on this port's own engine and mutates only this transmitter's state; cross-shard arrivals enter through the exchange at epoch barriers as Deliver calls under their wire's key, so a same-picosecond tie with the kick is broken by the arrival's canonical key and cannot span shards (TestShardDumbbellEquivalence)
+			pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn)
 		}
 		return
 	}
@@ -310,13 +269,8 @@ func (pt *Port) kick() {
 
 	if pt.totQBytes > 0 && !pt.kickArmed {
 		pt.kickArmed = true
-		pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn) //hpcclint:allow eventkey -- kick fires on this port's own engine and mutates only this transmitter's state; cross-shard arrivals enter through the exchange at epoch barriers as Deliver calls under their wire's key, so a same-picosecond tie with the kick is broken by the arrival's canonical key and cannot span shards (TestShardDumbbellEquivalence)
+		pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn)
 	}
-	if pt.remote != nil {
-		pt.remote(e.p, pt.busyUntil+pt.delay)
-		return
-	}
-	pt.onWire++
 	pt.eng.Deliver(pt.busyUntil+pt.delay, pt.wireKey, pt, e.p)
 }
 
@@ -325,6 +279,5 @@ func (pt *Port) kick() {
 //
 //hpcclint:alloc-free
 func (pt *Port) Arrive(arg any) {
-	pt.onWire--
 	pt.peer.HandleArrival(arg.(*packet.Packet), pt.peerPort)
 }

@@ -119,18 +119,6 @@ func NewSwitch(eng *sim.Engine, id NodeID, cfg SwitchConfig) *Switch {
 // ID returns the switch's node ID.
 func (s *Switch) ID() NodeID { return s.id }
 
-// Rebind moves the switch (clock for INT stamps) onto another engine
-// and gives it a shard-local packet pool. Part of partitioning a built
-// network across shard engines; must happen before traffic flows. The
-// switch's ports are rebound separately (ports are owned per
-// direction).
-func (s *Switch) Rebind(eng *sim.Engine, pool *packet.Pool) {
-	s.eng = eng
-	if pool != nil {
-		s.pool = pool
-	}
-}
-
 // Config returns the active configuration.
 func (s *Switch) Config() SwitchConfig { return s.cfg }
 

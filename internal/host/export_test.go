@@ -45,6 +45,3 @@ func (h *Host) AuditFreeLists() error {
 // Every flow it ever allocated is one of them (bar pinned or aborted
 // evictions), so started flows / FlowObjects is the mean reuse count.
 func (h *Host) FlowObjects() int { return len(h.flows) + len(h.flowFree) }
-
-// FreeListLens returns how many *Flow and *recvState wait for reuse.
-func (h *Host) FreeListLens() (flows, recvs int) { return len(h.flowFree), len(h.recvFree) }

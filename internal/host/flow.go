@@ -223,8 +223,8 @@ func (f *Flow) armSendTimer() {
 	if f.sendEv.Armed() && f.sendEv.When() == f.nextSendAt {
 		return
 	}
-	f.host.eng.Cancel(f.sendEv)                      // stale or zero handles are no-ops
-	f.sendEv = f.host.eng.At(f.nextSendAt, f.sendFn) //hpcclint:allow eventkey -- pacing timer on the flow's own host engine; ties with deliveries break on the delivery's canonical wire key, and host-local arming order is identical across shard counts (TestShardDumbbellEquivalence)
+	f.host.eng.Cancel(f.sendEv) // stale or zero handles are no-ops
+	f.sendEv = f.host.eng.At(f.nextSendAt, f.sendFn)
 }
 
 // handleAck processes a cumulative (and, under IRN, selective) ACK.
@@ -321,7 +321,7 @@ func (f *Flow) handleNack(p *packet.Packet) {
 
 // armRTO arms the retransmission-timeout backstop.
 func (f *Flow) armRTO() {
-	f.rtoEv = f.host.eng.After(f.host.cfg.RTO, f.rtoFn) //hpcclint:allow eventkey -- RTO backstop on the flow's own host engine; ties with deliveries break on the delivery's canonical wire key, and host-local arming order is identical across shard counts (TestShardDumbbellEquivalence)
+	f.rtoEv = f.host.eng.After(f.host.cfg.RTO, f.rtoFn)
 }
 
 // onRTO fires the retransmission-timeout backstop and re-arms it.

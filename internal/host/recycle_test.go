@@ -3,14 +3,11 @@ package host_test
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"hpcc/internal/experiment"
-	"hpcc/internal/fabric"
 	"hpcc/internal/host"
 	"hpcc/internal/sim"
-	"hpcc/internal/topology"
 	"hpcc/internal/workload"
 )
 
@@ -118,76 +115,6 @@ func TestRecyclingIsInvisible(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// keepNet is a topology spec that remembers the network it built, so a
-// test can look at the hosts after experiment.RunLoad returns.
-type keepNet struct {
-	topology.Spec
-	nw **topology.Network
-}
-
-func (k keepNet) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *topology.Network {
-	*k.nw = k.Spec.Build(eng, hcfg, scfg)
-	return *k.nw
-}
-
-// A sharded run recycles like a serial one: with bounded retention the
-// 2-shard run yields the serial run's records and counters, every host
-// ends with the free lists the serial run left it, those lists are in
-// use, and nothing on them is still live.
-func TestShardedRunRecycles(t *testing.T) {
-	type freeLens struct{ flows, recvs int }
-	for _, scheme := range []string{"hpcc", "dcqcn"} {
-		run := func(shards int) (*experiment.LoadResult, []freeLens) {
-			var nw *topology.Network
-			s := starScenario(t, scheme, host.GoBackN, 1)
-			s.Topo = keepNet{s.Topo, &nw}
-			s.Shards = shards
-			r, err := experiment.RunLoad(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Shards != shards {
-				t.Fatalf("%s: asked for %d engines, ran on %d", scheme, shards, r.Shards)
-			}
-			sort.Slice(r.FCT.Records, func(i, j int) bool {
-				a, b := r.FCT.Records[i], r.FCT.Records[j]
-				if a.Size != b.Size {
-					return a.Size < b.Size
-				}
-				return a.FCT < b.FCT
-			})
-			var free []freeLens
-			for _, h := range nw.Hosts {
-				if err := h.AuditFreeLists(); err != nil {
-					t.Fatalf("%s on %d engines: %v", scheme, shards, err)
-				}
-				flows, recvs := h.FreeListLens()
-				free = append(free, freeLens{flows, recvs})
-			}
-			return r, free
-		}
-		want, wantFree := run(1)
-		got, gotFree := run(2)
-		if len(want.FCT.Records) < 5000 || want.Drops == 0 {
-			t.Fatalf("%s: serial run finished %d flows with %d drops: want a busy, lossy run", scheme, len(want.FCT.Records), want.Drops)
-		}
-		if !reflect.DeepEqual(got.FCT.Records, want.FCT.Records) || got.DataPackets != want.DataPackets ||
-			got.PortPackets != want.PortPackets || got.Drops != want.Drops {
-			t.Fatalf("%s: 2 shards diverged from serial: %d/%d flows, %d/%d data pkts, %d/%d port pkts, %d/%d drops",
-				scheme, len(got.FCT.Records), len(want.FCT.Records), got.DataPackets, want.DataPackets,
-				got.PortPackets, want.PortPackets, got.Drops, want.Drops)
-		}
-		if !reflect.DeepEqual(gotFree, wantFree) {
-			t.Fatalf("%s: per-host free lists (flows, recvs) are %v on 2 shards, %v serial", scheme, gotFree, wantFree)
-		}
-		for i, f := range gotFree {
-			if f.flows == 0 || f.recvs == 0 {
-				t.Fatalf("%s: host %d ended a 2-shard run with free lists %+v: nothing was recycled", scheme, i, f)
-			}
 		}
 	}
 }

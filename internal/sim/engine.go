@@ -24,12 +24,11 @@ func (e *Event) At() Time { return e.at }
 
 // Before reports whether e fires before o: the canonical
 // (time, key, seq) rank. Simultaneous events order first by their
-// structural key — a topology-derived class that is identical whether
-// the world runs on one engine or many shards (wire deliveries carry
-// their port's build-time ID, traffic arrivals their generator's rank;
-// ordinary events carry 0) — and only then by the per-engine scheduling
-// sequence (first scheduled, first fired). The engine's heap pops in
-// exactly this order.
+// structural key — a class derived from the topology and traffic specs
+// (wire deliveries carry their port's build-time ID, traffic arrivals
+// their generator's rank; ordinary events carry 0) — and only then by
+// the scheduling sequence (first scheduled, first fired). The engine's
+// heap pops in exactly this order.
 func (e *Event) Before(o *Event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -41,8 +40,9 @@ func (e *Event) Before(o *Event) bool {
 }
 
 // Canonical key bands. Keys are structural: derivable from the
-// experiment spec alone, never from execution history, which is what
-// makes the rank identical across single-engine and sharded runs.
+// experiment spec alone, never from execution history, so the order of
+// same-picosecond events — and with it every result digest — depends on
+// the spec and nothing else.
 //
 //   - 0: ordinary events (host timers, tx-complete, cc trampolines) —
 //     tie-broken by scheduling order, as before;
@@ -80,8 +80,8 @@ func (t Timer) When() Time {
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; one engine's world runs on one goroutine, which
-// is what makes runs deterministic. (Multiple engines may run on
-// concurrent goroutines — the campaign runner and ShardGroup do.)
+// is what makes runs deterministic. (Independent engines may run on
+// concurrent goroutines — the campaign runner does.)
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -274,18 +274,6 @@ func (e *Engine) runThrough(last Time) {
 // queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.runThrough(deadline)
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// RunBefore fires events with timestamps strictly < deadline, then
-// advances the clock to the deadline. It is the epoch primitive of
-// ShardGroup: an epoch [T, T+L) runs every event before the boundary
-// and leaves boundary-time events for the next epoch, after the
-// cross-shard exchange.
-func (e *Engine) RunBefore(deadline Time) {
-	e.runThrough(deadline - 1) // times are whole picoseconds
 	if e.now < deadline {
 		e.now = deadline
 	}

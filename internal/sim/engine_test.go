@@ -135,8 +135,8 @@ func TestEngineStop(t *testing.T) {
 }
 
 // PendingHighWater is the deepest the pending set has been: holds that
-// refill a pop's hole do not raise it, and RunBefore leaves events at
-// the boundary queued.
+// refill a pop's hole do not raise it, and a run that stops one
+// picosecond short leaves the boundary's events queued.
 func TestPendingHighWater(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
@@ -151,9 +151,9 @@ func TestPendingHighWater(t *testing.T) {
 	if got := e.PendingHighWater(); got != 6 || e.Pending() != 5 {
 		t.Fatalf("high water %d with %d pending, want 6 with 5", got, e.Pending())
 	}
-	e.RunBefore(5 * Microsecond)
-	if e.Pending() != 4 || e.Now() != 5*Microsecond {
-		t.Fatalf("RunBefore(5us) left %d pending at %v, want 4 (the 5us event and three holds) at 5us", e.Pending(), e.Now())
+	e.RunUntil(5*Microsecond - 1)
+	if e.Pending() != 4 || e.Now() != 5*Microsecond-1 {
+		t.Fatalf("RunUntil(5us-1) left %d pending at %v, want 4 (the 5us event and three holds) at 5us-1", e.Pending(), e.Now())
 	}
 	// Frames in flight are pending too, each of them.
 	for i := 0; i < 3; i++ {

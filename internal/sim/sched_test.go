@@ -49,7 +49,6 @@ type simulator interface {
 	schedule(at Time, key uint64, fn func()) (cancel func())
 	deliver(at Time, key uint64, fn func())
 	RunUntil(deadline Time)
-	RunBefore(deadline Time)
 	audit(t *testing.T)
 }
 
@@ -150,11 +149,6 @@ func (o *oracleEngine) RunUntil(deadline Time) {
 	}
 }
 
-func (o *oracleEngine) RunBefore(deadline Time) {
-	o.RunUntil(deadline - 1)
-	o.now = max(o.now, deadline)
-}
-
 // The pooled-Event ABA regression: a handle whose event has fired (and
 // whose Event struct was reused for an unrelated callback) must not be
 // able to cancel the reused event.
@@ -199,7 +193,7 @@ func TestCancelAfterFire(t *testing.T) {
 // order) sequence of the container/heap oracle engine, and reports the
 // same Pending and PeekTime after every operation and from inside every
 // callback — that is, while the pop's hole is still open. This is the
-// contract the sharded runner's byte-identical results build on; the
+// contract every result digest builds on; the
 // canonical key is drawn from all three bands (ordinary 0, wire keys,
 // arrival keys) with dense same-timestamp ties. Deliveries cover every
 // way a frame can meet the rest of the pending set: a few offset classes
@@ -305,7 +299,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				e.RunUntil(deadline)
 			} else {
-				e.RunBefore(deadline)
+				e.RunUntil(deadline - 1) // stop one picosecond short
 			}
 			note(-4)
 		}
@@ -364,9 +358,9 @@ func TestDeliverTieOrder(t *testing.T) {
 	if p, _ := e.PeekTime(); p != at || e.Pending() != 8 {
 		t.Fatalf("PeekTime %v with %d pending, want %v with 8", p, e.Pending(), at)
 	}
-	e.RunBefore(at)
+	e.RunUntil(at - 1)
 	if len(got) != 0 {
-		t.Fatalf("RunBefore(%v) fired %v", at, got)
+		t.Fatalf("RunUntil(%v) fired %v", at-1, got)
 	}
 	e.RunUntil(at)
 	want := []int{1, 2, 3, 50, 51, 70, 90}

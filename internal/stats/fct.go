@@ -58,7 +58,7 @@ const ShortFlowLimit = 7_000
 // one per flow-size bucket, one for the short-flow class (slowdown and
 // FCT) — so memory is O(buckets) however many flows complete, every
 // quantile is within the sketch's relative accuracy of the exact
-// percentile, and per-shard sets merge exactly.
+// percentile.
 type FCTSet struct {
 	Records []FCTRecord
 
@@ -71,8 +71,7 @@ type fctStream struct {
 	all     *Sketch   // slowdown, every flow
 	short   *Sketch   // slowdown, flows <= ShortFlowLimit
 	shortUS *Sketch   // FCT in µs, flows <= ShortFlowLimit
-	buckets []*Sketch // slowdown per size bucket (len == len(edges))
-	dropped uint64    // records no bucket accepts (Size <= 0)
+	buckets []*Sketch // slowdown per size bucket (len == len(edges)); Size <= 0 lands in none
 }
 
 // NewStreamingFCT returns a streaming-mode set with the given size-
@@ -114,8 +113,6 @@ func (s *FCTSet) Add(r FCTRecord) {
 	}
 	if i := bucketIndex(st.edges, r.Size); i >= 0 {
 		st.buckets[i].Add(sl)
-	} else {
-		st.dropped++
 	}
 }
 
@@ -196,32 +193,9 @@ func quantileOrZero(sk *Sketch, p float64) float64 {
 	return sk.Quantile(p)
 }
 
-// Merge absorbs o into s: records concatenate in exact mode, sketches
-// merge exactly (bucket-count addition) in streaming mode. The modes
-// must match; in streaming mode the bucket edges must match too.
-func (s *FCTSet) Merge(o *FCTSet) {
-	if (s.str == nil) != (o.str == nil) {
-		panic("stats: FCTSet.Merge across modes")
-	}
-	if s.str == nil {
-		s.Records = append(s.Records, o.Records...)
-		return
-	}
-	if len(s.str.edges) != len(o.str.edges) {
-		panic("stats: FCTSet.Merge with different bucket edges")
-	}
-	s.str.all.Merge(o.str.all)
-	s.str.short.Merge(o.str.short)
-	s.str.shortUS.Merge(o.str.shortUS)
-	for i := range s.str.buckets {
-		s.str.buckets[i].Merge(o.str.buckets[i])
-	}
-	s.str.dropped += o.str.dropped
-}
-
 // RetainedBytes is the set's logical stat footprint: records retained
 // in exact mode, occupied sketch buckets in streaming mode. It is
-// deterministic and identical across shard counts and merge orders.
+// deterministic.
 func (s *FCTSet) RetainedBytes() int64 {
 	if s.str == nil {
 		return int64(len(s.Records)) * 24 // Size + FCT + Ideal

@@ -86,40 +86,6 @@ func TestStreamingFCTMatchesExact(t *testing.T) {
 	}
 }
 
-// Per-shard streaming sets merged in any order must equal the
-// single-set stream exactly.
-func TestStreamingFCTMergeOrderInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	recs := randRecords(rng, 3000)
-	single := NewStreamingFCT(nil, 0)
-	for _, r := range recs {
-		single.Add(r)
-	}
-	for _, shards := range []int{2, 4, 8} {
-		parts := make([]FCTSet, shards)
-		for i := range parts {
-			parts[i] = NewStreamingFCT(nil, 0)
-		}
-		for i, r := range recs {
-			parts[i%shards].Add(r)
-		}
-		merged := NewStreamingFCT(nil, 0)
-		for _, i := range rng.Perm(shards) {
-			merged.Merge(&parts[i])
-		}
-		if merged.Count() != single.Count() || merged.RetainedBytes() != single.RetainedBytes() {
-			t.Fatalf("shards=%d: count/bytes %d/%d vs %d/%d", shards,
-				merged.Count(), merged.RetainedBytes(), single.Count(), single.RetainedBytes())
-		}
-		for _, p := range []float64{50, 95, 99, 99.9} {
-			if merged.SlowdownQuantile(p) != single.SlowdownQuantile(p) {
-				t.Fatalf("shards=%d p%v: %g vs %g", shards, p,
-					merged.SlowdownQuantile(p), single.SlowdownQuantile(p))
-			}
-		}
-	}
-}
-
 // Streaming retention must stay flat in flow count while exact
 // retention grows linearly — the point of the refactor. Bucket
 // occupancy saturates once the value range has been seen, so compare

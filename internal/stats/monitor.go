@@ -52,10 +52,8 @@ type QueueMonitor struct {
 	// whenever the row count would exceed the cap — so an arbitrarily
 	// long campaign holds at most SampleCap instants, thinned evenly
 	// over the whole horizon rather than truncated. The decision
-	// depends only on the tick index, never on port count or values, so
-	// per-shard monitors sharing a tick schedule retain exactly the
-	// same instants as a single whole-fabric monitor (the sharded
-	// byte-identity contract). Set it right after NewQueueMonitor.
+	// depends only on the tick index, never on port count or values.
+	// Set it right after NewQueueMonitor.
 	// Zero (the default) retains every tick.
 	SampleCap int
 	stride    uint64 // tick keep-stride (power of two; 0 until first tick)
@@ -181,9 +179,7 @@ func (m *QueueMonitor) DepthQuantile(p float64) float64 {
 
 // RetainedBytes is the monitor's logical stat footprint: retained
 // sample rows in exact mode, occupied sketch buckets in sketch mode.
-// Series is excluded — per-shard monitors each carry their own totals
-// row, so it is not part of the shard-count-invariant contract this
-// figure feeds.
+// Series (one totals row per retained tick) is not counted.
 func (m *QueueMonitor) RetainedBytes() int64 {
 	if m.sketch != nil {
 		total := m.sketch.RetainedBytes()
@@ -193,17 +189,6 @@ func (m *QueueMonitor) RetainedBytes() int64 {
 		return total
 	}
 	return int64(len(m.Samples)) * 8
-}
-
-// MergeSketch folds another sketch-mode monitor's cumulative depth
-// distribution into m. Per-shard monitors cover disjoint port sets, so
-// the merged sketch is exactly the one a whole-fabric monitor on the
-// same tick schedule would have built.
-func (m *QueueMonitor) MergeSketch(o *QueueMonitor) {
-	if m.sketch == nil || o.sketch == nil {
-		panic("stats: MergeSketch on an exact-mode QueueMonitor")
-	}
-	m.sketch.Merge(o.sketch)
 }
 
 // decimate doubles the keep-stride and drops the retained rows that no

@@ -8,8 +8,8 @@ import "math"
 // order statistic, memory is O(buckets) regardless of how many values
 // stream in, and two sketches built with the same α merge exactly by
 // bucket-count addition — merging is commutative and associative, so
-// per-shard and per-seed sketches pool into precisely the sketch a
-// single pass over all values would have built.
+// per-seed sketches pool into precisely the sketch a single pass over
+// all values would have built.
 //
 // It is the linear-memory-retention replacement for FCT-record and
 // queue-sample slices: million-flow campaigns keep per-size-bucket
@@ -162,7 +162,7 @@ func (s *Sketch) growUp(by int) {
 // collapse folds the lowest buckets together until the store fits
 // maxBins again — the DDSketch collapsing-lowest policy: tail quantiles
 // (the ones the paper reports) keep full accuracy, the low extreme
-// degrades. Deterministic, so sharded merges stay byte-identical.
+// degrades. Deterministic, so pooled merges stay byte-identical.
 func (s *Sketch) collapse() {
 	drop := len(s.bins) - s.maxBins
 	if drop <= 0 {
@@ -312,8 +312,8 @@ func (s *Sketch) Reset() {
 
 // RetainedBytes is the sketch's logical stat footprint: occupied
 // buckets plus the fixed header. It is a function of the distribution
-// alone — merge order and shard count cannot change it — which is what
-// lets the memory-regression gate compare sharded and serial runs.
+// alone — merge order cannot change it — which is what lets the
+// memory-regression gate compare runs.
 func (s *Sketch) RetainedBytes() int64 {
 	occupied := int64(0)
 	for _, n := range s.bins {

@@ -81,7 +81,7 @@ func TestSketchAccuracyProperty(t *testing.T) {
 }
 
 // Merge must be exact: bucket counts add, so any split of the stream
-// into shards, merged in any order, reproduces the single-pass sketch's
+// into parts, merged in any order, reproduces the single-pass sketch's
 // logical state bit-for-bit — quantiles, counts, sums, extremes and
 // occupied buckets all identical.
 func TestSketchMergeOrderInvariance(t *testing.T) {
@@ -100,22 +100,22 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 		single.Add(v)
 	}
 
-	for _, shards := range []int{2, 4, 8} {
-		parts := make([]*Sketch, shards)
+	for _, k := range []int{2, 4, 8} {
+		parts := make([]*Sketch, k)
 		for i := range parts {
 			parts[i] = NewSketch(0.01)
 		}
 		for i, v := range xs {
-			parts[i%shards].Add(v)
+			parts[i%k].Add(v)
 		}
 		for trial := 0; trial < 4; trial++ {
 			merged := NewSketch(0.01)
-			for _, i := range rng.Perm(shards) {
+			for _, i := range rng.Perm(k) {
 				merged.Merge(parts[i])
 			}
 			sameSketch(t, merged, single, "merge")
 			if merged.RetainedBytes() != single.RetainedBytes() {
-				t.Fatalf("shards=%d: retained %d vs %d bytes", shards,
+				t.Fatalf("k=%d: retained %d vs %d bytes", k,
 					merged.RetainedBytes(), single.RetainedBytes())
 			}
 		}

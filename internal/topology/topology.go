@@ -22,7 +22,6 @@ type Network struct {
 	nextFlow int32
 	nextRead int32 // READ flow IDs run negative to avoid flow-ID collisions
 	hostIdx  map[fabric.NodeID]int
-	b        *Builder // retained for partitioning (Shard)
 }
 
 // StartFlow launches a flow of size bytes from host index src to host
@@ -31,21 +30,12 @@ type Network struct {
 // servers do). onDone may be nil.
 func (n *Network) StartFlow(src, dst int, size int64, onDone func(*host.Flow)) *host.Flow {
 	n.nextFlow++
-	return n.StartFlowID(n.nextFlow, src, dst, size, onDone)
-}
-
-// StartFlowID launches a flow under a caller-assigned network-unique
-// ID. The sharded runner pre-assigns IDs (replaying exactly the
-// sequence the single-engine counter would produce) so flows can start
-// on per-shard engines without sharing a counter; the multi-homing
-// uplink hash depends only on the ID, so the pinned port matches too.
-func (n *Network) StartFlowID(id int32, src, dst int, size int64, onDone func(*host.Flow)) *host.Flow {
 	h := n.Hosts[src]
 	port := 0
 	if np := len(h.Ports()); np > 1 {
-		port = int(uint32(id) * 2654435761 % uint32(np))
+		port = int(uint32(n.nextFlow) * 2654435761 % uint32(np))
 	}
-	return h.StartFlow(id, n.Hosts[dst].ID(), size, port, onDone)
+	return h.StartFlow(n.nextFlow, n.Hosts[dst].ID(), size, port, onDone)
 }
 
 // StartRead issues an RDMA READ (§4.2): host requester pulls size
@@ -115,9 +105,8 @@ type Builder struct {
 }
 
 type edge struct {
-	peer  fabric.NodeID
-	port  int
-	delay sim.Time
+	peer fabric.NodeID
+	port int
 }
 
 // NewBuilder starts a topology with shared host and switch configs.
@@ -165,8 +154,8 @@ func (b *Builder) Link(x, y fabric.Node, rate sim.Rate, delay sim.Time) {
 	b.nextWire += 2
 	b.attach(x, px)
 	b.attach(y, py)
-	b.adj[x.ID()] = append(b.adj[x.ID()], edge{y.ID(), xi, delay})
-	b.adj[y.ID()] = append(b.adj[y.ID()], edge{x.ID(), yi, delay})
+	b.adj[x.ID()] = append(b.adj[x.ID()], edge{y.ID(), xi})
+	b.adj[y.ID()] = append(b.adj[y.ID()], edge{x.ID(), yi})
 }
 
 func (b *Builder) portCount(n fabric.Node) int {
@@ -227,7 +216,6 @@ func (b *Builder) Build() *Network {
 		Hosts:    b.hosts,
 		Switches: b.switches,
 		hostIdx:  make(map[fabric.NodeID]int, len(b.hosts)),
-		b:        b,
 	}
 	for i, h := range b.hosts {
 		n.hostIdx[h.ID()] = i

@@ -25,10 +25,8 @@ type Env struct {
 	// Key is the canonical rank of this generator's arrival events
 	// (sim.ArrivalKey(i) for traffic element i). Scenario runners set
 	// it so simultaneous arrivals order by generator, not by engine
-	// scheduling history — the property that lets the sharded replay
-	// install pre-planned arrivals without reconstructing the lazy
-	// install's scheduling instants. Zero (standalone use) falls back
-	// to scheduling order.
+	// scheduling history; every result digest depends on that order.
+	// Zero (standalone use) falls back to scheduling order.
 	Key uint64
 }
 

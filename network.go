@@ -47,11 +47,6 @@ type NetConfig struct {
 	// PaperScale builds the full 320-host FatTree instead of the
 	// CI-sized one.
 	PaperScale bool
-	// Shards carries the multi-core knob through to batch execution
-	// (Experiment.Shards). Manually driven Networks always run a single
-	// engine — sharding engages in Experiment.Run, where the whole
-	// schedule is owned by the runner.
-	Shards int
 	// Seed makes runs reproducible (default 1).
 	Seed int64
 }
@@ -110,7 +105,7 @@ func NewNetwork(cfg NetConfig) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Experiment{Scheme: cfg.Scheme, Topology: topo, Shards: cfg.Shards, Seed: cfg.Seed}.Start()
+	return Experiment{Scheme: cfg.Scheme, Topology: topo, Seed: cfg.Seed}.Start()
 }
 
 // NumHosts returns the host count.

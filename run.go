@@ -19,7 +19,8 @@ type SimConfig struct {
 	Scheme string
 	// Topology: "pod" (default; the paper's testbed) or "fattree".
 	Topology string
-	// PaperScale selects the full 320-host FatTree.
+	// PaperScale selects the full 320-host FatTree; it requires
+	// Topology "fattree".
 	PaperScale bool
 	// Workload: "websearch" (default) or "fbhadoop".
 	Workload string
@@ -37,9 +38,6 @@ type SimConfig struct {
 	// Lossless enables PFC (default true). When false, switches drop
 	// and hosts recover via go-back-N.
 	Lossless *bool
-	// Shards requests multi-core execution of the scenario (see
-	// Experiment.Shards for the determinism contract).
-	Shards int
 	// SketchStats switches result statistics to streaming quantile
 	// sketches: O(buckets) retained stat memory regardless of flow
 	// count, percentiles within StatsAccuracy of exact (see
@@ -77,32 +75,20 @@ type SimResult struct {
 	Drops            uint64
 	// RetainedStatBytes is the run's logical retained-statistics
 	// footprint (FCT retention plus pooled queue samples; sketch
-	// buckets in sketch-stats mode). Deterministic and identical across
-	// shard counts; flat in flow count when SketchStats is set.
+	// buckets in sketch-stats mode). Deterministic; flat in flow count
+	// when SketchStats is set.
 	RetainedStatBytes int64
 	// Events counts the engine events the run fired and PendingHighWater
-	// is the most any engine had pending at once, every frame in flight
+	// is the most the engine had pending at once, every frame in flight
 	// on a wire included. Deliveries of the events were frames reaching
 	// the far end of a link; OffLane of those fit none of the engine's
 	// delivery lanes and went through its heap instead. They describe the
-	// execution rather than the simulated network, so — unlike every
-	// field above — they vary with the shard count.
+	// execution rather than the simulated network, and are as
+	// reproducible as every field above.
 	Events           uint64
 	PendingHighWater int
 	Deliveries       uint64
 	OffLane          uint64
-	// ShardsUsed is how many engines actually executed the run. Sharded
-	// execution is best-effort (closed-loop traffic, observers and
-	// non-partitionable topologies fall back to one engine), so this can
-	// be less than the requested Shards; results are identical either
-	// way, only the core usage differs.
-	ShardsUsed int
-	// Epochs counts a sharded run's lookahead epochs; SyncOverhead is
-	// the fraction of its wall time spent synchronizing shards (barriers
-	// and exchanges) rather than running them. Both are zero on one
-	// engine.
-	Epochs       uint64
-	SyncOverhead float64
 	// BucketP95 maps each flow-size bucket edge to its 95th-percentile
 	// slowdown (the paper's FCT-figure series). Buckets with N == 0
 	// report P95 = 0.
@@ -123,6 +109,9 @@ func Run(cfg SimConfig) (*SimResult, error) {
 	var topo Topology
 	switch cfg.Topology {
 	case "", "pod":
+		if cfg.PaperScale {
+			return nil, fmt.Errorf("hpcc: PaperScale is the 320-host FatTree; it needs Topology \"fattree\", got %q", cfg.Topology)
+		}
 		topo = Pod{}
 	case "fattree":
 		if cfg.PaperScale {
@@ -161,7 +150,6 @@ func Run(cfg SimConfig) (*SimResult, error) {
 		Drain:         cfg.Drain,
 		MaxFlows:      cfg.Flows,
 		Lossless:      cfg.Lossless,
-		Shards:        cfg.Shards,
 		SketchStats:   cfg.SketchStats,
 		StatsAccuracy: cfg.StatsAccuracy,
 		Seed:          cfg.Seed,

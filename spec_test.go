@@ -514,10 +514,21 @@ func TestExperimentValidation(t *testing.T) {
 		{Traffic: []hpcc.Traffic{hpcc.Incast{FanIn: 1, FlowSizeBytes: 1, LoadFraction: 0.1}}},
 		{Traffic: []hpcc.Traffic{hpcc.RPC{}}},
 		{Traffic: []hpcc.Traffic{nil}},
+		// Degenerate run parameters: nothing to simulate, a horizon
+		// plus drain before the horizon, a flow cap below zero, a sketch
+		// whose bucket ratio is not finite and positive.
+		{Horizon: -time.Millisecond},
+		{Drain: -5 * time.Millisecond},
+		{MaxFlows: -5},
+		{SketchStats: true, StatsAccuracy: 2},
+		{SketchStats: true, StatsAccuracy: math.NaN()},
 	}
 	for i, e := range bad {
 		if _, err := e.Run(); err == nil {
-			t.Errorf("case %d: accepted invalid experiment", i)
+			t.Errorf("case %d: Run accepted invalid experiment", i)
+		}
+		if _, err := e.Start(); err == nil {
+			t.Errorf("case %d: Start accepted invalid experiment", i)
 		}
 	}
 }
