@@ -242,3 +242,157 @@ func TestZeroKeyWiresTieInSerializationOrder(t *testing.T) {
 			c.got[1].p.FlowID, c.got[2].p.FlowID)
 	}
 }
+
+// enqueueQueued is Enqueue without the cut-through: the frame is always
+// pushed onto its priority queue and kick pops it back. It is the
+// reference the cut-through must be indistinguishable from.
+func enqueueQueued(pt *Port, p *packet.Packet, ingress int) {
+	prio := p.Prio
+	pt.queues[prio].push(entry{p, ingress})
+	pt.qBytes[prio] += int64(p.Size)
+	pt.totQBytes += int64(p.Size)
+	pt.rxQ[prio] += uint64(p.Size)
+	if pt.totQBytes > pt.maxQBytes {
+		pt.maxQBytes = pt.totQBytes
+	}
+	pt.kick()
+}
+
+// A frame that meets an idle switch egress cuts through, and nothing
+// observable may differ from pushing it through the queue: delivery
+// time, the INT hop the switch stamps at dequeue, the port's queue
+// high-water mark and its packet/byte counters.
+func TestCutThroughMatchesQueuedPath(t *testing.T) {
+	type outcome struct {
+		at                sim.Time
+		hop               packet.Hop
+		maxQ              int64
+		sent, tx, rx, evs uint64
+	}
+	run := func(enqueue func(*Port, *packet.Packet, int)) outcome {
+		eng, a, s, b := lineTopo(t, SwitchConfig{INTEnabled: true}, 100*sim.Gbps, sim.Microsecond)
+		// Earlier small frames leave nonzero counters and a high-water
+		// mark below the test frame's size.
+		for i := 0; i < 3; i++ {
+			a.ports[0].Enqueue(data(1, a.id, b.id, int64(i)*100, 200), -1)
+		}
+		eng.Run()
+		eg := s.Ports()[1]
+		p := data(2, a.id, b.id, 0, 1064)
+		eng.At(eng.Now()+5*sim.Microsecond, func() { enqueue(eg, p, -1) })
+		eng.Run()
+		last := b.got[len(b.got)-1]
+		if last.p != p || p.INT.NHops != 1 {
+			t.Fatalf("last arrival %+v with %d INT hops, want the test frame with 1", last.p, p.INT.NHops)
+		}
+		return outcome{last.at, p.INT.Hops[0], eg.MaxQueueBytes(), eg.PacketsSent(), eg.TxBytes(), eg.RxQueueBytes(PrioData), eng.Fired()}
+	}
+	direct := run((*Port).Enqueue)
+	queued := run(enqueueQueued)
+	if direct != queued {
+		t.Fatalf("cut-through %+v, queued %+v", direct, queued)
+	}
+	if direct.hop.QLen != 0 || direct.maxQ != 1064 || direct.sent != 4 || direct.hop.TxBytes != 3*200+1064 {
+		t.Fatalf("unexpected outcome %+v", direct)
+	}
+}
+
+// A frame whose priority is paused must wait in its queue even on an
+// empty, idle port, and leave only when the priority resumes.
+func TestCutThroughHoldsPausedPriority(t *testing.T) {
+	eng := sim.NewEngine()
+	a := &mockHost{id: 1, eng: eng}
+	b := &mockHost{id: 2, eng: eng}
+	ab, _ := Connect(eng, a, b, 0, 0, sim.Gbps, 0)
+	a.ports = append(a.ports, ab)
+
+	ab.SetPaused(PrioData, true)
+	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
+	if ab.QueueLen(PrioData) != 1 || ab.PacketsSent() != 0 || eng.Pending() != 0 {
+		t.Fatalf("paused frame: queued %d, sent %d, pending %d; want 1, 0, 0",
+			ab.QueueLen(PrioData), ab.PacketsSent(), eng.Pending())
+	}
+	resume := 5 * sim.Microsecond
+	eng.At(resume, func() { ab.SetPaused(PrioData, false) })
+	eng.Run()
+	if want := resume + sim.Gbps.TxTime(1064); len(b.got) != 1 || b.got[0].at != want {
+		t.Fatalf("arrivals %v, want one at %v", b.got, want)
+	}
+}
+
+// A frame enqueued while the previous one is still on the wire waits
+// for the frame boundary even though the queues are empty.
+func TestCutThroughWaitsForFrameEnd(t *testing.T) {
+	eng := sim.NewEngine()
+	a := &mockHost{id: 1, eng: eng}
+	b := &mockHost{id: 2, eng: eng}
+	ab, _ := Connect(eng, a, b, 0, 0, sim.Gbps, 0)
+	a.ports = append(a.ports, ab)
+
+	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
+	ab.Enqueue(data(1, 1, 2, 1000, 1064), -1)
+	if ab.QueueLen(PrioData) != 1 || ab.PacketsSent() != 1 {
+		t.Fatalf("mid-frame enqueue: queued %d, sent %d; want 1, 1", ab.QueueLen(PrioData), ab.PacketsSent())
+	}
+}
+
+// An idle port whose queues hold only paused frames still serves an
+// unpaused frame at once, but through the queue accounting: the
+// high-water mark counts the paused backlog too.
+func TestCutThroughBehindPausedBacklog(t *testing.T) {
+	eng := sim.NewEngine()
+	a := &mockHost{id: 1, eng: eng}
+	b := &mockHost{id: 2, eng: eng}
+	ab, _ := Connect(eng, a, b, 0, 0, sim.Gbps, 0)
+	a.ports = append(a.ports, ab)
+
+	ab.SetPaused(PrioData, true)
+	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
+	ab.Enqueue(data(1, 1, 2, 1000, 1064), -1)
+	ab.Enqueue(&packet.Packet{Type: packet.Ack, Src: 1, Dst: 2, Prio: PrioCtrl, Size: 64}, -1)
+	if ab.PacketsSent() != 1 || ab.QueueLen(PrioCtrl) != 0 {
+		t.Fatalf("control frame behind a paused backlog: sent %d, queued %d; want 1, 0",
+			ab.PacketsSent(), ab.QueueLen(PrioCtrl))
+	}
+	if got, want := ab.MaxQueueBytes(), int64(2*1064+64); got != want {
+		t.Fatalf("MaxQueueBytes = %d, want %d (paused backlog + control frame)", got, want)
+	}
+}
+
+// The invariant that makes Enqueue's kickArmed guard redundant: a port
+// whose queues are empty never has a deferred kick armed. Checked after
+// every event of a run with back-to-back frames, a switch queue and PFC
+// pause/resume, and after a resume that lands mid-frame on a drained
+// port.
+func TestEmptyPortHasNoArmedKick(t *testing.T) {
+	cfg := SwitchConfig{PFCEnabled: true, BufferBytes: 256 << 10}
+	eng, a, s, b := lineTopoAsym(t, cfg, 100*sim.Gbps, 25*sim.Gbps, sim.Microsecond)
+	for i := 0; i < 200; i++ {
+		a.ports[0].Enqueue(data(1, a.id, b.id, int64(i)*1000, 1064), -1)
+	}
+	ports := append([]*Port{a.ports[0], b.ports[0]}, s.Ports()...)
+	armed := 0
+	check := func() {
+		t.Helper()
+		for _, pt := range ports {
+			if pt.totQBytes == 0 && pt.kickArmed {
+				t.Fatalf("t=%v: port %d has a kick armed with empty queues", eng.Now(), pt.Index())
+			}
+			if pt.kickArmed {
+				armed++
+			}
+		}
+	}
+	for eng.Step() {
+		check()
+	}
+	if armed == 0 || a.ports[0].PauseEvents() == 0 || len(b.got) != 200 {
+		t.Fatalf("scenario too tame: %d armed observations, %d pauses, %d/200 delivered",
+			armed, a.ports[0].PauseEvents(), len(b.got))
+	}
+
+	a.ports[0].Enqueue(data(1, a.id, b.id, 200_000, 1064), -1)
+	a.ports[0].SetPaused(PrioData, true)
+	a.ports[0].SetPaused(PrioData, false)
+	check()
+}

@@ -206,13 +206,26 @@ func (pt *Port) SetPaused(prio uint8, pause bool) {
 // Enqueue queues p at its priority for transmission. ingress is the
 // owner's port index the packet arrived on (-1 if locally generated).
 //
+// A frame that meets an idle transmitter (frame ended, queues empty, no
+// kick armed, its priority not paused) cuts through: it is serialized
+// at once, exactly as kick would after pushing and popping it back.
+//
 //hpcclint:alloc-free
 func (pt *Port) Enqueue(p *packet.Packet, ingress int) {
 	prio := p.Prio
-	pt.queues[prio].push(entry{p, ingress})
-	pt.qBytes[prio] += int64(p.Size)
-	pt.totQBytes += int64(p.Size)
+	size := int64(p.Size)
 	pt.rxQ[prio] += uint64(p.Size)
+	now := pt.eng.Now()
+	if pt.totQBytes == 0 && !pt.kickArmed && !pt.paused[prio] && now >= pt.busyUntil {
+		if size > pt.maxQBytes {
+			pt.maxQBytes = size
+		}
+		pt.serialize(p, ingress, now)
+		return
+	}
+	pt.queues[prio].push(entry{p, ingress})
+	pt.qBytes[prio] += size
+	pt.totQBytes += size
 	if pt.totQBytes > pt.maxQBytes {
 		pt.maxQBytes = pt.totQBytes
 	}
@@ -262,16 +275,26 @@ func (pt *Port) kick() {
 	e := pt.queues[prio].pop()
 	pt.qBytes[prio] -= int64(e.p.Size)
 	pt.totQBytes -= int64(e.p.Size)
-	pt.busyUntil = now + pt.rate.TxTime(int(e.p.Size))
-	pt.txBytes += uint64(e.p.Size)
+	pt.serialize(e.p, e.ingress, now)
+}
+
+// serialize puts p on the wire at now: the transmitter is busy until its
+// last bit leaves, the owner sees the dequeue (buffer release, PFC
+// resume, INT stamp), the deferred kick is armed if frames wait behind
+// it, and the frame is handed to the wire for delivery at the peer.
+//
+//hpcclint:alloc-free
+func (pt *Port) serialize(p *packet.Packet, ingress int, now sim.Time) {
+	pt.busyUntil = now + pt.rate.TxTime(int(p.Size))
+	pt.txBytes += uint64(p.Size)
 	pt.pktsSent++
-	pt.owner.OnDequeue(e.p, e.ingress, pt)
+	pt.owner.OnDequeue(p, ingress, pt)
 
 	if pt.totQBytes > 0 && !pt.kickArmed {
 		pt.kickArmed = true
 		pt.kickEv = pt.eng.At(pt.busyUntil, pt.kickFn)
 	}
-	pt.eng.Deliver(pt.busyUntil+pt.delay, pt.wireKey, pt, e.p)
+	pt.eng.Deliver(pt.busyUntil+pt.delay, pt.wireKey, pt, p)
 }
 
 // Arrive is the far end of the local wire (sim.Sink): the frame handed

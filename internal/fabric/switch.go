@@ -80,7 +80,7 @@ type Switch struct {
 	id   NodeID
 	eng  *sim.Engine
 	cfg  SwitchConfig
-	rng  *rand.Rand // WRED/ECN stream
+	rng  *rand.Rand // WRED/ECN stream; nil unless cfg.ECNEnabled
 	pool *packet.Pool
 
 	ports  []*Port
@@ -107,13 +107,11 @@ func NewSwitch(eng *sim.Engine, id NodeID, cfg SwitchConfig) *Switch {
 	if pool == nil {
 		pool = packet.NewPool()
 	}
-	return &Switch{
-		id:   id,
-		eng:  eng,
-		cfg:  cfg,
-		rng:  sim.NewRNG(cfg.Seed, fmt.Sprintf("switch-%d-wred", id)),
-		pool: pool,
+	s := &Switch{id: id, eng: eng, cfg: cfg, pool: pool}
+	if cfg.ECNEnabled {
+		s.rng = sim.NewRNG(cfg.Seed, fmt.Sprintf("switch-%d-wred", id))
 	}
+	return s
 }
 
 // ID returns the switch's node ID.
@@ -138,14 +136,16 @@ func (s *Switch) Ports() []*Port { return s.ports }
 
 // InstallRoute sets the ECMP egress port set for a destination host.
 func (s *Switch) InstallRoute(dst NodeID, portIdx []int) {
-	for int(dst) >= len(s.routes) {
-		s.routes = append(s.routes, nil)
+	if n := int(dst) + 1; n > len(s.routes) {
+		s.routes = append(s.routes, make([][]int, n-len(s.routes))...)
 	}
 	s.routes[dst] = portIdx
 }
 
 // Route returns the ECMP egress port set installed for dst, or nil when
-// there is none (read-only use).
+// there is none. The slice may be shared with other destinations
+// (topology.Builder installs one slice for a run of equal sets), so it
+// is read-only.
 func (s *Switch) Route(dst NodeID) []int {
 	if uint(dst) >= uint(len(s.routes)) {
 		return nil

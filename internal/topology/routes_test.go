@@ -1,0 +1,175 @@
+package topology
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"hpcc/internal/fabric"
+	"hpcc/internal/sim"
+)
+
+// oracleRoutes is the map-based BFS that Builder.Build ran before it
+// went dense: adjacency and hop distances in maps keyed by NodeID, a
+// fresh queue per destination. It reads adjacency off the wired fabric
+// (port i of a node leads to its peer), so it shares no state with
+// Build. It returns every switch's ECMP set per destination host.
+func oracleRoutes(nw *Network) map[fabric.NodeID]map[fabric.NodeID][]int {
+	adj := map[fabric.NodeID][]edge{}
+	addPorts := func(id fabric.NodeID, ports []*fabric.Port) {
+		for i, p := range ports {
+			adj[id] = append(adj[id], edge{p.Peer().ID(), i})
+		}
+	}
+	for _, h := range nw.Hosts {
+		addPorts(h.ID(), h.Ports())
+	}
+	for _, sw := range nw.Switches {
+		addPorts(sw.ID(), sw.Ports())
+	}
+
+	routes := map[fabric.NodeID]map[fabric.NodeID][]int{}
+	for _, dst := range nw.Hosts {
+		dist := map[fabric.NodeID]int{dst.ID(): 0}
+		queue := []fabric.NodeID{dst.ID()}
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			for _, e := range adj[cur] {
+				if _, seen := dist[e.peer]; !seen {
+					dist[e.peer] = dist[cur] + 1
+					queue = append(queue, e.peer)
+				}
+			}
+		}
+		for _, sw := range nw.Switches {
+			d, reach := dist[sw.ID()]
+			if !reach {
+				continue
+			}
+			var ports []int
+			for _, e := range adj[sw.ID()] {
+				if pd, ok := dist[e.peer]; ok && pd == d-1 {
+					ports = append(ports, e.port)
+				}
+			}
+			if len(ports) > 0 {
+				if routes[sw.ID()] == nil {
+					routes[sw.ID()] = map[fabric.NodeID][]int{}
+				}
+				routes[sw.ID()][dst.ID()] = ports
+			}
+		}
+	}
+	return routes
+}
+
+// checkRoutes asserts that Build installed the oracle's port set, in
+// the oracle's order, for every switch × host pair, and no route where
+// the oracle has none. It returns how many pairs have a route.
+func checkRoutes(t *testing.T, name string, nw *Network) int {
+	t.Helper()
+	want := oracleRoutes(nw)
+	routed := 0
+	for _, sw := range nw.Switches {
+		for _, h := range nw.Hosts {
+			got, exp := sw.Route(h.ID()), want[sw.ID()][h.ID()]
+			if !slices.Equal(got, exp) || (got == nil) != (exp == nil) {
+				t.Fatalf("%s: switch %d route to host %d = %v, oracle %v", name, sw.ID(), h.ID(), got, exp)
+			}
+			if got != nil {
+				routed++
+			}
+		}
+	}
+	return routed
+}
+
+func TestBuildMatchesOracle(t *testing.T) {
+	specs := []struct {
+		name string
+		spec Spec
+	}{
+		{"star", StarSpec{}},
+		{"dumbbell", DumbbellSpec{Pairs: 3}},
+		{"parkinglot", ParkingLotSpec{Segments: 3}},
+		{"pod", PodSpec{}},
+		{"scaled-fattree", ScaledFatTree()},
+		{"paper-fattree", PaperFatTree()},
+	}
+	for _, c := range specs {
+		nw := c.spec.Build(sim.NewEngine(), hcfg(), scfg())
+		if n := checkRoutes(t, c.name, nw); n != len(nw.Switches)*len(nw.Hosts) {
+			t.Fatalf("%s: %d of %d switch × host pairs routed, want all", c.name, n, len(nw.Switches)*len(nw.Hosts))
+		}
+	}
+}
+
+// randomGraph draws a GraphSpec with two islands that no link joins, a
+// host and a switch with no links at all, host–host links (hosts as
+// transit nodes) and parallel links.
+func randomGraph(rng *rand.Rand) GraphSpec {
+	var g GraphSpec
+	var nodes []GraphNode
+	for i := 1 + rng.Intn(8); i > 0; i-- {
+		nodes = append(nodes, g.AddHost())
+	}
+	for i := 1 + rng.Intn(6); i > 0; i-- {
+		nodes = append(nodes, g.AddSwitch())
+	}
+	island := make(map[GraphNode]int, len(nodes))
+	for _, n := range nodes {
+		island[n] = rng.Intn(2)
+	}
+	for i := rng.Intn(3 * len(nodes)); i > 0; i-- {
+		a, b := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+		if a == b || island[a] != island[b] {
+			continue
+		}
+		copies := 1
+		if rng.Intn(4) == 0 {
+			copies = 2 + rng.Intn(2)
+		}
+		for ; copies > 0; copies-- {
+			g.Link(a, b, 100*sim.Gbps, sim.Microsecond)
+		}
+	}
+	g.AddHost()
+	g.AddSwitch()
+	return g
+}
+
+func TestBuildMatchesOracleRandomGraphs(t *testing.T) {
+	var routed, unrouted int
+	for seed := int64(1); seed <= 60; seed++ {
+		g := randomGraph(rand.New(rand.NewSource(seed)))
+		nw := g.Build(sim.NewEngine(), hcfg(), scfg())
+		n := checkRoutes(t, fmt.Sprintf("seed %d", seed), nw)
+		routed += n
+		unrouted += len(nw.Switches)*len(nw.Hosts) - n
+	}
+	// The graphs must exercise both sides of reachability.
+	if routed == 0 || unrouted == 0 {
+		t.Fatalf("random graphs routed %d pairs and left %d unrouted; want both > 0", routed, unrouted)
+	}
+}
+
+// Building the paper FatTree reuses its BFS scratch across destinations
+// and shares equal consecutive ECMP sets, so the build allocates for the
+// fabric itself, not for routing (map-based routing took ≈ 90 k objects).
+func TestPaperFatTreeBuildAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(2, func() {
+		PaperFatTree().Build(sim.NewEngine(), hcfg(), scfg())
+	})
+	if allocs > 12_000 {
+		t.Fatalf("PaperFatTree().Build allocates %.0f objects, want ≤ 12 000", allocs)
+	}
+}
+
+func BenchmarkPaperFatTreeBuild(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		PaperFatTree().Build(sim.NewEngine(), hcfg(), scfg())
+	}
+}

@@ -6,6 +6,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"hpcc/internal/fabric"
 	"hpcc/internal/host"
@@ -21,7 +22,7 @@ type Network struct {
 
 	nextFlow int32
 	nextRead int32 // READ flow IDs run negative to avoid flow-ID collisions
-	hostIdx  map[fabric.NodeID]int
+	hostIdx  []int // by NodeID: the node's index in Hosts, -1 for a switch
 }
 
 // StartFlow launches a flow of size bytes from host index src to host
@@ -49,7 +50,8 @@ func (n *Network) StartRead(requester, responder int, size int64, onDone func())
 	h.Read(-n.nextRead, n.Hosts[responder].ID(), size, 0, onDone)
 }
 
-// HostIndex maps a node ID back to the host's index in Hosts.
+// HostIndex maps a host's node ID back to its index in Hosts (-1 for a
+// switch).
 func (n *Network) HostIndex(id fabric.NodeID) int { return n.hostIdx[id] }
 
 // SwitchPorts enumerates every switch egress port in the network
@@ -69,7 +71,7 @@ func (n *Network) EdgePorts() []*fabric.Port {
 	var ports []*fabric.Port
 	for _, sw := range n.Switches {
 		for _, p := range sw.Ports() {
-			if _, isHost := n.hostIdx[p.Peer().ID()]; isHost {
+			if n.hostIdx[p.Peer().ID()] >= 0 {
 				ports = append(ports, p)
 			}
 		}
@@ -100,8 +102,9 @@ type Builder struct {
 
 	hosts    []*host.Host
 	switches []*fabric.Switch
-	// adjacency: node -> list of (peer, local port index)
-	adj map[fabric.NodeID][]edge
+	// adj[id] lists node id's links as (peer, local port index) in Link
+	// order; node IDs are dense, so it is indexed by NodeID.
+	adj [][]edge
 }
 
 type edge struct {
@@ -122,13 +125,14 @@ func NewBuilder(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Bu
 	} else if scfg.Pool == nil {
 		scfg.Pool = hcfg.Pool
 	}
-	return &Builder{eng: eng, hcfg: hcfg, scfg: scfg, adj: make(map[fabric.NodeID][]edge)}
+	return &Builder{eng: eng, hcfg: hcfg, scfg: scfg}
 }
 
 // AddHost creates a host node.
 func (b *Builder) AddHost() *host.Host {
 	h := host.New(b.eng, b.nextID, b.hcfg)
 	b.nextID++
+	b.adj = append(b.adj, nil)
 	b.hosts = append(b.hosts, h)
 	return h
 }
@@ -139,6 +143,7 @@ func (b *Builder) AddSwitch() *fabric.Switch {
 	cfg.Seed ^= int64(b.nextID) // decorrelate WRED streams
 	s := fabric.NewSwitch(b.eng, b.nextID, cfg)
 	b.nextID++
+	b.adj = append(b.adj, nil)
 	b.switches = append(b.switches, s)
 	return s
 }
@@ -179,43 +184,56 @@ func (b *Builder) attach(n fabric.Node, p *fabric.Port) {
 }
 
 // Build computes shortest-path ECMP routes from every switch to every
-// host and returns the finished network.
+// host and returns the finished network. A switch's ECMP set for a
+// host lists, in port order, every port whose peer is one hop closer to
+// that host. Consecutive hosts with an equal set on one switch (a
+// remote rack behind the same uplinks) share one slice.
 func (b *Builder) Build() *Network {
-	// BFS from each destination host over the undirected graph.
-	for _, dst := range b.hosts {
-		dist := map[fabric.NodeID]int{dst.ID(): 0}
-		queue := []fabric.NodeID{dst.ID()}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+	dist := make([]int32, len(b.adj)) // hops to dst, -1 while unreached
+	queue := make([]fabric.NodeID, 0, len(b.adj))
+	last := make([][]int, len(b.switches)) // each switch's latest installed set
+	var ports []int
+	// BFS from each destination host over the undirected graph, last
+	// host first: the first install then sizes each switch's route table
+	// in one allocation.
+	for k := len(b.hosts) - 1; k >= 0; k-- {
+		dst := b.hosts[k]
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[dst.ID()] = 0
+		queue = append(queue[:0], dst.ID())
+		for qi := 0; qi < len(queue); qi++ {
+			cur := queue[qi]
 			for _, e := range b.adj[cur] {
-				if _, seen := dist[e.peer]; !seen {
+				if dist[e.peer] < 0 {
 					dist[e.peer] = dist[cur] + 1
 					queue = append(queue, e.peer)
 				}
 			}
 		}
-		for _, sw := range b.switches {
-			d, reach := dist[sw.ID()]
-			if !reach {
+		for i, sw := range b.switches {
+			d := dist[sw.ID()]
+			if d < 0 {
 				continue
 			}
-			var ports []int
+			ports = ports[:0]
 			for _, e := range b.adj[sw.ID()] {
-				if pd, ok := dist[e.peer]; ok && pd == d-1 {
+				if dist[e.peer] == d-1 {
 					ports = append(ports, e.port)
 				}
 			}
-			if len(ports) > 0 {
-				sw.InstallRoute(dst.ID(), ports)
+			if !slices.Equal(ports, last[i]) {
+				last[i] = slices.Clone(ports)
 			}
+			sw.InstallRoute(dst.ID(), last[i])
 		}
 	}
 	n := &Network{
 		Eng:      b.eng,
 		Hosts:    b.hosts,
 		Switches: b.switches,
-		hostIdx:  make(map[fabric.NodeID]int, len(b.hosts)),
+		hostIdx:  slices.Repeat([]int{-1}, len(b.adj)),
 	}
 	for i, h := range b.hosts {
 		n.hostIdx[h.ID()] = i
