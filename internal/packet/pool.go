@@ -1,7 +1,8 @@
 package packet
 
-// Pool is a free list of Packet structs. A Packet is ~350 bytes (the
-// inline 8-hop INT array dominates), and the simulator used to
+// Pool is a free list of Packet structs. A Packet is 424 bytes, allocated
+// in the 448-byte size class (the inline 8-hop INT array is 320 of
+// them), and the simulator used to
 // heap-allocate one per data packet *and* per ACK; recycling them at
 // the terminal consumption points (host ACK processing, switch drops,
 // PFC consumption) makes the per-packet hot path allocation-free in
@@ -18,7 +19,7 @@ type Pool struct {
 	gets, news, puts uint64
 }
 
-// maxPoolFree bounds retained free packets (~1.5 MB at 4096); beyond
+// maxPoolFree bounds retained free packets (≈ 1.8 MB at 4096); beyond
 // it, Put lets packets go to the garbage collector. This keeps lossy
 // scenarios — where drops strand packets at switch pools — from
 // accumulating unbounded free lists.

@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -386,13 +388,17 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// classOffsets are a fabric's delivery delays: serialization plus
+// propagation sums, one offset class each.
+var classOffsets = []Time{600 * Nanosecond, 680 * Nanosecond, 1080 * Nanosecond, 1360 * Nanosecond, 1680 * Nanosecond, 2680 * Nanosecond}
+
 // deliverHold puts 512 frames in flight on e, spread over the given
 // number of offset classes, and returns the delivery hold: schedule one
 // more delivery a class offset past the clock and fire the earliest
 // pending event.
 func deliverHold(e *Engine, classes int) func() {
 	nop := func() {}
-	offsets := []Time{600 * Nanosecond, 680 * Nanosecond, 1080 * Nanosecond, 1360 * Nanosecond, 1680 * Nanosecond, 2680 * Nanosecond}[:classes]
+	offsets := classOffsets[:classes]
 	for i := 0; i < 512; i++ {
 		e.Deliver(e.Now()+Time(i)*Nanosecond+offsets[i%classes], uint64(1+i%classes), fnSink{}, nop)
 	}
@@ -424,5 +430,107 @@ func BenchmarkEngineDeliver(b *testing.B) {
 				b.Fatalf("%d deliveries left the lanes", e.OffLane())
 			}
 		})
+	}
+}
+
+// coldSink reads the first byte of each frame it receives, the frame's
+// offset class, and sends the frame round again that class's delay
+// later.
+type coldSink struct {
+	e     *Engine
+	delay []Time
+}
+
+func (s *coldSink) Arrive(arg any) {
+	f := arg.(*[448]byte)
+	c := f[0]
+	s.e.Deliver(s.e.now+s.delay[c], uint64(1+c), s, f)
+}
+
+// BenchmarkEngineDeliverCold is BenchmarkEngineDeliver with a fabric's
+// working set: 16 384 frames in flight over six offset classes, each a
+// distinct 448-byte object (a Packet's size class) that its sink reads
+// and sends round again. The frames take 7 MB, more than a server's L2,
+// and fire in an order unrelated to their addresses, so a delivery's
+// first touch misses unless the frame was fetched ahead of it.
+func BenchmarkEngineDeliverCold(b *testing.B) {
+	const inFlight = 1 << 14
+	e := NewEngine()
+	s := &coldSink{e: e}
+	for _, off := range classOffsets {
+		s.delay = append(s.delay, inFlight*Nanosecond+off)
+	}
+	frames := make([]*[448]byte, inFlight)
+	for i := range frames {
+		frames[i] = new([448]byte)
+	}
+	for i, j := range rand.New(rand.NewSource(1)).Perm(inFlight) {
+		f := frames[j]
+		f[0] = byte(i % len(classOffsets))
+		e.Deliver(Time(i)*Nanosecond, uint64(1+f[0]), s, f)
+	}
+	for range inFlight {
+		e.Step() // one round: claim the lanes, grow the rings
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	if e.OffLane() != 0 || e.Pending() != inFlight {
+		b.Fatalf("%d deliveries left the lanes, %d pending", e.OffLane(), e.Pending())
+	}
+}
+
+// recSink records every delivery's argument.
+type recSink struct{ got []any }
+
+func (r *recSink) Arrive(arg any) { r.got = append(r.got, arg) }
+
+// The engine reads a new lane head's interface words before it fires:
+// nil and non-pointer arguments, with enough frames in flight that the
+// first half of the pops prefetch, still fire in order and arrive intact.
+func TestDeliverOddArgs(t *testing.T) {
+	e := NewEngine()
+	r := &recSink{}
+	args := []any{nil, 7, "x", 2.5, new(int), struct{ a, b int }{1, 2}, byte(0), fnSink{}}
+	// Two interleaved lanes: even nanoseconds on the first, odd on the
+	// second, so the frame at k+1 ns carries args[k % len(args)].
+	const n = prefetchDepth
+	for _, odd := range []int{0, 1} {
+		for k := 1 - odd; k < 2*n; k += 2 {
+			e.Deliver(Time(k+1)*Nanosecond, 1, r, args[k%len(args)])
+		}
+	}
+	if e.used != 2 || e.Pending() != 2*n {
+		t.Fatalf("%d deliveries pending on %d lanes, want %d on 2", e.Pending(), e.used, 2*n)
+	}
+	e.Run()
+	if len(r.got) != 2*n {
+		t.Fatalf("%d of %d deliveries arrived", len(r.got), 2*n)
+	}
+	for k, got := range r.got {
+		if want := args[k%len(args)]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("delivery %d carried %v, want %v", k, got, want)
+		}
+	}
+}
+
+// ifaceData must read the pointer an interface holds, for an any and
+// for a method interface alike, and nil from a nil interface; a Go
+// release that changes the interface layout fails here.
+func TestIfaceData(t *testing.T) {
+	r := &recSink{}
+	var a any = r
+	var s Sink = r
+	var none any
+	if got, want := ifaceData(unsafe.Pointer(&a)), reflect.ValueOf(a).UnsafePointer(); got != want {
+		t.Errorf("ifaceData(any) = %p, want %p", got, want)
+	}
+	if got, want := ifaceData(unsafe.Pointer(&s)), reflect.ValueOf(s).UnsafePointer(); got != want {
+		t.Errorf("ifaceData(Sink) = %p, want %p", got, want)
+	}
+	if got := ifaceData(unsafe.Pointer(&none)); got != nil {
+		t.Errorf("ifaceData(nil any) = %p, want nil", got)
 	}
 }

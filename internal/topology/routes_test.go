@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hpcc/internal/fabric"
+	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
 
@@ -102,6 +103,69 @@ func TestBuildMatchesOracle(t *testing.T) {
 		nw := c.spec.Build(sim.NewEngine(), hcfg(), scfg())
 		if n := checkRoutes(t, c.name, nw); n != len(nw.Switches)*len(nw.Hosts) {
 			t.Fatalf("%s: %d of %d switch × host pairs routed, want all", c.name, n, len(nw.Switches)*len(nw.Hosts))
+		}
+	}
+}
+
+// Every switch a frame crosses pushes one INT record, and a Packet holds
+// packet.MaxHops of them. Following the installed routes over every ECMP
+// choice, for every host pair, no preset the scenario registry builds
+// crosses more switches than that. want is the measured maximum; the
+// parking lot is the one sweep.go builds.
+func TestRegistryPathsFitINTStack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want int
+	}{
+		{"star", StarSpec{}, 1},
+		{"dumbbell", DumbbellSpec{Pairs: 3}, 2},
+		{"parkinglot", ParkingLotSpec{Segments: 4}, 5},
+		{"pod", PodSpec{}, 3},
+		{"scaled-fattree", ScaledFatTree(), 3},
+		{"paper-fattree", PaperFatTree(), 3},
+	} {
+		nw := c.spec.Build(sim.NewEngine(), hcfg(), scfg())
+		longest := 0
+		for _, dst := range nw.Hosts {
+			// switches[sw] is the most switches a frame at sw crosses to
+			// reach dst, sw included.
+			switches := map[*fabric.Switch]int{}
+			var walk func(sw *fabric.Switch) int
+			walk = func(sw *fabric.Switch) int {
+				if n, ok := switches[sw]; ok {
+					return n
+				}
+				route := sw.Route(dst.ID())
+				if len(route) == 0 {
+					t.Fatalf("%s: switch %d has no route to host %d", c.name, sw.ID(), dst.ID())
+				}
+				n := 0
+				for _, i := range route {
+					switch peer := sw.Ports()[i].Peer().(type) {
+					case *fabric.Switch:
+						n = max(n, walk(peer))
+					default:
+						if peer.ID() != dst.ID() {
+							t.Fatalf("%s: switch %d forwards to host %d via host %d", c.name, sw.ID(), dst.ID(), peer.ID())
+						}
+					}
+				}
+				switches[sw] = n + 1
+				return n + 1
+			}
+			for _, src := range nw.Hosts {
+				if src == dst {
+					continue
+				}
+				for _, p := range src.Ports() {
+					longest = max(longest, walk(p.Peer().(*fabric.Switch)))
+				}
+			}
+		}
+		t.Logf("%s: longest path crosses %d switches (MaxHops %d)", c.name, longest, packet.MaxHops)
+		if longest > packet.MaxHops || longest != c.want {
+			t.Errorf("%s: longest path crosses %d switches, want %d (MaxHops %d)", c.name, longest, c.want, packet.MaxHops)
 		}
 	}
 }
