@@ -16,7 +16,7 @@ import (
 func TestScheduledFlowCostsNothingUntilStart(t *testing.T) {
 	meter := sim.AttachMeter()
 	defer meter.Detach()
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Hosts: 3, LinkRateGbps: 25})
+	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 3, LinkRateGbps: 25}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestScheduledFlowCostsNothingUntilStart(t *testing.T) {
 // OnProgress registered after a flow already materialized still
 // attaches directly.
 func TestOnProgressAfterStart(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Hosts: 3, LinkRateGbps: 25})
+	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 3, LinkRateGbps: 25}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestOnProgressAfterStart(t *testing.T) {
 // Slowdown is 0 while in flight and ≥ 1 once done, for scheduled flows
 // too.
 func TestSlowdownLifecycle(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Hosts: 3})
+	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 3}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +86,17 @@ func TestSlowdownLifecycle(t *testing.T) {
 	}
 }
 
-// Run with the FB_Hadoop workload exercises the second public CDF end
-// to end (bucket edges differ from WebSearch).
+// A Pod run with the FB_Hadoop workload exercises the second public
+// CDF end to end (bucket edges differ from WebSearch).
 func TestRunFBHadoop(t *testing.T) {
-	res, err := hpcc.Run(hpcc.SimConfig{
+	res, err := hpcc.Experiment{
 		Scheme:   "hpcc",
-		Workload: "fbhadoop",
-		Flows:    150,
-		Duration: 4 * time.Millisecond,
+		Topology: hpcc.Pod{},
+		Traffic:  []hpcc.Traffic{hpcc.Poisson{CDF: hpcc.FBHadoopCDF(), Load: 0.3}},
+		Horizon:  4 * time.Millisecond,
 		Drain:    12 * time.Millisecond,
-	})
+		MaxFlows: 150,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

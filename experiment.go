@@ -11,9 +11,7 @@ import (
 
 // Experiment composes a simulation from first-class spec values: a
 // congestion-control scheme, a Topology, any number of Traffic
-// sources, and Observers streaming events out. It replaces the
-// stringly-typed config surface — NetConfig and SimConfig are thin
-// wrappers over it.
+// sources, and Observers streaming events out.
 //
 //	res, err := hpcc.Experiment{
 //		Scheme:   "hpcc",
@@ -208,6 +206,59 @@ func (e Experiment) Start() (*Network, error) {
 		rtt:    sc.Topo.BaseRTT(),
 		obs:    net.Obs,
 	}, nil
+}
+
+// SimResult summarizes one load experiment.
+type SimResult struct {
+	Scheme string
+	// Flows completed; Censored were still in flight at the horizon.
+	Flows, Censored int
+	// SlowdownP50/P95/P99/P999 are FCT-slowdown percentiles over all
+	// flows (0 when no flows completed — see Flows). In sketch-stats
+	// mode each is within the configured relative accuracy of the exact
+	// percentile; P999 is the deep-tail figure sketches make affordable
+	// at million-flow scale.
+	SlowdownP50, SlowdownP95, SlowdownP99, SlowdownP999 float64
+	// ShortFlowP99Slowdown covers flows ≤ 7 KB (the latency-sensitive
+	// class the paper highlights). When ShortFlows is 0, it reports 0
+	// rather than NaN, so results always survive encoding/json.
+	ShortFlowP99Slowdown float64
+	// ShortFlows counts the completed flows ≤ 7 KB behind
+	// ShortFlowP99Slowdown.
+	ShortFlows int
+	// QueueP50KB/P99KB/MaxKB are switch-queue percentiles over 10 µs
+	// samples.
+	QueueP50KB, QueueP99KB, QueueMaxKB float64
+	// PFCPauseFraction is paused (port × time) over the whole run.
+	PFCPauseFraction float64
+	Drops            uint64
+	// RetainedStatBytes is the run's logical retained-statistics
+	// footprint (FCT retention plus pooled queue samples; sketch
+	// buckets in sketch-stats mode). Deterministic; flat in flow count
+	// when SketchStats is set.
+	RetainedStatBytes int64
+	// Events counts the engine events the run fired and PendingHighWater
+	// is the most the engine had pending at once, every frame in flight
+	// on a wire included. Deliveries of the events were frames reaching
+	// the far end of a link; OffLane of those fit none of the engine's
+	// delivery lanes and went through its heap instead. They describe the
+	// execution rather than the simulated network, and are as
+	// reproducible as every field above.
+	Events           uint64
+	PendingHighWater int
+	Deliveries       uint64
+	OffLane          uint64
+	// BucketP95 maps each flow-size bucket edge to its 95th-percentile
+	// slowdown (the paper's FCT-figure series). Buckets with N == 0
+	// report P95 = 0.
+	BucketP95 []BucketPoint
+}
+
+// BucketPoint is one x-position of an FCT figure.
+type BucketPoint struct {
+	SizeHi int64
+	P95    float64
+	N      int
 }
 
 // summarize converts an internal LoadResult into the public SimResult,

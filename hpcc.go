@@ -12,9 +12,9 @@
 //     feedback you provide — for embedding in other stacks or studies.
 //   - Network / Flow: a simulated data-center fabric with explicit flow
 //     control — for micro-benchmarks (incasts, fairness, rate traces).
-//   - Run / SimConfig: whole-cluster load experiments (Poisson traffic
-//     over FatTree or testbed-PoD topologies) with FCT-slowdown, queue
-//     and PFC statistics.
+//   - Experiment: whole-cluster load experiments composed from Topology,
+//     Traffic and Observer spec values, with FCT-slowdown, queue and PFC
+//     statistics; Experiment.Start also builds the Network above.
 //
 // The figure-by-figure reproduction lives in cmd/hpccexp; the raw
 // experiment code in internal/experiment.

@@ -40,7 +40,7 @@ func TestSenderStandalone(t *testing.T) {
 }
 
 func TestNetworkMicro(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Scheme: "hpcc", Hosts: 4})
+	net, err := hpcc.Experiment{Scheme: "hpcc", Topology: hpcc.Star{Hosts: 4}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestNetworkMicro(t *testing.T) {
 
 func TestNetworkSchemesAll(t *testing.T) {
 	for _, scheme := range hpcc.SchemeNames() {
-		net, err := hpcc.NewNetwork(hpcc.NetConfig{Scheme: scheme, Hosts: 3, LinkRateGbps: 25})
+		net, err := hpcc.Experiment{Scheme: scheme, Topology: hpcc.Star{Hosts: 3, LinkRateGbps: 25}}.Start()
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -78,7 +78,7 @@ func TestNetworkSchemesAll(t *testing.T) {
 }
 
 func TestNetworkIncastTrace(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Scheme: "hpcc", Hosts: 9})
+	net, err := hpcc.Experiment{Scheme: "hpcc", Topology: hpcc.Star{Hosts: 9}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestNetworkIncastTrace(t *testing.T) {
 }
 
 func TestNetworkScheduledFlowAndStop(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Hosts: 3, LinkRateGbps: 25})
+	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 3, LinkRateGbps: 25}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,14 @@ func TestNetworkScheduledFlowAndStop(t *testing.T) {
 }
 
 func TestRunLoadExperiment(t *testing.T) {
-	res, err := hpcc.Run(hpcc.SimConfig{
+	res, err := hpcc.Experiment{
 		Scheme:   "hpcc",
-		Flows:    150,
-		Duration: 4 * time.Millisecond,
+		Topology: hpcc.Pod{},
+		Traffic:  []hpcc.Traffic{hpcc.Poisson{CDF: hpcc.WebSearchCDF(), Load: 0.3}},
+		Horizon:  4 * time.Millisecond,
 		Drain:    12 * time.Millisecond,
-	})
+		MaxFlows: 150,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestRunLoadExperiment(t *testing.T) {
 }
 
 func TestNetworkParkingLot(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Topology: "parkinglot", Hosts: 2})
+	net, err := hpcc.Experiment{Topology: hpcc.ParkingLot{Segments: 2}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestNetworkParkingLot(t *testing.T) {
 }
 
 func TestNetworkRDMARead(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Hosts: 3})
+	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 3}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,29 +182,5 @@ func TestNetworkRDMARead(t *testing.T) {
 	net.RunUntilIdle()
 	if done != 2 {
 		t.Fatalf("READ completions = %d, want 2", done)
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	if _, err := hpcc.Run(hpcc.SimConfig{Scheme: "nope"}); err == nil {
-		t.Fatal("accepted unknown scheme")
-	}
-	if _, err := hpcc.Run(hpcc.SimConfig{Workload: "nope"}); err == nil {
-		t.Fatal("accepted unknown workload")
-	}
-	if _, err := hpcc.Run(hpcc.SimConfig{Topology: "nope"}); err == nil {
-		t.Fatal("accepted unknown topology")
-	}
-	// PaperScale is the 320-host FatTree; no other topology takes it.
-	for _, topo := range []string{"", "pod"} {
-		if _, err := hpcc.Run(hpcc.SimConfig{Topology: topo, PaperScale: true, Flows: 1}); err == nil {
-			t.Fatalf("accepted PaperScale with topology %q", topo)
-		}
-	}
-	if _, err := hpcc.NewNetwork(hpcc.NetConfig{Topology: "nope"}); err == nil {
-		t.Fatal("NewNetwork accepted unknown topology")
-	}
-	if _, err := hpcc.NewNetwork(hpcc.NetConfig{Scheme: "nope"}); err == nil {
-		t.Fatal("NewNetwork accepted unknown scheme")
 	}
 }

@@ -51,9 +51,11 @@ func fatTreeLoad(load float64, flows int, seed int64) LoadScenario {
 
 // resultHash fingerprints one LoadResult part by part, so a drifting
 // golden names the part that moved. Record and sample lists are sorted
-// first: their collection order is not part of the result.
+// first: their collection order is not part of the result. Engine is
+// the execution rather than the simulated network: an extra event per
+// packet moves it and nothing else.
 type resultHash struct {
-	FCT, QueueKB, Queue, Pause, Counters string
+	FCT, QueueKB, Queue, Pause, Counters, Engine string
 }
 
 func hashResult(r *LoadResult) resultHash {
@@ -112,13 +114,16 @@ func hashResult(r *LoadResult) resultHash {
 		Counters: sum(func(put func(...any)) {
 			put(r.Drops, int64(r.Started), int64(r.Censored), r.DataPackets, r.PortPackets, int64(r.Elapsed))
 		}),
+		Engine: sum(func(put func(...any)) {
+			put(r.Events, r.Deliveries, r.OffLane, int64(r.PendingHighWater))
+		}),
 	}
 }
 
 // goldenCase is one scenario whose single-engine LoadResult is pinned
 // to hashes recorded at commit 432dcfe (the last commit with
 // multi-engine execution, whose goldens checked these scenarios only
-// against each other).
+// against each other); the Engine part was recorded at 7e2bb35.
 type goldenCase struct {
 	name string
 	mk   func() LoadScenario
@@ -138,6 +143,7 @@ func checkGolden(t *testing.T, cases ...goldenCase) {
 				{"queue summary", got.Queue, c.want.Queue},
 				{"pause fraction", got.Pause, c.want.Pause},
 				{"counters", got.Counters, c.want.Counters},
+				{"engine counters", got.Engine, c.want.Engine},
 			}
 			for _, p := range parts {
 				if p.got != p.want {
@@ -151,7 +157,7 @@ func checkGolden(t *testing.T, cases ...goldenCase) {
 	}
 }
 
-var dumbbellGolden = resultHash{"81e904e08ad9a7b0", "9e08ea369c556b0e", "9e489b45f87ab5a3", "a8c7f832281a39c5", "a51a4598b8f55577"}
+var dumbbellGolden = resultHash{"81e904e08ad9a7b0", "9e08ea369c556b0e", "9e489b45f87ab5a3", "a8c7f832281a39c5", "a51a4598b8f55577", "43e22111dc10a8f0"}
 
 // The dumbbell under HPCC and DCQCN. CompletedWindow 4 must hash to the
 // uncapped HPCC constant: bounded flow retention changes no result.
@@ -162,7 +168,7 @@ func TestDumbbellGolden(t *testing.T) {
 			s := dumbbellLoad()
 			s.Scheme = ByNameMust("dcqcn")
 			return s
-		}, resultHash{"3935f5a590d50b31", "9e4196fe5b2d2508", "059a25eca68add35", "a8c7f832281a39c5", "af864ea155b9497d"}},
+		}, resultHash{"3935f5a590d50b31", "9e4196fe5b2d2508", "059a25eca68add35", "a8c7f832281a39c5", "af864ea155b9497d", "004dcaf4d4df6b87"}},
 		goldenCase{"window4", func() LoadScenario {
 			s := dumbbellLoad()
 			s.CompletedWindow = 4
@@ -173,7 +179,7 @@ func TestDumbbellGolden(t *testing.T) {
 
 func TestFatTreeGolden(t *testing.T) {
 	checkGolden(t, goldenCase{"fattree", func() LoadScenario { return fatTreeLoad(0.5, 120, 1) },
-		resultHash{"36156add0d4681b7", "5723f4f8e0f28610", "741af5fdd7b37a4d", "a8c7f832281a39c5", "b571f161d5d6b378"}})
+		resultHash{"36156add0d4681b7", "5723f4f8e0f28610", "741af5fdd7b37a4d", "a8c7f832281a39c5", "b571f161d5d6b378", "8226c86c1de4243e"}})
 }
 
 // A saturated FatTree with a 16-way incast on top: ECMP spreads the
@@ -185,7 +191,7 @@ func TestSaturatedMultipathGolden(t *testing.T) {
 		s.Until = 2 * sim.Millisecond
 		s.Drain = 15 * sim.Millisecond
 		return s
-	}, resultHash{"f35f554ff6d7cb2d", "b6b13a90d34786e2", "413b2121e0ac9b69", "d4997308047f8453", "da85ac526bd5e093"}})
+	}, resultHash{"f35f554ff6d7cb2d", "b6b13a90d34786e2", "413b2121e0ac9b69", "d4997308047f8453", "da85ac526bd5e093", "64a9333b165f048c"}})
 }
 
 // The dumbbell in sketch mode: no samples retained, FCT statistics
@@ -195,7 +201,7 @@ func TestSketchGolden(t *testing.T) {
 		s := dumbbellLoad()
 		s.SketchStats = true
 		return s
-	}, resultHash{"d6626dad21844b6d", "cbf29ce484222325", "8dc2d26a31ba3b47", "a8c7f832281a39c5", "a51a4598b8f55577"}})
+	}, resultHash{"d6626dad21844b6d", "cbf29ce484222325", "8dc2d26a31ba3b47", "a8c7f832281a39c5", "a51a4598b8f55577", "43e22111dc10a8f0"}})
 }
 
 // The dumbbell's traffic on an 8-host star, and the dumbbell with its
@@ -206,11 +212,11 @@ func TestLoadResultGolden(t *testing.T) {
 			s := dumbbellLoad()
 			s.Topo = StarTopo(8)
 			return s
-		}, resultHash{"9cddb63933c42de1", "389710db0c48b35b", "6fa4c1bfb1588097", "a8c7f832281a39c5", "87f0f593facfa260"}},
+		}, resultHash{"9cddb63933c42de1", "389710db0c48b35b", "6fa4c1bfb1588097", "a8c7f832281a39c5", "87f0f593facfa260", "734749d9f35526a4"}},
 		goldenCase{"dumbbell-samplecap16", func() LoadScenario {
 			s := dumbbellLoad()
 			s.QueueSampleCap = 16
 			return s
-		}, resultHash{"81e904e08ad9a7b0", "979b6b0c63ef268e", "fe685b556b0c3fef", "a8c7f832281a39c5", "a51a4598b8f55577"}},
+		}, resultHash{"81e904e08ad9a7b0", "979b6b0c63ef268e", "fe685b556b0c3fef", "a8c7f832281a39c5", "a51a4598b8f55577", "43e22111dc10a8f0"}},
 	)
 }

@@ -50,8 +50,8 @@ type FlowEvent struct {
 // Obs carries the optional observer callbacks a scenario attaches to a
 // run: per-flow FCT records, periodic queue samples, PFC pause
 // transitions, and — in sketch-stats mode — closed interval windows of
-// queue statistics. The public API's Observer values, cmd/hpccbench and
-// Network.TraceQueues all ride these hooks.
+// queue statistics. The public API's Observer values and
+// Network.TraceQueues ride these hooks.
 type Obs struct {
 	OnFlow  func(FlowEvent)
 	OnQueue func(stats.TimePoint)
@@ -197,8 +197,8 @@ type LoadResult struct {
 
 	// DataPackets counts data packets emitted by every sender flow
 	// (retransmissions included); PortPackets counts packets serialized
-	// across every port in the fabric (hop count). Both feed the perf
-	// harness (cmd/hpccbench).
+	// across every port in the fabric (hop count). Both feed the bench
+	// ledger's per-packet metrics.
 	DataPackets uint64
 	PortPackets uint64
 

@@ -75,8 +75,8 @@ func TestSketchStatsWithinAccuracy(t *testing.T) {
 	}
 }
 
-// streamScenario floods a 4-host star with fixed-1KB flows — the
-// hpccbench stream-flows fixture — so flow count scales without
+// streamScenario floods a 4-host star with fixed-1KB flows — the shape
+// of the bench stream-flows-4m workload — so flow count scales without
 // simulation cost.
 func streamScenario(flows int, sketch bool) LoadScenario {
 	fixed := workload.MustCDF("fixed-1KB", []workload.Point{{Bytes: 1000, Prob: 0}, {Bytes: 1000, Prob: 1}})

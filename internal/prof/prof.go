@@ -1,10 +1,7 @@
-// Package prof is the repo's profiling harness: a small wrapper around
-// runtime/pprof that the binaries (hpccbench, hpccsim) expose as
-// -cpuprofile / -memprofile / -mutexprofile flags. It exists so the
-// perf trajectory the benchmarks record (BENCH_PR*.json) can always be
-// explained — every baseline bump comes with a profile that
-// `go tool pprof` can open, and CI archives the bench-smoke CPU
-// profile as an artifact.
+// Package prof is hpccsim's profiling harness: a small wrapper around
+// runtime/pprof exposed as -cpuprofile / -memprofile flags, so any run
+// of the CLI can be explained with `go tool pprof`. The bench ledger
+// (bench/) traces its own runs and does not use it.
 //
 // Usage in a main:
 //
@@ -31,10 +28,8 @@ import (
 
 // Profiles holds the profile destinations registered on a FlagSet.
 type Profiles struct {
-	cpu      string
-	mem      string
-	mutex    string
-	mutexFrc int
+	cpu string
+	mem string
 }
 
 // RegisterFlags registers the profiling flags on fs and returns the
@@ -43,24 +38,16 @@ func RegisterFlags(fs *flag.FlagSet) *Profiles {
 	p := &Profiles{}
 	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&p.mem, "memprofile", "", "write a heap profile (post-GC, retained memory) to this file on exit")
-	fs.StringVar(&p.mutex, "mutexprofile", "", "write a mutex-contention profile to this file on exit")
-	fs.IntVar(&p.mutexFrc, "mutexfraction", 5, "with -mutexprofile, sample 1 in this many contention events")
 	return p
 }
 
-// Started reports whether any profile flag was set, i.e. whether Start
-// will do real work.
-func (p *Profiles) Started() bool {
-	return p.cpu != "" || p.mem != "" || p.mutex != ""
-}
-
-// Start begins CPU profiling and arms mutex sampling as requested.
-// The returned stop flushes every requested profile; call it after the
-// measured work and before reporting or exiting. Stop is idempotent.
-// On error nothing is left running and stop is still safe to call.
+// Start begins CPU profiling as requested. The returned stop flushes
+// every requested profile; call it after the measured work and before
+// reporting or exiting. Stop is idempotent. On error nothing is left
+// running and stop is still safe to call.
 func (p *Profiles) Start() (stop func() error, err error) {
 	noop := func() error { return nil }
-	if !p.Started() {
+	if p.cpu == "" && p.mem == "" {
 		return noop, nil
 	}
 	var cpuF *os.File
@@ -74,9 +61,6 @@ func (p *Profiles) Start() (stop func() error, err error) {
 			return noop, fmt.Errorf("prof: start cpu profile: %v", err)
 		}
 	}
-	if p.mutex != "" {
-		runtime.SetMutexProfileFraction(p.mutexFrc)
-	}
 	done := false
 	return func() error {
 		if done {
@@ -84,24 +68,17 @@ func (p *Profiles) Start() (stop func() error, err error) {
 		}
 		done = true
 		var firstErr error
-		keep := func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 		if cpuF != nil {
 			pprof.StopCPUProfile()
-			keep(cpuF.Close())
-		}
-		if p.mutex != "" {
-			keep(writeProfile("mutex", p.mutex))
-			runtime.SetMutexProfileFraction(0)
+			firstErr = cpuF.Close()
 		}
 		if p.mem != "" {
 			// Flush transient garbage so the heap profile shows what the
 			// run actually retains.
 			runtime.GC()
-			keep(writeProfile("heap", p.mem))
+			if err := writeHeap(p.mem); firstErr == nil {
+				firstErr = err
+			}
 		}
 		if firstErr != nil {
 			return fmt.Errorf("prof: %v", firstErr)
@@ -110,13 +87,13 @@ func (p *Profiles) Start() (stop func() error, err error) {
 	}, nil
 }
 
-// writeProfile dumps one named runtime profile to path.
-func writeProfile(name, path string) error {
+// writeHeap dumps the heap profile to path.
+func writeHeap(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
+	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
 		f.Close()
 		return err
 	}

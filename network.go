@@ -1,7 +1,6 @@
 package hpcc
 
 import (
-	"fmt"
 	"time"
 
 	"hpcc/internal/experiment"
@@ -23,62 +22,8 @@ func SchemeNames() []string {
 	}
 }
 
-// NetConfig describes a simulated fabric for flow-level experiments.
-//
-// It is the legacy string-keyed surface, kept as a thin wrapper over
-// the spec-based Experiment API: every Topology string maps onto the
-// corresponding Topology spec value (Star, Pod, FatTree, ParkingLot).
-// New code should compose an Experiment directly.
-type NetConfig struct {
-	// Scheme is the congestion control to run (see SchemeNames).
-	Scheme string
-	// Topology: "star" (Hosts around one switch), "pod" (the paper's
-	// 32-server dual-homed testbed), "fattree" (three-tier Clos), or
-	// "parkinglot" (multi-bottleneck chain; Hosts counts the segments,
-	// see ParkingLot for the host layout).
-	Topology string
-	// Hosts is the host count for "star" (default 17, the §5.4
-	// fixture) or the segment count for "parkinglot" (default 2; any
-	// explicit positive value — including 17 — is honored).
-	Hosts int
-	// LinkRateGbps is the NIC speed for "star" and "parkinglot"
-	// (default 100).
-	LinkRateGbps int
-	// PaperScale builds the full 320-host FatTree instead of the
-	// CI-sized one.
-	PaperScale bool
-	// Seed makes runs reproducible (default 1).
-	Seed int64
-}
-
-// topology maps the legacy strings onto Topology specs — the only
-// place the string spellings survive.
-func (cfg NetConfig) topology() (Topology, error) {
-	switch cfg.Topology {
-	case "", "star":
-		return Star{Hosts: cfg.Hosts, LinkRateGbps: cfg.LinkRateGbps}, nil
-	case "pod":
-		return Pod{}, nil
-	case "fattree":
-		if cfg.PaperScale {
-			return PaperFatTree(), nil
-		}
-		return FatTree{}, nil
-	case "parkinglot":
-		segments := cfg.Hosts
-		if segments < 0 {
-			segments = 0
-		}
-		return ParkingLot{Segments: segments, LinkRateGbps: cfg.LinkRateGbps}, nil
-	default:
-		return nil, fmt.Errorf("hpcc: unknown topology %q", cfg.Topology)
-	}
-}
-
 // Network is a running simulated fabric accepting explicit flows — the
-// micro-benchmark surface of the library. Build one from a legacy
-// NetConfig via NewNetwork, or from composable specs via
-// Experiment.Start.
+// micro-benchmark surface of the library. Experiment.Start builds one.
 type Network struct {
 	eng    *sim.Engine
 	nw     *topology.Network
@@ -95,17 +40,6 @@ type Flow struct {
 	// onProgress buffers a callback registered before a scheduled flow
 	// materializes; StartFlowAt's closure attaches it at start time.
 	onProgress func(*host.Flow, int64)
-}
-
-// NewNetwork builds a fabric per cfg. PFC is enabled (lossless), as on
-// the paper's testbed. It is a back-compat wrapper over
-// Experiment.Start with the equivalent Topology spec.
-func NewNetwork(cfg NetConfig) (*Network, error) {
-	topo, err := cfg.topology()
-	if err != nil {
-		return nil, err
-	}
-	return Experiment{Scheme: cfg.Scheme, Topology: topo, Seed: cfg.Seed}.Start()
 }
 
 // NumHosts returns the host count.

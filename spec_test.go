@@ -307,91 +307,10 @@ func TestPFCObserverStreams(t *testing.T) {
 	}
 }
 
-// Legacy NetConfig strings must produce the same fabric and identical
-// flow results as the equivalent spec through the new wrappers.
-func TestBackCompatNetConfigMatchesSpecs(t *testing.T) {
-	legacy, err := hpcc.NewNetwork(hpcc.NetConfig{Scheme: "hpcc", Hosts: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := hpcc.Experiment{Scheme: "hpcc", Topology: hpcc.Star{Hosts: 5}, Seed: 2}.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fcts [2][]time.Duration
-	for i, net := range []*hpcc.Network{legacy, spec} {
-		var fs []*hpcc.Flow
-		for s := 0; s < 4; s++ {
-			fs = append(fs, net.StartFlow(s, 4, 250_000))
-		}
-		net.RunUntilIdle()
-		for _, f := range fs {
-			if !f.Done() {
-				t.Fatal("flow unfinished")
-			}
-			fcts[i] = append(fcts[i], f.FCT())
-		}
-	}
-	for j := range fcts[0] {
-		if fcts[0][j] != fcts[1][j] {
-			t.Fatalf("flow %d: legacy FCT %v != spec FCT %v", j, fcts[0][j], fcts[1][j])
-		}
-	}
-}
-
-// Legacy SimConfig must produce byte-identical JSON to the equivalent
-// Experiment at the same seed — the string surface is a pure wrapper.
-func TestBackCompatRunMatchesExperiment(t *testing.T) {
-	legacy, err := hpcc.Run(hpcc.SimConfig{
-		Scheme: "hpcc", Topology: "pod", Workload: "websearch",
-		Load: 0.3, Flows: 120, Duration: 3 * time.Millisecond,
-		Drain: 8 * time.Millisecond, Incast: true, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := hpcc.Experiment{
-		Scheme:   "hpcc",
-		Topology: hpcc.Pod{},
-		Traffic: []hpcc.Traffic{
-			hpcc.Poisson{CDF: hpcc.WebSearchCDF(), Load: 0.3},
-			hpcc.Incast{FanIn: 16, FlowSizeBytes: 500_000, LoadFraction: 0.02},
-		},
-		Horizon:  3 * time.Millisecond,
-		Drain:    8 * time.Millisecond,
-		MaxFlows: 120,
-		Seed:     5,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(legacy)
-	b, _ := json.Marshal(spec)
-	if string(a) != string(b) {
-		t.Fatalf("legacy != spec:\n%s\n%s", a, b)
-	}
-	if legacy.Flows == 0 {
-		t.Fatal("empty run")
-	}
-	// Determinism: an identical experiment reruns byte-identically.
-	again, err := hpcc.Run(hpcc.SimConfig{
-		Scheme: "hpcc", Topology: "pod", Workload: "websearch",
-		Load: 0.3, Flows: 120, Duration: 3 * time.Millisecond,
-		Drain: 8 * time.Millisecond, Incast: true, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := json.Marshal(again)
-	if string(a) != string(c) {
-		t.Fatal("same-seed rerun diverged")
-	}
-}
-
-// The parking-lot sentinel bug: an explicit Hosts (segments) of 17
-// must be honored, not silently remapped to 2.
+// The parking-lot sentinel bug: an explicit segment count of 17 must be
+// honored, not silently remapped to 2.
 func TestParkingLotHonorsExplicitSegments(t *testing.T) {
-	net, err := hpcc.NewNetwork(hpcc.NetConfig{Topology: "parkinglot", Hosts: 17})
+	net, err := hpcc.Experiment{Topology: hpcc.ParkingLot{Segments: 17}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +318,7 @@ func TestParkingLotHonorsExplicitSegments(t *testing.T) {
 		t.Fatalf("17-segment parking lot has %d hosts, want %d", got, want)
 	}
 	// The default is still 2 segments.
-	def, err := hpcc.NewNetwork(hpcc.NetConfig{Topology: "parkinglot"})
+	def, err := hpcc.Experiment{Topology: hpcc.ParkingLot{}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
