@@ -8,21 +8,13 @@
 //	hpcclint <cfg>          analyze one package unit described by the
 //	                        JSON config file cmd/go writes
 //	hpcclint -list          describe every analyzer and its invariant
-//	hpcclint -list-allows   inventory every annotation under a tree
-//	hpcclint -json <cfg>    emit findings as JSON instead of text
 //
-// Facts: each unit exports its interprocedural summaries (see
-// internal/analysis/facts.go) as JSON to the VetxOutput file cmd/go
-// assigns it, and imports dependency summaries from the files listed in
-// PackageVetx — the same channel x/tools unitcheckers use for facts.
-// Packages outside this module export an empty placeholder, so only
-// hpcc packages pay the typechecking cost during the facts-only pass.
+// The analyzers export no facts, so a unit that cmd/go runs only for
+// its facts (VetxOnly) returns at once, and no unit writes its
+// VetxOutput file; cmd/go treats a missing one as no facts.
 //
 // Findings print as file:line:col: message and exit with status 2, the
-// convention go vet interprets as "diagnostics reported". When the
-// HPCCLINT_JSON environment variable names a file, every finding is
-// also appended to it as one JSON object per line — units run as
-// separate processes, so CI collects one merged JSONL artifact there.
+// convention go vet interprets as "diagnostics reported".
 package main
 
 import (
@@ -35,28 +27,24 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"hpcc/internal/analysis"
 )
 
 // version feeds the go build cache key: bump it whenever analyzer
-// behavior or the fact schema changes, or cached empty vetx files from
-// older runs would be replayed as "no facts".
-const version = "2.1.0"
+// behavior changes, so no cached vet output from an older build is
+// reused.
+const version = "3.0.0"
 
 func main() {
 	flagV := flag.String("V", "", "print version and exit (use -V=full for the build-cache id)")
 	flagFlags := flag.Bool("flags", false, "print the tool's flag schema as JSON and exit")
 	flagList := flag.Bool("list", false, "list the analyzers, the invariant each pins, and exit")
-	flagListAllows := flag.String("list-allows", "", "inventory hpcclint annotations under the given directory and exit")
-	flagJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout instead of text on stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hpcclint [-list] [-list-allows dir] [-V=full] [-flags] [-json] <unit.cfg>\n")
+		fmt.Fprintf(os.Stderr, "usage: hpcclint [-list] [-V=full] [-flags] <unit.cfg>\n")
 		fmt.Fprintf(os.Stderr, "run via: go vet -vettool=$(command -v hpcclint) ./...\n")
 		flag.PrintDefaults()
 	}
@@ -76,19 +64,13 @@ func main() {
 	case *flagList:
 		list()
 		return
-	case *flagListAllows != "":
-		if err := listAllows(*flagListAllows); err != nil {
-			fmt.Fprintf(os.Stderr, "hpcclint: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(1)
 	}
-	exitcode, err := runUnit(flag.Arg(0), *flagJSON)
+	exitcode, err := runUnit(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpcclint: %v\n", err)
 		os.Exit(1)
@@ -107,63 +89,6 @@ func list() {
 	}
 }
 
-// listAllows prints every hpcclint annotation under dir, one per line,
-// sorted by position — the escape inventory CI diffs so a new escape is
-// visible in review. testdata fixtures are excluded (their annotations
-// exercise the analyzers rather than excuse real code).
-func listAllows(dir string) error {
-	fset := token.NewFileSet()
-	var lines []string
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || name == ".git" || strings.HasPrefix(name, ".") && name != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return fmt.Errorf("parse %s: %v", path, err)
-		}
-		rel, rerr := filepath.Rel(dir, path)
-		if rerr != nil {
-			rel = path
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				kind, rest, ok := analysis.ParseDirective(c.Text)
-				if !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				entry := fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, kind)
-				if rest != "" {
-					entry += " " + rest
-				}
-				lines = append(lines, entry)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// WalkDir visits files in lexical order and comments arrive in
-	// source order, so the inventory is already (file, line)-sorted —
-	// stable for committed-inventory diffs in CI.
-	for _, l := range lines {
-		fmt.Println(l)
-	}
-	return nil
-}
-
 // unitConfig mirrors the JSON config cmd/go writes for each package
 // unit (the unitchecker.Config wire format).
 type unitConfig struct {
@@ -178,34 +103,11 @@ type unitConfig struct {
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
 	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
-	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
-// inModule reports whether the unit belongs to this module: only hpcc
-// packages carry facts, so everything else writes an empty placeholder.
-func (cfg *unitConfig) inModule() bool {
-	path := cfg.ImportPath
-	// Test variants are listed as "pkg [pkg.test]" or "pkg.test".
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return path == "hpcc" || strings.HasPrefix(path, "hpcc/")
-}
-
-// jsonFinding is the machine-readable form of one diagnostic.
-type jsonFinding struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
-}
-
-func runUnit(cfgPath string, jsonOut bool) (int, error) {
+func runUnit(cfgPath string) (int, error) {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		return 1, err
@@ -214,23 +116,8 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return 1, fmt.Errorf("parse %s: %v", cfgPath, err)
 	}
-
-	writeVetx := func(facts []byte) error {
-		if cfg.VetxOutput == "" {
-			return nil
-		}
-		return os.WriteFile(cfg.VetxOutput, facts, 0o666)
-	}
-
-	// Packages outside the module contribute no facts; skip the parse
-	// and typecheck entirely on their facts-only pass.
-	if !cfg.inModule() {
-		if err := writeVetx(nil); err != nil {
-			return 1, err
-		}
-		if cfg.VetxOnly {
-			return 0, nil
-		}
+	if cfg.VetxOnly {
+		return 0, nil
 	}
 
 	fset := token.NewFileSet()
@@ -239,7 +126,7 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return 0, writeVetx(nil)
+				return 0, nil
 			}
 			return 1, err
 		}
@@ -249,34 +136,9 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 	pkg, info, err := typecheck(&cfg, fset, files)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return 0, writeVetx(nil)
+			return 0, nil
 		}
 		return 1, fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err)
-	}
-
-	var facts *analysis.PackageFacts
-	if cfg.inModule() {
-		facts = analysis.ComputeFacts(fset, files, pkg, info, func(path string) (analysis.SerializedFacts, error) {
-			vetx, ok := cfg.PackageVetx[path]
-			if !ok {
-				return nil, nil
-			}
-			data, err := os.ReadFile(vetx)
-			if err != nil {
-				return nil, nil // missing facts degrade to intraprocedural
-			}
-			return analysis.DecodeFacts(data)
-		})
-		exported, err := facts.Export()
-		if err != nil {
-			return 1, fmt.Errorf("export facts for %s: %v", cfg.ImportPath, err)
-		}
-		if err := writeVetx(exported); err != nil {
-			return 1, err
-		}
-	}
-	if cfg.VetxOnly {
-		return 0, nil
 	}
 
 	var diags []analysis.Diagnostic
@@ -287,7 +149,6 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 			Files:    files,
 			Pkg:      pkg,
 			Info:     info,
-			Facts:    facts,
 			Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
@@ -295,63 +156,13 @@ func runUnit(cfgPath string, jsonOut bool) (int, error) {
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-
-	findings := make([]jsonFinding, 0, len(diags))
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		findings = append(findings, jsonFinding{
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-			Chain:    d.Chain,
-		})
-	}
-	if err := appendJSONL(findings); err != nil {
-		return 1, err
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(findings); err != nil {
-			return 1, err
-		}
-	} else {
-		for i, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), findings[i].Message)
-		}
+		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
 	}
 	if len(diags) == 0 {
 		return 0, nil
 	}
 	return 2, nil
-}
-
-// appendJSONL appends findings to $HPCCLINT_JSON, one JSON object per
-// line. Each vet unit is a separate process appending whole lines, so a
-// parallel run still yields one well-formed JSONL file.
-func appendJSONL(findings []jsonFinding) error {
-	path := os.Getenv("HPCCLINT_JSON")
-	if path == "" || len(findings) == 0 {
-		return nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var buf strings.Builder
-	for _, fd := range findings {
-		line, err := json.Marshal(fd)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	_, err = io.WriteString(f, buf.String())
-	return err
 }
 
 // typecheck resolves imports through the export data cmd/go lists in

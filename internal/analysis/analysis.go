@@ -1,22 +1,21 @@
-// Package analysis is hpcclint: a static-analysis suite that enforces
-// the simulator's determinism and hot-path invariants at build time.
-// Each analyzer pins a contract the repo otherwise guarantees only
-// through golden tests that fire *after* a regression lands:
+// Package analysis is hpcclint: a static-analysis check that enforces
+// the simulator's determinism invariant at build time. It pins a
+// contract the repo otherwise guarantees only through golden tests that
+// fire *after* a regression lands:
 //
 //   - determinism: no wall clock, global RNG, goroutines or
 //     order-sensitive map iteration in simulation packages — the bug
 //     classes that break byte-identical results from run to run and
 //     across campaign worker counts (-parallel N).
-//   - hotpathalloc: functions annotated //hpcclint:alloc-free contain
-//     no allocating constructs.
 //
-// Both are interprocedural: a facts pass (facts.go, callgraph.go)
-// computes per-function summaries — MayWallClock, MayGlobalRand,
-// MayAlloc — propagates them bottom-up through the
-// package call graph, and serializes them per package through the vet
-// unitchecker protocol, so calling a helper that transitively reaches
-// time.Now is flagged at the sim-package call site with the full chain
-// ("a → b → time.Now") in the diagnostic.
+// The check is intraprocedural: it looks only at the bodies of the
+// packages in simScope. That is enough because the scope is closed — no
+// scoped package imports an unscoped package of this module, save the
+// one exception TestDeterminismScopeIsClosed names — so every function a
+// simulation calls into is itself checked where it is declared.
+//
+// The per-packet allocation contract is not linted; the
+// testing.AllocsPerRun tests pin it on every `go test ./...`.
 //
 // The suite is framework-compatible in spirit with
 // golang.org/x/tools/go/analysis but self-contained on the standard
@@ -28,11 +27,7 @@
 // Escapes are explicit comments, each carrying a reason:
 //
 //	//hpcclint:allow <a>[,<b>] -- <reason>    suppress those analyzers on
-//	                                          this line or the next; also
-//	                                          cleanses the construct from
-//	                                          interprocedural summaries
-//	//hpcclint:alloc-free                     opt a function into
-//	                                          hotpathalloc checking
+//	                                          this line or the next
 //
 // An escape without a reason is ignored (the diagnostic still fires), so
 // every escape in the tree documents why it is legitimate.
@@ -55,12 +50,6 @@ const ReadmeAnchor = "README.md#static-analysis--invariants"
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Analyzer is the name of the analyzer that produced the finding.
-	Analyzer string
-	// Chain is the call path from the reported call site to the taint
-	// root for interprocedural findings ("a → b → time.Now"); empty for
-	// direct findings.
-	Chain []string
 }
 
 // Analyzer is one named invariant checker.
@@ -79,10 +68,7 @@ type Analyzer struct {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		DeterminismAnalyzer,
-		HotPathAllocAnalyzer,
-	}
+	return []*Analyzer{DeterminismAnalyzer}
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -92,11 +78,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-
-	// Facts holds the interprocedural summaries for this package and
-	// its dependencies (see facts.go). Nil disables call-site taint
-	// checks, leaving each analyzer purely intraprocedural.
-	Facts *PackageFacts
 
 	// Report receives diagnostics that survive //hpcclint:allow
 	// filtering.
@@ -110,37 +91,20 @@ type Pass struct {
 // invariant name and README anchor are appended so the message is
 // self-explanatory wherever it surfaces.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportChainf is Reportf for interprocedural findings: the taint chain
-// (call path from the flagged call to the root construct) is appended to
-// the message and carried structurally for -json output.
-func (p *Pass) ReportChainf(pos token.Pos, chain []string, format string, args ...interface{}) {
-	p.report(pos, chain, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, chain []string, format string, args ...interface{}) {
-	if p.Allowed(p.Analyzer.Name, pos) {
+	if p.allowed(p.Analyzer.Name, pos) {
 		return
-	}
-	msg := fmt.Sprintf(format, args...)
-	if len(chain) > 0 {
-		msg = fmt.Sprintf("%s [chain: %s]", msg, strings.Join(chain, " → "))
 	}
 	p.Report(Diagnostic{
 		Pos: pos,
 		Message: fmt.Sprintf("%s [invariant: %s; see %s]",
-			msg, p.Analyzer.Invariant, ReadmeAnchor),
-		Analyzer: p.Analyzer.Name,
-		Chain:    chain,
+			fmt.Sprintf(format, args...), p.Analyzer.Invariant, ReadmeAnchor),
 	})
 }
 
-// Allowed reports whether an allow annotation for the named analyzer
+// allowed reports whether an allow annotation for the named analyzer
 // covers pos: a directive on the same line (trailing comment) or on the
 // line directly above.
-func (p *Pass) Allowed(name string, pos token.Pos) bool {
+func (p *Pass) allowed(name string, pos token.Pos) bool {
 	f := p.fileOf(pos)
 	if f == nil {
 		return false
@@ -177,7 +141,7 @@ func buildAllowIndex(fset *token.FileSet, f *ast.File) map[int][]string {
 	idx := make(map[int][]string)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			names := AllowedAnalyzers(c.Text)
+			names := allowedAnalyzers(c.Text)
 			if len(names) == 0 {
 				continue
 			}
@@ -188,13 +152,13 @@ func buildAllowIndex(fset *token.FileSet, f *ast.File) map[int][]string {
 	return idx
 }
 
-// AllowedAnalyzers decodes an escape comment into the analyzer names it
+// allowedAnalyzers decodes an escape comment into the analyzer names it
 // suppresses: "//hpcclint:allow a,b -- reason" suppresses a and b. A
 // reasonless escape suppresses nothing (the diagnostic still fires), so
 // every escape in the tree documents why it is legitimate.
-func AllowedAnalyzers(comment string) []string {
-	kind, rest, ok := ParseDirective(comment)
-	if !ok || kind != "allow" {
+func allowedAnalyzers(comment string) []string {
+	rest, ok := strings.CutPrefix(comment, "//hpcclint:allow ")
+	if !ok {
 		return nil
 	}
 	names, reason, found := strings.Cut(rest, "--")
@@ -210,28 +174,14 @@ func AllowedAnalyzers(comment string) []string {
 	return out
 }
 
-// ParseDirective decodes an "//hpcclint:<kind> <rest>" comment,
-// reporting ok = false for ordinary comments. Kind is "allow" or
-// "alloc-free".
-func ParseDirective(text string) (kind, rest string, ok bool) {
-	const prefix = "//hpcclint:"
-	if !strings.HasPrefix(text, prefix) {
-		return "", "", false
-	}
-	body := strings.TrimPrefix(text, prefix)
-	kind, rest, _ = strings.Cut(body, " ")
-	switch kind {
-	case "allow", "alloc-free":
-		return kind, strings.TrimSpace(rest), true
-	}
-	return "", "", false
-}
-
 // simScope lists the package names under internal/ whose code runs
 // inside (or schedules) the deterministic simulation: the determinism
 // analyzer applies to exactly these. internal/campaign is included
-// because its worker pool brackets every scenario run.
-var simScope = []string{"sim", "fabric", "host", "topology", "workload", "cc", "campaign"}
+// because its worker pool brackets every scenario run, internal/packet
+// because every hop runs its code, internal/stats because its sketches
+// hold every result and campaign merges them. TestDeterminismScopeIsClosed
+// keeps the list closed under imports.
+var simScope = []string{"sim", "fabric", "host", "topology", "workload", "cc", "campaign", "packet", "stats"}
 
 // inSimScope reports whether the import path is one of the simulation
 // packages (".../internal/<name>" or a subpackage of it, e.g.

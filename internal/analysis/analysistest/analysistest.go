@@ -25,12 +25,8 @@ import (
 )
 
 // Run loads testdata/src/<importPath>, type-checks it with imports
-// resolved from testdata/src, computes interprocedural facts for the
-// package and (recursively) its fixture dependencies — round-tripping
-// each dependency's facts through the serialized vetx form, so fixtures
-// exercise the same fact export/import path the unitchecker uses — runs
-// the analyzer, and compares the diagnostics with the fixture's want
-// comments.
+// resolved from testdata/src, runs the analyzer, and compares the
+// diagnostics with the fixture's want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPath string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -48,7 +44,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPath string)
 		Files:    lp.files,
 		Pkg:      lp.pkg,
 		Info:     lp.info,
-		Facts:    lp.facts,
 		Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
@@ -120,14 +115,11 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 	}
 }
 
-// loadedPkg is one fully-analyzed fixture package: parsed files, type
-// information, and the interprocedural fact summaries.
+// loadedPkg is one type-checked fixture package.
 type loadedPkg struct {
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
-	facts *analysis.PackageFacts
-	vetx  []byte // serialized facts, as a dependency would export them
 }
 
 // loader parses and type-checks packages rooted at testdata/src,
@@ -138,9 +130,7 @@ type loader struct {
 	pkgs   map[string]*loadedPkg
 }
 
-// load parses, type-checks and fact-computes one fixture package,
-// memoized. Dependency facts resolve through the serialized form, the
-// in-process equivalent of reading a vetx file.
+// load parses and type-checks one fixture package, memoized.
 func (l *loader) load(importPath string) (*loadedPkg, error) {
 	if lp, ok := l.pkgs[importPath]; ok {
 		return lp, nil
@@ -154,18 +144,7 @@ func (l *loader) load(importPath string) (*loadedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	facts := analysis.ComputeFacts(l.fset, files, pkg, info, func(path string) (analysis.SerializedFacts, error) {
-		dep, ok := l.pkgs[path]
-		if !ok {
-			return nil, nil // outside the fixture tree: no facts
-		}
-		return analysis.DecodeFacts(dep.vetx)
-	})
-	vetx, err := facts.Export()
-	if err != nil {
-		return nil, fmt.Errorf("export facts for %s: %v", importPath, err)
-	}
-	lp := &loadedPkg{files: files, pkg: pkg, info: info, facts: facts, vetx: vetx}
+	lp := &loadedPkg{files: files, pkg: pkg, info: info}
 	l.pkgs[importPath] = lp
 	return lp, nil
 }
@@ -203,10 +182,7 @@ func (l *loader) check(importPath string, files []*ast.File, info *types.Info) (
 	return conf.Check(importPath, l.fset, files, info)
 }
 
-// Import implements types.Importer over the testdata/src tree. Each
-// dependency is fully loaded — typechecked and fact-computed — before
-// the importing package's own analysis begins, mirroring the bottom-up
-// order cmd/go drives the unitchecker in.
+// Import implements types.Importer over the testdata/src tree.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

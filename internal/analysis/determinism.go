@@ -10,12 +10,11 @@ import (
 // package's results differ from run to run or with the campaign's
 // worker count (-parallel N): wall-clock reads, draws from the global
 // math/rand source, goroutine launches, and iteration over maps where
-// the body's effects depend on iteration order. It is interprocedural:
-// calling a helper outside the simulation scope that transitively
-// reaches time.Now/time.Since or a global RNG draw is flagged at the
-// call site with the full chain (helpers inside the scope are flagged
-// where their own body offends, so each root is reported exactly
-// once). The invariant is pinned at runtime by the golden tests
+// the body's effects depend on iteration order. It is intraprocedural
+// and sees only the packages in simScope; TestDeterminismScopeIsClosed
+// keeps every package they import inside that scope, so a helper that
+// reads the wall clock is flagged where its own body does. The
+// invariant is pinned at runtime by the golden tests
 // (internal/experiment/golden_test.go) and the CI run-twice and
 // -parallel smokes; this analyzer catches it at build time instead.
 var DeterminismAnalyzer = &Analyzer{
@@ -62,7 +61,6 @@ func checkNondeterministicCall(pass *Pass, call *ast.CallExpr) {
 				"time.%s in a simulation package: wall-clock reads diverge from run to run; "+
 					"use the engine clock (Engine.Now) or annotate //hpcclint:allow determinism -- <reason>", fn.Name())
 		}
-		return
 	case "math/rand", "math/rand/v2":
 		// Package-level functions draw from the shared global source;
 		// seeded *rand.Rand streams (methods) are the deterministic
@@ -72,34 +70,21 @@ func checkNondeterministicCall(pass *Pass, call *ast.CallExpr) {
 				"math/rand.%s draws from the process-global source; thread a seeded *rand.Rand from the spec "+
 					"(sim.NewRNG) or annotate //hpcclint:allow determinism -- <reason>", fn.Name())
 		}
-		return
 	}
-	checkTaintedDetCall(pass, call, fn)
 }
 
-// checkTaintedDetCall flags calls into helpers outside the simulation
-// scope whose summaries say they transitively reach a wall-clock read
-// or a global RNG draw. Callees inside the scope are skipped: their own
-// package's analysis reports the offending construct, so each root
-// surfaces exactly once.
-func checkTaintedDetCall(pass *Pass, call *ast.CallExpr, fn *types.Func) {
-	if pass.Facts == nil || inSimScope(fn.Pkg().Path()) {
-		return
+// isGlobalRandDraw reports whether fn is a package-level math/rand
+// function that draws from the shared global source (constructors are
+// not draws; methods on seeded sources are the deterministic pattern).
+func isGlobalRandDraw(fn *types.Func) bool {
+	if fn.Signature().Recv() != nil {
+		return false
 	}
-	if t := pass.Facts.TaintOf(fn, KindWallClock); t != nil {
-		chain := append([]string{displayName(fn, pass.Pkg)}, t.Chain...)
-		pass.ReportChainf(call.Pos(), chain,
-			"call to %s reaches a wall-clock read: wall-clock values diverge from run to run; "+
-				"use the engine clock (Engine.Now) or annotate //hpcclint:allow determinism -- <reason>",
-			displayName(fn, pass.Pkg))
+	switch fn.Name() {
+	case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
+		return false
 	}
-	if t := pass.Facts.TaintOf(fn, KindGlobalRand); t != nil {
-		chain := append([]string{displayName(fn, pass.Pkg)}, t.Chain...)
-		pass.ReportChainf(call.Pos(), chain,
-			"call to %s draws from the process-global math/rand source; thread a seeded *rand.Rand from "+
-				"the spec (sim.NewRNG) or annotate //hpcclint:allow determinism -- <reason>",
-			displayName(fn, pass.Pkg))
-	}
+	return true
 }
 
 // checkMapRange flags `range m` over a map when the loop body's effect

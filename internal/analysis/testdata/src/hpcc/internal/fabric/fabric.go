@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"hpcc/internal/util"
 )
 
 type port struct {
@@ -53,20 +51,6 @@ func (f *fab) metered() {
 // elapsed: time.Since is a wall-clock read too.
 func (f *fab) elapsed(t0 time.Time) {
 	_ = time.Since(t0) // want `time\.Since in a simulation package`
-}
-
-// stamped calls a helper outside the sim scope that transitively
-// reaches the wall clock: flagged at the call site, with the chain
-// imported from util's serialized facts.
-func (f *fab) stamped() {
-	_ = util.Stamp() // want `call to util\.Stamp reaches a wall-clock read.*\[chain: util\.Stamp → wall → time\.Now\]`
-}
-
-// quieted calls a helper whose wall-clock read carries an audited
-// escape: the allow cleanses the summary, so the call site is clean.
-func (f *fab) quieted() {
-	_ = util.Quiet()
-	_ = util.Pure(1, 2)
 }
 
 // commutative integer accumulation over a map is order-insensitive.

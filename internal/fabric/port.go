@@ -16,9 +16,8 @@ type fifo[T any] struct {
 	head int
 }
 
-//hpcclint:alloc-free
 func (f *fifo[T]) push(e T) {
-	f.buf = append(f.buf, e) //hpcclint:allow hotpathalloc -- ring growth is amortized; capacity is reused after pop/reset (TestForwardingHotPathAllocFree)
+	f.buf = append(f.buf, e) // capacity is reused after pop/reset (TestForwardingHotPathAllocFree)
 }
 
 func (f *fifo[T]) pop() T {
@@ -209,8 +208,6 @@ func (pt *Port) SetPaused(prio uint8, pause bool) {
 // A frame that meets an idle transmitter (frame ended, queues empty, no
 // kick armed, its priority not paused) cuts through: it is serialized
 // at once, exactly as kick would after pushing and popping it back.
-//
-//hpcclint:alloc-free
 func (pt *Port) Enqueue(p *packet.Packet, ingress int) {
 	prio := p.Prio
 	size := int64(p.Size)
@@ -240,8 +237,6 @@ func (pt *Port) Enqueue(p *packet.Packet, ingress int) {
 // end, exactly when the eager per-packet tx-complete event used to
 // fire. A drained queue arms nothing: the next Enqueue or PFC resume
 // restarts service, inline when the frame has already ended.
-//
-//hpcclint:alloc-free
 func (pt *Port) kick() {
 	now := pt.eng.Now()
 	if now < pt.busyUntil {
@@ -282,8 +277,6 @@ func (pt *Port) kick() {
 // last bit leaves, the owner sees the dequeue (buffer release, PFC
 // resume, INT stamp), the deferred kick is armed if frames wait behind
 // it, and the frame is handed to the wire for delivery at the peer.
-//
-//hpcclint:alloc-free
 func (pt *Port) serialize(p *packet.Packet, ingress int, now sim.Time) {
 	pt.busyUntil = now + pt.rate.TxTime(int(p.Size))
 	pt.txBytes += uint64(p.Size)
@@ -299,8 +292,6 @@ func (pt *Port) serialize(p *packet.Packet, ingress int, now sim.Time) {
 
 // Arrive is the far end of the local wire (sim.Sink): the frame handed
 // to Deliver at serialization time reaches the peer.
-//
-//hpcclint:alloc-free
 func (pt *Port) Arrive(arg any) {
 	pt.peer.HandleArrival(arg.(*packet.Packet), pt.peerPort)
 }

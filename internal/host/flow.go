@@ -228,8 +228,6 @@ func (f *Flow) armSendTimer() {
 }
 
 // handleAck processes a cumulative (and, under IRN, selective) ACK.
-//
-//hpcclint:alloc-free
 func (f *Flow) handleAck(p *packet.Packet) {
 	if f.done {
 		return

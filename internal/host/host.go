@@ -331,12 +331,12 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 // getFlow returns a blank flow for StartFlow, recycled when it can be:
 // a recycled flow keeps everything newFlow bound to its pointer and has
 // every other field reset by one whole-struct assignment.
-//
-//hpcclint:alloc-free
 func (h *Host) getFlow() *Flow {
 	n := len(h.flowFree)
 	if n == 0 {
-		return h.newFlow() //hpcclint:allow hotpathalloc -- free-list miss: with CompletedWindow > 0 a host allocates as many flows as its peak live + retained count, then recycles
+		// With CompletedWindow > 0 a host allocates as many flows as its
+		// peak live + retained count, then recycles.
+		return h.newFlow()
 	}
 	f := h.flowFree[n-1]
 	h.flowFree = h.flowFree[:n-1]
@@ -447,7 +447,7 @@ func (h *Host) noteFlowDone(f *Flow) {
 		return
 	}
 	if len(h.retired) < w {
-		h.retired = append(h.retired, f.ID) //hpcclint:allow hotpathalloc -- retention ring fills once up to CompletedWindow, then recycles slots in place
+		h.retired = append(h.retired, f.ID)
 		return
 	}
 	old := h.retired[h.retiredHead]
@@ -460,7 +460,9 @@ func (h *Host) noteFlowDone(f *Flow) {
 		h.evicted++
 		h.evictedPkts += g.pktsSent
 		if !g.pinned {
-			h.flowFree = append(h.flowFree, g) //hpcclint:allow hotpathalloc -- free list grows to the host's peak live flow count, then recycles in place
+			// The free list grows to the host's peak live flow count,
+			// then recycles in place.
+			h.flowFree = append(h.flowFree, g)
 		}
 		delete(h.flows, old)
 	}

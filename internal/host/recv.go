@@ -26,8 +26,6 @@ type recvState struct {
 // generate CNPs on ECN marks. The data packet is terminally consumed
 // here: it is either converted in place into its own ACK (which also
 // reuses the INT stack without copying it) or returned to the pool.
-//
-//hpcclint:alloc-free
 func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	flowID := p.FlowID
 	rs := h.recv[flowID]
@@ -44,10 +42,12 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 			rs = h.recvFree[n-1]
 			h.recvFree = h.recvFree[:n-1]
 		} else {
-			rs = &recvState{} //hpcclint:allow hotpathalloc -- free-list miss on a flow's first packet: bounded by the host's peak concurrent inbound flows when CompletedWindow > 0
+			// Bounded by the host's peak concurrent inbound flows when
+			// CompletedWindow > 0.
+			rs = &recvState{}
 		}
 		if h.cfg.FlowCtl == IRN {
-			rs.ooo = make(map[int64]int32) //hpcclint:allow hotpathalloc -- first packet of a flow, IRN only: the reorder map is still per flow
+			rs.ooo = make(map[int64]int32) // the reorder map is not recycled with rs
 		}
 		h.recv[flowID] = rs
 	}
@@ -124,7 +124,9 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 		h.noteRecvDone(flowID)
 		if h.cfg.CompletedWindow > 0 {
 			*rs = recvState{}
-			h.recvFree = append(h.recvFree, rs) //hpcclint:allow hotpathalloc -- free list grows to the host's peak concurrent inbound flows, then recycles in place
+			// The free list grows to the host's peak concurrent inbound
+			// flows, then recycles in place.
+			h.recvFree = append(h.recvFree, rs)
 		}
 	}
 }
@@ -147,8 +149,6 @@ func (h *Host) checkReadDone(flowID int32, rs *recvState) {
 // receiver copies all the meta-data recorded by the switches to the
 // ACK") — and transmits it. Reusing the struct avoids both the ACK
 // allocation and a 320-byte INT copy per data packet.
-//
-//hpcclint:alloc-free
 func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, cumSeq int64) {
 	size := int32(packet.AckBytes)
 	if h.cfg.INT {

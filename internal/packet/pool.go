@@ -30,11 +30,9 @@ func NewPool() *Pool { return &Pool{} }
 
 // Get returns a zeroed packet, recycling a freed one when available.
 // A nil pool degrades to plain allocation.
-//
-//hpcclint:alloc-free
 func (pl *Pool) Get() *Packet {
 	if pl == nil {
-		return &Packet{} //hpcclint:allow hotpathalloc -- nil-pool degradation path, used only by tests without a pool
+		return &Packet{} // only tests run without a pool
 	}
 	pl.gets++
 	if n := len(pl.free); n > 0 {
@@ -45,20 +43,20 @@ func (pl *Pool) Get() *Packet {
 		return p
 	}
 	pl.news++
-	return &Packet{} //hpcclint:allow hotpathalloc -- pool miss warms the free list once; steady state recycles (TestSteadyStateAllocsPerPacketUnderBudget)
+	// A miss warms the free list once; the steady state recycles
+	// (TestSteadyStateAllocsPerPacketUnderBudget).
+	return &Packet{}
 }
 
 // Put recycles a packet the simulation has fully consumed. The caller
 // must not touch p afterwards. Nil pool and nil packet are no-ops.
-//
-//hpcclint:alloc-free
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil {
 		return
 	}
 	pl.puts++
 	if len(pl.free) < maxPoolFree {
-		pl.free = append(pl.free, p) //hpcclint:allow hotpathalloc -- free-list growth is amortized and capped at maxPoolFree
+		pl.free = append(pl.free, p)
 	}
 }
 

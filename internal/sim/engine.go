@@ -137,16 +137,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // At schedules fn to run at absolute time t with the ordinary rank
 // (key 0). Scheduling in the past (t < Now) panics: that is always a
 // logic error in a discrete-event model.
-//
-//hpcclint:alloc-free
 func (e *Engine) At(t Time, fn func()) Timer { return e.AtKey(t, 0, fn) }
 
 // AtKey schedules fn to run at absolute time t under canonical key —
 // the structural tie-break class for simultaneous events (see
 // Event.Before). Wire deliveries and traffic arrivals use it so their
 // order at a shared timestamp is derivable from the topology alone.
-//
-//hpcclint:alloc-free
 func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
@@ -160,23 +156,21 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 }
 
 // newEvent takes an event off the free list and ranks it.
-//
-//hpcclint:alloc-free
 func (e *Engine) newEvent(t Time, key, seq uint64) *Event {
 	var ev *Event
 	if n := len(e.pool); n > 0 {
 		ev = e.pool[n-1]
 		e.pool = e.pool[:n-1]
 	} else {
-		ev = &Event{index: -1} //hpcclint:allow hotpathalloc -- pool miss warms the free list once; steady state reuses recycled events (TestEngineSteadyStateAllocs)
+		// A miss warms the free list once; the steady state reuses
+		// recycled events (TestEngineSteadyStateAllocs).
+		ev = &Event{index: -1}
 	}
 	ev.at, ev.key, ev.seq = t, key, seq
 	return ev
 }
 
 // notePending keeps the high-water mark after Pending has grown.
-//
-//hpcclint:alloc-free
 func (e *Engine) notePending() {
 	if p := e.Pending(); p > e.high {
 		e.high = p
@@ -184,16 +178,12 @@ func (e *Engine) notePending() {
 }
 
 // After schedules fn to run d after the current time.
-//
-//hpcclint:alloc-free
 func (e *Engine) After(d Time, fn func()) Timer {
 	return e.AtKey(e.now+d, 0, fn)
 }
 
 // AfterKey schedules fn to run d after the current time under canonical
 // key (see AtKey).
-//
-//hpcclint:alloc-free
 func (e *Engine) AfterKey(d Time, key uint64, fn func()) Timer {
 	return e.AtKey(e.now+d, key, fn)
 }
@@ -202,8 +192,6 @@ func (e *Engine) AfterKey(d Time, key uint64, fn func()) Timer {
 // that already fired, or one already cancelled is a no-op — the
 // generation check makes this safe even after the pooled Event has been
 // reused for an unrelated callback.
-//
-//hpcclint:alloc-free
 func (e *Engine) Cancel(t Timer) {
 	ev := t.ev
 	if ev == nil || ev.gen != t.gen || ev.fn == nil {
@@ -214,10 +202,9 @@ func (e *Engine) Cancel(t Timer) {
 	e.recycle(ev)
 }
 
-//hpcclint:alloc-free
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	e.pool = append(e.pool, ev) //hpcclint:allow hotpathalloc -- free-list growth is amortized over reuse
+	e.pool = append(e.pool, ev)
 }
 
 // PeekTime returns the fire time of the earliest pending event.
@@ -235,8 +222,6 @@ func (e *Engine) PeekTime() (Time, bool) {
 }
 
 // fire executes a heap event that has already been popped.
-//
-//hpcclint:alloc-free
 func (e *Engine) fire(ev *Event) {
 	e.now = ev.at
 	fn, sink, arg := ev.fn, ev.sink, ev.arg

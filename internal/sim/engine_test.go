@@ -337,23 +337,41 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	spread := []Time{0, 3 * Nanosecond, 40 * Nanosecond, 2 * Microsecond, 800 * Microsecond}
 	i := 0
-	hold := func() {
-		for k := 0; k < 512; k++ {
-			e.After(spread[i%len(spread)], nop)
-			i++
-			e.Step()
+	// after schedules one event through After or, keyed, through
+	// AfterKey, the path workload arrivals take.
+	after := func(keyed bool) Timer {
+		d := spread[i%len(spread)]
+		i++
+		if keyed {
+			return e.AfterKey(d, uint64(i%3), nop)
+		}
+		return e.After(d, nop)
+	}
+	hold := func(keyed bool) func() {
+		return func() {
+			for k := 0; k < 512; k++ {
+				after(keyed)
+				e.Step()
+			}
 		}
 	}
-	cancel := func() {
-		for k := 0; k < 512; k++ {
-			e.Cancel(e.After(spread[i%len(spread)], nop))
-			i++
+	cancel := func(keyed bool) func() {
+		return func() {
+			for k := 0; k < 512; k++ {
+				e.Cancel(after(keyed))
+			}
 		}
 	}
-	for name, op := range map[string]func(){"hold": hold, "cancel": cancel} {
-		op() // warm the free list and the heap array
-		if n := testing.AllocsPerRun(20, op); n != 0 {
-			t.Errorf("%s at depth %d allocates %v objects per 512 ops, want 0", name, e.Pending(), n)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"hold", hold(false)}, {"cancel", cancel(false)},
+		{"hold/keyed", hold(true)}, {"cancel/keyed", cancel(true)},
+	} {
+		c.op() // warm the free list and the heap array
+		if n := testing.AllocsPerRun(20, c.op); n != 0 {
+			t.Errorf("%s at depth %d allocates %v objects per 512 ops, want 0", c.name, e.Pending(), n)
 		}
 	}
 

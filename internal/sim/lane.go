@@ -42,13 +42,9 @@ type lane struct {
 // first, then the data word — the pointer itself when the dynamic type
 // is a pointer. This is the one place that assumes that layout
 // (TestIfaceData pins it).
-//
-//hpcclint:alloc-free
 func ifaceData(p unsafe.Pointer) unsafe.Pointer { return (*[2]unsafe.Pointer)(p)[1] }
 
 // front returns the earliest frame of a nonempty lane, in place.
-//
-//hpcclint:alloc-free
 func (l *lane) front() *frame { return &l.buf[l.head] }
 
 // push appends a delivery whose time is not before the tail's and
@@ -56,8 +52,6 @@ func (l *lane) front() *frame { return &l.buf[l.head] }
 // tail's time but carries a smaller key belongs before it: it is walked
 // back past the equal-time frames with larger keys (seq is the engine's
 // running counter, so among equal keys the newcomer is already last).
-//
-//hpcclint:alloc-free
 func (l *lane) push(at Time, key, seq uint64, sink Sink, arg any) bool {
 	if l.n == len(l.buf) {
 		l.grow()
@@ -81,8 +75,6 @@ func (l *lane) push(at Time, key, seq uint64, sink Sink, arg any) bool {
 // pop drops the head frame, which the caller has read in place. A lane
 // that drains restarts at slot 0, so a lightly used lane keeps touching
 // the same few cache lines instead of cycling through its whole ring.
-//
-//hpcclint:alloc-free
 func (l *lane) pop() {
 	f := &l.buf[l.head]
 	f.sink, f.arg = nil, nil
@@ -96,7 +88,7 @@ func (l *lane) pop() {
 
 // grow doubles a full ring, moving the head to slot 0.
 func (l *lane) grow() {
-	buf := make([]frame, max(2*len(l.buf), 32)) //hpcclint:allow hotpathalloc -- ring growth is amortized; capacity is reused after pop (TestEngineSteadyStateAllocs)
+	buf := make([]frame, max(2*len(l.buf), 32))
 	n := copy(buf, l.buf[l.head:])
 	copy(buf[n:], l.buf[:l.head])
 	l.buf, l.head = buf, 0
@@ -110,8 +102,6 @@ func (l *lane) grow() {
 // the lanes claimed so far, a fresh lane when none fits); only with
 // every lane claimed and none fitting does it become an ordinary heap
 // event. The firing order is the canonical rank either way — see next.
-//
-//hpcclint:alloc-free
 func (e *Engine) Deliver(at Time, key uint64, sink Sink, arg any) {
 	if at < e.now {
 		panic("sim: delivery scheduled in the past")
@@ -155,8 +145,6 @@ func (e *Engine) Deliver(at Time, key uint64, sink Sink, arg any) {
 // -1 when no delivery is in flight. The answer is cached in cur: a heap
 // event that schedules nothing onto an empty lane leaves it valid, so
 // only a lane pop forces a rescan — of the claimed lanes alone.
-//
-//hpcclint:alloc-free
 func (e *Engine) minLane() int {
 	if e.inFlight == 0 {
 		return -1
@@ -185,8 +173,6 @@ func (e *Engine) minLane() int {
 // heap yields its minimum, so the minimum over lane heads and root is
 // the minimum of the whole pending set — which of the two structures an
 // event sits in never shows in the firing order.
-//
-//hpcclint:alloc-free
 func (e *Engine) next(last Time) bool {
 	if i := e.minLane(); i >= 0 {
 		l := &e.lanes[i]

@@ -50,8 +50,6 @@ func (h *heap4) len() int {
 }
 
 // push inserts a scheduled event.
-//
-//hpcclint:alloc-free
 func (h *heap4) push(ev *Event) {
 	s := slot{rank{ev.at, ev.key, ev.seq}, ev}
 	if h.hole {
@@ -59,14 +57,12 @@ func (h *heap4) push(ev *Event) {
 		h.siftDown(0, s)
 		return
 	}
-	h.q = append(h.q, s) //hpcclint:allow hotpathalloc -- heap array growth is amortized; capacity is retained across pops
+	h.q = append(h.q, s)
 	h.siftUp(len(h.q)-1, s)
 }
 
 // settle closes an open hole by sifting the last slot down from the
 // root, so q[0] is the minimum again.
-//
-//hpcclint:alloc-free
 func (h *heap4) settle() {
 	h.hole = false
 	n := len(h.q) - 1
@@ -80,8 +76,6 @@ func (h *heap4) settle() {
 
 // popThrough removes and returns the earliest event if it fires at or
 // before limit, or returns nil.
-//
-//hpcclint:alloc-free
 func (h *heap4) popThrough(limit Time) *Event {
 	if h.hole {
 		h.settle()
@@ -97,8 +91,6 @@ func (h *heap4) popThrough(limit Time) *Event {
 }
 
 // min returns the earliest event's slot without removing it, or nil.
-//
-//hpcclint:alloc-free
 func (h *heap4) min() *slot {
 	if h.hole {
 		h.settle()
@@ -112,8 +104,6 @@ func (h *heap4) min() *slot {
 // remove extracts a queued event from the middle of the heap. An open
 // hole stays open: the slot that replaces ev cannot rise past the
 // vacant root.
-//
-//hpcclint:alloc-free
 func (h *heap4) remove(ev *Event) {
 	i := ev.index
 	ev.index = -1
@@ -133,8 +123,6 @@ func (h *heap4) remove(ev *Event) {
 
 // siftUp places s at slot i or the nearest ancestor slot that keeps
 // heap order, moving the ancestors it passes down one level.
-//
-//hpcclint:alloc-free
 func (h *heap4) siftUp(i int, s slot) {
 	q := h.q
 	for i > 0 {
@@ -152,8 +140,6 @@ func (h *heap4) siftUp(i int, s slot) {
 
 // siftDown places s at slot i or the nearest descendant slot that keeps
 // heap order, moving the smallest child of each level it passes up.
-//
-//hpcclint:alloc-free
 func (h *heap4) siftDown(i int, s slot) {
 	q := h.q
 	n := len(q)
@@ -189,8 +175,6 @@ func (h *heap4) siftDown(i int, s slot) {
 // arithmetic alone: times are non-negative, so a-b cannot overflow and
 // (a-b)>>63 is all ones exactly when a < b. Only when another sibling
 // shares the minimum time does the exact (time, key, seq) rank decide.
-//
-//hpcclint:alloc-free
 func minOf4(g *[4]slot) int {
 	a0, a1, a2, a3 := int64(g[0].at), int64(g[1].at), int64(g[2].at), int64(g[3].at)
 	lt01 := (a1 - a0) >> 63 // a1 < a0

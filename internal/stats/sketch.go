@@ -89,14 +89,10 @@ func (s *Sketch) value(k int) float64 {
 
 // Add inserts one value. Allocation-free once the value range has been
 // seen: the dense store only grows when a value lands outside the
-// current key span.
-//
-//hpcclint:alloc-free
+// current key span (TestSketchAllocFreeAfterWarmup).
 func (s *Sketch) Add(v float64) { s.AddN(v, 1) }
 
 // AddN inserts a value n times.
-//
-//hpcclint:alloc-free
 func (s *Sketch) AddN(v float64, n uint64) {
 	if n == 0 {
 		return
@@ -113,7 +109,7 @@ func (s *Sketch) AddN(v float64, n uint64) {
 		s.zeros += n
 		return
 	}
-	s.bucket(s.key(v)).add(n) //hpcclint:allow hotpathalloc -- bucket growth/collapse fires only when a value extends the key range; steady state hits existing bins (TestSketchAllocFreeAfterWarmup)
+	s.bucket(s.key(v)).add(n)
 }
 
 // binref is a settable cell of the dense store.

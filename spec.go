@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
 )
@@ -266,6 +267,9 @@ func (c *Custom) topoSpec() (topology.Spec, error) {
 			return nil, fmt.Errorf("hpcc: Custom link %d has negative delay", i)
 		}
 	}
+	if src, dst, n := longestPath(c.graph); n > packet.MaxHops {
+		return nil, fmt.Errorf("hpcc: Custom hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, n, packet.MaxHops)
+	}
 	g := c.graph
 	if c.BaseRTT != 0 {
 		g.RTT = toSim(c.BaseRTT)
@@ -274,4 +278,46 @@ func (c *Custom) topoSpec() (topology.Spec, error) {
 		g.HostRate = gbps(c.HostRateGbps, 0)
 	}
 	return g, nil
+}
+
+// longestPath returns the connected host pair whose shortest path
+// crosses the most switches, and that count. Paths are hop counts over
+// every node, the metric Build's ECMP routing minimizes; each switch on
+// the way pushes one INT record.
+func longestPath(g topology.GraphSpec) (src, dst, switches int) {
+	// Hosts are nodes 0..Hosts-1, switches follow.
+	node := func(n topology.GraphNode) int {
+		if n.Switch {
+			return g.Hosts + n.Index
+		}
+		return n.Index
+	}
+	adj := make([][]int, g.Hosts+g.Switches)
+	for _, l := range g.Links {
+		a, b := node(l.A), node(l.B)
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
+	}
+	dist := make([]int, len(adj))
+	queue := make([]int, 0, len(adj))
+	for h := 0; h < g.Hosts; h++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[h] = 0
+		queue = append(queue[:0], h)
+		for qi := 0; qi < len(queue); qi++ {
+			cur := queue[qi]
+			if cur < g.Hosts && dist[cur]-1 > switches {
+				src, dst, switches = h, cur, dist[cur]-1
+			}
+			for _, nb := range adj[cur] {
+				if dist[nb] < 0 {
+					dist[nb] = dist[cur] + 1
+					queue = append(queue, nb)
+				}
+			}
+		}
+	}
+	return src, dst, switches
 }

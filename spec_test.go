@@ -106,6 +106,50 @@ func TestCustomTopologyValidation(t *testing.T) {
 	}
 }
 
+// Each switch on a path pushes one INT record and a packet holds
+// packet.MaxHops (8) of them, so a Custom graph whose hosts are more
+// switches apart than that is an error, not a run on a truncated INT
+// stack.
+func TestCustomPathFitsINTStack(t *testing.T) {
+	chain := func(switches int) hpcc.Topology {
+		var c hpcc.Custom
+		prev := c.AddHost()
+		for i := 0; i < switches; i++ {
+			sw := c.AddSwitch()
+			c.Link(prev, sw, 100, time.Microsecond)
+			prev = sw
+		}
+		c.Link(prev, c.AddHost(), 100, time.Microsecond)
+		return &c
+	}
+	for _, tc := range []struct {
+		name string
+		topo hpcc.Topology
+		ok   bool
+	}{
+		{"chain-8", chain(8), true},
+		{"chain-9", chain(9), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := hpcc.Experiment{
+				Topology: tc.topo,
+				Traffic:  []hpcc.Traffic{hpcc.Schedule{{Src: 0, Dst: 1, SizeBytes: 50_000}}},
+				Horizon:  time.Millisecond,
+			}
+			res, err := e.Run()
+			if tc.ok && (err != nil || res.Flows != 1) {
+				t.Fatalf("Run = %+v, %v; want the one flow completed", res, err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("Run accepted a path longer than the INT stack")
+			}
+			if _, err := e.Start(); (err == nil) != tc.ok {
+				t.Fatalf("Start error = %v, want error %v", err, !tc.ok)
+			}
+		})
+	}
+}
+
 // Every Traffic spec must round-trip through Experiment.Run and
 // produce completed-flow statistics.
 func TestTrafficSpecRoundTrip(t *testing.T) {
