@@ -87,7 +87,8 @@ type Ack struct {
 	// SndNxt is the sender's next-to-send byte offset right now.
 	SndNxt int64
 	// Hops is the INT stack echoed by the receiver, sender-to-receiver
-	// order.
+	// order. The stack holds at most 5 hops (§5.1's INT budget); the
+	// Sender does not react to a longer one.
 	Hops []INTHop
 	// PathID detects route changes (XOR of switch IDs, Figure 7).
 	PathID uint16

@@ -48,7 +48,7 @@ func TestForwardingHotPathAllocFree(t *testing.T) {
 	const batch = 16
 	send := func() {
 		for i := 0; i < batch; i++ {
-			p := pool.Get()
+			p := pool.GetINT()
 			p.Type = packet.Data
 			p.FlowID = 1
 			p.Src, p.Dst = 1, 2

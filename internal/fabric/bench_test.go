@@ -3,7 +3,6 @@ package fabric
 import (
 	"testing"
 
-	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
 
@@ -28,10 +27,7 @@ func BenchmarkSwitchForwarding(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ap.Enqueue(&packet.Packet{
-			Type: packet.Data, FlowID: 1, Src: 1, Dst: 2,
-			Prio: PrioData, Size: 1064, PayloadLen: 1000,
-		}, -1)
+		ap.Enqueue(intData(1, a.id, c.id, 0, 1064), -1)
 		if i%64 == 63 {
 			eng.Run() // drain in batches to exercise queues
 			c.got = c.got[:0]

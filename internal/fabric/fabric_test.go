@@ -41,6 +41,16 @@ func data(flow int32, src, dst NodeID, seq int64, size int32) *packet.Packet {
 	}
 }
 
+// intData is data as a sender whose scheme uses INT emits it: a frame
+// from Pool.GetINT, with an empty stack for the switches to stamp.
+func intData(flow int32, src, dst NodeID, seq int64, size int32) *packet.Packet {
+	var pool *packet.Pool // nil: a fresh frame per call
+	p := pool.GetINT()
+	p.Type, p.FlowID, p.Src, p.Dst = packet.Data, flow, int32(src), int32(dst)
+	p.Prio, p.Size, p.Seq, p.PayloadLen = PrioData, size, seq, size-packet.HeaderBytes
+	return p
+}
+
 // lineTopo builds A --- S --- B with the given rate/delay and returns
 // everything. The switch routes by host ID.
 func lineTopo(t testing.TB, cfg SwitchConfig, rate sim.Rate, delay sim.Time) (*sim.Engine, *mockHost, *Switch, *mockHost) {
@@ -209,7 +219,7 @@ func TestINTStamping(t *testing.T) {
 	eng, a, s, b := lineTopoAsym(t, cfg, 400*sim.Gbps, 100*sim.Gbps, sim.Microsecond)
 	const n = 10
 	for i := 0; i < n; i++ {
-		a.ports[0].Enqueue(data(1, a.id, b.id, int64(i)*1000, 1064), -1)
+		a.ports[0].Enqueue(intData(1, a.id, b.id, int64(i)*1000, 1064), -1)
 	}
 	eng.Run()
 	if len(b.got) != n {
@@ -254,11 +264,29 @@ func TestINTStamping(t *testing.T) {
 	}
 }
 
+// A frame without a stack (an INT-free scheme's, or any control frame)
+// crosses an INT switch unstamped and still without one.
+func TestINTSkipsFramesWithoutStack(t *testing.T) {
+	eng, a, _, b := lineTopo(t, SwitchConfig{INTEnabled: true}, 100*sim.Gbps, sim.Microsecond)
+	a.ports[0].Enqueue(data(1, a.id, b.id, 0, 1064), -1)
+	a.ports[0].Enqueue(intData(1, a.id, b.id, 1000, 1064), -1)
+	eng.Run()
+	if len(b.got) != 2 {
+		t.Fatalf("arrivals = %d, want 2", len(b.got))
+	}
+	if p := b.got[0].p; p.INT != nil {
+		t.Fatalf("plain frame arrived with an INT stack %+v", p.INT)
+	}
+	if p := b.got[1].p; p.INT == nil || p.INT.NHops != 1 {
+		t.Fatalf("stacked frame arrived with %+v, want one hop", p.INT)
+	}
+}
+
 func TestINTQuantize(t *testing.T) {
 	cfg := SwitchConfig{INTEnabled: true, INTQuantize: true}
 	eng, a, _, b := lineTopoAsym(t, cfg, 400*sim.Gbps, 100*sim.Gbps, sim.Microsecond)
 	for i := 0; i < 5; i++ {
-		a.ports[0].Enqueue(data(1, a.id, b.id, int64(i)*1000, 1064), -1)
+		a.ports[0].Enqueue(intData(1, a.id, b.id, int64(i)*1000, 1064), -1)
 	}
 	eng.Run()
 	for _, ar := range b.got {

@@ -13,17 +13,17 @@ func TestFifoBasics(t *testing.T) {
 	if !f.empty() || f.len() != 0 {
 		t.Fatal("new fifo not empty")
 	}
-	p1 := &packet.Packet{ID: 1}
-	p2 := &packet.Packet{ID: 2}
+	p1 := &packet.Packet{Seq: 1}
+	p2 := &packet.Packet{Seq: 2}
 	f.push(entry{p1, 0})
 	f.push(entry{p2, 1})
 	if f.len() != 2 {
 		t.Fatalf("len = %d", f.len())
 	}
-	if got := f.pop(); got.p.ID != 1 || got.ingress != 0 {
+	if got := f.pop(); got.p.Seq != 1 || got.ingress != 0 {
 		t.Fatalf("pop 1 = %+v", got)
 	}
-	if got := f.pop(); got.p.ID != 2 || got.ingress != 1 {
+	if got := f.pop(); got.p.Seq != 2 || got.ingress != 1 {
 		t.Fatalf("pop 2 = %+v", got)
 	}
 	if !f.empty() {
@@ -37,15 +37,15 @@ func TestFifoOrderProperty(t *testing.T) {
 	f := func(seed int64, ops uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var q fifo[entry]
-		nextPush := uint64(1)
-		nextPop := uint64(1)
+		nextPush := int64(1)
+		nextPop := int64(1)
 		for i := 0; i < int(ops); i++ {
 			if q.empty() || rng.Intn(3) > 0 {
-				q.push(entry{&packet.Packet{ID: nextPush}, int(nextPush)})
+				q.push(entry{&packet.Packet{Seq: nextPush}, int(nextPush)})
 				nextPush++
 			} else {
 				e := q.pop()
-				if e.p.ID != nextPop || e.ingress != int(nextPop) {
+				if e.p.Seq != nextPop || e.ingress != int(nextPop) {
 					return false
 				}
 				nextPop++
@@ -55,7 +55,7 @@ func TestFifoOrderProperty(t *testing.T) {
 			}
 		}
 		for !q.empty() {
-			if q.pop().p.ID != nextPop {
+			if q.pop().p.Seq != nextPop {
 				return false
 			}
 			nextPop++
@@ -71,24 +71,24 @@ func TestFifoOrderProperty(t *testing.T) {
 // long runs that repeatedly cross the compaction threshold.
 func TestFifoCompactionProperty(t *testing.T) {
 	var q fifo[entry]
-	id := uint64(0)
-	popped := uint64(0)
+	id := int64(0)
+	popped := int64(0)
 	// Sawtooth: grow to 400, drain to 100, repeatedly.
 	for round := 0; round < 20; round++ {
 		for q.len() < 400 {
 			id++
-			q.push(entry{&packet.Packet{ID: id}, -1})
+			q.push(entry{&packet.Packet{Seq: id}, -1})
 		}
 		for q.len() > 100 {
 			popped++
-			if q.pop().p.ID != popped {
+			if q.pop().p.Seq != popped {
 				t.Fatalf("round %d: out of order at %d", round, popped)
 			}
 		}
 	}
 	for !q.empty() {
 		popped++
-		if q.pop().p.ID != popped {
+		if q.pop().p.Seq != popped {
 			t.Fatalf("drain: out of order at %d", popped)
 		}
 	}

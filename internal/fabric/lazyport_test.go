@@ -278,7 +278,7 @@ func TestCutThroughMatchesQueuedPath(t *testing.T) {
 		}
 		eng.Run()
 		eg := s.Ports()[1]
-		p := data(2, a.id, b.id, 0, 1064)
+		p := intData(2, a.id, b.id, 0, 1064)
 		eng.At(eng.Now()+5*sim.Microsecond, func() { enqueue(eg, p, -1) })
 		eng.Run()
 		last := b.got[len(b.got)-1]

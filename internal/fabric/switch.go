@@ -308,7 +308,7 @@ func (s *Switch) OnDequeue(p *packet.Packet, ingress int, from *Port) {
 			}
 		}
 	}
-	if s.cfg.INTEnabled && p.Type == packet.Data {
+	if s.cfg.INTEnabled && p.INT != nil && p.Type == packet.Data {
 		hop := packet.Hop{
 			B:       from.Rate(),
 			TS:      s.eng.Now(),

@@ -171,12 +171,14 @@ func (f *Flow) trySend() {
 }
 
 func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
+	var p *packet.Packet
 	size := payload + packet.HeaderBytes
 	if f.host.cfg.INT {
 		size += packet.INTOverhead
+		p = f.host.pool.GetINT()
+	} else {
+		p = f.host.pool.Get()
 	}
-	p := f.host.pool.Get()
-	p.ID = f.host.nextPktID()
 	p.Type = packet.Data
 	p.FlowID = f.ID
 	p.Src = int32(f.host.id)
@@ -250,8 +252,10 @@ func (f *Flow) handleAck(p *packet.Packet) {
 	ev.SndNxt = f.sndNxt
 	ev.AckedBytes = newly
 	ev.ECE = p.ECE
-	ev.Hops = p.INT.Records()
-	ev.PathID = p.INT.PathID
+	ev.Hops, ev.PathID = nil, 0
+	if h := p.INT; h != nil {
+		ev.Hops, ev.PathID = h.Records(), h.PathID
+	}
 	f.alg.OnAck(ev)
 	ev.Hops = nil // p returns to the pool after this ACK is consumed
 

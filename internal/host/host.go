@@ -106,7 +106,6 @@ type Host struct {
 	ports []*fabric.Port
 	flows map[int32]*Flow
 	recv  map[int32]*recvState
-	pktN  uint64 // trace-only packet-ID counter: nothing simulated reads Packet.ID
 
 	// RDMA READ requester state: flow ID -> (expected bytes, callback).
 	reads map[int32]*pendingRead
@@ -399,21 +398,12 @@ func (h *Host) flowFinished() {
 	}
 }
 
-// nextPktID returns the ID of the next frame this host originates:
-// unique network-wide and a function of the run alone. Used only for
-// tracing; forwarding never branches on it.
-func (h *Host) nextPktID() uint64 {
-	h.pktN++
-	return uint64(h.id)<<40 | h.pktN
-}
-
 // Read issues an RDMA READ: the responder streams size bytes back to
 // this host as flow id. onDone fires here (at the requester) once all
 // bytes have arrived in order. The request rides the control class.
 func (h *Host) Read(id int32, responder fabric.NodeID, size int64, portIdx int, onDone func()) {
 	h.reads[id] = &pendingRead{size: size, onDone: onDone}
 	req := h.pool.Get()
-	req.ID = h.nextPktID()
 	req.Type = packet.ReadReq
 	req.FlowID = id
 	req.Src = int32(h.id)

@@ -148,13 +148,12 @@ func (h *Host) checkReadDone(flowID int32, rs *recvState) {
 // src/dst, echoing its timestamp, ECN mark and INT stack (§3.1: "the
 // receiver copies all the meta-data recorded by the switches to the
 // ACK") — and transmits it. Reusing the struct avoids both the ACK
-// allocation and a 320-byte INT copy per data packet.
+// allocation and a copy of the 208-byte INT stack per data packet.
 func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, cumSeq int64) {
 	size := int32(packet.AckBytes)
 	if h.cfg.INT {
 		size += packet.INTOverhead
 	}
-	p.ID = h.nextPktID()
 	p.Type = packet.Ack
 	p.Src, p.Dst = p.Dst, p.Src
 	p.Prio = fabric.PrioCtrl
@@ -169,7 +168,6 @@ func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, cumSeq int64) {
 // sendCtrl emits a NACK or CNP toward the sender of p.
 func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, typ packet.Type, expSeq, gotSeq int64) {
 	ctrl := h.pool.Get()
-	ctrl.ID = h.nextPktID()
 	ctrl.Type = typ
 	ctrl.FlowID = p.FlowID
 	ctrl.Src = p.Dst

@@ -75,7 +75,7 @@ func EncodedINTLen(n int) int { return INTBaseBytes + n*INTHopBytes }
 // non-empty queue never reads as empty, saturating at the field max),
 // TS in nanoseconds modulo 2^24.
 func EncodeINT(h *INTHeader, buf []byte) (int, error) {
-	n := h.NHops
+	n := int(h.NHops)
 	if n > MaxHops {
 		return 0, fmt.Errorf("packet: nHop %d exceeds max %d", n, MaxHops)
 	}
@@ -103,16 +103,21 @@ func EncodeINT(h *INTHeader, buf []byte) (int, error) {
 	return off, nil
 }
 
-// DecodeINT parses a Figure-7 INT header from buf. The decoded TS and
-// TxBytes are the wrapped on-wire values (nanosecond and 128-byte
-// granularity); use UnwrapTS/UnwrapTxBytes to reconstruct deltas.
+// DecodeINT parses a Figure-7 INT header from buf and returns the number
+// of bytes consumed. The decoded TS and TxBytes are the wrapped on-wire
+// values (nanosecond and 128-byte granularity); use
+// UnwrapTS/UnwrapTxBytes to reconstruct deltas. A 4-bit nHop beyond
+// MaxHops is an error, as in EncodeINT.
 func DecodeINT(buf []byte, h *INTHeader) (int, error) {
 	if len(buf) < INTBaseBytes {
 		return 0, fmt.Errorf("packet: INT header truncated")
 	}
 	w := binary.BigEndian.Uint16(buf)
 	n := int(w >> 12)
-	h.NHops = n
+	if n > MaxHops {
+		return 0, fmt.Errorf("packet: nHop %d exceeds max %d", n, MaxHops)
+	}
+	h.NHops = uint8(n)
 	h.PathID = w & 0x0fff
 	if len(buf) < EncodedINTLen(n) {
 		return 0, fmt.Errorf("packet: INT hops truncated: have %d bytes, need %d", len(buf), EncodedINTLen(n))

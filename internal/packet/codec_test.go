@@ -84,7 +84,7 @@ func TestINTRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nHopsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nHopsRaw % (MaxHops + 1))
-		h := INTHeader{NHops: n}
+		h := INTHeader{NHops: uint8(n)}
 		for i := 0; i < n; i++ {
 			h.Hops[i] = Hop{
 				B:       speedEnum[1+rng.Intn(len(speedEnum)-1)],
@@ -103,7 +103,7 @@ func TestINTRoundTripProperty(t *testing.T) {
 		if _, err := DecodeINT(buf[:nb], &got); err != nil {
 			return false
 		}
-		if got.NHops != n || got.PathID != h.PathID {
+		if int(got.NHops) != n || got.PathID != h.PathID {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -209,6 +209,25 @@ func TestINTPushOverflow(t *testing.T) {
 	}
 }
 
+// The 4-bit nHop field can claim more hops than a stack holds; decoding
+// such a header is an error, never an index out of range, however many
+// bytes follow it.
+func TestDecodeINTRejectsDeepStack(t *testing.T) {
+	for _, n := range []int{MaxHops + 1, 15} {
+		buf := make([]byte, EncodedINTLen(15))
+		buf[0] = byte(n << 4)
+		var h INTHeader
+		if m, err := DecodeINT(buf, &h); err == nil {
+			t.Errorf("nHop %d: decoded %d bytes into %+v, want an error", n, m, h)
+		}
+	}
+	buf := make([]byte, EncodedINTLen(MaxHops))
+	buf[0] = MaxHops << 4
+	if _, err := DecodeINT(buf, new(INTHeader)); err != nil {
+		t.Errorf("nHop %d: %v", MaxHops, err)
+	}
+}
+
 func TestPacketString(t *testing.T) {
 	p := &Packet{Type: Data, FlowID: 7, Seq: 1000, PayloadLen: 1000}
 	if got := p.String(); got != "DATA f7 seq=1000 len=1000" {
@@ -218,4 +237,29 @@ func TestPacketString(t *testing.T) {
 	if got := p.String(); got != "PFC PAUSE prio=3" {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// FuzzINTCodec feeds DecodeINT arbitrary bytes. It must return an error
+// or a header, never panic, and the bytes it consumed must re-encode to
+// themselves: every Figure-7 field decodes to a value that quantizes back
+// to the same bits. Seeds live in testdata/fuzz/FuzzINTCodec.
+func FuzzINTCodec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		var h INTHeader
+		n, err := DecodeINT(buf, &h)
+		if err != nil {
+			return
+		}
+		if n != EncodedINTLen(int(h.NHops)) || int(h.NHops) > MaxHops {
+			t.Fatalf("consumed %d bytes for %d hops", n, h.NHops)
+		}
+		out := make([]byte, n)
+		m, err := EncodeINT(&h, out)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", h, err)
+		}
+		if m != n || string(out) != string(buf[:n]) {
+			t.Fatalf("% x re-encoded to % x", buf[:n], out[:m])
+		}
+	})
 }

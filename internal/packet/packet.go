@@ -61,17 +61,19 @@ const (
 	INTBaseBytes = 2  // nHop(4b) + pathID(12b)
 	INTHopBytes  = 8  // B(4b) TS(24b) txBytes(20b) qLen(16b)
 	// INTOverhead is the flat per-packet INT header tax used by the
-	// evaluation: 42 bytes covers 5 hops (§5.1 "worst-case assumption").
-	INTOverhead = INTBaseBytes + 5*INTHopBytes
+	// evaluation: a full MaxHops stack, 42 bytes (§5.1 "worst-case
+	// assumption").
+	INTOverhead = INTBaseBytes + MaxHops*INTHopBytes
 
 	// DefaultMTU is the data payload size used throughout the paper's
 	// evaluation ("1KB packet").
 	DefaultMTU = 1000
 )
 
-// MaxHops bounds the INT stack depth. Data-center paths are at most 5
-// hops (§4.1); 8 leaves room for experiments on deeper topologies.
-const MaxHops = 8
+// MaxHops bounds the INT stack depth: data-center paths are at most 5
+// switches (§4.1, §5.1), and every fabric is held to it (no registry
+// path crosses more; ParkingLot and Custom reject deeper ones).
+const MaxHops = 5
 
 // Hop is one switch egress-port INT record, stamped at dequeue.
 type Hop struct {
@@ -85,7 +87,7 @@ type Hop struct {
 // INTHeader is the telemetry stack a data packet accumulates hop by hop
 // and the receiver echoes back in the ACK.
 type INTHeader struct {
-	NHops  int
+	NHops  uint8
 	PathID uint16 // XOR of 12-bit switch IDs along the path
 	Hops   [MaxHops]Hop
 }
@@ -100,49 +102,47 @@ func (h *INTHeader) Push(hop Hop, switchID uint16) {
 	h.PathID ^= switchID & 0x0fff
 }
 
-// Records returns the valid hop records.
+// Records returns the valid hop records; a nil header has none.
 func (h *INTHeader) Records() []Hop {
-	n := h.NHops
-	if n > MaxHops {
-		n = MaxHops
+	if h == nil {
+		return nil
 	}
-	return h.Hops[:n]
+	return h.Hops[:min(h.NHops, MaxHops)]
 }
 
-// Packet is a simulated frame. One struct covers every frame type; the
-// per-type fields are documented below. Packets come from per-network
-// free-list Pools and are recycled at their terminal consumption points
-// (ACK processing, switch drops, PFC consumption); the simulator never
-// aliases a packet after handing it to the next node.
+// Packet is a simulated frame. One struct covers every frame type; each
+// field's comment names the frame types that use it, and the one-byte
+// fields sit together so the struct is 80 bytes. Packets come from
+// per-network free-list Pools and are recycled at their terminal
+// consumption points (ACK processing, switch drops, PFC consumption);
+// the simulator never aliases a packet after handing it to the next
+// node.
 type Packet struct {
-	ID   uint64 // globally unique, for tracing
 	Type Type
+	Prio uint8 // priority queue index (0 = control, highest)
+	// FlowEnd (data) marks the chunk carrying the flow's final byte, so
+	// the receiver can free its per-flow reassembly state once
+	// everything up to it has been delivered in order.
+	FlowEnd  bool
+	ECNCE    bool  // data: congestion-experienced mark set by switches
+	ECE      bool  // ACK: ECN echo
+	PFCPrio  uint8 // PFC: the paused priority
+	PFCPause bool  // PFC: true = pause, false = resume
 
-	FlowID   int32 // sender-assigned flow identifier
-	Src, Dst int32 // host node IDs (network-wide)
-	Prio     uint8 // priority queue index (0 = control, highest)
-	Size     int32 // total wire size, bytes
+	FlowID     int32 // sender-assigned flow identifier
+	Src, Dst   int32 // host node IDs (network-wide)
+	Size       int32 // total wire size, bytes
+	PayloadLen int32 // data
 
-	// Data packets.
-	Seq        int64 // byte offset of first payload byte
-	PayloadLen int32
-	// FlowEnd marks the chunk carrying the flow's final byte, so the
-	// receiver can free its per-flow reassembly state once everything
-	// up to it has been delivered in order.
-	FlowEnd bool
-	ECNCE   bool     // congestion-experienced mark set by switches
-	SendTS  sim.Time // sender timestamp, echoed in the ACK for RTT
-	INT     INTHeader
+	Seq     int64    // data: byte offset of first payload byte
+	SendTS  sim.Time // data: sender timestamp, echoed in the ACK for RTT
+	AckSeq  int64    // ACK / NACK: cumulative ACK, the next expected byte
+	DataSeq int64    // ACK / NACK: sequence of the data packet that triggered it (IRN selective repeat)
+	EchoTS  sim.Time // ACK / NACK: echoed SendTS
 
-	// ACK / NACK packets.
-	AckSeq  int64    // cumulative ACK: next expected byte
-	DataSeq int64    // sequence of the data packet that triggered this ACK (IRN selective repeat)
-	EchoTS  sim.Time // echoed SendTS
-	ECE     bool     // ECN echo
-
-	// PFC frames.
-	PFCPrio  uint8
-	PFCPause bool // true = pause, false = resume
+	// INT is the telemetry stack of a data frame from Pool.GetINT and of
+	// the ACK made from it; nil on every frame that carries none.
+	INT *INTHeader
 }
 
 // String renders a short trace line for debugging.

@@ -1,35 +1,54 @@
 package packet
 
-// Pool is a free list of Packet structs. A Packet is 424 bytes, allocated
-// in the 448-byte size class (the inline 8-hop INT array is 320 of
-// them), and the simulator used to
-// heap-allocate one per data packet *and* per ACK; recycling them at
-// the terminal consumption points (host ACK processing, switch drops,
-// PFC consumption) makes the per-packet hot path allocation-free in
-// steady state.
+// Pool is a free list of Packet structs. A plain Packet is 80 bytes (the
+// 80-byte size class); a frame that carries INT is allocated by GetINT
+// as one 288-byte object holding the Packet and, beside it, the INT
+// stack its INT field points at. The simulator used to heap-allocate one
+// frame per data packet *and* per ACK; recycling them at the terminal
+// consumption points (host ACK processing, switch drops, PFC
+// consumption) makes the per-packet hot path allocation-free in steady
+// state.
+//
+// A frame never gains or loses its stack, so the pool keeps two free
+// lists and Put files each frame on the one it came from.
 //
 // A Pool belongs to one simulated network (hosts and switches built by
 // a topology.Builder share one); the whole world runs on a single
 // goroutine, so there is no locking and recycling order is
-// deterministic. Get returns a zeroed packet; Put does not scrub, so a
-// frame already handed to tracing/tests stays readable until reuse.
+// deterministic. Get and GetINT return zeroed packets; Put does not
+// scrub, so a frame already handed to tracing/tests stays readable until
+// reuse.
 type Pool struct {
-	free []*Packet
+	free, freeINT []*Packet
 
 	gets, news, puts uint64
 }
 
-// maxPoolFree bounds retained free packets (≈ 1.8 MB at 4096); beyond
-// it, Put lets packets go to the garbage collector. This keeps lossy
-// scenarios — where drops strand packets at switch pools — from
-// accumulating unbounded free lists.
+// maxPoolFree bounds each free list (at 4096: ≈ 0.3 MB of plain frames,
+// ≈ 1.2 MB of stacked ones); beyond it, Put lets packets go to the
+// garbage collector. This keeps lossy scenarios — where drops strand
+// packets at switch pools — from accumulating unbounded free lists.
 const maxPoolFree = 4096
+
+// stacked is the single allocation behind a GetINT frame: the INT stack
+// sits right after the Packet, so the two share cache lines and cost one
+// allocation.
+type stacked struct {
+	p   Packet
+	int INTHeader
+}
+
+func newStacked() *Packet {
+	s := &stacked{}
+	s.p.INT = &s.int
+	return &s.p
+}
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a zeroed packet, recycling a freed one when available.
-// A nil pool degrades to plain allocation.
+// Get returns a zeroed packet with no INT stack, recycling a freed one
+// when available. A nil pool degrades to plain allocation.
 func (pl *Pool) Get() *Packet {
 	if pl == nil {
 		return &Packet{} // only tests run without a pool
@@ -48,15 +67,42 @@ func (pl *Pool) Get() *Packet {
 	return &Packet{}
 }
 
-// Put recycles a packet the simulation has fully consumed. The caller
-// must not touch p afterwards. Nil pool and nil packet are no-ops.
+// GetINT returns a zeroed packet whose INT field points at an empty
+// stack, recycling a freed one when available. Only NHops and PathID are
+// reset: Records never reads a hop slot at or beyond NHops, so stale
+// slots need no scrubbing. A nil pool degrades to plain allocation.
+func (pl *Pool) GetINT() *Packet {
+	if pl == nil {
+		return newStacked() // only tests run without a pool
+	}
+	pl.gets++
+	if n := len(pl.freeINT); n > 0 {
+		p := pl.freeINT[n-1]
+		pl.freeINT[n-1] = nil
+		pl.freeINT = pl.freeINT[:n-1]
+		h := p.INT
+		*p = Packet{INT: h}
+		h.NHops, h.PathID = 0, 0
+		return p
+	}
+	pl.news++
+	return newStacked()
+}
+
+// Put recycles a packet the simulation has fully consumed onto the free
+// list matching whether it carries an INT stack. The caller must not
+// touch p afterwards. Nil pool and nil packet are no-ops.
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil {
 		return
 	}
 	pl.puts++
-	if len(pl.free) < maxPoolFree {
-		pl.free = append(pl.free, p)
+	free := &pl.free
+	if p.INT != nil {
+		free = &pl.freeINT
+	}
+	if len(*free) < maxPoolFree {
+		*free = append(*free, p)
 	}
 }
 

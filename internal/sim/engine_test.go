@@ -460,17 +460,18 @@ type coldSink struct {
 }
 
 func (s *coldSink) Arrive(arg any) {
-	f := arg.(*[448]byte)
+	f := arg.(*[288]byte)
 	c := f[0]
 	s.e.Deliver(s.e.now+s.delay[c], uint64(1+c), s, f)
 }
 
 // BenchmarkEngineDeliverCold is BenchmarkEngineDeliver with a fabric's
 // working set: 16 384 frames in flight over six offset classes, each a
-// distinct 448-byte object (a Packet's size class) that its sink reads
-// and sends round again. The frames take 7 MB, more than a server's L2,
-// and fire in an order unrelated to their addresses, so a delivery's
-// first touch misses unless the frame was fetched ahead of it.
+// distinct 288-byte object (the size class of a frame with an INT stack)
+// that its sink reads and sends round again. The frames take 4.7 MB,
+// more than a server's L2, and fire in an order unrelated to their
+// addresses, so a delivery's first touch misses unless the frame was
+// fetched ahead of it.
 func BenchmarkEngineDeliverCold(b *testing.B) {
 	const inFlight = 1 << 14
 	e := NewEngine()
@@ -478,9 +479,9 @@ func BenchmarkEngineDeliverCold(b *testing.B) {
 	for _, off := range classOffsets {
 		s.delay = append(s.delay, inFlight*Nanosecond+off)
 	}
-	frames := make([]*[448]byte, inFlight)
+	frames := make([]*[288]byte, inFlight)
 	for i := range frames {
-		frames[i] = new([448]byte)
+		frames[i] = new([288]byte)
 	}
 	for i, j := range rand.New(rand.NewSource(1)).Perm(inFlight) {
 		f := frames[j]

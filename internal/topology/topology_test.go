@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"hpcc/internal/cc"
+	"hpcc/internal/cc/dcqcn"
 	hpcccc "hpcc/internal/cc/hpcc"
 	"hpcc/internal/fabric"
 	"hpcc/internal/host"
+	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
 
@@ -159,4 +161,41 @@ func TestMultiHomedFlowsPinPorts(t *testing.T) {
 	}
 	_ = seen
 	_ = cc.Unlimited
+}
+
+// An INT-free scheme never allocates an INT stack. After a lossy DCQCN
+// incast on the FatTree (data, ACKs, NACKs, CNPs and drops) the pool
+// holds no stacked frame, so a GetINT falls through to the heap; the
+// same run under HPCC leaves stacked frames to recycle.
+func TestINTFreeSchemeNeverAllocatesStack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cc   cc.Factory
+		int  bool
+	}{
+		{"dcqcn", dcqcn.New(dcqcn.Config{}), false},
+		{"hpcc", hpcccc.New(hpcccc.Config{}), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pool := packet.NewPool()
+			eng := sim.NewEngine()
+			hc := host.Config{CC: c.cc, INT: c.int, BaseRTT: 13 * sim.Microsecond, Pool: pool}
+			sc := fabric.SwitchConfig{INTEnabled: c.int, ECNEnabled: true, LossyEgressAlpha: 1, BufferBytes: 512 << 10}
+			nw := FatTree(eng, ScaledFatTree(), hc, sc)
+			done := 0
+			for i := 1; i < len(nw.Hosts); i++ {
+				nw.StartFlow(i, 0, 200_000, func(*host.Flow) { done++ })
+			}
+			eng.Run()
+			if done != len(nw.Hosts)-1 || nw.TotalDrops() == 0 || pool.Recycled() == 0 {
+				t.Fatalf("%d/%d flows done, %d drops, %d frames recycled; want all, some, some",
+					done, len(nw.Hosts)-1, nw.TotalDrops(), pool.Recycled())
+			}
+			before := pool.Allocated()
+			pool.GetINT()
+			if fresh := pool.Allocated() > before; fresh == c.int {
+				t.Fatalf("GetINT after the run allocated: %v, want %v", fresh, !c.int)
+			}
+		})
+	}
 }

@@ -86,7 +86,9 @@ func (s Dumbbell) topoSpec() (topology.Spec, error) {
 // and one local host pair per segment. Host layout: host 0 = long
 // sender, host 1 = long receiver, then for segment i host 2+2i is the
 // local sender at switch i and host 3+2i the local receiver at switch
-// i+1. Defaults: 2 segments, 100 Gbps, 1 µs links.
+// i+1. Defaults: 2 segments, 100 Gbps, 1 µs links. The long flow
+// crosses Segments+1 switches, each of which pushes an INT record onto a
+// 5-hop stack, so Segments is at most 4.
 type ParkingLot struct {
 	Segments     int
 	LinkRateGbps int
@@ -96,6 +98,9 @@ type ParkingLot struct {
 func (s ParkingLot) topoSpec() (topology.Spec, error) {
 	if s.Segments < 0 {
 		return nil, fmt.Errorf("hpcc: ParkingLot needs a nonnegative segment count, got %d", s.Segments)
+	}
+	if s.Segments >= packet.MaxHops {
+		return nil, fmt.Errorf("hpcc: ParkingLot with %d segments has %d switches in line; INT records at most %d hops", s.Segments, s.Segments+1, packet.MaxHops)
 	}
 	rate := gbps(s.LinkRateGbps, 100)
 	return topology.ParkingLotSpec{

@@ -107,7 +107,7 @@ func TestCustomTopologyValidation(t *testing.T) {
 }
 
 // Each switch on a path pushes one INT record and a packet holds
-// packet.MaxHops (8) of them, so a Custom graph whose hosts are more
+// packet.MaxHops (5) of them, so a Custom graph whose hosts are more
 // switches apart than that is an error, not a run on a truncated INT
 // stack.
 func TestCustomPathFitsINTStack(t *testing.T) {
@@ -127,8 +127,8 @@ func TestCustomPathFitsINTStack(t *testing.T) {
 		topo hpcc.Topology
 		ok   bool
 	}{
-		{"chain-8", chain(8), true},
-		{"chain-9", chain(9), false},
+		{"chain-5", chain(5), true},
+		{"chain-6", chain(6), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := hpcc.Experiment{
@@ -351,15 +351,24 @@ func TestPFCObserverStreams(t *testing.T) {
 	}
 }
 
-// The parking-lot sentinel bug: an explicit segment count of 17 must be
-// honored, not silently remapped to 2.
+// The parking-lot sentinel bug: an explicit segment count must be
+// honored, not silently remapped to 2. The deepest lot whose long flow
+// fits the INT stack has 4 segments (5 switches); one more is an error
+// from Run and Start alike, not a run on a truncated stack.
 func TestParkingLotHonorsExplicitSegments(t *testing.T) {
-	net, err := hpcc.Experiment{Topology: hpcc.ParkingLot{Segments: 17}}.Start()
+	net, err := hpcc.Experiment{Topology: hpcc.ParkingLot{Segments: 4}}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := net.NumHosts(), 2+2*17; got != want {
-		t.Fatalf("17-segment parking lot has %d hosts, want %d", got, want)
+	if got, want := net.NumHosts(), 2+2*4; got != want {
+		t.Fatalf("4-segment parking lot has %d hosts, want %d", got, want)
+	}
+	deep := hpcc.Experiment{Topology: hpcc.ParkingLot{Segments: 5}, Horizon: time.Millisecond}
+	if _, err := deep.Run(); err == nil {
+		t.Fatal("Run accepted a 5-segment parking lot")
+	}
+	if _, err := deep.Start(); err == nil {
+		t.Fatal("Start accepted a 5-segment parking lot")
 	}
 	// The default is still 2 segments.
 	def, err := hpcc.Experiment{Topology: hpcc.ParkingLot{}}.Start()
