@@ -76,14 +76,6 @@ type Experiment struct {
 	// StatsAccuracy is the sketches' relative accuracy when SketchStats
 	// is set (default 0.01: quantiles within 1% of exact percentiles).
 	StatsAccuracy float64
-	// QueueSampleCap, when positive, bounds the retained queue-sample
-	// instants over long horizons: the monitor thins samples with an
-	// adaptive stride (keeping every 2^k-th sampling tick, doubling k
-	// as needed), so a multi-second campaign holds at most this many
-	// instants, spread evenly over the whole run, instead of growing
-	// with the horizon. Queue percentiles are then computed over the
-	// thinned set.
-	QueueSampleCap int
 	// Seed makes runs reproducible (default 1).
 	Seed int64
 }
@@ -127,7 +119,6 @@ func (e Experiment) scenario() (experiment.LoadScenario, []int64, error) {
 		PFC:             e.Lossless == nil || *e.Lossless,
 		Seed:            e.Seed,
 		CompletedWindow: e.CompletedFlowWindow,
-		QueueSampleCap:  e.QueueSampleCap,
 		SketchStats:     e.SketchStats,
 		StatsAccuracy:   e.StatsAccuracy,
 	}

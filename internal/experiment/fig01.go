@@ -3,7 +3,6 @@ package experiment
 import (
 	"hpcc/internal/cc/dcqcn"
 	"hpcc/internal/fabric"
-	"hpcc/internal/host"
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
 	"hpcc/internal/workload"
@@ -45,30 +44,20 @@ func Fig01(dur sim.Time, seed int64) *Fig01Result {
 	if dur == 0 {
 		dur = 20 * sim.Millisecond
 	}
-	scheme := DCQCN(dcqcn.Config{RateIncTimer: 55 * sim.Microsecond, MinDecGap: 50 * sim.Microsecond})
 	eng := sim.NewEngine()
-	topo := PodTopo(topology.PodSpec{})
-	rate := topo.Rate()
-	scfg := fabric.SwitchConfig{
+	nw := StartManual(eng, LoadScenario{
+		Scheme: DCQCN(dcqcn.Config{RateIncTimer: 55 * sim.Microsecond, MinDecGap: 50 * sim.Microsecond}),
+		Topo:   PodTopo(topology.PodSpec{}),
+		Traffic: []workload.Generator{
+			workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3, MaxFlows: 100_000},
+			workload.IncastSpec{FanIn: 16, Size: 500_000, LoadFrac: 0.10},
+		},
+		Until: dur,
+		PFC:   true,
 		// A small buffer makes pauses propagate visibly at CI scale.
 		BufferBytes: 2 << 20,
-		PFCEnabled:  true,
-		ECNEnabled:  true,
-		KMin:        scheme.Kmin(rate),
-		KMax:        scheme.Kmax(rate),
 		Seed:        seed,
-	}
-	hcfg := host.Config{CC: scheme.Factory, BaseRTT: topo.BaseRTT(), Seed: seed}
-	nw := topo.Build(eng, hcfg, scfg)
-
-	workload.StartPoisson(nw, workload.PoissonSpec{
-		CDF: workload.WebSearch(), Load: 0.3, HostRate: rate,
-		Until: dur, MaxFlows: 100_000, Seed: seed,
-	})
-	workload.StartIncast(nw, workload.IncastSpec{
-		FanIn: 16, Size: 500_000, LoadFrac: 0.10, HostRate: rate,
-		Until: dur, Seed: seed + 1,
-	})
+	}).Network
 	eng.RunUntil(dur + 10*sim.Millisecond)
 
 	res := &Fig01Result{PauseTimeByTier: map[string]float64{}}

@@ -27,29 +27,14 @@ type microNet struct {
 }
 
 // buildStarMicro wires n hosts at rate around one switch with PFC on
-// (the testbed is lossless) and the scheme's INT/ECN needs.
+// (the testbed is lossless) and the scheme's INT/ECN needs. The flows
+// are the figure's own; the scenario carries no traffic.
 func buildStarMicro(scheme Scheme, n int, rate sim.Rate, seed int64, tputBin sim.Time) *microNet {
 	eng := sim.NewEngine()
 	topo := topology.StarSpec{N: n, HostRate: rate, Delay: sim.Microsecond}
-	scfg := fabric.SwitchConfig{
-		PFCEnabled: true,
-		INTEnabled: scheme.INT,
-		ECNEnabled: scheme.ECN,
-		Seed:       seed,
-	}
-	if scheme.ECN {
-		scfg.KMin = scheme.Kmin(rate)
-		scfg.KMax = scheme.Kmax(rate)
-	}
-	hcfg := host.Config{
-		CC:      scheme.Factory,
-		INT:     scheme.INT,
-		BaseRTT: topo.BaseRTT(),
-		Seed:    seed,
-	}
 	return &microNet{
 		eng:     eng,
-		nw:      topo.Build(eng, hcfg, scfg),
+		nw:      StartManual(eng, LoadScenario{Scheme: scheme, Topo: topo, PFC: true, Seed: seed}).Network,
 		rate:    rate,
 		baseRTT: topo.BaseRTT(),
 		tput:    stats.NewThroughput(tputBin),

@@ -64,9 +64,11 @@ type Obs struct {
 }
 
 // LoadScenario is the common "composable traffic on a topology"
-// experiment shared by Figures 2, 3, 10, 11, 12 and the public
-// Experiment API: a scheme, a topology spec, and any number of traffic
-// generators installed on the same fabric.
+// experiment: a scheme, a topology spec, and any number of traffic
+// generators installed on the same fabric. Every figure and the public
+// Experiment API build their fabric from one — the load figures through
+// RunLoad, Figure 1 and the micro-benchmarks through StartManual — so
+// one function (build) maps a scheme to switch and host settings.
 type LoadScenario struct {
 	Scheme Scheme
 	Topo   Topo
@@ -86,13 +88,8 @@ type LoadScenario struct {
 	PFC bool
 
 	QueueSample sim.Time // queue sampling period (default 10 µs)
-	// QueueSampleCap, when positive, bounds the retained queue-sample
-	// instants per monitor (adaptive stride thinning; see
-	// stats.QueueMonitor.SampleCap), so multi-second campaigns hold
-	// bounded QueueKB slices instead of growing with the horizon.
-	QueueSampleCap int
-	Seed           int64
-	BufferBytes    int64 // switch buffer (default 32 MB)
+	Seed        int64
+	BufferBytes int64 // switch buffer (default 32 MB)
 	// INTQuantize rounds every INT stamp through the Figure-7 wire
 	// precision (ASIC emulation ablation).
 	INTQuantize bool
@@ -267,11 +264,15 @@ func (s *LoadScenario) build(eng *sim.Engine) *topology.Network {
 	return s.Topo.Build(eng, hcfg, scfg)
 }
 
-// installTraffic installs the scenario's generators and PFC watch on a
-// built fabric. Every completion becomes one FCTRecord — appended to
-// fct when non-nil (RunLoad's aggregate) and streamed to Obs.OnFlow —
-// so the aggregate and the observer stream can never disagree.
-func (s *LoadScenario) installTraffic(eng *sim.Engine, nw *topology.Network, fct *stats.FCTSet) {
+// start builds the normalized scenario's fabric on eng, installs its
+// generators and PFC watch, then attaches the queue monitor. Every
+// completion becomes one FCTRecord — appended to fct when non-nil
+// (RunLoad's aggregate) and streamed to Obs.OnFlow — so the aggregate
+// and the observer stream can never disagree. RunLoad (fct set) always
+// gets a monitor; StartManual only when an observer asks for queue
+// samples, and a nil monitor otherwise.
+func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*topology.Network, *stats.QueueMonitor) {
+	nw := s.build(eng)
 	rate := s.Topo.Rate()
 	baseRTT := s.Topo.BaseRTT()
 	emit := func(ev FlowEvent) {
@@ -325,6 +326,19 @@ func (s *LoadScenario) installTraffic(eng *sim.Engine, nw *topology.Network, fct
 	if s.Obs.OnPFC != nil {
 		stats.WatchPFC(eng, nw.Switches, s.Obs.OnPFC)
 	}
+	if fct == nil && s.Obs.OnQueue == nil && s.Obs.OnQueueFlush == nil {
+		return nw, nil
+	}
+	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, s.QueueSample, s.Until)
+	mon.OnSample = s.Obs.OnQueue
+	if s.SketchStats {
+		mon.EnableSketch(s.StatsAccuracy)
+	}
+	if s.Obs.OnQueueFlush != nil {
+		mon.FlushEvery = s.FlushEvery
+		mon.OnFlush = s.Obs.OnQueueFlush
+	}
+	return nw, mon
 }
 
 // RunLoad executes the scenario to its horizon and collects results.
@@ -336,23 +350,11 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 	}
 	s.normalize()
 	eng := sim.NewEngine()
-	nw := s.build(eng)
-
 	res := &LoadResult{Scheme: s.Scheme.Name}
 	if s.SketchStats {
 		res.FCT = stats.NewStreamingFCT(s.FCTBucketEdges, s.StatsAccuracy)
 	}
-	s.installTraffic(eng, nw, &res.FCT)
-	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, s.QueueSample, s.Until)
-	mon.OnSample = s.Obs.OnQueue
-	mon.SampleCap = s.QueueSampleCap
-	if s.SketchStats {
-		mon.EnableSketch(s.StatsAccuracy)
-	}
-	if s.Obs.OnQueueFlush != nil {
-		mon.FlushEvery = s.FlushEvery
-		mon.OnFlush = s.Obs.OnQueueFlush
-	}
+	nw, mon := s.start(eng, &res.FCT)
 
 	eng.RunUntil(s.Until + s.Drain)
 	mon.Stop()
@@ -430,19 +432,6 @@ type ManualNet struct {
 // aggregate result is collected.
 func StartManual(eng *sim.Engine, s LoadScenario) *ManualNet {
 	s.normalize()
-	nw := s.build(eng)
-	s.installTraffic(eng, nw, nil)
-	if s.Obs.OnQueue != nil || s.Obs.OnQueueFlush != nil {
-		mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, s.QueueSample, s.Until)
-		mon.OnSample = s.Obs.OnQueue
-		mon.SampleCap = s.QueueSampleCap
-		if s.SketchStats {
-			mon.EnableSketch(s.StatsAccuracy)
-		}
-		if s.Obs.OnQueueFlush != nil {
-			mon.FlushEvery = s.FlushEvery
-			mon.OnFlush = s.Obs.OnQueueFlush
-		}
-	}
+	nw, _ := s.start(eng, nil)
 	return &ManualNet{Network: nw, Obs: s.Obs, Until: s.Until}
 }

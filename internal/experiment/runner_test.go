@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hpcc/internal/sim"
-	"hpcc/internal/stats"
 )
 
 // runLoadT is RunLoad with test-fatal error handling.
@@ -24,37 +23,6 @@ func TestRunLoadValidates(t *testing.T) {
 	s.Drain = -sim.Millisecond
 	if _, err := RunLoad(s); err == nil {
 		t.Fatal("RunLoad accepted a negative drain")
-	}
-}
-
-// A queue observer sees every sample, retained or not.
-func TestQueueObserverSeesSamples(t *testing.T) {
-	s := dumbbellLoad()
-	s.QueueSampleCap = 1
-	seen := 0
-	s.Obs.OnQueue = func(stats.TimePoint) { seen++ }
-	runLoadT(t, s)
-	if seen <= 1 {
-		t.Fatalf("queue observer saw %d ticks with one retained, want every tick", seen)
-	}
-}
-
-// Bounded queue-sample retention: the cap must bound QueueKB however
-// long the horizon, and must actually engage.
-func TestQueueSampleCap(t *testing.T) {
-	const capTicks = 16
-	s := dumbbellLoad()
-	uncapped := runLoadT(t, s)
-	s.QueueSampleCap = capTicks
-	capped := runLoadT(t, s)
-	// 8 edge ports on the 4-pair dumbbell: the retained samples are
-	// rows × ports.
-	if len(capped.QueueKB) == 0 || len(capped.QueueKB) > capTicks*8 {
-		t.Fatalf("capped run retained %d samples, want (0, %d]", len(capped.QueueKB), capTicks*8)
-	}
-	if len(uncapped.QueueKB) <= len(capped.QueueKB) {
-		t.Fatalf("cap retained %d samples but uncapped has %d — cap never engaged",
-			len(capped.QueueKB), len(uncapped.QueueKB))
 	}
 }
 

@@ -11,9 +11,6 @@ func (h *Host) AuditFreeLists() error {
 	for _, f := range h.flows {
 		held[f] = "flows"
 	}
-	for _, f := range h.waiting {
-		held[f] = "waiting"
-	}
 	free := make(map[*Flow]bool)
 	for _, f := range h.flowFree {
 		switch {

@@ -55,8 +55,6 @@ type Flow struct {
 	finished sim.Time
 	done     bool
 	alive    bool
-	pending  bool // waiting for a flow-scheduler engine slot (§4.3)
-	admitted bool // holds a scheduler slot (must be released at teardown)
 	pinned   bool // a handle left the simulator: evict and count, never recycle
 	onDone   func(*Flow)
 
@@ -148,7 +146,7 @@ func (f *Flow) nextChunk() (seq int64, payload int32, isRtx bool) {
 // trySend transmits as many packets as the window and pacer allow,
 // arming the pacing timer when it runs ahead of the clock.
 func (f *Flow) trySend() {
-	if f.done || !f.alive || f.pending {
+	if f.done || !f.alive {
 		return
 	}
 	now := f.host.eng.Now()
@@ -382,9 +380,4 @@ func (f *Flow) teardown(now sim.Time) {
 	// gated on the flow being live.
 	f.sacked = nil
 	f.rtx = nil
-	if f.admitted {
-		f.admitted = false
-		f.host.flowFinished()
-	}
-	f.pending = false
 }

@@ -53,11 +53,6 @@ type Config struct {
 	// RTO is the retransmission-timeout backstop for lossy modes;
 	// default 1 ms.
 	RTO sim.Time
-	// SchedulerEngines models the NIC flow-scheduler clock engines of
-	// §4.3: each engine sustains up to 50 concurrent flows at line
-	// rate (the FPGA prototype has six). Flows beyond the capacity
-	// wait FIFO until a slot frees. Zero means unlimited (ASIC-class).
-	SchedulerEngines int
 	// CompletedWindow, when positive, bounds the host's memory over
 	// long campaigns: at most this many completed sender flows are
 	// retained (a ring of recent completions for post-run inspection);
@@ -76,10 +71,6 @@ type Config struct {
 	// private pool.
 	Pool *packet.Pool
 }
-
-// FlowsPerEngine is the per-clock-engine concurrent-flow capacity of
-// the FPGA prototype (§4.3).
-const FlowsPerEngine = 50
 
 func (c *Config) normalize() {
 	if c.MTU == 0 {
@@ -109,11 +100,6 @@ type Host struct {
 
 	// RDMA READ requester state: flow ID -> (expected bytes, callback).
 	reads map[int32]*pendingRead
-
-	// Flow-scheduler engine limit (§4.3): active sender flows beyond
-	// the clock-engine capacity wait here in FIFO order.
-	activeFlows int
-	waiting     []*Flow
 
 	// wrapFree recycles the cc.Env.Schedule trampolines so timer-driven
 	// CC schemes (DCQCN's per-flow clocks) do not allocate per tick.
@@ -293,8 +279,7 @@ func (h *Host) HandleArrival(p *packet.Packet, in *fabric.Port) {
 // StartFlow creates and starts a sender flow of size bytes toward dst,
 // bound to the local port portIdx. id must be unique network-wide.
 // onDone, if non-nil, fires at completion (all bytes cumulatively
-// ACKed). If the flow-scheduler engines are saturated, the flow queues
-// until a slot frees (§4.3).
+// ACKed).
 func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, onDone func(*Flow)) *Flow {
 	if _, dup := h.flows[id]; dup {
 		panic(fmt.Sprintf("host: duplicate flow id %d", id))
@@ -318,12 +303,8 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 		h.eng.After(0, func() { f.complete(h.eng.Now()) })
 		return f
 	}
-	if cap := h.schedCapacity(); cap > 0 && h.activeFlows >= cap {
-		f.pending = true
-		h.waiting = append(h.waiting, f)
-		return f
-	}
-	h.admit(f)
+	f.armRTO()
+	f.trySend()
 	return f
 }
 
@@ -362,40 +343,6 @@ func (h *Host) newFlow() *Flow {
 		MTU:      h.cfg.MTU,
 	}
 	return f
-}
-
-// admit grants f a scheduler slot and starts transmission.
-func (h *Host) admit(f *Flow) {
-	h.activeFlows++
-	f.admitted = true
-	f.armRTO()
-	f.trySend()
-}
-
-func (h *Host) schedCapacity() int {
-	if h.cfg.SchedulerEngines <= 0 {
-		return 0
-	}
-	return h.cfg.SchedulerEngines * FlowsPerEngine
-}
-
-// flowFinished releases the flow's scheduler slot and admits the next
-// waiting flow, if any.
-func (h *Host) flowFinished() {
-	if h.schedCapacity() == 0 {
-		return
-	}
-	h.activeFlows--
-	for len(h.waiting) > 0 && h.activeFlows < h.schedCapacity() {
-		next := h.waiting[0]
-		h.waiting = h.waiting[1:]
-		if next.done {
-			continue // aborted while waiting
-		}
-		next.pending = false
-		next.started = h.eng.Now() // queueing delay excluded from FCT
-		h.admit(next)
-	}
 }
 
 // Read issues an RDMA READ: the responder streams size bytes back to

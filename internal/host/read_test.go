@@ -3,7 +3,6 @@ package host
 import (
 	"testing"
 
-	"hpcc/internal/cc"
 	"hpcc/internal/fabric"
 	"hpcc/internal/sim"
 )
@@ -40,60 +39,6 @@ func TestRDMAReadUnderIRN(t *testing.T) {
 	nw.eng.Run()
 	if !done {
 		t.Fatal("READ completion never fired under IRN")
-	}
-}
-
-func TestSchedulerEngineLimit(t *testing.T) {
-	// One engine = 50 flows; launch 60 and check the last ten wait
-	// until earlier flows finish, yet all eventually complete.
-	mock := func() cc.Algorithm { return &mockCC{w: 0, rate: float64(line100)} }
-	cfg := Config{CC: mock, BaseRTT: 10 * sim.Microsecond, SchedulerEngines: 1}
-	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, sim.Microsecond)
-	var flows []*Flow
-	for i := 0; i < 60; i++ {
-		flows = append(flows, nw.start(0, 1, 50_000, nil))
-	}
-	waiting := 0
-	for _, f := range flows {
-		if f.pending {
-			waiting++
-		}
-	}
-	if waiting != 10 {
-		t.Fatalf("waiting flows = %d, want 10 (capacity 50)", waiting)
-	}
-	nw.eng.Run()
-	for i, f := range flows {
-		if !f.Done() {
-			t.Fatalf("flow %d never completed", i)
-		}
-	}
-	if nw.hosts[0].activeFlows != 0 {
-		t.Fatalf("scheduler slots leaked: %d active after drain", nw.hosts[0].activeFlows)
-	}
-}
-
-func TestSchedulerAbortWhileWaiting(t *testing.T) {
-	mock := func() cc.Algorithm { return &mockCC{w: 0, rate: float64(line100)} }
-	cfg := Config{CC: mock, BaseRTT: 10 * sim.Microsecond, SchedulerEngines: 1}
-	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, sim.Microsecond)
-	var flows []*Flow
-	for i := 0; i < 55; i++ {
-		flows = append(flows, nw.start(0, 1, 50_000, nil))
-	}
-	// Abort a waiting flow before it is admitted.
-	flows[52].Abort()
-	nw.eng.Run()
-	for i, f := range flows {
-		if i == 52 {
-			continue
-		}
-		if !f.Done() {
-			t.Fatalf("flow %d never completed", i)
-		}
-	}
-	if nw.hosts[0].activeFlows != 0 {
-		t.Fatalf("scheduler slots leaked after abort: %d", nw.hosts[0].activeFlows)
 	}
 }
 

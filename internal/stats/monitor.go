@@ -24,8 +24,7 @@ type QueueMonitor struct {
 	// OnSample, if set, streams each (time, total bytes) observation as
 	// it is taken — the observer-layer feed TraceQueues and the public
 	// QueueObserver ride. Set it right after NewQueueMonitor; the first
-	// tick fires one interval later. Streaming sees every tick,
-	// regardless of SampleCap.
+	// tick fires one interval later.
 	OnSample func(TimePoint)
 
 	// Sketch mode (EnableSketch): per-port depth observations stream
@@ -45,19 +44,6 @@ type QueueMonitor struct {
 	OnFlush    func(QueueFlush)
 	winTicks   int
 	winStart   sim.Time
-
-	// SampleCap, when positive, bounds the retained sampling instants:
-	// the monitor keeps ticks whose index is a multiple of an adaptive
-	// stride, doubling the stride (and dropping half the retained rows)
-	// whenever the row count would exceed the cap — so an arbitrarily
-	// long campaign holds at most SampleCap instants, thinned evenly
-	// over the whole horizon rather than truncated. The decision
-	// depends only on the tick index, never on port count or values.
-	// Set it right after NewQueueMonitor.
-	// Zero (the default) retains every tick.
-	SampleCap int
-	stride    uint64 // tick keep-stride (power of two; 0 until first tick)
-	ticks     uint64 // absolute tick counter
 }
 
 // TimePoint is one time-series observation.
@@ -108,34 +94,24 @@ func (m *QueueMonitor) tick() {
 	if now > m.until {
 		return
 	}
-	if m.stride == 0 {
-		m.stride = 1
-	}
 	if m.FlushEvery > 0 && m.window == nil {
 		m.window = NewSketch(0) // exact-retention monitor with a flush consumer
 	}
-	idx := m.ticks
-	m.ticks++
-	keep := m.sketch == nil && idx%m.stride == 0
 	total := 0.0
 	for _, p := range m.ports {
 		q := float64(p.QueueBytes(m.prio))
 		total += q
-		switch {
-		case m.sketch != nil:
+		if m.sketch != nil {
 			m.sketch.Add(q)
-		case keep:
+		} else {
 			m.Samples = append(m.Samples, q)
 		}
 		if m.FlushEvery > 0 {
 			m.window.Add(q)
 		}
 	}
-	if keep {
+	if m.sketch == nil {
 		m.Series = append(m.Series, TimePoint{now, total})
-		if m.SampleCap > 0 && len(m.Series) > m.SampleCap {
-			m.decimate()
-		}
 	}
 	if m.FlushEvery > 0 {
 		m.winTicks++
@@ -189,23 +165,6 @@ func (m *QueueMonitor) RetainedBytes() int64 {
 		return total
 	}
 	return int64(len(m.Samples)) * 8
-}
-
-// decimate doubles the keep-stride and drops the retained rows that no
-// longer land on it. Retained rows are always exactly the ticks
-// 0, stride, 2·stride, …, so row r holds tick r·stride and doubling
-// the stride keeps precisely the even-indexed rows.
-func (m *QueueMonitor) decimate() {
-	np := len(m.ports)
-	m.stride *= 2
-	n := (len(m.Series) + 1) / 2
-	for w := 1; w < n; w++ {
-		r := 2 * w
-		m.Series[w] = m.Series[r]
-		copy(m.Samples[w*np:(w+1)*np], m.Samples[r*np:(r+1)*np])
-	}
-	m.Series = m.Series[:n]
-	m.Samples = m.Samples[:n*np]
 }
 
 // PFCEvent is one pause/resume transition observed at a switch egress

@@ -11,7 +11,7 @@ import (
 
 func TestParkingLotShape(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := ParkingLot(eng, 3, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg(), scfg())
+	nw := ParkingLotSpec{Segments: 3}.Build(eng, hcfg(), scfg())
 	if len(nw.Switches) != 4 {
 		t.Fatalf("switches = %d, want 4", len(nw.Switches))
 	}
@@ -32,7 +32,7 @@ func TestParkingLotShape(t *testing.T) {
 func TestParkingLotProportionalShare(t *testing.T) {
 	eng := sim.NewEngine()
 	const segments = 2
-	nw := ParkingLot(eng, segments, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg(), scfg())
+	nw := ParkingLotSpec{Segments: segments}.Build(eng, hcfg(), scfg())
 
 	acked := make([]int64, 1+segments)
 	long := nw.StartFlow(0, 1, 1<<40, nil)

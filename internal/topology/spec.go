@@ -47,7 +47,13 @@ func (s StarSpec) normalize() StarSpec {
 
 func (s StarSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
 	s = s.normalize()
-	return Star(eng, s.N, s.HostRate, s.Delay, hcfg, scfg)
+	b := NewBuilder(eng, hcfg, scfg)
+	sw := b.AddSwitch()
+	for i := 0; i < s.N; i++ {
+		h := b.AddHost()
+		b.Link(h, sw, s.HostRate, s.Delay)
+	}
+	return b.Build()
 }
 
 func (s StarSpec) Rate() sim.Rate { return s.normalize().HostRate }
@@ -79,9 +85,21 @@ func (s DumbbellSpec) normalize() DumbbellSpec {
 	return s
 }
 
+// Build adds the senders to the left switch and the receivers to the
+// right one, in that order.
 func (s DumbbellSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
 	s = s.normalize()
-	return Dumbbell(eng, s.Pairs, s.HostRate, s.CoreRate, s.Delay, hcfg, scfg)
+	b := NewBuilder(eng, hcfg, scfg)
+	left := b.AddSwitch()
+	right := b.AddSwitch()
+	b.Link(left, right, s.CoreRate, s.Delay)
+	for _, sw := range []*fabric.Switch{left, right} {
+		for i := 0; i < s.Pairs; i++ {
+			h := b.AddHost()
+			b.Link(h, sw, s.HostRate, s.Delay)
+		}
+	}
+	return b.Build()
 }
 
 func (s DumbbellSpec) Rate() sim.Rate { return s.normalize().HostRate }
@@ -91,8 +109,13 @@ func (s DumbbellSpec) BaseRTT() sim.Time { return 6*s.normalize().Delay + rttMar
 
 // ParkingLotSpec is the §3.2/Appendix-A multi-bottleneck chain:
 // Segments+1 switches in a line whose inter-switch links run at the
-// host rate, a long host pair at the ends, and one local host pair per
-// segment (see ParkingLot for the host layout).
+// host rate, a long host pair at the ends whose flow crosses every
+// inter-switch link, and one local host pair per segment whose flow
+// crosses only that segment.
+//
+// Host layout: host 0 = long sender, host 1 = long receiver, then for
+// segment i (0-based): host 2+2i = local sender (at switch i), host
+// 3+2i = local receiver (at switch i+1).
 type ParkingLotSpec struct {
 	Segments int
 	HostRate sim.Rate
@@ -118,7 +141,25 @@ func (s ParkingLotSpec) normalize() ParkingLotSpec {
 
 func (s ParkingLotSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
 	s = s.normalize()
-	return ParkingLot(eng, s.Segments, s.HostRate, s.CoreRate, s.Delay, hcfg, scfg)
+	b := NewBuilder(eng, hcfg, scfg)
+	switches := make([]*fabric.Switch, s.Segments+1)
+	for i := range switches {
+		switches[i] = b.AddSwitch()
+		if i > 0 {
+			b.Link(switches[i-1], switches[i], s.CoreRate, s.Delay)
+		}
+	}
+	longSrc := b.AddHost()
+	b.Link(longSrc, switches[0], s.HostRate, s.Delay)
+	longDst := b.AddHost()
+	b.Link(longDst, switches[s.Segments], s.HostRate, s.Delay)
+	for i := 0; i < s.Segments; i++ {
+		src := b.AddHost()
+		b.Link(src, switches[i], s.HostRate, s.Delay)
+		dst := b.AddHost()
+		b.Link(dst, switches[i+1], s.HostRate, s.Delay)
+	}
+	return b.Build()
 }
 
 func (s ParkingLotSpec) Rate() sim.Rate { return s.normalize().HostRate }
@@ -130,10 +171,59 @@ func (s ParkingLotSpec) BaseRTT() sim.Time {
 	return 2*sim.Time(s.Segments+2)*s.Delay + rttMargin
 }
 
-// PodSpec implements Spec (the builder itself is Pod).
+// PodSpec describes the paper's 32-server testbed PoD (§5.1): four ToRs
+// under one Agg, with each server dual-homed to a ToR pair.
+type PodSpec struct {
+	// Servers is the total server count; must be even. Default 32.
+	Servers int
+	// HostRate is each NIC uplink speed. Default 25 Gbps.
+	HostRate sim.Rate
+	// FabricRate is the ToR–Agg link speed. Default 100 Gbps.
+	FabricRate sim.Rate
+	// LinkDelay is the per-link propagation delay. Default 600 ns,
+	// which lands the base RTTs near the testbed's 5.4 µs intra-rack /
+	// 8.5 µs cross-rack figures.
+	LinkDelay sim.Time
+}
 
+func (s *PodSpec) normalize() {
+	if s.Servers == 0 {
+		s.Servers = 32
+	}
+	if s.HostRate == 0 {
+		s.HostRate = 25 * sim.Gbps
+	}
+	if s.FabricRate == 0 {
+		s.FabricRate = 100 * sim.Gbps
+	}
+	if s.LinkDelay == 0 {
+		s.LinkDelay = 600 * sim.Nanosecond
+	}
+}
+
+// Build wires the testbed PoD: ToR1+ToR2 serve the first half of the
+// servers (each server dual-homed to both), ToR3+ToR4 the second half,
+// and all four ToRs uplink to one Agg switch.
 func (s PodSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
-	return Pod(eng, s, hcfg, scfg)
+	s.normalize()
+	b := NewBuilder(eng, hcfg, scfg)
+	agg := b.AddSwitch()
+	tors := make([]*fabric.Switch, 4)
+	for i := range tors {
+		tors[i] = b.AddSwitch()
+		b.Link(tors[i], agg, s.FabricRate, s.LinkDelay)
+	}
+	half := s.Servers / 2
+	for i := 0; i < s.Servers; i++ {
+		h := b.AddHost()
+		pair := 0
+		if i >= half {
+			pair = 2
+		}
+		b.Link(h, tors[pair], s.HostRate, s.LinkDelay)
+		b.Link(h, tors[pair+1], s.HostRate, s.LinkDelay)
+	}
+	return b.Build()
 }
 
 func (s PodSpec) Rate() sim.Rate {
@@ -146,10 +236,71 @@ func (s PodSpec) Rate() sim.Rate {
 // BaseRTT is the testbed's 9 µs constant (§5.1).
 func (s PodSpec) BaseRTT() sim.Time { return 9 * sim.Microsecond }
 
-// FatTreeSpec implements Spec (the builder itself is FatTree).
+// FatTreeSpec describes the simulation topology of §5.1: a three-tier
+// Clos with 16 Core and 20 Agg switches over 20 ToRs of 16 servers each
+// (320 hosts), 100 Gbps at the host and 400 Gbps between switches, 1 µs
+// link delay (12 µs max base RTT). The counts scale down for CI runs.
+type FatTreeSpec struct {
+	Cores, Aggs, ToRs, HostsPerToR int
+	HostRate, FabricRate           sim.Rate
+	LinkDelay                      sim.Time
+}
 
+// PaperFatTree returns the full-scale spec from §5.1.
+func PaperFatTree() FatTreeSpec {
+	return FatTreeSpec{
+		Cores: 16, Aggs: 20, ToRs: 20, HostsPerToR: 16,
+		HostRate: 100 * sim.Gbps, FabricRate: 400 * sim.Gbps,
+		LinkDelay: sim.Microsecond,
+	}
+}
+
+// ScaledFatTree returns a CI-sized FatTree preserving the paper's
+// oversubscription shape (same tiers, fewer elements).
+func ScaledFatTree() FatTreeSpec {
+	return FatTreeSpec{
+		Cores: 2, Aggs: 4, ToRs: 4, HostsPerToR: 8,
+		HostRate: 100 * sim.Gbps, FabricRate: 400 * sim.Gbps,
+		LinkDelay: sim.Microsecond,
+	}
+}
+
+func (s *FatTreeSpec) normalize() {
+	if s.Cores == 0 {
+		*s = PaperFatTree()
+	}
+}
+
+// NumHosts returns the host count of the spec.
+func (s FatTreeSpec) NumHosts() int { return s.ToRs * s.HostsPerToR }
+
+// Build wires the Clos: every ToR links to every Agg, every Agg to
+// every Core, hosts under their ToR.
 func (s FatTreeSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
-	return FatTree(eng, s, hcfg, scfg)
+	s.normalize()
+	b := NewBuilder(eng, hcfg, scfg)
+	cores := make([]*fabric.Switch, s.Cores)
+	for i := range cores {
+		cores[i] = b.AddSwitch()
+	}
+	aggs := make([]*fabric.Switch, s.Aggs)
+	for i := range aggs {
+		aggs[i] = b.AddSwitch()
+		for _, c := range cores {
+			b.Link(aggs[i], c, s.FabricRate, s.LinkDelay)
+		}
+	}
+	for t := 0; t < s.ToRs; t++ {
+		tor := b.AddSwitch()
+		for _, a := range aggs {
+			b.Link(tor, a, s.FabricRate, s.LinkDelay)
+		}
+		for j := 0; j < s.HostsPerToR; j++ {
+			h := b.AddHost()
+			b.Link(h, tor, s.HostRate, s.LinkDelay)
+		}
+	}
+	return b.Build()
 }
 
 func (s FatTreeSpec) Rate() sim.Rate {

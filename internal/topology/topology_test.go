@@ -26,7 +26,7 @@ func scfg() fabric.SwitchConfig {
 
 func TestStarRoutes(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := Star(eng, 4, 100*sim.Gbps, sim.Microsecond, hcfg(), scfg())
+	nw := StarSpec{N: 4}.Build(eng, hcfg(), scfg())
 	if len(nw.Hosts) != 4 || len(nw.Switches) != 1 {
 		t.Fatalf("star: %d hosts, %d switches", len(nw.Hosts), len(nw.Switches))
 	}
@@ -40,7 +40,7 @@ func TestStarRoutes(t *testing.T) {
 
 func TestStarEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := Star(eng, 4, 100*sim.Gbps, sim.Microsecond, hcfg(), scfg())
+	nw := StarSpec{N: 4}.Build(eng, hcfg(), scfg())
 	f := nw.StartFlow(0, 3, 100_000, nil)
 	eng.Run()
 	if !f.Done() {
@@ -50,7 +50,7 @@ func TestStarEndToEnd(t *testing.T) {
 
 func TestDumbbellBottleneck(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := Dumbbell(eng, 2, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg(), scfg())
+	nw := DumbbellSpec{Pairs: 2}.Build(eng, hcfg(), scfg())
 	if len(nw.Hosts) != 4 || len(nw.Switches) != 2 {
 		t.Fatalf("dumbbell: %d hosts, %d switches", len(nw.Hosts), len(nw.Switches))
 	}
@@ -65,7 +65,7 @@ func TestDumbbellBottleneck(t *testing.T) {
 
 func TestPodShape(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := Pod(eng, PodSpec{}, hcfg(), scfg())
+	nw := PodSpec{}.Build(eng, hcfg(), scfg())
 	if len(nw.Hosts) != 32 {
 		t.Fatalf("pod hosts = %d, want 32", len(nw.Hosts))
 	}
@@ -81,7 +81,7 @@ func TestPodShape(t *testing.T) {
 
 func TestPodCrossRackFlow(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := Pod(eng, PodSpec{}, hcfg(), scfg())
+	nw := PodSpec{}.Build(eng, hcfg(), scfg())
 	// Host 0 is in the ToR1/ToR2 half; host 31 in ToR3/ToR4: the flow
 	// crosses the Agg.
 	f := nw.StartFlow(0, 31, 500_000, nil)
@@ -99,7 +99,7 @@ func TestPodCrossRackFlow(t *testing.T) {
 func TestFatTreeShape(t *testing.T) {
 	eng := sim.NewEngine()
 	spec := ScaledFatTree()
-	nw := FatTree(eng, spec, hcfg(), scfg())
+	nw := spec.Build(eng, hcfg(), scfg())
 	if len(nw.Hosts) != spec.NumHosts() {
 		t.Fatalf("hosts = %d, want %d", len(nw.Hosts), spec.NumHosts())
 	}
@@ -119,7 +119,7 @@ func TestFatTreeShape(t *testing.T) {
 
 func TestFatTreeCrossRackFlow(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := FatTree(eng, ScaledFatTree(), hcfg(), scfg())
+	nw := ScaledFatTree().Build(eng, hcfg(), scfg())
 	f := nw.StartFlow(0, len(nw.Hosts)-1, 300_000, nil)
 	eng.Run()
 	if !f.Done() {
@@ -129,7 +129,7 @@ func TestFatTreeCrossRackFlow(t *testing.T) {
 
 func TestFatTreeManyFlows(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := FatTree(eng, ScaledFatTree(), hcfg(), scfg())
+	nw := ScaledFatTree().Build(eng, hcfg(), scfg())
 	var done int
 	n := len(nw.Hosts)
 	for i := 0; i < n; i++ {
@@ -147,7 +147,7 @@ func TestFatTreeManyFlows(t *testing.T) {
 
 func TestMultiHomedFlowsPinPorts(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := Pod(eng, PodSpec{}, hcfg(), scfg())
+	nw := PodSpec{}.Build(eng, hcfg(), scfg())
 	seen := map[uint64]bool{}
 	for i := 0; i < 16; i++ {
 		nw.StartFlow(0, 31, 1000, nil)
@@ -181,7 +181,7 @@ func TestINTFreeSchemeNeverAllocatesStack(t *testing.T) {
 			eng := sim.NewEngine()
 			hc := host.Config{CC: c.cc, INT: c.int, BaseRTT: 13 * sim.Microsecond, Pool: pool}
 			sc := fabric.SwitchConfig{INTEnabled: c.int, ECNEnabled: true, LossyEgressAlpha: 1, BufferBytes: 512 << 10}
-			nw := FatTree(eng, ScaledFatTree(), hc, sc)
+			nw := ScaledFatTree().Build(eng, hc, sc)
 			done := 0
 			for i := 1; i < len(nw.Hosts); i++ {
 				nw.StartFlow(i, 0, 200_000, func(*host.Flow) { done++ })

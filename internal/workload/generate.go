@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"hpcc/internal/host"
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
 )
@@ -13,28 +12,21 @@ import (
 type PoissonSpec struct {
 	CDF  *CDF
 	Load float64 // target average link load, e.g. 0.3
-	// HostRate is the NIC speed used to derive the arrival rate.
-	HostRate sim.Rate
-	// Until stops new arrivals at this time (flows in flight drain).
-	Until sim.Time
-	// MaxFlows caps total arrivals (0 = unlimited) to bound runtimes.
+	// MaxFlows caps total arrivals (0 = env.MaxFlows) to bound runtimes.
 	MaxFlows int
-	// OnDone observes each completed flow.
-	OnDone func(*host.Flow)
-	// Seed makes the arrival sequence deterministic.
-	Seed int64
-	// Key canonically ranks this generator's arrival events among
-	// simultaneous events (see Env.Key); runners set it via Env.
-	Key uint64
 }
 
-// StartPoisson installs the generator on a network. Arrival rate:
-// λ = Load × N_hosts × HostRate / E[size] (in flows/sec), matching the
-// convention of the paper's public simulator.
-func StartPoisson(nw *topology.Network, spec PoissonSpec) {
-	rng := sim.NewRNG(spec.Seed, "poisson")
+// Install starts the arrivals. Arrival rate:
+// λ = Load × N_hosts × env.HostRate / E[size] (in flows/sec), matching
+// the convention of the paper's public simulator.
+func (spec PoissonSpec) Install(nw *topology.Network, env Env) {
+	maxFlows := spec.MaxFlows
+	if maxFlows == 0 {
+		maxFlows = env.MaxFlows
+	}
+	rng := sim.NewRNG(env.Seed, "poisson")
 	n := len(nw.Hosts)
-	bytesPerSec := spec.Load * float64(n) * spec.HostRate.BytesPerSec()
+	bytesPerSec := spec.Load * float64(n) * env.HostRate.BytesPerSec()
 	lambda := bytesPerSec / spec.CDF.Mean() // flows per second
 	if lambda <= 0 {
 		return
@@ -43,10 +35,10 @@ func StartPoisson(nw *topology.Network, spec PoissonSpec) {
 	started := 0
 	var arrive func()
 	arrive = func() {
-		if spec.MaxFlows > 0 && started >= spec.MaxFlows {
+		if maxFlows > 0 && started >= maxFlows {
 			return
 		}
-		if nw.Eng.Now() > spec.Until {
+		if env.Until > 0 && nw.Eng.Now() > env.Until {
 			return
 		}
 		src := rng.Intn(n)
@@ -55,12 +47,12 @@ func StartPoisson(nw *topology.Network, spec PoissonSpec) {
 			dst++
 		}
 		size := spec.CDF.Sample(rng)
-		nw.StartFlow(src, dst, size, spec.OnDone)
+		nw.StartFlow(src, dst, size, env.OnDone)
 		started++
 		gap := sim.Time(rng.ExpFloat64() * meanGapPs)
-		nw.Eng.AfterKey(gap, spec.Key, arrive)
+		nw.Eng.AfterKey(gap, env.Key, arrive)
 	}
-	nw.Eng.AfterKey(sim.Time(rng.ExpFloat64()*meanGapPs), spec.Key, arrive)
+	nw.Eng.AfterKey(sim.Time(rng.ExpFloat64()*meanGapPs), env.Key, arrive)
 }
 
 // IncastSpec schedules periodic fan-in events: FanIn random senders
@@ -71,28 +63,19 @@ type IncastSpec struct {
 	FanIn    int
 	Size     int64
 	LoadFrac float64
-	HostRate sim.Rate
-	Until    sim.Time
-	OnDone   func(*host.Flow)
-	Seed     int64
-	// Key canonically ranks this generator's arrival events among
-	// simultaneous events (see Env.Key); runners set it via Env.
-	Key uint64
 }
 
-// StartIncast installs the incast generator on a network.
-func StartIncast(nw *topology.Network, spec IncastSpec) {
-	rng := sim.NewRNG(spec.Seed, "incast")
+// Install starts the incast events, the first half a period in.
+func (spec IncastSpec) Install(nw *topology.Network, env Env) {
+	rng := sim.NewRNG(env.Seed, "incast")
 	n := len(nw.Hosts)
-	if spec.FanIn >= n {
-		spec.FanIn = n - 1
-	}
-	eventBytes := float64(spec.FanIn) * float64(spec.Size)
-	capacityBps := float64(n) * spec.HostRate.BytesPerSec()
+	fanIn := min(spec.FanIn, n-1)
+	eventBytes := float64(fanIn) * float64(spec.Size)
+	capacityBps := float64(n) * env.HostRate.BytesPerSec()
 	period := sim.Time(eventBytes / (capacityBps * spec.LoadFrac) * float64(sim.Second))
 	var fire func()
 	fire = func() {
-		if nw.Eng.Now() > spec.Until {
+		if env.Until > 0 && nw.Eng.Now() > env.Until {
 			return
 		}
 		recv := rng.Intn(n)
@@ -102,13 +85,13 @@ func StartIncast(nw *topology.Network, spec IncastSpec) {
 			if s == recv {
 				continue
 			}
-			nw.StartFlow(s, recv, spec.Size, spec.OnDone)
+			nw.StartFlow(s, recv, spec.Size, env.OnDone)
 			cnt++
-			if cnt == spec.FanIn {
+			if cnt == fanIn {
 				break
 			}
 		}
-		nw.Eng.AfterKey(period, spec.Key, fire)
+		nw.Eng.AfterKey(period, env.Key, fire)
 	}
-	nw.Eng.AfterKey(period/2, spec.Key, fire)
+	nw.Eng.AfterKey(period/2, env.Key, fire)
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // Env is the per-generator environment a scenario runner supplies at
-// install time. Generators use it to fill any field they were not
-// given explicitly, so one spec value composes into many scenarios.
-// Generators installed as traffic element i of a scenario receive
+// install time: the NIC rate, arrival window, flow cap, completion
+// observers, seed and event rank. Specs carry only their traffic
+// pattern, so one spec value composes into many scenarios. Generators
+// installed as traffic element i of a scenario receive
 // Seed = scenarioSeed + i, keeping multi-generator runs deterministic
 // and decorrelated.
 type Env struct {
@@ -38,54 +39,6 @@ type Generator interface {
 	Install(nw *topology.Network, env Env)
 }
 
-// Install starts Poisson arrivals, taking HostRate, Until, MaxFlows,
-// OnDone and Seed from env where the spec leaves them zero.
-func (spec PoissonSpec) Install(nw *topology.Network, env Env) {
-	if spec.HostRate == 0 {
-		spec.HostRate = env.HostRate
-	}
-	if spec.Until == 0 {
-		spec.Until = env.Until
-	}
-	if spec.MaxFlows == 0 {
-		spec.MaxFlows = env.MaxFlows
-	}
-	if spec.Seed == 0 {
-		spec.Seed = env.Seed
-	}
-	spec.Key = env.Key
-	spec.OnDone = chain(spec.OnDone, env.OnDone)
-	StartPoisson(nw, spec)
-}
-
-// Install starts periodic incast events, taking defaults from env like
-// PoissonSpec.Install.
-func (spec IncastSpec) Install(nw *topology.Network, env Env) {
-	if spec.HostRate == 0 {
-		spec.HostRate = env.HostRate
-	}
-	if spec.Until == 0 {
-		spec.Until = env.Until
-	}
-	if spec.Seed == 0 {
-		spec.Seed = env.Seed
-	}
-	spec.Key = env.Key
-	spec.OnDone = chain(spec.OnDone, env.OnDone)
-	StartIncast(nw, spec)
-}
-
-func chain(a, b func(*host.Flow)) func(*host.Flow) {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return func(f *host.Flow) { a(f); b(f) }
-	}
-}
-
 // AllToAllSpec is a shuffle stage: every host ships Size bytes to every
 // other host, N·(N−1) flows per round. Rounds run closed-loop — round
 // r+1 starts only when every flow of round r has completed, as a
@@ -94,7 +47,6 @@ func chain(a, b func(*host.Flow)) func(*host.Flow) {
 type AllToAllSpec struct {
 	Size   int64
 	Rounds int // default 1; further rounds start only before Until
-	OnDone func(*host.Flow)
 }
 
 // Install starts the first shuffle round immediately.
@@ -102,7 +54,6 @@ func (spec AllToAllSpec) Install(nw *topology.Network, env Env) {
 	if spec.Rounds == 0 {
 		spec.Rounds = 1
 	}
-	onDone := chain(spec.OnDone, env.OnDone)
 	n := len(nw.Hosts)
 	if n < 2 {
 		return
@@ -116,8 +67,8 @@ func (spec AllToAllSpec) Install(nw *topology.Network, env Env) {
 		rounds--
 		pending := n * (n - 1)
 		flowDone := func(f *host.Flow) {
-			if onDone != nil {
-				onDone(f)
+			if env.OnDone != nil {
+				env.OnDone(f)
 			}
 			pending--
 			if pending == 0 && rounds > 0 && (env.Until == 0 || nw.Eng.Now() <= env.Until) {
@@ -149,30 +100,15 @@ type RPCSpec struct {
 	Load float64
 	// MaxRequests caps total requests (0 = env.MaxFlows).
 	MaxRequests int
-	HostRate    sim.Rate
-	Until       sim.Time
-	// OnDone observes each completed READ at the requester.
-	OnDone func(requester, responder int, size int64, elapsed sim.Time)
-	Seed   int64
 }
 
 // Install starts the request process. Completion is observed at the
-// requester (last response byte arrived in order), through both
-// spec.OnDone and env.OnRead.
+// requester (last response byte arrived in order) through env.OnRead.
 func (spec RPCSpec) Install(nw *topology.Network, env Env) {
-	if spec.HostRate == 0 {
-		spec.HostRate = env.HostRate
-	}
-	if spec.Until == 0 {
-		spec.Until = env.Until
-	}
 	if spec.MaxRequests == 0 {
 		spec.MaxRequests = env.MaxFlows
 	}
-	if spec.Seed == 0 {
-		spec.Seed = env.Seed
-	}
-	rng := sim.NewRNG(spec.Seed, "rpc")
+	rng := sim.NewRNG(env.Seed, "rpc")
 	n := len(nw.Hosts)
 	if n < 2 {
 		return
@@ -184,21 +120,19 @@ func (spec RPCSpec) Install(nw *topology.Network, env Env) {
 	if mean <= 0 {
 		return
 	}
-	bytesPerSec := spec.Load * float64(n) * spec.HostRate.BytesPerSec()
+	bytesPerSec := spec.Load * float64(n) * env.HostRate.BytesPerSec()
 	lambda := bytesPerSec / mean // requests per second
 	if lambda <= 0 {
 		return
 	}
 	meanGapPs := float64(sim.Second) / lambda
-	onDone := spec.OnDone
-	onRead := env.OnRead
 	issued := 0
 	var arrive func()
 	arrive = func() {
 		if spec.MaxRequests > 0 && issued >= spec.MaxRequests {
 			return
 		}
-		if spec.Until > 0 && nw.Eng.Now() > spec.Until {
+		if env.Until > 0 && nw.Eng.Now() > env.Until {
 			return
 		}
 		req := rng.Intn(n)
@@ -212,12 +146,8 @@ func (spec RPCSpec) Install(nw *topology.Network, env Env) {
 		}
 		issuedAt := nw.Eng.Now()
 		nw.StartRead(req, resp, size, func() {
-			elapsed := nw.Eng.Now() - issuedAt
-			if onDone != nil {
-				onDone(req, resp, size, elapsed)
-			}
-			if onRead != nil {
-				onRead(req, resp, size, elapsed)
+			if env.OnRead != nil {
+				env.OnRead(req, resp, size, nw.Eng.Now()-issuedAt)
 			}
 		})
 		issued++

@@ -120,16 +120,14 @@ func testNet(n int) *topology.Network {
 	eng := sim.NewEngine()
 	hcfg := host.Config{CC: hpcccc.New(hpcccc.Config{}), INT: true, BaseRTT: 13 * sim.Microsecond}
 	scfg := fabric.SwitchConfig{INTEnabled: true, PFCEnabled: true}
-	return topology.Star(eng, n, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
+	return topology.StarSpec{N: n}.Build(eng, hcfg, scfg)
 }
 
 func TestPoissonLoad(t *testing.T) {
 	nw := testNet(8)
 	var bytes int64
 	var flows int
-	StartPoisson(nw, PoissonSpec{
-		CDF:      FBHadoop(),
-		Load:     0.3,
+	PoissonSpec{CDF: FBHadoop(), Load: 0.3}.Install(nw, Env{
 		HostRate: 100 * sim.Gbps,
 		Until:    2 * sim.Millisecond,
 		OnDone: func(f *host.Flow) {
@@ -159,12 +157,9 @@ func TestPoissonLoad(t *testing.T) {
 func TestPoissonMaxFlows(t *testing.T) {
 	nw := testNet(4)
 	flows := 0
-	StartPoisson(nw, PoissonSpec{
-		CDF:      FBHadoop(),
-		Load:     0.5,
+	PoissonSpec{CDF: FBHadoop(), Load: 0.5, MaxFlows: 25}.Install(nw, Env{
 		HostRate: 100 * sim.Gbps,
 		Until:    sim.Second,
-		MaxFlows: 25,
 		OnDone:   func(*host.Flow) { flows++ },
 		Seed:     1,
 	})
@@ -178,10 +173,7 @@ func TestIncastFanIn(t *testing.T) {
 	nw := testNet(10)
 	byDst := map[int64]int{}
 	done := 0
-	StartIncast(nw, IncastSpec{
-		FanIn:    6,
-		Size:     20_000,
-		LoadFrac: 0.02,
+	IncastSpec{FanIn: 6, Size: 20_000, LoadFrac: 0.02}.Install(nw, Env{
 		HostRate: 100 * sim.Gbps,
 		Until:    2 * sim.Millisecond,
 		OnDone: func(f *host.Flow) {

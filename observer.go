@@ -67,14 +67,12 @@ type QueueSample struct {
 	TotalBytes int64
 }
 
-// QueueObserver streams queue backlog samples taken at the
-// Experiment's queue sampling period.
+// QueueObserver streams every queue backlog sample, one per tick of
+// the Experiment's queue sampling period. A consumer that wants fewer
+// skips samples in its callback; StatsObserver streams windowed
+// summaries instead.
 type QueueObserver struct {
 	OnSample func(QueueSample)
-	// Every, when > 1, streams only every Every-th sample — the stride
-	// knob for long campaigns where per-tick callbacks would swamp the
-	// consumer. The first sample always streams.
-	Every int
 }
 
 func (o QueueObserver) attach(sc *experiment.LoadScenario) {
@@ -82,15 +80,9 @@ func (o QueueObserver) attach(sc *experiment.LoadScenario) {
 		return
 	}
 	fn, prev := o.OnSample, sc.Obs.OnQueue
-	every, n := o.Every, 0
 	sc.Obs.OnQueue = func(tp stats.TimePoint) {
 		if prev != nil {
 			prev(tp)
-		}
-		if every > 1 {
-			if n++; (n-1)%every != 0 {
-				return
-			}
 		}
 		fn(QueueSample{At: fromSim(tp.T), TotalBytes: int64(tp.V)})
 	}

@@ -293,29 +293,6 @@ func TestObserversStream(t *testing.T) {
 			t.Fatalf("bad record %+v", r)
 		}
 	}
-
-	// The Every stride thins the stream to every N-th tick (first tick
-	// included), without changing the simulation.
-	var strided []hpcc.QueueSample
-	_, err = hpcc.Experiment{
-		Topology: hpcc.Star{Hosts: 5},
-		Traffic:  []hpcc.Traffic{hpcc.Incast{FanIn: 4, FlowSizeBytes: 200_000, LoadFraction: 0.1}},
-		Horizon:  time.Millisecond,
-		Drain:    5 * time.Millisecond,
-		Observers: []hpcc.Observer{
-			hpcc.QueueObserver{Every: 4, OnSample: func(s hpcc.QueueSample) { strided = append(strided, s) }},
-		},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (len(samples) + 3) / 4
-	if len(strided) != want {
-		t.Fatalf("Every=4 streamed %d samples, want %d of %d", len(strided), want, len(samples))
-	}
-	if len(strided) == 0 || strided[0] != samples[0] {
-		t.Fatal("Every must include the first sample")
-	}
 }
 
 // The PFC observer sees pause/resume transitions when a deep incast
