@@ -86,6 +86,37 @@ func TestSlowdownLifecycle(t *testing.T) {
 	}
 }
 
+// Manual flows and READs stream the same completion records as
+// generated traffic: one record per transfer, measured like the handle.
+func TestManualCompletionsStream(t *testing.T) {
+	var recs []hpcc.FlowRecord
+	obs := hpcc.FlowObserver{OnComplete: func(r hpcc.FlowRecord) { recs = append(recs, r) }}
+	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 3}, Observers: []hpcc.Observer{obs}}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := net.StartFlow(0, 2, 200_000)
+	net.RunUntilIdle()
+	if len(recs) != 1 {
+		t.Fatalf("StartFlow streamed %d records, want 1", len(recs))
+	}
+	if r := recs[0]; r.Read || r.Src != 0 || r.Dst != 2 || r.SizeBytes != 200_000 || r.FCT != f.FCT() || r.Slowdown != f.Slowdown() {
+		t.Fatalf("flow record %+v, want 0→2, 200000 B, FCT %v, slowdown %v", r, f.FCT(), f.Slowdown())
+	}
+
+	recs = nil
+	done := false
+	issued := net.Now()
+	net.Read(1, 2, 100_000, func() { done = true })
+	net.RunUntilIdle()
+	if !done || len(recs) != 1 {
+		t.Fatalf("Read: done %v, %d records, want done and 1", done, len(recs))
+	}
+	if r := recs[0]; !r.Read || r.Src != 2 || r.Dst != 1 || r.SizeBytes != 100_000 || r.Start != issued || r.Slowdown < 1 {
+		t.Fatalf("read record %+v, want a READ 2→1 of 100000 B issued at %v with slowdown >= 1", r, issued)
+	}
+}
+
 // A Pod run with the FB_Hadoop workload exercises the second public
 // CDF end to end (bucket edges differ from WebSearch).
 func TestRunFBHadoop(t *testing.T) {

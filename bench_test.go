@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure of the paper's evaluation, one
-// per panel group (DESIGN.md §3 maps figures to benches). Each bench
+// per panel group (README's figure → scenario map names each). Each bench
 // reports the figure's headline metric via b.ReportMetric so regression
 // runs can track the reproduced results, and cmd/hpccexp prints the
 // full tables.
@@ -10,6 +10,7 @@ import (
 
 	"hpcc/internal/experiment"
 	"hpcc/internal/sim"
+	"hpcc/internal/stats"
 	"hpcc/internal/topology"
 )
 
@@ -32,28 +33,29 @@ func BenchmarkFig01PFCStorm(b *testing.B) {
 
 func BenchmarkFig02aTimersFCT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig02(benchScale())
+		g := experiment.Fig02(benchScale())
 		// Headline: big-flow p95 slowdown under conservative (Ti=900,
-		// index 0) vs aggressive (Ti=55, index 2) timers.
-		last := len(r.Buckets[0]) - 1
-		b.ReportMetric(r.Buckets[0][last].Stats.P95, "conservative-p95")
-		b.ReportMetric(r.Buckets[2][last].Stats.P95, "aggressive-p95")
+		// column 0) vs aggressive (Ti=55, column 2) timers.
+		edges := stats.WebSearchEdges()
+		last := len(edges) - 1
+		b.ReportMetric(g.Results[0][0].FCT.Buckets(edges)[last].Stats.P95, "conservative-p95")
+		b.ReportMetric(g.Results[0][2].FCT.Buckets(edges)[last].Stats.P95, "aggressive-p95")
 	}
 }
 
 func BenchmarkFig02bTimersPFC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig02(benchScale())
-		b.ReportMetric(r.Incast[2].PauseFrac*100, "aggressive-pause-%")
-		b.ReportMetric(r.Incast[0].PauseFrac*100, "conservative-pause-%")
+		incast := experiment.Fig02(benchScale()).Results[1]
+		b.ReportMetric(incast[2].PauseFrac*100, "aggressive-pause-%")
+		b.ReportMetric(incast[0].PauseFrac*100, "conservative-pause-%")
 	}
 }
 
 func BenchmarkFig03ECNThresholds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig03(benchScale())
-		b.ReportMetric(r.Results[1][0].Queue.P99/1024, "highK-q99-KB")
-		b.ReportMetric(r.Results[1][2].Queue.P99/1024, "lowK-q99-KB")
+		g := experiment.Fig03(benchScale())
+		b.ReportMetric(g.Results[1][0].Queue.P99/1024, "highK-q99-KB")
+		b.ReportMetric(g.Results[1][2].Queue.P99/1024, "lowK-q99-KB")
 	}
 }
 
@@ -98,44 +100,45 @@ func BenchmarkFig09Fairness(b *testing.B) {
 
 func BenchmarkFig10TestbedFCT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig10(benchScale())
+		g := experiment.Fig10(benchScale())
 		// Headline: 50%-load short-flow p99 slowdown, HPCC vs DCQCN
 		// (the paper's 95%-reduction claim).
-		b.ReportMetric(r.Buckets[1][0][0].Stats.P99, "hpcc-short-p99")
-		b.ReportMetric(r.Buckets[1][1][0].Stats.P99, "dcqcn-short-p99")
-		b.ReportMetric(r.Results[1][0].Queue.P99/1024, "hpcc-q99-KB")
-		b.ReportMetric(r.Results[1][1].Queue.P99/1024, "dcqcn-q99-KB")
+		edges := stats.WebSearchEdges()
+		b.ReportMetric(g.Results[1][0].FCT.Buckets(edges)[0].Stats.P99, "hpcc-short-p99")
+		b.ReportMetric(g.Results[1][1].FCT.Buckets(edges)[0].Stats.P99, "dcqcn-short-p99")
+		b.ReportMetric(g.Results[1][0].Queue.P99/1024, "hpcc-q99-KB")
+		b.ReportMetric(g.Results[1][1].Queue.P99/1024, "dcqcn-q99-KB")
 	}
 }
 
 func BenchmarkFig11SixSchemes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig11(benchFatTree(), benchScale())
+		g := experiment.Fig11(benchFatTree(), benchScale())
 		idx := map[string]int{}
-		for j, s := range r.Schemes {
+		for j, s := range g.Cols {
 			idx[s] = j
 		}
-		b.ReportMetric(r.Results[0][idx["HPCC"]].PauseFrac*100, "hpcc-pause-%")
-		b.ReportMetric(r.Results[0][idx["DCQCN"]].PauseFrac*100, "dcqcn-pause-%")
-		b.ReportMetric(r.Results[0][idx["HPCC"]].ShortFlowP95Latency(7_000), "hpcc-p95lat-us")
+		b.ReportMetric(g.Results[0][idx["HPCC"]].PauseFrac*100, "hpcc-pause-%")
+		b.ReportMetric(g.Results[0][idx["DCQCN"]].PauseFrac*100, "dcqcn-pause-%")
+		b.ReportMetric(g.Results[0][idx["HPCC"]].ShortFlowP95Latency(7_000), "hpcc-p95lat-us")
 	}
 }
 
 func BenchmarkFig12FlowControl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig12(benchFatTree(), benchScale())
+		g := experiment.Fig12(benchFatTree(), benchScale())
 		// Headline: spread of HPCC's p95 slowdown across flow-control
 		// modes (the paper: nearly none) vs DCQCN's.
-		b.ReportMetric(spreadP95(r, 1), "hpcc-fc-spread")
-		b.ReportMetric(spreadP95(r, 0), "dcqcn-fc-spread")
+		b.ReportMetric(spreadP95(g, 1), "hpcc-fc-spread")
+		b.ReportMetric(spreadP95(g, 0), "dcqcn-fc-spread")
 	}
 }
 
-func spreadP95(r *experiment.Fig12Result, scheme int) float64 {
+func spreadP95(g *experiment.Grid, scheme int) float64 {
 	lo, hi := 1e18, 0.0
-	for mi := range r.Modes {
+	for _, lr := range g.Results[scheme] {
 		var sum, n float64
-		for _, row := range r.Buckets[scheme][mi] {
+		for _, row := range lr.FCT.Buckets(stats.FBHadoopEdges()) {
 			if row.Stats.N > 0 {
 				sum += row.Stats.P95
 				n++
@@ -183,9 +186,9 @@ func BenchmarkAblationEtaMaxStage(b *testing.B) {
 
 func BenchmarkAblationINTQuantize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationINTQuantization(benchScale())
-		b.ReportMetric(rows[0].FCTp95, "float-p95")
-		b.ReportMetric(rows[1].FCTp95, "wire-p95")
+		g := experiment.AblationINTQuantization(benchScale())
+		b.ReportMetric(g.Results[0][0].FCT.SlowdownQuantile(95), "float-p95")
+		b.ReportMetric(g.Results[1][0].FCT.SlowdownQuantile(95), "wire-p95")
 	}
 }
 

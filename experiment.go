@@ -188,14 +188,11 @@ func (e Experiment) Start() (*Network, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	net := experiment.StartManual(eng, sc)
 	return &Network{
 		eng:    eng,
-		nw:     net.Network,
-		scheme: sc.Scheme,
-		rate:   sc.Topo.Rate(),
+		m:      experiment.StartManual(eng, sc),
+		scheme: sc.Scheme.Name,
 		rtt:    sc.Topo.BaseRTT(),
-		obs:    net.Obs,
 	}, nil
 }
 

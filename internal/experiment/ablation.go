@@ -24,7 +24,7 @@ func init() {
 		Name:  "ablations-quant",
 		Order: 111,
 		Title: "INT precision: simulator floats vs Figure-7 wire quantization (PoD)",
-		Run:   func(p Params) []*Table { return []*Table{QuantizeTable(AblationINTQuantization(p.scale()))} },
+		Run:   func(p Params) []*Table { return quantizeTables(AblationINTQuantization(p.scale())) },
 	})
 	Register(Scenario{
 		Name:  "theory",
@@ -103,55 +103,30 @@ func EtaMaxStageTable(rows []EtaMaxStageRow) *Table {
 	return t
 }
 
-// QuantizeRow compares full-precision INT against Figure-7 wire
-// quantization (txBytes in 128B units, qLen in 80B units, TS in ns).
-type QuantizeRow struct {
-	Label     string
-	FCTp95    float64
-	Queue99KB float64
-}
-
-// AblationINTQuantization runs HPCC on the PoD with and without ASIC
-// quantization of the telemetry.
-func AblationINTQuantization(sc Scale) []QuantizeRow {
+// AblationINTQuantization runs HPCC on the PoD with full-precision INT
+// (row 0) and with Figure-7 wire quantization of the telemetry (row 1:
+// txBytes in 128B units, qLen in 80B units, TS in ns).
+func AblationINTQuantization(sc Scale) *Grid {
 	sc.normalize(300)
-	var out []QuantizeRow
-	for _, quant := range []bool{false, true} {
-		r := mustRunLoad(LoadScenario{
-			Scheme:      ByNameMust("hpcc"),
-			Topo:        PodTopo(topology.PodSpec{}),
-			Traffic:     []workload.Generator{workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3}},
-			MaxFlows:    sc.MaxFlows,
-			Until:       sc.Until,
-			Drain:       sc.Drain,
-			PFC:         true,
-			Seed:        sc.Seed,
-			INTQuantize: quant,
-		})
-		label := "full-precision"
-		if quant {
-			label = "figure-7-wire"
-		}
-		out = append(out, QuantizeRow{
-			Label:     label,
-			FCTp95:    stats.Percentile(r.FCT.Slowdowns(), 95),
-			Queue99KB: r.Queue.P99 / 1024,
-		})
-	}
-	return out
+	return runGrid([]string{"full-precision", "figure-7-wire"}, []string{"HPCC"}, func(r, _ int) LoadScenario {
+		s := sc.load(ByNameMust("hpcc"), PodTopo(topology.PodSpec{}),
+			workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3})
+		s.INTQuantize = r == 1
+		return s
+	})
 }
 
-// QuantizeTable renders the quantization ablation.
-func QuantizeTable(rows []QuantizeRow) *Table {
+func quantizeTables(g *Grid) []*Table {
 	t := &Table{
 		Title: "Ablation: INT precision — simulator floats vs Figure-7 wire quantization",
 		Cols:  []string{"INT precision", "FCT-p95-slowdown", "q-p99(KB)"},
 	}
-	for _, r := range rows {
-		t.AddRow(r.Label, f2(r.FCTp95), f1(r.Queue99KB))
+	for r, label := range g.Rows {
+		lr := g.Results[r][0]
+		t.AddRow(label, f2(lr.FCT.SlowdownQuantile(95)), f1(lr.Queue.P99/1024))
 	}
 	t.AddNote("the 80B/128B/ns quantization of §4.1 should not change behaviour materially")
-	return t
+	return []*Table{t}
 }
 
 // TheoryLemmaTable exercises Appendix A.2 end-to-end: random systems,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hpcc/internal/sim"
+	"hpcc/internal/stats"
 	"hpcc/internal/topology"
 	"hpcc/internal/workload"
 )
@@ -196,14 +197,14 @@ func TestFig10QueueAndTails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load scenario: skipped in -short")
 	}
-	r := Fig10(Scale{MaxFlows: 200, Until: 5 * sim.Millisecond, Drain: 15 * sim.Millisecond})
-	for li := range r.Loads {
-		h := r.Results[li][0]
-		d := r.Results[li][1]
+	g := Fig10(Scale{MaxFlows: 200, Until: 5 * sim.Millisecond, Drain: 15 * sim.Millisecond})
+	for li, load := range g.Rows {
+		h := g.Results[li][0]
+		d := g.Results[li][1]
 		// Paper: HPCC keeps queues ultra-low even at the tail.
 		if h.Queue.P99 >= d.Queue.P99 && d.Queue.P99 > 0 {
-			t.Fatalf("load %v: HPCC q-p99 %.1f KB !< DCQCN %.1f KB",
-				r.Loads[li], h.Queue.P99/1024, d.Queue.P99/1024)
+			t.Fatalf("load %s: HPCC q-p99 %.1f KB !< DCQCN %.1f KB",
+				load, h.Queue.P99/1024, d.Queue.P99/1024)
 		}
 		if h.Drops != 0 {
 			t.Fatalf("HPCC dropped %d packets with PFC on", h.Drops)
@@ -211,8 +212,8 @@ func TestFig10QueueAndTails(t *testing.T) {
 	}
 	// Short-flow p99 slowdown: HPCC below DCQCN at 50% load (bucket 0
 	// = flows ≤ 6.7KB; paper reports 95% reduction).
-	h50 := r.Buckets[1][0][0].Stats.P99
-	d50 := r.Buckets[1][1][0].Stats.P99
+	h50 := g.Results[1][0].FCT.Buckets(stats.WebSearchEdges())[0].Stats.P99
+	d50 := g.Results[1][1].FCT.Buckets(stats.WebSearchEdges())[0].Stats.P99
 	if h50 >= d50 {
 		t.Fatalf("short-flow p99 slowdown: HPCC %.2f !< DCQCN %.2f", h50, d50)
 	}
@@ -222,15 +223,16 @@ func TestFig02TimerTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load scenario: skipped in -short")
 	}
-	r := Fig02(Scale{MaxFlows: 150, Until: 4 * sim.Millisecond, Drain: 12 * sim.Millisecond})
-	if len(r.Labels) != 3 {
+	g := Fig02(Scale{MaxFlows: 150, Until: 4 * sim.Millisecond, Drain: 12 * sim.Millisecond})
+	if len(g.Cols) != 3 {
 		t.Fatal("want 3 timer settings")
 	}
 	// The aggressive setting (last: Ti=55,Td=50) must pause at least as
 	// much as the conservative one (first: Ti=900,Td=4) under incast.
-	if r.Incast[2].PauseFrac < r.Incast[0].PauseFrac {
+	incast := g.Results[1]
+	if incast[2].PauseFrac < incast[0].PauseFrac {
 		t.Fatalf("aggressive timers paused less (%.4f) than conservative (%.4f)",
-			r.Incast[2].PauseFrac, r.Incast[0].PauseFrac)
+			incast[2].PauseFrac, incast[0].PauseFrac)
 	}
 }
 
@@ -238,11 +240,11 @@ func TestFig03ThresholdTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load scenario: skipped in -short")
 	}
-	r := Fig03(Scale{MaxFlows: 150, Until: 4 * sim.Millisecond, Drain: 12 * sim.Millisecond})
+	g := Fig03(Scale{MaxFlows: 150, Until: 4 * sim.Millisecond, Drain: 12 * sim.Millisecond})
 	// Low ECN thresholds keep queues smaller than high thresholds
 	// (bandwidth-vs-latency trade-off), at 50% load.
-	high := r.Results[1][0].Queue.P99 // Kmin=400K,Kmax=1600K
-	low := r.Results[1][2].Queue.P99  // Kmin=12K,Kmax=50K
+	high := g.Results[1][0].Queue.P99 // Kmin=400K,Kmax=1600K
+	low := g.Results[1][2].Queue.P99  // Kmin=12K,Kmax=50K
 	if low >= high {
 		t.Fatalf("low-threshold q-p99 %.1f KB !< high-threshold %.1f KB", low/1024, high/1024)
 	}
@@ -254,20 +256,20 @@ func TestFig11SixSchemes(t *testing.T) {
 	}
 	spec := topology.FatTreeSpec{Cores: 2, Aggs: 2, ToRs: 4, HostsPerToR: 4,
 		HostRate: 100 * sim.Gbps, FabricRate: 400 * sim.Gbps, LinkDelay: sim.Microsecond}
-	r := Fig11(spec, Scale{MaxFlows: 150, Until: 3 * sim.Millisecond, Drain: 12 * sim.Millisecond})
-	if len(r.Results) != 2 || len(r.Results[0]) != 6 {
+	g := Fig11(spec, Scale{MaxFlows: 150, Until: 3 * sim.Millisecond, Drain: 12 * sim.Millisecond})
+	if len(g.Results) != 2 || len(g.Results[0]) != 6 {
 		t.Fatalf("want 2 panels × 6 schemes")
 	}
 	idx := map[string]int{}
-	for i, s := range r.Schemes {
+	for i, s := range g.Cols {
 		idx[s] = i
 	}
 	// Paper: with HPCC, PFC pauses are never triggered even under
 	// incast (with the full 32 MB buffer). At this scaled-down buffer
 	// the unavoidable first-RTT line-rate burst (Appendix A.4) may
 	// graze the threshold, so assert near-zero and far below DCQCN.
-	hp := r.Results[0][idx["HPCC"]]
-	dc := r.Results[0][idx["DCQCN"]]
+	hp := g.Results[0][idx["HPCC"]]
+	dc := g.Results[0][idx["DCQCN"]]
 	if hp.PauseFrac > 0.005 {
 		t.Fatalf("HPCC pause fraction %.4f, want ≈ 0", hp.PauseFrac)
 	}
@@ -286,23 +288,23 @@ func TestFig12FlowControlChoices(t *testing.T) {
 	}
 	spec := topology.FatTreeSpec{Cores: 2, Aggs: 2, ToRs: 4, HostsPerToR: 4,
 		HostRate: 100 * sim.Gbps, FabricRate: 400 * sim.Gbps, LinkDelay: sim.Microsecond}
-	r := Fig12(spec, Scale{MaxFlows: 120, Until: 3 * sim.Millisecond, Drain: 12 * sim.Millisecond})
-	if len(r.Results) != 2 || len(r.Results[0]) != 3 {
+	g := Fig12(spec, Scale{MaxFlows: 120, Until: 3 * sim.Millisecond, Drain: 12 * sim.Millisecond})
+	if len(g.Results) != 2 || len(g.Results[0]) != 3 {
 		t.Fatal("want 2 schemes × 3 modes")
 	}
 	// All runs must have delivered flows.
-	for si := range r.Results {
-		for mi := range r.Results[si] {
-			lr := r.Results[si][mi]
+	for si := range g.Results {
+		for mi := range g.Results[si] {
+			lr := g.Results[si][mi]
 			if len(lr.FCT.Records) == 0 {
-				t.Fatalf("%s/%s: no completed flows", r.Schemes[si], r.Modes[mi])
+				t.Fatalf("%s/%s: no completed flows", g.Rows[si], g.Cols[mi])
 			}
 		}
 	}
 	// HPCC avoids loss so well that lossy modes barely drop; DCQCN
 	// without PFC must drop far more.
-	hpccGBNDrops := r.Results[1][1].Drops
-	dcqcnGBNDrops := r.Results[0][1].Drops
+	hpccGBNDrops := g.Results[1][1].Drops
+	dcqcnGBNDrops := g.Results[0][1].Drops
 	if hpccGBNDrops >= dcqcnGBNDrops && dcqcnGBNDrops > 0 {
 		t.Fatalf("HPCC-GBN drops %d !< DCQCN-GBN drops %d", hpccGBNDrops, dcqcnGBNDrops)
 	}
@@ -347,14 +349,15 @@ func TestAblationINTQuantization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load scenario: skipped in -short")
 	}
-	rows := AblationINTQuantization(Scale{MaxFlows: 120, Until: 3 * sim.Millisecond, Drain: 10 * sim.Millisecond})
-	if len(rows) != 2 {
+	g := AblationINTQuantization(Scale{MaxFlows: 120, Until: 3 * sim.Millisecond, Drain: 10 * sim.Millisecond})
+	if len(g.Results) != 2 {
 		t.Fatal("want 2 rows")
 	}
 	// Quantization must not change behaviour materially (same order of
 	// magnitude of tail slowdown).
-	if rows[1].FCTp95 > 3*rows[0].FCTp95+1 {
-		t.Fatalf("wire quantization changed p95 slowdown: %.2f vs %.2f", rows[1].FCTp95, rows[0].FCTp95)
+	full, wire := g.Results[0][0].FCT.SlowdownQuantile(95), g.Results[1][0].FCT.SlowdownQuantile(95)
+	if wire > 3*full+1 {
+		t.Fatalf("wire quantization changed p95 slowdown: %.2f vs %.2f", wire, full)
 	}
 }
 

@@ -21,8 +21,7 @@ func init() {
 // *production* measurements of PFC pause propagation. We reproduce the
 // phenomenon inside the simulated PoD: sustained incast under DCQCN
 // triggers pauses that propagate from the receiver's ToR up through
-// the Agg and back down to innocent hosts, suppressing send capacity
-// (see DESIGN.md, substitution table).
+// the Agg and back down to innocent hosts, suppressing send capacity.
 type Fig01Result struct {
 	// PauseTimeByTier is the fraction of paused (port × time) by
 	// transmitter class, tracing propagation depth:

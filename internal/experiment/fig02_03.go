@@ -15,13 +15,13 @@ func init() {
 		Name:  "fig2",
 		Order: 20,
 		Title: "DCQCN timer trade-off: FCT vs PFC pauses (WebSearch, PoD)",
-		Run:   func(p Params) []*Table { return Fig02(p.scale()).Tables() },
+		Run:   func(p Params) []*Table { return fig02Tables(Fig02(p.scale())) },
 	})
 	Register(Scenario{
 		Name:  "fig3",
 		Order: 30,
 		Title: "DCQCN ECN-threshold trade-off: bandwidth vs latency (WebSearch, PoD)",
-		Run:   func(p Params) []*Table { return Fig03(p.scale()).Tables() },
+		Run:   func(p Params) []*Table { return fig03Tables(Fig03(p.scale())) },
 	})
 }
 
@@ -36,71 +36,37 @@ func Fig02Timers() []dcqcn.Config {
 	}
 }
 
-func timerLabel(c dcqcn.Config) string {
-	return fmt.Sprintf("Ti=%d,Td=%d", int64(c.RateIncTimer/sim.Microsecond), int64(c.MinDecGap/sim.Microsecond))
-}
-
-// Fig02Result is the throughput-vs-stability motivation experiment
-// (§2.3, Figure 2): DCQCN under WebSearch with three timer settings —
-// (a) FCT slowdowns under plain load, (b) PFC pauses and tail latency
-// once incast is added.
-type Fig02Result struct {
-	Labels  []string
-	Buckets [][]stats.BucketRow // panel (a)
-	Plain   []*LoadResult
-	Incast  []*LoadResult // panel (b)
-}
-
-// Fig02 runs both panels at 30% WebSearch load on the testbed PoD.
-func Fig02(sc Scale) *Fig02Result {
+// Fig02 is the throughput-vs-stability motivation experiment (§2.3,
+// Figure 2): DCQCN under 30% WebSearch on the testbed PoD with three
+// timer settings (columns), under plain load (row 0, panel a) and with
+// a 16-to-1 incast added (row 1, panel b).
+func Fig02(sc Scale) *Grid {
 	sc.normalize(600)
-	res := &Fig02Result{}
-	for _, cfg := range Fig02Timers() {
-		res.Labels = append(res.Labels, timerLabel(cfg))
-		scheme := DCQCN(cfg)
-		base := LoadScenario{
-			Scheme:   scheme,
-			Topo:     PodTopo(topology.PodSpec{}),
-			Traffic:  []workload.Generator{workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3}},
-			MaxFlows: sc.MaxFlows,
-			Until:    sc.Until,
-			Drain:    sc.Drain,
-			PFC:      true,
-			Seed:     sc.Seed,
-		}
-		plain := mustRunLoad(base)
-		res.Plain = append(res.Plain, plain)
-		res.Buckets = append(res.Buckets, plain.FCT.Buckets(stats.WebSearchEdges()))
-
-		withIncast := base
-		withIncast.Traffic = append(withIncast.Traffic[:1:1],
-			workload.IncastSpec{FanIn: 16, Size: 500_000, LoadFrac: 0.02})
-		withIncast.BufferBytes = BufferFor(32)
-		res.Incast = append(res.Incast, mustRunLoad(withIncast))
+	timers := Fig02Timers()
+	labels := make([]string, len(timers))
+	for i, c := range timers {
+		labels[i] = fmt.Sprintf("Ti=%d,Td=%d", int64(c.RateIncTimer/sim.Microsecond), int64(c.MinDecGap/sim.Microsecond))
 	}
-	return res
+	return runGrid([]string{"plain", "incast"}, labels, func(r, c int) LoadScenario {
+		s := sc.load(DCQCN(timers[c]), PodTopo(topology.PodSpec{}),
+			workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3})
+		if r == 1 {
+			s.Traffic = append(s.Traffic, workload.IncastSpec{FanIn: 16, Size: 500_000, LoadFrac: 0.02})
+			s.BufferBytes = BufferFor(32)
+		}
+		return s
+	})
 }
 
-// Tables renders Figure 2's two panels.
-func (r *Fig02Result) Tables() []*Table {
-	a := &Table{
-		Title: "Figure 2a: 95th-pct FCT slowdown vs DCQCN timers (WebSearch 30%, PoD)",
-		Cols:  append([]string{"size"}, r.Labels...),
-	}
-	nb := len(r.Buckets[0])
-	for b := 0; b < nb; b++ {
-		row := []string{sizeLabel(r.Buckets[0][b].Hi)}
-		for vi := range r.Labels {
-			row = append(row, f2(r.Buckets[vi][b].Stats.P95))
-		}
-		a.AddRow(row...)
-	}
+func fig02Tables(g *Grid) []*Table {
+	a := fctTable("Figure 2a: 95th-pct FCT slowdown vs DCQCN timers (WebSearch 30%, PoD)",
+		g.Cols, stats.WebSearchEdges(), g.Results[0], p95)
 	b := &Table{
 		Title: "Figure 2b: PFC pauses and latency with incast (WebSearch 30% + 16-to-1)",
 		Cols:  []string{"timers", "pause-frac(%)", "p95-lat-short(us)", "q-p99(KB)"},
 	}
-	for vi, lab := range r.Labels {
-		lr := r.Incast[vi]
+	for c, lab := range g.Cols {
+		lr := g.Results[1][c]
 		b.AddRow(lab, f2(lr.PauseFrac*100), f1(lr.ShortFlowP95Latency(30_000)), f1(lr.Queue.P99/1024))
 	}
 	b.AddNote("aggressive timers (small Ti, large Td) recover bandwidth faster (2a) but pause more under incast (2b)")
@@ -117,65 +83,30 @@ func Fig03Thresholds() [][2]int64 {
 	}
 }
 
-// Fig03Result is the bandwidth-vs-latency motivation experiment (§2.3,
-// Figure 3): DCQCN FCT slowdowns under three ECN threshold settings at
-// 30% and 50% load.
-type Fig03Result struct {
-	Loads   []float64
-	Labels  []string
-	Buckets [][][]stats.BucketRow // [load][threshold][bucket]
-	Results [][]*LoadResult
-}
-
-// Fig03 runs both loads across the three threshold settings.
-func Fig03(sc Scale) *Fig03Result {
+// Fig03 is the bandwidth-vs-latency motivation experiment (§2.3,
+// Figure 3): DCQCN on the PoD at 30% and 50% WebSearch load (rows)
+// under three ECN threshold settings (columns).
+func Fig03(sc Scale) *Grid {
 	sc.normalize(600)
-	res := &Fig03Result{Loads: []float64{0.3, 0.5}}
-	for _, th := range Fig03Thresholds() {
-		res.Labels = append(res.Labels, fmt.Sprintf("Kmin=%dK,Kmax=%dK", th[0]>>10, th[1]>>10))
+	loads := []float64{0.3, 0.5}
+	ths := Fig03Thresholds()
+	labels := make([]string, len(ths))
+	for i, th := range ths {
+		labels[i] = fmt.Sprintf("Kmin=%dK,Kmax=%dK", th[0]>>10, th[1]>>10)
 	}
-	for _, load := range res.Loads {
-		var rows [][]stats.BucketRow
-		var lrs []*LoadResult
-		for _, th := range Fig03Thresholds() {
-			scheme := DCQCNWithECN(dcqcn.Config{}, th[0], th[1])
-			r := mustRunLoad(LoadScenario{
-				Scheme:   scheme,
-				Topo:     PodTopo(topology.PodSpec{}),
-				Traffic:  []workload.Generator{workload.PoissonSpec{CDF: workload.WebSearch(), Load: load}},
-				MaxFlows: sc.MaxFlows,
-				Until:    sc.Until,
-				Drain:    sc.Drain,
-				PFC:      true,
-				Seed:     sc.Seed,
-			})
-			rows = append(rows, r.FCT.Buckets(stats.WebSearchEdges()))
-			lrs = append(lrs, r)
-		}
-		res.Buckets = append(res.Buckets, rows)
-		res.Results = append(res.Results, lrs)
-	}
-	return res
+	return runGrid(loadLabels("%.0f%%", loads...), labels, func(r, c int) LoadScenario {
+		return sc.load(DCQCNWithECN(dcqcn.Config{}, ths[c][0], ths[c][1]), PodTopo(topology.PodSpec{}),
+			workload.PoissonSpec{CDF: workload.WebSearch(), Load: loads[r]})
+	})
 }
 
-// Tables renders Figure 3's two panels.
-func (r *Fig03Result) Tables() []*Table {
+func fig03Tables(g *Grid) []*Table {
 	var out []*Table
-	for li, load := range r.Loads {
-		t := &Table{
-			Title: fmt.Sprintf("Figure 3%c: 95th-pct FCT slowdown vs ECN thresholds (WebSearch %.0f%%, PoD)", 'a'+li, load*100),
-			Cols:  append([]string{"size"}, r.Labels...),
-		}
-		nb := len(r.Buckets[li][0])
-		for b := 0; b < nb; b++ {
-			row := []string{sizeLabel(r.Buckets[li][0][b].Hi)}
-			for vi := range r.Labels {
-				row = append(row, f2(r.Buckets[li][vi][b].Stats.P95))
-			}
-			t.AddRow(row...)
-		}
-		for vi, lab := range r.Labels {
-			t.AddNote("%s: queue p99 %.1f KB", lab, r.Results[li][vi].Queue.P99/1024)
+	for r, load := range g.Rows {
+		t := fctTable(fmt.Sprintf("Figure 3%c: 95th-pct FCT slowdown vs ECN thresholds (WebSearch %s, PoD)", 'a'+r, load),
+			g.Cols, stats.WebSearchEdges(), g.Results[r], p95)
+		for c, lab := range g.Cols {
+			t.AddNote("%s: queue p99 %.1f KB", lab, g.Results[r][c].Queue.P99/1024)
 		}
 		out = append(out, t)
 	}

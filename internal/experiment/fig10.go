@@ -1,121 +1,57 @@
 package experiment
 
 import (
-	"hpcc/internal/sim"
 	"hpcc/internal/stats"
 	"hpcc/internal/topology"
 	"hpcc/internal/workload"
 )
-
-// Scale bounds a load experiment's cost. The paper drives its testbed
-// and 320-server simulation for seconds; the defaults here are sized
-// for CI, and cmd/hpccexp exposes flags to grow them toward paper
-// scale.
-type Scale struct {
-	MaxFlows int
-	Until    sim.Time
-	Drain    sim.Time
-	Seed     int64
-}
-
-func (s *Scale) normalize(flows int) {
-	if s.MaxFlows == 0 {
-		s.MaxFlows = flows
-	}
-	if s.Until == 0 {
-		s.Until = 20 * sim.Millisecond
-	}
-	if s.Drain == 0 {
-		s.Drain = 30 * sim.Millisecond
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-}
 
 func init() {
 	Register(Scenario{
 		Name:  "fig10",
 		Order: 60,
 		Title: "HPCC vs DCQCN end-to-end: FCT and queues (WebSearch, PoD)",
-		Run:   func(p Params) []*Table { return Fig10(p.scale()).Tables() },
+		Run:   func(p Params) []*Table { return fig10Tables(Fig10(p.scale())) },
 	})
 }
 
-// Fig10Result is the testbed end-to-end comparison (Figure 10): FCT
-// slowdown buckets and queue-length distributions for HPCC vs DCQCN on
-// the PoD at 30% and 50% WebSearch load.
-type Fig10Result struct {
-	Loads   []float64
-	Schemes []string
-	// Buckets[l][s] are the slowdown rows for load l, scheme s.
-	Buckets [][][]stats.BucketRow
-	Results [][]*LoadResult
-}
-
-// Fig10 runs the four panels.
-func Fig10(sc Scale) *Fig10Result {
+// Fig10 is the testbed end-to-end comparison (Figure 10): HPCC and
+// DCQCN (columns) on the PoD at 30% and 50% WebSearch load (rows).
+func Fig10(sc Scale) *Grid {
 	sc.normalize(800)
-	res := &Fig10Result{Loads: []float64{0.3, 0.5}}
+	loads := []float64{0.3, 0.5}
 	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
-	for _, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-	}
-	for _, load := range res.Loads {
-		var rowSet [][]stats.BucketRow
-		var lr []*LoadResult
-		for _, scheme := range schemes {
-			r := mustRunLoad(LoadScenario{
-				Scheme:   scheme,
-				Topo:     PodTopo(topology.PodSpec{}),
-				Traffic:  []workload.Generator{workload.PoissonSpec{CDF: workload.WebSearch(), Load: load}},
-				MaxFlows: sc.MaxFlows,
-				Until:    sc.Until,
-				Drain:    sc.Drain,
-				PFC:      true,
-				Seed:     sc.Seed,
-			})
-			rowSet = append(rowSet, r.FCT.Buckets(stats.WebSearchEdges()))
-			lr = append(lr, r)
-		}
-		res.Buckets = append(res.Buckets, rowSet)
-		res.Results = append(res.Results, lr)
-	}
-	return res
+	return runGrid(loadLabels("%.1f%%", loads...), schemeLabels(schemes), func(r, c int) LoadScenario {
+		return sc.load(schemes[c], PodTopo(topology.PodSpec{}),
+			workload.PoissonSpec{CDF: workload.WebSearch(), Load: loads[r]})
+	})
 }
 
-// Tables renders Figure 10's four panels.
-func (r *Fig10Result) Tables() []*Table {
+// fig10Tables renders Figure 10's four panels: FCT slowdown buckets and
+// the queue-length distribution at each load.
+func fig10Tables(g *Grid) []*Table {
+	var cols []string
+	for _, s := range g.Cols {
+		cols = append(cols, s+"-p50", s+"-p95", s+"-p99")
+	}
 	var out []*Table
-	for li, load := range r.Loads {
-		fct := &Table{
-			Title: "Figure 10" + string(rune('a'+2*li)) + ": FCT slowdown, WebSearch " + f1(load*100) + "% load (testbed PoD)",
-			Cols:  []string{"size"},
-		}
-		for _, s := range r.Schemes {
-			fct.Cols = append(fct.Cols, s+"-p50", s+"-p95", s+"-p99")
-		}
-		nb := len(r.Buckets[li][0])
-		for b := 0; b < nb; b++ {
-			row := []string{sizeLabel(r.Buckets[li][0][b].Hi)}
-			for si := range r.Schemes {
-				st := r.Buckets[li][si][b].Stats
-				row = append(row, f2(st.P50), f2(st.P95), f2(st.P99))
-			}
-			fct.AddRow(row...)
-		}
-		for si, s := range r.Schemes {
-			lr := r.Results[li][si]
+	for r, load := range g.Rows {
+		fct := fctTable("Figure 10"+string(rune('a'+2*r))+": FCT slowdown, WebSearch "+load+" load (testbed PoD)",
+			cols, stats.WebSearchEdges(), g.Results[r], func(st stats.Summary) []string {
+				return []string{f2(st.P50), f2(st.P95), f2(st.P99)}
+			})
+		for c, s := range g.Cols {
+			lr := g.Results[r][c]
 			fct.AddNote("%s: %d flows (%d censored), %d drops", s, lr.Started, lr.Censored, lr.Drops)
 		}
 		out = append(out, fct)
 
 		q := &Table{
-			Title: "Figure 10" + string(rune('b'+2*li)) + ": queue length, WebSearch " + f1(load*100) + "% load",
+			Title: "Figure 10" + string(rune('b'+2*r)) + ": queue length, WebSearch " + load + " load",
 			Cols:  []string{"scheme", "p50(KB)", "p95(KB)", "p99(KB)", "max(KB)"},
 		}
-		for si, s := range r.Schemes {
-			lr := r.Results[li][si]
+		for c, s := range g.Cols {
+			lr := g.Results[r][c]
 			q.AddRow(s, f1(lr.Queue.P50/1024), f1(lr.Queue.P95/1024), f1(lr.Queue.P99/1024), f1(lr.Queue.Max/1024))
 		}
 		out = append(out, q)

@@ -11,106 +11,51 @@ func init() {
 		Name:  "fig11",
 		Order: 70,
 		Title: "six-scheme comparison at scale (FB_Hadoop, FatTree)",
-		Run:   func(p Params) []*Table { return Fig11(p.Fat, p.scale()).Tables() },
+		Run: func(p Params) []*Table {
+			return fig11Tables(Fig11(p.Fat, p.scale()), fanIn(fatTreeOrScaled(p.Fat), 4))
+		},
 	})
 }
 
-// Fig11Result is the six-scheme large-scale comparison (Figure 11):
-// FB_Hadoop on the FatTree at 30% load + 60-to-1 incast and at 50%
-// load, reporting 95th-percentile FCT slowdowns, PFC pause fractions
-// and short-flow tail latency.
-type Fig11Result struct {
-	Panels  []string // "30% + incast", "50%"
-	Schemes []string
-	Buckets [][][]stats.BucketRow // [panel][scheme][bucket]
-	Results [][]*LoadResult
-	FanIn   int
-}
-
-// Fig11 runs both panels across all six schemes. The FatTree and
+// Fig11 is the six-scheme large-scale comparison (Figure 11): the
+// Figure-11 schemes (columns) under FB_Hadoop on the FatTree at 30%
+// load plus an incast (row 0) and at 50% load (row 1). The FatTree and
 // incast fan-in scale with spec; the paper's full setup is
 // topology.PaperFatTree() with fan-in 60.
-func Fig11(spec topology.FatTreeSpec, sc Scale) *Fig11Result {
+func Fig11(spec topology.FatTreeSpec, sc Scale) *Grid {
 	sc.normalize(600)
-	if spec.Cores == 0 {
-		spec = topology.ScaledFatTree()
-	}
-	fanIn := 60
-	if n := spec.NumHosts(); fanIn >= n/2 {
-		fanIn = n / 4
-	}
-	res := &Fig11Result{
-		Panels: []string{"30% + incast", "50%"},
-		FanIn:  fanIn,
-	}
+	spec = fatTreeOrScaled(spec)
+	incast := workload.IncastSpec{FanIn: fanIn(spec, 4), Size: 500_000, LoadFrac: 0.02}
 	schemes := Fig11Schemes()
-	for _, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-	}
-	type panel struct {
-		load   float64
-		incast *workload.IncastSpec
-	}
-	panels := []panel{
-		{0.3, &workload.IncastSpec{FanIn: fanIn, Size: 500_000, LoadFrac: 0.02}},
-		{0.5, nil},
-	}
-	for _, p := range panels {
-		var rows [][]stats.BucketRow
-		var lrs []*LoadResult
-		for _, scheme := range schemes {
-			traffic := []workload.Generator{workload.PoissonSpec{CDF: workload.FBHadoop(), Load: p.load}}
-			if p.incast != nil {
-				traffic = append(traffic, *p.incast)
-			}
-			r := mustRunLoad(LoadScenario{
-				Scheme:      scheme,
-				Topo:        FatTreeTopo(spec),
-				Traffic:     traffic,
-				MaxFlows:    sc.MaxFlows,
-				Until:       sc.Until,
-				Drain:       sc.Drain,
-				PFC:         true,
-				Seed:        sc.Seed,
-				BufferBytes: BufferFor(spec.NumHosts()),
-			})
-			rows = append(rows, r.FCT.Buckets(stats.FBHadoopEdges()))
-			lrs = append(lrs, r)
+	loads := []float64{0.3, 0.5}
+	return runGrid([]string{"30% + incast", "50%"}, schemeLabels(schemes), func(r, c int) LoadScenario {
+		s := sc.fatTree(schemes[c], spec, workload.PoissonSpec{CDF: workload.FBHadoop(), Load: loads[r]})
+		if r == 0 {
+			s.Traffic = append(s.Traffic, incast)
 		}
-		res.Buckets = append(res.Buckets, rows)
-		res.Results = append(res.Results, lrs)
-	}
-	return res
+		return s
+	})
 }
 
-// Tables renders Figure 11's four panels.
-func (r *Fig11Result) Tables() []*Table {
+// fig11Tables renders Figure 11's four panels: 95th-percentile FCT
+// slowdowns, then PFC pause fractions and short-flow tail latency, per
+// load; fanIn is the incast's.
+func fig11Tables(g *Grid, fanIn int) []*Table {
 	var out []*Table
-	for pi, panel := range r.Panels {
-		fct := &Table{
-			Title: "Figure 11" + string(rune('a'+2*pi)) + ": 95th-pct FCT slowdown, FB_Hadoop " + panel + " (FatTree)",
-			Cols:  []string{"size"},
-		}
-		fct.Cols = append(fct.Cols, r.Schemes...)
-		nb := len(r.Buckets[pi][0])
-		for b := 0; b < nb; b++ {
-			row := []string{sizeLabel(r.Buckets[pi][0][b].Hi)}
-			for si := range r.Schemes {
-				row = append(row, f2(r.Buckets[pi][si][b].Stats.P95))
-			}
-			fct.AddRow(row...)
-		}
-		if pi == 0 {
-			fct.AddNote("incast: %d-to-1 × 500KB at 2%% of capacity", r.FanIn)
+	for r, panel := range g.Rows {
+		fct := fctTable("Figure 11"+string(rune('a'+2*r))+": 95th-pct FCT slowdown, FB_Hadoop "+panel+" (FatTree)",
+			g.Cols, stats.FBHadoopEdges(), g.Results[r], p95)
+		if r == 0 {
+			fct.AddNote("incast: %d-to-1 × 500KB at 2%% of capacity", fanIn)
 		}
 		out = append(out, fct)
 
 		pfc := &Table{
-			Title: "Figure 11" + string(rune('b'+2*pi)) + ": PFC pause and tail latency, " + panel,
+			Title: "Figure 11" + string(rune('b'+2*r)) + ": PFC pause and tail latency, " + panel,
 			Cols:  []string{"scheme", "pause-frac(%)", "p95-lat-short(us)", "q-p99(KB)", "censored"},
 		}
-		for si, s := range r.Schemes {
-			lr := r.Results[pi][si]
+		for c, s := range g.Cols {
+			lr := g.Results[r][c]
 			pfc.AddRow(s,
 				f2(lr.PauseFrac*100),
 				f1(lr.ShortFlowP95Latency(7_000)),

@@ -12,100 +12,45 @@ func init() {
 		Name:  "fig12",
 		Order: 80,
 		Title: "flow-control choices: PFC vs go-back-N vs IRN (FB_Hadoop, FatTree)",
-		Run:   func(p Params) []*Table { return Fig12(p.Fat, p.scale()).Tables() },
+		Run:   func(p Params) []*Table { return fig12Tables(Fig12(p.Fat, p.scale())) },
 	})
 }
 
-// Fig12Result is the flow-control-choices experiment (Figure 12):
-// {PFC, go-back-N, IRN} × {DCQCN, HPCC} on the FatTree at 30% load +
-// incast. The paper's takeaway: with HPCC the flow-control choice
-// barely matters; with DCQCN it does — CC is the key problem.
-type Fig12Result struct {
-	Schemes []string // outer: CC scheme
-	Modes   []string // inner: flow control
-	Buckets [][][]stats.BucketRow
-	Results [][]*LoadResult
-	FanIn   int
-}
-
-type fcMode struct {
-	name string
-	pfc  bool
-	fc   host.FlowControl
-}
-
-func fig12Modes() []fcMode {
-	return []fcMode{
-		{"PFC", true, host.GoBackN},
-		{"GBN", false, host.GoBackN},
-		{"IRN", false, host.IRN},
-	}
-}
-
-// Fig12 runs all six combinations.
-func Fig12(spec topology.FatTreeSpec, sc Scale) *Fig12Result {
+// Fig12 is the flow-control-choices experiment (Figure 12): DCQCN and
+// HPCC (rows) under lossless PFC, lossy go-back-N and lossy IRN
+// (columns) on the FatTree at 30% FB_Hadoop load plus an incast. The
+// paper's takeaway: with HPCC the flow-control choice barely matters;
+// with DCQCN it does — CC is the key problem.
+func Fig12(spec topology.FatTreeSpec, sc Scale) *Grid {
 	sc.normalize(600)
-	if spec.Cores == 0 {
-		spec = topology.ScaledFatTree()
+	spec = fatTreeOrScaled(spec)
+	traffic := []workload.Generator{
+		workload.PoissonSpec{CDF: workload.FBHadoop(), Load: 0.3},
+		workload.IncastSpec{FanIn: fanIn(spec, 4), Size: 500_000, LoadFrac: 0.02},
 	}
-	fanIn := 60
-	if n := spec.NumHosts(); fanIn >= n/2 {
-		fanIn = n / 4
-	}
-	res := &Fig12Result{FanIn: fanIn}
-	for _, mode := range fig12Modes() {
-		res.Modes = append(res.Modes, mode.name)
-	}
-	for _, scheme := range []Scheme{ByNameMust("dcqcn"), ByNameMust("hpcc")} {
-		res.Schemes = append(res.Schemes, scheme.Name)
-		var rows [][]stats.BucketRow
-		var lrs []*LoadResult
-		for _, mode := range fig12Modes() {
-			r := mustRunLoad(LoadScenario{
-				Scheme: scheme,
-				Topo:   FatTreeTopo(spec),
-				Traffic: []workload.Generator{
-					workload.PoissonSpec{CDF: workload.FBHadoop(), Load: 0.3},
-					workload.IncastSpec{FanIn: fanIn, Size: 500_000, LoadFrac: 0.02},
-				},
-				MaxFlows:    sc.MaxFlows,
-				Until:       sc.Until,
-				Drain:       sc.Drain,
-				PFC:         mode.pfc,
-				FlowCtl:     mode.fc,
-				Seed:        sc.Seed,
-				BufferBytes: BufferFor(spec.NumHosts()),
-			})
-			rows = append(rows, r.FCT.Buckets(stats.FBHadoopEdges()))
-			lrs = append(lrs, r)
+	schemes := []Scheme{ByNameMust("dcqcn"), ByNameMust("hpcc")}
+	return runGrid(schemeLabels(schemes), []string{"PFC", "GBN", "IRN"}, func(r, c int) LoadScenario {
+		s := sc.fatTree(schemes[r], spec, traffic...)
+		s.PFC = c == 0
+		if c == 2 {
+			s.FlowCtl = host.IRN
 		}
-		res.Buckets = append(res.Buckets, rows)
-		res.Results = append(res.Results, lrs)
-	}
-	return res
+		return s
+	})
 }
 
-// Tables renders Figure 12's two panels (one per CC scheme).
-func (r *Fig12Result) Tables() []*Table {
+// fig12Tables renders Figure 12's two panels, one per CC scheme.
+func fig12Tables(g *Grid) []*Table {
 	var out []*Table
-	for si, scheme := range r.Schemes {
-		t := &Table{
-			Title: "Figure 12: 95th-pct FCT slowdown by flow control — " + scheme + " (FB_Hadoop 30% + incast)",
-			Cols:  []string{"size"},
+	for r, scheme := range g.Rows {
+		var cols []string
+		for _, m := range g.Cols {
+			cols = append(cols, scheme+"-"+m)
 		}
-		for _, m := range r.Modes {
-			t.Cols = append(t.Cols, scheme+"-"+m)
-		}
-		nb := len(r.Buckets[si][0])
-		for b := 0; b < nb; b++ {
-			row := []string{sizeLabel(r.Buckets[si][0][b].Hi)}
-			for mi := range r.Modes {
-				row = append(row, f2(r.Buckets[si][mi][b].Stats.P95))
-			}
-			t.AddRow(row...)
-		}
-		for mi, m := range r.Modes {
-			lr := r.Results[si][mi]
+		t := fctTable("Figure 12: 95th-pct FCT slowdown by flow control — "+scheme+" (FB_Hadoop 30% + incast)",
+			cols, stats.FBHadoopEdges(), g.Results[r], p95)
+		for c, m := range g.Cols {
+			lr := g.Results[r][c]
 			t.AddNote("%s: %d drops, pause %.2f%%, %d censored", m, lr.Drops, lr.PauseFrac*100, lr.Censored)
 		}
 		out = append(out, t)

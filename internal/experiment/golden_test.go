@@ -225,21 +225,17 @@ func tableHash(tables []*Table) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// The figures that drive a fabric by hand rather than through RunLoad,
-// pinned to the tables they rendered at 98cc638.
-func TestHandBuiltFiguresGolden(t *testing.T) {
-	p := Params{Seed: 1, Fat: topology.ScaledFatTree()}
-	for _, c := range []struct{ name, want string }{
-		{"fig1", "c3bdc8b71bd5e971"},
-		{"fig6", "9fd15067d6aae593"},
-		{"fig9-longshort", "307d61d0665624db"},
-		{"fig9-incast", "f3b363ebae2693bf"},
-		{"fig9-mice", "3439845b65ebb914"},
-		{"fig9-fairness", "4a9f71eeda1369d0"},
-		{"fig13", "501ba03a53ce79d4"},
-		{"fig14", "b38661727628c11b"},
-		{"ablations-eta", "1fb9bfd9eb17c12e"},
-	} {
+// checkFigures runs each named scenario at a small scale and requires
+// its rendered tables to hash to the given constant. Only the load
+// figures read Params.Scale.
+func checkFigures(t *testing.T, cases []struct{ name, want string }) {
+	t.Helper()
+	p := Params{
+		Scale: Scale{MaxFlows: 60, Until: 2 * sim.Millisecond, Drain: 8 * sim.Millisecond},
+		Seed:  1,
+		Fat:   topology.ScaledFatTree(),
+	}
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sc, ok := Lookup(c.name)
 			if !ok {
@@ -250,6 +246,38 @@ func TestHandBuiltFiguresGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The load figures, pinned to the tables they rendered at d8caa72.
+func TestLoadFiguresGolden(t *testing.T) {
+	checkFigures(t, []struct{ name, want string }{
+		{"fig2", "1dc083d1511a36d4"},
+		{"fig3", "aec978e97c48a713"},
+		{"fig10", "2ae48a268160208e"},
+		{"fig11", "d625a370e429f7e8"},
+		{"fig12", "b92bd4b75ca33938"},
+		{"ablations-quant", "834511dc0a45aea1"},
+		{"extra-fbsweep", "1d45a4cfde9edbe6"},
+		{"extra-parkinglot", "ba43fb236d7f872b"},
+		{"extra-hadoop-incast", "57ff37257a87651a"},
+		{"extra-rpc-fattree", "b084f8d162c1e0a7"},
+	})
+}
+
+// The figures that drive a fabric by hand rather than through RunLoad,
+// pinned to the tables they rendered at 98cc638.
+func TestHandBuiltFiguresGolden(t *testing.T) {
+	checkFigures(t, []struct{ name, want string }{
+		{"fig1", "c3bdc8b71bd5e971"},
+		{"fig6", "9fd15067d6aae593"},
+		{"fig9-longshort", "307d61d0665624db"},
+		{"fig9-incast", "f3b363ebae2693bf"},
+		{"fig9-mice", "3439845b65ebb914"},
+		{"fig9-fairness", "4a9f71eeda1369d0"},
+		{"fig13", "501ba03a53ce79d4"},
+		{"fig14", "b38661727628c11b"},
+		{"ablations-eta", "1fb9bfd9eb17c12e"},
+	})
 	// No micro-benchmark fills a buffer to its PFC threshold, so the
 	// tables cannot tell a lossless fixture from a lossy one; pin the
 	// settings the fixture builds with, under every scheme, instead.

@@ -21,10 +21,10 @@ func TestAllTablesRender(t *testing.T) {
 		HostRate: 100 * sim.Gbps, FabricRate: 400 * sim.Gbps, LinkDelay: sim.Microsecond}
 
 	Fig01(3*sim.Millisecond, 1).Table().Fprint(&sb)
-	for _, tb := range Fig02(sc).Tables() {
+	for _, tb := range fig02Tables(Fig02(sc)) {
 		tb.Fprint(&sb)
 	}
-	for _, tb := range Fig03(sc).Tables() {
+	for _, tb := range fig03Tables(Fig03(sc)) {
 		tb.Fprint(&sb)
 	}
 	Fig06(100*sim.Microsecond, 1).Table().Fprint(&sb)
@@ -32,13 +32,13 @@ func TestAllTablesRender(t *testing.T) {
 	Fig09Incast(nil, 2*sim.Millisecond, 1).Table().Fprint(&sb)
 	Fig09Mice(nil, 2*sim.Millisecond, 1).Table().Fprint(&sb)
 	Fig09Fairness(nil, sim.Millisecond, 1).Table().Fprint(&sb)
-	for _, tb := range Fig10(sc).Tables() {
+	for _, tb := range fig10Tables(Fig10(sc)) {
 		tb.Fprint(&sb)
 	}
-	for _, tb := range Fig11(spec, sc).Tables() {
+	for _, tb := range fig11Tables(Fig11(spec, sc), fanIn(spec, 4)) {
 		tb.Fprint(&sb)
 	}
-	for _, tb := range Fig12(spec, sc).Tables() {
+	for _, tb := range fig12Tables(Fig12(spec, sc)) {
 		tb.Fprint(&sb)
 	}
 	for _, tb := range Fig13(100*sim.Microsecond, 1).Tables() {
@@ -46,7 +46,9 @@ func TestAllTablesRender(t *testing.T) {
 	}
 	Fig14([]float64{50}, sim.Millisecond, 1).Table().Fprint(&sb)
 	EtaMaxStageTable(AblationEtaMaxStage(500*sim.Microsecond, 1)).Fprint(&sb)
-	QuantizeTable(AblationINTQuantization(sc)).Fprint(&sb)
+	for _, tb := range quantizeTables(AblationINTQuantization(sc)) {
+		tb.Fprint(&sb)
+	}
 	TheoryLemmaTable(10, 1).Fprint(&sb)
 
 	out := sb.String()

@@ -271,10 +271,17 @@ func (s *LoadScenario) build(eng *sim.Engine) *topology.Network {
 // and the observer stream can never disagree. RunLoad (fct set) always
 // gets a monitor; StartManual only when an observer asks for queue
 // samples, and a nil monitor otherwise.
-func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*topology.Network, *stats.QueueMonitor) {
+func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*ManualNet, *stats.QueueMonitor) {
 	nw := s.build(eng)
-	rate := s.Topo.Rate()
-	baseRTT := s.Topo.BaseRTT()
+	m := &ManualNet{
+		Network: nw,
+		Obs:     s.Obs,
+		Until:   s.Until,
+		eng:     eng,
+		rate:    s.Topo.Rate(),
+		baseRTT: s.Topo.BaseRTT(),
+		intHdr:  s.Scheme.INT,
+	}
 	emit := func(ev FlowEvent) {
 		if fct != nil {
 			fct.Add(ev.Rec)
@@ -283,40 +290,14 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*topology.Netw
 			s.Obs.OnFlow(ev)
 		}
 	}
-	onDone := func(f *host.Flow) {
-		emit(FlowEvent{
-			Src:     nw.HostIndex(f.Host().ID()),
-			Dst:     nw.HostIndex(f.Dst()),
-			Started: f.Started(),
-			Rec: stats.FCTRecord{
-				Size:  f.Size(),
-				FCT:   f.FCT(),
-				Ideal: stats.IdealFCT(f.Size(), rate, baseRTT, packet.DefaultMTU, s.Scheme.INT),
-			},
-		})
-	}
-	onRead := func(req, resp int, size int64, elapsed sim.Time) {
-		// A READ's response crosses the fabric like a flow, but the
-		// clock starts at the request, so the ideal adds the request's
-		// one-way trip.
-		emit(FlowEvent{
-			Src:     resp,
-			Dst:     req,
-			Read:    true,
-			Started: eng.Now() - elapsed,
-			Rec: stats.FCTRecord{
-				Size:  size,
-				FCT:   elapsed,
-				Ideal: stats.IdealFCT(size, rate, baseRTT, packet.DefaultMTU, s.Scheme.INT) + baseRTT/2,
-			},
-		})
-	}
 	env := workload.Env{
-		HostRate: rate,
+		HostRate: m.rate,
 		Until:    s.Until,
 		MaxFlows: s.MaxFlows,
-		OnDone:   onDone,
-		OnRead:   onRead,
+		OnDone:   func(f *host.Flow) { emit(m.Completed(f)) },
+		OnRead: func(req, resp int, size int64, elapsed sim.Time) {
+			emit(m.ReadCompleted(req, resp, size, elapsed))
+		},
 	}
 	for i, g := range s.Traffic {
 		env.Seed = s.Seed + int64(i)
@@ -327,7 +308,7 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*topology.Netw
 		stats.WatchPFC(eng, nw.Switches, s.Obs.OnPFC)
 	}
 	if fct == nil && s.Obs.OnQueue == nil && s.Obs.OnQueueFlush == nil {
-		return nw, nil
+		return m, nil
 	}
 	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, s.QueueSample, s.Until)
 	mon.OnSample = s.Obs.OnQueue
@@ -338,7 +319,7 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*topology.Netw
 		mon.FlushEvery = s.FlushEvery
 		mon.OnFlush = s.Obs.OnQueueFlush
 	}
-	return nw, mon
+	return m, mon
 }
 
 // RunLoad executes the scenario to its horizon and collects results.
@@ -354,7 +335,7 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 	if s.SketchStats {
 		res.FCT = stats.NewStreamingFCT(s.FCTBucketEdges, s.StatsAccuracy)
 	}
-	nw, mon := s.start(eng, &res.FCT)
+	m, mon := s.start(eng, &res.FCT)
 
 	eng.RunUntil(s.Until + s.Drain)
 	mon.Stop()
@@ -369,7 +350,7 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 		}
 	}
 	res.RetainedStatBytes = res.FCT.RetainedBytes() + mon.RetainedBytes()
-	collectFabric(res, nw, s.Until+s.Drain)
+	collectFabric(res, m.Network, s.Until+s.Drain)
 	res.Events = eng.Fired()
 	res.PendingHighWater = eng.PendingHighWater()
 	res.Deliveries = eng.Delivered()
@@ -419,11 +400,17 @@ func collectFabric(res *LoadResult, nw *topology.Network, elapsed sim.Time) {
 
 // ManualNet is a built-but-not-run scenario: the fabric with traffic
 // generators and observers installed, for callers that drive virtual
-// time themselves (the public Network surface).
+// time themselves (the public Network surface). It makes every
+// completion record, generated or manual, so all are measured alike.
 type ManualNet struct {
 	Network *topology.Network
 	Obs     Obs
 	Until   sim.Time
+
+	eng     *sim.Engine
+	rate    sim.Rate
+	baseRTT sim.Time
+	intHdr  bool
 }
 
 // StartManual builds the scenario's fabric on eng, installs its
@@ -432,6 +419,35 @@ type ManualNet struct {
 // aggregate result is collected.
 func StartManual(eng *sim.Engine, s LoadScenario) *ManualNet {
 	s.normalize()
-	nw, _ := s.start(eng, nil)
-	return &ManualNet{Network: nw, Obs: s.Obs, Until: s.Until}
+	m, _ := s.start(eng, nil)
+	return m
+}
+
+// Completed is the completion event of flow f: its endpoints, its
+// start, and its FCT against the ideal FCT on an empty fabric.
+func (m *ManualNet) Completed(f *host.Flow) FlowEvent {
+	return FlowEvent{
+		Src:     m.Network.HostIndex(f.Host().ID()),
+		Dst:     m.Network.HostIndex(f.Dst()),
+		Started: f.Started(),
+		Rec:     m.record(f.Size(), f.FCT()),
+	}
+}
+
+// ReadCompleted is the completion event, now, of a READ of size bytes
+// that requester issued to responder elapsed ago. The response crosses
+// the fabric like a flow, but the clock starts at the request, so the
+// ideal adds the request's one-way trip.
+func (m *ManualNet) ReadCompleted(requester, responder int, size int64, elapsed sim.Time) FlowEvent {
+	rec := m.record(size, elapsed)
+	rec.Ideal += m.baseRTT / 2
+	return FlowEvent{Src: responder, Dst: requester, Read: true, Started: m.eng.Now() - elapsed, Rec: rec}
+}
+
+func (m *ManualNet) record(size int64, fct sim.Time) stats.FCTRecord {
+	return stats.FCTRecord{
+		Size:  size,
+		FCT:   fct,
+		Ideal: stats.IdealFCT(size, m.rate, m.baseRTT, packet.DefaultMTU, m.intHdr),
+	}
 }

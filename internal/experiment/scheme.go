@@ -1,7 +1,9 @@
 // Package experiment reproduces every table and figure of the HPCC
 // paper's evaluation (§2.3 motivation, §5.2 testbed, §5.3 simulations,
-// §5.4 design choices): one runner per figure, each emitting the same
-// rows/series the paper plots. DESIGN.md carries the experiment index.
+// §5.4 design choices), each emitting the same rows/series the paper
+// plots. The load figures are grids: each declares its cluster-load
+// runs as LoadScenario cells (runGrid) and renders its tables from the
+// resulting Grid alone. The micro-benchmarks drive a fabric by hand.
 package experiment
 
 import (

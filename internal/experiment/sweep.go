@@ -16,140 +16,83 @@ func init() {
 		Name:  "extra-fbsweep",
 		Order: 130,
 		Title: "FB_Hadoop load sweep 30/50/70% on the FatTree (HPCC vs DCQCN)",
-		Run:   func(p Params) []*Table { return SweepFBHadoop(p.Fat, p.scale()).Tables() },
+		Run:   func(p Params) []*Table { return sweepTables(SweepFBHadoop(p.Fat, p.scale())) },
 	})
 	Register(Scenario{
 		Name:  "extra-parkinglot",
 		Order: 131,
 		Title: "six-scheme comparison on an oversubscribed parking-lot chain",
-		Run:   func(p Params) []*Table { return ParkingLotCompare(p.scale()).Tables() },
+		Run:   func(p Params) []*Table { return parkingLotTables(ParkingLotCompare(p.scale())) },
 	})
 }
 
-// SweepResult is the FB_Hadoop load sweep: the Figure-11 workload
-// pushed through increasing offered load to map where each scheme's
-// tails blow up — the scenario-diversity axis PCC-style evaluations
-// argue for.
-type SweepResult struct {
-	Loads   []float64
-	Schemes []string
-	Results [][]*LoadResult // [load][scheme]
-}
-
-// SweepFBHadoop runs FB_Hadoop at 30/50/70% load on the FatTree for
-// HPCC and DCQCN.
-func SweepFBHadoop(spec topology.FatTreeSpec, sc Scale) *SweepResult {
+// SweepFBHadoop is the FB_Hadoop load sweep: the Figure-11 workload on
+// the FatTree at 30/50/70% load (rows) for HPCC and DCQCN (columns),
+// mapping where each scheme's tails blow up — the scenario-diversity
+// axis PCC-style evaluations argue for.
+func SweepFBHadoop(spec topology.FatTreeSpec, sc Scale) *Grid {
 	sc.normalize(400)
-	if spec.Cores == 0 {
-		spec = topology.ScaledFatTree()
-	}
-	res := &SweepResult{Loads: []float64{0.3, 0.5, 0.7}}
+	spec = fatTreeOrScaled(spec)
+	loads := []float64{0.3, 0.5, 0.7}
 	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
-	for _, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-	}
-	for _, load := range res.Loads {
-		var lrs []*LoadResult
-		for _, scheme := range schemes {
-			lrs = append(lrs, mustRunLoad(LoadScenario{
-				Scheme:      scheme,
-				Topo:        FatTreeTopo(spec),
-				Traffic:     []workload.Generator{workload.PoissonSpec{CDF: workload.FBHadoop(), Load: load}},
-				MaxFlows:    sc.MaxFlows,
-				Until:       sc.Until,
-				Drain:       sc.Drain,
-				PFC:         true,
-				Seed:        sc.Seed,
-				BufferBytes: BufferFor(spec.NumHosts()),
-			}))
-		}
-		res.Results = append(res.Results, lrs)
-	}
-	return res
+	return runGrid(loadLabels("%.0f", loads...), schemeLabels(schemes), func(r, c int) LoadScenario {
+		return sc.fatTree(schemes[c], spec, workload.PoissonSpec{CDF: workload.FBHadoop(), Load: loads[r]})
+	})
 }
 
-// Tables renders the sweep: one row per load × scheme.
-func (r *SweepResult) Tables() []*Table {
+// sweepTables renders the sweep: one row per load × scheme.
+func sweepTables(g *Grid) []*Table {
 	t := &Table{
 		Title: "Extra: FB_Hadoop load sweep on the FatTree",
 		Cols:  []string{"load(%)", "scheme", "sd-p50", "sd-p95", "sd-p99", "p95-lat-short(us)", "q-p99(KB)", "pause-frac(%)", "censored"},
 	}
-	for li, load := range r.Loads {
-		for si, s := range r.Schemes {
-			lr := r.Results[li][si]
-			sl := lr.FCT.Slowdowns()
+	for r, load := range g.Rows {
+		for c, s := range g.Cols {
+			lr := g.Results[r][c]
 			t.AddRow(
-				fmt.Sprintf("%.0f", load*100), s,
-				f2(stats.Percentile(sl, 50)), f2(stats.Percentile(sl, 95)), f2(stats.Percentile(sl, 99)),
+				load, s,
+				f2(lr.FCT.SlowdownQuantile(50)), f2(lr.FCT.SlowdownQuantile(95)), f2(lr.FCT.SlowdownQuantile(99)),
 				f1(lr.ShortFlowP95Latency(7_000)),
 				f1(lr.Queue.P99/1024),
 				f2(lr.PauseFrac*100),
 				fmt.Sprintf("%d", lr.Censored))
-			t.AddDist(fmt.Sprintf("slowdown %s @%.0f%%", s, load*100), lr.FCT.SlowdownSketch(0))
+			t.AddDist(fmt.Sprintf("slowdown %s @%s%%", s, load), lr.FCT.SlowdownSketch(0))
 		}
 	}
 	t.AddNote("same FB_Hadoop + FatTree fixture as Figure 11, swept past the paper's 50%% operating point")
 	return []*Table{t}
 }
 
-// ParkingLotResult is the six-scheme comparison of Figure 11 moved onto
-// the oversubscribed parking-lot chain: inter-switch links run at the
-// host rate, so background flows contend on every segment they cross
-// instead of inside a non-blocking fabric.
-type ParkingLotResult struct {
-	Segments int
-	Schemes  []string
-	Buckets  [][]stats.BucketRow
-	Results  []*LoadResult
-}
+// parkingLotSegments is the length of the parking-lot chain.
+const parkingLotSegments = 4
 
-// ParkingLotCompare runs FB_Hadoop at 50% load over a 4-segment
-// parking lot for the six Figure-11 schemes.
-func ParkingLotCompare(sc Scale) *ParkingLotResult {
+// ParkingLotCompare is the six-scheme comparison of Figure 11 moved
+// onto the oversubscribed parking-lot chain: the Figure-11 schemes
+// (columns) under FB_Hadoop at 50% load (the one row). Inter-switch
+// links run at the host rate, so background flows contend on every
+// segment they cross instead of inside a non-blocking fabric.
+func ParkingLotCompare(sc Scale) *Grid {
 	sc.normalize(400)
-	const segments = 4
-	res := &ParkingLotResult{Segments: segments}
-	for _, scheme := range Fig11Schemes() {
-		res.Schemes = append(res.Schemes, scheme.Name)
-		r := mustRunLoad(LoadScenario{
-			Scheme:   scheme,
-			Topo:     ParkingLotTopo(segments, 100*sim.Gbps),
-			Traffic:  []workload.Generator{workload.PoissonSpec{CDF: workload.FBHadoop(), Load: 0.5}},
-			MaxFlows: sc.MaxFlows,
-			Until:    sc.Until,
-			Drain:    sc.Drain,
-			PFC:      true,
-			Seed:     sc.Seed,
-		})
-		res.Buckets = append(res.Buckets, r.FCT.Buckets(stats.FBHadoopEdges()))
-		res.Results = append(res.Results, r)
-	}
-	return res
+	schemes := Fig11Schemes()
+	return runGrid([]string{"FB_Hadoop 50%"}, schemeLabels(schemes), func(_, c int) LoadScenario {
+		return sc.load(schemes[c], ParkingLotTopo(parkingLotSegments, 100*sim.Gbps),
+			workload.PoissonSpec{CDF: workload.FBHadoop(), Load: 0.5})
+	})
 }
 
-// Tables renders the parking-lot comparison: the Figure-11 FCT panel
-// plus the pause/queue summary.
-func (r *ParkingLotResult) Tables() []*Table {
-	fct := &Table{
-		Title: fmt.Sprintf("Extra: 95th-pct FCT slowdown, FB_Hadoop 50%% (parking lot, %d segments)", r.Segments),
-		Cols:  []string{"size"},
-	}
-	fct.Cols = append(fct.Cols, r.Schemes...)
-	for b := range r.Buckets[0] {
-		row := []string{sizeLabel(r.Buckets[0][b].Hi)}
-		for si := range r.Schemes {
-			row = append(row, f2(r.Buckets[si][b].Stats.P95))
-		}
-		fct.AddRow(row...)
-	}
+// parkingLotTables renders the parking-lot comparison: the Figure-11
+// FCT panel plus the pause/queue summary.
+func parkingLotTables(g *Grid) []*Table {
+	fct := fctTable(fmt.Sprintf("Extra: 95th-pct FCT slowdown, %s (parking lot, %d segments)", g.Rows[0], parkingLotSegments),
+		g.Cols, stats.FBHadoopEdges(), g.Results[0], p95)
 	fct.AddNote("multi-bottleneck chain: inter-switch links at host rate (oversubscribed), long paths cross every segment")
 
 	sum := &Table{
 		Title: "Extra: pause and queues on the parking lot",
 		Cols:  []string{"scheme", "pause-frac(%)", "q-p99(KB)", "drops", "censored"},
 	}
-	for si, s := range r.Schemes {
-		lr := r.Results[si]
+	for c, s := range g.Cols {
+		lr := g.Results[0][c]
 		sum.AddRow(s,
 			f2(lr.PauseFrac*100),
 			f1(lr.Queue.P99/1024),

@@ -87,8 +87,11 @@ func TestLemmaMonotoneProperty(t *testing.T) {
 }
 
 // Lemma (iii), ε-version: the recursion converges (geometrically — see
-// the ParetoOptimal doc note) to a Pareto-optimal allocation.
+// the ParetoOptimal doc note) to a Pareto-optimal allocation, inside a
+// step budget. Convergence can be slow: seed -6443384677370398290 takes
+// 1 308 steps, and at 400 it is not yet Pareto-optimal at 1e-5.
 func TestLemmaParetoProperty(t *testing.T) {
+	const budget = 2000
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := RandomSystem(rng, 6, 8)
@@ -96,7 +99,10 @@ func TestLemmaParetoProperty(t *testing.T) {
 		for j := range r {
 			r[j] = rng.Float64()*200 + 1
 		}
-		traj := s.Converge(r, 400)
+		traj := s.Converge(r, budget)
+		if len(traj)-1 >= budget {
+			return false
+		}
 		final := traj[len(traj)-1]
 		if !s.Feasible(final) {
 			return false
@@ -108,7 +114,10 @@ func TestLemmaParetoProperty(t *testing.T) {
 		next := s.Step(final)
 		return maxDelta(final, next) < 1e-5*(1+maxVal(final))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if !f(-6443384677370398290) {
+		t.Fatal("seed -6443384677370398290 did not converge to a Pareto-optimal point")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

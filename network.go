@@ -6,10 +6,8 @@ import (
 	"hpcc/internal/experiment"
 	"hpcc/internal/fabric"
 	"hpcc/internal/host"
-	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 	"hpcc/internal/stats"
-	"hpcc/internal/topology"
 )
 
 // SchemeNames lists the congestion-control schemes this library
@@ -26,11 +24,9 @@ func SchemeNames() []string {
 // micro-benchmark surface of the library. Experiment.Start builds one.
 type Network struct {
 	eng    *sim.Engine
-	nw     *topology.Network
-	scheme experiment.Scheme
-	rate   sim.Rate
+	m      *experiment.ManualNet
+	scheme string
 	rtt    sim.Time
-	obs    experiment.Obs
 }
 
 // Flow is a handle to one transfer on a Network.
@@ -43,10 +39,10 @@ type Flow struct {
 }
 
 // NumHosts returns the host count.
-func (n *Network) NumHosts() int { return len(n.nw.Hosts) }
+func (n *Network) NumHosts() int { return len(n.m.Network.Hosts) }
 
 // Scheme returns the active congestion-control name.
-func (n *Network) Scheme() string { return n.scheme.Name }
+func (n *Network) Scheme() string { return n.scheme }
 
 // BaseRTT returns the network's base round-trip constant T.
 func (n *Network) BaseRTT() time.Duration { return fromSim(n.rtt) }
@@ -57,31 +53,16 @@ func (n *Network) Now() time.Duration { return fromSim(n.eng.Now()) }
 // flowDone returns the completion callback wiring manual flows into
 // the attached flow observers (nil when none are attached).
 func (n *Network) flowDone() func(*host.Flow) {
-	if n.obs.OnFlow == nil {
+	if n.m.Obs.OnFlow == nil {
 		return nil
 	}
-	return func(f *host.Flow) {
-		n.obs.OnFlow(experiment.FlowEvent{
-			Src:     n.nw.HostIndex(f.Host().ID()),
-			Dst:     n.nw.HostIndex(f.Dst()),
-			Started: f.Started(),
-			Rec:     n.fctRecord(f.Size(), f.FCT()),
-		})
-	}
-}
-
-func (n *Network) fctRecord(size int64, fct sim.Time) stats.FCTRecord {
-	return stats.FCTRecord{
-		Size:  size,
-		FCT:   fct,
-		Ideal: stats.IdealFCT(size, n.rate, n.rtt, packet.DefaultMTU, n.scheme.INT),
-	}
+	return func(f *host.Flow) { n.m.Obs.OnFlow(n.m.Completed(f)) }
 }
 
 // startPinned starts a flow whose handle is about to leave the
 // simulator: under CompletedFlowWindow the host must not recycle it.
 func (n *Network) startPinned(src, dst int, size int64) *host.Flow {
-	f := n.nw.StartFlow(src, dst, size, n.flowDone())
+	f := n.m.Network.StartFlow(src, dst, size, n.flowDone())
 	f.Pin()
 	return f
 }
@@ -111,13 +92,9 @@ func (n *Network) StartFlowAt(d time.Duration, src, dst int, size int64) *Flow {
 // (Src = responder, Dst = requester).
 func (n *Network) Read(requester, responder int, size int64, done func()) {
 	issued := n.eng.Now()
-	n.nw.StartRead(requester, responder, size, func() {
-		if n.obs.OnFlow != nil {
-			rec := n.fctRecord(size, n.eng.Now()-issued)
-			rec.Ideal += n.rtt / 2 // the request's one-way trip
-			n.obs.OnFlow(experiment.FlowEvent{
-				Src: responder, Dst: requester, Read: true, Started: issued, Rec: rec,
-			})
+	n.m.Network.StartRead(requester, responder, size, func() {
+		if n.m.Obs.OnFlow != nil {
+			n.m.Obs.OnFlow(n.m.ReadCompleted(requester, responder, size, n.eng.Now()-issued))
 		}
 		if done != nil {
 			done()
@@ -145,7 +122,7 @@ type QueuePoint struct {
 // after Run.
 func (n *Network) TraceQueues(interval, dur time.Duration) *[]QueuePoint {
 	out := &[]QueuePoint{}
-	mon := stats.NewQueueMonitor(n.eng, n.nw.SwitchPorts(), fabric.PrioData, toSim(interval), n.eng.Now()+toSim(dur))
+	mon := stats.NewQueueMonitor(n.eng, n.m.Network.SwitchPorts(), fabric.PrioData, toSim(interval), n.eng.Now()+toSim(dur))
 	mon.OnSample = func(tp stats.TimePoint) {
 		*out = append(*out, QueuePoint{At: fromSim(tp.T), Bytes: int64(tp.V)})
 	}
@@ -153,12 +130,12 @@ func (n *Network) TraceQueues(interval, dur time.Duration) *[]QueuePoint {
 }
 
 // Drops returns total packets dropped across the fabric so far.
-func (n *Network) Drops() uint64 { return n.nw.TotalDrops() }
+func (n *Network) Drops() uint64 { return n.m.Network.TotalDrops() }
 
 // PFCPauseFraction returns the fraction of (switch-port × time) spent
 // paused so far.
 func (n *Network) PFCPauseFraction() float64 {
-	return stats.PFCPauseFraction(n.nw.Switches, fabric.PrioData, n.eng.Now())
+	return stats.PFCPauseFraction(n.m.Network.Switches, fabric.PrioData, n.eng.Now())
 }
 
 // Done reports whether the flow completed (every byte acknowledged).
@@ -186,7 +163,7 @@ func (f *Flow) Slowdown() float64 {
 	if f.inner == nil || !f.inner.Done() {
 		return 0
 	}
-	return f.net.fctRecord(f.inner.Size(), f.inner.FCT()).Slowdown()
+	return f.net.m.Completed(f.inner).Rec.Slowdown()
 }
 
 // Stop aborts the flow (for long-running flows that "leave").
