@@ -61,40 +61,46 @@ func BenchmarkFig03ECNThresholds(b *testing.B) {
 
 func BenchmarkFig06TxVsRxRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig06(0, 1)
-		b.ReportMetric(r.RebuildKB[0], "txrate-rebuild-KB")
-		b.ReportMetric(r.RebuildKB[1], "rxrate-rebuild-KB")
+		runs := experiment.Fig06(0, 1).Results[0]
+		_, tx := runs[0].Overshoot()
+		_, rx := runs[1].Overshoot()
+		b.ReportMetric(tx/1024, "txrate-rebuild-KB")
+		b.ReportMetric(rx/1024, "rxrate-rebuild-KB")
 	}
 }
 
 func BenchmarkFig09LongShort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig09LongShort(nil, 0, 1)
-		b.ReportMetric(r.TailGbps[0], "hpcc-tail-Gbps")
-		b.ReportMetric(r.TailGbps[1], "dcqcn-tail-Gbps")
+		// The long flow's goodput over the run's final quarter.
+		runs := experiment.Fig09LongShort(0, 1).Results[0]
+		b.ReportMetric(runs[0].Rates(runs[0].Dur*3/4, runs[0].Dur)[0], "hpcc-tail-Gbps")
+		b.ReportMetric(runs[1].Rates(runs[1].Dur*3/4, runs[1].Dur)[0], "dcqcn-tail-Gbps")
 	}
 }
 
 func BenchmarkFig09Incast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig09Incast(nil, 0, 1)
-		b.ReportMetric(r.PeakKB[0], "hpcc-peak-KB")
-		b.ReportMetric(r.PeakKB[1], "dcqcn-peak-KB")
+		runs := experiment.Fig09Incast(0, 1).Results[0]
+		b.ReportMetric(runs[0].Peak()/1024, "hpcc-peak-KB")
+		b.ReportMetric(runs[1].Peak()/1024, "dcqcn-peak-KB")
 	}
 }
 
 func BenchmarkFig09Mice(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig09Mice(nil, 0, 1)
-		b.ReportMetric(r.LatencyUs[0].P99, "hpcc-mice-p99-us")
-		b.ReportMetric(r.LatencyUs[1].P99, "dcqcn-mice-p99-us")
+		runs := experiment.Fig09Mice(0, 1).Results[0]
+		b.ReportMetric(stats.Summarize(runs[0].Latencies(2)).P99, "hpcc-mice-p99-us")
+		b.ReportMetric(stats.Summarize(runs[1].Latencies(2)).P99, "dcqcn-mice-p99-us")
 	}
 }
 
 func BenchmarkFig09Fairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig09Fairness(nil, 0, 1)
-		b.ReportMetric(r.Jain[0][3], "hpcc-jain-4flows")
+		// Epoch 3 of 7, all four flows active, measured over its second
+		// half.
+		r := experiment.Fig09Fairness(0, 1).Results[0][0]
+		epoch := r.Dur / 7
+		b.ReportMetric(stats.Jain(r.Rates(3*epoch+epoch/2, 4*epoch)), "hpcc-jain-4flows")
 	}
 }
 
@@ -134,7 +140,7 @@ func BenchmarkFig12FlowControl(b *testing.B) {
 	}
 }
 
-func spreadP95(g *experiment.Grid, scheme int) float64 {
+func spreadP95(g *experiment.Grid[*experiment.LoadResult], scheme int) float64 {
 	lo, hi := 1e18, 0.0
 	for _, lr := range g.Results[scheme] {
 		var sum, n float64
@@ -160,27 +166,27 @@ func spreadP95(g *experiment.Grid, scheme int) float64 {
 
 func BenchmarkFig13ReactionStrategies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig13(0, 1)
-		b.ReportMetric(r.AvgGbps[0], "perack-Gbps")
-		b.ReportMetric(r.AvgGbps[1], "perrtt-Gbps")
-		b.ReportMetric(r.AvgGbps[2], "hpcc-Gbps")
+		runs := experiment.Fig13(0, 1).Results[0]
+		b.ReportMetric(runs[0].MeanGoodput(), "perack-Gbps")
+		b.ReportMetric(runs[1].MeanGoodput(), "perrtt-Gbps")
+		b.ReportMetric(runs[2].MeanGoodput(), "hpcc-Gbps")
 	}
 }
 
 func BenchmarkFig14WAISweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiment.Fig14(nil, 0, 1)
-		first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-		b.ReportMetric(first.Queue95KB, "wai25-q95-KB")
-		b.ReportMetric(last.Queue95KB, "wai300-q95-KB")
-		b.ReportMetric(last.Jain, "wai300-jain")
+		g := experiment.Fig14(nil, 0, 1)
+		first, last := g.Results[0][0], g.Results[len(g.Results)-1][0]
+		b.ReportMetric(first.Quantile(95)/1024, "wai25-q95-KB")
+		b.ReportMetric(last.Quantile(95)/1024, "wai300-q95-KB")
+		b.ReportMetric(stats.Jain(last.Rates(last.Dur-sim.Millisecond, last.Dur)), "wai300-jain")
 	}
 }
 
 func BenchmarkAblationEtaMaxStage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationEtaMaxStage(0, 1)
-		b.ReportMetric(rows[len(rows)-1].Queue95KB, "eta98ms5-q95-KB")
+		g := experiment.AblationEtaMaxStage(0, 1)
+		b.ReportMetric(g.Results[1][2].Quantile(95)/1024, "eta98ms5-q95-KB")
 	}
 }
 

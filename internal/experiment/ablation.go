@@ -5,9 +5,7 @@ import (
 	"math/rand"
 
 	hpcccc "hpcc/internal/cc/hpcc"
-	"hpcc/internal/fabric"
 	"hpcc/internal/sim"
-	"hpcc/internal/stats"
 	"hpcc/internal/theory"
 	"hpcc/internal/topology"
 	"hpcc/internal/workload"
@@ -18,7 +16,7 @@ func init() {
 		Name:  "ablations-eta",
 		Order: 110,
 		Title: "η × maxStage stability sweep (16-to-1 incast, 100G)",
-		Run:   func(p Params) []*Table { return []*Table{EtaMaxStageTable(AblationEtaMaxStage(0, p.Seed))} },
+		Run:   func(p Params) []*Table { return []*Table{etaMaxStageTable(AblationEtaMaxStage(0, p.Seed))} },
 	})
 	Register(Scenario{
 		Name:  "ablations-quant",
@@ -38,66 +36,36 @@ func randomTheorySystem(rng *rand.Rand) *theory.System {
 	return theory.RandomSystem(rng, 6, 8)
 }
 
-// EtaMaxStageRow is one cell of the η × maxStage sweep (the paper's
-// §5.1 footnote 5: "we tried maxStage from 0 to 5, and η from 95% to
-// 98%, all of which give similar results").
-type EtaMaxStageRow struct {
-	Eta       float64
-	MaxStage  int
-	Queue95KB float64
-	AvgGbps   float64
-}
-
-// AblationEtaMaxStage sweeps HPCC's two stability parameters over the
-// 16-to-1 incast fixture.
-func AblationEtaMaxStage(dur sim.Time, seed int64) []EtaMaxStageRow {
+// AblationEtaMaxStage sweeps HPCC's two stability parameters, η (rows)
+// and maxStage (columns), over the 16-to-1 incast — the paper's §5.1
+// footnote 5: "we tried maxStage from 0 to 5, and η from 95% to 98%,
+// all of which give similar results".
+func AblationEtaMaxStage(dur sim.Time, seed int64) *Grid[*StarRun] {
 	if dur == 0 {
 		dur = 2 * sim.Millisecond
 	}
-	const nSend = 16
-	var out []EtaMaxStageRow
-	for _, eta := range []float64{0.95, 0.98} {
-		for _, ms := range []int{1, 3, 5} {
-			scheme := HPCC(hpcccc.Config{Eta: eta, MaxStage: ms})
-			m := buildStarMicro(scheme, nSend+1, 100*sim.Gbps, seed, 100*sim.Microsecond)
-			for i := 0; i < nSend; i++ {
-				m.flowAt(0, i, nSend, longFlowSize, i, nil)
-			}
-			// Sample steady state only: the line-rate-start transient
-			// (identical for every setting) would otherwise dominate
-			// the tail percentiles.
-			var mon *stats.QueueMonitor
-			m.eng.After(dur/2, func() {
-				mon = stats.NewQueueMonitor(m.eng, []*fabric.Port{m.portTo(nSend)}, fabric.PrioData, sim.Microsecond, dur)
-			})
-			m.eng.RunUntil(dur)
-			mon.Stop()
-			var q []float64
-			for _, tp := range mon.Series {
-				q = append(q, tp.V/1024)
-			}
-			total := 0.0
-			for i := 0; i < nSend; i++ {
-				total += m.tput.Rate(i, dur/2, dur)
-			}
-			out = append(out, EtaMaxStageRow{
-				Eta: eta, MaxStage: ms,
-				Queue95KB: stats.Percentile(q, 95),
-				AvgGbps:   total,
-			})
-		}
-	}
-	return out
+	etas := []float64{0.95, 0.98}
+	stages := []int{1, 3, 5}
+	return runGrid(labels("%.2f", etas...), labels("%d", stages...), func(r, c int) starCell {
+		// Sample steady state only: the line-rate-start transient
+		// (identical for every setting) would otherwise dominate the
+		// tail percentiles.
+		return incast16(HPCC(hpcccc.Config{Eta: etas[r], MaxStage: stages[c]}), dur, 100*sim.Microsecond, dur/2, seed)
+	}, runStar)
 }
 
-// EtaMaxStageTable renders the sweep.
-func EtaMaxStageTable(rows []EtaMaxStageRow) *Table {
+// etaMaxStageTable renders the sweep: the steady-state queue tail and
+// total goodput of every setting.
+func etaMaxStageTable(g *Grid[*StarRun]) *Table {
 	t := &Table{
 		Title: "Ablation: η × maxStage stability sweep (16-to-1 incast, 100G)",
 		Cols:  []string{"eta", "maxStage", "q95(KB)", "steady-tput(Gbps)"},
 	}
-	for _, r := range rows {
-		t.AddRow(f2(r.Eta), fmt.Sprintf("%d", r.MaxStage), f1(r.Queue95KB), f1(r.AvgGbps))
+	for r, eta := range g.Rows {
+		for c, stage := range g.Cols {
+			run := g.Results[r][c]
+			t.AddRow(eta, stage, f1(run.Quantile(95)/1024), f1(sum(run.Rates(run.Dur/2, run.Dur))))
+		}
 	}
 	t.AddNote("paper §5.1 footnote 5: all settings in this range behave similarly")
 	return t
@@ -106,17 +74,17 @@ func EtaMaxStageTable(rows []EtaMaxStageRow) *Table {
 // AblationINTQuantization runs HPCC on the PoD with full-precision INT
 // (row 0) and with Figure-7 wire quantization of the telemetry (row 1:
 // txBytes in 128B units, qLen in 80B units, TS in ns).
-func AblationINTQuantization(sc Scale) *Grid {
+func AblationINTQuantization(sc Scale) *Grid[*LoadResult] {
 	sc.normalize(300)
 	return runGrid([]string{"full-precision", "figure-7-wire"}, []string{"HPCC"}, func(r, _ int) LoadScenario {
 		s := sc.load(ByNameMust("hpcc"), PodTopo(topology.PodSpec{}),
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3})
 		s.INTQuantize = r == 1
 		return s
-	})
+	}, mustRunLoad)
 }
 
-func quantizeTables(g *Grid) []*Table {
+func quantizeTables(g *Grid[*LoadResult]) []*Table {
 	t := &Table{
 		Title: "Ablation: INT precision — simulator floats vs Figure-7 wire quantization",
 		Cols:  []string{"INT precision", "FCT-p95-slowdown", "q-p99(KB)"},

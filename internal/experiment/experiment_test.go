@@ -50,146 +50,162 @@ func TestFig11SchemeOrder(t *testing.T) {
 }
 
 func TestFig06RxRateOscillates(t *testing.T) {
-	r := Fig06(300*sim.Microsecond, 1)
-	if len(r.Variants) != 2 {
+	g := Fig06(300*sim.Microsecond, 1)
+	if len(g.Results[0]) != 2 {
 		t.Fatal("want 2 variants")
 	}
+	txFirst, txRebuild := g.Results[0][0].Overshoot()
+	rxFirst, rxRebuild := g.Results[0][1].Overshoot()
 	// Both start at line rate: identical initial overshoot.
-	if r.PeakKB[0] < 10 || r.PeakKB[1] < 10 {
-		t.Fatalf("peaks = %v, expected a line-rate-start transient", r.PeakKB)
+	if txFirst < 10*1024 || rxFirst < 10*1024 {
+		t.Fatalf("peaks = %.1f / %.1f KB, expected a line-rate-start transient", txFirst/1024, rxFirst/1024)
 	}
 	// The paper's claim: rxRate oscillates (queue rebuilds after the
 	// first drain), txRate converges gracefully.
-	if r.RebuildKB[1] <= r.RebuildKB[0] {
+	if rxRebuild <= txRebuild {
 		t.Fatalf("rxRate rebuild %.1f KB should exceed txRate rebuild %.1f KB",
-			r.RebuildKB[1], r.RebuildKB[0])
+			rxRebuild/1024, txRebuild/1024)
 	}
 }
 
 func TestFig13ReactionStrategies(t *testing.T) {
-	r := Fig13(300*sim.Microsecond, 1)
+	g := Fig13(300*sim.Microsecond, 1)
 	idx := map[string]int{}
-	for i, v := range r.Variants {
-		idx[v.Scheme] = i
+	for i, s := range g.Cols {
+		idx[s] = i
 	}
-	perAck, perRTT, combined := idx["HPCC-perACK"], idx["HPCC-perRTT"], idx["HPCC"]
+	runs := g.Results[0]
+	perAck, perRTT, combined := runs[idx["HPCC-perACK"]], runs[idx["HPCC-perRTT"]], runs[idx["HPCC"]]
 	// Per-ACK overreacts: throughput collapses.
-	if r.AvgGbps[perAck] >= 0.7*r.AvgGbps[combined] {
-		t.Fatalf("per-ACK avg %.1f should collapse vs HPCC %.1f", r.AvgGbps[perAck], r.AvgGbps[combined])
+	if perAck.MeanGoodput() >= 0.7*combined.MeanGoodput() {
+		t.Fatalf("per-ACK avg %.1f should collapse vs HPCC %.1f", perAck.MeanGoodput(), combined.MeanGoodput())
 	}
 	// Per-RTT drains the queue slowly.
-	if r.LateQueueKB[perRTT] <= r.LateQueueKB[combined] {
+	if lateQueue(perRTT) <= lateQueue(combined) {
 		t.Fatalf("per-RTT late queue %.1f KB should exceed HPCC %.1f KB",
-			r.LateQueueKB[perRTT], r.LateQueueKB[combined])
+			lateQueue(perRTT)/1024, lateQueue(combined)/1024)
 	}
 	// HPCC keeps high throughput.
-	if r.AvgGbps[combined] < 0.7*r.Cap {
-		t.Fatalf("HPCC avg %.1f Gbps too low vs cap %.1f", r.AvgGbps[combined], r.Cap)
+	if combined.MeanGoodput() < 0.7*combined.Cap {
+		t.Fatalf("HPCC avg %.1f Gbps too low vs cap %.1f", combined.MeanGoodput(), combined.Cap)
 	}
 }
 
 func TestFig14WAITradeoff(t *testing.T) {
-	r := Fig14([]float64{25, 300}, 3*sim.Millisecond, 1)
-	if len(r.Rows) != 2 {
+	g := Fig14([]float64{25, 300}, 3*sim.Millisecond, 1)
+	if len(g.Results) != 2 {
 		t.Fatal("want 2 rows")
 	}
-	small, large := r.Rows[0], r.Rows[1]
+	small, large := g.Results[0][0], g.Results[1][0]
 	// Larger W_AI → more standing queue (beyond the §3.3 bound).
-	if large.Queue95KB < small.Queue95KB {
+	if large.Quantile(95) < small.Quantile(95) {
 		t.Fatalf("W_AI=300 q95 %.1f KB should be ≥ W_AI=25 q95 %.1f KB",
-			large.Queue95KB, small.Queue95KB)
+			large.Quantile(95)/1024, small.Quantile(95)/1024)
 	}
 	// Both should keep utilization high.
-	if small.TotalGbps < 0.6*r.Cap || large.TotalGbps < 0.6*r.Cap {
-		t.Fatalf("total throughput too low: %v / %v of cap %.1f", small.TotalGbps, large.TotalGbps, r.Cap)
+	smallTotal, largeTotal := sum(finalShares(small)), sum(finalShares(large))
+	if smallTotal < 0.6*small.Cap || largeTotal < 0.6*large.Cap {
+		t.Fatalf("total throughput too low: %v / %v of cap %.1f", smallTotal, largeTotal, small.Cap)
 	}
 	// The paper's stability bound for 16 flows.
-	if r.StableLimit < 100 || r.StableLimit > 200 {
-		t.Fatalf("stability bound = %.0f, want ≈ 150 bytes", r.StableLimit)
+	if limit := stableLimit(small); limit < 100 || limit > 200 {
+		t.Fatalf("stability bound = %.0f, want ≈ 150 bytes", limit)
 	}
 }
 
-func TestFig09LongShortRecovery(t *testing.T) {
-	r := Fig09LongShort(nil, 2*sim.Millisecond, 1)
-	idx := map[string]int{}
-	for i, v := range r.Variants {
-		idx[v.Scheme] = i
+// fig9Runs indexes a Figure 9 grid's HPCC and DCQCN runs.
+func fig9Runs(g *Grid[*StarRun]) (hpcc, dcqcn *StarRun) {
+	for c, s := range g.Cols {
+		switch s {
+		case "HPCC":
+			hpcc = g.Results[0][c]
+		case "DCQCN":
+			dcqcn = g.Results[0][c]
+		}
 	}
-	h, d := idx["HPCC"], idx["DCQCN"]
+	return hpcc, dcqcn
+}
+
+func TestFig09LongShortRecovery(t *testing.T) {
+	g := Fig09LongShort(2*sim.Millisecond, 1)
+	h, d := fig9Runs(g)
 	// HPCC: short flow completes and the long flow is back to 90% of
 	// line within a few hundred µs (paper: "right after").
-	if r.ShortEnd[h] == 0 {
+	if h.Finished[1] == 0 {
 		t.Fatal("HPCC short flow never finished")
 	}
-	if r.RecoverAfter[h] < 0 || r.RecoverAfter[h] > 500*sim.Microsecond {
-		t.Fatalf("HPCC recovery = %v, want prompt", r.RecoverAfter[h])
+	if rec := recoverAfter(h); rec < 0 || rec > 500*sim.Microsecond {
+		t.Fatalf("HPCC recovery = %v, want prompt", rec)
 	}
 	// Paper: DCQCN cannot recover to line rate even after 2 ms. The
 	// long flow's tail rate must show the gap.
-	if r.TailGbps[h] < 0.85*r.Cap {
-		t.Fatalf("HPCC tail rate %.1f of %.1f Gbps: did not recover", r.TailGbps[h], r.Cap)
+	if tailRate(h) < 0.85*d.Cap {
+		t.Fatalf("HPCC tail rate %.1f of %.1f Gbps: did not recover", tailRate(h), d.Cap)
 	}
-	if r.TailGbps[d] >= 0.95*r.TailGbps[h] {
-		t.Fatalf("DCQCN tail %.1f Gbps should lag HPCC %.1f", r.TailGbps[d], r.TailGbps[h])
+	if tailRate(d) >= 0.95*tailRate(h) {
+		t.Fatalf("DCQCN tail %.1f Gbps should lag HPCC %.1f", tailRate(d), tailRate(h))
 	}
 }
 
 func TestFig09IncastDrain(t *testing.T) {
-	r := Fig09Incast(nil, 4*sim.Millisecond, 1)
-	idx := map[string]int{}
-	for i, v := range r.Variants {
-		idx[v.Scheme] = i
-	}
-	h, d := idx["HPCC"], idx["DCQCN"]
-	if r.PeakKB[h] <= 0 || r.PeakKB[d] <= 0 {
+	g := Fig09Incast(4*sim.Millisecond, 1)
+	h, d := fig9Runs(g)
+	if h.Peak() <= 0 || d.Peak() <= 0 {
 		t.Fatal("no queue build-up recorded")
 	}
 	// Paper: HPCC drains quickly; DCQCN builds ~550 KB and lingers.
-	if r.PeakKB[h] >= r.PeakKB[d] {
-		t.Fatalf("HPCC peak %.1f KB should be below DCQCN peak %.1f KB", r.PeakKB[h], r.PeakKB[d])
+	if h.Peak() >= d.Peak() {
+		t.Fatalf("HPCC peak %.1f KB should be below DCQCN peak %.1f KB", h.Peak()/1024, d.Peak()/1024)
 	}
-	if r.DrainTime[h] >= r.DrainTime[d] {
-		t.Fatalf("HPCC drain %v should beat DCQCN %v", r.DrainTime[h], r.DrainTime[d])
+	burst := h.Dur / 5
+	if !drainsFirst(h, d, burst) {
+		t.Fatalf("HPCC drain %v should beat DCQCN %v (-1: not drained)", h.DrainTime(burst), d.DrainTime(burst))
+	}
+	// The check fails an HPCC queue that never drains, and passes one
+	// that drains while DCQCN's lingers past the horizon.
+	drained := &StarRun{Queue: queueSeries(40, 20, 0, 0)}
+	lingers := &StarRun{Queue: queueSeries(10, 40, 40, 40)}
+	if drainsFirst(lingers, drained, 0) || drainsFirst(lingers, lingers, 0) || !drainsFirst(drained, lingers, 0) {
+		t.Fatal("drainsFirst misjudges a queue that never drains")
 	}
 }
 
+// drainsFirst reports whether a's queue drained after from and b's
+// either did not or took longer.
+func drainsFirst(a, b *StarRun, from sim.Time) bool {
+	da, db := a.DrainTime(from), b.DrainTime(from)
+	return da >= 0 && (db < 0 || da < db)
+}
+
 func TestFig09MiceLatency(t *testing.T) {
-	r := Fig09Mice(nil, 4*sim.Millisecond, 1)
-	idx := map[string]int{}
-	for i, s := range r.Schemes {
-		idx[s] = i
-	}
-	h, d := idx["HPCC"], idx["DCQCN"]
+	g := Fig09Mice(4*sim.Millisecond, 1)
+	h, d := fig9Runs(g)
+	hLat, dLat := stats.Summarize(h.Latencies(2)), stats.Summarize(d.Latencies(2))
 	// Paper: HPCC keeps near-zero queues → mice latency near base RTT;
 	// DCQCN keeps a standing queue around the ECN threshold.
-	if r.LatencyUs[h].P95 >= r.LatencyUs[d].P95 {
-		t.Fatalf("HPCC mice p95 %.1fus should beat DCQCN %.1fus", r.LatencyUs[h].P95, r.LatencyUs[d].P95)
+	if hLat.P95 >= dLat.P95 {
+		t.Fatalf("HPCC mice p95 %.1fus should beat DCQCN %.1fus", hLat.P95, dLat.P95)
 	}
-	if r.QueueKB[h].P95 >= r.QueueKB[d].P95 {
-		t.Fatalf("HPCC queue p95 %.1f KB should beat DCQCN %.1f KB", r.QueueKB[h].P95, r.QueueKB[d].P95)
+	if h.Quantile(95) >= d.Quantile(95) {
+		t.Fatalf("HPCC queue p95 %.1f KB should beat DCQCN %.1f KB", h.Quantile(95)/1024, d.Quantile(95)/1024)
 	}
-	if r.LatencyUs[h].P50 > 4*r.BaseRTTUs {
-		t.Fatalf("HPCC median mice latency %.1fus too far above base RTT %.1fus", r.LatencyUs[h].P50, r.BaseRTTUs)
+	if base := h.BaseRTT.Microseconds(); hLat.P50 > 4*base {
+		t.Fatalf("HPCC median mice latency %.1fus too far above base RTT %.1fus", hLat.P50, base)
 	}
 }
 
 func TestFig09FairnessJain(t *testing.T) {
-	r := Fig09Fairness(nil, 2*sim.Millisecond, 1)
-	idx := map[string]int{}
-	for i, s := range r.Schemes {
-		idx[s] = i
-	}
-	h := idx["HPCC"]
+	g := Fig09Fairness(2*sim.Millisecond, 1)
+	h, _ := fig9Runs(g)
 	// Epoch 3 has all four flows active: HPCC shares fairly even on
 	// short timescales (the W_AI default targets 100 flows, so full
 	// convergence takes longer than these scaled 2 ms epochs).
-	if r.Jain[h][3] < 0.75 {
-		t.Fatalf("HPCC Jain with 4 flows = %.2f, want ≥ 0.75", r.Jain[h][3])
+	if _, active := fairEpoch(h, 3); stats.Jain(active) < 0.75 {
+		t.Fatalf("HPCC Jain with 4 flows = %.2f, want ≥ 0.75", stats.Jain(active))
 	}
 	// Epoch 6 has only flow 4 left: it should claim most of the line.
-	last := r.Rates[h][6][3]
-	if last < 15 {
-		t.Fatalf("last flow rate = %.1f Gbps, want near line (25G minus overheads)", last)
+	if rates, _ := fairEpoch(h, 6); rates[3] < 15 {
+		t.Fatalf("last flow rate = %.1f Gbps, want near line (25G minus overheads)", rates[3])
 	}
 }
 
@@ -329,18 +345,21 @@ func TestFig01PFCPropagation(t *testing.T) {
 }
 
 func TestAblationEtaMaxStage(t *testing.T) {
-	rows := AblationEtaMaxStage(sim.Millisecond, 1)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
+	g := AblationEtaMaxStage(sim.Millisecond, 1)
+	if len(g.Rows)*len(g.Cols) != 6 {
+		t.Fatalf("cells = %d×%d, want 6", len(g.Rows), len(g.Cols))
 	}
-	for _, r := range rows {
-		// Paper footnote 5: the whole region behaves well — near-zero
-		// steady queues and high utilization.
-		if r.Queue95KB > 100 {
-			t.Fatalf("eta=%v maxStage=%d: q95 = %.1f KB, want small", r.Eta, r.MaxStage, r.Queue95KB)
-		}
-		if r.AvgGbps < 50 {
-			t.Fatalf("eta=%v maxStage=%d: throughput %.1f Gbps too low", r.Eta, r.MaxStage, r.AvgGbps)
+	for r, eta := range g.Rows {
+		for c, stage := range g.Cols {
+			run := g.Results[r][c]
+			// Paper footnote 5: the whole region behaves well — near-zero
+			// steady queues and high utilization.
+			if q95 := run.Quantile(95) / 1024; q95 > 100 {
+				t.Fatalf("eta=%s maxStage=%s: q95 = %.1f KB, want small", eta, stage, q95)
+			}
+			if tput := sum(run.Rates(run.Dur/2, run.Dur)); tput < 50 {
+				t.Fatalf("eta=%s maxStage=%s: throughput %.1f Gbps too low", eta, stage, tput)
+			}
 		}
 	}
 }

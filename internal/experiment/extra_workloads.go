@@ -32,7 +32,7 @@ func init() {
 // 2% of capacity (the one row), for HPCC and DCQCN (columns) — the
 // regime where HPCC's fast drain shows up in the short-flow tail while
 // incast victims stress PFC.
-func HadoopIncastMix(spec topology.FatTreeSpec, sc Scale) *Grid {
+func HadoopIncastMix(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(400)
 	spec = fatTreeOrScaled(spec)
 	// The paper's simulation uses 60-to-1; keep the fan-in meaningful
@@ -43,12 +43,12 @@ func HadoopIncastMix(spec topology.FatTreeSpec, sc Scale) *Grid {
 		return sc.fatTree(schemes[c], spec,
 			workload.PoissonSpec{CDF: workload.FBHadoop(), Load: 0.5},
 			workload.IncastSpec{FanIn: n, Size: 500_000, LoadFrac: 0.02})
-	})
+	}, mustRunLoad)
 }
 
 // hadoopIncastTables renders the mix: the FB_Hadoop FCT panel plus the
 // incast-side pause/queue summary.
-func hadoopIncastTables(g *Grid) []*Table {
+func hadoopIncastTables(g *Grid[*LoadResult]) []*Table {
 	fct := fctTable("Extra: 95th-pct FCT slowdown, "+g.Rows[0]+" (FatTree)",
 		g.Cols, stats.FBHadoopEdges(), g.Results[0], p95)
 	fct.AddNote("background FB_Hadoop Poisson at 50%% load + periodic fan-in bursts at 2%% of capacity")
@@ -75,18 +75,18 @@ func hadoopIncastTables(g *Grid) []*Table {
 // WebSearch, at 30% response-byte load (the one row), for HPCC and
 // DCQCN (columns). Slowdowns are measured at the requester,
 // request-to-last-byte.
-func RPCFatTree(spec topology.FatTreeSpec, sc Scale) *Grid {
+func RPCFatTree(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(400)
 	spec = fatTreeOrScaled(spec)
 	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
 	return runGrid([]string{"WebSearch responses at 30%"}, schemeLabels(schemes), func(_, c int) LoadScenario {
 		return sc.fatTree(schemes[c], spec, workload.RPCSpec{CDF: workload.WebSearch(), Load: 0.3})
-	})
+	}, mustRunLoad)
 }
 
 // rpcTables renders the RPC panel: per-size p95 response slowdown plus
 // the summary row per scheme.
-func rpcTables(g *Grid) []*Table {
+func rpcTables(g *Grid[*LoadResult]) []*Table {
 	fct := fctTable("Extra: 95th-pct READ response slowdown, "+g.Rows[0]+" (FatTree)",
 		g.Cols, stats.WebSearchEdges(), g.Results[0], p95)
 	fct.AddNote("response streamed by the responder's QP; clock runs request-to-last-byte at the requester")

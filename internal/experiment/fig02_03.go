@@ -40,7 +40,7 @@ func Fig02Timers() []dcqcn.Config {
 // Figure 2): DCQCN under 30% WebSearch on the testbed PoD with three
 // timer settings (columns), under plain load (row 0, panel a) and with
 // a 16-to-1 incast added (row 1, panel b).
-func Fig02(sc Scale) *Grid {
+func Fig02(sc Scale) *Grid[*LoadResult] {
 	sc.normalize(600)
 	timers := Fig02Timers()
 	labels := make([]string, len(timers))
@@ -55,10 +55,10 @@ func Fig02(sc Scale) *Grid {
 			s.BufferBytes = BufferFor(32)
 		}
 		return s
-	})
+	}, mustRunLoad)
 }
 
-func fig02Tables(g *Grid) []*Table {
+func fig02Tables(g *Grid[*LoadResult]) []*Table {
 	a := fctTable("Figure 2a: 95th-pct FCT slowdown vs DCQCN timers (WebSearch 30%, PoD)",
 		g.Cols, stats.WebSearchEdges(), g.Results[0], p95)
 	b := &Table{
@@ -86,7 +86,7 @@ func Fig03Thresholds() [][2]int64 {
 // Fig03 is the bandwidth-vs-latency motivation experiment (§2.3,
 // Figure 3): DCQCN on the PoD at 30% and 50% WebSearch load (rows)
 // under three ECN threshold settings (columns).
-func Fig03(sc Scale) *Grid {
+func Fig03(sc Scale) *Grid[*LoadResult] {
 	sc.normalize(600)
 	loads := []float64{0.3, 0.5}
 	ths := Fig03Thresholds()
@@ -97,10 +97,10 @@ func Fig03(sc Scale) *Grid {
 	return runGrid(loadLabels("%.0f%%", loads...), labels, func(r, c int) LoadScenario {
 		return sc.load(DCQCNWithECN(dcqcn.Config{}, ths[c][0], ths[c][1]), PodTopo(topology.PodSpec{}),
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: loads[r]})
-	})
+	}, mustRunLoad)
 }
 
-func fig03Tables(g *Grid) []*Table {
+func fig03Tables(g *Grid[*LoadResult]) []*Table {
 	var out []*Table
 	for r, load := range g.Rows {
 		t := fctTable(fmt.Sprintf("Figure 3%c: 95th-pct FCT slowdown vs ECN thresholds (WebSearch %s, PoD)", 'a'+r, load),

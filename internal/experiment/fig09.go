@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"hpcc/internal/fabric"
-	"hpcc/internal/host"
 	"hpcc/internal/sim"
 	"hpcc/internal/stats"
 )
@@ -15,350 +13,224 @@ func init() {
 		Name:  "fig9-longshort",
 		Order: 50,
 		Title: "long-flow rate recovery around a 1MB short flow (25G)",
-		Run:   func(p Params) []*Table { return []*Table{Fig09LongShort(nil, 0, p.Seed).Table()} },
+		Run:   func(p Params) []*Table { return []*Table{fig09LongShortTable(Fig09LongShort(0, p.Seed))} },
 	})
 	Register(Scenario{
 		Name:  "fig9-incast",
 		Order: 51,
 		Title: "7-to-1 incast joining a long flow: queue build-up and drain (25G)",
-		Run:   func(p Params) []*Table { return []*Table{Fig09Incast(nil, 0, p.Seed).Table()} },
+		Run:   func(p Params) []*Table { return []*Table{fig09IncastTable(Fig09Incast(0, p.Seed))} },
 	})
 	Register(Scenario{
 		Name:  "fig9-mice",
 		Order: 52,
 		Title: "mice latency and queue size under two elephants (25G)",
-		Run:   func(p Params) []*Table { return []*Table{Fig09Mice(nil, 0, p.Seed).Table()} },
+		Run:   func(p Params) []*Table { return []*Table{fig09MiceTable(Fig09Mice(0, p.Seed))} },
 	})
 	Register(Scenario{
 		Name:  "fig9-fairness",
 		Order: 53,
 		Title: "fair share under staggered join/leave (25G)",
-		Run:   func(p Params) []*Table { return []*Table{Fig09Fairness(nil, 0, p.Seed).Table()} },
+		Run:   func(p Params) []*Table { return []*Table{fig09FairnessTable(Fig09Fairness(0, p.Seed))} },
 	})
 }
 
-// Fig09LongShortResult is Figure 9a/9b: a long flow's rate recovery
-// after a 1 MB short flow comes and goes.
-type Fig09LongShortResult struct {
-	Variants []SeriesPair
-	// ShortEnd is when the short flow finished (0 = never, within the
-	// horizon); RecoverAfter is how long past that the long flow needed
-	// to regain 90% of the achievable rate (-1 = never).
-	ShortEnd     []sim.Time
-	RecoverAfter []sim.Time
-	// TailGbps is the long flow's goodput over the final quarter of
-	// the run — the paper's claim distilled: HPCC is back at line
-	// rate, DCQCN is not.
-	TailGbps []float64
-	Cap      float64
+// fig9Grid is a Figure 9 panel: the star cell cell makes of each scheme
+// the paper compares, HPCC and DCQCN (columns), at 25 Gbps.
+func fig9Grid(cell func(Scheme) starCell) *Grid[*StarRun] {
+	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
+	return runGrid([]string{"25G"}, schemeLabels(schemes), func(_, c int) starCell {
+		return cell(schemes[c])
+	}, runStar)
 }
 
-// Fig09LongShort runs the long-short scenario for the given schemes
-// (the paper compares HPCC and DCQCN).
-func Fig09LongShort(schemes []Scheme, dur sim.Time, seed int64) *Fig09LongShortResult {
-	if len(schemes) == 0 {
-		schemes = []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
-	}
+// Fig09LongShort is Figure 9a/9b: a long flow (flow 0) and a 1 MB short
+// flow (flow 1) that comes and goes.
+func Fig09LongShort(dur sim.Time, seed int64) *Grid[*StarRun] {
 	if dur == 0 {
 		dur = 3 * sim.Millisecond
 	}
-	res := &Fig09LongShortResult{}
-	for _, scheme := range schemes {
-		bin := 50 * sim.Microsecond
-		m := buildStarMicro(scheme, 3, fig9Rate, seed, bin)
-		m.flowAt(0, 0, 2, longFlowSize, 0, nil)
-		var shortEnd sim.Time
-		m.flowAt(dur/6, 1, 2, 1<<20, 1, func(f *host.Flow) { shortEnd = f.Finished() })
-		mon := stats.NewQueueMonitor(m.eng, []*fabric.Port{m.portTo(2)}, fabric.PrioData, sim.Microsecond, dur)
-		m.eng.RunUntil(dur)
-		mon.Stop()
-
-		long := m.tput.Series(0, dur)
-		cap := m.goodputCap()
-		recover := sim.Time(-1)
-		if shortEnd > 0 {
-			for _, tp := range long {
-				if tp.T >= shortEnd && tp.V >= 0.9*cap {
-					recover = tp.T + bin - shortEnd // bin end covers the rate
-					break
-				}
-			}
-		}
-		res.Variants = append(res.Variants, SeriesPair{Scheme: scheme.Name, Throughput: long, Queue: mon.Series})
-		res.ShortEnd = append(res.ShortEnd, shortEnd)
-		res.RecoverAfter = append(res.RecoverAfter, recover)
-		res.TailGbps = append(res.TailGbps, m.tput.Rate(0, dur*3/4, dur))
-		res.Cap = cap
-	}
-	return res
+	flows := append(longFlows(1, 2), starFlow{At: dur / 6, Src: 1, Dst: 2, Size: 1 << 20})
+	return fig9Grid(func(s Scheme) starCell {
+		return starCell{Scheme: s, Hosts: 3, Rate: fig9Rate, Flows: flows,
+			Dur: dur, Bin: 50 * sim.Microsecond, Sink: 2, Seed: seed}
+	})
 }
 
-// Table renders Figure 9a/9b.
-func (r *Fig09LongShortResult) Table() *Table {
+// recoverAfter is how long past the short flow's end the long flow
+// needed to regain 90% of the achievable rate: -1 if it never did, or
+// the short flow never ended.
+func recoverAfter(r *StarRun) sim.Time {
+	end := r.Finished[1]
+	if end == 0 {
+		return -1
+	}
+	for _, tp := range r.Goodput(0) {
+		if tp.T >= end && tp.V >= 0.9*r.Cap {
+			return tp.T + r.Bin - end // bin end covers the rate
+		}
+	}
+	return -1
+}
+
+// tailRate is the long flow's goodput over the final quarter of the run
+// — the paper's claim distilled: HPCC is back at line rate, DCQCN is
+// not.
+func tailRate(r *StarRun) float64 { return r.Rates(r.Dur*3/4, r.Dur)[0] }
+
+// fig09LongShortTable renders Figure 9a/9b. Its notes quote the last
+// column's goodput ceiling.
+func fig09LongShortTable(g *Grid[*StarRun]) *Table {
+	runs := g.Results[0]
 	t := &Table{
 		Title: "Figure 9a/9b: long-flow rate recovery around a 1MB short flow (25G)",
 		Cols:  []string{"time(us)"},
 	}
-	for _, v := range r.Variants {
-		t.Cols = append(t.Cols, v.Scheme+"-long(Gbps)", v.Scheme+"-queue(KB)")
+	long := make([][]stats.TimePoint, len(runs))
+	for c, s := range g.Cols {
+		t.Cols = append(t.Cols, s+"-long(Gbps)", s+"-queue(KB)")
+		long[c] = runs[c].Goodput(0)
 	}
-	qPerBin := len(r.Variants[0].Queue) / len(r.Variants[0].Throughput)
-	for i := range r.Variants[0].Throughput {
-		row := []string{f1(r.Variants[0].Throughput[i].T.Microseconds())}
-		for _, v := range r.Variants {
-			qi := i * qPerBin
-			if qi >= len(v.Queue) {
-				qi = len(v.Queue) - 1
-			}
-			row = append(row, f1(v.Throughput[i].V), f1(v.Queue[qi].V/1024))
+	qPerBin := len(runs[0].Queue) / len(long[0])
+	for i := range long[0] {
+		row := []string{f1(long[0][i].T.Microseconds())}
+		for c, r := range runs {
+			qi := min(i*qPerBin, len(r.Queue)-1)
+			row = append(row, f1(long[c][i].V), f1(r.Queue[qi].V/1024))
 		}
 		t.AddRow(row...)
 	}
-	for i, v := range r.Variants {
-		if r.RecoverAfter[i] >= 0 {
+	capGbps := runs[len(runs)-1].Cap
+	for c, s := range g.Cols {
+		r := runs[c]
+		if rec := recoverAfter(r); rec >= 0 {
 			t.AddNote("%s: short flow ended at %v; long flow back to 90%% of %.1f Gbps after %v; tail rate %.1f Gbps",
-				v.Scheme, r.ShortEnd[i], r.Cap, r.RecoverAfter[i], r.TailGbps[i])
+				s, r.Finished[1], capGbps, rec, tailRate(r))
 		} else {
 			t.AddNote("%s: never recovered to 90%% within the horizon (short flow done: %v); tail rate %.1f Gbps",
-				v.Scheme, r.ShortEnd[i] > 0, r.TailGbps[i])
+				s, r.Finished[1] > 0, tailRate(r))
 		}
 	}
 	return t
 }
 
-// Fig09IncastResult is Figure 9c/9d: queue build-up and drain when 7
-// senders join the receiver of a long-running flow.
-type Fig09IncastResult struct {
-	Variants []SeriesPair
-	// PeakKB and DrainTime: maximum queue and time from burst start
-	// until the queue stays below 10% of peak (-1 = never drained).
-	PeakKB    []float64
-	DrainTime []sim.Time
-}
-
-// Fig09Incast runs the 7+1 incast of Figure 9c/9d.
-func Fig09Incast(schemes []Scheme, dur sim.Time, seed int64) *Fig09IncastResult {
-	if len(schemes) == 0 {
-		schemes = []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
-	}
+// Fig09Incast is Figure 9c/9d: 7 senders of 500 KB join the receiver
+// of a long-running flow a fifth of the way into the run.
+func Fig09Incast(dur sim.Time, seed int64) *Grid[*StarRun] {
 	if dur == 0 {
 		dur = 5 * sim.Millisecond
 	}
-	res := &Fig09IncastResult{}
-	burstAt := dur / 5
-	for _, scheme := range schemes {
-		m := buildStarMicro(scheme, 9, fig9Rate, seed, 50*sim.Microsecond)
-		m.flowAt(0, 0, 8, longFlowSize, 0, nil)
-		for i := 1; i <= 7; i++ {
-			m.flowAt(burstAt, i, 8, 500_000, i, nil)
-		}
-		mon := stats.NewQueueMonitor(m.eng, []*fabric.Port{m.portTo(8)}, fabric.PrioData, sim.Microsecond, dur)
-		m.eng.RunUntil(dur)
-		mon.Stop()
-
-		peak := 0.0
-		for _, tp := range mon.Series {
-			if tp.V > peak {
-				peak = tp.V
-			}
-		}
-		drain := sim.Time(-1)
-		// Find the last time the queue was above 10% of peak.
-		for i := len(mon.Series) - 1; i >= 0; i-- {
-			if mon.Series[i].V > peak/10 {
-				drain = mon.Series[i].T - burstAt
-				break
-			}
-		}
-		long := m.tput.Series(0, dur)
-		res.Variants = append(res.Variants, SeriesPair{Scheme: scheme.Name, Throughput: long, Queue: mon.Series})
-		res.PeakKB = append(res.PeakKB, peak/1024)
-		res.DrainTime = append(res.DrainTime, drain)
+	flows := longFlows(1, 8)
+	for i := 1; i <= 7; i++ {
+		flows = append(flows, starFlow{At: dur / 5, Src: i, Dst: 8, Size: 500_000})
 	}
-	return res
+	return fig9Grid(func(s Scheme) starCell {
+		return starCell{Scheme: s, Hosts: 9, Rate: fig9Rate, Flows: flows,
+			Dur: dur, Bin: 50 * sim.Microsecond, Sink: 8, Seed: seed}
+	})
 }
 
-// Table renders Figure 9c/9d.
-func (r *Fig09IncastResult) Table() *Table {
-	t := &Table{
-		Title: "Figure 9c/9d: 7-to-1 incast joining a long flow (25G) — buffer at receiver port",
-		Cols:  []string{"time(us)"},
-	}
-	for _, v := range r.Variants {
-		t.Cols = append(t.Cols, v.Scheme+"(KB)")
-	}
-	for i := 0; i < len(r.Variants[0].Queue); i += 100 {
-		row := []string{f1(r.Variants[0].Queue[i].T.Microseconds())}
-		for _, v := range r.Variants {
-			row = append(row, f1(v.Queue[i].V/1024))
+// fig09IncastTable renders Figure 9c/9d: the receiver port's buffer
+// over time, its peak, and how long after the burst it drained below a
+// tenth of that.
+func fig09IncastTable(g *Grid[*StarRun]) *Table {
+	t := queueTable("Figure 9c/9d: 7-to-1 incast joining a long flow (25G) — buffer at receiver port", g,
+		func(i int) int { return i + 100 })
+	for c, s := range g.Cols {
+		r := g.Results[0][c]
+		if drain := r.DrainTime(r.Dur / 5); drain >= 0 {
+			t.AddNote("%s: peak buffer %.1f KB, drained %.1fus after burst", s, r.Peak()/1024, drain.Microseconds())
+		} else {
+			t.AddNote("%s: peak buffer %.1f KB, not drained within the horizon", s, r.Peak()/1024)
 		}
-		t.AddRow(row...)
-	}
-	for i, v := range r.Variants {
-		t.AddNote("%s: peak buffer %.1f KB, drained %.1fus after burst", v.Scheme, r.PeakKB[i], r.DrainTime[i].Microseconds())
 	}
 	return t
 }
 
-// Fig09MiceResult is Figure 9e/9f: mice-flow latency and queue CDFs
-// while two elephants saturate the path.
-type Fig09MiceResult struct {
-	Schemes    []string
-	LatencyUs  []stats.Summary // per scheme, mice FCT in µs
-	QueueKB    []stats.Summary
-	BaseRTTUs  float64
-	MiceCounts []int
-}
-
-// Fig09Mice runs the elephant-mice scenario: hosts 0,1 send elephants
-// to host 3; host 2 sends a 1 KB mouse every 100 µs.
-func Fig09Mice(schemes []Scheme, dur sim.Time, seed int64) *Fig09MiceResult {
-	if len(schemes) == 0 {
-		schemes = []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
-	}
+// Fig09Mice is Figure 9e/9f: hosts 0 and 1 send elephants to host 3
+// while host 2 sends it a 1 KB mouse every 100 µs (flows 2 on).
+func Fig09Mice(dur sim.Time, seed int64) *Grid[*StarRun] {
 	if dur == 0 {
 		dur = 5 * sim.Millisecond
 	}
-	res := &Fig09MiceResult{}
-	for _, scheme := range schemes {
-		m := buildStarMicro(scheme, 4, fig9Rate, seed, 50*sim.Microsecond)
-		m.flowAt(0, 0, 3, longFlowSize, 0, nil)
-		m.flowAt(0, 1, 3, longFlowSize, 1, nil)
-
-		var mice []float64
-		gap := 100 * sim.Microsecond
-		for at := gap; at < dur-gap; at += gap {
-			m.flowAt(at, 2, 3, 1000, 2, func(f *host.Flow) {
-				mice = append(mice, f.FCT().Microseconds())
-			})
-		}
-		mon := stats.NewQueueMonitor(m.eng, []*fabric.Port{m.portTo(3)}, fabric.PrioData, sim.Microsecond, dur)
-		m.eng.RunUntil(dur)
-		mon.Stop()
-
-		var q []float64
-		for _, tp := range mon.Series {
-			q = append(q, tp.V/1024)
-		}
-		res.Schemes = append(res.Schemes, scheme.Name)
-		res.LatencyUs = append(res.LatencyUs, stats.Summarize(mice))
-		res.QueueKB = append(res.QueueKB, stats.Summarize(q))
-		res.MiceCounts = append(res.MiceCounts, len(mice))
-		res.BaseRTTUs = m.baseRTT.Microseconds()
+	flows := longFlows(2, 3)
+	gap := 100 * sim.Microsecond
+	for at := gap; at < dur-gap; at += gap {
+		flows = append(flows, starFlow{At: at, Src: 2, Dst: 3, Size: 1000})
 	}
-	return res
+	return fig9Grid(func(s Scheme) starCell {
+		return starCell{Scheme: s, Hosts: 4, Rate: fig9Rate, Flows: flows,
+			Dur: dur, Bin: 50 * sim.Microsecond, Sink: 3, Seed: seed}
+	})
 }
 
-// Table renders Figure 9e/9f.
-func (r *Fig09MiceResult) Table() *Table {
+// fig09MiceTable renders Figure 9e/9f: mice latency and queue
+// percentiles per scheme.
+func fig09MiceTable(g *Grid[*StarRun]) *Table {
 	t := &Table{
 		Title: "Figure 9e/9f: mice latency and queue size under two elephants (25G)",
 		Cols:  []string{"scheme", "lat-p50(us)", "lat-p95(us)", "lat-p99(us)", "q-p50(KB)", "q-p95(KB)", "q-p99(KB)"},
 	}
-	for i, s := range r.Schemes {
-		t.AddRow(s,
-			f1(r.LatencyUs[i].P50), f1(r.LatencyUs[i].P95), f1(r.LatencyUs[i].P99),
-			f1(r.QueueKB[i].P50), f1(r.QueueKB[i].P95), f1(r.QueueKB[i].P99))
+	for c, s := range g.Cols {
+		r := g.Results[0][c]
+		lat := stats.Summarize(r.Latencies(2))
+		t.AddRow(s, f1(lat.P50), f1(lat.P95), f1(lat.P99),
+			f1(r.Quantile(50)/1024), f1(r.Quantile(95)/1024), f1(r.Quantile(99)/1024))
 	}
-	t.AddNote("base RTT %.1f us; %d mice per scheme", r.BaseRTTUs, r.MiceCounts[0])
+	first := g.Results[0][0]
+	t.AddNote("base RTT %.1f us; %d mice per scheme", first.BaseRTT.Microseconds(), len(first.Latencies(2)))
 	return t
 }
 
-// Fig09FairnessResult is Figure 9g/9h: four flows joining (and leaving)
-// one by one; per-epoch rates and Jain indices.
-type Fig09FairnessResult struct {
-	Schemes []string
-	// Rates[s][e][f] is flow f's goodput in the last half of epoch e
-	// under scheme s (flows enter one per epoch, then exit one per
-	// epoch — 7 epochs for 4 flows).
-	Rates [][][]float64
-	Jain  [][]float64 // per scheme, per epoch (over active flows)
-	Epoch sim.Time
-}
+// fairFlows is how many flows Figure 9g/9h staggers: they join one per
+// epoch, then leave one per epoch, over 2·fairFlows−1 epochs.
+const fairFlows = 4
 
-// Fig09Fairness runs the staggered join/leave scenario. The paper's
-// epochs are 1 s; the default here is 4 ms (scaled, noted in the
-// output) so the whole suite stays CI-friendly.
-func Fig09Fairness(schemes []Scheme, epoch sim.Time, seed int64) *Fig09FairnessResult {
-	if len(schemes) == 0 {
-		schemes = []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
-	}
+// Fig09Fairness is Figure 9g/9h: flow f runs from epoch f to epoch
+// fairFlows+f. The paper's epochs are 1 s; the default here is 4 ms
+// (scaled, noted in the output) so the whole suite stays CI-friendly.
+func Fig09Fairness(epoch sim.Time, seed int64) *Grid[*StarRun] {
 	if epoch == 0 {
 		epoch = 4 * sim.Millisecond
 	}
-	const nFlows = 4
-	nEpochs := 2*nFlows - 1
-	res := &Fig09FairnessResult{Epoch: epoch}
-	for _, scheme := range schemes {
-		m := buildStarMicro(scheme, nFlows+1, fig9Rate, seed, epoch/8)
-		flows := make([]*host.Flow, nFlows)
-		for i := 0; i < nFlows; i++ {
-			i := i
-			at := sim.Time(i) * epoch
-			start := func() {
-				f := m.nw.StartFlow(i, nFlows, longFlowSize, nil)
-				f.OnProgress = func(fl *host.Flow, n int64) { m.tput.Record(i, m.eng.Now(), n) }
-				flows[i] = f
-			}
-			if at == 0 {
-				start()
-			} else {
-				m.eng.After(at, start)
-			}
-			m.eng.After(sim.Time(nFlows+i)*epoch, func() {
-				if flows[i] != nil {
-					flows[i].Abort()
-				}
-			})
-		}
-		dur := sim.Time(nEpochs) * epoch
-		m.eng.RunUntil(dur)
-
-		rates := make([][]float64, nEpochs)
-		jain := make([]float64, nEpochs)
-		for e := 0; e < nEpochs; e++ {
-			from := sim.Time(e)*epoch + epoch/2
-			to := sim.Time(e+1) * epoch
-			var active []float64
-			rates[e] = make([]float64, nFlows)
-			for fidx := 0; fidx < nFlows; fidx++ {
-				r := m.tput.Rate(fidx, from, to)
-				rates[e][fidx] = r
-				// Flow f is active in epochs [f, nFlows+f).
-				if e >= fidx && e < nFlows+fidx {
-					active = append(active, r)
-				}
-			}
-			jain[e] = stats.Jain(active)
-		}
-		res.Schemes = append(res.Schemes, scheme.Name)
-		res.Rates = append(res.Rates, rates)
-		res.Jain = append(res.Jain, jain)
+	flows := longFlows(fairFlows, fairFlows)
+	for i := range flows {
+		flows[i].At, flows[i].Stop = sim.Time(i)*epoch, sim.Time(fairFlows+i)*epoch
 	}
-	return res
+	return fig9Grid(func(s Scheme) starCell {
+		return starCell{Scheme: s, Hosts: fairFlows + 1, Rate: fig9Rate, Flows: flows,
+			Dur: (2*fairFlows - 1) * epoch, Bin: epoch / 8, Sink: -1, Seed: seed}
+	})
 }
 
-// Table renders Figure 9g/9h.
-func (r *Fig09FairnessResult) Table() *Table {
+// fairEpoch is epoch e of a fairness run: every flow's goodput over the
+// epoch's second half, and that of the flows active in it.
+func fairEpoch(r *StarRun, e int) (rates, active []float64) {
+	epoch := r.Dur / (2*fairFlows - 1)
+	rates = r.Rates(sim.Time(e)*epoch+epoch/2, sim.Time(e+1)*epoch)
+	for f, rate := range rates {
+		if e >= f && e < fairFlows+f {
+			active = append(active, rate)
+		}
+	}
+	return rates, active
+}
+
+// fig09FairnessTable renders Figure 9g/9h: per-epoch rates and the Jain
+// index over the active flows.
+func fig09FairnessTable(g *Grid[*StarRun]) *Table {
 	t := &Table{
 		Title: "Figure 9g/9h: fair share under staggered join/leave (25G)",
 		Cols:  []string{"scheme", "epoch", "active", "f1(Gbps)", "f2", "f3", "f4", "Jain"},
 	}
-	for s, name := range r.Schemes {
-		for e := range r.Rates[s] {
-			active := 0
-			for fidx := 0; fidx < 4; fidx++ {
-				if e >= fidx && e < 4+fidx {
-					active++
-				}
-			}
-			t.AddRow(name, f1(float64(e)),
-				f1(float64(active)),
-				f1(r.Rates[s][e][0]), f1(r.Rates[s][e][1]),
-				f1(r.Rates[s][e][2]), f1(r.Rates[s][e][3]),
-				f2(r.Jain[s][e]))
+	for c, s := range g.Cols {
+		for e := 0; e < 2*fairFlows-1; e++ {
+			rates, active := fairEpoch(g.Results[0][c], e)
+			t.AddRow(s, f1(float64(e)), f1(float64(len(active))),
+				f1(rates[0]), f1(rates[1]), f1(rates[2]), f1(rates[3]),
+				f2(stats.Jain(active)))
 		}
 	}
-	t.AddNote("epochs scaled to %v (paper: 1s); rates measured over each epoch's second half", r.Epoch)
+	t.AddNote("epochs scaled to %v (paper: 1s); rates measured over each epoch's second half", g.Results[0][0].Dur/(2*fairFlows-1))
 	return t
 }

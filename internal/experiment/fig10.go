@@ -17,19 +17,19 @@ func init() {
 
 // Fig10 is the testbed end-to-end comparison (Figure 10): HPCC and
 // DCQCN (columns) on the PoD at 30% and 50% WebSearch load (rows).
-func Fig10(sc Scale) *Grid {
+func Fig10(sc Scale) *Grid[*LoadResult] {
 	sc.normalize(800)
 	loads := []float64{0.3, 0.5}
 	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
 	return runGrid(loadLabels("%.1f%%", loads...), schemeLabels(schemes), func(r, c int) LoadScenario {
 		return sc.load(schemes[c], PodTopo(topology.PodSpec{}),
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: loads[r]})
-	})
+	}, mustRunLoad)
 }
 
 // fig10Tables renders Figure 10's four panels: FCT slowdown buckets and
 // the queue-length distribution at each load.
-func fig10Tables(g *Grid) []*Table {
+func fig10Tables(g *Grid[*LoadResult]) []*Table {
 	var cols []string
 	for _, s := range g.Cols {
 		cols = append(cols, s+"-p50", s+"-p95", s+"-p99")

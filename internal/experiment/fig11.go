@@ -22,7 +22,7 @@ func init() {
 // load plus an incast (row 0) and at 50% load (row 1). The FatTree and
 // incast fan-in scale with spec; the paper's full setup is
 // topology.PaperFatTree() with fan-in 60.
-func Fig11(spec topology.FatTreeSpec, sc Scale) *Grid {
+func Fig11(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(600)
 	spec = fatTreeOrScaled(spec)
 	incast := workload.IncastSpec{FanIn: fanIn(spec, 4), Size: 500_000, LoadFrac: 0.02}
@@ -34,13 +34,13 @@ func Fig11(spec topology.FatTreeSpec, sc Scale) *Grid {
 			s.Traffic = append(s.Traffic, incast)
 		}
 		return s
-	})
+	}, mustRunLoad)
 }
 
 // fig11Tables renders Figure 11's four panels: 95th-percentile FCT
 // slowdowns, then PFC pause fractions and short-flow tail latency, per
 // load; fanIn is the incast's.
-func fig11Tables(g *Grid, fanIn int) []*Table {
+func fig11Tables(g *Grid[*LoadResult], fanIn int) []*Table {
 	var out []*Table
 	for r, panel := range g.Rows {
 		fct := fctTable("Figure 11"+string(rune('a'+2*r))+": 95th-pct FCT slowdown, FB_Hadoop "+panel+" (FatTree)",

@@ -21,7 +21,7 @@ func init() {
 // (columns) on the FatTree at 30% FB_Hadoop load plus an incast. The
 // paper's takeaway: with HPCC the flow-control choice barely matters;
 // with DCQCN it does — CC is the key problem.
-func Fig12(spec topology.FatTreeSpec, sc Scale) *Grid {
+func Fig12(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(600)
 	spec = fatTreeOrScaled(spec)
 	traffic := []workload.Generator{
@@ -36,11 +36,11 @@ func Fig12(spec topology.FatTreeSpec, sc Scale) *Grid {
 			s.FlowCtl = host.IRN
 		}
 		return s
-	})
+	}, mustRunLoad)
 }
 
 // fig12Tables renders Figure 12's two panels, one per CC scheme.
-func fig12Tables(g *Grid) []*Table {
+func fig12Tables(g *Grid[*LoadResult]) []*Table {
 	var out []*Table
 	for r, scheme := range g.Rows {
 		var cols []string

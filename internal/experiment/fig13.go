@@ -2,7 +2,6 @@ package experiment
 
 import (
 	hpcccc "hpcc/internal/cc/hpcc"
-	"hpcc/internal/fabric"
 	"hpcc/internal/sim"
 	"hpcc/internal/stats"
 )
@@ -12,24 +11,14 @@ func init() {
 		Name:  "fig13",
 		Order: 90,
 		Title: "reaction combining: per-ACK vs per-RTT vs HPCC (16-to-1, 100G)",
-		Run:   func(p Params) []*Table { return Fig13(0, p.Seed).Tables() },
+		Run:   func(p Params) []*Table { return fig13Tables(Fig13(0, p.Seed)) },
 	})
 }
 
-// Fig13Result compares the reaction-combining strategies of §5.4
-// (Figure 13): per-ACK, per-RTT and HPCC's reference-window scheme
-// under a 16-to-1 incast on 100 Gbps links.
-type Fig13Result struct {
-	Variants []SeriesPair
-	// AvgGbps is each variant's total goodput averaged over the run;
-	// PeakQueueKB / LateQueueKB summarize the bottleneck queue (peak,
-	// and mean after 4 base RTTs when the incast should have drained).
-	AvgGbps, PeakQueueKB, LateQueueKB []float64
-	Cap                               float64 // achievable goodput ceiling, Gbps
-}
-
-// Fig13 runs the 16-to-1 incast for the three reaction strategies.
-func Fig13(dur sim.Time, seed int64) *Fig13Result {
+// Fig13 compares the reaction-combining strategies of §5.4 (Figure 13):
+// per-ACK, per-RTT and HPCC's reference-window scheme (columns) under a
+// 16-to-1 incast on 100 Gbps links.
+func Fig13(dur sim.Time, seed int64) *Grid[*StarRun] {
 	if dur == 0 {
 		dur = 400 * sim.Microsecond
 	}
@@ -38,88 +27,40 @@ func Fig13(dur sim.Time, seed int64) *Fig13Result {
 		HPCC(hpcccc.Config{Reaction: hpcccc.PerRTT}),
 		HPCC(hpcccc.Config{}),
 	}
-	res := &Fig13Result{}
-	const nSend = 16
-	for _, scheme := range variants {
-		bin := 10 * sim.Microsecond
-		m := buildStarMicro(scheme, nSend+1, 100*sim.Gbps, seed, bin)
-		for i := 0; i < nSend; i++ {
-			m.flowAt(0, i, nSend, longFlowSize, i, nil)
-		}
-		mon := stats.NewQueueMonitor(m.eng, []*fabric.Port{m.portTo(nSend)}, fabric.PrioData, sim.Microsecond, dur)
-		m.eng.RunUntil(dur)
-		mon.Stop()
-
-		// Total goodput series: sum flows into one series.
-		total := make([]stats.TimePoint, 0)
-		nBins := int(dur / bin)
-		for b := 0; b < nBins; b++ {
-			total = append(total, stats.TimePoint{T: sim.Time(b) * bin})
-		}
-		for i := 0; i < nSend; i++ {
-			s := m.tput.Series(i, dur)
-			for b := range s {
-				total[b].V += s[b].V
-			}
-		}
-		var sum float64
-		for _, tp := range total {
-			sum += tp.V
-		}
-		peak, lateSum, lateN := 0.0, 0.0, 0
-		for _, tp := range mon.Series {
-			if tp.V > peak {
-				peak = tp.V
-			}
-			if tp.T > 4*m.baseRTT {
-				lateSum += tp.V
-				lateN++
-			}
-		}
-		res.Variants = append(res.Variants, SeriesPair{Scheme: scheme.Name, Throughput: total, Queue: mon.Series})
-		res.AvgGbps = append(res.AvgGbps, sum/float64(len(total)))
-		res.PeakQueueKB = append(res.PeakQueueKB, peak/1024)
-		late := 0.0
-		if lateN > 0 {
-			late = lateSum / float64(lateN) / 1024
-		}
-		res.LateQueueKB = append(res.LateQueueKB, late)
-		res.Cap = m.goodputCap()
-	}
-	return res
+	return runGrid([]string{"16-to-1"}, schemeLabels(variants), func(_, c int) starCell {
+		return incast16(variants[c], dur, 10*sim.Microsecond, 0, seed)
+	}, runStar)
 }
 
-// Tables renders Figure 13's two panels.
-func (r *Fig13Result) Tables() []*Table {
+// lateQueue is the mean bottleneck queue in bytes after 4 base RTTs,
+// when the incast should have drained.
+func lateQueue(r *StarRun) float64 { return r.MeanAfter(4 * r.BaseRTT) }
+
+// fig13Tables renders Figure 13's two panels: total goodput and the
+// bottleneck queue over time.
+func fig13Tables(g *Grid[*StarRun]) []*Table {
+	runs := g.Results[0]
 	tput := &Table{
 		Title: "Figure 13a: total throughput under 16-to-1 incast (100G)",
 		Cols:  []string{"time(us)"},
 	}
-	queue := &Table{
-		Title: "Figure 13b: bottleneck queue length under 16-to-1 incast",
-		Cols:  []string{"time(us)"},
+	totals := make([][]stats.TimePoint, len(runs))
+	for c, s := range g.Cols {
+		tput.Cols = append(tput.Cols, s+"(Gbps)")
+		totals[c] = runs[c].TotalGoodput()
 	}
-	for _, v := range r.Variants {
-		tput.Cols = append(tput.Cols, v.Scheme+"(Gbps)")
-		queue.Cols = append(queue.Cols, v.Scheme+"(KB)")
-	}
-	for i := range r.Variants[0].Throughput {
-		row := []string{f1(r.Variants[0].Throughput[i].T.Microseconds())}
-		for _, v := range r.Variants {
-			row = append(row, f1(v.Throughput[i].V))
+	for i, tp := range totals[0] {
+		row := []string{f1(tp.T.Microseconds())}
+		for _, total := range totals {
+			row = append(row, f1(total[i].V))
 		}
 		tput.AddRow(row...)
 	}
-	for i := 0; i < len(r.Variants[0].Queue); i += 20 {
-		row := []string{f1(r.Variants[0].Queue[i].T.Microseconds())}
-		for _, v := range r.Variants {
-			row = append(row, f1(v.Queue[i].V/1024))
-		}
-		queue.AddRow(row...)
-	}
-	for i, v := range r.Variants {
-		tput.AddNote("%s: average %.1f Gbps of %.1f achievable", v.Scheme, r.AvgGbps[i], r.Cap)
-		queue.AddNote("%s: peak %.1f KB, post-drain mean %.1f KB", v.Scheme, r.PeakQueueKB[i], r.LateQueueKB[i])
+	queue := queueTable("Figure 13b: bottleneck queue length under 16-to-1 incast", g, func(i int) int { return i + 20 })
+	for c, s := range g.Cols {
+		r := runs[c]
+		tput.AddNote("%s: average %.1f Gbps of %.1f achievable", s, r.MeanGoodput(), r.Cap)
+		queue.AddNote("%s: peak %.1f KB, post-drain mean %.1f KB", s, r.Peak()/1024, lateQueue(r)/1024)
 	}
 	return []*Table{tput, queue}
 }

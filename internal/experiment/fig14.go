@@ -2,7 +2,6 @@ package experiment
 
 import (
 	hpcccc "hpcc/internal/cc/hpcc"
-	"hpcc/internal/fabric"
 	"hpcc/internal/sim"
 	"hpcc/internal/stats"
 )
@@ -12,97 +11,53 @@ func init() {
 		Name:  "fig14",
 		Order: 100,
 		Title: "W_AI sweep: fairness vs standing queue (16-to-1, 100G)",
-		Run:   func(p Params) []*Table { return []*Table{Fig14(nil, 0, p.Seed).Table()} },
+		Run:   func(p Params) []*Table { return []*Table{fig14Table(Fig14(nil, 0, p.Seed))} },
 	})
 }
 
-// Fig14Row is one W_AI setting's outcome (Figure 14): fairness across
-// the 16 concurrent flows and the queue-length distribution.
-type Fig14Row struct {
-	WAI       float64
-	Jain      float64 // Jain index of per-flow goodput in the final window
-	Queue95KB float64 // 95th-percentile queue, 1 µs samples
-	Queue99KB float64
-	TotalGbps float64
-}
-
-// Fig14Result is the W_AI sweep of §5.4.
-type Fig14Result struct {
-	Rows []Fig14Row
-	// StableLimit is the §3.3 rule-of-thumb bound W_init(1−η)/N for
-	// the 16 flows of this scenario.
-	StableLimit float64
-	Cap         float64
-}
-
-// Fig14 sweeps W_AI over a 16-to-1 incast of long flows at 100 Gbps.
-// The paper's bound for 16 flows at T = 4 µs is ≈ 150 bytes; settings
-// beyond it trade queueing for faster fairness.
-func Fig14(waiBytes []float64, dur sim.Time, seed int64) *Fig14Result {
+// Fig14 sweeps W_AI (rows) over a 16-to-1 incast of long flows at 100
+// Gbps (Figure 14, §5.4). The paper's bound for 16 flows at T = 4 µs is
+// ≈ 150 bytes; settings beyond it trade queueing for faster fairness.
+func Fig14(waiBytes []float64, dur sim.Time, seed int64) *Grid[*StarRun] {
 	if len(waiBytes) == 0 {
 		waiBytes = []float64{25, 50, 100, 150, 300}
 	}
 	if dur == 0 {
 		dur = 5 * sim.Millisecond
 	}
-	const nSend = 16
-	res := &Fig14Result{}
-	for _, wai := range waiBytes {
-		scheme := HPCC(hpcccc.Config{WAI: wai})
-		bin := 100 * sim.Microsecond
-		m := buildStarMicro(scheme, nSend+1, 100*sim.Gbps, seed, bin)
-		for i := 0; i < nSend; i++ {
-			m.flowAt(0, i, nSend, longFlowSize, i, nil)
-		}
+	return runGrid(labels("%.1f", waiBytes...), []string{"HPCC"}, func(r, _ int) starCell {
 		// Sample past the (W_AI-independent) line-rate-start transient
 		// so the tail percentiles reflect the steady state the sweep is
 		// about.
-		var mon *stats.QueueMonitor
-		m.eng.After(dur/5, func() {
-			mon = stats.NewQueueMonitor(m.eng, []*fabric.Port{m.portTo(nSend)}, fabric.PrioData, sim.Microsecond, dur)
-		})
-		m.eng.RunUntil(dur)
-		mon.Stop()
-
-		var shares []float64
-		total := 0.0
-		for i := 0; i < nSend; i++ {
-			r := m.tput.Rate(i, dur-sim.Millisecond, dur)
-			shares = append(shares, r)
-			total += r
-		}
-		row := Fig14Row{
-			WAI:       wai,
-			Jain:      stats.Jain(shares),
-			TotalGbps: total,
-		}
-		var samples []float64
-		for _, tp := range mon.Series {
-			samples = append(samples, tp.V)
-		}
-		row.Queue95KB = stats.Percentile(samples, 95) / 1024
-		row.Queue99KB = stats.Percentile(samples, 99) / 1024
-		res.Rows = append(res.Rows, row)
-
-		if res.StableLimit == 0 {
-			bdp := (100 * sim.Gbps).BytesPerSec() * m.baseRTT.Seconds()
-			res.StableLimit = bdp * 0.05 / nSend
-		}
-		res.Cap = m.goodputCap()
-	}
-	return res
+		return incast16(HPCC(hpcccc.Config{WAI: waiBytes[r]}), dur, 100*sim.Microsecond, dur/5, seed)
+	}, runStar)
 }
 
-// Table renders the Figure 14 sweep.
-func (r *Fig14Result) Table() *Table {
+// finalShares is every flow's goodput over the run's last millisecond,
+// Gbps: the window Figure 14's fairness is judged on.
+func finalShares(r *StarRun) []float64 { return r.Rates(r.Dur-sim.Millisecond, r.Dur) }
+
+// stableLimit is the §3.3 rule-of-thumb bound W_init(1−η)/N on W_AI for
+// the 16 flows of the incast, bytes.
+func stableLimit(r *StarRun) float64 {
+	bdp := (100 * sim.Gbps).BytesPerSec() * r.BaseRTT.Seconds()
+	return bdp * 0.05 / 16
+}
+
+// fig14Table renders the Figure 14 sweep: per W_AI, the Jain index of
+// the final per-flow goodput, the steady-state queue tail and the total
+// goodput.
+func fig14Table(g *Grid[*StarRun]) *Table {
 	t := &Table{
 		Title: "Figure 14: W_AI sweep, 16-to-1 long flows (100G)",
 		Cols:  []string{"WAI(B)", "Jain", "q95(KB)", "q99(KB)", "total(Gbps)"},
 	}
-	for _, row := range r.Rows {
-		t.AddRow(f1(row.WAI), f2(row.Jain), f1(row.Queue95KB), f1(row.Queue99KB), f1(row.TotalGbps))
+	for r, wai := range g.Rows {
+		run := g.Results[r][0]
+		shares := finalShares(run)
+		t.AddRow(wai, f2(stats.Jain(shares)), f1(run.Quantile(95)/1024), f1(run.Quantile(99)/1024), f1(sum(shares)))
 	}
-	t.AddNote("§3.3 stability bound W_init(1-η)/16 ≈ %.0f bytes: settings beyond it should show larger queues", r.StableLimit)
-	t.AddNote("queues sampled after the start-up transient; achievable goodput ceiling %.1f Gbps", r.Cap)
+	t.AddNote("§3.3 stability bound W_init(1-η)/16 ≈ %.0f bytes: settings beyond it should show larger queues", stableLimit(g.Results[0][0]))
+	t.AddNote("queues sampled after the start-up transient; achievable goodput ceiling %.1f Gbps", g.Results[0][0].Cap)
 	return t
 }

@@ -264,8 +264,9 @@ func TestLoadFiguresGolden(t *testing.T) {
 	})
 }
 
-// The figures that drive a fabric by hand rather than through RunLoad,
-// pinned to the tables they rendered at 98cc638.
+// The figures that build through StartManual rather than RunLoad —
+// Figure 1 and the star cells — pinned to the tables they rendered at
+// 98cc638.
 func TestHandBuiltFiguresGolden(t *testing.T) {
 	checkFigures(t, []struct{ name, want string }{
 		{"fig1", "c3bdc8b71bd5e971"},
@@ -285,7 +286,7 @@ func TestHandBuiltFiguresGolden(t *testing.T) {
 		h := fnv.New64a()
 		for _, name := range []string{"hpcc", "hpcc-rxrate", "hpcc-perack", "hpcc-perrtt",
 			"dcqcn", "dcqcn+win", "timely", "timely+win", "dctcp"} {
-			nw := buildStarMicro(ByNameMust(name), 3, 100*sim.Gbps, 1, sim.Microsecond).nw
+			nw := starCell{Scheme: ByNameMust(name), Hosts: 3, Rate: 100 * sim.Gbps, Seed: 1}.start(sim.NewEngine()).Network
 			for _, sw := range nw.Switches {
 				c := sw.Config()
 				fmt.Fprintln(h, c.BufferBytes, c.PFCEnabled, c.PFCAlpha, c.PFCResumeHysteresis,

@@ -76,22 +76,23 @@ func fanIn(spec topology.FatTreeSpec, div int) int {
 	return 60
 }
 
-// Grid is one load figure's results: Results[r][c] is the cluster-load
-// run of row r and column c. A figure declares its cells through
-// runGrid and renders its tables from the grid alone.
-type Grid struct {
+// Grid is one figure's results: Results[r][c] is the run of row r and
+// column c — a *LoadResult for a load figure, a *StarRun for a
+// micro-benchmark. A figure declares its cells through runGrid and
+// renders its tables from the grid alone.
+type Grid[R any] struct {
 	Rows, Cols []string
-	Results    [][]*LoadResult
+	Results    [][]R
 }
 
-// runGrid runs cell(r, c) for every row and column, each an independent
-// run on its own engine.
-func runGrid(rows, cols []string, cell func(r, c int) LoadScenario) *Grid {
-	g := &Grid{Rows: rows, Cols: cols, Results: make([][]*LoadResult, len(rows))}
+// runGrid runs run(cell(r, c)) for every row and column, each an
+// independent run on its own engine.
+func runGrid[C, R any](rows, cols []string, cell func(r, c int) C, run func(C) R) *Grid[R] {
+	g := &Grid[R]{Rows: rows, Cols: cols, Results: make([][]R, len(rows))}
 	for r := range rows {
-		g.Results[r] = make([]*LoadResult, len(cols))
+		g.Results[r] = make([]R, len(cols))
 		for c := range cols {
-			g.Results[r][c] = mustRunLoad(cell(r, c))
+			g.Results[r][c] = run(cell(r, c))
 		}
 	}
 	return g
@@ -106,14 +107,23 @@ func schemeLabels(schemes []Scheme) []string {
 	return out
 }
 
+// labels formats each value through format, for a grid axis.
+func labels[T any](format string, xs ...T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprintf(format, x)
+	}
+	return out
+}
+
 // loadLabels formats each offered load (a fraction) as a percentage
 // through format, for a grid axis.
 func loadLabels(format string, loads ...float64) []string {
-	out := make([]string, len(loads))
+	pct := make([]float64, len(loads))
 	for i, l := range loads {
-		out[i] = fmt.Sprintf(format, l*100)
+		pct[i] = l * 100
 	}
-	return out
+	return labels(format, pct...)
 }
 
 // fctTable renders the per-bucket FCT slowdown panel: one row per

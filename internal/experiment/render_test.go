@@ -27,11 +27,11 @@ func TestAllTablesRender(t *testing.T) {
 	for _, tb := range fig03Tables(Fig03(sc)) {
 		tb.Fprint(&sb)
 	}
-	Fig06(100*sim.Microsecond, 1).Table().Fprint(&sb)
-	Fig09LongShort(nil, sim.Millisecond, 1).Table().Fprint(&sb)
-	Fig09Incast(nil, 2*sim.Millisecond, 1).Table().Fprint(&sb)
-	Fig09Mice(nil, 2*sim.Millisecond, 1).Table().Fprint(&sb)
-	Fig09Fairness(nil, sim.Millisecond, 1).Table().Fprint(&sb)
+	fig06Table(Fig06(100*sim.Microsecond, 1)).Fprint(&sb)
+	fig09LongShortTable(Fig09LongShort(sim.Millisecond, 1)).Fprint(&sb)
+	fig09IncastTable(Fig09Incast(2*sim.Millisecond, 1)).Fprint(&sb)
+	fig09MiceTable(Fig09Mice(2*sim.Millisecond, 1)).Fprint(&sb)
+	fig09FairnessTable(Fig09Fairness(sim.Millisecond, 1)).Fprint(&sb)
 	for _, tb := range fig10Tables(Fig10(sc)) {
 		tb.Fprint(&sb)
 	}
@@ -41,11 +41,11 @@ func TestAllTablesRender(t *testing.T) {
 	for _, tb := range fig12Tables(Fig12(spec, sc)) {
 		tb.Fprint(&sb)
 	}
-	for _, tb := range Fig13(100*sim.Microsecond, 1).Tables() {
+	for _, tb := range fig13Tables(Fig13(100*sim.Microsecond, 1)) {
 		tb.Fprint(&sb)
 	}
-	Fig14([]float64{50}, sim.Millisecond, 1).Table().Fprint(&sb)
-	EtaMaxStageTable(AblationEtaMaxStage(500*sim.Microsecond, 1)).Fprint(&sb)
+	fig14Table(Fig14([]float64{50}, sim.Millisecond, 1)).Fprint(&sb)
+	etaMaxStageTable(AblationEtaMaxStage(500*sim.Microsecond, 1)).Fprint(&sb)
 	for _, tb := range quantizeTables(AblationINTQuantization(sc)) {
 		tb.Fprint(&sb)
 	}

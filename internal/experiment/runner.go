@@ -87,7 +87,6 @@ type LoadScenario struct {
 	// footnote-6 dynamic egress threshold (α = 1) and hosts recover.
 	PFC bool
 
-	QueueSample sim.Time // queue sampling period (default 10 µs)
 	Seed        int64
 	BufferBytes int64 // switch buffer (default 32 MB)
 	// INTQuantize rounds every INT stamp through the Figure-7 wire
@@ -153,16 +152,16 @@ func (s *LoadScenario) normalize() {
 	if s.Drain == 0 {
 		s.Drain = 20 * sim.Millisecond
 	}
-	if s.QueueSample == 0 {
-		s.QueueSample = 10 * sim.Microsecond
-	}
 	if s.MaxFlows == 0 {
 		s.MaxFlows = 1000
 	}
 	if s.FlushEvery == 0 {
-		s.FlushEvery = 100 // one window per ms at the default 10 µs tick
+		s.FlushEvery = 100 // one window per ms of queueSample ticks
 	}
 }
+
+// queueSample is how often a load run samples its edge-port queues.
+const queueSample = 10 * sim.Microsecond
 
 // BufferFor scales the paper's 32 MB switch buffer with the fabric
 // size so PFC dynamics survive scaled-down (CI) runs: the paper's
@@ -310,7 +309,7 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*ManualNet, *s
 	if fct == nil && s.Obs.OnQueue == nil && s.Obs.OnQueueFlush == nil {
 		return m, nil
 	}
-	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, s.QueueSample, s.Until)
+	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, queueSample, s.Until)
 	mon.OnSample = s.Obs.OnQueue
 	if s.SketchStats {
 		mon.EnableSketch(s.StatsAccuracy)

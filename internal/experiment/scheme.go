@@ -1,9 +1,11 @@
 // Package experiment reproduces every table and figure of the HPCC
 // paper's evaluation (§2.3 motivation, §5.2 testbed, §5.3 simulations,
 // §5.4 design choices), each emitting the same rows/series the paper
-// plots. The load figures are grids: each declares its cluster-load
-// runs as LoadScenario cells (runGrid) and renders its tables from the
-// resulting Grid alone. The micro-benchmarks drive a fabric by hand.
+// plots. Every figure but Figure 1 and the Appendix A.2 theory table is
+// a grid: it declares independent cells through runGrid and renders its
+// tables from the resulting Grid alone. A load figure's cells are
+// LoadScenarios run by RunLoad; a micro-benchmark's are star cells —
+// a few flows on one switch — run by runStar into a StarRun.
 package experiment
 
 import (
@@ -96,6 +98,15 @@ func ByName(name string) (Scheme, error) {
 	default:
 		return Scheme{}, fmt.Errorf("experiment: unknown scheme %q (want hpcc, hpcc-rxrate, hpcc-perack, hpcc-perrtt, dcqcn, dcqcn+win, timely, timely+win, dctcp)", name)
 	}
+}
+
+// ByNameMust resolves a scheme or panics (experiment-internal tables).
+func ByNameMust(name string) Scheme {
+	s, err := ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // Fig11Schemes returns the six schemes of Figure 11 in plot order.

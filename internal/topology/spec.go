@@ -412,58 +412,53 @@ func (g GraphSpec) BaseRTT() sim.Time {
 	if g.RTT != 0 {
 		return g.RTT
 	}
-	// Adjacency over (kind, index) nodes with per-link delay weights.
-	type key struct {
-		sw  bool
-		idx int
+	// Hosts are nodes 0..Hosts-1, switches follow; links weigh their
+	// delay.
+	node := func(n GraphNode) int {
+		if n.Switch {
+			return g.Hosts + n.Index
+		}
+		return n.Index
 	}
-	adj := make(map[key][]struct {
-		to key
+	type edge struct {
+		to int
 		d  sim.Time
-	})
-	for _, l := range g.Links {
-		a := key{l.A.Switch, l.A.Index}
-		b := key{l.B.Switch, l.B.Index}
-		adj[a] = append(adj[a], struct {
-			to key
-			d  sim.Time
-		}{b, l.Delay})
-		adj[b] = append(adj[b], struct {
-			to key
-			d  sim.Time
-		}{a, l.Delay})
 	}
-	// Dijkstra-lite from each host (graphs are tiny at build time; an
-	// O(V²) scan is fine and allocation-free in the loop).
+	adj := make([][]edge, g.Hosts+g.Switches)
+	for _, l := range g.Links {
+		a, b := node(l.A), node(l.B)
+		adj[a] = append(adj[a], edge{b, l.Delay})
+		adj[b] = append(adj[b], edge{a, l.Delay})
+	}
+	// Dijkstra from each host with an O(V²) extract-min scan: graphs are
+	// tiny at build time. dist is -1 until a node is reached.
+	dist := make([]sim.Time, len(adj))
+	done := make([]bool, len(adj))
 	var worst sim.Time
 	for h := 0; h < g.Hosts; h++ {
-		dist := map[key]sim.Time{{false, h}: 0}
-		done := make(map[key]bool)
+		for i := range dist {
+			dist[i], done[i] = -1, false
+		}
+		dist[h] = 0
 		for {
-			var cur key
-			var best sim.Time = -1
-			//hpcclint:allow determinism -- Dijkstra extract-min; tied picks reorder the scan but final distances are order-independent
-			for k, d := range dist {
-				if !done[k] && (best < 0 || d < best) {
-					cur, best = k, d
+			cur := -1
+			for i, d := range dist {
+				if d >= 0 && !done[i] && (cur < 0 || d < dist[cur]) {
+					cur = i
 				}
 			}
-			if best < 0 {
+			if cur < 0 {
 				break
 			}
 			done[cur] = true
 			for _, e := range adj[cur] {
-				nd := best + e.d
-				if old, ok := dist[e.to]; !ok || nd < old {
+				if nd := dist[cur] + e.d; dist[e.to] < 0 || nd < dist[e.to] {
 					dist[e.to] = nd
 				}
 			}
 		}
-		//hpcclint:allow determinism -- max-reduction; the maximum is order-independent
-		for k, d := range dist {
-			if !k.sw && d > worst {
-				worst = d
-			}
+		for _, d := range dist[:g.Hosts] {
+			worst = max(worst, d)
 		}
 	}
 	if worst == 0 {

@@ -22,11 +22,18 @@ type CDF struct {
 	points []Point
 }
 
-// NewCDF validates and builds a CDF. Points must be sorted by size with
-// nondecreasing probability, starting at probability 0 and ending at 1.
+// NewCDF validates and builds a CDF. Points must have nonnegative sizes
+// and probabilities in [0, 1], sorted by size with nondecreasing
+// probability, starting at probability 0 and ending at 1.
 func NewCDF(name string, points []Point) (*CDF, error) {
 	if len(points) < 2 {
 		return nil, fmt.Errorf("workload: CDF %q needs at least 2 points", name)
+	}
+	for i, p := range points {
+		// The negated test also catches NaN, which every comparison fails.
+		if p.Bytes < 0 || !(p.Prob >= 0 && p.Prob <= 1) {
+			return nil, fmt.Errorf("workload: CDF %q point %d (%d bytes, probability %v) is out of range", name, i, p.Bytes, p.Prob)
+		}
 	}
 	if points[0].Prob != 0 {
 		return nil, fmt.Errorf("workload: CDF %q must start at probability 0", name)

@@ -26,6 +26,20 @@ func TestCDFValidation(t *testing.T) {
 	if _, err := NewCDF("bad", []Point{{0, 0}, {10, 0.8}, {5, 1}}); err == nil {
 		t.Error("accepted non-monotone sizes")
 	}
+	// Every comparison with NaN is false, so a NaN knot passes the
+	// monotonicity check and later schedules arrivals in the past;
+	// negative sizes sample to nothing.
+	for name, pts := range map[string][]Point{
+		"a NaN interior probability": {{0, 0}, {1000, math.NaN()}, {2000, 1}},
+		"a NaN final probability":    {{0, 0}, {1000, math.NaN()}},
+		"an infinite probability":    {{0, 0}, {1000, math.Inf(1)}, {2000, 1}},
+		"a probability above 1":      {{0, 0}, {1000, 1.5}, {2000, 1}},
+		"negative sizes":             {{-5000, 0}, {-10, 1}},
+	} {
+		if _, err := NewCDF("bad", pts); err == nil {
+			t.Errorf("accepted %s: %v", name, pts)
+		}
+	}
 	if _, err := NewCDF("ok", []Point{{0, 0}, {10, 0.5}, {100, 1}}); err != nil {
 		t.Errorf("rejected a valid CDF: %v", err)
 	}

@@ -453,6 +453,32 @@ func TestCDFFromFile(t *testing.T) {
 	}
 }
 
+// A NaN knot or a negative size is an error from every CDF
+// constructor, never a run that panics or starts no flows.
+func TestCDFRejectsOutOfRangePoints(t *testing.T) {
+	for name, pts := range map[string][]hpcc.CDFPoint{
+		"NaN interior": {{0, 0}, {1000, math.NaN()}, {2000, 1}},
+		"negative":     {{-5000, 0}, {-10, 1}},
+	} {
+		if _, err := hpcc.NewCDF("bad", pts); err == nil {
+			t.Errorf("NewCDF %s: accepted %v", name, pts)
+		}
+	}
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"nan.cdf":      "0 0\n1000 NaN\n2000 1\n",
+		"negative.cdf": "-5000 0\n-10 1\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hpcc.CDFFromFile(path); err == nil {
+			t.Errorf("CDFFromFile accepted %s", name)
+		}
+	}
+}
+
 // Experiment validation surfaces bad specs as errors, not panics.
 func TestExperimentValidation(t *testing.T) {
 	bad := []hpcc.Experiment{
