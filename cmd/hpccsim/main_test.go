@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +14,31 @@ import (
 
 	"hpcc"
 )
+
+// TestMain runs the command itself instead of the tests when
+// TestNonFiniteLoadExitsOne re-executes the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("HPCCSIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// -load NaN is an error: exit status 1 and one line on stderr.
+func TestNonFiniteLoadExitsOne(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-load", "NaN", "-flows", "10", "-duration", "1ms", "-drain", "1ms")
+	cmd.Env = append(os.Environ(), "HPCCSIM_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("hpccsim -load NaN: %v, want exit status 1; stderr:\n%s", err, stderr.String())
+	}
+	if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "load NaN") {
+		t.Errorf("stderr %q, want one line naming load NaN", stderr.String())
+	}
+}
 
 // parse maps a command line onto its Experiment the way main does.
 func parse(t *testing.T, args ...string) (hpcc.Experiment, error) {

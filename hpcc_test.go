@@ -110,6 +110,29 @@ func TestNetworkIncastTrace(t *testing.T) {
 	}
 }
 
+// Degenerate times on a Network are bounded: a zero trace interval is
+// the 10 µs default, a negative one samples nothing, and a negative
+// start delay starts the flow now.
+func TestNetworkDegenerateTimes(t *testing.T) {
+	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 4}}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := net.TraceQueues(-time.Microsecond, 20*time.Microsecond)
+	f := net.StartFlowAt(-time.Microsecond, 0, 1, 1000)
+	def := net.TraceQueues(0, 20*time.Microsecond)
+	net.Run(25 * time.Microsecond)
+	if len(*def) != 2 {
+		t.Errorf("TraceQueues(0, 20µs) took %d samples in 25µs, want 2 (every 10µs)", len(*def))
+	}
+	if len(*none) != 0 {
+		t.Errorf("TraceQueues with a negative interval took %d samples, want none", len(*none))
+	}
+	if !f.Done() {
+		t.Error("StartFlowAt(-1µs) flow did not complete")
+	}
+}
+
 func TestNetworkScheduledFlowAndStop(t *testing.T) {
 	net, err := hpcc.Experiment{Topology: hpcc.Star{Hosts: 3, LinkRateGbps: 25}}.Start()
 	if err != nil {

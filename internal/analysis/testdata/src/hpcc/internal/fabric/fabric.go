@@ -1,4 +1,4 @@
-// Package fabric is a determinism-analyzer fixture: its import path
+// Package fabric is a determinism-check fixture: its import path
 // matches the sim scope, so wall clock, global RNG, goroutines and
 // order-sensitive map ranges are flagged here.
 package fabric

@@ -1,5 +1,5 @@
 // Package report is a negative fixture: it is outside the determinism
-// analyzer's sim scope, so wall-clock reads are fine here.
+// check's sim scope, so wall-clock reads are fine here.
 package report
 
 import "time"

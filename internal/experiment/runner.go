@@ -156,12 +156,13 @@ func (s *LoadScenario) normalize() {
 		s.MaxFlows = 1000
 	}
 	if s.FlushEvery == 0 {
-		s.FlushEvery = 100 // one window per ms of queueSample ticks
+		s.FlushEvery = 100 // one window per ms of QueueSample ticks
 	}
 }
 
-// queueSample is how often a load run samples its edge-port queues.
-const queueSample = 10 * sim.Microsecond
+// QueueSample is how often a load run samples its edge-port queues, and
+// Network.TraceQueues's default interval.
+const QueueSample = 10 * sim.Microsecond
 
 // BufferFor scales the paper's 32 MB switch buffer with the fabric
 // size so PFC dynamics survive scaled-down (CI) runs: the paper's
@@ -309,7 +310,7 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*ManualNet, *s
 	if fct == nil && s.Obs.OnQueue == nil && s.Obs.OnQueueFlush == nil {
 		return m, nil
 	}
-	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, queueSample, s.Until)
+	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, QueueSample, s.Until)
 	mon.OnSample = s.Obs.OnQueue
 	if s.SketchStats {
 		mon.EnableSketch(s.StatsAccuracy)

@@ -74,10 +74,11 @@ func (n *Network) StartFlow(src, dst int, size int64) *Flow {
 
 // StartFlowAt schedules a flow to begin after delay d. The returned
 // handle is valid immediately but idle until the start time — it costs
-// no simulation events until the flow starts.
+// no simulation events until the flow starts. A d ≤ 0 starts the flow
+// at the current time, as a Schedule arrival at or before now does.
 func (n *Network) StartFlowAt(d time.Duration, src, dst int, size int64) *Flow {
 	f := &Flow{net: n}
-	n.eng.After(toSim(d), func() {
+	n.eng.After(toSim(max(d, 0)), func() {
 		f.inner = n.startPinned(src, dst, size)
 		if f.onProgress != nil {
 			f.inner.OnProgress = f.onProgress
@@ -117,12 +118,21 @@ type QueuePoint struct {
 }
 
 // TraceQueues installs a backlog sampler over all switch egress ports,
-// streaming each observation into the returned slice as the simulation
-// runs (the same observer feed QueueObserver exposes); read the result
-// after Run.
+// taking one sample every interval for dur from now and streaming each
+// into the returned slice as the simulation runs (the same observer
+// feed QueueObserver exposes); read the result after Run. An interval
+// of 0 means QueueObserver's 10 µs period; a negative interval, or a
+// dur ≤ 0, takes no samples.
 func (n *Network) TraceQueues(interval, dur time.Duration) *[]QueuePoint {
 	out := &[]QueuePoint{}
-	mon := stats.NewQueueMonitor(n.eng, n.m.Network.SwitchPorts(), fabric.PrioData, toSim(interval), n.eng.Now()+toSim(dur))
+	if interval < 0 || dur <= 0 {
+		return out
+	}
+	every := toSim(interval)
+	if every == 0 {
+		every = experiment.QueueSample
+	}
+	mon := stats.NewQueueMonitor(n.eng, n.m.Network.SwitchPorts(), fabric.PrioData, every, n.eng.Now()+toSim(dur))
 	mon.OnSample = func(tp stats.TimePoint) {
 		*out = append(*out, QueuePoint{At: fromSim(tp.T), Bytes: int64(tp.V)})
 	}

@@ -479,6 +479,30 @@ func TestCDFRejectsOutOfRangePoints(t *testing.T) {
 	}
 }
 
+// A traffic rate that is NaN or infinite is an error from Run and
+// Start, never a past-scheduled event, an endless burst at t = 0 or a
+// run whose every arrival lands at once.
+func TestTrafficRejectsNonFiniteRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, tr := range map[string]hpcc.Traffic{
+		"Poisson NaN":  hpcc.Poisson{Load: nan},
+		"Poisson +Inf": hpcc.Poisson{Load: inf},
+		"RPC NaN":      hpcc.RPC{ResponseBytes: 1000, Load: nan},
+		"RPC +Inf":     hpcc.RPC{ResponseBytes: 1000, Load: inf},
+		"Incast NaN":   hpcc.Incast{FanIn: 2, FlowSizeBytes: 1000, LoadFraction: nan},
+		"Incast +Inf":  hpcc.Incast{FanIn: 2, FlowSizeBytes: 1000, LoadFraction: inf},
+	} {
+		e := hpcc.Experiment{Topology: hpcc.Star{Hosts: 4}, Traffic: []hpcc.Traffic{tr}}
+		if _, err := e.Start(); err == nil {
+			t.Errorf("%s: Start accepted it", name)
+			continue // running it would panic or never end
+		}
+		if _, err := e.Run(); err == nil {
+			t.Errorf("%s: Run accepted it", name)
+		}
+	}
+}
+
 // Experiment validation surfaces bad specs as errors, not panics.
 func TestExperimentValidation(t *testing.T) {
 	bad := []hpcc.Experiment{

@@ -2,6 +2,7 @@ package hpcc
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hpcc/internal/stats"
@@ -100,15 +101,16 @@ func (c CDF) edges() []int64 {
 // so the average host uplink carries Load of its capacity (§5.1's
 // harness convention).
 type Poisson struct {
-	CDF  CDF
-	Load float64 // target average link load, e.g. 0.3
+	CDF CDF
+	// Load is the target average link load, e.g. 0.3: finite and ≥ 0.
+	Load float64
 	// MaxFlows caps arrivals; 0 uses the Experiment default.
 	MaxFlows int
 }
 
 func (t Poisson) generator() (workload.Generator, error) {
-	if t.Load < 0 {
-		return nil, fmt.Errorf("hpcc: Poisson load %v is negative", t.Load)
+	if !(t.Load >= 0) || math.IsInf(t.Load, 1) {
+		return nil, fmt.Errorf("hpcc: Poisson load %v must be finite and nonnegative", t.Load)
 	}
 	return workload.PoissonSpec{CDF: t.CDF.cdf(), Load: t.Load, MaxFlows: t.MaxFlows}, nil
 }
@@ -120,15 +122,15 @@ func (t Poisson) generator() (workload.Generator, error) {
 type Incast struct {
 	FanIn         int
 	FlowSizeBytes int64
-	LoadFraction  float64
+	LoadFraction  float64 // finite and > 0
 }
 
 func (t Incast) generator() (workload.Generator, error) {
 	if t.FanIn < 2 {
 		return nil, fmt.Errorf("hpcc: Incast fan-in %d must be at least 2", t.FanIn)
 	}
-	if t.FlowSizeBytes <= 0 || t.LoadFraction <= 0 {
-		return nil, fmt.Errorf("hpcc: Incast needs positive FlowSizeBytes and LoadFraction")
+	if t.FlowSizeBytes <= 0 || !(t.LoadFraction > 0) || math.IsInf(t.LoadFraction, 1) {
+		return nil, fmt.Errorf("hpcc: Incast needs a positive FlowSizeBytes and a finite positive LoadFraction, got %d and %v", t.FlowSizeBytes, t.LoadFraction)
 	}
 	return workload.IncastSpec{FanIn: t.FanIn, Size: t.FlowSizeBytes, LoadFrac: t.LoadFraction}, nil
 }
@@ -163,7 +165,7 @@ type RPC struct {
 	ResponseBytes int64
 	// ResponseCDF, if set, draws each response size instead.
 	ResponseCDF *CDF
-	Load        float64
+	Load        float64 // finite and > 0
 	// MaxRequests caps requests; 0 uses the Experiment default.
 	MaxRequests int
 }
@@ -172,8 +174,8 @@ func (t RPC) generator() (workload.Generator, error) {
 	if t.ResponseCDF == nil && t.ResponseBytes <= 0 {
 		return nil, fmt.Errorf("hpcc: RPC needs ResponseBytes or ResponseCDF")
 	}
-	if t.Load <= 0 {
-		return nil, fmt.Errorf("hpcc: RPC needs a positive load, got %v", t.Load)
+	if !(t.Load > 0) || math.IsInf(t.Load, 1) {
+		return nil, fmt.Errorf("hpcc: RPC needs a finite positive load, got %v", t.Load)
 	}
 	spec := workload.RPCSpec{Size: t.ResponseBytes, Load: t.Load, MaxRequests: t.MaxRequests}
 	if t.ResponseCDF != nil {
