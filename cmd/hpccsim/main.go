@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"hpcc"
@@ -24,7 +25,7 @@ import (
 type options struct {
 	scheme, topo, workload            string
 	paperScale, incast, lossy, sketch bool
-	load, accuracy                    float64
+	load                              float64
 	flows                             int
 	duration, drain                   time.Duration
 	seed                              int64
@@ -34,7 +35,7 @@ type options struct {
 // options that will receive the parsed values.
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
-	fs.StringVar(&o.scheme, "scheme", "hpcc", "congestion control: hpcc, dcqcn, dcqcn+win, timely, timely+win, dctcp, hpcc-rxrate, hpcc-perack, hpcc-perrtt")
+	fs.StringVar(&o.scheme, "scheme", "hpcc", "congestion control: "+strings.Join(hpcc.SchemeNames(), ", "))
 	fs.StringVar(&o.topo, "topo", "pod", "topology: pod, fattree")
 	fs.BoolVar(&o.paperScale, "paper-scale", false, "full 320-host FatTree (slow; needs -topo fattree)")
 	fs.StringVar(&o.workload, "workload", "websearch", "flow sizes: websearch, fbhadoop")
@@ -45,7 +46,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.incast, "incast", false, "add periodic fan-in events (2% of capacity)")
 	fs.BoolVar(&o.lossy, "lossy", false, "disable PFC (go-back-N recovery)")
 	fs.BoolVar(&o.sketch, "sketch", false, "streaming statistics: constant-memory DDSketch quantiles instead of exact per-flow retention")
-	fs.Float64Var(&o.accuracy, "stats-accuracy", 0, "sketch relative accuracy with -sketch (0 = default 0.01)")
 	fs.Int64Var(&o.seed, "seed", 1, "RNG seed")
 	return o
 }
@@ -86,16 +86,15 @@ func (o *options) experiment() (hpcc.Experiment, error) {
 	}
 	lossless := !o.lossy
 	return hpcc.Experiment{
-		Scheme:        o.scheme,
-		Topology:      topo,
-		Traffic:       traffic,
-		Horizon:       o.duration,
-		Drain:         o.drain,
-		MaxFlows:      o.flows,
-		Lossless:      &lossless,
-		SketchStats:   o.sketch,
-		StatsAccuracy: o.accuracy,
-		Seed:          o.seed,
+		Scheme:      o.scheme,
+		Topology:    topo,
+		Traffic:     traffic,
+		Horizon:     o.duration,
+		Drain:       o.drain,
+		MaxFlows:    o.flows,
+		Lossless:    &lossless,
+		SketchStats: o.sketch,
+		Seed:        o.seed,
 	}, nil
 }
 

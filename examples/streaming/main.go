@@ -1,13 +1,13 @@
 // Streaming: watch an experiment's statistics while it runs instead of
 // waiting for the final summary. A StatsObserver flushes one window of
-// statistics every Every queue-sampling ticks — queue-depth percentiles
-// over the window, plus cumulative flow counts and slowdown percentiles
+// statistics every 1 ms of virtual time — queue-depth percentiles over
+// the window, plus cumulative flow counts and slowdown percentiles
 // — all drawn from constant-memory sketches, so a flush costs the same
 // whether the run has absorbed a thousand flows or a million.
 //
 // The run itself uses SketchStats, the streaming statistics mode: the
 // result's percentiles come from mergeable quantile sketches (within 1%
-// of exact by default) and retained stat memory stays a few KB
+// of exact) and retained stat memory stays a few KB
 // regardless of flow count — the mode long campaigns run in.
 package main
 
@@ -34,9 +34,6 @@ func main() {
 		SketchStats: true,
 		Observers: []hpcc.Observer{
 			hpcc.StatsObserver{
-				// One flush per 100 queue-sampling ticks = every 1 ms of
-				// virtual time at the default 10 µs sampling period.
-				Every: 100,
 				OnFlush: func(f hpcc.StatsFlush) {
 					fmt.Printf("%10v  %9.1f  %9.1f  %9.1f  %6d  %6.2f  %6.2f\n",
 						f.End, f.QueueP50KB, f.QueueP99KB, f.QueueMaxKB,

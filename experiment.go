@@ -46,11 +46,6 @@ type Experiment struct {
 	// Lossless enables PFC (default true). When false, switches drop
 	// and hosts recover via go-back-N.
 	Lossless *bool
-	// BucketEdges are the flow-size bucket edges for the result's
-	// per-bucket FCT statistics. Default: the natural edges of the
-	// first Poisson or RPC source's CDF, else the WebSearch figure
-	// edges.
-	BucketEdges []int64
 	// Observers stream per-flow records, queue samples and PFC events
 	// while the simulation runs.
 	Observers []Observer
@@ -69,41 +64,37 @@ type Experiment struct {
 	// (per-size-bucket slowdowns, the short-flow class, per-port queue
 	// depth), so retained stat memory is O(sketch buckets) — a few KB —
 	// regardless of flow count or horizon. Every reported percentile is
-	// within StatsAccuracy of the exact one. The default (false)
-	// retains everything and reproduces historical results
-	// byte-for-byte.
+	// within 1% of the exact one. The default (false) retains
+	// everything and reproduces historical results byte-for-byte.
 	SketchStats bool
-	// StatsAccuracy is the sketches' relative accuracy when SketchStats
-	// is set (default 0.01: quantiles within 1% of exact percentiles).
-	StatsAccuracy float64
 	// Seed makes runs reproducible (default 1).
 	Seed int64
 }
 
 // scenario lowers the Experiment onto the internal runner. It resolves
 // every spec and attaches the observers.
-func (e Experiment) scenario() (experiment.LoadScenario, []int64, error) {
+func (e Experiment) scenario() (experiment.LoadScenario, error) {
 	if e.Scheme == "" {
 		e.Scheme = "hpcc"
 	}
 	scheme, err := experiment.ByName(e.Scheme)
 	if err != nil {
-		return experiment.LoadScenario{}, nil, err
+		return experiment.LoadScenario{}, err
 	}
 	if e.Topology == nil {
 		e.Topology = Pod{}
 	}
 	spec, err := e.Topology.topoSpec()
 	if err != nil {
-		return experiment.LoadScenario{}, nil, err
+		return experiment.LoadScenario{}, err
 	}
 	gens := make([]workload.Generator, len(e.Traffic))
 	for i, t := range e.Traffic {
 		if t == nil {
-			return experiment.LoadScenario{}, nil, fmt.Errorf("hpcc: Traffic[%d] is nil", i)
+			return experiment.LoadScenario{}, fmt.Errorf("hpcc: Traffic[%d] is nil", i)
 		}
-		if gens[i], err = t.generator(); err != nil {
-			return experiment.LoadScenario{}, nil, err
+		if gens[i], err = t.generator(spec.NumHosts()); err != nil {
+			return experiment.LoadScenario{}, err
 		}
 	}
 	if e.Seed == 0 {
@@ -120,30 +111,23 @@ func (e Experiment) scenario() (experiment.LoadScenario, []int64, error) {
 		Seed:            e.Seed,
 		CompletedWindow: e.CompletedFlowWindow,
 		SketchStats:     e.SketchStats,
-		StatsAccuracy:   e.StatsAccuracy,
+		FCTBucketEdges:  e.edges(),
 	}
 	if err := sc.Validate(); err != nil {
-		return experiment.LoadScenario{}, nil, err
-	}
-	edges := e.edges()
-	if e.SketchStats {
-		// Streaming FCT sketches are keyed by their bucket edges up
-		// front; pin them to the edges the result will be bucketed by.
-		sc.FCTBucketEdges = edges
+		return experiment.LoadScenario{}, err
 	}
 	for _, o := range e.Observers {
 		if o != nil {
 			o.attach(&sc)
 		}
 	}
-	return sc, edges, nil
+	return sc, nil
 }
 
-// edges resolves the bucket edges for result statistics.
+// edges resolves the flow-size bucket edges for the result's
+// per-bucket FCT statistics: the natural edges of the first Poisson or
+// RPC source's CDF, else the WebSearch figure edges.
 func (e Experiment) edges() []int64 {
-	if len(e.BucketEdges) > 0 {
-		return e.BucketEdges
-	}
 	for _, t := range e.Traffic {
 		switch t := t.(type) {
 		case Poisson:
@@ -166,7 +150,7 @@ func (e Experiment) edges() []int64 {
 // Run executes the experiment to its horizon plus drain and summarizes
 // FCT-slowdown, queue and PFC statistics.
 func (e Experiment) Run() (*SimResult, error) {
-	sc, edges, err := e.scenario()
+	sc, err := e.scenario()
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +158,7 @@ func (e Experiment) Run() (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return summarize(r, edges), nil
+	return summarize(r, sc.FCTBucketEdges), nil
 }
 
 // Start builds the experiment's fabric, installs its traffic sources
@@ -183,7 +167,7 @@ func (e Experiment) Run() (*SimResult, error) {
 // respect the Horizon (default 5 ms of virtual time); queue observers
 // sample over the same window.
 func (e Experiment) Start() (*Network, error) {
-	sc, _, err := e.scenario()
+	sc, err := e.scenario()
 	if err != nil {
 		return nil, err
 	}

@@ -16,70 +16,48 @@ import (
 	"hpcc/internal/sim"
 )
 
-// Config holds DCQCN's knobs (the paper counts 15 in production; the
-// ones that matter for the evaluation are here, with vendor defaults).
+// Config holds the DCQCN knobs the evaluation varies (the paper counts
+// 15 in production), with vendor defaults.
 type Config struct {
-	// G is the α EWMA gain; default 1/256.
-	G float64
-	// AlphaTimer is the α-decay period when no CNP arrives; default 55 µs.
-	AlphaTimer sim.Time
 	// RateIncTimer is Ti, the period of rate-increase events; default
 	// 300 µs (the vendor default in Figure 2).
 	RateIncTimer sim.Time
 	// MinDecGap is Td, the minimum gap between two rate decreases;
 	// default 4 µs (vendor default in Figure 2).
 	MinDecGap sim.Time
-	// FastRecoveryTh is F, the number of increase stages spent in fast
-	// recovery; default 5.
-	FastRecoveryTh int
-	// RateAI / RateHAI are the additive and hyper increase steps;
-	// defaults scale the DCQCN paper's 40 Mbps (at 25G) to the line
-	// rate, with HAI = 10 × AI.
-	RateAI, RateHAI sim.Rate
 	// ByteCounter advances the increase stages every this many sent
-	// bytes (10 MB default); 0 disables the byte counter.
+	// bytes (10 MB default); negative disables the byte counter.
 	ByteCounter int64
-	// MinRate floors Rc; default LineRate/1000.
-	MinRate sim.Rate
 	// Window, when true, adds the HPCC-style inflight cap W = Rc × T
 	// ("DCQCN+win", §5.1).
 	Window bool
 }
 
-func (c *Config) normalize(env *cc.Env) {
-	if c.G == 0 {
-		c.G = 1.0 / 256
-	}
-	if c.AlphaTimer == 0 {
-		c.AlphaTimer = 55 * sim.Microsecond
-	}
+const (
+	// G is the α EWMA gain.
+	G = 1.0 / 256
+	// AlphaTimer is the α-decay period when no CNP arrives.
+	AlphaTimer = 55 * sim.Microsecond
+	// FastRecoveryTh is F, the number of increase stages spent in fast
+	// recovery.
+	FastRecoveryTh = 5
+)
+
+func (c *Config) normalize() {
 	if c.RateIncTimer == 0 {
 		c.RateIncTimer = 300 * sim.Microsecond
 	}
 	if c.MinDecGap == 0 {
 		c.MinDecGap = 4 * sim.Microsecond
 	}
-	if c.FastRecoveryTh == 0 {
-		c.FastRecoveryTh = 5
-	}
-	if c.RateAI == 0 {
-		c.RateAI = sim.Rate(int64(40*sim.Mbps) * int64(env.LineRate) / int64(25*sim.Gbps))
-	}
-	if c.RateHAI == 0 {
-		c.RateHAI = 10 * c.RateAI
-	}
 	if c.ByteCounter == 0 {
 		c.ByteCounter = 10 << 20
-	}
-	if c.MinRate == 0 {
-		c.MinRate = env.LineRate / 1000
 	}
 }
 
 // DCQCN is one flow's sender state.
 type DCQCN struct {
-	raw Config // as given to New; Init resolves its defaults into cfg
-	cfg Config
+	cfg Config // defaults resolved by New
 	env cc.Env
 
 	// alphaFn/rateFn are the two clock callbacks, bound once by New so
@@ -87,6 +65,7 @@ type DCQCN struct {
 	alphaFn, rateFn func()
 
 	rc, rt       float64 // current / target rate, bits per second
+	rai          float64 // additive increase step, bits per second; hyper increase is 10×
 	alpha        float64
 	cnpSeen      bool // CNP since the last alpha timer tick
 	lastDecrease sim.Time
@@ -97,8 +76,9 @@ type DCQCN struct {
 
 // New returns a factory producing DCQCN instances.
 func New(cfg Config) cc.Factory {
+	cfg.normalize()
 	return func() cc.Algorithm {
-		d := &DCQCN{raw: cfg, cfg: cfg}
+		d := &DCQCN{cfg: cfg}
 		d.alphaFn, d.rateFn = d.alphaTick, d.rateTick
 		return d
 	}
@@ -115,22 +95,23 @@ func (d *DCQCN) Name() string {
 // Init implements cc.Algorithm: start at line rate (§2.2 "RDMA hosts
 // start sending at line rate") and arm the two timers.
 func (d *DCQCN) Init(env cc.Env) {
-	*d = DCQCN{raw: d.raw, cfg: d.raw, env: env, alphaFn: d.alphaFn, rateFn: d.rateFn}
-	d.cfg.normalize(&env)
+	*d = DCQCN{cfg: d.cfg, env: env, alphaFn: d.alphaFn, rateFn: d.rateFn}
+	// The DCQCN paper's 40 Mbps AI step at 25 Gbps, scaled to the line rate.
+	d.rai = float64(sim.Rate(int64(40*sim.Mbps) * int64(env.LineRate) / int64(25*sim.Gbps)))
 	d.rc = float64(env.LineRate)
 	d.rt = d.rc
 	d.alpha = 1
 	d.lastDecrease = -d.cfg.MinDecGap
-	env.Schedule(d.cfg.AlphaTimer, d.alphaFn)
+	env.Schedule(AlphaTimer, d.alphaFn)
 	env.Schedule(d.cfg.RateIncTimer, d.rateFn)
 }
 
 func (d *DCQCN) alphaTick() {
 	if !d.cnpSeen {
-		d.alpha *= 1 - d.cfg.G
+		d.alpha *= 1 - G
 	}
 	d.cnpSeen = false
-	d.env.Schedule(d.cfg.AlphaTimer, d.alphaFn)
+	d.env.Schedule(AlphaTimer, d.alphaFn)
 }
 
 func (d *DCQCN) rateTick() {
@@ -143,14 +124,13 @@ func (d *DCQCN) rateTick() {
 // stage counters are below F, hyper increase when both exceeded it,
 // additive increase otherwise.
 func (d *DCQCN) increase() {
-	f := d.cfg.FastRecoveryTh
 	switch {
-	case d.timeStage <= f && d.byteStage <= f:
+	case d.timeStage <= FastRecoveryTh && d.byteStage <= FastRecoveryTh:
 		// Fast recovery: close half the gap to the target.
-	case d.timeStage > f && d.byteStage > f:
-		d.rt += float64(d.cfg.RateHAI)
+	case d.timeStage > FastRecoveryTh && d.byteStage > FastRecoveryTh:
+		d.rt += 10 * d.rai
 	default:
-		d.rt += float64(d.cfg.RateAI)
+		d.rt += d.rai
 	}
 	if d.rt > float64(d.env.LineRate) {
 		d.rt = float64(d.env.LineRate)
@@ -161,12 +141,6 @@ func (d *DCQCN) increase() {
 
 // OnAck implements cc.Algorithm: only the byte counter consumes ACKs.
 func (d *DCQCN) OnAck(ev *cc.AckEvent) {
-	if ev.ECE {
-		// ECN echo without a separate CNP packet: some deployments
-		// fold CNP into ACKs; the host delivers explicit CNPs via
-		// OnCNP, so nothing to do here.
-		_ = ev
-	}
 	d.bytesSince += ev.AckedBytes
 	if d.cfg.ByteCounter > 0 && d.bytesSince >= d.cfg.ByteCounter {
 		d.bytesSince = 0
@@ -183,7 +157,7 @@ func (d *DCQCN) OnCNP(now sim.Time) {
 		return
 	}
 	d.lastDecrease = now
-	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G
+	d.alpha = (1-G)*d.alpha + G
 	d.rt = d.rc
 	d.rc = d.rc * (1 - d.alpha/2)
 	d.timeStage = 0
@@ -193,7 +167,7 @@ func (d *DCQCN) OnCNP(now sim.Time) {
 }
 
 func (d *DCQCN) clamp() {
-	d.rc = cc.Clamp(d.rc, float64(d.cfg.MinRate), float64(d.env.LineRate))
+	d.rc = cc.Clamp(d.rc, float64(d.env.LineRate/1000), float64(d.env.LineRate))
 }
 
 // WindowBytes implements cc.Algorithm: unbounded for classic DCQCN,

@@ -167,7 +167,7 @@ func TestByteCounterTriggersIncrease(t *testing.T) {
 
 func TestHyperIncreaseWhenBothExceed(t *testing.T) {
 	th := &timerHarness{}
-	cfg := Config{RateIncTimer: 100 * sim.Microsecond, ByteCounter: 10_000, RateAI: 40 * sim.Mbps, RateHAI: 400 * sim.Mbps}
+	cfg := Config{RateIncTimer: 100 * sim.Microsecond, ByteCounter: 10_000}
 	d := newDCQCN(th, cfg)
 	// Two spaced CNPs pull the target rate well below line rate so the
 	// increase steps are observable (Rt saturates at line otherwise).
@@ -190,14 +190,14 @@ func TestHyperIncreaseWhenBothExceed(t *testing.T) {
 
 func TestAlphaDecaysWithoutCNP(t *testing.T) {
 	th := &timerHarness{}
-	d := newDCQCN(th, Config{AlphaTimer: 55 * sim.Microsecond})
+	d := newDCQCN(th, Config{})
 	d.OnCNP(th.Now())
 	a0 := d.Alpha()
-	th.AdvanceTo(10 * 55 * sim.Microsecond)
+	th.AdvanceTo(10 * AlphaTimer)
 	if d.Alpha() >= a0 {
 		t.Fatalf("alpha did not decay: %v -> %v", a0, d.Alpha())
 	}
-	want := a0 * math.Pow(1-1.0/256, 9) // first tick sees cnpSeen=true
+	want := a0 * math.Pow(1-G, 9) // first tick sees cnpSeen=true
 	if math.Abs(d.Alpha()-want)/want > 0.02 {
 		t.Fatalf("alpha = %v, want ≈ %v", d.Alpha(), want)
 	}

@@ -10,28 +10,16 @@ import (
 	"hpcc/internal/sim"
 )
 
-// Config carries DCTCP's parameters.
-type Config struct {
-	// G is the α EWMA gain; the DCTCP paper recommends 1/16.
-	G float64
+const (
+	// G is the α EWMA gain the DCTCP paper recommends.
+	G = 1.0 / 16
 	// MaxWindowBDP caps the window at this many bandwidth-delay
-	// products (queues are bounded by switch buffers, not the window);
-	// default 8.
-	MaxWindowBDP float64
-}
-
-func (c *Config) normalize() {
-	if c.G == 0 {
-		c.G = 1.0 / 16
-	}
-	if c.MaxWindowBDP == 0 {
-		c.MaxWindowBDP = 8
-	}
-}
+	// products (queues are bounded by switch buffers, not the window).
+	MaxWindowBDP = 8
+)
 
 // DCTCP is one flow's sender state.
 type DCTCP struct {
-	cfg Config
 	env cc.Env
 
 	w     float64 // window, bytes
@@ -43,8 +31,8 @@ type DCTCP struct {
 }
 
 // New returns a factory producing DCTCP instances.
-func New(cfg Config) cc.Factory {
-	return func() cc.Algorithm { return &DCTCP{cfg: cfg} }
+func New() cc.Factory {
+	return func() cc.Algorithm { return &DCTCP{} }
 }
 
 // Name implements cc.Algorithm.
@@ -52,8 +40,7 @@ func (d *DCTCP) Name() string { return "DCTCP" }
 
 // Init implements cc.Algorithm: no slow start, W starts at one BDP.
 func (d *DCTCP) Init(env cc.Env) {
-	*d = DCTCP{cfg: d.cfg, env: env}
-	d.cfg.normalize()
+	*d = DCTCP{env: env}
 	d.w = env.BDP()
 }
 
@@ -71,7 +58,7 @@ func (d *DCTCP) OnAck(ev *cc.AckEvent) {
 	// One observation window has elapsed.
 	if d.ackedBytes > 0 {
 		f := float64(d.markedBytes) / float64(d.ackedBytes)
-		d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G*f
+		d.alpha = (1-G)*d.alpha + G*f
 		if d.markedBytes > 0 {
 			d.w = d.w * (1 - d.alpha/2)
 		} else {
@@ -81,7 +68,7 @@ func (d *DCTCP) OnAck(ev *cc.AckEvent) {
 	d.ackedBytes = 0
 	d.markedBytes = 0
 	d.windowEnd = ev.SndNxt
-	d.w = cc.Clamp(d.w, float64(d.env.MTU), d.cfg.MaxWindowBDP*d.env.BDP())
+	d.w = cc.Clamp(d.w, float64(d.env.MTU), MaxWindowBDP*d.env.BDP())
 }
 
 // OnCNP implements cc.Algorithm; DCTCP uses ECN echoes, not CNPs.

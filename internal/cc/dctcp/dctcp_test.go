@@ -15,8 +15,8 @@ const (
 	bdp  = 125_000.0
 )
 
-func newDCTCP(cfg Config) *DCTCP {
-	d := New(cfg)().(*DCTCP)
+func newDCTCP() *DCTCP {
+	d := New()().(*DCTCP)
 	d.Init(cc.Env{
 		Now:      func() sim.Time { return 0 },
 		Schedule: func(d sim.Time, fn func()) {},
@@ -28,14 +28,14 @@ func newDCTCP(cfg Config) *DCTCP {
 }
 
 func TestNoSlowStart(t *testing.T) {
-	d := newDCTCP(Config{})
+	d := newDCTCP()
 	if got := d.WindowBytes(); math.Abs(got-bdp) > 1 {
 		t.Fatalf("initial window = %v, want one BDP (%v) — slow start removed per §5.1", got, bdp)
 	}
 }
 
 func TestCleanRTTAddsOneMSS(t *testing.T) {
-	d := newDCTCP(Config{})
+	d := newDCTCP()
 	w := d.WindowBytes()
 	// First ACK closes the trivial window [0,0) and opens a real one.
 	d.OnAck(&cc.AckEvent{AckSeq: 1000, SndNxt: 125_000, AckedBytes: 1000})
@@ -51,7 +51,7 @@ func TestCleanRTTAddsOneMSS(t *testing.T) {
 }
 
 func TestFullyMarkedWindowConvergesToHalving(t *testing.T) {
-	d := newDCTCP(Config{})
+	d := newDCTCP()
 	seq := int64(0)
 	// Every byte marked for many RTTs: α → 1.
 	for i := 0; i < 200; i++ {
@@ -73,21 +73,21 @@ func TestFullyMarkedWindowConvergesToHalving(t *testing.T) {
 }
 
 func TestAlphaEWMA(t *testing.T) {
-	d := newDCTCP(Config{G: 1.0 / 16})
+	d := newDCTCP()
 	// Prime: the first ACK closes the trivial [0,0) window and opens a
 	// real observation window ending at 125 000.
 	d.OnAck(&cc.AckEvent{AckSeq: 1000, SndNxt: 125_000, AckedBytes: 1000})
 	// Half of the window's 124 000 bytes marked: α = (1-g)·0 + g·0.5.
 	d.OnAck(&cc.AckEvent{AckSeq: 63_000, SndNxt: 150_000, AckedBytes: 62_000})
 	d.OnAck(&cc.AckEvent{AckSeq: 125_000, SndNxt: 187_500, AckedBytes: 62_000, ECE: true})
-	want := 0.5 / 16
+	want := 0.5 * G
 	if math.Abs(d.Alpha()-want) > 1e-9 {
 		t.Fatalf("alpha = %v, want %v", d.Alpha(), want)
 	}
 }
 
 func TestWindowFloor(t *testing.T) {
-	d := newDCTCP(Config{})
+	d := newDCTCP()
 	seq := int64(0)
 	for i := 0; i < 500; i++ {
 		seq += 10_000
@@ -99,7 +99,7 @@ func TestWindowFloor(t *testing.T) {
 }
 
 func TestRateFollowsWindow(t *testing.T) {
-	d := newDCTCP(Config{})
+	d := newDCTCP()
 	wantRate := d.WindowBytes() / (10 * sim.Microsecond).Seconds() * 8
 	if math.Abs(d.RateBps()-wantRate) > 1 {
 		t.Fatalf("rate = %v, want W/T = %v", d.RateBps(), wantRate)
@@ -111,7 +111,7 @@ func TestRateFollowsWindow(t *testing.T) {
 func TestBoundsProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := newDCTCP(Config{})
+		d := newDCTCP()
 		seq := int64(0)
 		for i := 0; i < int(n); i++ {
 			adv := rng.Int63n(200_000) + 1

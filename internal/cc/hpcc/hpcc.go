@@ -57,9 +57,6 @@ type Config struct {
 	UseRxRate bool
 	// Reaction selects the reaction-combining strategy.
 	Reaction Reaction
-	// MinRate floors the pacing rate (hence the window at MinRate×T).
-	// Zero selects LineRate/1000, mirroring the ns-3 reference setup.
-	MinRate sim.Rate
 }
 
 func (c *Config) normalize(env *cc.Env) {
@@ -71,9 +68,6 @@ func (c *Config) normalize(env *cc.Env) {
 	}
 	if c.WAI == 0 {
 		c.WAI = env.BDP() * (1 - c.Eta) / 100
-	}
-	if c.MinRate == 0 {
-		c.MinRate = env.LineRate / 1000
 	}
 }
 
@@ -126,7 +120,9 @@ func (h *HPCC) Init(env cc.Env) {
 	*h = HPCC{raw: h.raw, cfg: h.raw, env: env}
 	h.cfg.normalize(&env)
 	h.winInit = env.BDP()
-	h.minWnd = h.cfg.MinRate.BytesPerSec() * env.BaseRTT.Seconds()
+	// The pacing rate floors at LineRate/1000, mirroring the ns-3
+	// reference setup; the window floors at that rate × T.
+	h.minWnd = (env.LineRate / 1000).BytesPerSec() * env.BaseRTT.Seconds()
 	h.w = h.winInit
 	h.wc = h.winInit
 	h.rate = float64(env.LineRate)

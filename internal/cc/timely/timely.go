@@ -9,60 +9,37 @@ import (
 	"hpcc/internal/sim"
 )
 
-// Config carries TIMELY's parameters with the values the TIMELY paper
-// suggests (and the HPCC paper reuses, §5.1).
+// Config selects the TIMELY variant.
 type Config struct {
-	// EWMA is the weight of a new RTT-difference sample; default 0.875
-	// (matching the ns-3 reproduction the paper's simulations use).
-	EWMA float64
-	// Beta is the multiplicative-decrease factor; default 0.8.
-	Beta float64
-	// TLow / THigh bound the gradient-based zone; below TLow TIMELY
-	// always increases, above THigh it always decreases. Defaults 50 µs
-	// and 500 µs.
-	TLow, THigh sim.Time
-	// AddStep is the additive increment δ; the TIMELY paper used
-	// 10 Mbps at 10 Gbps line rate, so the default scales that ratio.
-	AddStep sim.Rate
-	// HAIAfter is how many consecutive non-positive gradients switch to
-	// hyper-active increase (5 × δ); default 5.
-	HAIAfter int
-	// MinRate floors the rate; default LineRate/1000.
-	MinRate sim.Rate
 	// Window, when true, adds the inflight cap W = R × T ("TIMELY+win").
 	Window bool
 }
 
-func (c *Config) normalize(env *cc.Env) {
-	if c.EWMA == 0 {
-		c.EWMA = 0.875
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.8
-	}
-	if c.TLow == 0 {
-		c.TLow = 50 * sim.Microsecond
-	}
-	if c.THigh == 0 {
-		c.THigh = 500 * sim.Microsecond
-	}
-	if c.AddStep == 0 {
-		c.AddStep = sim.Rate(int64(10*sim.Mbps) * int64(env.LineRate) / int64(10*sim.Gbps))
-	}
-	if c.HAIAfter == 0 {
-		c.HAIAfter = 5
-	}
-	if c.MinRate == 0 {
-		c.MinRate = env.LineRate / 1000
-	}
-}
+// TIMELY's parameters, with the values the TIMELY paper suggests (and
+// the HPCC paper reuses, §5.1).
+const (
+	// EWMA is the weight of a new RTT-difference sample (matching the
+	// ns-3 reproduction the paper's simulations use).
+	EWMA = 0.875
+	// Beta is the multiplicative-decrease factor.
+	Beta = 0.8
+	// TLow / THigh bound the gradient-based zone; below TLow TIMELY
+	// always increases, above THigh it always decreases.
+	TLow  = 50 * sim.Microsecond
+	THigh = 500 * sim.Microsecond
+	// HAIAfter is how many consecutive non-positive gradients switch to
+	// hyper-active increase (5 × δ).
+	HAIAfter = 5
+)
 
 // Timely is one flow's sender state.
 type Timely struct {
-	raw Config // as given to New; Init resolves its defaults into cfg
 	cfg Config
 	env cc.Env
 
+	// addStep is the additive increment δ: the TIMELY paper's 10 Mbps
+	// at 10 Gbps line rate, scaled to the line rate. Bits per second.
+	addStep  float64
 	rate     float64 // bits per second
 	prevRTT  sim.Time
 	rttDiff  float64 // EWMA of RTT differences, picoseconds
@@ -71,7 +48,7 @@ type Timely struct {
 
 // New returns a factory producing TIMELY instances.
 func New(cfg Config) cc.Factory {
-	return func() cc.Algorithm { return &Timely{raw: cfg, cfg: cfg} }
+	return func() cc.Algorithm { return &Timely{cfg: cfg} }
 }
 
 // Name implements cc.Algorithm.
@@ -84,8 +61,8 @@ func (t *Timely) Name() string {
 
 // Init implements cc.Algorithm: flows start at line rate.
 func (t *Timely) Init(env cc.Env) {
-	*t = Timely{raw: t.raw, cfg: t.raw, env: env}
-	t.cfg.normalize(&env)
+	*t = Timely{cfg: t.cfg, env: env}
+	t.addStep = float64(sim.Rate(int64(10*sim.Mbps) * int64(env.LineRate) / int64(10*sim.Gbps)))
 	t.rate = float64(env.LineRate)
 }
 
@@ -102,28 +79,28 @@ func (t *Timely) OnAck(ev *cc.AckEvent) {
 	}
 	newDiff := float64(rtt - t.prevRTT)
 	t.prevRTT = rtt
-	t.rttDiff = (1-t.cfg.EWMA)*t.rttDiff + t.cfg.EWMA*newDiff
+	t.rttDiff = (1-EWMA)*t.rttDiff + EWMA*newDiff
 	gradient := t.rttDiff / float64(t.env.BaseRTT)
 
 	switch {
-	case rtt < t.cfg.TLow:
-		t.rate += float64(t.cfg.AddStep)
+	case rtt < TLow:
+		t.rate += t.addStep
 		t.negCount = 0
-	case rtt > t.cfg.THigh:
-		t.rate *= 1 - t.cfg.Beta*(1-float64(t.cfg.THigh)/float64(rtt))
+	case rtt > THigh:
+		t.rate *= 1 - Beta*(1-float64(THigh)/float64(rtt))
 		t.negCount = 0
 	case gradient <= 0:
 		t.negCount++
 		n := 1.0
-		if t.negCount >= t.cfg.HAIAfter {
+		if t.negCount >= HAIAfter {
 			n = 5
 		}
-		t.rate += n * float64(t.cfg.AddStep)
+		t.rate += n * t.addStep
 	default:
-		t.rate *= 1 - t.cfg.Beta*gradient
+		t.rate *= 1 - Beta*gradient
 		t.negCount = 0
 	}
-	t.rate = cc.Clamp(t.rate, float64(t.cfg.MinRate), float64(t.env.LineRate))
+	t.rate = cc.Clamp(t.rate, float64(t.env.LineRate/1000), float64(t.env.LineRate))
 }
 
 // OnCNP implements cc.Algorithm; TIMELY ignores CNPs.

@@ -43,7 +43,7 @@ func TestBelowTLowAdditiveIncrease(t *testing.T) {
 	tl.OnAck(ack(600 * sim.Microsecond)) // above THigh: MD
 	r := tl.RateBps()
 	tl.OnAck(ack(20 * sim.Microsecond)) // below TLow=50us
-	want := r + float64(tl.cfg.AddStep)
+	want := r + tl.addStep
 	if math.Abs(tl.RateBps()-want) > 1 {
 		t.Fatalf("rate = %v, want %v", tl.RateBps(), want)
 	}
@@ -93,8 +93,8 @@ func TestNegativeGradientStreakHAI(t *testing.T) {
 		tl.OnAck(ack(us * sim.Microsecond))
 		lastStep = tl.RateBps() - before
 	}
-	if lastStep < 4.9*float64(tl.cfg.AddStep) {
-		t.Fatalf("HAI step = %v, want ≈ 5×%v", lastStep, float64(tl.cfg.AddStep))
+	if lastStep < 4.9*tl.addStep {
+		t.Fatalf("HAI step = %v, want ≈ 5×%v", lastStep, tl.addStep)
 	}
 	if tl.RateBps() <= r {
 		t.Fatal("rate did not recover on falling RTT")

@@ -8,6 +8,9 @@ import (
 	"sort"
 	"testing"
 
+	"hpcc/internal/fabric"
+	"hpcc/internal/host"
+	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 	"hpcc/internal/stats"
 	"hpcc/internal/topology"
@@ -289,12 +292,12 @@ func TestHandBuiltFiguresGolden(t *testing.T) {
 			nw := starCell{Scheme: ByNameMust(name), Hosts: 3, Rate: 100 * sim.Gbps, Seed: 1}.start(sim.NewEngine()).Network
 			for _, sw := range nw.Switches {
 				c := sw.Config()
-				fmt.Fprintln(h, c.BufferBytes, c.PFCEnabled, c.PFCAlpha, c.PFCResumeHysteresis,
+				fmt.Fprintln(h, c.BufferBytes, c.PFCEnabled, fabric.PFCAlpha, fabric.PFCResumeHysteresis,
 					c.ECNEnabled, c.KMin, c.KMax, c.PMax, c.INTEnabled, c.INTQuantize, c.LossyEgressAlpha, c.Seed)
 			}
 			for _, hst := range nw.Hosts {
 				c := hst.Config()
-				fmt.Fprintln(h, c.FlowCtl, c.MTU, c.INT, int64(c.BaseRTT), int64(c.CNPInterval), int64(c.RTO),
+				fmt.Fprintln(h, c.FlowCtl, packet.DefaultMTU, c.INT, int64(c.BaseRTT), int64(host.CNPInterval), int64(host.RTO),
 					c.CompletedWindow, c.Seed)
 			}
 		}

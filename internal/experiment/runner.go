@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"hpcc/internal/fabric"
 	"hpcc/internal/host"
@@ -57,7 +56,7 @@ type Obs struct {
 	OnQueue func(stats.TimePoint)
 	OnPFC   func(stats.PFCEvent)
 	// OnQueueFlush receives one summary per closed queue window
-	// (LoadScenario.FlushEvery ticks each). Window summaries come from
+	// (stats.FlushEvery ticks each). Window summaries come from
 	// an interval sketch in either retention mode, so attaching a flush
 	// consumer never changes the run's result statistics.
 	OnQueueFlush func(stats.QueueFlush)
@@ -105,22 +104,15 @@ type LoadScenario struct {
 	// streams into mergeable quantile sketches instead (per-size-bucket
 	// slowdowns, short-flow latency, per-port queue depth), so retained
 	// stat memory is O(sketch buckets) regardless of flow count or
-	// horizon. Quantiles come out within StatsAccuracy of the exact
-	// percentiles; LoadResult.QueueKB and FCT.Records stay empty. The
-	// default (false) retains everything, exactly as before — goldens
-	// are byte-identical.
+	// horizon. Quantiles come out within stats.DefaultRelativeAccuracy
+	// of the exact percentiles; LoadResult.QueueKB and FCT.Records stay
+	// empty. The default (false) retains everything, exactly as before —
+	// goldens are byte-identical.
 	SketchStats bool
-	// StatsAccuracy is the sketches' relative accuracy (<= 0 means the
-	// 1% default, stats.DefaultRelativeAccuracy).
-	StatsAccuracy float64
 	// FCTBucketEdges are the flow-size bucket edges the streaming FCT
 	// sketches are keyed by (nil means stats.WebSearchEdges). Streaming
 	// results can only be bucketed by these edges.
 	FCTBucketEdges []int64
-	// FlushEvery, with SketchStats and Obs.OnQueueFlush, closes a queue
-	// window every FlushEvery sampling ticks and reports its summary —
-	// the live-progress feed of the streaming observer.
-	FlushEvery int
 
 	// Obs streams per-flow, queue and PFC events to observers.
 	Obs Obs
@@ -128,9 +120,8 @@ type LoadScenario struct {
 
 // Validate rejects parameters that have no meaning rather than letting
 // the run return nonsense: a negative arrival window, drain or flow cap
-// (zero means the default), and a sketch accuracy that is NaN or ≥ 1,
-// where the sketch's bucket ratio (1+α)/(1−α) is no longer finite and
-// positive. RunLoad and the public hpcc.Experiment both call it.
+// (zero means the default). RunLoad and the public hpcc.Experiment both
+// call it.
 func (s *LoadScenario) Validate() error {
 	switch {
 	case s.Until < 0:
@@ -139,8 +130,6 @@ func (s *LoadScenario) Validate() error {
 		return fmt.Errorf("experiment: negative drain %v", s.Drain)
 	case s.MaxFlows < 0:
 		return fmt.Errorf("experiment: negative flow cap %d", s.MaxFlows)
-	case math.IsNaN(s.StatsAccuracy) || s.StatsAccuracy >= 1:
-		return fmt.Errorf("experiment: stats accuracy %v, want below 1 (or <= 0 for the default)", s.StatsAccuracy)
 	}
 	return nil
 }
@@ -154,9 +143,6 @@ func (s *LoadScenario) normalize() {
 	}
 	if s.MaxFlows == 0 {
 		s.MaxFlows = 1000
-	}
-	if s.FlushEvery == 0 {
-		s.FlushEvery = 100 // one window per ms of QueueSample ticks
 	}
 }
 
@@ -313,12 +299,9 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*ManualNet, *s
 	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, QueueSample, s.Until)
 	mon.OnSample = s.Obs.OnQueue
 	if s.SketchStats {
-		mon.EnableSketch(s.StatsAccuracy)
+		mon.EnableSketch()
 	}
-	if s.Obs.OnQueueFlush != nil {
-		mon.FlushEvery = s.FlushEvery
-		mon.OnFlush = s.Obs.OnQueueFlush
-	}
+	mon.OnFlush = s.Obs.OnQueueFlush
 	return m, mon
 }
 
@@ -333,7 +316,7 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 	eng := sim.NewEngine()
 	res := &LoadResult{Scheme: s.Scheme.Name}
 	if s.SketchStats {
-		res.FCT = stats.NewStreamingFCT(s.FCTBucketEdges, s.StatsAccuracy)
+		res.FCT = stats.NewStreamingFCT(s.FCTBucketEdges, 0)
 	}
 	m, mon := s.start(eng, &res.FCT)
 

@@ -10,6 +10,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"hpcc/internal/cc"
 	"hpcc/internal/cc/dcqcn"
@@ -69,35 +70,45 @@ func TIMELY(cfg timely.Config) Scheme {
 
 // DCTCP returns the DCTCP scheme with Kmin = Kmax = 30KB × Bw/10G
 // (§5.1).
-func DCTCP(cfg dctcp.Config) Scheme {
+func DCTCP() Scheme {
 	k := func(r sim.Rate) int64 { return 30 << 10 * int64(r) / int64(10*sim.Gbps) }
-	return Scheme{Name: "DCTCP", Factory: dctcp.New(cfg), ECN: true, Kmin: k, Kmax: k}
+	return Scheme{Name: "DCTCP", Factory: dctcp.New(), ECN: true, Kmin: k, Kmax: k}
+}
+
+// schemes is the one table of scheme names, in SchemeNames order: the
+// paper's Figure-11 schemes, then the HPCC ablation variants.
+var schemes = []struct {
+	name   string
+	scheme Scheme
+}{
+	{"hpcc", HPCC(hpcccc.Config{})},
+	{"dcqcn", DCQCN(dcqcn.Config{})},
+	{"timely", TIMELY(timely.Config{})},
+	{"dcqcn+win", DCQCN(dcqcn.Config{Window: true})},
+	{"timely+win", TIMELY(timely.Config{Window: true})},
+	{"dctcp", DCTCP()},
+	{"hpcc-rxrate", HPCC(hpcccc.Config{UseRxRate: true})},
+	{"hpcc-perack", HPCC(hpcccc.Config{Reaction: hpcccc.PerAck})},
+	{"hpcc-perrtt", HPCC(hpcccc.Config{Reaction: hpcccc.PerRTT})},
+}
+
+// SchemeNames lists the CLI spellings ByName accepts.
+func SchemeNames() []string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.name
+	}
+	return names
 }
 
 // ByName resolves a scheme from its CLI spelling.
 func ByName(name string) (Scheme, error) {
-	switch name {
-	case "hpcc":
-		return HPCC(hpcccc.Config{}), nil
-	case "hpcc-rxrate":
-		return HPCC(hpcccc.Config{UseRxRate: true}), nil
-	case "hpcc-perack":
-		return HPCC(hpcccc.Config{Reaction: hpcccc.PerAck}), nil
-	case "hpcc-perrtt":
-		return HPCC(hpcccc.Config{Reaction: hpcccc.PerRTT}), nil
-	case "dcqcn":
-		return DCQCN(dcqcn.Config{}), nil
-	case "dcqcn+win":
-		return DCQCN(dcqcn.Config{Window: true}), nil
-	case "timely":
-		return TIMELY(timely.Config{}), nil
-	case "timely+win":
-		return TIMELY(timely.Config{Window: true}), nil
-	case "dctcp":
-		return DCTCP(dctcp.Config{}), nil
-	default:
-		return Scheme{}, fmt.Errorf("experiment: unknown scheme %q (want hpcc, hpcc-rxrate, hpcc-perack, hpcc-perrtt, dcqcn, dcqcn+win, timely, timely+win, dctcp)", name)
+	for _, s := range schemes {
+		if s.name == name {
+			return s.scheme, nil
+		}
 	}
+	return Scheme{}, fmt.Errorf("experiment: unknown scheme %q (want %s)", name, strings.Join(SchemeNames(), ", "))
 }
 
 // ByNameMust resolves a scheme or panics (experiment-internal tables).
@@ -116,7 +127,7 @@ func Fig11Schemes() []Scheme {
 		TIMELY(timely.Config{}),
 		DCQCN(dcqcn.Config{Window: true}),
 		TIMELY(timely.Config{Window: true}),
-		DCTCP(dctcp.Config{}),
+		DCTCP(),
 		HPCC(hpcccc.Config{}),
 	}
 }

@@ -56,7 +56,7 @@ func sweepTables(g *Grid[*LoadResult]) []*Table {
 				f1(lr.Queue.P99/1024),
 				f2(lr.PauseFrac*100),
 				fmt.Sprintf("%d", lr.Censored))
-			t.AddDist(fmt.Sprintf("slowdown %s @%s%%", s, load), lr.FCT.SlowdownSketch(0))
+			t.AddDist(fmt.Sprintf("slowdown %s @%s%%", s, load), lr.FCT.SlowdownSketch())
 		}
 	}
 	t.AddNote("same FB_Hadoop + FatTree fixture as Figure 11, swept past the paper's 50%% operating point")
@@ -98,7 +98,7 @@ func parkingLotTables(g *Grid[*LoadResult]) []*Table {
 			f1(lr.Queue.P99/1024),
 			fmt.Sprintf("%d", lr.Drops),
 			fmt.Sprintf("%d", lr.Censored))
-		sum.AddDist("slowdown "+s, lr.FCT.SlowdownSketch(0))
+		sum.AddDist("slowdown "+s, lr.FCT.SlowdownSketch())
 	}
 	return []*Table{fct, sum}
 }

@@ -42,7 +42,6 @@ func TestPFCStormDeadlockCycle(t *testing.T) {
 		// sending a pause and the upstream stopping).
 		BufferBytes: 96 << 10,
 		PFCEnabled:  true,
-		PFCAlpha:    0.11,
 	}
 	mk := func(id NodeID) *Switch { return NewSwitch(eng, id, cfg) }
 	s := []*Switch{mk(10), mk(11), mk(12)}

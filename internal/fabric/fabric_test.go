@@ -307,7 +307,7 @@ func TestPFCPauseTriggersUpstream(t *testing.T) {
 	// Tiny buffer so the threshold trips quickly. Downstream of the
 	// switch is slow (1Gbps) while upstream feeds at 100Gbps, so the
 	// egress queue, and hence the ingress accounting, builds.
-	cfg := SwitchConfig{BufferBytes: 64 << 10, PFCEnabled: true, PFCAlpha: 0.11}
+	cfg := SwitchConfig{BufferBytes: 64 << 10, PFCEnabled: true}
 	eng := sim.NewEngine()
 	a := &mockHost{id: 1, eng: eng}
 	b := &mockHost{id: 2, eng: eng}

@@ -14,15 +14,9 @@ type SwitchConfig struct {
 	// BufferBytes is the shared packet buffer size (32 MB in §5.1).
 	BufferBytes int64
 
-	// PFCEnabled turns on priority flow control. PFCAlpha is the
-	// dynamic-threshold fraction: an ingress (port, priority) is paused
-	// when its buffered bytes exceed PFCAlpha × (free buffer); the paper
-	// pauses at 11% of the free buffer (§5.1).
+	// PFCEnabled turns on priority flow control with the PFCAlpha
+	// dynamic pause threshold.
 	PFCEnabled bool
-	PFCAlpha   float64
-	// PFCResumeHysteresis is how many bytes below the pause threshold
-	// the ingress must drain before a resume frame is sent.
-	PFCResumeHysteresis int64
 
 	// ECNEnabled turns on WRED marking on the data priority: packets
 	// are CE-marked with probability rising linearly from 0 at KMin to
@@ -52,16 +46,20 @@ type SwitchConfig struct {
 	Pool *packet.Pool
 }
 
+const (
+	// PFCAlpha is the dynamic-threshold fraction: an ingress (port,
+	// priority) is paused when its buffered bytes exceed PFCAlpha ×
+	// (free buffer); the paper pauses at 11% of the free buffer (§5.1).
+	PFCAlpha = 0.11
+	// PFCResumeHysteresis is how many bytes below the pause threshold
+	// the ingress must drain before a resume frame is sent.
+	PFCResumeHysteresis = 2 * (packet.DefaultMTU + packet.HeaderBytes)
+)
+
 // Normalize fills zero fields with the paper's defaults.
 func (c *SwitchConfig) Normalize() {
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 32 << 20
-	}
-	if c.PFCAlpha == 0 {
-		c.PFCAlpha = 0.11
-	}
-	if c.PFCResumeHysteresis == 0 {
-		c.PFCResumeHysteresis = 2 * (packet.DefaultMTU + packet.HeaderBytes)
 	}
 	if c.KMin == 0 {
 		c.KMin = 100 << 10
@@ -275,7 +273,7 @@ func (s *Switch) pfcThreshold() int64 {
 	if free < 0 {
 		free = 0
 	}
-	return int64(s.cfg.PFCAlpha * float64(free))
+	return int64(PFCAlpha * float64(free))
 }
 
 func (s *Switch) sendPFC(via *Port, prio uint8, pause bool) {
@@ -298,7 +296,7 @@ func (s *Switch) OnDequeue(p *packet.Packet, ingress int, from *Port) {
 		s.used -= size
 		s.ingressB[ingress][prio] -= size
 		if s.cfg.PFCEnabled && s.pauseSent[ingress][prio] {
-			resumeAt := s.pfcThreshold() - s.cfg.PFCResumeHysteresis
+			resumeAt := s.pfcThreshold() - PFCResumeHysteresis
 			if resumeAt < 0 {
 				resumeAt = 0
 			}

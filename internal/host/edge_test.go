@@ -136,7 +136,7 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 	// deterministic alternative: deliver all but the tail by hand.
 	eng := sim.NewEngine()
 	cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(line100)} },
-		BaseRTT: 10 * sim.Microsecond, RTO: 200 * sim.Microsecond}
+		BaseRTT: 10 * sim.Microsecond}
 	a := New(eng, 1, cfg)
 	b := New(eng, 2, cfg)
 	dropper := &tailDropper{eng: eng}
@@ -156,7 +156,7 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 	if f.Retransmits() == 0 {
 		t.Fatal("no retransmission recorded")
 	}
-	if f.FCT() < 200*sim.Microsecond {
+	if f.FCT() < RTO {
 		t.Fatalf("FCT %v shorter than the RTO that recovery needed", f.FCT())
 	}
 }

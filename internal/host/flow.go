@@ -135,8 +135,8 @@ func (f *Flow) nextChunk() (seq int64, payload int32, isRtx bool) {
 	}
 	if f.sndNxt < f.size {
 		p := f.size - f.sndNxt
-		if p > int64(f.host.cfg.MTU) {
-			p = int64(f.host.cfg.MTU)
+		if p > packet.DefaultMTU {
+			p = packet.DefaultMTU
 		}
 		return f.sndNxt, int32(p), false
 	}
@@ -282,8 +282,8 @@ func (f *Flow) irnOnAck(p *packet.Packet, now sim.Time) {
 		if _, dup := f.sacked[p.DataSeq]; !dup && p.DataSeq >= f.sndUna {
 			// Length of the sacked chunk: MTU-bounded remainder.
 			l := f.size - p.DataSeq
-			if l > int64(f.host.cfg.MTU) {
-				l = int64(f.host.cfg.MTU)
+			if l > packet.DefaultMTU {
+				l = packet.DefaultMTU
 			}
 			f.sacked[p.DataSeq] = int32(l)
 			f.sackedBytes += l
@@ -291,8 +291,8 @@ func (f *Flow) irnOnAck(p *packet.Packet, now sim.Time) {
 		// Queue the missing chunk at AckSeq unless recently requeued.
 		if p.AckSeq != f.lastRtxSeq || now-f.lastRtxAt > f.host.cfg.BaseRTT {
 			gapLen := f.size - p.AckSeq
-			if gapLen > int64(f.host.cfg.MTU) {
-				gapLen = int64(f.host.cfg.MTU)
+			if gapLen > packet.DefaultMTU {
+				gapLen = packet.DefaultMTU
 			}
 			if gapLen > 0 && p.AckSeq < f.sndNxt {
 				f.rtx[p.AckSeq] = int32(gapLen)
@@ -321,7 +321,7 @@ func (f *Flow) handleNack(p *packet.Packet) {
 
 // armRTO arms the retransmission-timeout backstop.
 func (f *Flow) armRTO() {
-	f.rtoEv = f.host.eng.After(f.host.cfg.RTO, f.rtoFn)
+	f.rtoEv = f.host.eng.After(RTO, f.rtoFn)
 }
 
 // onRTO fires the retransmission-timeout backstop and re-arms it.
@@ -331,15 +331,15 @@ func (f *Flow) onRTO() {
 		return
 	}
 	now := f.host.eng.Now()
-	if f.inflight() > 0 && now-f.lastProgress >= f.host.cfg.RTO {
+	if f.inflight() > 0 && now-f.lastProgress >= RTO {
 		// Timed out: rewind (GBN) or requeue the unacked head (IRN).
 		if f.host.cfg.FlowCtl == GoBackN {
 			f.sndNxt = f.sndUna
 			f.pktsRtx++ // count the rewind episode
 		} else {
 			l := f.size - f.sndUna
-			if l > int64(f.host.cfg.MTU) {
-				l = int64(f.host.cfg.MTU)
+			if l > packet.DefaultMTU {
+				l = packet.DefaultMTU
 			}
 			if l > 0 && f.sndUna < f.sndNxt {
 				f.rtx[f.sndUna] = int32(l)

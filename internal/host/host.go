@@ -39,20 +39,11 @@ type Config struct {
 	CC cc.Factory
 	// FlowCtl selects go-back-N or IRN recovery.
 	FlowCtl FlowControl
-	// MTU is the data payload size per packet; default 1000 (§5.1).
-	MTU int
 	// INT adds the 42-byte INT header to data packets and echoes INT
 	// records in ACKs (required by HPCC; off for the baselines).
 	INT bool
 	// BaseRTT is the network-wide base RTT T handed to CC (§3.2).
 	BaseRTT sim.Time
-	// CNPInterval is the minimum gap between CNPs per flow at the
-	// receiver (DCQCN's NP state machine); default 50 µs. Negative
-	// disables CNP generation.
-	CNPInterval sim.Time
-	// RTO is the retransmission-timeout backstop for lossy modes;
-	// default 1 ms.
-	RTO sim.Time
 	// CompletedWindow, when positive, bounds the host's memory over
 	// long campaigns: at most this many completed sender flows are
 	// retained (a ring of recent completions for post-run inspection);
@@ -72,16 +63,15 @@ type Config struct {
 	Pool *packet.Pool
 }
 
+const (
+	// CNPInterval is the minimum gap between CNPs per flow at the
+	// receiver (DCQCN's NP state machine).
+	CNPInterval = 50 * sim.Microsecond
+	// RTO is the retransmission-timeout backstop for lossy modes.
+	RTO = sim.Millisecond
+)
+
 func (c *Config) normalize() {
-	if c.MTU == 0 {
-		c.MTU = packet.DefaultMTU
-	}
-	if c.CNPInterval == 0 {
-		c.CNPInterval = 50 * sim.Microsecond
-	}
-	if c.RTO == 0 {
-		c.RTO = sim.Millisecond
-	}
 	if c.BaseRTT == 0 {
 		c.BaseRTT = 10 * sim.Microsecond
 	}
@@ -340,7 +330,7 @@ func (h *Host) newFlow() *Flow {
 		Now:      h.now,
 		Schedule: func(d sim.Time, fn func()) { h.scheduleCC(f, d, fn) },
 		BaseRTT:  h.cfg.BaseRTT,
-		MTU:      h.cfg.MTU,
+		MTU:      packet.DefaultMTU,
 	}
 	return f
 }

@@ -186,7 +186,7 @@ func TestGoBackNRecovery(t *testing.T) {
 	// drops force NACK-driven rewinds, yet the flow must complete with
 	// every byte delivered in order.
 	mock := &mockCC{w: 0, rate: float64(50 * sim.Gbps)}
-	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond, RTO: sim.Millisecond}
+	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond}
 	scfg := fabric.SwitchConfig{BufferBytes: 64 << 10, PFCEnabled: false, LossyEgressAlpha: 1}
 	eng := sim.NewEngine()
 	sw := fabric.NewSwitch(eng, 1000, scfg)
@@ -223,7 +223,7 @@ func TestGoBackNRecovery(t *testing.T) {
 
 func TestIRNRecovery(t *testing.T) {
 	mock := &mockCC{w: 0, rate: float64(50 * sim.Gbps)}
-	cfg := Config{CC: func() cc.Algorithm { return mock }, FlowCtl: IRN, BaseRTT: 10 * sim.Microsecond, RTO: sim.Millisecond}
+	cfg := Config{CC: func() cc.Algorithm { return mock }, FlowCtl: IRN, BaseRTT: 10 * sim.Microsecond}
 	scfg := fabric.SwitchConfig{BufferBytes: 64 << 10, PFCEnabled: false, LossyEgressAlpha: 1}
 	eng := sim.NewEngine()
 	sw := fabric.NewSwitch(eng, 1000, scfg)
@@ -256,7 +256,7 @@ func TestIRNRecovery(t *testing.T) {
 
 func TestCNPGeneration(t *testing.T) {
 	mock := &mockCC{w: 0, rate: float64(line100)}
-	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond, CNPInterval: 50 * sim.Microsecond}
+	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond}
 	// Force marking from the first packet.
 	scfg := fabric.SwitchConfig{ECNEnabled: true, KMin: 1, KMax: 2, PMax: 1}
 	eng := sim.NewEngine()

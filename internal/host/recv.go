@@ -58,12 +58,10 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	}
 
 	// DCQCN CNP generation: at most one per CNPInterval per flow.
-	if p.ECNCE && h.cfg.CNPInterval >= 0 {
-		if !rs.hasCNP || now-rs.lastCNP >= h.cfg.CNPInterval {
-			rs.hasCNP = true
-			rs.lastCNP = now
-			h.sendCtrl(in, p, packet.CNP, 0, 0)
-		}
+	if p.ECNCE && (!rs.hasCNP || now-rs.lastCNP >= CNPInterval) {
+		rs.hasCNP = true
+		rs.lastCNP = now
+		h.sendCtrl(in, p, packet.CNP, 0, 0)
 	}
 
 	switch h.cfg.FlowCtl {

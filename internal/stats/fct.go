@@ -209,14 +209,14 @@ func (s *FCTSet) RetainedBytes() int64 {
 }
 
 // SlowdownSketch returns a sketch of every flow's slowdown: streaming
-// sets clone their running sketch (alpha is ignored), exact sets build
-// one from the records. The campaign layer pools these across seeds so
-// multi-seed percentiles come from the pooled distribution.
-func (s *FCTSet) SlowdownSketch(alpha float64) *Sketch {
+// sets clone their running sketch, exact sets build one from the
+// records. The campaign layer pools these across seeds so multi-seed
+// percentiles come from the pooled distribution.
+func (s *FCTSet) SlowdownSketch() *Sketch {
 	if s.str != nil {
 		return s.str.all.Clone()
 	}
-	sk := NewSketch(alpha)
+	sk := NewSketch(0)
 	for _, r := range s.Records {
 		sk.Add(r.Slowdown())
 	}

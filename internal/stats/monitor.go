@@ -32,19 +32,22 @@ type QueueMonitor struct {
 	// slices, so retention is O(buckets) however long the run. OnSample
 	// still fires every tick, so time-series observers keep working.
 	sketch *Sketch // cumulative per-port depths; non-nil => sketch mode
-	window *Sketch // depths since the last flush (fed when FlushEvery > 0)
+	window *Sketch // depths since the last flush (fed when OnFlush is set)
 
-	// FlushEvery, when positive, closes the current window every
-	// FlushEvery ticks and reports it to OnFlush — the interval-flush
-	// primitive live-progress consumers ride: each flush carries the
-	// window's depth summary plus the cumulative one, then the window
-	// resets. Works in either retention mode (the window itself is
-	// always a sketch); set both right after NewQueueMonitor.
-	FlushEvery int
-	OnFlush    func(QueueFlush)
-	winTicks   int
-	winStart   sim.Time
+	// OnFlush, when set, receives the current window every FlushEvery
+	// ticks — the interval-flush primitive live-progress consumers
+	// ride: each flush carries the window's depth summary plus the
+	// cumulative one, then the window resets. Works in either retention
+	// mode (the window itself is always a sketch); set it right after
+	// NewQueueMonitor.
+	OnFlush  func(QueueFlush)
+	winTicks int
+	winStart sim.Time
 }
+
+// FlushEvery is the queue window length in sampling ticks: one window
+// per ms at the 10 µs sampling period of a load run.
+const FlushEvery = 100
 
 // TimePoint is one time-series observation.
 type TimePoint struct {
@@ -63,15 +66,11 @@ func NewQueueMonitor(eng *sim.Engine, ports []*fabric.Port, prio uint8, interval
 // Stop ends sampling at the next tick.
 func (m *QueueMonitor) Stop() { m.until = -1 }
 
-// EnableSketch switches the monitor to sketch mode with the given
-// relative accuracy (alpha <= 0 means DefaultRelativeAccuracy): no
-// sample or series rows are retained, every per-port observation
-// streams into mergeable sketches instead. Call it right after
-// NewQueueMonitor, before the first tick.
-func (m *QueueMonitor) EnableSketch(alpha float64) {
-	m.sketch = NewSketch(alpha)
-	m.window = NewSketch(alpha)
-}
+// EnableSketch switches the monitor to sketch mode: no sample or
+// series rows are retained, every per-port observation streams into
+// mergeable sketches instead. Call it right after NewQueueMonitor,
+// before the first tick.
+func (m *QueueMonitor) EnableSketch() { m.sketch = NewSketch(0) }
 
 // Streaming reports whether the monitor sketches instead of retaining
 // samples.
@@ -94,8 +93,8 @@ func (m *QueueMonitor) tick() {
 	if now > m.until {
 		return
 	}
-	if m.FlushEvery > 0 && m.window == nil {
-		m.window = NewSketch(0) // exact-retention monitor with a flush consumer
+	if m.OnFlush != nil && m.window == nil {
+		m.window = NewSketch(0)
 	}
 	total := 0.0
 	for _, p := range m.ports {
@@ -106,24 +105,22 @@ func (m *QueueMonitor) tick() {
 		} else {
 			m.Samples = append(m.Samples, q)
 		}
-		if m.FlushEvery > 0 {
+		if m.OnFlush != nil {
 			m.window.Add(q)
 		}
 	}
 	if m.sketch == nil {
 		m.Series = append(m.Series, TimePoint{now, total})
 	}
-	if m.FlushEvery > 0 {
+	if m.OnFlush != nil {
 		m.winTicks++
-		if m.winTicks >= m.FlushEvery {
+		if m.winTicks >= FlushEvery {
 			f := QueueFlush{Start: m.winStart, At: now, Ticks: m.winTicks,
 				Window: m.window.Summary(), Run: m.Summary()}
 			m.winStart = now
 			m.winTicks = 0
 			m.window.Reset()
-			if m.OnFlush != nil {
-				m.OnFlush(f)
-			}
+			m.OnFlush(f)
 		}
 	}
 	if m.OnSample != nil {
@@ -159,7 +156,7 @@ func (m *QueueMonitor) DepthQuantile(p float64) float64 {
 func (m *QueueMonitor) RetainedBytes() int64 {
 	if m.sketch != nil {
 		total := m.sketch.RetainedBytes()
-		if m.window.Count() > 0 {
+		if m.window != nil && m.window.Count() > 0 {
 			total += m.window.RetainedBytes()
 		}
 		return total

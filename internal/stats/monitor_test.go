@@ -23,8 +23,7 @@ func TestQueueMonitorSketchFlushCadence(t *testing.T) {
 	const interval = 10 * sim.Microsecond
 	eng := sim.NewEngine()
 	m := NewQueueMonitor(eng, nil, 0, interval, 10*sim.Millisecond)
-	m.EnableSketch(0)
-	m.FlushEvery = 100
+	m.EnableSketch()
 	var flushes []QueueFlush
 	m.OnFlush = func(f QueueFlush) { flushes = append(flushes, f) }
 	streamed := 0

@@ -20,6 +20,8 @@ type Spec interface {
 	// BaseRTT returns the network-wide base-RTT constant T (§5.1:
 	// "slightly greater than the maximum RTT").
 	BaseRTT() sim.Time
+	// NumHosts returns how many hosts Build creates.
+	NumHosts() int
 }
 
 const rttMargin = 500 * sim.Nanosecond
@@ -59,6 +61,8 @@ func (s StarSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchCon
 func (s StarSpec) Rate() sim.Rate { return s.normalize().HostRate }
 
 func (s StarSpec) BaseRTT() sim.Time { return 4*s.normalize().Delay + rttMargin }
+
+func (s StarSpec) NumHosts() int { return s.normalize().N }
 
 // DumbbellSpec wires Pairs sender hosts and Pairs receiver hosts across
 // two switches joined by one CoreRate bottleneck link.
@@ -106,6 +110,8 @@ func (s DumbbellSpec) Rate() sim.Rate { return s.normalize().HostRate }
 
 // BaseRTT: host–switch–switch–host is three one-way link delays.
 func (s DumbbellSpec) BaseRTT() sim.Time { return 6*s.normalize().Delay + rttMargin }
+
+func (s DumbbellSpec) NumHosts() int { return 2 * s.normalize().Pairs }
 
 // ParkingLotSpec is the §3.2/Appendix-A multi-bottleneck chain:
 // Segments+1 switches in a line whose inter-switch links run at the
@@ -170,6 +176,8 @@ func (s ParkingLotSpec) BaseRTT() sim.Time {
 	s = s.normalize()
 	return 2*sim.Time(s.Segments+2)*s.Delay + rttMargin
 }
+
+func (s ParkingLotSpec) NumHosts() int { return 2 + 2*s.normalize().Segments }
 
 // PodSpec describes the paper's 32-server testbed PoD (§5.1): four ToRs
 // under one Agg, with each server dual-homed to a ToR pair.
@@ -236,6 +244,11 @@ func (s PodSpec) Rate() sim.Rate {
 // BaseRTT is the testbed's 9 µs constant (§5.1).
 func (s PodSpec) BaseRTT() sim.Time { return 9 * sim.Microsecond }
 
+func (s PodSpec) NumHosts() int {
+	s.normalize()
+	return s.Servers
+}
+
 // FatTreeSpec describes the simulation topology of §5.1: a three-tier
 // Clos with 16 Core and 20 Agg switches over 20 ToRs of 16 servers each
 // (320 hosts), 100 Gbps at the host and 400 Gbps between switches, 1 µs
@@ -272,7 +285,10 @@ func (s *FatTreeSpec) normalize() {
 }
 
 // NumHosts returns the host count of the spec.
-func (s FatTreeSpec) NumHosts() int { return s.ToRs * s.HostsPerToR }
+func (s FatTreeSpec) NumHosts() int {
+	s.normalize()
+	return s.ToRs * s.HostsPerToR
+}
 
 // Build wires the Clos: every ToR links to every Agg, every Agg to
 // every Core, hosts under their ToR.
@@ -362,6 +378,8 @@ func (g *GraphSpec) AddSwitch() GraphNode {
 func (g *GraphSpec) Link(a, b GraphNode, rate sim.Rate, delay sim.Time) {
 	g.Links = append(g.Links, GraphLink{A: a, B: b, Rate: rate, Delay: delay})
 }
+
+func (g GraphSpec) NumHosts() int { return g.Hosts }
 
 // Build replays the recorded graph through a Builder. Host indices in
 // the returned Network match AddHost order.

@@ -13,12 +13,7 @@ import (
 // SchemeNames lists the congestion-control schemes this library
 // implements, in the paper's Figure-11 order plus the HPCC ablation
 // variants.
-func SchemeNames() []string {
-	return []string{
-		"hpcc", "dcqcn", "timely", "dcqcn+win", "timely+win", "dctcp",
-		"hpcc-rxrate", "hpcc-perack", "hpcc-perrtt",
-	}
-}
+func SchemeNames() []string { return experiment.SchemeNames() }
 
 // Network is a running simulated fabric accepting explicit flows — the
 // micro-benchmark surface of the library. Experiment.Start builds one.

@@ -120,8 +120,8 @@ func (o PFCObserver) attach(sc *experiment.LoadScenario) {
 // as streamed by a StatsObserver: queue-depth percentiles over the
 // window alone, plus cumulative flow statistics since the run began.
 // Percentile fields come from streaming sketches (within 1% relative
-// accuracy by default), so a flush costs O(sketch buckets) however
-// many flows or samples the run has absorbed.
+// accuracy), so a flush costs O(sketch buckets) however many flows or
+// samples the run has absorbed.
 type StatsFlush struct {
 	// Start/End bound the window in virtual time.
 	Start, End time.Duration
@@ -137,36 +137,29 @@ type StatsFlush struct {
 }
 
 // StatsObserver streams interval statistics flushes from a live run —
-// the progress feed for dashboards and long campaigns: every Every
-// queue-sampling ticks it emits one StatsFlush combining the closed
-// queue window with cumulative flow statistics. The observer keeps its
-// own slowdown sketch fed from the flow stream, so it works (and costs
-// O(sketch buckets)) in both exact and sketch-stats runs.
+// the progress feed for dashboards and long campaigns: every 100
+// queue-sampling ticks (1 ms at the 10 µs sampling period) it emits
+// one StatsFlush combining the closed queue window with cumulative
+// flow statistics. The observer keeps its own slowdown sketch fed from
+// the flow stream, so it works (and costs O(sketch buckets)) in both
+// exact and sketch-stats runs.
 //
 // Like every observer, attaching one keeps the run on a single engine.
 type StatsObserver struct {
-	// Every is the window length in queue sampling ticks (default 100:
-	// 1 ms at the default 10 µs sampling period).
-	Every   int
 	OnFlush func(StatsFlush)
-	// Accuracy is the observer's sketch relative accuracy (default 1%).
-	Accuracy float64
 }
 
 func (o StatsObserver) attach(sc *experiment.LoadScenario) {
 	if o.OnFlush == nil {
 		return
 	}
-	slowdown := stats.NewSketch(o.Accuracy)
+	slowdown := stats.NewSketch(0)
 	prevFlow := sc.Obs.OnFlow
 	sc.Obs.OnFlow = func(ev experiment.FlowEvent) {
 		if prevFlow != nil {
 			prevFlow(ev)
 		}
 		slowdown.Add(ev.Rec.Slowdown())
-	}
-	if o.Every > 0 {
-		sc.FlushEvery = o.Every
 	}
 	fn, prevFlush := o.OnFlush, sc.Obs.OnQueueFlush
 	sc.Obs.OnQueueFlush = func(f stats.QueueFlush) {

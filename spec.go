@@ -2,6 +2,7 @@ package hpcc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hpcc/internal/packet"
@@ -34,6 +35,19 @@ func delayOr(d, def time.Duration) sim.Time {
 	return toSim(d)
 }
 
+// checkLinks rejects a negative link rate, which builds a fabric that
+// carries nothing, and a negative link delay, which schedules
+// deliveries in the past.
+func checkLinks(kind string, delay time.Duration, rates ...int) error {
+	if slices.Min(rates) < 0 {
+		return fmt.Errorf("hpcc: %s link rates %v Gbps include a negative one", kind, rates)
+	}
+	if delay < 0 {
+		return fmt.Errorf("hpcc: %s link delay %v is negative", kind, delay)
+	}
+	return nil
+}
+
 // Star is the §5.4 micro-benchmark fixture: Hosts servers around one
 // switch. Defaults: 17 hosts, 100 Gbps, 1 µs links.
 type Star struct {
@@ -45,6 +59,9 @@ type Star struct {
 func (s Star) topoSpec() (topology.Spec, error) {
 	if s.Hosts < 0 || s.Hosts == 1 {
 		return nil, fmt.Errorf("hpcc: Star needs at least 2 hosts, got %d", s.Hosts)
+	}
+	if err := checkLinks("Star", s.LinkDelay, s.LinkRateGbps); err != nil {
+		return nil, err
 	}
 	return topology.StarSpec{
 		N:        s.Hosts,
@@ -66,6 +83,9 @@ type Dumbbell struct {
 func (s Dumbbell) topoSpec() (topology.Spec, error) {
 	if s.Pairs < 0 {
 		return nil, fmt.Errorf("hpcc: Dumbbell needs a nonnegative pair count, got %d", s.Pairs)
+	}
+	if err := checkLinks("Dumbbell", s.LinkDelay, s.HostRateGbps, s.CoreRateGbps); err != nil {
+		return nil, err
 	}
 	hostRate := gbps(s.HostRateGbps, 100)
 	coreRate := hostRate
@@ -102,6 +122,9 @@ func (s ParkingLot) topoSpec() (topology.Spec, error) {
 	if s.Segments >= packet.MaxHops {
 		return nil, fmt.Errorf("hpcc: ParkingLot with %d segments has %d switches in line; INT records at most %d hops", s.Segments, s.Segments+1, packet.MaxHops)
 	}
+	if err := checkLinks("ParkingLot", s.LinkDelay, s.LinkRateGbps); err != nil {
+		return nil, err
+	}
 	rate := gbps(s.LinkRateGbps, 100)
 	return topology.ParkingLotSpec{
 		Segments: s.Segments,
@@ -125,6 +148,9 @@ func (s Pod) topoSpec() (topology.Spec, error) {
 	if s.Servers%2 != 0 || s.Servers < 0 {
 		return nil, fmt.Errorf("hpcc: Pod needs an even server count, got %d", s.Servers)
 	}
+	if err := checkLinks("Pod", s.LinkDelay, s.HostRateGbps, s.FabricRateGbps); err != nil {
+		return nil, err
+	}
 	spec := topology.PodSpec{Servers: s.Servers}
 	if s.HostRateGbps != 0 {
 		spec.HostRate = gbps(s.HostRateGbps, 0)
@@ -138,9 +164,10 @@ func (s Pod) topoSpec() (topology.Spec, error) {
 	return spec, nil
 }
 
-// FatTree is the §5.1 three-tier Clos. The zero value is the CI-scaled
-// fabric (same shape, fewer elements); PaperFatTree returns the full
-// 320-host spec.
+// FatTree is the §5.1 three-tier Clos. With all four counts zero it is
+// the CI-scaled fabric (same shape, fewer elements); otherwise every
+// count must be at least 1. PaperFatTree returns the full 320-host
+// spec.
 type FatTree struct {
 	Cores, Aggs, ToRs, HostsPerToR int
 	HostRateGbps                   int // default 100
@@ -161,23 +188,22 @@ func ScaledFatTree() FatTree {
 }
 
 func (s FatTree) topoSpec() (topology.Spec, error) {
-	if s.Cores == 0 {
-		s = ScaledFatTree().withRates(s)
+	shape := FatTree{Cores: s.Cores, Aggs: s.Aggs, ToRs: s.ToRs, HostsPerToR: s.HostsPerToR}
+	if shape == (FatTree{}) {
+		shape = ScaledFatTree()
+	}
+	if min(shape.Cores, shape.Aggs, shape.ToRs, shape.HostsPerToR) < 1 {
+		return nil, fmt.Errorf("hpcc: FatTree counts (%d cores, %d aggs, %d ToRs, %d hosts per ToR) must all be at least 1, or all 0 for the scaled preset", s.Cores, s.Aggs, s.ToRs, s.HostsPerToR)
+	}
+	if err := checkLinks("FatTree", s.LinkDelay, s.HostRateGbps, s.FabricRateGbps); err != nil {
+		return nil, err
 	}
 	return topology.FatTreeSpec{
-		Cores: s.Cores, Aggs: s.Aggs, ToRs: s.ToRs, HostsPerToR: s.HostsPerToR,
+		Cores: shape.Cores, Aggs: shape.Aggs, ToRs: shape.ToRs, HostsPerToR: shape.HostsPerToR,
 		HostRate:   gbps(s.HostRateGbps, 100),
 		FabricRate: gbps(s.FabricRateGbps, 400),
 		LinkDelay:  delayOr(s.LinkDelay, time.Microsecond),
 	}, nil
-}
-
-// withRates copies the rate/delay overrides of o onto the preset shape.
-func (s FatTree) withRates(o FatTree) FatTree {
-	s.HostRateGbps = o.HostRateGbps
-	s.FabricRateGbps = o.FabricRateGbps
-	s.LinkDelay = o.LinkDelay
-	return s
 }
 
 // Node references a host or switch added to a Custom topology.

@@ -503,6 +503,38 @@ func TestTrafficRejectsNonFiniteRates(t *testing.T) {
 	}
 }
 
+// A hostile topology spec or Schedule endpoint is an error from Run
+// and Start, never a panic, a run that starts no flows or one that
+// drops packets on missing routes.
+func TestHostileInputsRejected(t *testing.T) {
+	poisson := []hpcc.Traffic{hpcc.Poisson{Load: 0.3, MaxFlows: 20}}
+	schedule := func(src, dst int) []hpcc.Traffic {
+		return []hpcc.Traffic{hpcc.Schedule{{Src: src, Dst: dst, SizeBytes: 1000}}}
+	}
+	for name, e := range map[string]hpcc.Experiment{
+		"FatTree negative Aggs":    {Topology: hpcc.FatTree{Cores: 2, Aggs: -1, ToRs: 2, HostsPerToR: 2}, Traffic: poisson},
+		"FatTree only Cores":       {Topology: hpcc.FatTree{Cores: 2}, Traffic: poisson},
+		"FatTree no Aggs":          {Topology: hpcc.FatTree{Cores: 2, ToRs: 2, HostsPerToR: 2}, Traffic: poisson},
+		"FatTree only Aggs":        {Topology: hpcc.FatTree{Aggs: 5}, Traffic: poisson},
+		"FatTree negative rate":    {Topology: hpcc.FatTree{FabricRateGbps: -400}, Traffic: poisson},
+		"Star negative delay":      {Topology: hpcc.Star{LinkDelay: -time.Microsecond}, Traffic: poisson},
+		"Star negative rate":       {Topology: hpcc.Star{LinkRateGbps: -5}, Traffic: poisson},
+		"Dumbbell negative rate":   {Topology: hpcc.Dumbbell{Pairs: 2, CoreRateGbps: -1}, Traffic: poisson},
+		"ParkingLot negative rate": {Topology: hpcc.ParkingLot{LinkRateGbps: -1}, Traffic: poisson},
+		"Pod negative delay":       {Topology: hpcc.Pod{LinkDelay: -time.Microsecond}, Traffic: poisson},
+		"Schedule Dst past hosts":  {Topology: hpcc.Star{Hosts: 4}, Traffic: schedule(0, 9)},
+		"Schedule negative Src":    {Topology: hpcc.Star{Hosts: 4}, Traffic: schedule(-1, 1)},
+	} {
+		if _, err := e.Start(); err == nil {
+			t.Errorf("%s: Start accepted it", name)
+			continue // running it would panic or return nonsense
+		}
+		if _, err := e.Run(); err == nil {
+			t.Errorf("%s: Run accepted it", name)
+		}
+	}
+}
+
 // Experiment validation surfaces bad specs as errors, not panics.
 func TestExperimentValidation(t *testing.T) {
 	bad := []hpcc.Experiment{
@@ -514,13 +546,10 @@ func TestExperimentValidation(t *testing.T) {
 		{Traffic: []hpcc.Traffic{hpcc.RPC{}}},
 		{Traffic: []hpcc.Traffic{nil}},
 		// Degenerate run parameters: nothing to simulate, a horizon
-		// plus drain before the horizon, a flow cap below zero, a sketch
-		// whose bucket ratio is not finite and positive.
+		// plus drain before the horizon, a flow cap below zero.
 		{Horizon: -time.Millisecond},
 		{Drain: -5 * time.Millisecond},
 		{MaxFlows: -5},
-		{SketchStats: true, StatsAccuracy: 2},
-		{SketchStats: true, StatsAccuracy: math.NaN()},
 	}
 	for i, e := range bad {
 		if _, err := e.Run(); err == nil {

@@ -19,7 +19,9 @@ import (
 // The interface is sealed; custom arrival patterns are expressed with
 // Schedule or ArrivalFunc.
 type Traffic interface {
-	generator() (workload.Generator, error)
+	// generator lowers the spec for a fabric of the given host count,
+	// rejecting one that does not fit it.
+	generator(hosts int) (workload.Generator, error)
 }
 
 // CDF is a flow-size distribution for Poisson and RPC traffic. The
@@ -108,7 +110,7 @@ type Poisson struct {
 	MaxFlows int
 }
 
-func (t Poisson) generator() (workload.Generator, error) {
+func (t Poisson) generator(int) (workload.Generator, error) {
 	if !(t.Load >= 0) || math.IsInf(t.Load, 1) {
 		return nil, fmt.Errorf("hpcc: Poisson load %v must be finite and nonnegative", t.Load)
 	}
@@ -125,7 +127,7 @@ type Incast struct {
 	LoadFraction  float64 // finite and > 0
 }
 
-func (t Incast) generator() (workload.Generator, error) {
+func (t Incast) generator(int) (workload.Generator, error) {
 	if t.FanIn < 2 {
 		return nil, fmt.Errorf("hpcc: Incast fan-in %d must be at least 2", t.FanIn)
 	}
@@ -144,7 +146,7 @@ type AllToAll struct {
 	Rounds        int // default 1
 }
 
-func (t AllToAll) generator() (workload.Generator, error) {
+func (t AllToAll) generator(int) (workload.Generator, error) {
 	if t.FlowSizeBytes <= 0 {
 		return nil, fmt.Errorf("hpcc: AllToAll needs a positive FlowSizeBytes")
 	}
@@ -170,7 +172,7 @@ type RPC struct {
 	MaxRequests int
 }
 
-func (t RPC) generator() (workload.Generator, error) {
+func (t RPC) generator(int) (workload.Generator, error) {
 	if t.ResponseCDF == nil && t.ResponseBytes <= 0 {
 		return nil, fmt.Errorf("hpcc: RPC needs ResponseBytes or ResponseCDF")
 	}
@@ -195,11 +197,14 @@ type FlowSpec struct {
 // traffic source.
 type Schedule []FlowSpec
 
-func (t Schedule) generator() (workload.Generator, error) {
+func (t Schedule) generator(hosts int) (workload.Generator, error) {
 	fl := make(workload.FlowList, len(t))
 	for i, f := range t {
 		if f.SizeBytes <= 0 {
 			return nil, fmt.Errorf("hpcc: Schedule[%d] needs a positive size", i)
+		}
+		if f.Src < 0 || f.Src >= hosts || f.Dst < 0 || f.Dst >= hosts {
+			return nil, fmt.Errorf("hpcc: Schedule[%d] runs %d -> %d on a fabric of %d hosts", i, f.Src, f.Dst, hosts)
 		}
 		fl[i] = workload.FlowSpec{At: toSim(f.At), Src: f.Src, Dst: f.Dst, Size: f.SizeBytes}
 	}
@@ -212,7 +217,7 @@ func (t Schedule) generator() (workload.Generator, error) {
 // arrival ahead, so unbounded streams are cheap.
 type ArrivalFunc func(i int) (FlowSpec, bool)
 
-func (t ArrivalFunc) generator() (workload.Generator, error) {
+func (t ArrivalFunc) generator(int) (workload.Generator, error) {
 	return workload.ArrivalFunc(func(i int) (workload.FlowSpec, bool) {
 		f, ok := t(i)
 		return workload.FlowSpec{At: toSim(f.At), Src: f.Src, Dst: f.Dst, Size: f.SizeBytes}, ok
