@@ -47,12 +47,12 @@ func main() {
 		var peak int64
 		drainedAt := time.Duration(0)
 		for _, p := range *trace {
-			if p.Bytes > peak {
-				peak = p.Bytes
+			if p.TotalBytes > peak {
+				peak = p.TotalBytes
 			}
 		}
 		for _, p := range *trace {
-			if p.Bytes > peak/10 {
+			if p.TotalBytes > peak/10 {
 				drainedAt = p.At
 			}
 		}

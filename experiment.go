@@ -71,8 +71,9 @@ type Experiment struct {
 	Seed int64
 }
 
-// scenario lowers the Experiment onto the internal runner. It resolves
-// every spec and attaches the observers.
+// scenario lowers the Experiment onto the internal runner and attaches
+// the observers. The specs' own rules are LoadScenario.Validate's,
+// which RunLoad and Start apply.
 func (e Experiment) scenario() (experiment.LoadScenario, error) {
 	if e.Scheme == "" {
 		e.Scheme = "hpcc"
@@ -84,25 +85,19 @@ func (e Experiment) scenario() (experiment.LoadScenario, error) {
 	if e.Topology == nil {
 		e.Topology = Pod{}
 	}
-	spec, err := e.Topology.topoSpec()
-	if err != nil {
-		return experiment.LoadScenario{}, err
-	}
 	gens := make([]workload.Generator, len(e.Traffic))
 	for i, t := range e.Traffic {
 		if t == nil {
 			return experiment.LoadScenario{}, fmt.Errorf("hpcc: Traffic[%d] is nil", i)
 		}
-		if gens[i], err = t.generator(spec.NumHosts()); err != nil {
-			return experiment.LoadScenario{}, err
-		}
+		gens[i] = t.generator()
 	}
 	if e.Seed == 0 {
 		e.Seed = 1
 	}
 	sc := experiment.LoadScenario{
 		Scheme:          scheme,
-		Topo:            spec,
+		Topo:            e.Topology.topoSpec(),
 		Traffic:         gens,
 		MaxFlows:        e.MaxFlows,
 		Until:           toSim(e.Horizon),
@@ -112,9 +107,6 @@ func (e Experiment) scenario() (experiment.LoadScenario, error) {
 		CompletedWindow: e.CompletedFlowWindow,
 		SketchStats:     e.SketchStats,
 		FCTBucketEdges:  e.edges(),
-	}
-	if err := sc.Validate(); err != nil {
-		return experiment.LoadScenario{}, err
 	}
 	for _, o := range e.Observers {
 		if o != nil {
@@ -169,6 +161,9 @@ func (e Experiment) Run() (*SimResult, error) {
 func (e Experiment) Start() (*Network, error) {
 	sc, err := e.scenario()
 	if err != nil {
+		return nil, err
+	}
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine()

@@ -62,20 +62,11 @@ type SenderConfig struct {
 
 // Sender is a standalone HPCC flow state machine (Algorithm 1). Feed it
 // one Ack per acknowledgment; read WindowBytes and RateBps to drive
-// transmission. Timers the algorithm schedules internally are queued
-// and fired by Advance — call it as your clock progresses.
+// transmission. HPCC is ACK-clocked and sets no timers, so OnAck alone
+// drives it.
 type Sender struct {
 	inner *hpcccc.HPCC
 	now   func() time.Duration
-	// timers holds CC-internal callbacks ordered by due time (FIFO
-	// among equal times). The queue is tiny (HPCC schedules at most a
-	// handful of timers), so a sorted slice beats a heap.
-	timers []senderTimer
-}
-
-type senderTimer struct {
-	at time.Duration
-	fn func()
 }
 
 // Ack carries one acknowledgment's feedback into the Sender.
@@ -105,48 +96,16 @@ func NewSender(cfg SenderConfig, now func() time.Duration) *Sender {
 		MaxStage: cfg.MaxStage,
 		WAI:      cfg.WAIBytes,
 	})().(*hpcccc.HPCC)
-	s := &Sender{inner: inner, now: now}
+	// Schedule stays nil: a scheme that set a timer here would fail at
+	// once instead of silently never firing it.
 	inner.Init(cc.Env{
 		Now:      func() sim.Time { return sim.Time(now().Nanoseconds()) * sim.Nanosecond },
-		Schedule: s.schedule,
 		LineRate: sim.Rate(cfg.LineRateBps),
 		BaseRTT:  sim.Time(cfg.BaseRTT.Nanoseconds()) * sim.Nanosecond,
 		MTU:      cfg.MTU,
 	})
-	return s
+	return &Sender{inner: inner, now: now}
 }
-
-// schedule queues a CC-internal timer d after the current clock,
-// keeping the queue sorted by due time (FIFO among equal times).
-func (s *Sender) schedule(d sim.Time, fn func()) {
-	at := s.now() + fromSim(d)
-	t := senderTimer{at: at, fn: fn}
-	i := len(s.timers)
-	for i > 0 && (s.timers[i-1].at > at) {
-		i--
-	}
-	s.timers = append(s.timers, senderTimer{})
-	copy(s.timers[i+1:], s.timers[i:])
-	s.timers[i] = t
-}
-
-// Advance fires every queued CC-internal timer due at or before now,
-// in due-time order. Call it as your clock progresses (for example
-// once per received ACK batch, after moving the clock). Timers a
-// callback schedules are processed in the same call if already due.
-// Without Advance, schemes that rely on internal clocks would silently
-// stall; HPCC itself is ACK-clocked, so OnAck alone drives it, but
-// Advance keeps the standalone surface faithful to the embedded one.
-func (s *Sender) Advance(now time.Duration) {
-	for len(s.timers) > 0 && s.timers[0].at <= now {
-		t := s.timers[0]
-		s.timers = s.timers[1:]
-		t.fn()
-	}
-}
-
-// PendingTimers reports how many CC-internal timers are queued.
-func (s *Sender) PendingTimers() int { return len(s.timers) }
 
 // OnAck processes one acknowledgment.
 func (s *Sender) OnAck(a Ack) {

@@ -98,8 +98,8 @@ func TestNetworkIncastTrace(t *testing.T) {
 	}
 	peak := int64(0)
 	for _, p := range *trace {
-		if p.Bytes > peak {
-			peak = p.Bytes
+		if p.TotalBytes > peak {
+			peak = p.TotalBytes
 		}
 	}
 	if peak == 0 {

@@ -77,7 +77,7 @@ func etaMaxStageTable(g *Grid[*StarRun]) *Table {
 func AblationINTQuantization(sc Scale) *Grid[*LoadResult] {
 	sc.normalize(300)
 	return runGrid([]string{"full-precision", "figure-7-wire"}, []string{"HPCC"}, func(r, _ int) LoadScenario {
-		s := sc.load(ByNameMust("hpcc"), PodTopo(topology.PodSpec{}),
+		s := sc.load(ByNameMust("hpcc"), topology.PodSpec{},
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3})
 		s.INTQuantize = r == 1
 		return s

@@ -34,7 +34,6 @@ func init() {
 // incast victims stress PFC.
 func HadoopIncastMix(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(400)
-	spec = fatTreeOrScaled(spec)
 	// The paper's simulation uses 60-to-1; keep the fan-in meaningful
 	// on scaled-down fabrics.
 	n := fanIn(spec, 2)
@@ -77,7 +76,6 @@ func hadoopIncastTables(g *Grid[*LoadResult]) []*Table {
 // request-to-last-byte.
 func RPCFatTree(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(400)
-	spec = fatTreeOrScaled(spec)
 	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
 	return runGrid([]string{"WebSearch responses at 30%"}, schemeLabels(schemes), func(_, c int) LoadScenario {
 		return sc.fatTree(schemes[c], spec, workload.RPCSpec{CDF: workload.WebSearch(), Load: 0.3})

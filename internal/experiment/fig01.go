@@ -46,7 +46,7 @@ func Fig01(dur sim.Time, seed int64) *Fig01Result {
 	eng := sim.NewEngine()
 	nw := StartManual(eng, LoadScenario{
 		Scheme: DCQCN(dcqcn.Config{RateIncTimer: 55 * sim.Microsecond, MinDecGap: 50 * sim.Microsecond}),
-		Topo:   PodTopo(topology.PodSpec{}),
+		Topo:   topology.PodSpec{},
 		Traffic: []workload.Generator{
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3, MaxFlows: 100_000},
 			workload.IncastSpec{FanIn: 16, Size: 500_000, LoadFrac: 0.10},

@@ -48,7 +48,7 @@ func Fig02(sc Scale) *Grid[*LoadResult] {
 		labels[i] = fmt.Sprintf("Ti=%d,Td=%d", int64(c.RateIncTimer/sim.Microsecond), int64(c.MinDecGap/sim.Microsecond))
 	}
 	return runGrid([]string{"plain", "incast"}, labels, func(r, c int) LoadScenario {
-		s := sc.load(DCQCN(timers[c]), PodTopo(topology.PodSpec{}),
+		s := sc.load(DCQCN(timers[c]), topology.PodSpec{},
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3})
 		if r == 1 {
 			s.Traffic = append(s.Traffic, workload.IncastSpec{FanIn: 16, Size: 500_000, LoadFrac: 0.02})
@@ -95,7 +95,7 @@ func Fig03(sc Scale) *Grid[*LoadResult] {
 		labels[i] = fmt.Sprintf("Kmin=%dK,Kmax=%dK", th[0]>>10, th[1]>>10)
 	}
 	return runGrid(loadLabels("%.0f%%", loads...), labels, func(r, c int) LoadScenario {
-		return sc.load(DCQCNWithECN(dcqcn.Config{}, ths[c][0], ths[c][1]), PodTopo(topology.PodSpec{}),
+		return sc.load(DCQCNWithECN(dcqcn.Config{}, ths[c][0], ths[c][1]), topology.PodSpec{},
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: loads[r]})
 	}, mustRunLoad)
 }

@@ -22,7 +22,7 @@ func Fig10(sc Scale) *Grid[*LoadResult] {
 	loads := []float64{0.3, 0.5}
 	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
 	return runGrid(loadLabels("%.1f%%", loads...), schemeLabels(schemes), func(r, c int) LoadScenario {
-		return sc.load(schemes[c], PodTopo(topology.PodSpec{}),
+		return sc.load(schemes[c], topology.PodSpec{},
 			workload.PoissonSpec{CDF: workload.WebSearch(), Load: loads[r]})
 	}, mustRunLoad)
 }

@@ -12,7 +12,7 @@ func init() {
 		Order: 70,
 		Title: "six-scheme comparison at scale (FB_Hadoop, FatTree)",
 		Run: func(p Params) []*Table {
-			return fig11Tables(Fig11(p.Fat, p.scale()), fanIn(fatTreeOrScaled(p.Fat), 4))
+			return fig11Tables(Fig11(p.Fat, p.scale()), fanIn(p.Fat, 4))
 		},
 	})
 }
@@ -24,7 +24,6 @@ func init() {
 // topology.PaperFatTree() with fan-in 60.
 func Fig11(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(600)
-	spec = fatTreeOrScaled(spec)
 	incast := workload.IncastSpec{FanIn: fanIn(spec, 4), Size: 500_000, LoadFrac: 0.02}
 	schemes := Fig11Schemes()
 	loads := []float64{0.3, 0.5}

@@ -23,7 +23,6 @@ func init() {
 // with DCQCN it does — CC is the key problem.
 func Fig12(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(600)
-	spec = fatTreeOrScaled(spec)
 	traffic := []workload.Generator{
 		workload.PoissonSpec{CDF: workload.FBHadoop(), Load: 0.3},
 		workload.IncastSpec{FanIn: fanIn(spec, 4), Size: 500_000, LoadFrac: 0.02},

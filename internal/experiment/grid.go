@@ -58,15 +58,6 @@ func (s Scale) fatTree(scheme Scheme, spec topology.FatTreeSpec, traffic ...work
 	return ls
 }
 
-// fatTreeOrScaled is the FatTree a large-scale figure runs on: spec, or
-// the CI-sized one when spec is the zero value.
-func fatTreeOrScaled(spec topology.FatTreeSpec) topology.FatTreeSpec {
-	if spec.Cores == 0 {
-		return topology.ScaledFatTree()
-	}
-	return spec
-}
-
 // fanIn is the paper's 60-to-1 incast, cut to n/div senders on a fabric
 // of n hosts too small to keep it meaningful.
 func fanIn(spec topology.FatTreeSpec, div int) int {

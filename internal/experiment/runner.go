@@ -18,12 +18,7 @@ import (
 type Topo = topology.Spec
 
 // StarTopo is the §5.4 fixture: n hosts at 100 Gbps, 1 µs links.
-func StarTopo(n int) Topo {
-	return topology.StarSpec{N: n, HostRate: 100 * sim.Gbps, Delay: sim.Microsecond}
-}
-
-// PodTopo is the §5.2 testbed PoD.
-func PodTopo(spec topology.PodSpec) Topo { return spec }
+func StarTopo(n int) Topo { return topology.StarSpec{N: n} }
 
 // FatTreeTopo is the §5.3 simulation fabric.
 func FatTreeTopo(spec topology.FatTreeSpec) Topo { return spec }
@@ -32,7 +27,7 @@ func FatTreeTopo(spec topology.FatTreeSpec) Topo { return spec }
 // segments+1 switches in a line whose inter-switch links run at the
 // host rate, so every segment a flow crosses is a potential bottleneck.
 func ParkingLotTopo(segments int, rate sim.Rate) Topo {
-	return topology.ParkingLotSpec{Segments: segments, HostRate: rate, Delay: sim.Microsecond}
+	return topology.ParkingLotSpec{Segments: segments, HostRate: rate}
 }
 
 // FlowEvent is one completed transfer, as streamed to Obs.OnFlow: the
@@ -118,10 +113,12 @@ type LoadScenario struct {
 	Obs Obs
 }
 
-// Validate rejects parameters that have no meaning rather than letting
-// the run return nonsense: a negative arrival window, drain or flow cap
-// (zero means the default). RunLoad and the public hpcc.Experiment both
-// call it.
+// Validate rejects a scenario that has no meaning rather than letting
+// the run panic, hang or return nonsense: a negative arrival window,
+// drain or flow cap (zero means the default), a missing topology, then
+// whatever the topology spec and each traffic generator reject on that
+// fabric. RunLoad and the public hpcc.Experiment both call it;
+// StartManual does not.
 func (s *LoadScenario) Validate() error {
 	switch {
 	case s.Until < 0:
@@ -130,6 +127,20 @@ func (s *LoadScenario) Validate() error {
 		return fmt.Errorf("experiment: negative drain %v", s.Drain)
 	case s.MaxFlows < 0:
 		return fmt.Errorf("experiment: negative flow cap %d", s.MaxFlows)
+	case s.Topo == nil:
+		return fmt.Errorf("experiment: no topology")
+	}
+	if err := s.Topo.Validate(); err != nil {
+		return err
+	}
+	hosts := s.Topo.NumHosts()
+	for i, g := range s.Traffic {
+		if g == nil {
+			return fmt.Errorf("experiment: Traffic[%d] is nil", i)
+		}
+		if err := g.Validate(hosts); err != nil {
+			return err
+		}
 	}
 	return nil
 }

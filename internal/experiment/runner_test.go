@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"hpcc/internal/sim"
+	"hpcc/internal/topology"
+	"hpcc/internal/workload"
 )
 
 // runLoadT is RunLoad with test-fatal error handling.
@@ -23,6 +27,69 @@ func TestRunLoadValidates(t *testing.T) {
 	s.Drain = -sim.Millisecond
 	if _, err := RunLoad(s); err == nil {
 		t.Fatal("RunLoad accepted a negative drain")
+	}
+}
+
+// Every spec the topology and workload packages reject is an error from
+// RunLoad before anything runs: never a panic, a run that never ends, or
+// a nil error over a run that starts no flows, drops on missing routes
+// or outgrows its INT stack. Each case runs under a deadline so a
+// spec that hangs fails the test instead of the package.
+func TestRunLoadRejectsHostileSpecs(t *testing.T) {
+	poisson := workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3}
+	star4 := topology.StarSpec{N: 4}
+	for _, c := range []struct {
+		name    string
+		topo    Topo
+		traffic workload.Generator
+	}{
+		{"FatTree only Cores", topology.FatTreeSpec{Cores: 2}, poisson},
+		{"FatTree no Aggs", topology.FatTreeSpec{Cores: 2, ToRs: 2, HostsPerToR: 9}, poisson},
+		{"FatTree of 1 host", topology.FatTreeSpec{Cores: 1, Aggs: 1, ToRs: 1, HostsPerToR: 1}, poisson},
+		{"Star of 1", topology.StarSpec{N: 1}, poisson},
+		{"Star negative delay", topology.StarSpec{N: 4, Delay: -sim.Microsecond}, poisson},
+		{"ParkingLot past the INT stack", topology.ParkingLotSpec{Segments: 5}, poisson},
+		{"Incast without a load fraction", star4, workload.IncastSpec{FanIn: 2, Size: 1000}},
+		{"Incast fan-in 0", star4, workload.IncastSpec{FanIn: 0, Size: 1000, LoadFrac: 0.02}},
+		{"FlowList past the hosts", star4, workload.FlowList{{Src: 0, Dst: 9, Size: 1000}}},
+		{"RPC without a size", star4, workload.RPCSpec{Load: 0.1}},
+		{"Poisson over zero-byte flows", star4, workload.PoissonSpec{CDF: workload.MustCDF("zero", []workload.Point{{Bytes: 0, Prob: 0}, {Bytes: 0, Prob: 1}}), Load: 0.3}},
+		{"Poisson negative MaxFlows", star4, workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3, MaxFlows: -1}},
+		{"RPC negative MaxRequests", star4, workload.RPCSpec{Size: 1000, Load: 0.1, MaxRequests: -1}},
+		{"no topology", nil, poisson},
+		{"nil generator", star4, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := LoadScenario{
+				Scheme:  ByNameMust("hpcc"),
+				Topo:    c.topo,
+				Traffic: []workload.Generator{c.traffic},
+				Until:   500 * sim.Microsecond,
+				Drain:   sim.Millisecond,
+				PFC:     true,
+			}
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				if res, err := RunLoad(s); err != nil {
+					done <- nil
+				} else {
+					done <- fmt.Errorf("nil error; %d flows started, %d censored, %d drops", res.Started, res.Censored, res.Drops)
+				}
+			}()
+			select {
+			case bad := <-done:
+				if bad != nil {
+					t.Fatalf("RunLoad: %v, want an error", bad)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("RunLoad still running after 20 s, want an error")
+			}
+		})
 	}
 }
 

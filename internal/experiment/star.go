@@ -56,7 +56,7 @@ func incast16(scheme Scheme, dur, bin, queueFrom sim.Time, seed int64) starCell 
 // the scheme's INT/ECN needs. The flows are the cell's own; the
 // scenario carries no traffic.
 func (c starCell) start(eng *sim.Engine) *ManualNet {
-	topo := topology.StarSpec{N: c.Hosts, HostRate: c.Rate, Delay: sim.Microsecond}
+	topo := topology.StarSpec{N: c.Hosts, HostRate: c.Rate}
 	return StartManual(eng, LoadScenario{Scheme: c.Scheme, Topo: topo, PFC: true, Seed: c.Seed})
 }
 

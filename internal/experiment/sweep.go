@@ -32,7 +32,6 @@ func init() {
 // axis PCC-style evaluations argue for.
 func SweepFBHadoop(spec topology.FatTreeSpec, sc Scale) *Grid[*LoadResult] {
 	sc.normalize(400)
-	spec = fatTreeOrScaled(spec)
 	loads := []float64{0.3, 0.5, 0.7}
 	schemes := []Scheme{ByNameMust("hpcc"), ByNameMust("dcqcn")}
 	return runGrid(loadLabels("%.0f", loads...), schemeLabels(schemes), func(r, c int) LoadScenario {

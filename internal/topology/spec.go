@@ -1,16 +1,25 @@
 package topology
 
 import (
+	"fmt"
+	"strings"
+
 	"hpcc/internal/fabric"
 	"hpcc/internal/host"
+	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
 
 // Spec is a self-describing, buildable topology: every fabric the
 // experiments run on — paper presets and user-composed graphs alike —
 // is a value implementing this interface, so scenario code needs no
-// per-kind switch statements.
+// per-kind switch statements. Each spec resolves its own defaults: a
+// zero field means the default its doc names, in every method.
 type Spec interface {
+	// Validate rejects a spec that would build a fabric with no
+	// meaning — too few hosts, a negative rate or delay, a path longer
+	// than the INT stack. The other methods assume it passed.
+	Validate() error
 	// Build constructs the network on eng with shared host/switch
 	// configs.
 	Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network
@@ -26,8 +35,25 @@ type Spec interface {
 
 const rttMargin = 500 * sim.Nanosecond
 
+// nonNegative rejects a negative delay, which schedules deliveries in
+// the past, or a negative rate, which builds a fabric that carries
+// nothing. names lists the spec's delay field, then its rate fields.
+func nonNegative(spec, names string, delay sim.Time, rates ...sim.Rate) error {
+	field := strings.Fields(names)
+	if delay < 0 {
+		return fmt.Errorf("topology: %s.%s: %v is negative", spec, field[0], delay)
+	}
+	for i, r := range rates {
+		if r < 0 {
+			return fmt.Errorf("topology: %s.%s: %d bps is negative", spec, field[i+1], r)
+		}
+	}
+	return nil
+}
+
 // StarSpec is the §5.4 micro-benchmark fixture: N hosts around one
-// switch. Defaults: 17 hosts, 100 Gbps, 1 µs links.
+// switch. Defaults: 17 hosts, 100 Gbps, 1 µs links. N is at least 2,
+// and no preset takes a negative rate or delay.
 type StarSpec struct {
 	N        int
 	HostRate sim.Rate
@@ -45,6 +71,14 @@ func (s StarSpec) normalize() StarSpec {
 		s.Delay = sim.Microsecond
 	}
 	return s
+}
+
+func (s StarSpec) Validate() error {
+	s = s.normalize()
+	if s.N < 2 {
+		return fmt.Errorf("topology: StarSpec.N: %d hosts, want at least 2", s.N)
+	}
+	return nonNegative("StarSpec", "Delay HostRate", s.Delay, s.HostRate)
 }
 
 func (s StarSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
@@ -65,7 +99,8 @@ func (s StarSpec) BaseRTT() sim.Time { return 4*s.normalize().Delay + rttMargin 
 func (s StarSpec) NumHosts() int { return s.normalize().N }
 
 // DumbbellSpec wires Pairs sender hosts and Pairs receiver hosts across
-// two switches joined by one CoreRate bottleneck link.
+// two switches joined by one CoreRate bottleneck link. Defaults: 1
+// pair, 100 Gbps hosts, CoreRate = HostRate, 1 µs links. Pairs ≥ 0.
 type DumbbellSpec struct {
 	Pairs    int
 	HostRate sim.Rate
@@ -87,6 +122,14 @@ func (s DumbbellSpec) normalize() DumbbellSpec {
 		s.Delay = sim.Microsecond
 	}
 	return s
+}
+
+func (s DumbbellSpec) Validate() error {
+	s = s.normalize()
+	if s.Pairs < 0 {
+		return fmt.Errorf("topology: DumbbellSpec.Pairs: %d is negative", s.Pairs)
+	}
+	return nonNegative("DumbbellSpec", "Delay HostRate CoreRate", s.Delay, s.HostRate, s.CoreRate)
 }
 
 // Build adds the senders to the left switch and the receivers to the
@@ -122,6 +165,11 @@ func (s DumbbellSpec) NumHosts() int { return 2 * s.normalize().Pairs }
 // Host layout: host 0 = long sender, host 1 = long receiver, then for
 // segment i (0-based): host 2+2i = local sender (at switch i), host
 // 3+2i = local receiver (at switch i+1).
+//
+// Defaults: 2 segments, 100 Gbps hosts, CoreRate = HostRate, 1 µs
+// links. The long flow crosses Segments+1 switches, each of which
+// pushes an INT record onto a packet.MaxHops stack, so Segments is at
+// most packet.MaxHops−1.
 type ParkingLotSpec struct {
 	Segments int
 	HostRate sim.Rate
@@ -143,6 +191,18 @@ func (s ParkingLotSpec) normalize() ParkingLotSpec {
 		s.Delay = sim.Microsecond
 	}
 	return s
+}
+
+func (s ParkingLotSpec) Validate() error {
+	s = s.normalize()
+	if s.Segments < 0 {
+		return fmt.Errorf("topology: ParkingLotSpec.Segments: %d is negative", s.Segments)
+	}
+	if s.Segments >= packet.MaxHops {
+		return fmt.Errorf("topology: ParkingLotSpec.Segments: %d puts %d switches in line; INT records at most %d hops",
+			s.Segments, s.Segments+1, packet.MaxHops)
+	}
+	return nonNegative("ParkingLotSpec", "Delay HostRate CoreRate", s.Delay, s.HostRate, s.CoreRate)
 }
 
 func (s ParkingLotSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
@@ -182,7 +242,7 @@ func (s ParkingLotSpec) NumHosts() int { return 2 + 2*s.normalize().Segments }
 // PodSpec describes the paper's 32-server testbed PoD (§5.1): four ToRs
 // under one Agg, with each server dual-homed to a ToR pair.
 type PodSpec struct {
-	// Servers is the total server count; must be even. Default 32.
+	// Servers is the total server count: even and ≥ 0. Default 32.
 	Servers int
 	// HostRate is each NIC uplink speed. Default 25 Gbps.
 	HostRate sim.Rate
@@ -194,7 +254,7 @@ type PodSpec struct {
 	LinkDelay sim.Time
 }
 
-func (s *PodSpec) normalize() {
+func (s PodSpec) normalize() PodSpec {
 	if s.Servers == 0 {
 		s.Servers = 32
 	}
@@ -207,13 +267,22 @@ func (s *PodSpec) normalize() {
 	if s.LinkDelay == 0 {
 		s.LinkDelay = 600 * sim.Nanosecond
 	}
+	return s
+}
+
+func (s PodSpec) Validate() error {
+	s = s.normalize()
+	if s.Servers < 0 || s.Servers%2 != 0 {
+		return fmt.Errorf("topology: PodSpec.Servers: %d, want an even count ≥ 0", s.Servers)
+	}
+	return nonNegative("PodSpec", "LinkDelay HostRate FabricRate", s.LinkDelay, s.HostRate, s.FabricRate)
 }
 
 // Build wires the testbed PoD: ToR1+ToR2 serve the first half of the
 // servers (each server dual-homed to both), ToR3+ToR4 the second half,
 // and all four ToRs uplink to one Agg switch.
 func (s PodSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
-	s.normalize()
+	s = s.normalize()
 	b := NewBuilder(eng, hcfg, scfg)
 	agg := b.AddSwitch()
 	tors := make([]*fabric.Switch, 4)
@@ -234,25 +303,21 @@ func (s PodSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConf
 	return b.Build()
 }
 
-func (s PodSpec) Rate() sim.Rate {
-	if s.HostRate == 0 {
-		return 25 * sim.Gbps
-	}
-	return s.HostRate
-}
+func (s PodSpec) Rate() sim.Rate { return s.normalize().HostRate }
 
 // BaseRTT is the testbed's 9 µs constant (§5.1).
 func (s PodSpec) BaseRTT() sim.Time { return 9 * sim.Microsecond }
 
-func (s PodSpec) NumHosts() int {
-	s.normalize()
-	return s.Servers
-}
+func (s PodSpec) NumHosts() int { return s.normalize().Servers }
 
 // FatTreeSpec describes the simulation topology of §5.1: a three-tier
 // Clos with 16 Core and 20 Agg switches over 20 ToRs of 16 servers each
 // (320 hosts), 100 Gbps at the host and 400 Gbps between switches, 1 µs
-// link delay (12 µs max base RTT). The counts scale down for CI runs.
+// link delay (12 µs max base RTT).
+//
+// Defaults: a zero shape (all four counts 0) is ScaledFatTree's, the
+// CI-sized fabric; 100 Gbps hosts, 400 Gbps fabric, 1 µs links. A
+// nonzero shape needs every count ≥ 1 and at least 2 hosts.
 type FatTreeSpec struct {
 	Cores, Aggs, ToRs, HostsPerToR int
 	HostRate, FabricRate           sim.Rate
@@ -278,22 +343,42 @@ func ScaledFatTree() FatTreeSpec {
 	}
 }
 
-func (s *FatTreeSpec) normalize() {
-	if s.Cores == 0 {
-		*s = PaperFatTree()
+func (s FatTreeSpec) normalize() FatTreeSpec {
+	if s.Cores == 0 && s.Aggs == 0 && s.ToRs == 0 && s.HostsPerToR == 0 {
+		d := ScaledFatTree()
+		s.Cores, s.Aggs, s.ToRs, s.HostsPerToR = d.Cores, d.Aggs, d.ToRs, d.HostsPerToR
 	}
+	if s.HostRate == 0 {
+		s.HostRate = 100 * sim.Gbps
+	}
+	if s.FabricRate == 0 {
+		s.FabricRate = 400 * sim.Gbps
+	}
+	if s.LinkDelay == 0 {
+		s.LinkDelay = sim.Microsecond
+	}
+	return s
+}
+
+func (s FatTreeSpec) Validate() error {
+	s = s.normalize()
+	if min(s.Cores, s.Aggs, s.ToRs, s.HostsPerToR) < 1 || s.NumHosts() < 2 {
+		return fmt.Errorf("topology: FatTreeSpec{Cores, Aggs, ToRs, HostsPerToR}: %d, %d, %d, %d, want all ≥ 1 with at least 2 hosts, or all 0 for ScaledFatTree's",
+			s.Cores, s.Aggs, s.ToRs, s.HostsPerToR)
+	}
+	return nonNegative("FatTreeSpec", "LinkDelay HostRate FabricRate", s.LinkDelay, s.HostRate, s.FabricRate)
 }
 
 // NumHosts returns the host count of the spec.
 func (s FatTreeSpec) NumHosts() int {
-	s.normalize()
+	s = s.normalize()
 	return s.ToRs * s.HostsPerToR
 }
 
 // Build wires the Clos: every ToR links to every Agg, every Agg to
 // every Core, hosts under their ToR.
 func (s FatTreeSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
-	s.normalize()
+	s = s.normalize()
 	b := NewBuilder(eng, hcfg, scfg)
 	cores := make([]*fabric.Switch, s.Cores)
 	for i := range cores {
@@ -319,12 +404,7 @@ func (s FatTreeSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.Switch
 	return b.Build()
 }
 
-func (s FatTreeSpec) Rate() sim.Rate {
-	if s.HostRate == 0 {
-		return 100 * sim.Gbps
-	}
-	return s.HostRate
-}
+func (s FatTreeSpec) Rate() sim.Rate { return s.normalize().HostRate }
 
 // BaseRTT is the simulation fabric's 13 µs constant (§5.1).
 func (s FatTreeSpec) BaseRTT() sim.Time { return 13 * sim.Microsecond }
@@ -374,9 +454,52 @@ func (g *GraphSpec) AddSwitch() GraphNode {
 	return GraphNode{Switch: true, Index: g.Switches - 1}
 }
 
-// Link wires a full-duplex link between two previously added nodes.
+// Link wires a full-duplex link between two previously added nodes. A
+// zero rate means 100 Gbps and a zero delay 1 µs.
 func (g *GraphSpec) Link(a, b GraphNode, rate sim.Rate, delay sim.Time) {
+	if rate == 0 {
+		rate = 100 * sim.Gbps
+	}
+	if delay == 0 {
+		delay = sim.Microsecond
+	}
 	g.Links = append(g.Links, GraphLink{A: a, B: b, Rate: rate, Delay: delay})
+}
+
+// Validate needs at least 2 hosts and 1 link, every link between nodes
+// this graph added at a positive rate with no negative delay, no
+// negative override, and no host pair more than packet.MaxHops switches
+// apart: each switch on a path pushes one INT record.
+func (g GraphSpec) Validate() error {
+	if g.Hosts < 2 {
+		return fmt.Errorf("topology: GraphSpec.Hosts: %d, want at least 2", g.Hosts)
+	}
+	if len(g.Links) == 0 {
+		return fmt.Errorf("topology: GraphSpec.Links: none, want at least 1")
+	}
+	for i, l := range g.Links {
+		for _, n := range [2]GraphNode{l.A, l.B} {
+			limit, kind := g.Hosts, "host"
+			if n.Switch {
+				limit, kind = g.Switches, "switch"
+			}
+			if n.Index < 0 || n.Index >= limit {
+				return fmt.Errorf("topology: GraphSpec.Links[%d]: %s %d of %d is not in the graph", i, kind, n.Index, limit)
+			}
+		}
+		if l.Rate <= 0 || l.Delay < 0 {
+			return fmt.Errorf("topology: GraphSpec.Links[%d]: rate %d bps, delay %v, want a positive rate and no negative delay", i, l.Rate, l.Delay)
+		}
+	}
+	if err := nonNegative("GraphSpec", "RTT HostRate", g.RTT, g.HostRate); err != nil {
+		return err
+	}
+	// Paths are hop counts over every node, the metric Build's ECMP
+	// routing minimizes: a path of n links crosses n−1 switches.
+	if src, dst, links := g.farthest(func(GraphLink) int64 { return 1 }); links-1 > packet.MaxHops {
+		return fmt.Errorf("topology: GraphSpec hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, links-1, packet.MaxHops)
+	}
+	return nil
 }
 
 func (g GraphSpec) NumHosts() int { return g.Hosts }
@@ -430,8 +553,18 @@ func (g GraphSpec) BaseRTT() sim.Time {
 	if g.RTT != 0 {
 		return g.RTT
 	}
-	// Hosts are nodes 0..Hosts-1, switches follow; links weigh their
-	// delay.
+	_, _, worst := g.farthest(func(l GraphLink) int64 { return int64(l.Delay) })
+	if worst == 0 {
+		return 10 * sim.Microsecond
+	}
+	return 2*sim.Time(worst) + rttMargin
+}
+
+// farthest returns the connected host pair farthest apart when each
+// link weighs weight(l), and their shortest-path distance (0 when no
+// two hosts are connected).
+func (g GraphSpec) farthest(weight func(GraphLink) int64) (src, dst int, dist int64) {
+	// Hosts are nodes 0..Hosts-1, switches follow.
 	node := func(n GraphNode) int {
 		if n.Switch {
 			return g.Hosts + n.Index
@@ -440,28 +573,27 @@ func (g GraphSpec) BaseRTT() sim.Time {
 	}
 	type edge struct {
 		to int
-		d  sim.Time
+		w  int64
 	}
 	adj := make([][]edge, g.Hosts+g.Switches)
 	for _, l := range g.Links {
-		a, b := node(l.A), node(l.B)
-		adj[a] = append(adj[a], edge{b, l.Delay})
-		adj[b] = append(adj[b], edge{a, l.Delay})
+		a, b, w := node(l.A), node(l.B), weight(l)
+		adj[a] = append(adj[a], edge{b, w})
+		adj[b] = append(adj[b], edge{a, w})
 	}
 	// Dijkstra from each host with an O(V²) extract-min scan: graphs are
-	// tiny at build time. dist is -1 until a node is reached.
-	dist := make([]sim.Time, len(adj))
+	// tiny at build time. d is -1 until a node is reached.
+	d := make([]int64, len(adj))
 	done := make([]bool, len(adj))
-	var worst sim.Time
 	for h := 0; h < g.Hosts; h++ {
-		for i := range dist {
-			dist[i], done[i] = -1, false
+		for i := range d {
+			d[i], done[i] = -1, false
 		}
-		dist[h] = 0
+		d[h] = 0
 		for {
 			cur := -1
-			for i, d := range dist {
-				if d >= 0 && !done[i] && (cur < 0 || d < dist[cur]) {
+			for i, di := range d {
+				if di >= 0 && !done[i] && (cur < 0 || di < d[cur]) {
 					cur = i
 				}
 			}
@@ -470,17 +602,16 @@ func (g GraphSpec) BaseRTT() sim.Time {
 			}
 			done[cur] = true
 			for _, e := range adj[cur] {
-				if nd := dist[cur] + e.d; dist[e.to] < 0 || nd < dist[e.to] {
-					dist[e.to] = nd
+				if nd := d[cur] + e.w; d[e.to] < 0 || nd < d[e.to] {
+					d[e.to] = nd
 				}
 			}
 		}
-		for _, d := range dist[:g.Hosts] {
-			worst = max(worst, d)
+		for i, di := range d[:g.Hosts] {
+			if di > dist {
+				src, dst, dist = h, i, di
+			}
 		}
 	}
-	if worst == 0 {
-		return 10 * sim.Microsecond
-	}
-	return 2*worst + rttMargin
+	return src, dst, dist
 }

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hpcc/internal/cc"
@@ -197,5 +199,119 @@ func TestINTFreeSchemeNeverAllocatesStack(t *testing.T) {
 				t.Fatalf("GetINT after the run allocated: %v, want %v", fresh, !c.int)
 			}
 		})
+	}
+}
+
+// links lists every port of a built network, hosts first, as
+// "rate/delay", so two networks built alike print alike.
+func links(nw *Network) string {
+	var b strings.Builder
+	for _, h := range nw.Hosts {
+		for _, p := range h.Ports() {
+			fmt.Fprintf(&b, "h%d/%v ", p.Rate(), p.Delay())
+		}
+	}
+	for _, s := range nw.Switches {
+		for _, p := range s.Ports() {
+			fmt.Fprintf(&b, "s%d/%v ", p.Rate(), p.Delay())
+		}
+	}
+	return b.String()
+}
+
+// A zero FatTree shape is ScaledFatTree's, whatever rates are set, and
+// every spec's Rate and NumHosts describe what Build builds: the rate
+// of every host link and the host count.
+func TestSpecsDescribeWhatTheyBuild(t *testing.T) {
+	if got, want := links(FatTreeSpec{}.Build(sim.NewEngine(), hcfg(), scfg())),
+		links(ScaledFatTree().Build(sim.NewEngine(), hcfg(), scfg())); got != want {
+		t.Fatalf("FatTreeSpec{} builds\n%s\nScaledFatTree() builds\n%s", got, want)
+	}
+	var g GraphSpec
+	sw := g.AddSwitch()
+	g.Link(g.AddHost(), sw, 0, 0)
+	g.Link(g.AddHost(), sw, 25*sim.Gbps, 0)
+	for _, spec := range []Spec{
+		StarSpec{}, StarSpec{N: 3, HostRate: 25 * sim.Gbps},
+		DumbbellSpec{}, DumbbellSpec{Pairs: 2, HostRate: 40 * sim.Gbps},
+		ParkingLotSpec{}, ParkingLotSpec{HostRate: 25 * sim.Gbps},
+		PodSpec{}, PodSpec{Servers: 4, HostRate: 50 * sim.Gbps},
+		FatTreeSpec{}, FatTreeSpec{HostRate: 25 * sim.Gbps}, PaperFatTree(),
+		g,
+	} {
+		nw := spec.Build(sim.NewEngine(), hcfg(), scfg())
+		if len(nw.Hosts) != spec.NumHosts() {
+			t.Errorf("%+v: NumHosts %d, built %d hosts", spec, spec.NumHosts(), len(nw.Hosts))
+		}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%+v: %v", spec, err)
+		}
+		var fastest sim.Rate
+		for _, h := range nw.Hosts {
+			for _, p := range h.Ports() {
+				fastest = max(fastest, p.Rate())
+			}
+		}
+		if fastest != spec.Rate() {
+			t.Errorf("%+v: Rate %d, fastest host link built at %d", spec, spec.Rate(), fastest)
+		}
+	}
+	if n := (FatTreeSpec{}).NumHosts(); n != 32 {
+		t.Errorf("FatTreeSpec{} has %d hosts, want ScaledFatTree's 32", n)
+	}
+}
+
+// Validate rejects every spec that would build a fabric with no
+// meaning; each error names the spec and the field.
+func TestValidateRejects(t *testing.T) {
+	chain := func(switches int) GraphSpec {
+		var g GraphSpec
+		prev := g.AddHost()
+		for i := 0; i < switches; i++ {
+			sw := g.AddSwitch()
+			g.Link(prev, sw, 0, 0)
+			prev = sw
+		}
+		g.Link(prev, g.AddHost(), 0, 0)
+		return g
+	}
+	if err := chain(packet.MaxHops).Validate(); err != nil {
+		t.Fatalf("a %d-switch chain: %v", packet.MaxHops, err)
+	}
+	oneHost := chain(1)
+	oneHost.Hosts = 1
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{StarSpec{N: 1}, "StarSpec.N"},
+		{StarSpec{N: -3}, "StarSpec.N"},
+		{StarSpec{Delay: -sim.Microsecond}, "StarSpec.Delay"},
+		{StarSpec{HostRate: -sim.Gbps}, "StarSpec.HostRate"},
+		{DumbbellSpec{Pairs: -1}, "DumbbellSpec.Pairs"},
+		{DumbbellSpec{CoreRate: -sim.Gbps}, "DumbbellSpec.CoreRate"},
+		{ParkingLotSpec{Segments: -1}, "ParkingLotSpec.Segments"},
+		{ParkingLotSpec{Segments: packet.MaxHops}, "ParkingLotSpec.Segments"},
+		{ParkingLotSpec{Delay: -sim.Microsecond}, "ParkingLotSpec.Delay"},
+		{PodSpec{Servers: 3}, "PodSpec.Servers"},
+		{PodSpec{Servers: -2}, "PodSpec.Servers"},
+		{PodSpec{LinkDelay: -sim.Microsecond}, "PodSpec.LinkDelay"},
+		{FatTreeSpec{Cores: 2}, "FatTreeSpec"},
+		{FatTreeSpec{Cores: 2, ToRs: 2, HostsPerToR: 2}, "FatTreeSpec"},
+		{FatTreeSpec{Cores: 1, Aggs: 1, ToRs: 1, HostsPerToR: 1}, "FatTreeSpec"},
+		{FatTreeSpec{FabricRate: -400 * sim.Gbps}, "FatTreeSpec.FabricRate"},
+		{GraphSpec{}, "GraphSpec.Hosts"},
+		{GraphSpec{Hosts: 2}, "GraphSpec.Links"},
+		{oneHost, "GraphSpec.Hosts"},
+		{GraphSpec{Hosts: 2, Links: []GraphLink{{A: GraphNode{Index: 0}, B: GraphNode{Switch: true}}}}, "GraphSpec.Links[0]"},
+		{GraphSpec{Hosts: 2, Links: []GraphLink{{A: GraphNode{Index: 0}, B: GraphNode{Index: 1}}}}, "GraphSpec.Links[0]"},
+		{GraphSpec{Hosts: 2, Links: []GraphLink{{A: GraphNode{Index: 0}, B: GraphNode{Index: 1}, Rate: -sim.Gbps}}}, "GraphSpec.Links[0]"},
+		{GraphSpec{Hosts: 2, Links: []GraphLink{{A: GraphNode{Index: 0}, B: GraphNode{Index: 1}, Rate: sim.Gbps, Delay: -1}}}, "GraphSpec.Links[0]"},
+		{chain(packet.MaxHops + 1), "switches apart"},
+	} {
+		err := c.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", c.spec, err, c.want)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
 )
@@ -10,10 +13,22 @@ import (
 // arrivals tuned so the average host uplink carries Load of its
 // capacity — the standard harness the paper uses at 30% and 50% load.
 type PoissonSpec struct {
-	CDF  *CDF
-	Load float64 // target average link load, e.g. 0.3
-	// MaxFlows caps total arrivals (0 = env.MaxFlows) to bound runtimes.
-	MaxFlows int
+	CDF      *CDF    // non-nil, of positive mean
+	Load     float64 // target average link load, e.g. 0.3: finite and ≥ 0
+	MaxFlows int     // caps arrivals to bound runtimes: ≥ 0, 0 = env.MaxFlows
+}
+
+func (spec PoissonSpec) Validate(int) error {
+	if err := checkCDF("PoissonSpec", spec.CDF); err != nil {
+		return err
+	}
+	if !(spec.Load >= 0) || math.IsInf(spec.Load, 1) {
+		return fmt.Errorf("workload: PoissonSpec.Load: load %v, want finite and ≥ 0", spec.Load)
+	}
+	if spec.MaxFlows < 0 {
+		return fmt.Errorf("workload: PoissonSpec.MaxFlows: %d is negative, not unlimited", spec.MaxFlows)
+	}
+	return nil
 }
 
 // Install starts the arrivals. Arrival rate:
@@ -60,9 +75,22 @@ func (spec PoissonSpec) Install(nw *topology.Network, env Env) {
 // incast traffic totals LoadFrac of the aggregate host capacity — the
 // paper's setup is 60-to-1 × 500 KB at 2% load (§5.3).
 type IncastSpec struct {
-	FanIn    int
-	Size     int64
-	LoadFrac float64
+	FanIn    int     // ≥ 2; capped at the host count − 1
+	Size     int64   // > 0
+	LoadFrac float64 // finite and > 0
+}
+
+func (spec IncastSpec) Validate(int) error {
+	if spec.FanIn < 2 {
+		return fmt.Errorf("workload: IncastSpec.FanIn: %d, want at least 2", spec.FanIn)
+	}
+	if spec.Size <= 0 {
+		return fmt.Errorf("workload: IncastSpec.Size: %d bytes, want > 0", spec.Size)
+	}
+	if !(spec.LoadFrac > 0) || math.IsInf(spec.LoadFrac, 1) {
+		return fmt.Errorf("workload: IncastSpec.LoadFrac: load fraction %v, want finite and > 0", spec.LoadFrac)
+	}
+	return nil
 }
 
 // Install starts the incast events, the first half a period in.

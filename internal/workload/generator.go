@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+
 	"hpcc/internal/host"
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
@@ -36,7 +39,23 @@ type Env struct {
 // incast) and the extensions (all-to-all shuffle, RPC request-response,
 // explicit arrival traces) implement it.
 type Generator interface {
+	// Validate rejects a spec that would hang, panic or generate
+	// nonsense on a fabric of the given host count (at least 2). Install
+	// assumes it passed.
+	Validate(hosts int) error
 	Install(nw *topology.Network, env Env)
+}
+
+// checkCDF rejects a missing size distribution, and one whose mean is
+// not positive, which makes the arrival rate infinite.
+func checkCDF(spec string, c *CDF) error {
+	if c == nil {
+		return fmt.Errorf("workload: %s.CDF: nil", spec)
+	}
+	if m := c.Mean(); !(m > 0) {
+		return fmt.Errorf("workload: %s.CDF: %q has mean size %v, want > 0", spec, c.Name(), m)
+	}
+	return nil
 }
 
 // AllToAllSpec is a shuffle stage: every host ships Size bytes to every
@@ -45,8 +64,18 @@ type Generator interface {
 // MapReduce shuffle barrier does. No randomness is involved; the
 // pattern is fully deterministic.
 type AllToAllSpec struct {
-	Size   int64
-	Rounds int // default 1; further rounds start only before Until
+	Size   int64 // > 0
+	Rounds int   // ≥ 0, default 1; further rounds start only before Until
+}
+
+func (spec AllToAllSpec) Validate(int) error {
+	if spec.Size <= 0 {
+		return fmt.Errorf("workload: AllToAllSpec.Size: %d bytes, want > 0", spec.Size)
+	}
+	if spec.Rounds < 0 {
+		return fmt.Errorf("workload: AllToAllSpec.Rounds: %d is negative", spec.Rounds)
+	}
+	return nil
 }
 
 // Install starts the first shuffle round immediately.
@@ -55,9 +84,6 @@ func (spec AllToAllSpec) Install(nw *topology.Network, env Env) {
 		spec.Rounds = 1
 	}
 	n := len(nw.Hosts)
-	if n < 2 {
-		return
-	}
 	rounds := spec.Rounds
 	var fire func()
 	fire = func() {
@@ -93,13 +119,30 @@ func (spec AllToAllSpec) Install(nw *topology.Network, env Env) {
 // is the target average link load contributed by response bytes, the
 // same convention PoissonSpec uses for one-way flows.
 type RPCSpec struct {
-	// Size is the fixed response size when CDF is nil.
+	// Size is the fixed response size when CDF is nil: > 0.
 	Size int64
-	// CDF, if set, draws each response size instead.
+	// CDF, if set, draws each response size instead: of positive mean.
 	CDF  *CDF
-	Load float64
-	// MaxRequests caps total requests (0 = env.MaxFlows).
+	Load float64 // finite and > 0
+	// MaxRequests caps total requests: ≥ 0, 0 = env.MaxFlows.
 	MaxRequests int
+}
+
+func (spec RPCSpec) Validate(int) error {
+	if spec.CDF != nil {
+		if err := checkCDF("RPCSpec", spec.CDF); err != nil {
+			return err
+		}
+	} else if spec.Size <= 0 {
+		return fmt.Errorf("workload: RPCSpec.Size: %d bytes and no CDF, want a size > 0 or a CDF", spec.Size)
+	}
+	if !(spec.Load > 0) || math.IsInf(spec.Load, 1) {
+		return fmt.Errorf("workload: RPCSpec.Load: load %v, want finite and > 0", spec.Load)
+	}
+	if spec.MaxRequests < 0 {
+		return fmt.Errorf("workload: RPCSpec.MaxRequests: %d is negative, not unlimited", spec.MaxRequests)
+	}
+	return nil
 }
 
 // Install starts the request process. Completion is observed at the
@@ -110,21 +153,12 @@ func (spec RPCSpec) Install(nw *topology.Network, env Env) {
 	}
 	rng := sim.NewRNG(env.Seed, "rpc")
 	n := len(nw.Hosts)
-	if n < 2 {
-		return
-	}
 	mean := float64(spec.Size)
 	if spec.CDF != nil {
 		mean = spec.CDF.Mean()
 	}
-	if mean <= 0 {
-		return
-	}
 	bytesPerSec := spec.Load * float64(n) * env.HostRate.BytesPerSec()
 	lambda := bytesPerSec / mean // requests per second
-	if lambda <= 0 {
-		return
-	}
 	meanGapPs := float64(sim.Second) / lambda
 	issued := 0
 	var arrive func()
@@ -164,8 +198,20 @@ type FlowSpec struct {
 }
 
 // FlowList replays a fixed arrival trace — the simplest custom traffic
-// source.
+// source. Every size is > 0 and every endpoint a host index.
 type FlowList []FlowSpec
+
+func (spec FlowList) Validate(hosts int) error {
+	for i, f := range spec {
+		if f.Size <= 0 {
+			return fmt.Errorf("workload: FlowList[%d].Size: %d bytes, want > 0", i, f.Size)
+		}
+		if f.Src < 0 || f.Src >= hosts || f.Dst < 0 || f.Dst >= hosts {
+			return fmt.Errorf("workload: FlowList[%d]: %d -> %d, want hosts in [0, %d)", i, f.Src, f.Dst, hosts)
+		}
+	}
+	return nil
+}
 
 // Install schedules every listed arrival at its absolute time.
 // Arrivals past the env's window (Until > 0) are dropped, matching
@@ -190,6 +236,10 @@ func (spec FlowList) Install(nw *topology.Network, env Env) {
 // must be nondecreasing; the iterator is pulled one arrival ahead, so
 // unbounded streams cost one pending event at a time.
 type ArrivalFunc func(i int) (FlowSpec, bool)
+
+// Validate accepts every iterator: its arrivals exist only once
+// Install pulls them.
+func (ArrivalFunc) Validate(int) error { return nil }
 
 // Install pulls and schedules arrivals until the iterator ends or the
 // env's arrival window closes.

@@ -106,20 +106,15 @@ func (n *Network) Run(d time.Duration) { n.eng.RunUntil(n.eng.Now() + toSim(d)) 
 // Run instead.
 func (n *Network) RunUntilIdle() { n.eng.Run() }
 
-// QueuePoint is one sample of the total switch-queue backlog.
-type QueuePoint struct {
-	At    time.Duration
-	Bytes int64
-}
-
-// TraceQueues installs a backlog sampler over all switch egress ports,
-// taking one sample every interval for dur from now and streaming each
-// into the returned slice as the simulation runs (the same observer
-// feed QueueObserver exposes); read the result after Run. An interval
-// of 0 means QueueObserver's 10 µs period; a negative interval, or a
-// dur ≤ 0, takes no samples.
-func (n *Network) TraceQueues(interval, dur time.Duration) *[]QueuePoint {
-	out := &[]QueuePoint{}
+// TraceQueues installs a backlog sampler over every switch egress port —
+// host-facing and inter-switch alike, so each sample's TotalBytes is the
+// whole fabric's backlog — taking one sample every interval for dur
+// from now and streaming each into the returned slice as the simulation
+// runs; read the result after Run. An interval of 0 means
+// QueueObserver's 10 µs period; a negative interval, or a dur ≤ 0,
+// takes no samples.
+func (n *Network) TraceQueues(interval, dur time.Duration) *[]QueueSample {
+	out := &[]QueueSample{}
 	if interval < 0 || dur <= 0 {
 		return out
 	}
@@ -129,7 +124,7 @@ func (n *Network) TraceQueues(interval, dur time.Duration) *[]QueuePoint {
 	}
 	mon := stats.NewQueueMonitor(n.eng, n.m.Network.SwitchPorts(), fabric.PrioData, every, n.eng.Now()+toSim(dur))
 	mon.OnSample = func(tp stats.TimePoint) {
-		*out = append(*out, QueuePoint{At: fromSim(tp.T), Bytes: int64(tp.V)})
+		*out = append(*out, QueueSample{At: fromSim(tp.T), TotalBytes: int64(tp.V)})
 	}
 	return out
 }

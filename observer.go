@@ -61,7 +61,8 @@ func (o FlowObserver) attach(sc *experiment.LoadScenario) {
 }
 
 // QueueSample is one periodic observation of the total switch-queue
-// backlog across the monitored (host-facing) egress ports.
+// backlog summed over a set of egress ports: the host-facing ones for
+// QueueObserver, every switch port for Network.TraceQueues.
 type QueueSample struct {
 	At         time.Duration
 	TotalBytes int64

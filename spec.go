@@ -1,11 +1,8 @@
 package hpcc
 
 import (
-	"fmt"
-	"slices"
 	"time"
 
-	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
 )
@@ -15,38 +12,19 @@ import (
 // user-composed Custom graph. Specs are plain data — compose them into
 // an Experiment, or build one directly with Experiment.Start.
 //
+// Each spec only converts units (Gbps, time.Duration) into the internal
+// topology spec it stands for; that spec resolves the defaults named
+// here and its validation rejects a value out of range, so
+// Experiment.Run and Start return the error before anything is built.
+//
 // The interface is sealed: new fabrics are expressed with Custom, not
 // by implementing Topology outside this package.
 type Topology interface {
-	topoSpec() (topology.Spec, error)
+	topoSpec() topology.Spec
 }
 
-func gbps(g, def int) sim.Rate {
-	if g == 0 {
-		g = def
-	}
-	return sim.Rate(g) * sim.Gbps
-}
-
-func delayOr(d, def time.Duration) sim.Time {
-	if d == 0 {
-		d = def
-	}
-	return toSim(d)
-}
-
-// checkLinks rejects a negative link rate, which builds a fabric that
-// carries nothing, and a negative link delay, which schedules
-// deliveries in the past.
-func checkLinks(kind string, delay time.Duration, rates ...int) error {
-	if slices.Min(rates) < 0 {
-		return fmt.Errorf("hpcc: %s link rates %v Gbps include a negative one", kind, rates)
-	}
-	if delay < 0 {
-		return fmt.Errorf("hpcc: %s link delay %v is negative", kind, delay)
-	}
-	return nil
-}
+// toRate converts a link rate in Gbps to the simulator's bits per second.
+func toRate(g int) sim.Rate { return sim.Rate(g) * sim.Gbps }
 
 // Star is the §5.4 micro-benchmark fixture: Hosts servers around one
 // switch. Defaults: 17 hosts, 100 Gbps, 1 µs links.
@@ -56,18 +34,8 @@ type Star struct {
 	LinkDelay    time.Duration
 }
 
-func (s Star) topoSpec() (topology.Spec, error) {
-	if s.Hosts < 0 || s.Hosts == 1 {
-		return nil, fmt.Errorf("hpcc: Star needs at least 2 hosts, got %d", s.Hosts)
-	}
-	if err := checkLinks("Star", s.LinkDelay, s.LinkRateGbps); err != nil {
-		return nil, err
-	}
-	return topology.StarSpec{
-		N:        s.Hosts,
-		HostRate: gbps(s.LinkRateGbps, 100),
-		Delay:    delayOr(s.LinkDelay, time.Microsecond),
-	}, nil
+func (s Star) topoSpec() topology.Spec {
+	return topology.StarSpec{N: s.Hosts, HostRate: toRate(s.LinkRateGbps), Delay: toSim(s.LinkDelay)}
 }
 
 // Dumbbell wires Pairs sender hosts and Pairs receiver hosts across two
@@ -80,24 +48,13 @@ type Dumbbell struct {
 	LinkDelay    time.Duration
 }
 
-func (s Dumbbell) topoSpec() (topology.Spec, error) {
-	if s.Pairs < 0 {
-		return nil, fmt.Errorf("hpcc: Dumbbell needs a nonnegative pair count, got %d", s.Pairs)
-	}
-	if err := checkLinks("Dumbbell", s.LinkDelay, s.HostRateGbps, s.CoreRateGbps); err != nil {
-		return nil, err
-	}
-	hostRate := gbps(s.HostRateGbps, 100)
-	coreRate := hostRate
-	if s.CoreRateGbps != 0 {
-		coreRate = gbps(s.CoreRateGbps, 0)
-	}
+func (s Dumbbell) topoSpec() topology.Spec {
 	return topology.DumbbellSpec{
 		Pairs:    s.Pairs,
-		HostRate: hostRate,
-		CoreRate: coreRate,
-		Delay:    delayOr(s.LinkDelay, time.Microsecond),
-	}, nil
+		HostRate: toRate(s.HostRateGbps),
+		CoreRate: toRate(s.CoreRateGbps),
+		Delay:    toSim(s.LinkDelay),
+	}
 }
 
 // ParkingLot is the §3.2/Appendix-A multi-bottleneck chain: Segments+1
@@ -115,23 +72,8 @@ type ParkingLot struct {
 	LinkDelay    time.Duration
 }
 
-func (s ParkingLot) topoSpec() (topology.Spec, error) {
-	if s.Segments < 0 {
-		return nil, fmt.Errorf("hpcc: ParkingLot needs a nonnegative segment count, got %d", s.Segments)
-	}
-	if s.Segments >= packet.MaxHops {
-		return nil, fmt.Errorf("hpcc: ParkingLot with %d segments has %d switches in line; INT records at most %d hops", s.Segments, s.Segments+1, packet.MaxHops)
-	}
-	if err := checkLinks("ParkingLot", s.LinkDelay, s.LinkRateGbps); err != nil {
-		return nil, err
-	}
-	rate := gbps(s.LinkRateGbps, 100)
-	return topology.ParkingLotSpec{
-		Segments: s.Segments,
-		HostRate: rate,
-		CoreRate: rate,
-		Delay:    delayOr(s.LinkDelay, time.Microsecond),
-	}, nil
+func (s ParkingLot) topoSpec() topology.Spec {
+	return topology.ParkingLotSpec{Segments: s.Segments, HostRate: toRate(s.LinkRateGbps), Delay: toSim(s.LinkDelay)}
 }
 
 // Pod is the paper's 32-server dual-homed testbed PoD (§5.1): four
@@ -144,24 +86,13 @@ type Pod struct {
 	LinkDelay      time.Duration
 }
 
-func (s Pod) topoSpec() (topology.Spec, error) {
-	if s.Servers%2 != 0 || s.Servers < 0 {
-		return nil, fmt.Errorf("hpcc: Pod needs an even server count, got %d", s.Servers)
+func (s Pod) topoSpec() topology.Spec {
+	return topology.PodSpec{
+		Servers:    s.Servers,
+		HostRate:   toRate(s.HostRateGbps),
+		FabricRate: toRate(s.FabricRateGbps),
+		LinkDelay:  toSim(s.LinkDelay),
 	}
-	if err := checkLinks("Pod", s.LinkDelay, s.HostRateGbps, s.FabricRateGbps); err != nil {
-		return nil, err
-	}
-	spec := topology.PodSpec{Servers: s.Servers}
-	if s.HostRateGbps != 0 {
-		spec.HostRate = gbps(s.HostRateGbps, 0)
-	}
-	if s.FabricRateGbps != 0 {
-		spec.FabricRate = gbps(s.FabricRateGbps, 0)
-	}
-	if s.LinkDelay != 0 {
-		spec.LinkDelay = toSim(s.LinkDelay)
-	}
-	return spec, nil
 }
 
 // FatTree is the §5.1 three-tier Clos. With all four counts zero it is
@@ -177,33 +108,24 @@ type FatTree struct {
 
 // PaperFatTree is the full-scale simulation fabric of §5.1: 16 Cores,
 // 20 Aggs, 20 ToRs × 16 servers (320 hosts).
-func PaperFatTree() FatTree {
-	return FatTree{Cores: 16, Aggs: 20, ToRs: 20, HostsPerToR: 16}
-}
+func PaperFatTree() FatTree { return shape(topology.PaperFatTree()) }
 
 // ScaledFatTree is the CI-sized FatTree preserving the paper's
-// oversubscription shape.
-func ScaledFatTree() FatTree {
-	return FatTree{Cores: 2, Aggs: 4, ToRs: 4, HostsPerToR: 8}
+// oversubscription shape: 2 Cores, 4 Aggs, 4 ToRs × 8 servers.
+func ScaledFatTree() FatTree { return shape(topology.ScaledFatTree()) }
+
+// shape is the FatTree with s's counts and default links.
+func shape(s topology.FatTreeSpec) FatTree {
+	return FatTree{Cores: s.Cores, Aggs: s.Aggs, ToRs: s.ToRs, HostsPerToR: s.HostsPerToR}
 }
 
-func (s FatTree) topoSpec() (topology.Spec, error) {
-	shape := FatTree{Cores: s.Cores, Aggs: s.Aggs, ToRs: s.ToRs, HostsPerToR: s.HostsPerToR}
-	if shape == (FatTree{}) {
-		shape = ScaledFatTree()
-	}
-	if min(shape.Cores, shape.Aggs, shape.ToRs, shape.HostsPerToR) < 1 {
-		return nil, fmt.Errorf("hpcc: FatTree counts (%d cores, %d aggs, %d ToRs, %d hosts per ToR) must all be at least 1, or all 0 for the scaled preset", s.Cores, s.Aggs, s.ToRs, s.HostsPerToR)
-	}
-	if err := checkLinks("FatTree", s.LinkDelay, s.HostRateGbps, s.FabricRateGbps); err != nil {
-		return nil, err
-	}
+func (s FatTree) topoSpec() topology.Spec {
 	return topology.FatTreeSpec{
-		Cores: shape.Cores, Aggs: shape.Aggs, ToRs: shape.ToRs, HostsPerToR: shape.HostsPerToR,
-		HostRate:   gbps(s.HostRateGbps, 100),
-		FabricRate: gbps(s.FabricRateGbps, 400),
-		LinkDelay:  delayOr(s.LinkDelay, time.Microsecond),
-	}, nil
+		Cores: s.Cores, Aggs: s.Aggs, ToRs: s.ToRs, HostsPerToR: s.HostsPerToR,
+		HostRate:   toRate(s.HostRateGbps),
+		FabricRate: toRate(s.FabricRateGbps),
+		LinkDelay:  toSim(s.LinkDelay),
+	}
 }
 
 // Node references a host or switch added to a Custom topology.
@@ -262,93 +184,22 @@ func (c *Custom) AddSwitch() Node {
 }
 
 // Link wires a full-duplex link of rateGbps and one-way propagation
-// delay between two nodes.
+// delay between two nodes; a zero rate means 100 Gbps and a zero delay
+// 1 µs.
 func (c *Custom) Link(a, b Node, rateGbps int, delay time.Duration) {
 	c.graph.Link(
 		topology.GraphNode{Switch: a.sw, Index: a.idx},
 		topology.GraphNode{Switch: b.sw, Index: b.idx},
-		gbps(rateGbps, 100), delayOr(delay, time.Microsecond),
+		toRate(rateGbps), toSim(delay),
 	)
 }
 
 // NumHosts returns the number of hosts added so far.
 func (c *Custom) NumHosts() int { return c.graph.Hosts }
 
-func (c *Custom) topoSpec() (topology.Spec, error) {
-	if c.graph.Hosts < 2 {
-		return nil, fmt.Errorf("hpcc: Custom topology needs at least 2 hosts, got %d", c.graph.Hosts)
-	}
-	if len(c.graph.Links) == 0 {
-		return nil, fmt.Errorf("hpcc: Custom topology has no links")
-	}
-	for i, l := range c.graph.Links {
-		for _, n := range [2]topology.GraphNode{l.A, l.B} {
-			limit, kind := c.graph.Hosts, "host"
-			if n.Switch {
-				limit, kind = c.graph.Switches, "switch"
-			}
-			if n.Index < 0 || n.Index >= limit {
-				return nil, fmt.Errorf("hpcc: Custom link %d references %s %d of %d — use Nodes returned by AddHost/AddSwitch on this Custom", i, kind, n.Index, limit)
-			}
-		}
-		if l.Rate <= 0 {
-			return nil, fmt.Errorf("hpcc: Custom link %d has non-positive rate", i)
-		}
-		if l.Delay < 0 {
-			return nil, fmt.Errorf("hpcc: Custom link %d has negative delay", i)
-		}
-	}
-	if src, dst, n := longestPath(c.graph); n > packet.MaxHops {
-		return nil, fmt.Errorf("hpcc: Custom hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, n, packet.MaxHops)
-	}
+func (c *Custom) topoSpec() topology.Spec {
 	g := c.graph
-	if c.BaseRTT != 0 {
-		g.RTT = toSim(c.BaseRTT)
-	}
-	if c.HostRateGbps != 0 {
-		g.HostRate = gbps(c.HostRateGbps, 0)
-	}
-	return g, nil
-}
-
-// longestPath returns the connected host pair whose shortest path
-// crosses the most switches, and that count. Paths are hop counts over
-// every node, the metric Build's ECMP routing minimizes; each switch on
-// the way pushes one INT record.
-func longestPath(g topology.GraphSpec) (src, dst, switches int) {
-	// Hosts are nodes 0..Hosts-1, switches follow.
-	node := func(n topology.GraphNode) int {
-		if n.Switch {
-			return g.Hosts + n.Index
-		}
-		return n.Index
-	}
-	adj := make([][]int, g.Hosts+g.Switches)
-	for _, l := range g.Links {
-		a, b := node(l.A), node(l.B)
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	dist := make([]int, len(adj))
-	queue := make([]int, 0, len(adj))
-	for h := 0; h < g.Hosts; h++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[h] = 0
-		queue = append(queue[:0], h)
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			if cur < g.Hosts && dist[cur]-1 > switches {
-				src, dst, switches = h, cur, dist[cur]-1
-			}
-			for _, nb := range adj[cur] {
-				if dist[nb] < 0 {
-					dist[nb] = dist[cur] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-	}
-	return src, dst, switches
+	g.RTT = toSim(c.BaseRTT)
+	g.HostRate = toRate(c.HostRateGbps)
+	return g
 }

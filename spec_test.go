@@ -503,9 +503,9 @@ func TestTrafficRejectsNonFiniteRates(t *testing.T) {
 	}
 }
 
-// A hostile topology spec or Schedule endpoint is an error from Run
-// and Start, never a panic, a run that starts no flows or one that
-// drops packets on missing routes.
+// A hostile topology spec, Schedule endpoint or per-source cap is an
+// error from Run and Start, never a panic, a run that starts no flows,
+// one that drops packets on missing routes or an uncapped run.
 func TestHostileInputsRejected(t *testing.T) {
 	poisson := []hpcc.Traffic{hpcc.Poisson{Load: 0.3, MaxFlows: 20}}
 	schedule := func(src, dst int) []hpcc.Traffic {
@@ -524,6 +524,9 @@ func TestHostileInputsRejected(t *testing.T) {
 		"Pod negative delay":       {Topology: hpcc.Pod{LinkDelay: -time.Microsecond}, Traffic: poisson},
 		"Schedule Dst past hosts":  {Topology: hpcc.Star{Hosts: 4}, Traffic: schedule(0, 9)},
 		"Schedule negative Src":    {Topology: hpcc.Star{Hosts: 4}, Traffic: schedule(-1, 1)},
+		// A negative per-source cap is not "unlimited".
+		"Poisson negative MaxFlows": {Topology: hpcc.Star{Hosts: 4}, Traffic: []hpcc.Traffic{hpcc.Poisson{Load: 0.3, MaxFlows: -1}}},
+		"RPC negative MaxRequests":  {Topology: hpcc.Star{Hosts: 4}, Traffic: []hpcc.Traffic{hpcc.RPC{ResponseBytes: 1000, Load: 0.1, MaxRequests: -1}}},
 	} {
 		if _, err := e.Start(); err == nil {
 			t.Errorf("%s: Start accepted it", name)

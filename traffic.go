@@ -1,8 +1,6 @@
 package hpcc
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"hpcc/internal/stats"
@@ -16,12 +14,12 @@ import (
 // one fabric; generator i of an Experiment draws its randomness from
 // Seed+i, so results depend only on the specs and the seed.
 //
-// The interface is sealed; custom arrival patterns are expressed with
-// Schedule or ArrivalFunc.
+// Each source only converts units into the internal generator it stands
+// for, whose validation rejects a value out of range (see the README's
+// table) before anything runs. The interface is sealed; custom arrival
+// patterns are expressed with Schedule or ArrivalFunc.
 type Traffic interface {
-	// generator lowers the spec for a fabric of the given host count,
-	// rejecting one that does not fit it.
-	generator(hosts int) (workload.Generator, error)
+	generator() workload.Generator
 }
 
 // CDF is a flow-size distribution for Poisson and RPC traffic. The
@@ -106,15 +104,12 @@ type Poisson struct {
 	CDF CDF
 	// Load is the target average link load, e.g. 0.3: finite and ≥ 0.
 	Load float64
-	// MaxFlows caps arrivals; 0 uses the Experiment default.
+	// MaxFlows caps arrivals: ≥ 0, 0 uses the Experiment default.
 	MaxFlows int
 }
 
-func (t Poisson) generator(int) (workload.Generator, error) {
-	if !(t.Load >= 0) || math.IsInf(t.Load, 1) {
-		return nil, fmt.Errorf("hpcc: Poisson load %v must be finite and nonnegative", t.Load)
-	}
-	return workload.PoissonSpec{CDF: t.CDF.cdf(), Load: t.Load, MaxFlows: t.MaxFlows}, nil
+func (t Poisson) generator() workload.Generator {
+	return workload.PoissonSpec{CDF: t.CDF.cdf(), Load: t.Load, MaxFlows: t.MaxFlows}
 }
 
 // Incast schedules periodic fan-in events: FanIn random senders each
@@ -127,14 +122,8 @@ type Incast struct {
 	LoadFraction  float64 // finite and > 0
 }
 
-func (t Incast) generator(int) (workload.Generator, error) {
-	if t.FanIn < 2 {
-		return nil, fmt.Errorf("hpcc: Incast fan-in %d must be at least 2", t.FanIn)
-	}
-	if t.FlowSizeBytes <= 0 || !(t.LoadFraction > 0) || math.IsInf(t.LoadFraction, 1) {
-		return nil, fmt.Errorf("hpcc: Incast needs a positive FlowSizeBytes and a finite positive LoadFraction, got %d and %v", t.FlowSizeBytes, t.LoadFraction)
-	}
-	return workload.IncastSpec{FanIn: t.FanIn, Size: t.FlowSizeBytes, LoadFrac: t.LoadFraction}, nil
+func (t Incast) generator() workload.Generator {
+	return workload.IncastSpec{FanIn: t.FanIn, Size: t.FlowSizeBytes, LoadFrac: t.LoadFraction}
 }
 
 // AllToAll is a shuffle stage: every host ships FlowSizeBytes to every
@@ -146,14 +135,8 @@ type AllToAll struct {
 	Rounds        int // default 1
 }
 
-func (t AllToAll) generator(int) (workload.Generator, error) {
-	if t.FlowSizeBytes <= 0 {
-		return nil, fmt.Errorf("hpcc: AllToAll needs a positive FlowSizeBytes")
-	}
-	if t.Rounds < 0 {
-		return nil, fmt.Errorf("hpcc: AllToAll rounds must be nonnegative")
-	}
-	return workload.AllToAllSpec{Size: t.FlowSizeBytes, Rounds: t.Rounds}, nil
+func (t AllToAll) generator() workload.Generator {
+	return workload.AllToAllSpec{Size: t.FlowSizeBytes, Rounds: t.Rounds}
 }
 
 // RPC is request-response traffic over the RDMA READ path (§4.2):
@@ -168,22 +151,16 @@ type RPC struct {
 	// ResponseCDF, if set, draws each response size instead.
 	ResponseCDF *CDF
 	Load        float64 // finite and > 0
-	// MaxRequests caps requests; 0 uses the Experiment default.
+	// MaxRequests caps requests: ≥ 0, 0 uses the Experiment default.
 	MaxRequests int
 }
 
-func (t RPC) generator(int) (workload.Generator, error) {
-	if t.ResponseCDF == nil && t.ResponseBytes <= 0 {
-		return nil, fmt.Errorf("hpcc: RPC needs ResponseBytes or ResponseCDF")
-	}
-	if !(t.Load > 0) || math.IsInf(t.Load, 1) {
-		return nil, fmt.Errorf("hpcc: RPC needs a finite positive load, got %v", t.Load)
-	}
+func (t RPC) generator() workload.Generator {
 	spec := workload.RPCSpec{Size: t.ResponseBytes, Load: t.Load, MaxRequests: t.MaxRequests}
 	if t.ResponseCDF != nil {
 		spec.CDF = t.ResponseCDF.cdf()
 	}
-	return spec, nil
+	return spec
 }
 
 // FlowSpec is one explicitly scheduled flow arrival.
@@ -197,18 +174,12 @@ type FlowSpec struct {
 // traffic source.
 type Schedule []FlowSpec
 
-func (t Schedule) generator(hosts int) (workload.Generator, error) {
+func (t Schedule) generator() workload.Generator {
 	fl := make(workload.FlowList, len(t))
 	for i, f := range t {
-		if f.SizeBytes <= 0 {
-			return nil, fmt.Errorf("hpcc: Schedule[%d] needs a positive size", i)
-		}
-		if f.Src < 0 || f.Src >= hosts || f.Dst < 0 || f.Dst >= hosts {
-			return nil, fmt.Errorf("hpcc: Schedule[%d] runs %d -> %d on a fabric of %d hosts", i, f.Src, f.Dst, hosts)
-		}
 		fl[i] = workload.FlowSpec{At: toSim(f.At), Src: f.Src, Dst: f.Dst, Size: f.SizeBytes}
 	}
-	return fl, nil
+	return fl
 }
 
 // ArrivalFunc is a lazy custom arrival iterator: called with
@@ -217,9 +188,9 @@ func (t Schedule) generator(hosts int) (workload.Generator, error) {
 // arrival ahead, so unbounded streams are cheap.
 type ArrivalFunc func(i int) (FlowSpec, bool)
 
-func (t ArrivalFunc) generator(int) (workload.Generator, error) {
+func (t ArrivalFunc) generator() workload.Generator {
 	return workload.ArrivalFunc(func(i int) (workload.FlowSpec, bool) {
 		f, ok := t(i)
 		return workload.FlowSpec{At: toSim(f.At), Src: f.Src, Dst: f.Dst, Size: f.SizeBytes}, ok
-	}), nil
+	})
 }
