@@ -56,16 +56,17 @@ type Experiment struct {
 	// also makes the flow lifecycle allocation-free: the hosts recycle
 	// the state of evicted Traffic-generated flows into later ones.
 	// Flow handles returned by Network.StartFlow/StartFlowAt are exempt
-	// and stay valid for as long as the caller holds them.
+	// and stay valid for as long as the caller holds them. Zero keeps
+	// every flow; a negative window is an error.
 	CompletedFlowWindow int
 	// SketchStats switches result statistics to streaming mode: instead
-	// of retaining every FCT record and queue sample, observations
-	// stream into mergeable DDSketch-style quantile sketches
-	// (per-size-bucket slowdowns, the short-flow class, per-port queue
-	// depth), so retained stat memory is O(sketch buckets) — a few KB —
-	// regardless of flow count or horizon. Every reported percentile is
-	// within 1% of the exact one. The default (false) retains
-	// everything and reproduces historical results byte-for-byte.
+	// of retaining every FCT record and a count per distinct queue
+	// depth, observations stream into mergeable DDSketch-style quantile
+	// sketches (per-size-bucket slowdowns, the short-flow class,
+	// per-port queue depth), so retained stat memory is O(sketch
+	// buckets) — a few KB — regardless of flow count or horizon. Every
+	// reported percentile is within 1% of the exact one. The default
+	// (false) is exact and reproduces historical results byte-for-byte.
 	SketchStats bool
 	// Seed makes runs reproducible (default 1).
 	Seed int64
@@ -200,9 +201,9 @@ type SimResult struct {
 	PFCPauseFraction float64
 	Drops            uint64
 	// RetainedStatBytes is the run's logical retained-statistics
-	// footprint (FCT retention plus pooled queue samples; sketch
-	// buckets in sketch-stats mode). Deterministic; flat in flow count
-	// when SketchStats is set.
+	// footprint (FCT retention plus one depth and count per distinct
+	// queue depth; sketch buckets in sketch-stats mode). Deterministic;
+	// flat in flow count when SketchStats is set.
 	RetainedStatBytes int64
 	// Events counts the engine events the run fired and PendingHighWater
 	// is the most the engine had pending at once, every frame in flight

@@ -90,8 +90,13 @@ func hashResult(r *LoadResult) resultHash {
 		}
 		return a.Ideal < b.Ideal
 	})
-	kb := append([]float64(nil), r.QueueKB...)
-	sort.Float64s(kb)
+	// The sorted per-port samples in KB, expanded from their counts.
+	var kb []float64
+	for _, d := range r.QueueDepths {
+		for range d.Count {
+			kb = append(kb, float64(d.Bytes)/1024)
+		}
+	}
 
 	return resultHash{
 		FCT: sum(func(put func(...any)) {

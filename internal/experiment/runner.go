@@ -100,9 +100,9 @@ type LoadScenario struct {
 	// slowdowns, short-flow latency, per-port queue depth), so retained
 	// stat memory is O(sketch buckets) regardless of flow count or
 	// horizon. Quantiles come out within stats.DefaultRelativeAccuracy
-	// of the exact percentiles; LoadResult.QueueKB and FCT.Records stay
-	// empty. The default (false) retains everything, exactly as before —
-	// goldens are byte-identical.
+	// of the exact percentiles; LoadResult.QueueDepths and FCT.Records
+	// stay empty. The default (false) keeps exact statistics, exactly as
+	// before — goldens are byte-identical.
 	SketchStats bool
 	// FCTBucketEdges are the flow-size bucket edges the streaming FCT
 	// sketches are keyed by (nil means stats.WebSearchEdges). Streaming
@@ -115,7 +115,8 @@ type LoadScenario struct {
 
 // Validate rejects a scenario that has no meaning rather than letting
 // the run panic, hang or return nonsense: a negative arrival window,
-// drain or flow cap (zero means the default), a missing topology, then
+// drain, flow cap (zero means the default) or completed-flow window
+// (zero means unbounded), a missing topology, then
 // whatever the topology spec and each traffic generator reject on that
 // fabric. RunLoad and the public hpcc.Experiment both call it;
 // StartManual does not.
@@ -127,6 +128,8 @@ func (s *LoadScenario) Validate() error {
 		return fmt.Errorf("experiment: negative drain %v", s.Drain)
 	case s.MaxFlows < 0:
 		return fmt.Errorf("experiment: negative flow cap %d", s.MaxFlows)
+	case s.CompletedWindow < 0:
+		return fmt.Errorf("experiment: negative completed-flow window %d", s.CompletedWindow)
 	case s.Topo == nil:
 		return fmt.Errorf("experiment: no topology")
 	}
@@ -178,10 +181,13 @@ func BufferFor(hosts int) int64 {
 
 // LoadResult carries everything the load-scenario figures report.
 type LoadResult struct {
-	Scheme  string
-	FCT     stats.FCTSet
-	Queue   stats.Summary // per-port queue-length samples, bytes
-	QueueKB []float64     // raw samples in KB (for CDFs)
+	Scheme string
+	FCT    stats.FCTSet
+	Queue  stats.Summary // per-port queue-length samples, bytes
+	// QueueDepths is the exact multiset of those samples: each
+	// distinct depth in bytes with its count, in increasing depth —
+	// enough to draw their CDF. Empty in sketch mode.
+	QueueDepths []stats.DepthCount
 
 	PauseFrac float64 // fraction of (port × time) spent PFC-paused
 	Drops     uint64
@@ -197,9 +203,9 @@ type LoadResult struct {
 	PortPackets uint64
 
 	// RetainedStatBytes is the run's logical retained-statistics
-	// footprint: FCT retention plus pooled queue samples (sketch buckets
-	// in streaming mode). Deterministic — the memory-regression gate
-	// compares it between runs.
+	// footprint: FCT retention plus the queue-depth counts (sketch
+	// buckets in streaming mode). Deterministic — the memory-regression
+	// gate compares it between runs.
 	RetainedStatBytes int64
 
 	// Events counts the engine events fired and PendingHighWater is the
@@ -334,15 +340,8 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 	eng.RunUntil(s.Until + s.Drain)
 	mon.Stop()
 
-	if s.SketchStats {
-		res.Queue = mon.Summary()
-	} else {
-		res.Queue = stats.Summarize(mon.Samples)
-		res.QueueKB = make([]float64, len(mon.Samples))
-		for i, v := range mon.Samples {
-			res.QueueKB[i] = v / 1024
-		}
-	}
+	res.Queue = mon.Summary()
+	res.QueueDepths = mon.Depths()
 	res.RetainedStatBytes = res.FCT.RetainedBytes() + mon.RetainedBytes()
 	collectFabric(res, m.Network, s.Until+s.Drain)
 	res.Events = eng.Fired()

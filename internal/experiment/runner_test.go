@@ -42,31 +42,35 @@ func TestRunLoadRejectsHostileSpecs(t *testing.T) {
 		name    string
 		topo    Topo
 		traffic workload.Generator
+		window  int // the completed-flow window
 	}{
-		{"FatTree only Cores", topology.FatTreeSpec{Cores: 2}, poisson},
-		{"FatTree no Aggs", topology.FatTreeSpec{Cores: 2, ToRs: 2, HostsPerToR: 9}, poisson},
-		{"FatTree of 1 host", topology.FatTreeSpec{Cores: 1, Aggs: 1, ToRs: 1, HostsPerToR: 1}, poisson},
-		{"Star of 1", topology.StarSpec{N: 1}, poisson},
-		{"Star negative delay", topology.StarSpec{N: 4, Delay: -sim.Microsecond}, poisson},
-		{"ParkingLot past the INT stack", topology.ParkingLotSpec{Segments: 5}, poisson},
-		{"Incast without a load fraction", star4, workload.IncastSpec{FanIn: 2, Size: 1000}},
-		{"Incast fan-in 0", star4, workload.IncastSpec{FanIn: 0, Size: 1000, LoadFrac: 0.02}},
-		{"FlowList past the hosts", star4, workload.FlowList{{Src: 0, Dst: 9, Size: 1000}}},
-		{"RPC without a size", star4, workload.RPCSpec{Load: 0.1}},
-		{"Poisson over zero-byte flows", star4, workload.PoissonSpec{CDF: workload.MustCDF("zero", []workload.Point{{Bytes: 0, Prob: 0}, {Bytes: 0, Prob: 1}}), Load: 0.3}},
-		{"Poisson negative MaxFlows", star4, workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3, MaxFlows: -1}},
-		{"RPC negative MaxRequests", star4, workload.RPCSpec{Size: 1000, Load: 0.1, MaxRequests: -1}},
-		{"no topology", nil, poisson},
-		{"nil generator", star4, nil},
+		{"FatTree only Cores", topology.FatTreeSpec{Cores: 2}, poisson, 0},
+		{"FatTree no Aggs", topology.FatTreeSpec{Cores: 2, ToRs: 2, HostsPerToR: 9}, poisson, 0},
+		{"FatTree of 1 host", topology.FatTreeSpec{Cores: 1, Aggs: 1, ToRs: 1, HostsPerToR: 1}, poisson, 0},
+		{"Star of 1", topology.StarSpec{N: 1}, poisson, 0},
+		{"Star negative delay", topology.StarSpec{N: 4, Delay: -sim.Microsecond}, poisson, 0},
+		{"ParkingLot past the INT stack", topology.ParkingLotSpec{Segments: 5}, poisson, 0},
+		{"Incast without a load fraction", star4, workload.IncastSpec{FanIn: 2, Size: 1000}, 0},
+		{"Incast fan-in 0", star4, workload.IncastSpec{FanIn: 0, Size: 1000, LoadFrac: 0.02}, 0},
+		{"FlowList past the hosts", star4, workload.FlowList{{Src: 0, Dst: 9, Size: 1000}}, 0},
+		{"RPC without a size", star4, workload.RPCSpec{Load: 0.1}, 0},
+		{"Poisson over zero-byte flows", star4, workload.PoissonSpec{CDF: workload.MustCDF("zero", []workload.Point{{Bytes: 0, Prob: 0}, {Bytes: 0, Prob: 1}}), Load: 0.3}, 0},
+		{"Poisson negative MaxFlows", star4, workload.PoissonSpec{CDF: workload.WebSearch(), Load: 0.3, MaxFlows: -1}, 0},
+		{"RPC negative MaxRequests", star4, workload.RPCSpec{Size: 1000, Load: 0.1, MaxRequests: -1}, 0},
+		{"no topology", nil, poisson, 0},
+		{"nil generator", star4, nil, 0},
+		{"FlowList hairpin", star4, workload.FlowList{{Src: 2, Dst: 2, Size: 1000}}, 0},
+		{"negative completed-flow window", star4, poisson, -3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := LoadScenario{
-				Scheme:  ByNameMust("hpcc"),
-				Topo:    c.topo,
-				Traffic: []workload.Generator{c.traffic},
-				Until:   500 * sim.Microsecond,
-				Drain:   sim.Millisecond,
-				PFC:     true,
+				Scheme:          ByNameMust("hpcc"),
+				Topo:            c.topo,
+				Traffic:         []workload.Generator{c.traffic},
+				Until:           500 * sim.Microsecond,
+				Drain:           sim.Millisecond,
+				PFC:             true,
+				CompletedWindow: c.window,
 			}
 			done := make(chan error, 1)
 			go func() {

@@ -58,11 +58,13 @@ func TestSketchStatsWithinAccuracy(t *testing.T) {
 	}
 	bracketCheck(t, "short slowdown", sketch.FCT.ShortSlowdownQuantile(99), shortSl, 99, alpha)
 
-	// Queue-depth percentiles: the exact run's pooled samples are the
-	// reference multiset (QueueKB is the same samples in KB).
-	depths := make([]float64, len(exact.QueueKB))
-	for i, kb := range exact.QueueKB {
-		depths[i] = kb * 1024
+	// Queue-depth percentiles: the exact run's depth multiset,
+	// expanded, is the reference.
+	var depths []float64
+	for _, d := range exact.QueueDepths {
+		for range d.Count {
+			depths = append(depths, float64(d.Bytes))
+		}
 	}
 	bracketCheck(t, "queue depth", sketch.Queue.P50, depths, 50, alpha)
 	bracketCheck(t, "queue depth", sketch.Queue.P99, depths, 99, alpha)

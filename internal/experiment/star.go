@@ -98,12 +98,12 @@ func runStar(c starCell) *StarRun {
 			})
 		}
 	}
-	var mon *stats.QueueMonitor
 	if c.Sink >= 0 {
 		// StarSpec links host i to switch port i.
 		port := m.Network.Switches[0].Ports()[c.Sink]
 		watch := func() {
-			mon = stats.NewQueueMonitor(eng, []*fabric.Port{port}, fabric.PrioData, sim.Microsecond, c.Dur)
+			mon := stats.NewQueueMonitor(eng, []*fabric.Port{port}, fabric.PrioData, sim.Microsecond, c.Dur)
+			mon.OnSample = func(tp stats.TimePoint) { r.Queue = append(r.Queue, tp) }
 		}
 		if c.QueueFrom == 0 {
 			watch()
@@ -113,9 +113,6 @@ func runStar(c starCell) *StarRun {
 	}
 	eng.RunUntil(c.Dur)
 
-	if mon != nil {
-		r.Queue = mon.Series
-	}
 	for i, f := range flows {
 		// An aborted flow is Done too; only a fully acknowledged one
 		// finished.

@@ -254,6 +254,30 @@ func TestIRNRecovery(t *testing.T) {
 	}
 }
 
+// IRN requeues a gap at most once per base RTT T: selective ACKs for
+// the same hole at t0, t0 + T/2 and t0 + 3T/2 requeue it at t0, not at
+// T/2 (the first retransmission may still be in flight), and again at
+// 3T/2 (it was lost too).
+func TestIRNRequeueThrottle(t *testing.T) {
+	const T = 10 * sim.Microsecond
+	h := New(sim.NewEngine(), 1, Config{CC: func() cc.Algorithm { return &mockCC{} }, FlowCtl: IRN, BaseRTT: T})
+	f := &Flow{host: h, size: 1_000_000, sndUna: 50_000, sndNxt: 100_000,
+		sacked: make(map[int64]int32), rtx: make(map[int64]int32)}
+	// The receiver holds 60 000 but still waits at the hole at 50 000.
+	sack := &packet.Packet{Type: packet.Ack, AckSeq: 50_000, DataSeq: 60_000}
+	const t0 = 100 * sim.Microsecond
+	for _, c := range []struct {
+		at      sim.Time
+		requeue bool
+	}{{t0, true}, {t0 + T/2, false}, {t0 + 3*T/2, true}} {
+		f.irnOnAck(sack, c.at)
+		if _, got := f.rtx[50_000]; got != c.requeue {
+			t.Errorf("t0 + %v: requeued %v, want %v", c.at-t0, got, c.requeue)
+		}
+		clear(f.rtx) // the sender retransmits what was queued
+	}
+}
+
 func TestCNPGeneration(t *testing.T) {
 	mock := &mockCC{w: 0, rate: float64(line100)}
 	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond}

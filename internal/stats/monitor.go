@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"slices"
+
 	"hpcc/internal/fabric"
 	"hpcc/internal/sim"
 )
@@ -16,10 +18,12 @@ type QueueMonitor struct {
 	until    sim.Time
 	tickFn   func() // m.tick bound once: re-arming with the method value would allocate a closure per tick
 
-	// Samples holds the retained per-port observations (bytes), pooled.
-	Samples []float64
-	// Series records the retained (time, total bytes) pairs.
-	Series []TimePoint
+	// Exact mode keeps the multiset of per-port depths: a count per
+	// distinct depth in bytes, so retention is O(distinct depths)
+	// however long the run. seen lists each depth once, in no
+	// particular order, so nothing ever ranges over the map.
+	counts map[int64]int64
+	seen   []int64
 
 	// OnSample, if set, streams each (time, total bytes) observation as
 	// it is taken — the observer-layer feed TraceQueues and the public
@@ -28,8 +32,8 @@ type QueueMonitor struct {
 	OnSample func(TimePoint)
 
 	// Sketch mode (EnableSketch): per-port depth observations stream
-	// into a mergeable quantile sketch instead of the Samples/Series
-	// slices, so retention is O(buckets) however long the run. OnSample
+	// into a mergeable quantile sketch instead of the exact counts, so
+	// retention is O(buckets) whatever depths the run sees. OnSample
 	// still fires every tick, so time-series observers keep working.
 	sketch *Sketch // cumulative per-port depths; non-nil => sketch mode
 	window *Sketch // depths since the last flush (fed when OnFlush is set)
@@ -66,18 +70,18 @@ func NewQueueMonitor(eng *sim.Engine, ports []*fabric.Port, prio uint8, interval
 // Stop ends sampling at the next tick.
 func (m *QueueMonitor) Stop() { m.until = -1 }
 
-// EnableSketch switches the monitor to sketch mode: no sample or
-// series rows are retained, every per-port observation streams into
-// mergeable sketches instead. Call it right after NewQueueMonitor,
-// before the first tick.
+// EnableSketch switches the monitor to sketch mode: no exact depth
+// counts are kept, every per-port observation streams into mergeable
+// sketches instead. Call it right after NewQueueMonitor, before the
+// first tick.
 func (m *QueueMonitor) EnableSketch() { m.sketch = NewSketch(0) }
 
-// Streaming reports whether the monitor sketches instead of retaining
-// samples.
+// Streaming reports whether the monitor sketches instead of counting
+// exact depths.
 func (m *QueueMonitor) Streaming() bool { return m.sketch != nil }
 
 // QueueFlush is one closed interval window of queue-depth observations,
-// delivered to OnFlush every FlushEvery ticks in sketch mode.
+// delivered to OnFlush every FlushEvery ticks in either mode.
 type QueueFlush struct {
 	Start sim.Time // window open (previous flush, or monitoring start)
 	At    sim.Time // window close: the tick that triggered the flush
@@ -98,19 +102,17 @@ func (m *QueueMonitor) tick() {
 	}
 	total := 0.0
 	for _, p := range m.ports {
-		q := float64(p.QueueBytes(m.prio))
+		d := p.QueueBytes(m.prio)
+		q := float64(d)
 		total += q
 		if m.sketch != nil {
 			m.sketch.Add(q)
 		} else {
-			m.Samples = append(m.Samples, q)
+			m.count(d)
 		}
 		if m.OnFlush != nil {
 			m.window.Add(q)
 		}
-	}
-	if m.sketch == nil {
-		m.Series = append(m.Series, TimePoint{now, total})
 	}
 	if m.OnFlush != nil {
 		m.winTicks++
@@ -129,13 +131,36 @@ func (m *QueueMonitor) tick() {
 	m.eng.After(m.interval, m.tickFn)
 }
 
+// count adds one exact-mode observation of depth d bytes.
+func (m *QueueMonitor) count(d int64) {
+	if m.counts == nil {
+		m.counts = make(map[int64]int64)
+	}
+	m.counts[d]++
+	if len(m.counts) > len(m.seen) {
+		m.seen = append(m.seen, d)
+	}
+}
+
+// Depths is the exact-mode multiset of per-port depths: every distinct
+// depth with its count, in increasing depth. It is empty in sketch
+// mode.
+func (m *QueueMonitor) Depths() []DepthCount {
+	slices.Sort(m.seen)
+	out := make([]DepthCount, len(m.seen))
+	for i, d := range m.seen {
+		out[i] = DepthCount{Bytes: d, Count: m.counts[d]}
+	}
+	return out
+}
+
 // Summary summarizes the per-port depth observations, mode-agnostic:
-// exact over retained Samples, α-accurate from the sketch.
+// exact from the depth counts, α-accurate from the sketch.
 func (m *QueueMonitor) Summary() Summary {
 	if m.sketch != nil {
 		return m.sketch.Summary()
 	}
-	return Summarize(m.Samples)
+	return summarizeDepths(m.Depths())
 }
 
 // DepthQuantile returns the p-th percentile of per-port queue depth
@@ -144,15 +169,24 @@ func (m *QueueMonitor) DepthQuantile(p float64) float64 {
 	if m.sketch != nil {
 		return quantileOrZero(m.sketch, p)
 	}
-	if len(m.Samples) == 0 {
+	ds := m.Depths()
+	var n int64
+	for _, d := range ds {
+		n += d.Count
+	}
+	if n == 0 {
 		return 0
 	}
-	return Percentile(m.Samples, p)
+	return percentileDepths(ds, n, p)
 }
 
-// RetainedBytes is the monitor's logical stat footprint: retained
-// sample rows in exact mode, occupied sketch buckets in sketch mode.
-// Series (one totals row per retained tick) is not counted.
+// depthCountBytes is the logical size of one exact-mode row: a depth
+// and its count.
+const depthCountBytes = 16
+
+// RetainedBytes is the monitor's logical stat footprint: one depth and
+// its count per distinct depth in exact mode, occupied sketch buckets
+// in sketch mode.
 func (m *QueueMonitor) RetainedBytes() int64 {
 	if m.sketch != nil {
 		total := m.sketch.RetainedBytes()
@@ -161,7 +195,7 @@ func (m *QueueMonitor) RetainedBytes() int64 {
 		}
 		return total
 	}
-	return int64(len(m.Samples)) * 8
+	return int64(len(m.seen)) * depthCountBytes
 }
 
 // PFCEvent is one pause/resume transition observed at a switch egress

@@ -23,16 +23,22 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 func percentileSorted(s []float64, p float64) float64 {
-	if len(s) == 1 {
-		return s[0]
+	return percentileOf(len(s), func(i int) float64 { return s[i] }, p)
+}
+
+// percentileOf is the p-th percentile of n > 0 observations whose i-th
+// smallest is at(i), by linear interpolation between closest ranks.
+func percentileOf(n int, at func(int) float64, p float64) float64 {
+	if n == 1 {
+		return at(0)
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(rank)
-	if lo >= len(s)-1 {
-		return s[len(s)-1]
+	if lo >= n-1 {
+		return at(n - 1)
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return at(lo)*(1-frac) + at(lo+1)*frac
 }
 
 // Summary bundles the order statistics the paper quotes.
@@ -61,6 +67,53 @@ func Summarize(xs []float64) Summary {
 		P99:  percentileSorted(s, 99),
 		Max:  s[len(s)-1],
 	}
+}
+
+// DepthCount is one distinct queue depth in bytes and how many
+// observations saw it: one row of an exact depth multiset.
+type DepthCount struct {
+	Bytes int64
+	Count int64
+}
+
+// summarizeDepths is Summarize over the multiset ds, sorted by
+// increasing depth, without expanding it. Each percentile is
+// percentileOf over the same order statistics as Summarize's, so the
+// two agree bit for bit. The mean is the integer sum over the count,
+// which equals Summarize's float sum while every partial sum stays
+// below 2⁵³ bytes, where float64 still adds integers exactly (a load
+// run's sums stay over 100× below it).
+func summarizeDepths(ds []DepthCount) Summary {
+	var n, sum int64
+	for _, d := range ds {
+		n += d.Count
+		sum += d.Bytes * d.Count
+	}
+	if n == 0 {
+		return Summary{}
+	}
+	return Summary{
+		N:    int(n),
+		Mean: float64(sum) / float64(n),
+		P50:  percentileDepths(ds, n, 50),
+		P95:  percentileDepths(ds, n, 95),
+		P99:  percentileDepths(ds, n, 99),
+		Max:  float64(ds[len(ds)-1].Bytes),
+	}
+}
+
+// percentileDepths is the p-th percentile of the n > 0 observations
+// of the multiset ds.
+func percentileDepths(ds []DepthCount, n int64, p float64) float64 {
+	return percentileOf(int(n), func(i int) float64 {
+		for _, d := range ds {
+			if int64(i) < d.Count {
+				return float64(d.Bytes)
+			}
+			i -= int(d.Count)
+		}
+		return float64(ds[len(ds)-1].Bytes)
+	}, p)
 }
 
 // Jain returns Jain's fairness index (Σx)²/(n·Σx²) ∈ [1/n, 1];

@@ -198,7 +198,8 @@ type FlowSpec struct {
 }
 
 // FlowList replays a fixed arrival trace — the simplest custom traffic
-// source. Every size is > 0 and every endpoint a host index.
+// source. Every size is > 0, every endpoint a host index, and no flow
+// sends to its own source: RoCE NICs do not hairpin.
 type FlowList []FlowSpec
 
 func (spec FlowList) Validate(hosts int) error {
@@ -208,6 +209,9 @@ func (spec FlowList) Validate(hosts int) error {
 		}
 		if f.Src < 0 || f.Src >= hosts || f.Dst < 0 || f.Dst >= hosts {
 			return fmt.Errorf("workload: FlowList[%d]: %d -> %d, want hosts in [0, %d)", i, f.Src, f.Dst, hosts)
+		}
+		if f.Src == f.Dst {
+			return fmt.Errorf("workload: FlowList[%d]: %d -> %d, want Src != Dst", i, f.Src, f.Dst)
 		}
 	}
 	return nil

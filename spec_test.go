@@ -524,6 +524,10 @@ func TestHostileInputsRejected(t *testing.T) {
 		"Pod negative delay":       {Topology: hpcc.Pod{LinkDelay: -time.Microsecond}, Traffic: poisson},
 		"Schedule Dst past hosts":  {Topology: hpcc.Star{Hosts: 4}, Traffic: schedule(0, 9)},
 		"Schedule negative Src":    {Topology: hpcc.Star{Hosts: 4}, Traffic: schedule(-1, 1)},
+		// RoCE NICs do not hairpin: a flow to its own source is no flow.
+		"Schedule Src == Dst": {Topology: hpcc.Star{Hosts: 4}, Traffic: schedule(2, 2)},
+		// A negative retention window is not "unbounded".
+		"negative CompletedFlowWindow": {Topology: hpcc.Star{Hosts: 4}, Traffic: poisson, CompletedFlowWindow: -3},
 		// A negative per-source cap is not "unlimited".
 		"Poisson negative MaxFlows": {Topology: hpcc.Star{Hosts: 4}, Traffic: []hpcc.Traffic{hpcc.Poisson{Load: 0.3, MaxFlows: -1}}},
 		"RPC negative MaxRequests":  {Topology: hpcc.Star{Hosts: 4}, Traffic: []hpcc.Traffic{hpcc.RPC{ResponseBytes: 1000, Load: 0.1, MaxRequests: -1}}},
