@@ -126,7 +126,7 @@ func BenchmarkFig11SixSchemes(b *testing.B) {
 		}
 		b.ReportMetric(g.Results[0][idx["HPCC"]].PauseFrac*100, "hpcc-pause-%")
 		b.ReportMetric(g.Results[0][idx["DCQCN"]].PauseFrac*100, "dcqcn-pause-%")
-		b.ReportMetric(g.Results[0][idx["HPCC"]].ShortFlowP95Latency(7_000), "hpcc-p95lat-us")
+		b.ReportMetric(g.Results[0][idx["HPCC"]].FCT.ShortLatencyQuantile(95), "hpcc-p95lat-us")
 	}
 }
 

@@ -60,7 +60,7 @@ func hadoopIncastTables(g *Grid[*LoadResult]) []*Table {
 		lr := g.Results[0][c]
 		sum.AddRow(s,
 			f2(lr.FCT.SlowdownQuantile(99)),
-			f1(lr.ShortFlowP95Latency(7_000)),
+			f1(lr.FCT.ShortLatencyQuantile(95)),
 			f1(lr.Queue.P99/1024),
 			f2(lr.PauseFrac*100),
 			fmt.Sprintf("%d", lr.Drops),

@@ -67,7 +67,15 @@ func fig02Tables(g *Grid[*LoadResult]) []*Table {
 	}
 	for c, lab := range g.Cols {
 		lr := g.Results[1][c]
-		b.AddRow(lab, f2(lr.PauseFrac*100), f1(lr.ShortFlowP95Latency(30_000)), f1(lr.Queue.P99/1024))
+		// The panel's short class is flows up to 30 KB, wider than
+		// stats.ShortFlowLimit, so it reads the exact records.
+		var lat []float64
+		for _, rec := range lr.FCT.Records {
+			if rec.Size <= 30_000 {
+				lat = append(lat, rec.FCT.Microseconds())
+			}
+		}
+		b.AddRow(lab, f2(lr.PauseFrac*100), f1(stats.Percentile(lat, 95)), f1(lr.Queue.P99/1024))
 	}
 	b.AddNote("aggressive timers (small Ti, large Td) recover bandwidth faster (2a) but pause more under incast (2b)")
 	return []*Table{a, b}

@@ -57,7 +57,7 @@ func fig11Tables(g *Grid[*LoadResult], fanIn int) []*Table {
 			lr := g.Results[r][c]
 			pfc.AddRow(s,
 				f2(lr.PauseFrac*100),
-				f1(lr.ShortFlowP95Latency(7_000)),
+				f1(lr.FCT.ShortLatencyQuantile(95)),
 				f1(lr.Queue.P99/1024),
 				f1(float64(lr.Censored)))
 		}

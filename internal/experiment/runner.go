@@ -221,23 +221,6 @@ type LoadResult struct {
 	OffLane          uint64
 }
 
-// ShortFlowP95Latency returns the 95th-percentile FCT (µs) of flows no
-// larger than limit bytes — the "95pct-latency" bars of Figures 2b/11.
-// Streaming runs track the fixed stats.ShortFlowLimit class, whatever
-// limit is passed.
-func (r *LoadResult) ShortFlowP95Latency(limit int64) float64 {
-	if r.FCT.Streaming() {
-		return r.FCT.ShortLatencyQuantile(95)
-	}
-	var lat []float64
-	for _, rec := range r.FCT.Records {
-		if rec.Size <= limit {
-			lat = append(lat, rec.FCT.Microseconds())
-		}
-	}
-	return stats.Percentile(lat, 95)
-}
-
 // build constructs the scenario's fabric on eng.
 func (s *LoadScenario) build(eng *sim.Engine) *topology.Network {
 	scfg := fabric.SwitchConfig{

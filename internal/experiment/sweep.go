@@ -51,7 +51,7 @@ func sweepTables(g *Grid[*LoadResult]) []*Table {
 			t.AddRow(
 				load, s,
 				f2(lr.FCT.SlowdownQuantile(50)), f2(lr.FCT.SlowdownQuantile(95)), f2(lr.FCT.SlowdownQuantile(99)),
-				f1(lr.ShortFlowP95Latency(7_000)),
+				f1(lr.FCT.ShortLatencyQuantile(95)),
 				f1(lr.Queue.P99/1024),
 				f2(lr.PauseFrac*100),
 				fmt.Sprintf("%d", lr.Censored))

@@ -161,6 +161,39 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 	}
 }
 
+// IRN's selective repeat (§5.3) resends only what was lost: with one
+// chunk dropped mid-flow and nothing else lost, the flow retransmits
+// that chunk exactly once and completes.
+func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(line100)} },
+		FlowCtl: IRN, BaseRTT: 5 * sim.Microsecond}
+	a := New(eng, 1, cfg)
+	b := New(eng, 2, cfg)
+	dropper := &tailDropper{eng: eng, dropSeq: 50_000}
+	ap, da := fabric.Connect(eng, a, dropper, 0, 0, line100, sim.Microsecond)
+	a.AttachPort(ap)
+	dropper.ports = append(dropper.ports, da)
+	db, bp := fabric.Connect(eng, dropper, b, 1, 0, line100, sim.Microsecond)
+	dropper.ports = append(dropper.ports, db)
+	b.AttachPort(bp)
+
+	f := a.StartFlow(1, b.ID(), 200_000, 0, nil)
+	eng.Run()
+	if !dropper.dropped {
+		t.Fatal("setup: the chunk at 50 000 was never sent")
+	}
+	if !f.Done() || f.Acked() != 200_000 {
+		t.Fatalf("flow done %v with %d of 200000 bytes acked", f.Done(), f.Acked())
+	}
+	if f.Retransmits() != 1 {
+		t.Fatalf("retransmits = %d, want 1 (only the dropped chunk)", f.Retransmits())
+	}
+	if f.FCT() >= RTO {
+		t.Fatalf("FCT %v: recovery waited for the RTO instead of the selective ACKs", f.FCT())
+	}
+}
+
 // tailDropper forwards between its two ports, dropping the data packet
 // with Seq == dropSeq exactly once.
 type tailDropper struct {

@@ -24,9 +24,6 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// Picoseconds returns t as a raw picosecond count.
-func (t Time) Picoseconds() int64 { return int64(t) }
-
 // Nanoseconds returns t truncated to nanoseconds.
 func (t Time) Nanoseconds() int64 { return int64(t / Nanosecond) }
 

@@ -94,10 +94,6 @@ func NewStreamingFCT(edges []int64, alpha float64) FCTSet {
 	return FCTSet{str: str}
 }
 
-// Streaming reports whether the set sketches instead of retaining
-// records.
-func (s *FCTSet) Streaming() bool { return s.str != nil }
-
 // Add appends one record (exact mode) or streams it into the sketches.
 func (s *FCTSet) Add(r FCTRecord) {
 	if s.str == nil {
@@ -170,7 +166,7 @@ func (s *FCTSet) ShortSlowdownQuantile(p float64) float64 {
 }
 
 // ShortLatencyQuantile returns the p-th percentile of short-flow FCT in
-// microseconds (the "95pct-latency" bars of Figures 2b/11). Empty sets
+// microseconds (the "95pct-latency" bars of Figure 11). Empty sets
 // report NaN like Percentile, preserving the exact-mode contract.
 func (s *FCTSet) ShortLatencyQuantile(p float64) float64 {
 	if s.str != nil {

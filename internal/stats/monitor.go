@@ -76,10 +76,6 @@ func (m *QueueMonitor) Stop() { m.until = -1 }
 // first tick.
 func (m *QueueMonitor) EnableSketch() { m.sketch = NewSketch(0) }
 
-// Streaming reports whether the monitor sketches instead of counting
-// exact depths.
-func (m *QueueMonitor) Streaming() bool { return m.sketch != nil }
-
 // QueueFlush is one closed interval window of queue-depth observations,
 // delivered to OnFlush every FlushEvery ticks in either mode.
 type QueueFlush struct {

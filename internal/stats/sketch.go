@@ -72,9 +72,6 @@ func newSketchMax(alpha float64, maxBins int) *Sketch {
 	}
 }
 
-// RelativeAccuracy returns the configured α.
-func (s *Sketch) RelativeAccuracy() float64 { return (s.gamma - 1) / (s.gamma + 1) }
-
 // key maps a value to its bucket index: the smallest k with
 // gamma^k >= v.
 func (s *Sketch) key(v float64) int {

@@ -204,25 +204,3 @@ func (e AIEquilibrium) Solve() (u, r float64) {
 func (e AIEquilibrium) MaxAdditiveStep() float64 {
 	return e.C * (1 - e.UTarget) / float64(e.N)
 }
-
-// AlphaFairRate implements Appendix A.3's multi-register extension: a
-// source holding one register R_i per resource on its path sets its
-// rate to R = (Σ R_i^−α)^(−1/α), the α-fair aggregate. α → ∞
-// approaches min_i R_i (max-min fairness), α = 1 is proportional
-// fairness, α → 0 approaches maximizing the sum of rates.
-func AlphaFairRate(regs []float64, alpha float64) float64 {
-	if len(regs) == 0 {
-		return 0
-	}
-	if alpha <= 0 {
-		panic("theory: alpha must be positive")
-	}
-	var sum float64
-	for _, r := range regs {
-		if r <= 0 {
-			return 0
-		}
-		sum += math.Pow(r, -alpha)
-	}
-	return math.Pow(sum, -1/alpha)
-}

@@ -227,63 +227,6 @@ func TestNDD1At100PercentBounded(t *testing.T) {
 	}
 }
 
-func TestAlphaFairRate(t *testing.T) {
-	regs := []float64{4, 8, 16}
-	// α = 1: harmonic combination (proportional fairness):
-	// (1/4 + 1/8 + 1/16)^-1 = 16/7.
-	if got := AlphaFairRate(regs, 1); math.Abs(got-16.0/7) > 1e-12 {
-		t.Fatalf("alpha=1: %v, want %v", got, 16.0/7)
-	}
-	// α → ∞ approaches the minimum register (max-min fairness).
-	if got := AlphaFairRate(regs, 200); math.Abs(got-4) > 0.05 {
-		t.Fatalf("alpha→∞: %v, want ≈ 4", got)
-	}
-	// Single register: the register itself, for any α.
-	if got := AlphaFairRate([]float64{7}, 2); math.Abs(got-7) > 1e-12 {
-		t.Fatalf("single register: %v", got)
-	}
-	if got := AlphaFairRate(nil, 1); got != 0 {
-		t.Fatalf("empty: %v", got)
-	}
-}
-
-// Property: the α-fair aggregate is monotone in α toward the minimum,
-// bounded by (min/len^(1/α), min], and scale-equivariant.
-func TestAlphaFairProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := int(n%6) + 1
-		regs := make([]float64, k)
-		mn := math.Inf(1)
-		for i := range regs {
-			regs[i] = rng.Float64()*99 + 1
-			if regs[i] < mn {
-				mn = regs[i]
-			}
-		}
-		prev := 0.0
-		for i, alpha := range []float64{0.5, 1, 2, 4, 8} {
-			r := AlphaFairRate(regs, alpha)
-			if r <= 0 || r > mn+1e-9 {
-				return false
-			}
-			if i > 0 && r < prev-1e-9 { // increasing toward min
-				return false
-			}
-			prev = r
-		}
-		// Scale equivariance: doubling every register doubles the rate.
-		doubled := make([]float64, k)
-		for i := range regs {
-			doubled[i] = 2 * regs[i]
-		}
-		return math.Abs(AlphaFairRate(doubled, 2)-2*AlphaFairRate(regs, 2)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBrownianApprox(t *testing.T) {
 	if got := BrownianMeanAt100(50); math.Abs(got-4.43) > 0.01 {
 		t.Fatalf("sqrt(π·50/8) = %v, want ≈ 4.43", got)

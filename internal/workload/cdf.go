@@ -22,16 +22,22 @@ type CDF struct {
 	points []Point
 }
 
-// NewCDF validates and builds a CDF. Points must have nonnegative sizes
-// and probabilities in [0, 1], sorted by size with nondecreasing
-// probability, starting at probability 0 and ending at 1.
+// maxCDFBytes caps a knot's size at 2^53 bytes: every size up to it is
+// exact in float64, and no sum or difference of two sizes overflows
+// int64, so Sample, Quantile and Mean stay between the first and last
+// knot.
+const maxCDFBytes = 1 << 53
+
+// NewCDF validates and builds a CDF. Points must have sizes in
+// [0, maxCDFBytes] and probabilities in [0, 1], sorted by size with
+// nondecreasing probability, starting at probability 0 and ending at 1.
 func NewCDF(name string, points []Point) (*CDF, error) {
 	if len(points) < 2 {
 		return nil, fmt.Errorf("workload: CDF %q needs at least 2 points", name)
 	}
 	for i, p := range points {
 		// The negated test also catches NaN, which every comparison fails.
-		if p.Bytes < 0 || !(p.Prob >= 0 && p.Prob <= 1) {
+		if p.Bytes < 0 || p.Bytes > maxCDFBytes || !(p.Prob >= 0 && p.Prob <= 1) {
 			return nil, fmt.Errorf("workload: CDF %q point %d (%d bytes, probability %v) is out of range", name, i, p.Bytes, p.Prob)
 		}
 	}

@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +37,9 @@ func TestCDFValidation(t *testing.T) {
 		"an infinite probability":    {{0, 0}, {1000, math.Inf(1)}, {2000, 1}},
 		"a probability above 1":      {{0, 0}, {1000, 1.5}, {2000, 1}},
 		"negative sizes":             {{-5000, 0}, {-10, 1}},
+		// Sizes this large overflow Mean's lo+hi and Quantile's
+		// float→int64 step.
+		"sizes above 2^53": {{0, 0}, {math.MaxInt64 - 10, 0.5}, {math.MaxInt64, 1}},
 	} {
 		if _, err := NewCDF("bad", pts); err == nil {
 			t.Errorf("accepted %s: %v", name, pts)
@@ -128,6 +133,40 @@ func TestCDFKnotsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzCDF feeds CDFFromFile arbitrary text. It must return an error or
+// a CDF whose Quantile, Sample and Mean stay between its first and
+// last knot, with Sample at least 1 byte. Seeds live in
+// testdata/fuzz/FuzzCDF.
+func FuzzCDF(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		path := filepath.Join(t.TempDir(), "sizes.cdf")
+		if err := os.WriteFile(path, []byte(text), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		c, err := CDFFromFile(path)
+		if err != nil {
+			return
+		}
+		lo, hi := c.points[0].Bytes, c.points[len(c.points)-1].Bytes
+		rng := rand.New(rand.NewSource(1))
+		for _, p := range []float64{0, 0.5, 1, rng.Float64(), rng.Float64()} {
+			if q := c.Quantile(p); q < lo || q > hi {
+				t.Fatalf("Quantile(%v) = %d outside [%d, %d]", p, q, lo, hi)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			if s := c.Sample(rng); s < max64(lo, 1) || s > max64(hi, 1) {
+				t.Fatalf("Sample() = %d outside [%d, %d] or below 1 byte", s, lo, hi)
+			}
+		}
+		// The probability steps sum to 1 only within a few ulps.
+		tol := 1e-9 * float64(hi)
+		if m := c.Mean(); !(m >= float64(lo)-tol && m <= float64(hi)+tol) {
+			t.Fatalf("Mean() = %v outside [%d, %d]", m, lo, hi)
+		}
+	})
 }
 
 func testNet(n int) *topology.Network {

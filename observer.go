@@ -144,8 +144,6 @@ type StatsFlush struct {
 // flow statistics. The observer keeps its own slowdown sketch fed from
 // the flow stream, so it works (and costs O(sketch buckets)) in both
 // exact and sketch-stats runs.
-//
-// Like every observer, attaching one keeps the run on a single engine.
 type StatsObserver struct {
 	OnFlush func(StatsFlush)
 }

@@ -53,8 +53,9 @@ type CDFPoint struct {
 	Prob  float64
 }
 
-// NewCDF builds a distribution from explicit knots: sorted by size,
-// nondecreasing probability, from 0 to 1.
+// NewCDF builds a distribution from explicit knots: sizes in
+// [0, 2^53] bytes, sorted by size, nondecreasing probability, from 0
+// to 1.
 func NewCDF(name string, points []CDFPoint) (CDF, error) {
 	ps := make([]workload.Point, len(points))
 	for i, p := range points {
