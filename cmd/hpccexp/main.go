@@ -1,6 +1,6 @@
-// Command hpccexp runs campaigns over the registered experiment
-// scenarios — every figure and ablation of the HPCC paper plus the
-// extra scenarios registered through the same interface. Jobs fan out
+// Command hpccexp runs campaigns over the experiment scenario
+// catalogue — every figure and ablation of the HPCC paper plus the
+// extra scenarios listed in the same table. Jobs fan out
 // across a bounded worker pool with deterministic per-job seeding, so
 // output is byte-identical whatever -parallel is.
 //

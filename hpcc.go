@@ -49,8 +49,6 @@ type SenderConfig struct {
 	LineRateBps int64
 	// BaseRTT is the network-wide base RTT T.
 	BaseRTT time.Duration
-	// MTU is the data payload per packet (default 1000 bytes).
-	MTU int
 	// Eta is the target utilization η (default 0.95).
 	Eta float64
 	// MaxStage bounds consecutive additive-increase rounds (default 5).
@@ -88,9 +86,6 @@ type Ack struct {
 // NewSender builds a standalone HPCC instance. now supplies the current
 // time (monotonic); it is only used to timestamp state transitions.
 func NewSender(cfg SenderConfig, now func() time.Duration) *Sender {
-	if cfg.MTU == 0 {
-		cfg.MTU = packet.DefaultMTU
-	}
 	inner := hpcccc.New(hpcccc.Config{
 		Eta:      cfg.Eta,
 		MaxStage: cfg.MaxStage,
@@ -102,7 +97,6 @@ func NewSender(cfg SenderConfig, now func() time.Duration) *Sender {
 		Now:      func() sim.Time { return sim.Time(now().Nanoseconds()) * sim.Nanosecond },
 		LineRate: sim.Rate(cfg.LineRateBps),
 		BaseRTT:  sim.Time(cfg.BaseRTT.Nanoseconds()) * sim.Nanosecond,
-		MTU:      cfg.MTU,
 	})
 	return &Sender{inner: inner, now: now}
 }

@@ -16,7 +16,7 @@ import (
 	"hpcc/internal/sim"
 )
 
-// Job is one registered scenario bound to campaign parameters. Run is
+// Job is one catalogued scenario bound to campaign parameters. Run is
 // invoked once per seed replicate and must be reentrant: with Parallel
 // and Seeds both above one, workers may execute it concurrently with
 // other jobs and with its own replicates. It must confine itself to

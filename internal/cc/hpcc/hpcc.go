@@ -128,9 +128,6 @@ func (h *HPCC) Init(env cc.Env) {
 	h.rate = float64(env.LineRate)
 }
 
-// Window returns W in bytes (exported for tests and tracing).
-func (h *HPCC) Window() float64 { return h.w }
-
 // WindowBytes implements cc.Algorithm.
 func (h *HPCC) WindowBytes() float64 { return h.w }
 
@@ -168,34 +165,21 @@ func (h *HPCC) OnAck(ev *cc.AckEvent) {
 		return
 	}
 
-	switch h.cfg.Reaction {
-	case PerRTT:
-		// Only adjust when an ACK covers the first packet sent after
-		// the previous adjustment, and only record link feedback at
-		// those points so the measurement window spans the full RTT.
-		if ev.AckSeq <= h.lastUpdateSeq {
-			return
-		}
-		u := h.measureInflight(ev)
-		h.w = h.computeWind(u, true)
-		h.lastUpdateSeq = ev.SndNxt
-		h.rate = h.w / h.env.BaseRTT.Seconds() * 8
-	case PerAck:
-		// React fully to every ACK: the reference window always tracks
-		// the latest result (Figure 13's overreaction).
-		u := h.measureInflight(ev)
-		h.w = h.computeWind(u, true)
-		h.lastUpdateSeq = ev.SndNxt
-		h.rate = h.w / h.env.BaseRTT.Seconds() * 8
-	default:
-		updateWc := ev.AckSeq > h.lastUpdateSeq
-		u := h.measureInflight(ev)
-		h.w = h.computeWind(u, updateWc)
-		if updateWc {
-			h.lastUpdateSeq = ev.SndNxt
-		}
-		h.rate = h.w / h.env.BaseRTT.Seconds() * 8
+	// Combined syncs W^c only when an ACK covers the first packet sent
+	// under the current reference; PerAck syncs on every ACK (Figure
+	// 13's overreaction); PerRTT reacts only on the syncing ACKs and
+	// skips the rest, so its link records and measurement window span
+	// the full RTT.
+	updateWc := h.cfg.Reaction == PerAck || ev.AckSeq > h.lastUpdateSeq
+	if h.cfg.Reaction == PerRTT && !updateWc {
+		return
 	}
+	u := h.measureInflight(ev)
+	h.w = h.computeWind(u, updateWc)
+	if updateWc {
+		h.lastUpdateSeq = ev.SndNxt
+	}
+	h.rate = h.w / h.env.BaseRTT.Seconds() * 8
 	h.record(ev)
 }
 

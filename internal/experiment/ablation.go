@@ -11,27 +11,6 @@ import (
 	"hpcc/internal/workload"
 )
 
-func init() {
-	Register(Scenario{
-		Name:  "ablations-eta",
-		Order: 110,
-		Title: "η × maxStage stability sweep (16-to-1 incast, 100G)",
-		Run:   func(p Params) []*Table { return []*Table{etaMaxStageTable(AblationEtaMaxStage(0, p.Seed))} },
-	})
-	Register(Scenario{
-		Name:  "ablations-quant",
-		Order: 111,
-		Title: "INT precision: simulator floats vs Figure-7 wire quantization (PoD)",
-		Run:   func(p Params) []*Table { return quantizeTables(AblationINTQuantization(p.scale())) },
-	})
-	Register(Scenario{
-		Name:  "theory",
-		Order: 120,
-		Title: "Appendix A.2 synchronous recursion convergence on random networks",
-		Run:   func(p Params) []*Table { return []*Table{TheoryLemmaTable(200, p.Seed)} },
-	})
-}
-
 func randomTheorySystem(rng *rand.Rand) *theory.System {
 	return theory.RandomSystem(rng, 6, 8)
 }

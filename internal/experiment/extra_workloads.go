@@ -8,24 +8,9 @@ import (
 	"hpcc/internal/workload"
 )
 
-// The remaining workload-breadth scenarios ROADMAP lists: FB_Hadoop
-// incast mixes and an RPC request-response job at FatTree scale, both
-// composed from the spec-based generators (PR 3) and registered like
-// every reproduction job.
-func init() {
-	Register(Scenario{
-		Name:  "extra-hadoop-incast",
-		Order: 132,
-		Title: "FB_Hadoop + incast mix on the FatTree (HPCC vs DCQCN, §5.3-style)",
-		Run:   func(p Params) []*Table { return hadoopIncastTables(HadoopIncastMix(p.Fat, p.scale())) },
-	})
-	Register(Scenario{
-		Name:  "extra-rpc-fattree",
-		Order: 133,
-		Title: "RPC request-response (RDMA READ) at FatTree scale, WebSearch responses",
-		Run:   func(p Params) []*Table { return rpcTables(RPCFatTree(p.Fat, p.scale())) },
-	})
-}
+// The workload-breadth scenarios: FB_Hadoop incast mixes and an RPC
+// request-response job at FatTree scale, both composed from the
+// spec-based generators and catalogued like every reproduction job.
 
 // HadoopIncastMix is the §5.3-style "realistic mix" on FB_Hadoop:
 // background Poisson at 50% load plus periodic N-to-1 incast bursts at

@@ -8,15 +8,6 @@ import (
 	"hpcc/internal/workload"
 )
 
-func init() {
-	Register(Scenario{
-		Name:  "fig1",
-		Order: 10,
-		Title: "PFC pause propagation under incast storms (DCQCN, PoD)",
-		Run:   func(p Params) []*Table { return []*Table{Fig01(0, p.Seed).Table()} },
-	})
-}
-
 // Fig01Result substitutes for the paper's Figure 1, which plots
 // *production* measurements of PFC pause propagation. We reproduce the
 // phenomenon inside the simulated PoD: sustained incast under DCQCN

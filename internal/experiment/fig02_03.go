@@ -10,21 +10,6 @@ import (
 	"hpcc/internal/workload"
 )
 
-func init() {
-	Register(Scenario{
-		Name:  "fig2",
-		Order: 20,
-		Title: "DCQCN timer trade-off: FCT vs PFC pauses (WebSearch, PoD)",
-		Run:   func(p Params) []*Table { return fig02Tables(Fig02(p.scale())) },
-	})
-	Register(Scenario{
-		Name:  "fig3",
-		Order: 30,
-		Title: "DCQCN ECN-threshold trade-off: bandwidth vs latency (WebSearch, PoD)",
-		Run:   func(p Params) []*Table { return fig03Tables(Fig03(p.scale())) },
-	})
-}
-
 // Fig02Timers are the three (Ti, Td) settings of Figure 2: the DCQCN
 // paper's original, a vendor default, and the authors' conservative
 // tuning.

@@ -2,15 +2,6 @@ package experiment
 
 import "hpcc/internal/sim"
 
-func init() {
-	Register(Scenario{
-		Name:  "fig6",
-		Order: 40,
-		Title: "txRate vs rxRate congestion signal (2-to-1, 100G)",
-		Run:   func(p Params) []*Table { return []*Table{fig06Table(Fig06(0, p.Seed))} },
-	})
-}
-
 // Fig06 runs the 2-to-1 congestion scenario of §3.4 for HPCC and
 // HPCC-rxRate (columns) and samples the bottleneck queue over time.
 func Fig06(dur sim.Time, seed int64) *Grid[*StarRun] {

@@ -8,33 +8,6 @@ import (
 // fig9Rate is the testbed NIC speed (25 Gbps, §5.1).
 const fig9Rate = 25 * sim.Gbps
 
-func init() {
-	Register(Scenario{
-		Name:  "fig9-longshort",
-		Order: 50,
-		Title: "long-flow rate recovery around a 1MB short flow (25G)",
-		Run:   func(p Params) []*Table { return []*Table{fig09LongShortTable(Fig09LongShort(0, p.Seed))} },
-	})
-	Register(Scenario{
-		Name:  "fig9-incast",
-		Order: 51,
-		Title: "7-to-1 incast joining a long flow: queue build-up and drain (25G)",
-		Run:   func(p Params) []*Table { return []*Table{fig09IncastTable(Fig09Incast(0, p.Seed))} },
-	})
-	Register(Scenario{
-		Name:  "fig9-mice",
-		Order: 52,
-		Title: "mice latency and queue size under two elephants (25G)",
-		Run:   func(p Params) []*Table { return []*Table{fig09MiceTable(Fig09Mice(0, p.Seed))} },
-	})
-	Register(Scenario{
-		Name:  "fig9-fairness",
-		Order: 53,
-		Title: "fair share under staggered join/leave (25G)",
-		Run:   func(p Params) []*Table { return []*Table{fig09FairnessTable(Fig09Fairness(0, p.Seed))} },
-	})
-}
-
 // fig9Grid is a Figure 9 panel: the star cell cell makes of each scheme
 // the paper compares, HPCC and DCQCN (columns), at 25 Gbps.
 func fig9Grid(cell func(Scheme) starCell) *Grid[*StarRun] {

@@ -6,15 +6,6 @@ import (
 	"hpcc/internal/workload"
 )
 
-func init() {
-	Register(Scenario{
-		Name:  "fig10",
-		Order: 60,
-		Title: "HPCC vs DCQCN end-to-end: FCT and queues (WebSearch, PoD)",
-		Run:   func(p Params) []*Table { return fig10Tables(Fig10(p.scale())) },
-	})
-}
-
 // Fig10 is the testbed end-to-end comparison (Figure 10): HPCC and
 // DCQCN (columns) on the PoD at 30% and 50% WebSearch load (rows).
 func Fig10(sc Scale) *Grid[*LoadResult] {

@@ -6,17 +6,6 @@ import (
 	"hpcc/internal/workload"
 )
 
-func init() {
-	Register(Scenario{
-		Name:  "fig11",
-		Order: 70,
-		Title: "six-scheme comparison at scale (FB_Hadoop, FatTree)",
-		Run: func(p Params) []*Table {
-			return fig11Tables(Fig11(p.Fat, p.scale()), fanIn(p.Fat, 4))
-		},
-	})
-}
-
 // Fig11 is the six-scheme large-scale comparison (Figure 11): the
 // Figure-11 schemes (columns) under FB_Hadoop on the FatTree at 30%
 // load plus an incast (row 0) and at 50% load (row 1). The FatTree and

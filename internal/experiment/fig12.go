@@ -7,15 +7,6 @@ import (
 	"hpcc/internal/workload"
 )
 
-func init() {
-	Register(Scenario{
-		Name:  "fig12",
-		Order: 80,
-		Title: "flow-control choices: PFC vs go-back-N vs IRN (FB_Hadoop, FatTree)",
-		Run:   func(p Params) []*Table { return fig12Tables(Fig12(p.Fat, p.scale())) },
-	})
-}
-
 // Fig12 is the flow-control-choices experiment (Figure 12): DCQCN and
 // HPCC (rows) under lossless PFC, lossy go-back-N and lossy IRN
 // (columns) on the FatTree at 30% FB_Hadoop load plus an incast. The

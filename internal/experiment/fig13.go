@@ -6,15 +6,6 @@ import (
 	"hpcc/internal/stats"
 )
 
-func init() {
-	Register(Scenario{
-		Name:  "fig13",
-		Order: 90,
-		Title: "reaction combining: per-ACK vs per-RTT vs HPCC (16-to-1, 100G)",
-		Run:   func(p Params) []*Table { return fig13Tables(Fig13(0, p.Seed)) },
-	})
-}
-
 // Fig13 compares the reaction-combining strategies of §5.4 (Figure 13):
 // per-ACK, per-RTT and HPCC's reference-window scheme (columns) under a
 // 16-to-1 incast on 100 Gbps links.

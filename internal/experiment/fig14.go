@@ -4,16 +4,8 @@ import (
 	hpcccc "hpcc/internal/cc/hpcc"
 	"hpcc/internal/sim"
 	"hpcc/internal/stats"
+	"hpcc/internal/theory"
 )
-
-func init() {
-	Register(Scenario{
-		Name:  "fig14",
-		Order: 100,
-		Title: "W_AI sweep: fairness vs standing queue (16-to-1, 100G)",
-		Run:   func(p Params) []*Table { return []*Table{fig14Table(Fig14(nil, 0, p.Seed))} },
-	})
-}
 
 // Fig14 sweeps W_AI (rows) over a 16-to-1 incast of long flows at 100
 // Gbps (Figure 14, §5.4). The paper's bound for 16 flows at T = 4 µs is
@@ -38,10 +30,12 @@ func Fig14(waiBytes []float64, dur sim.Time, seed int64) *Grid[*StarRun] {
 func finalShares(r *StarRun) []float64 { return r.Rates(r.Dur-sim.Millisecond, r.Dur) }
 
 // stableLimit is the §3.3 rule-of-thumb bound W_init(1−η)/N on W_AI for
-// the 16 flows of the incast, bytes.
+// the 16 flows of the incast, bytes: Appendix A.3's largest additive
+// step that keeps the equilibrium utilization below 100%, in window
+// units.
 func stableLimit(r *StarRun) float64 {
 	bdp := (100 * sim.Gbps).BytesPerSec() * r.BaseRTT.Seconds()
-	return bdp * 0.05 / 16
+	return theory.AIEquilibrium{UTarget: 0.95, C: bdp, N: 16}.MaxAdditiveStep()
 }
 
 // fig14Table renders the Figure 14 sweep: per W_AI, the Jain index of

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strings"
-	"sync"
 
 	"hpcc/internal/topology"
 )
@@ -31,10 +29,10 @@ func (p Params) scale() Scale {
 }
 
 // Scenario is one independently runnable experiment — a figure panel
-// set, an ablation, or any registered extra. Each invocation of Run
-// must build its own sim.Engine(s), touch no shared mutable state, and
-// derive all randomness from Params.Seed, so scenarios can execute
-// concurrently and a campaign's output is schedule-independent.
+// set, an ablation, or an extra. Each invocation of Run must build its
+// own sim.Engine(s), touch no shared mutable state, and derive all
+// randomness from Params.Seed, so scenarios can execute concurrently
+// and a campaign's output is schedule-independent.
 type Scenario struct {
 	// Name is the CLI spelling (e.g. "fig11", "fig9-incast"). Scenarios
 	// in a family share a dash-separated prefix so the bare family name
@@ -42,72 +40,74 @@ type Scenario struct {
 	Name string
 	// Title is the one-line description shown by -list.
 	Title string
-	// Order positions the scenario in canonical "all" order.
-	Order int
 	// Run executes the scenario and returns its rendered tables.
 	Run func(Params) []*Table
 }
 
-var (
-	regMu    sync.Mutex
-	registry = map[string]Scenario{}
-)
-
-// Register adds a scenario to the global registry. Duplicate names
-// panic: they are always a wiring bug.
-func Register(s Scenario) {
-	if s.Name == "" || s.Run == nil {
-		panic("experiment: Register needs a name and a Run func")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[s.Name]; dup {
-		panic(fmt.Sprintf("experiment: duplicate scenario %q", s.Name))
-	}
-	registry[s.Name] = s
+// catalogue is every scenario, in canonical "all" order. A new
+// scenario is one entry here.
+var catalogue = []Scenario{
+	{Name: "fig1", Title: "PFC pause propagation under incast storms (DCQCN, PoD)",
+		Run: func(p Params) []*Table { return []*Table{Fig01(0, p.Seed).Table()} }},
+	{Name: "fig2", Title: "DCQCN timer trade-off: FCT vs PFC pauses (WebSearch, PoD)",
+		Run: func(p Params) []*Table { return fig02Tables(Fig02(p.scale())) }},
+	{Name: "fig3", Title: "DCQCN ECN-threshold trade-off: bandwidth vs latency (WebSearch, PoD)",
+		Run: func(p Params) []*Table { return fig03Tables(Fig03(p.scale())) }},
+	{Name: "fig6", Title: "txRate vs rxRate congestion signal (2-to-1, 100G)",
+		Run: func(p Params) []*Table { return []*Table{fig06Table(Fig06(0, p.Seed))} }},
+	{Name: "fig9-longshort", Title: "long-flow rate recovery around a 1MB short flow (25G)",
+		Run: func(p Params) []*Table { return []*Table{fig09LongShortTable(Fig09LongShort(0, p.Seed))} }},
+	{Name: "fig9-incast", Title: "7-to-1 incast joining a long flow: queue build-up and drain (25G)",
+		Run: func(p Params) []*Table { return []*Table{fig09IncastTable(Fig09Incast(0, p.Seed))} }},
+	{Name: "fig9-mice", Title: "mice latency and queue size under two elephants (25G)",
+		Run: func(p Params) []*Table { return []*Table{fig09MiceTable(Fig09Mice(0, p.Seed))} }},
+	{Name: "fig9-fairness", Title: "fair share under staggered join/leave (25G)",
+		Run: func(p Params) []*Table { return []*Table{fig09FairnessTable(Fig09Fairness(0, p.Seed))} }},
+	{Name: "fig10", Title: "HPCC vs DCQCN end-to-end: FCT and queues (WebSearch, PoD)",
+		Run: func(p Params) []*Table { return fig10Tables(Fig10(p.scale())) }},
+	{Name: "fig11", Title: "six-scheme comparison at scale (FB_Hadoop, FatTree)",
+		Run: func(p Params) []*Table { return fig11Tables(Fig11(p.Fat, p.scale()), fanIn(p.Fat, 4)) }},
+	{Name: "fig12", Title: "flow-control choices: PFC vs go-back-N vs IRN (FB_Hadoop, FatTree)",
+		Run: func(p Params) []*Table { return fig12Tables(Fig12(p.Fat, p.scale())) }},
+	{Name: "fig13", Title: "reaction combining: per-ACK vs per-RTT vs HPCC (16-to-1, 100G)",
+		Run: func(p Params) []*Table { return fig13Tables(Fig13(0, p.Seed)) }},
+	{Name: "fig14", Title: "W_AI sweep: fairness vs standing queue (16-to-1, 100G)",
+		Run: func(p Params) []*Table { return []*Table{fig14Table(Fig14(nil, 0, p.Seed))} }},
+	{Name: "ablations-eta", Title: "η × maxStage stability sweep (16-to-1 incast, 100G)",
+		Run: func(p Params) []*Table { return []*Table{etaMaxStageTable(AblationEtaMaxStage(0, p.Seed))} }},
+	{Name: "ablations-quant", Title: "INT precision: simulator floats vs Figure-7 wire quantization (PoD)",
+		Run: func(p Params) []*Table { return quantizeTables(AblationINTQuantization(p.scale())) }},
+	{Name: "theory", Title: "Appendix A.2 synchronous recursion convergence on random networks",
+		Run: func(p Params) []*Table { return []*Table{TheoryLemmaTable(200, p.Seed)} }},
+	{Name: "extra-fbsweep", Title: "FB_Hadoop load sweep 30/50/70% on the FatTree (HPCC vs DCQCN)",
+		Run: func(p Params) []*Table { return sweepTables(SweepFBHadoop(p.Fat, p.scale())) }},
+	{Name: "extra-parkinglot", Title: "six-scheme comparison on an oversubscribed parking-lot chain",
+		Run: func(p Params) []*Table { return parkingLotTables(ParkingLotCompare(p.scale())) }},
+	{Name: "extra-hadoop-incast", Title: "FB_Hadoop + incast mix on the FatTree (HPCC vs DCQCN, §5.3-style)",
+		Run: func(p Params) []*Table { return hadoopIncastTables(HadoopIncastMix(p.Fat, p.scale())) }},
+	{Name: "extra-rpc-fattree", Title: "RPC request-response (RDMA READ) at FatTree scale, WebSearch responses",
+		Run: func(p Params) []*Table { return rpcTables(RPCFatTree(p.Fat, p.scale())) }},
 }
 
-// All returns every registered scenario in canonical order.
-func All() []Scenario {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]Scenario, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// Lookup resolves one scenario by exact name.
-func Lookup(name string) (Scenario, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	s, ok := registry[name]
-	return s, ok
-}
+// All returns every scenario in canonical order. The slice is shared:
+// callers must not modify it.
+func All() []Scenario { return catalogue }
 
 // Match expands CLI selectors into scenarios, deduplicated, in
 // canonical order. A selector is "all", an exact name, a family prefix
 // ("fig9" selects every "fig9-*"), or a path glob ("fig1*", "*incast*").
-// An selector matching nothing is an error.
+// A selector matching nothing is an error.
 func Match(selectors []string) ([]Scenario, error) {
-	all := All()
 	picked := make(map[string]bool)
 	for _, sel := range selectors {
 		if sel == "all" {
-			for _, s := range all {
+			for _, s := range catalogue {
 				picked[s.Name] = true
 			}
 			continue
 		}
 		matched := false
-		for _, s := range all {
+		for _, s := range catalogue {
 			ok := s.Name == sel || strings.HasPrefix(s.Name, sel+"-")
 			if !ok {
 				if g, err := path.Match(sel, s.Name); err != nil {
@@ -126,7 +126,7 @@ func Match(selectors []string) ([]Scenario, error) {
 		}
 	}
 	var out []Scenario
-	for _, s := range all {
+	for _, s := range catalogue {
 		if picked[s.Name] {
 			out = append(out, s)
 		}

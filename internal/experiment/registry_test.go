@@ -9,8 +9,9 @@ import (
 	"hpcc/internal/workload"
 )
 
-// Every figure/ablation of the old CLI switch must be reachable via the
-// registry, and the extra scenarios ride the same interface.
+// Every figure/ablation of the old CLI switch must be in the
+// catalogue, once each and in canonical order, and the extra scenarios
+// ride the same interface.
 func TestRegistryCoversAllFigures(t *testing.T) {
 	want := []string{
 		"fig1", "fig2", "fig3", "fig6",
@@ -77,17 +78,8 @@ func TestRegistryMatch(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	Register(Scenario{Name: "fig6", Title: "dup", Run: func(Params) []*Table { return nil }})
-}
-
 // The parking-lot topology spec must build, carry load, and report a
-// sane base RTT (used by both the registry scenario and the public
+// sane base RTT (used by both the catalogued scenario and the public
 // API).
 func TestParkingLotTopo(t *testing.T) {
 	topo := ParkingLotTopo(3, fig9Rate)

@@ -122,12 +122,10 @@ func ByNameMust(name string) Scheme {
 
 // Fig11Schemes returns the six schemes of Figure 11 in plot order.
 func Fig11Schemes() []Scheme {
-	return []Scheme{
-		DCQCN(dcqcn.Config{}),
-		TIMELY(timely.Config{}),
-		DCQCN(dcqcn.Config{Window: true}),
-		TIMELY(timely.Config{Window: true}),
-		DCTCP(),
-		HPCC(hpcccc.Config{}),
+	names := []string{"dcqcn", "timely", "dcqcn+win", "timely+win", "dctcp", "hpcc"}
+	out := make([]Scheme, len(names))
+	for i, n := range names {
+		out[i] = ByNameMust(n)
 	}
+	return out
 }

@@ -10,21 +10,7 @@ import (
 )
 
 // The "extra" family holds scenarios beyond the paper's figures,
-// registered through the same interface as every reproduction job.
-func init() {
-	Register(Scenario{
-		Name:  "extra-fbsweep",
-		Order: 130,
-		Title: "FB_Hadoop load sweep 30/50/70% on the FatTree (HPCC vs DCQCN)",
-		Run:   func(p Params) []*Table { return sweepTables(SweepFBHadoop(p.Fat, p.scale())) },
-	})
-	Register(Scenario{
-		Name:  "extra-parkinglot",
-		Order: 131,
-		Title: "six-scheme comparison on an oversubscribed parking-lot chain",
-		Run:   func(p Params) []*Table { return parkingLotTables(ParkingLotCompare(p.scale())) },
-	})
-}
+// catalogued like every reproduction job.
 
 // SweepFBHadoop is the FB_Hadoop load sweep: the Figure-11 workload on
 // the FatTree at 30/50/70% load (rows) for HPCC and DCQCN (columns),

@@ -278,6 +278,35 @@ func TestIRNRequeueThrottle(t *testing.T) {
 	}
 }
 
+// IRN caps inflight bytes at one BDP whatever the CC window allows
+// (§4.1): under a window of 4 BDP and a path whose RTT holds 4 BDP,
+// sndNxt − sndUna − sacked never exceeds max(BDP, one MTU) after any
+// event, and reaches the cap, so the cap is what binds.
+func TestIRNInflightCappedAtBDP(t *testing.T) {
+	const T = 10 * sim.Microsecond
+	bdp := line100.BytesPerSec() * T.Seconds()
+	mock := &mockCC{w: 4 * bdp, rate: float64(line100)}
+	cfg := Config{CC: func() cc.Algorithm { return mock }, FlowCtl: IRN, BaseRTT: T}
+	// 10 µs per link: the round trip is four times T.
+	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, T)
+	f := nw.start(0, 1, int64(20*bdp), nil)
+	limit := max(int64(bdp), int64(packet.DefaultMTU))
+	var peak int64
+	for nw.eng.Step() {
+		infl := f.inflight()
+		if infl > limit {
+			t.Fatalf("at %v: inflight %d bytes, want at most %d (one BDP)", nw.eng.Now(), infl, limit)
+		}
+		peak = max(peak, infl)
+	}
+	if !f.Done() {
+		t.Fatal("flow did not complete")
+	}
+	if peak < int64(bdp)-int64(packet.DefaultMTU) {
+		t.Fatalf("inflight peaked at %d bytes: the one-BDP cap (%v) never bound", peak, bdp)
+	}
+}
+
 func TestCNPGeneration(t *testing.T) {
 	mock := &mockCC{w: 0, rate: float64(line100)}
 	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond}
@@ -375,7 +404,7 @@ func TestHPCCWindowConvergesNearEta(t *testing.T) {
 	nw.eng.RunUntil(2 * sim.Millisecond)
 	alg := f.Alg().(*hpcccc.HPCC)
 	bdp := line100.BytesPerSec() * (10 * sim.Microsecond).Seconds()
-	w := alg.Window()
+	w := alg.WindowBytes()
 	if w < 0.80*bdp || w > 1.0*bdp {
 		t.Fatalf("steady-state W = %v, want ≈ η×BDP = %v", w, 0.95*bdp)
 	}

@@ -111,7 +111,7 @@ func TestRouteChangeResetsHPCCPath(t *testing.T) {
 	if alg.PathID() == pathBefore {
 		t.Fatal("pathID unchanged after reroute")
 	}
-	if alg.Window() <= 0 || math.IsNaN(alg.Window()) {
+	if alg.WindowBytes() <= 0 || math.IsNaN(alg.WindowBytes()) {
 		t.Fatal("window corrupted by reroute")
 	}
 	f.Abort()

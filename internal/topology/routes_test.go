@@ -15,7 +15,9 @@ import (
 // went dense: adjacency and hop distances in maps keyed by NodeID, a
 // fresh queue per destination. It reads adjacency off the wired fabric
 // (port i of a node leads to its peer), so it shares no state with
-// Build. It returns every switch's ECMP set per destination host.
+// Build. Hosts do not forward: the search never enters a host but the
+// destination it starts from. It returns every switch's ECMP set per
+// destination host.
 func oracleRoutes(nw *Network) map[fabric.NodeID]map[fabric.NodeID][]int {
 	adj := map[fabric.NodeID][]edge{}
 	addPorts := func(id fabric.NodeID, ports []*fabric.Port) {
@@ -23,8 +25,10 @@ func oracleRoutes(nw *Network) map[fabric.NodeID]map[fabric.NodeID][]int {
 			adj[id] = append(adj[id], edge{p.Peer().ID(), i})
 		}
 	}
+	isHost := map[fabric.NodeID]bool{}
 	for _, h := range nw.Hosts {
 		addPorts(h.ID(), h.Ports())
+		isHost[h.ID()] = true
 	}
 	for _, sw := range nw.Switches {
 		addPorts(sw.ID(), sw.Ports())
@@ -38,7 +42,7 @@ func oracleRoutes(nw *Network) map[fabric.NodeID]map[fabric.NodeID][]int {
 			cur := queue[0]
 			queue = queue[1:]
 			for _, e := range adj[cur] {
-				if _, seen := dist[e.peer]; !seen {
+				if _, seen := dist[e.peer]; !seen && !isHost[e.peer] {
 					dist[e.peer] = dist[cur] + 1
 					queue = append(queue, e.peer)
 				}
@@ -109,7 +113,7 @@ func TestBuildMatchesOracle(t *testing.T) {
 
 // Every switch a frame crosses pushes one INT record, and a Packet holds
 // packet.MaxHops of them. Following the installed routes over every ECMP
-// choice, for every host pair, no preset the scenario registry builds
+// choice, for every host pair, no preset the scenario catalogue builds
 // crosses more switches than that. want is the measured maximum; the
 // parking lot is the one sweep.go builds.
 func TestRegistryPathsFitINTStack(t *testing.T) {
@@ -171,8 +175,8 @@ func TestRegistryPathsFitINTStack(t *testing.T) {
 }
 
 // randomGraph draws a GraphSpec with two islands that no link joins, a
-// host and a switch with no links at all, host–host links (hosts as
-// transit nodes) and parallel links.
+// host and a switch with no links at all, host–host links (which no
+// route may cross) and parallel links.
 func randomGraph(rng *rand.Rand) GraphSpec {
 	var g GraphSpec
 	var nodes []GraphNode
@@ -217,6 +221,86 @@ func TestBuildMatchesOracleRandomGraphs(t *testing.T) {
 	if routed == 0 || unrouted == 0 {
 		t.Fatalf("random graphs routed %d pairs and left %d unrouted; want both > 0", routed, unrouted)
 	}
+}
+
+// decodeGraph reads a GraphSpec from fuzz bytes: a host count and a
+// switch count (0–8 each), then one link per byte pair. A node byte
+// names a switch when its low bit is set, else a host, and its
+// remaining bits index it modulo one more than the count, so some
+// links name a node the graph never added.
+func decodeGraph(data []byte) GraphSpec {
+	var g GraphSpec
+	if len(data) < 2 {
+		return g
+	}
+	g.Hosts, g.Switches = int(data[0]%9), int(data[1]%9)
+	node := func(b byte) GraphNode {
+		if b&1 == 1 {
+			return GraphNode{Switch: true, Index: int(b>>1) % (g.Switches + 1)}
+		}
+		return GraphNode{Index: int(b>>1) % (g.Hosts + 1)}
+	}
+	for i := 2; i+1 < len(data) && len(g.Links) < 64; i += 2 {
+		g.Link(node(data[i]), node(data[i+1]), 0, 0)
+	}
+	return g
+}
+
+// FuzzGraphSpec builds arbitrary Custom graphs. Validate must reject the
+// graph, or Build must give every host a port, and from every port of
+// every host the switches' route sets must reach every other host
+// within packet.MaxHops switches without entering a third host: hosts
+// do not forward. Seeds live in testdata/fuzz/FuzzGraphSpec.
+func FuzzGraphSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := decodeGraph(data)
+		if g.Validate() != nil {
+			return
+		}
+		nw := g.Build(sim.NewEngine(), hcfg(), scfg())
+		for i, src := range nw.Hosts {
+			if len(src.Ports()) == 0 {
+				t.Fatalf("%+v: host %d has no port", g, i)
+			}
+			for _, dst := range nw.Hosts {
+				if dst == src {
+					continue
+				}
+				// level is the set of switches a frame may be at after
+				// crossing hops switches.
+				level := map[*fabric.Switch]bool{}
+				enter := func(from fabric.NodeID, p *fabric.Port) {
+					switch peer := p.Peer().(type) {
+					case *fabric.Switch:
+						level[peer] = true
+					default:
+						if peer.ID() != dst.ID() {
+							t.Fatalf("%+v: a frame from host %d to host %d enters host %d at node %d", g, src.ID(), dst.ID(), peer.ID(), from)
+						}
+					}
+				}
+				for _, p := range src.Ports() {
+					enter(src.ID(), p)
+				}
+				for hops := 0; len(level) > 0; hops++ {
+					if hops == packet.MaxHops {
+						t.Fatalf("%+v: a frame from host %d to host %d crosses more than %d switches", g, src.ID(), dst.ID(), packet.MaxHops)
+					}
+					cur := level
+					level = map[*fabric.Switch]bool{}
+					for sw := range cur {
+						route := sw.Route(dst.ID())
+						if len(route) == 0 {
+							t.Fatalf("%+v: switch %d has no route to host %d", g, sw.ID(), dst.ID())
+						}
+						for _, i := range route {
+							enter(sw.ID(), sw.Ports()[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // Building the paper FatTree reuses its BFS scratch across destinations

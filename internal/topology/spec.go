@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hpcc/internal/fabric"
@@ -466,10 +467,12 @@ func (g *GraphSpec) Link(a, b GraphNode, rate sim.Rate, delay sim.Time) {
 	g.Links = append(g.Links, GraphLink{A: a, B: b, Rate: rate, Delay: delay})
 }
 
-// Validate needs at least 2 hosts and 1 link, every link between nodes
-// this graph added at a positive rate with no negative delay, no
-// negative override, and no host pair more than packet.MaxHops switches
-// apart: each switch on a path pushes one INT record.
+// Validate needs at least 2 hosts and 1 link, every link between two
+// distinct nodes this graph added at a positive rate with no negative
+// delay, no negative override, and every host joined to every other
+// through switches alone, on each of its links, no more than
+// packet.MaxHops switches apart: hosts do not forward, and each switch
+// on a path pushes one INT record.
 func (g GraphSpec) Validate() error {
 	if g.Hosts < 2 {
 		return fmt.Errorf("topology: GraphSpec.Hosts: %d, want at least 2", g.Hosts)
@@ -487,6 +490,9 @@ func (g GraphSpec) Validate() error {
 				return fmt.Errorf("topology: GraphSpec.Links[%d]: %s %d of %d is not in the graph", i, kind, n.Index, limit)
 			}
 		}
+		if l.A == l.B {
+			return fmt.Errorf("topology: GraphSpec.Links[%d]: links %+v to itself", i, l.A)
+		}
 		if l.Rate <= 0 || l.Delay < 0 {
 			return fmt.Errorf("topology: GraphSpec.Links[%d]: rate %d bps, delay %v, want a positive rate and no negative delay", i, l.Rate, l.Delay)
 		}
@@ -494,10 +500,33 @@ func (g GraphSpec) Validate() error {
 	if err := nonNegative("GraphSpec", "RTT HostRate", g.RTT, g.HostRate); err != nil {
 		return err
 	}
-	// Paths are hop counts over every node, the metric Build's ECMP
-	// routing minimizes: a path of n links crosses n−1 switches.
-	if src, dst, links := g.farthest(func(GraphLink) int64 { return 1 }); links-1 > packet.MaxHops {
-		return fmt.Errorf("topology: GraphSpec hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, links-1, packet.MaxHops)
+	// A host may send on any of its links, so each must lead to every
+	// other host: a switch link through switches alone, within
+	// packet.MaxHops switches (each pushes one INT record); a host link
+	// only to that host. With unit weights, a switch's distance to a
+	// host is the number of switches on its shortest path there.
+	adj, d := g.adjacency(func(GraphLink) int64 { return 1 }), make([]int64, g.Hosts+g.Switches)
+	for dst := 0; dst < g.Hosts; dst++ {
+		g.shortest(adj, dst, d)
+		for src, links := range adj[:g.Hosts] {
+			if src == dst {
+				continue
+			}
+			if len(links) == 0 {
+				return fmt.Errorf("topology: GraphSpec host %d has no link", src)
+			}
+			for _, e := range links {
+				switch {
+				case e.to == dst: // a direct link
+				case e.to < g.Hosts:
+					return fmt.Errorf("topology: GraphSpec host %d links to host %d, which cannot forward to host %d", src, e.to, dst)
+				case d[e.to] < 0:
+					return fmt.Errorf("topology: GraphSpec hosts %d and %d are not joined through switches", src, dst)
+				case d[e.to] > packet.MaxHops:
+					return fmt.Errorf("topology: GraphSpec hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, d[e.to], packet.MaxHops)
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -553,65 +582,70 @@ func (g GraphSpec) BaseRTT() sim.Time {
 	if g.RTT != 0 {
 		return g.RTT
 	}
-	_, _, worst := g.farthest(func(l GraphLink) int64 { return int64(l.Delay) })
+	adj, d := g.adjacency(func(l GraphLink) int64 { return int64(l.Delay) }), make([]int64, g.Hosts+g.Switches)
+	var worst int64
+	for h := 0; h < g.Hosts; h++ {
+		g.shortest(adj, h, d)
+		worst = max(worst, slices.Max(d[:g.Hosts]))
+	}
 	if worst == 0 {
 		return 10 * sim.Microsecond
 	}
 	return 2*sim.Time(worst) + rttMargin
 }
 
-// farthest returns the connected host pair farthest apart when each
-// link weighs weight(l), and their shortest-path distance (0 when no
-// two hosts are connected).
-func (g GraphSpec) farthest(weight func(GraphLink) int64) (src, dst int, dist int64) {
-	// Hosts are nodes 0..Hosts-1, switches follow.
+type graphEdge struct {
+	to int
+	w  int64
+}
+
+// adjacency lists each node's links with their weights. Hosts are
+// nodes 0..Hosts-1, switches follow.
+func (g GraphSpec) adjacency(weight func(GraphLink) int64) [][]graphEdge {
 	node := func(n GraphNode) int {
 		if n.Switch {
 			return g.Hosts + n.Index
 		}
 		return n.Index
 	}
-	type edge struct {
-		to int
-		w  int64
-	}
-	adj := make([][]edge, g.Hosts+g.Switches)
+	adj := make([][]graphEdge, g.Hosts+g.Switches)
 	for _, l := range g.Links {
 		a, b, w := node(l.A), node(l.B), weight(l)
-		adj[a] = append(adj[a], edge{b, w})
-		adj[b] = append(adj[b], edge{a, w})
+		adj[a] = append(adj[a], graphEdge{b, w})
+		adj[b] = append(adj[b], graphEdge{a, w})
 	}
-	// Dijkstra from each host with an O(V²) extract-min scan: graphs are
-	// tiny at build time. d is -1 until a node is reached.
-	d := make([]int64, len(adj))
+	return adj
+}
+
+// shortest fills d with every node's distance from host src, -1 where
+// unreached. Like Builder.Build's routing, it expands no host but src:
+// hosts do not forward, so a path enters another host only to end
+// there. Dijkstra with an O(V²) extract-min scan: graphs are tiny at
+// build time.
+func (g GraphSpec) shortest(adj [][]graphEdge, src int, d []int64) {
 	done := make([]bool, len(adj))
-	for h := 0; h < g.Hosts; h++ {
-		for i := range d {
-			d[i], done[i] = -1, false
-		}
-		d[h] = 0
-		for {
-			cur := -1
-			for i, di := range d {
-				if di >= 0 && !done[i] && (cur < 0 || di < d[cur]) {
-					cur = i
-				}
-			}
-			if cur < 0 {
-				break
-			}
-			done[cur] = true
-			for _, e := range adj[cur] {
-				if nd := d[cur] + e.w; d[e.to] < 0 || nd < d[e.to] {
-					d[e.to] = nd
-				}
+	for i := range d {
+		d[i] = -1
+	}
+	d[src] = 0
+	for {
+		cur := -1
+		for i, di := range d {
+			if di >= 0 && !done[i] && (cur < 0 || di < d[cur]) {
+				cur = i
 			}
 		}
-		for i, di := range d[:g.Hosts] {
-			if di > dist {
-				src, dst, dist = h, i, di
+		if cur < 0 {
+			return
+		}
+		done[cur] = true
+		if cur < g.Hosts && cur != src {
+			continue
+		}
+		for _, e := range adj[cur] {
+			if nd := d[cur] + e.w; d[e.to] < 0 || nd < d[e.to] {
+				d[e.to] = nd
 			}
 		}
 	}
-	return src, dst, dist
 }

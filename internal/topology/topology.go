@@ -186,16 +186,27 @@ func (b *Builder) attach(n fabric.Node, p *fabric.Port) {
 // Build computes shortest-path ECMP routes from every switch to every
 // host and returns the finished network. A switch's ECMP set for a
 // host lists, in port order, every port whose peer is one hop closer to
-// that host. Consecutive hosts with an equal set on one switch (a
-// remote rack behind the same uplinks) share one slice.
+// that host. Hosts do not forward, so no route passes through one: a
+// path enters a host only to end there. Consecutive hosts with an
+// equal set on one switch (a remote rack behind the same uplinks)
+// share one slice.
 func (b *Builder) Build() *Network {
+	n := &Network{
+		Eng:      b.eng,
+		Hosts:    b.hosts,
+		Switches: b.switches,
+		hostIdx:  slices.Repeat([]int{-1}, len(b.adj)),
+	}
+	for i, h := range b.hosts {
+		n.hostIdx[h.ID()] = i
+	}
 	dist := make([]int32, len(b.adj)) // hops to dst, -1 while unreached
 	queue := make([]fabric.NodeID, 0, len(b.adj))
 	last := make([][]int, len(b.switches)) // each switch's latest installed set
 	var ports []int
 	// BFS from each destination host over the undirected graph, last
 	// host first: the first install then sizes each switch's route table
-	// in one allocation.
+	// in one allocation. Only dst is a host the search reaches.
 	for k := len(b.hosts) - 1; k >= 0; k-- {
 		dst := b.hosts[k]
 		for i := range dist {
@@ -206,7 +217,7 @@ func (b *Builder) Build() *Network {
 		for qi := 0; qi < len(queue); qi++ {
 			cur := queue[qi]
 			for _, e := range b.adj[cur] {
-				if dist[e.peer] < 0 {
+				if dist[e.peer] < 0 && n.hostIdx[e.peer] < 0 {
 					dist[e.peer] = dist[cur] + 1
 					queue = append(queue, e.peer)
 				}
@@ -228,15 +239,6 @@ func (b *Builder) Build() *Network {
 			}
 			sw.InstallRoute(dst.ID(), last[i])
 		}
-	}
-	n := &Network{
-		Eng:      b.eng,
-		Hosts:    b.hosts,
-		Switches: b.switches,
-		hostIdx:  slices.Repeat([]int{-1}, len(b.adj)),
-	}
-	for i, h := range b.hosts {
-		n.hostIdx[h.ID()] = i
 	}
 	return n
 }

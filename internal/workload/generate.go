@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
@@ -35,14 +36,26 @@ func (spec PoissonSpec) Validate(int) error {
 // λ = Load × N_hosts × env.HostRate / E[size] (in flows/sec), matching
 // the convention of the paper's public simulator.
 func (spec PoissonSpec) Install(nw *topology.Network, env Env) {
-	maxFlows := spec.MaxFlows
-	if maxFlows == 0 {
-		maxFlows = env.MaxFlows
-	}
 	rng := sim.NewRNG(env.Seed, "poisson")
+	openLoop(nw, env, rng, spec.MaxFlows, spec.Load, spec.CDF.Mean(), func(src, dst int) {
+		nw.StartFlow(src, dst, spec.CDF.Sample(rng), env.OnDone)
+	})
+}
+
+// openLoop runs the open-loop arrival process PoissonSpec and RPCSpec
+// share: exponential gaps tuned so arrivals of meanSize bytes carry
+// load of the average host's rate, each between a uniform-random
+// ordered host pair, until maxArrivals (0 = env.MaxFlows, then 0 =
+// unlimited) have started or env.Until has passed. start draws the
+// arrival's size from rng and begins it; rng's draw order per arrival
+// is pair, size, gap, and the next arrival is scheduled after start.
+func openLoop(nw *topology.Network, env Env, rng *rand.Rand, maxArrivals int, load, meanSize float64, start func(src, dst int)) {
+	if maxArrivals == 0 {
+		maxArrivals = env.MaxFlows
+	}
 	n := len(nw.Hosts)
-	bytesPerSec := spec.Load * float64(n) * env.HostRate.BytesPerSec()
-	lambda := bytesPerSec / spec.CDF.Mean() // flows per second
+	bytesPerSec := load * float64(n) * env.HostRate.BytesPerSec()
+	lambda := bytesPerSec / meanSize // arrivals per second
 	if lambda <= 0 {
 		return
 	}
@@ -50,7 +63,7 @@ func (spec PoissonSpec) Install(nw *topology.Network, env Env) {
 	started := 0
 	var arrive func()
 	arrive = func() {
-		if maxFlows > 0 && started >= maxFlows {
+		if maxArrivals > 0 && started >= maxArrivals {
 			return
 		}
 		if env.Until > 0 && nw.Eng.Now() > env.Until {
@@ -61,11 +74,9 @@ func (spec PoissonSpec) Install(nw *topology.Network, env Env) {
 		if dst >= src {
 			dst++
 		}
-		size := spec.CDF.Sample(rng)
-		nw.StartFlow(src, dst, size, env.OnDone)
+		start(src, dst)
 		started++
-		gap := sim.Time(rng.ExpFloat64() * meanGapPs)
-		nw.Eng.AfterKey(gap, env.Key, arrive)
+		nw.Eng.AfterKey(sim.Time(rng.ExpFloat64()*meanGapPs), env.Key, arrive)
 	}
 	nw.Eng.AfterKey(sim.Time(rng.ExpFloat64()*meanGapPs), env.Key, arrive)
 }

@@ -148,32 +148,12 @@ func (spec RPCSpec) Validate(int) error {
 // Install starts the request process. Completion is observed at the
 // requester (last response byte arrived in order) through env.OnRead.
 func (spec RPCSpec) Install(nw *topology.Network, env Env) {
-	if spec.MaxRequests == 0 {
-		spec.MaxRequests = env.MaxFlows
-	}
 	rng := sim.NewRNG(env.Seed, "rpc")
-	n := len(nw.Hosts)
 	mean := float64(spec.Size)
 	if spec.CDF != nil {
 		mean = spec.CDF.Mean()
 	}
-	bytesPerSec := spec.Load * float64(n) * env.HostRate.BytesPerSec()
-	lambda := bytesPerSec / mean // requests per second
-	meanGapPs := float64(sim.Second) / lambda
-	issued := 0
-	var arrive func()
-	arrive = func() {
-		if spec.MaxRequests > 0 && issued >= spec.MaxRequests {
-			return
-		}
-		if env.Until > 0 && nw.Eng.Now() > env.Until {
-			return
-		}
-		req := rng.Intn(n)
-		resp := rng.Intn(n - 1)
-		if resp >= req {
-			resp++
-		}
+	openLoop(nw, env, rng, spec.MaxRequests, spec.Load, mean, func(req, resp int) {
 		size := spec.Size
 		if spec.CDF != nil {
 			size = spec.CDF.Sample(rng)
@@ -184,10 +164,7 @@ func (spec RPCSpec) Install(nw *topology.Network, env Env) {
 				env.OnRead(req, resp, size, nw.Eng.Now()-issuedAt)
 			}
 		})
-		issued++
-		nw.Eng.AfterKey(sim.Time(rng.ExpFloat64()*meanGapPs), env.Key, arrive)
-	}
-	nw.Eng.AfterKey(sim.Time(rng.ExpFloat64()*meanGapPs), env.Key, arrive)
+	})
 }
 
 // FlowSpec is one explicitly scheduled flow arrival.

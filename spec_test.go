@@ -511,6 +511,29 @@ func TestHostileInputsRejected(t *testing.T) {
 	schedule := func(src, dst int) []hpcc.Traffic {
 		return []hpcc.Traffic{hpcc.Schedule{{Src: src, Dst: dst, SizeBytes: 1000}}}
 	}
+	// Custom graphs whose hosts are not all joined through switches:
+	// hosts do not forward, so no route may pass through one.
+	var unlinked, islands, bridged hpcc.Custom
+	sw := unlinked.AddSwitch()
+	unlinked.Link(unlinked.AddHost(), sw, 100, time.Microsecond)
+	unlinked.Link(unlinked.AddHost(), sw, 100, time.Microsecond)
+	unlinked.AddHost()
+	for i := 0; i < 2; i++ {
+		sw := islands.AddSwitch()
+		islands.Link(islands.AddHost(), sw, 100, time.Microsecond)
+		islands.Link(islands.AddHost(), sw, 100, time.Microsecond)
+	}
+	swA, swB := bridged.AddSwitch(), bridged.AddSwitch()
+	bridged.Link(bridged.AddHost(), swA, 100, time.Microsecond)
+	middle := bridged.AddHost()
+	bridged.Link(middle, swA, 100, time.Microsecond)
+	bridged.Link(middle, swB, 100, time.Microsecond)
+	bridged.Link(bridged.AddHost(), swB, 100, time.Microsecond)
+	var looped hpcc.Custom
+	sw = looped.AddSwitch()
+	looped.Link(looped.AddHost(), sw, 100, time.Microsecond)
+	looped.Link(looped.AddHost(), sw, 100, time.Microsecond)
+	looped.Link(sw, sw, 100, time.Microsecond)
 	for name, e := range map[string]hpcc.Experiment{
 		"FatTree negative Aggs":    {Topology: hpcc.FatTree{Cores: 2, Aggs: -1, ToRs: 2, HostsPerToR: 2}, Traffic: poisson},
 		"FatTree only Cores":       {Topology: hpcc.FatTree{Cores: 2}, Traffic: poisson},
@@ -531,6 +554,11 @@ func TestHostileInputsRejected(t *testing.T) {
 		// A negative per-source cap is not "unlimited".
 		"Poisson negative MaxFlows": {Topology: hpcc.Star{Hosts: 4}, Traffic: []hpcc.Traffic{hpcc.Poisson{Load: 0.3, MaxFlows: -1}}},
 		"RPC negative MaxRequests":  {Topology: hpcc.Star{Hosts: 4}, Traffic: []hpcc.Traffic{hpcc.RPC{ResponseBytes: 1000, Load: 0.1, MaxRequests: -1}}},
+		"Custom host never linked":  {Topology: &unlinked, Traffic: schedule(2, 0)},
+		"Custom two islands":        {Topology: &islands, Traffic: schedule(0, 3)},
+		// The middle host would consume frames for host 2 and ACK them.
+		"Custom switches joined by a host": {Topology: &bridged, Traffic: schedule(0, 2)},
+		"Custom switch linked to itself":   {Topology: &looped, Traffic: schedule(0, 1)},
 	} {
 		if _, err := e.Start(); err == nil {
 			t.Errorf("%s: Start accepted it", name)
