@@ -172,7 +172,6 @@ func (e Experiment) Start() (*Network, error) {
 		eng:    eng,
 		m:      experiment.StartManual(eng, sc),
 		scheme: sc.Scheme.Name,
-		rtt:    sc.Topo.BaseRTT(),
 	}, nil
 }
 

@@ -36,8 +36,8 @@ func dumbbellLoad() LoadScenario {
 	}
 }
 
-// fatTreeLoad is the CI FatTree (32 hosts, ECMP across aggs and cores)
-// under Poisson WebSearch.
+// fatTreeLoad is the CI FatTree (32 hosts, ECMP across the aggs; no
+// route climbs to a core) under Poisson WebSearch.
 func fatTreeLoad(load float64, flows int, seed int64) LoadScenario {
 	return LoadScenario{
 		Scheme:      ByNameMust("hpcc"),

@@ -4,8 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"hpcc/internal/fabric"
+	"hpcc/internal/host"
 	"hpcc/internal/sim"
-	"hpcc/internal/topology"
 	"hpcc/internal/workload"
 )
 
@@ -83,7 +84,8 @@ func TestRegistryMatch(t *testing.T) {
 // API).
 func TestParkingLotTopo(t *testing.T) {
 	topo := ParkingLotTopo(3, fig9Rate)
-	if topo.BaseRTT() <= topo.(topology.ParkingLotSpec).Delay {
+	nw := topo.Build(sim.NewEngine(), host.Config{}, fabric.SwitchConfig{})
+	if nw.BaseRTT <= nw.Hosts[0].Ports()[0].Delay() {
 		t.Fatal("parking-lot base RTT not derived from chain length")
 	}
 	r := runLoadT(t, LoadScenario{

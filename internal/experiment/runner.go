@@ -243,7 +243,6 @@ func (s *LoadScenario) build(eng *sim.Engine) *topology.Network {
 		CC:              s.Scheme.Factory,
 		FlowCtl:         s.FlowCtl,
 		INT:             s.Scheme.INT,
-		BaseRTT:         s.Topo.BaseRTT(),
 		Seed:            s.Seed,
 		CompletedWindow: s.CompletedWindow,
 	}
@@ -265,7 +264,6 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*ManualNet, *s
 		Until:   s.Until,
 		eng:     eng,
 		rate:    s.Topo.Rate(),
-		baseRTT: s.Topo.BaseRTT(),
 		intHdr:  s.Scheme.INT,
 	}
 	emit := func(ev FlowEvent) {
@@ -383,10 +381,9 @@ type ManualNet struct {
 	Obs     Obs
 	Until   sim.Time
 
-	eng     *sim.Engine
-	rate    sim.Rate
-	baseRTT sim.Time
-	intHdr  bool
+	eng    *sim.Engine
+	rate   sim.Rate
+	intHdr bool
 }
 
 // StartManual builds the scenario's fabric on eng, installs its
@@ -416,7 +413,7 @@ func (m *ManualNet) Completed(f *host.Flow) FlowEvent {
 // ideal adds the request's one-way trip.
 func (m *ManualNet) ReadCompleted(requester, responder int, size int64, elapsed sim.Time) FlowEvent {
 	rec := m.record(size, elapsed)
-	rec.Ideal += m.baseRTT / 2
+	rec.Ideal += m.Network.BaseRTT / 2
 	return FlowEvent{Src: responder, Dst: requester, Read: true, Started: m.eng.Now() - elapsed, Rec: rec}
 }
 
@@ -424,6 +421,6 @@ func (m *ManualNet) record(size int64, fct sim.Time) stats.FCTRecord {
 	return stats.FCTRecord{
 		Size:  size,
 		FCT:   fct,
-		Ideal: stats.IdealFCT(size, m.rate, m.baseRTT, packet.DefaultMTU, m.intHdr),
+		Ideal: stats.IdealFCT(size, m.rate, m.Network.BaseRTT, packet.DefaultMTU, m.intHdr),
 	}
 }

@@ -76,7 +76,7 @@ func runStar(c starCell) *StarRun {
 		Acked:    stats.NewThroughput(c.Bin),
 		Finished: make([]sim.Time, len(c.Flows)),
 		FCT:      make([]sim.Time, len(c.Flows)),
-		BaseRTT:  m.baseRTT,
+		BaseRTT:  m.Network.BaseRTT,
 		Cap:      float64(c.Rate) / 1e9 * (float64(packet.DefaultMTU) / float64(packet.DefaultMTU+overhead)),
 	}
 	flows := make([]*host.Flow, len(c.Flows))

@@ -43,6 +43,7 @@ type Config struct {
 	// records in ACKs (required by HPCC; off for the baselines).
 	INT bool
 	// BaseRTT is the network-wide base RTT T handed to CC (§3.2).
+	// Topology builders set it from the fabric (SetBaseRTT).
 	BaseRTT sim.Time
 	// CompletedWindow, when positive, bounds the host's memory over
 	// long campaigns: at most this many completed sender flows are
@@ -70,12 +71,6 @@ const (
 	// RTO is the retransmission-timeout backstop for lossy modes.
 	RTO = sim.Millisecond
 )
-
-func (c *Config) normalize() {
-	if c.BaseRTT == 0 {
-		c.BaseRTT = 10 * sim.Microsecond
-	}
-}
 
 // Host is a server endpoint with one or more NIC ports.
 type Host struct {
@@ -185,7 +180,6 @@ type pendingRead struct {
 // New creates a host. Ports are attached afterwards (via topology
 // builders) with AttachPort.
 func New(eng *sim.Engine, id fabric.NodeID, cfg Config) *Host {
-	cfg.normalize()
 	pool := cfg.Pool
 	if pool == nil {
 		pool = packet.NewPool()
@@ -216,6 +210,10 @@ func (h *Host) AttachPort(p *fabric.Port) {
 	}
 	h.ports = append(h.ports, p)
 }
+
+// SetBaseRTT sets the base RTT T that each new flow's CC sees; builders
+// call it once the fabric's routes are known.
+func (h *Host) SetBaseRTT(t sim.Time) { h.cfg.BaseRTT = t }
 
 // Ports returns the host's NIC ports.
 func (h *Host) Ports() []*fabric.Port { return h.ports }

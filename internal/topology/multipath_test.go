@@ -86,7 +86,7 @@ func TestRouteChangeResetsHPCCPath(t *testing.T) {
 	b.Link(s2, s4, rate, d)
 	b.Link(s3, s4, rate, d)
 	b.Link(s4, hb, rate, d)
-	nw := b.Build()
+	nw := b.Build(0)
 
 	// Pin the forward path through S2 only (strip ECMP).
 	viaS2 := nw.Switches[0].Route(hb.ID())[:1]

@@ -22,7 +22,7 @@ func oracleRoutes(nw *Network) map[fabric.NodeID]map[fabric.NodeID][]int {
 	adj := map[fabric.NodeID][]edge{}
 	addPorts := func(id fabric.NodeID, ports []*fabric.Port) {
 		for i, p := range ports {
-			adj[id] = append(adj[id], edge{p.Peer().ID(), i})
+			adj[id] = append(adj[id], edge{peer: p.Peer().ID(), port: int32(i)})
 		}
 	}
 	isHost := map[fabric.NodeID]bool{}
@@ -56,7 +56,7 @@ func oracleRoutes(nw *Network) map[fabric.NodeID]map[fabric.NodeID][]int {
 			var ports []int
 			for _, e := range adj[sw.ID()] {
 				if pd, ok := dist[e.peer]; ok && pd == d-1 {
-					ports = append(ports, e.port)
+					ports = append(ports, int(e.port))
 				}
 			}
 			if len(ports) > 0 {
@@ -227,7 +227,8 @@ func TestBuildMatchesOracleRandomGraphs(t *testing.T) {
 // switch count (0–8 each), then one link per byte pair. A node byte
 // names a switch when its low bit is set, else a host, and its
 // remaining bits index it modulo one more than the count, so some
-// links name a node the graph never added.
+// links name a node the graph never added. The top three bits of the
+// pair's XOR set the link's delay, 1–8 µs.
 func decodeGraph(data []byte) GraphSpec {
 	var g GraphSpec
 	if len(data) < 2 {
@@ -241,7 +242,8 @@ func decodeGraph(data []byte) GraphSpec {
 		return GraphNode{Index: int(b>>1) % (g.Hosts + 1)}
 	}
 	for i := 2; i+1 < len(data) && len(g.Links) < 64; i += 2 {
-		g.Link(node(data[i]), node(data[i+1]), 0, 0)
+		a, b := data[i], data[i+1]
+		g.Link(node(a), node(b), 0, sim.Microsecond*sim.Time(1+(a^b)>>5))
 	}
 	return g
 }
@@ -249,8 +251,9 @@ func decodeGraph(data []byte) GraphSpec {
 // FuzzGraphSpec builds arbitrary Custom graphs. Validate must reject the
 // graph, or Build must give every host a port, and from every port of
 // every host the switches' route sets must reach every other host
-// within packet.MaxHops switches without entering a third host: hosts
-// do not forward. Seeds live in testdata/fuzz/FuzzGraphSpec.
+// within packet.MaxHops switches without entering a third host (hosts
+// do not forward), and T must be twice the slowest delay of any such
+// path plus the margin. Seeds live in testdata/fuzz/FuzzGraphSpec.
 func FuzzGraphSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGraph(data)
@@ -258,6 +261,7 @@ func FuzzGraphSpec(f *testing.F) {
 			return
 		}
 		nw := g.Build(sim.NewEngine(), hcfg(), scfg())
+		var slowest sim.Time
 		for i, src := range nw.Hosts {
 			if len(src.Ports()) == 0 {
 				t.Fatalf("%+v: host %d has no port", g, i)
@@ -266,39 +270,47 @@ func FuzzGraphSpec(f *testing.F) {
 				if dst == src {
 					continue
 				}
-				// level is the set of switches a frame may be at after
-				// crossing hops switches.
-				level := map[*fabric.Switch]bool{}
-				enter := func(from fabric.NodeID, p *fabric.Port) {
+				// level holds the switches a frame may be at after
+				// crossing hops switches, each with the slowest delay
+				// it can have met on the way there.
+				level := map[*fabric.Switch]sim.Time{}
+				var arrival sim.Time
+				enter := func(from fabric.NodeID, at sim.Time, p *fabric.Port) {
+					at += p.Delay()
 					switch peer := p.Peer().(type) {
 					case *fabric.Switch:
-						level[peer] = true
+						level[peer] = max(level[peer], at)
 					default:
 						if peer.ID() != dst.ID() {
 							t.Fatalf("%+v: a frame from host %d to host %d enters host %d at node %d", g, src.ID(), dst.ID(), peer.ID(), from)
 						}
+						arrival = max(arrival, at)
 					}
 				}
 				for _, p := range src.Ports() {
-					enter(src.ID(), p)
+					enter(src.ID(), 0, p)
 				}
 				for hops := 0; len(level) > 0; hops++ {
 					if hops == packet.MaxHops {
 						t.Fatalf("%+v: a frame from host %d to host %d crosses more than %d switches", g, src.ID(), dst.ID(), packet.MaxHops)
 					}
 					cur := level
-					level = map[*fabric.Switch]bool{}
-					for sw := range cur {
+					level = map[*fabric.Switch]sim.Time{}
+					for sw, at := range cur {
 						route := sw.Route(dst.ID())
 						if len(route) == 0 {
 							t.Fatalf("%+v: switch %d has no route to host %d", g, sw.ID(), dst.ID())
 						}
 						for _, i := range route {
-							enter(sw.ID(), sw.Ports()[i])
+							enter(sw.ID(), at, sw.Ports()[i])
 						}
 					}
 				}
+				slowest = max(slowest, arrival)
 			}
+		}
+		if want := 2*slowest + rttMargin; nw.BaseRTT != want {
+			t.Fatalf("%+v: T = %v, want %v: twice the slowest routed one-way delay, %v, plus the margin", g, nw.BaseRTT, want, slowest)
 		}
 	})
 }

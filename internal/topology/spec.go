@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"hpcc/internal/fabric"
@@ -22,19 +21,14 @@ type Spec interface {
 	// than the INT stack. The other methods assume it passed.
 	Validate() error
 	// Build constructs the network on eng with shared host/switch
-	// configs.
+	// configs; Builder.Build derives its base RTT T from the routes.
 	Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network
 	// Rate returns the host NIC speed — the reference for load targets,
 	// ideal FCTs and ECN threshold scaling.
 	Rate() sim.Rate
-	// BaseRTT returns the network-wide base-RTT constant T (§5.1:
-	// "slightly greater than the maximum RTT").
-	BaseRTT() sim.Time
 	// NumHosts returns how many hosts Build creates.
 	NumHosts() int
 }
-
-const rttMargin = 500 * sim.Nanosecond
 
 // nonNegative rejects a negative delay, which schedules deliveries in
 // the past, or a negative rate, which builds a fabric that carries
@@ -90,12 +84,10 @@ func (s StarSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchCon
 		h := b.AddHost()
 		b.Link(h, sw, s.HostRate, s.Delay)
 	}
-	return b.Build()
+	return b.Build(0)
 }
 
 func (s StarSpec) Rate() sim.Rate { return s.normalize().HostRate }
-
-func (s StarSpec) BaseRTT() sim.Time { return 4*s.normalize().Delay + rttMargin }
 
 func (s StarSpec) NumHosts() int { return s.normalize().N }
 
@@ -147,13 +139,10 @@ func (s DumbbellSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.Switc
 			b.Link(h, sw, s.HostRate, s.Delay)
 		}
 	}
-	return b.Build()
+	return b.Build(0)
 }
 
 func (s DumbbellSpec) Rate() sim.Rate { return s.normalize().HostRate }
-
-// BaseRTT: host–switch–switch–host is three one-way link delays.
-func (s DumbbellSpec) BaseRTT() sim.Time { return 6*s.normalize().Delay + rttMargin }
 
 func (s DumbbellSpec) NumHosts() int { return 2 * s.normalize().Pairs }
 
@@ -226,17 +215,10 @@ func (s ParkingLotSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.Swi
 		dst := b.AddHost()
 		b.Link(dst, switches[i+1], s.HostRate, s.Delay)
 	}
-	return b.Build()
+	return b.Build(0)
 }
 
 func (s ParkingLotSpec) Rate() sim.Rate { return s.normalize().HostRate }
-
-// BaseRTT: the long flow crosses every inter-switch hop plus both host
-// links — 2·(Segments+2) one-way link delays, with margin.
-func (s ParkingLotSpec) BaseRTT() sim.Time {
-	s = s.normalize()
-	return 2*sim.Time(s.Segments+2)*s.Delay + rttMargin
-}
 
 func (s ParkingLotSpec) NumHosts() int { return 2 + 2*s.normalize().Segments }
 
@@ -301,12 +283,13 @@ func (s PodSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConf
 		b.Link(h, tors[pair], s.HostRate, s.LinkDelay)
 		b.Link(h, tors[pair+1], s.HostRate, s.LinkDelay)
 	}
-	return b.Build()
+	return b.Build(s.BaseRTT())
 }
 
 func (s PodSpec) Rate() sim.Rate { return s.normalize().HostRate }
 
-// BaseRTT is the testbed's 9 µs constant (§5.1).
+// BaseRTT is the testbed's 9 µs constant (§5.1), the least T that
+// Build derives.
 func (s PodSpec) BaseRTT() sim.Time { return 9 * sim.Microsecond }
 
 func (s PodSpec) NumHosts() int { return s.normalize().Servers }
@@ -314,7 +297,9 @@ func (s PodSpec) NumHosts() int { return s.normalize().Servers }
 // FatTreeSpec describes the simulation topology of §5.1: a three-tier
 // Clos with 16 Core and 20 Agg switches over 20 ToRs of 16 servers each
 // (320 hosts), 100 Gbps at the host and 400 Gbps between switches, 1 µs
-// link delay (12 µs max base RTT).
+// link delay. Every ToR links to every Agg, so no route climbs to a
+// Core: the longest routed path is host–ToR–Agg–ToR–host, 4 links, an
+// 8 µs RTT at 1 µs links.
 //
 // Defaults: a zero shape (all four counts 0) is ScaledFatTree's, the
 // CI-sized fabric; 100 Gbps hosts, 400 Gbps fabric, 1 µs links. A
@@ -377,7 +362,7 @@ func (s FatTreeSpec) NumHosts() int {
 }
 
 // Build wires the Clos: every ToR links to every Agg, every Agg to
-// every Core, hosts under their ToR.
+// every Core, hosts under their ToR. No route uses a Core link.
 func (s FatTreeSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
 	s = s.normalize()
 	b := NewBuilder(eng, hcfg, scfg)
@@ -402,12 +387,13 @@ func (s FatTreeSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.Switch
 			b.Link(h, tor, s.HostRate, s.LinkDelay)
 		}
 	}
-	return b.Build()
+	return b.Build(s.BaseRTT())
 }
 
 func (s FatTreeSpec) Rate() sim.Rate { return s.normalize().HostRate }
 
-// BaseRTT is the simulation fabric's 13 µs constant (§5.1).
+// BaseRTT is the simulation fabric's 13 µs constant (§5.1), the least
+// T that Build derives.
 func (s FatTreeSpec) BaseRTT() sim.Time { return 13 * sim.Microsecond }
 
 // GraphNode references a node added to a GraphSpec. Hosts and switches
@@ -426,18 +412,10 @@ type GraphLink struct {
 }
 
 // GraphSpec is a user-composed topology: an explicit node/link graph
-// replayed through Builder, with ECMP shortest-path routing computed at
-// Build like every preset. The zero value is an empty graph; add nodes
-// with AddHost/AddSwitch and wire them with Link.
+// replayed through Builder, with ECMP shortest-path routing and the
+// base RTT computed at Build like every preset. The zero value is an
+// empty graph; add nodes with AddHost/AddSwitch and wire them with Link.
 type GraphSpec struct {
-	// HostRate, if nonzero, overrides the derived NIC reference rate
-	// (the maximum host-adjacent link rate).
-	HostRate sim.Rate
-	// RTT, if nonzero, overrides the derived base RTT (twice the
-	// worst-case host-to-host shortest-path propagation delay, plus
-	// margin).
-	RTT sim.Time
-
 	Hosts    int
 	Switches int
 	Links    []GraphLink
@@ -469,7 +447,7 @@ func (g *GraphSpec) Link(a, b GraphNode, rate sim.Rate, delay sim.Time) {
 
 // Validate needs at least 2 hosts and 1 link, every link between two
 // distinct nodes this graph added at a positive rate with no negative
-// delay, no negative override, and every host joined to every other
+// delay, and every host joined to every other
 // through switches alone, on each of its links, no more than
 // packet.MaxHops switches apart: hosts do not forward, and each switch
 // on a path pushes one INT record.
@@ -497,15 +475,12 @@ func (g GraphSpec) Validate() error {
 			return fmt.Errorf("topology: GraphSpec.Links[%d]: rate %d bps, delay %v, want a positive rate and no negative delay", i, l.Rate, l.Delay)
 		}
 	}
-	if err := nonNegative("GraphSpec", "RTT HostRate", g.RTT, g.HostRate); err != nil {
-		return err
-	}
 	// A host may send on any of its links, so each must lead to every
 	// other host: a switch link through switches alone, within
 	// packet.MaxHops switches (each pushes one INT record); a host link
-	// only to that host. With unit weights, a switch's distance to a
-	// host is the number of switches on its shortest path there.
-	adj, d := g.adjacency(func(GraphLink) int64 { return 1 }), make([]int64, g.Hosts+g.Switches)
+	// only to that host. A switch's hop count to a host is the number
+	// of switches on its shortest path there.
+	adj, d := g.adjacency(), make([]int, g.Hosts+g.Switches)
 	for dst := 0; dst < g.Hosts; dst++ {
 		g.shortest(adj, dst, d)
 		for src, links := range adj[:g.Hosts] {
@@ -515,15 +490,15 @@ func (g GraphSpec) Validate() error {
 			if len(links) == 0 {
 				return fmt.Errorf("topology: GraphSpec host %d has no link", src)
 			}
-			for _, e := range links {
+			for _, to := range links {
 				switch {
-				case e.to == dst: // a direct link
-				case e.to < g.Hosts:
-					return fmt.Errorf("topology: GraphSpec host %d links to host %d, which cannot forward to host %d", src, e.to, dst)
-				case d[e.to] < 0:
+				case to == dst: // a direct link
+				case to < g.Hosts:
+					return fmt.Errorf("topology: GraphSpec host %d links to host %d, which cannot forward to host %d", src, to, dst)
+				case d[to] < 0:
 					return fmt.Errorf("topology: GraphSpec hosts %d and %d are not joined through switches", src, dst)
-				case d[e.to] > packet.MaxHops:
-					return fmt.Errorf("topology: GraphSpec hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, d[e.to], packet.MaxHops)
+				case d[to] > packet.MaxHops:
+					return fmt.Errorf("topology: GraphSpec hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, d[to], packet.MaxHops)
 				}
 			}
 		}
@@ -554,97 +529,56 @@ func (g GraphSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchCo
 	for _, l := range g.Links {
 		b.Link(pick(l.A), pick(l.B), l.Rate, l.Delay)
 	}
-	return b.Build()
+	return b.Build(0)
 }
 
-// Rate returns the explicit HostRate or the maximum link rate adjacent
-// to a host (100 Gbps for an empty graph).
+// Rate returns the fastest link adjacent to a host.
 func (g GraphSpec) Rate() sim.Rate {
-	if g.HostRate != 0 {
-		return g.HostRate
-	}
-	var max sim.Rate
+	var fastest sim.Rate
 	for _, l := range g.Links {
-		if (!l.A.Switch || !l.B.Switch) && l.Rate > max {
-			max = l.Rate
+		if !l.A.Switch || !l.B.Switch {
+			fastest = max(fastest, l.Rate)
 		}
 	}
-	if max == 0 {
-		max = 100 * sim.Gbps
-	}
-	return max
+	return fastest
 }
 
-// BaseRTT returns the explicit RTT or derives it: twice the largest
-// host-to-host shortest-path propagation delay, plus margin — the same
-// convention the preset fixtures use.
-func (g GraphSpec) BaseRTT() sim.Time {
-	if g.RTT != 0 {
-		return g.RTT
-	}
-	adj, d := g.adjacency(func(l GraphLink) int64 { return int64(l.Delay) }), make([]int64, g.Hosts+g.Switches)
-	var worst int64
-	for h := 0; h < g.Hosts; h++ {
-		g.shortest(adj, h, d)
-		worst = max(worst, slices.Max(d[:g.Hosts]))
-	}
-	if worst == 0 {
-		return 10 * sim.Microsecond
-	}
-	return 2*sim.Time(worst) + rttMargin
-}
-
-type graphEdge struct {
-	to int
-	w  int64
-}
-
-// adjacency lists each node's links with their weights. Hosts are
-// nodes 0..Hosts-1, switches follow.
-func (g GraphSpec) adjacency(weight func(GraphLink) int64) [][]graphEdge {
+// adjacency lists each node's link peers. Hosts are nodes
+// 0..Hosts-1, switches follow.
+func (g GraphSpec) adjacency() [][]int {
 	node := func(n GraphNode) int {
 		if n.Switch {
 			return g.Hosts + n.Index
 		}
 		return n.Index
 	}
-	adj := make([][]graphEdge, g.Hosts+g.Switches)
+	adj := make([][]int, g.Hosts+g.Switches)
 	for _, l := range g.Links {
-		a, b, w := node(l.A), node(l.B), weight(l)
-		adj[a] = append(adj[a], graphEdge{b, w})
-		adj[b] = append(adj[b], graphEdge{a, w})
+		a, b := node(l.A), node(l.B)
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
 	}
 	return adj
 }
 
-// shortest fills d with every node's distance from host src, -1 where
+// shortest fills d with every node's hop count from host src, -1 where
 // unreached. Like Builder.Build's routing, it expands no host but src:
 // hosts do not forward, so a path enters another host only to end
-// there. Dijkstra with an O(V²) extract-min scan: graphs are tiny at
-// build time.
-func (g GraphSpec) shortest(adj [][]graphEdge, src int, d []int64) {
-	done := make([]bool, len(adj))
+// there.
+func (g GraphSpec) shortest(adj [][]int, src int, d []int) {
 	for i := range d {
 		d[i] = -1
 	}
 	d[src] = 0
-	for {
-		cur := -1
-		for i, di := range d {
-			if di >= 0 && !done[i] && (cur < 0 || di < d[cur]) {
-				cur = i
-			}
-		}
-		if cur < 0 {
-			return
-		}
-		done[cur] = true
+	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+		cur := queue[0]
 		if cur < g.Hosts && cur != src {
 			continue
 		}
-		for _, e := range adj[cur] {
-			if nd := d[cur] + e.w; d[e.to] < 0 || nd < d[e.to] {
-				d[e.to] = nd
+		for _, to := range adj[cur] {
+			if d[to] < 0 {
+				d[to] = d[cur] + 1
+				queue = append(queue, to)
 			}
 		}
 	}

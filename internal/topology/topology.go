@@ -19,6 +19,9 @@ type Network struct {
 	Eng      *sim.Engine
 	Hosts    []*host.Host
 	Switches []*fabric.Switch
+	// BaseRTT is the network-wide base RTT T that Build derived and
+	// handed to every host.
+	BaseRTT sim.Time
 
 	nextFlow int32
 	nextRead int32 // READ flow IDs run negative to avoid flow-ID collisions
@@ -102,14 +105,17 @@ type Builder struct {
 
 	hosts    []*host.Host
 	switches []*fabric.Switch
-	// adj[id] lists node id's links as (peer, local port index) in Link
-	// order; node IDs are dense, so it is indexed by NodeID.
+	// adj[id] lists node id's links as (peer, local port index, delay)
+	// in Link order; node IDs are dense, so it is indexed by NodeID.
 	adj [][]edge
 }
 
+// edge is one link end: 16 bytes, since routing scans every adj list
+// once per destination.
 type edge struct {
-	peer fabric.NodeID
-	port int
+	peer  fabric.NodeID
+	port  int32
+	delay sim.Time
 }
 
 // NewBuilder starts a topology with shared host and switch configs.
@@ -159,8 +165,8 @@ func (b *Builder) Link(x, y fabric.Node, rate sim.Rate, delay sim.Time) {
 	b.nextWire += 2
 	b.attach(x, px)
 	b.attach(y, py)
-	b.adj[x.ID()] = append(b.adj[x.ID()], edge{y.ID(), xi})
-	b.adj[y.ID()] = append(b.adj[y.ID()], edge{x.ID(), yi})
+	b.adj[x.ID()] = append(b.adj[x.ID()], edge{y.ID(), int32(xi), delay})
+	b.adj[y.ID()] = append(b.adj[y.ID()], edge{x.ID(), int32(yi), delay})
 }
 
 func (b *Builder) portCount(n fabric.Node) int {
@@ -183,41 +189,54 @@ func (b *Builder) attach(n fabric.Node, p *fabric.Port) {
 	}
 }
 
+// rttMargin is what T adds to the slowest routed round trip: §5.1's T
+// is "slightly greater than the maximum RTT".
+const rttMargin = 500 * sim.Nanosecond
+
 // Build computes shortest-path ECMP routes from every switch to every
-// host and returns the finished network. A switch's ECMP set for a
-// host lists, in port order, every port whose peer is one hop closer to
-// that host. Hosts do not forward, so no route passes through one: a
-// path enters a host only to end there. Consecutive hosts with an
-// equal set on one switch (a remote rack behind the same uplinks)
-// share one slice.
-func (b *Builder) Build() *Network {
+// host, derives the base RTT T from them, and returns the finished
+// network. A switch's ECMP set for a host lists, in port order, every
+// port whose peer is one hop closer to that host. Hosts do not
+// forward, so no route passes through one: a path enters a host only
+// to end there. Consecutive hosts with an equal set on one switch (a
+// remote rack behind the same uplinks) share one slice.
+//
+// T is twice the slowest one-way propagation delay a frame meets from
+// any link of any host to any other host over the installed routes,
+// plus rttMargin, and never less than floor. Build hands it to every
+// host and records it as Network.BaseRTT.
+func (b *Builder) Build(floor sim.Time) *Network {
 	n := &Network{
 		Eng:      b.eng,
 		Hosts:    b.hosts,
 		Switches: b.switches,
 		hostIdx:  slices.Repeat([]int{-1}, len(b.adj)),
 	}
+	// unreached is dist before a search: -1 for a switch and -2 for a
+	// host, which the search never enters.
+	unreached := slices.Repeat([]int32{-1}, len(b.adj))
 	for i, h := range b.hosts {
 		n.hostIdx[h.ID()] = i
+		unreached[h.ID()] = -2
 	}
-	dist := make([]int32, len(b.adj)) // hops to dst, -1 while unreached
+	dist := make([]int32, len(b.adj))     // hops to dst
+	worst := make([]sim.Time, len(b.adj)) // slowest routed delay to dst
 	queue := make([]fabric.NodeID, 0, len(b.adj))
 	last := make([][]int, len(b.switches)) // each switch's latest installed set
 	var ports []int
+	var oneWay sim.Time
 	// BFS from each destination host over the undirected graph, last
 	// host first: the first install then sizes each switch's route table
 	// in one allocation. Only dst is a host the search reaches.
 	for k := len(b.hosts) - 1; k >= 0; k-- {
 		dst := b.hosts[k]
-		for i := range dist {
-			dist[i] = -1
-		}
+		copy(dist, unreached)
 		dist[dst.ID()] = 0
 		queue = append(queue[:0], dst.ID())
 		for qi := 0; qi < len(queue); qi++ {
 			cur := queue[qi]
 			for _, e := range b.adj[cur] {
-				if dist[e.peer] < 0 && n.hostIdx[e.peer] < 0 {
+				if dist[e.peer] == -1 {
 					dist[e.peer] = dist[cur] + 1
 					queue = append(queue, e.peer)
 				}
@@ -231,7 +250,7 @@ func (b *Builder) Build() *Network {
 			ports = ports[:0]
 			for _, e := range b.adj[sw.ID()] {
 				if dist[e.peer] == d-1 {
-					ports = append(ports, e.port)
+					ports = append(ports, int(e.port))
 				}
 			}
 			if !slices.Equal(ports, last[i]) {
@@ -239,6 +258,30 @@ func (b *Builder) Build() *Network {
 			}
 			sw.InstallRoute(dst.ID(), last[i])
 		}
+		// A host linked exactly as the previous destination sees the
+		// same paths, so its delays need no second pass.
+		if k < len(b.hosts)-1 && slices.Equal(b.adj[dst.ID()], b.adj[b.hosts[k+1].ID()]) {
+			continue
+		}
+		for _, id := range queue[1:] { // switches, nearest first
+			worst[id] = 0
+			for _, e := range b.adj[id] {
+				if dist[e.peer] == dist[id]-1 {
+					worst[id] = max(worst[id], e.delay+worst[e.peer])
+				}
+			}
+		}
+		for _, h := range b.hosts {
+			for _, e := range b.adj[h.ID()] {
+				if h != dst && dist[e.peer] >= 0 {
+					oneWay = max(oneWay, e.delay+worst[e.peer])
+				}
+			}
+		}
+	}
+	n.BaseRTT = max(floor, 2*oneWay+rttMargin)
+	for _, h := range b.hosts {
+		h.SetBaseRTT(n.BaseRTT)
 	}
 	return n
 }

@@ -21,7 +21,6 @@ type Network struct {
 	eng    *sim.Engine
 	m      *experiment.ManualNet
 	scheme string
-	rtt    sim.Time
 }
 
 // Flow is a handle to one transfer on a Network.
@@ -39,8 +38,9 @@ func (n *Network) NumHosts() int { return len(n.m.Network.Hosts) }
 // Scheme returns the active congestion-control name.
 func (n *Network) Scheme() string { return n.scheme }
 
-// BaseRTT returns the network's base round-trip constant T.
-func (n *Network) BaseRTT() time.Duration { return fromSim(n.rtt) }
+// BaseRTT returns the network's base round-trip constant T, derived
+// from its routes when the fabric was built.
+func (n *Network) BaseRTT() time.Duration { return fromSim(n.m.Network.BaseRTT) }
 
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return fromSim(n.eng.Now()) }

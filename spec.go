@@ -144,8 +144,8 @@ func (n Node) Index() int { return n.idx }
 // Custom composes an arbitrary fabric from hosts, switches and links —
 // the public face of the internal topology builder. Add nodes, wire
 // them, and use the value anywhere a Topology is accepted; shortest-
-// path ECMP routes are computed at build time exactly as for the
-// presets.
+// path ECMP routes and the base RTT T are computed at build time
+// exactly as for the presets.
 //
 //	var c hpcc.Custom
 //	tor0, tor1 := c.AddSwitch(), c.AddSwitch()
@@ -157,17 +157,11 @@ func (n Node) Index() int { return n.idx }
 //		c.Link(c.AddHost(), tor1, 100, time.Microsecond)
 //	}
 //
-// Host indices follow AddHost order. BaseRTT defaults to twice the
-// worst host-to-host shortest-path propagation delay (plus margin);
-// set it explicitly for fabrics where serialization dominates.
+// Host indices follow AddHost order. The NIC reference rate, used for
+// load targets and ideal FCTs, is the fastest host-adjacent link. T is
+// twice the slowest one-way propagation delay between two hosts over
+// the routes frames take, plus 0.5 µs (Network.BaseRTT reports it).
 type Custom struct {
-	// BaseRTT overrides the derived network-wide base RTT constant T.
-	BaseRTT time.Duration
-	// HostRateGbps overrides the derived NIC reference rate (the
-	// fastest host-adjacent link), used for load targets and ideal
-	// FCTs.
-	HostRateGbps int
-
 	graph topology.GraphSpec
 }
 
@@ -197,9 +191,4 @@ func (c *Custom) Link(a, b Node, rateGbps int, delay time.Duration) {
 // NumHosts returns the number of hosts added so far.
 func (c *Custom) NumHosts() int { return c.graph.Hosts }
 
-func (c *Custom) topoSpec() topology.Spec {
-	g := c.graph
-	g.RTT = toSim(c.BaseRTT)
-	g.HostRate = toRate(c.HostRateGbps)
-	return g
-}
+func (c *Custom) topoSpec() topology.Spec { return c.graph }

@@ -150,6 +150,49 @@ func TestCustomPathFitsINTStack(t *testing.T) {
 	}
 }
 
+// HPCC's first window is B·T, so a lone flow on an idle fabric runs
+// near line rate only if T covers the RTT of the path it takes. T must
+// follow the fabric: Pod and FatTree with 5 µs links, and a Custom
+// graph whose fewest-hop route (one 10 µs link) is slower than its
+// 3-switch detour.
+func TestLoneFlowNearLineRate(t *testing.T) {
+	const size = 10_000_000
+	var detour hpcc.Custom
+	h0, h1 := detour.AddHost(), detour.AddHost()
+	s0, s1, s2, s3 := detour.AddSwitch(), detour.AddSwitch(), detour.AddSwitch(), detour.AddSwitch()
+	detour.Link(h0, s0, 100, time.Microsecond)
+	detour.Link(s0, s1, 100, 10*time.Microsecond)
+	detour.Link(s0, s2, 100, time.Microsecond)
+	detour.Link(s2, s3, 100, time.Microsecond)
+	detour.Link(s3, s1, 100, time.Microsecond)
+	detour.Link(s1, h1, 100, time.Microsecond)
+	for _, tc := range []struct {
+		name     string
+		topo     hpcc.Topology
+		src, dst int
+		gbps     float64
+	}{
+		{"pod-5us", hpcc.Pod{LinkDelay: 5 * time.Microsecond}, 0, 31, 25},
+		{"fattree-5us", hpcc.FatTree{LinkDelay: 5 * time.Microsecond}, 0, 31, 100},
+		{"custom-detour", &detour, 0, 1, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := hpcc.Experiment{Scheme: "hpcc", Topology: tc.topo}.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := net.StartFlow(tc.src, tc.dst, size)
+			net.RunUntilIdle()
+			if !f.Done() {
+				t.Fatal("flow did not complete")
+			}
+			if gbps := 8 * size / f.FCT().Seconds() / 1e9; gbps < 0.8*tc.gbps {
+				t.Errorf("goodput %.1f Gbps (T = %v), want ≥ 80%% of %.0f Gbps", gbps, net.BaseRTT(), tc.gbps)
+			}
+		})
+	}
+}
+
 // Every Traffic spec must round-trip through Experiment.Run and
 // produce completed-flow statistics.
 func TestTrafficSpecRoundTrip(t *testing.T) {
