@@ -116,18 +116,33 @@ func TestDecreaseGapTd(t *testing.T) {
 	}
 }
 
+// With the byte counter off, the rate timer alone drives the increase:
+// after a cut, F = 5 timer events of fast recovery keep Rt and halve
+// Rt − Rc each, and the 6th is additive, raising Rt by exactly RateAI
+// (40 Mbps at 25 Gbps).
 func TestFastRecoveryApproachesTarget(t *testing.T) {
 	th := &timerHarness{}
-	cfg := Config{RateIncTimer: 100 * sim.Microsecond, ByteCounter: -1}
-	d := newDCQCN(th, cfg)
+	d := newDCQCN(th, Config{RateIncTimer: 100 * sim.Microsecond, ByteCounter: -1})
+	// Two cuts pull Rt to half the line rate, so an additive step is not
+	// hidden by the cap at line rate.
 	d.OnCNP(th.Now())
-	rt := d.TargetRate()
-	// Five fast-recovery ticks halve the gap each time: Rc -> Rt - gap/2^5.
-	th.AdvanceTo(5*100*sim.Microsecond + sim.Microsecond)
-	gap := rt - d.RateBps()
-	wantGap := (rt - rt/2) / 32
-	if math.Abs(gap-wantGap) > 1 {
-		t.Fatalf("gap after 5 FR ticks = %v, want %v", gap, wantGap)
+	th.AdvanceTo(10 * sim.Microsecond)
+	d.OnCNP(th.Now())
+	rt, gap := d.TargetRate(), d.TargetRate()-d.RateBps()
+	if rt != float64(line)/2 || gap <= 0 {
+		t.Fatalf("after two cuts Rt = %v, Rc = %v; want Rt = line/2 above Rc", rt, d.RateBps())
+	}
+	for event := 1; event <= 5; event++ {
+		th.AdvanceTo(sim.Time(event) * 100 * sim.Microsecond)
+		gap /= 2
+		if d.TargetRate() != rt || math.Abs(d.TargetRate()-d.RateBps()-gap) > 1e-6*gap {
+			t.Fatalf("timer event %d: Rt = %v, Rt−Rc = %v; want Rt kept at %v and Rt−Rc = %v",
+				event, d.TargetRate(), d.TargetRate()-d.RateBps(), rt, gap)
+		}
+	}
+	th.AdvanceTo(600 * sim.Microsecond)
+	if got := d.TargetRate() - rt; got != float64(40*sim.Mbps) {
+		t.Fatalf("timer event 6 raised Rt by %v, want RateAI = %v", got, float64(40*sim.Mbps))
 	}
 }
 

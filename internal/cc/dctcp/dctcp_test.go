@@ -72,17 +72,30 @@ func TestFullyMarkedWindowConvergesToHalving(t *testing.T) {
 	}
 }
 
+// α is an EWMA of the marked byte fraction with gain g = 1/16. Half of
+// one window marked gives α = 0.5/16; after n windows whose every byte
+// was marked, starting from α = 0, α = 1 − (1 − 1/16)ⁿ.
 func TestAlphaEWMA(t *testing.T) {
 	d := newDCTCP()
 	// Prime: the first ACK closes the trivial [0,0) window and opens a
 	// real observation window ending at 125 000.
 	d.OnAck(&cc.AckEvent{AckSeq: 1000, SndNxt: 125_000, AckedBytes: 1000})
-	// Half of the window's 124 000 bytes marked: α = (1-g)·0 + g·0.5.
 	d.OnAck(&cc.AckEvent{AckSeq: 63_000, SndNxt: 150_000, AckedBytes: 62_000})
 	d.OnAck(&cc.AckEvent{AckSeq: 125_000, SndNxt: 187_500, AckedBytes: 62_000, ECE: true})
-	want := 0.5 * G
-	if math.Abs(d.Alpha()-want) > 1e-9 {
-		t.Fatalf("alpha = %v, want %v", d.Alpha(), want)
+	if want := 0.5 / 16; math.Abs(d.Alpha()-want) > 1e-12 {
+		t.Fatalf("alpha after a half-marked window = %v, want %v", d.Alpha(), want)
+	}
+
+	d = newDCTCP()
+	d.OnAck(&cc.AckEvent{AckSeq: 1000, SndNxt: 125_000, AckedBytes: 1000})
+	seq := int64(1000)
+	for n := 1; n <= 40; n++ {
+		end := seq + 124_000
+		d.OnAck(&cc.AckEvent{AckSeq: end, SndNxt: end + 124_000, AckedBytes: end - seq, ECE: true})
+		seq = end
+		if want := 1 - math.Pow(1-1.0/16, float64(n)); math.Abs(d.Alpha()-want) > 1e-12 {
+			t.Fatalf("alpha after %d fully marked windows = %v, want %v", n, d.Alpha(), want)
+		}
 	}
 }
 

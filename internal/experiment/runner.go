@@ -83,8 +83,8 @@ type LoadScenario struct {
 
 	Seed        int64
 	BufferBytes int64 // switch buffer (default 32 MB)
-	// INTQuantize rounds every INT stamp through the Figure-7 wire
-	// precision (ASIC emulation ablation).
+	// INTQuantize rounds every INT stamp to the Figure-7 wire precision
+	// (packet.Hop.Quantize; ASIC emulation ablation).
 	INTQuantize bool
 
 	// CompletedWindow, when positive, bounds per-host memory on long

@@ -2,9 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"hpcc/internal/fabric"
+	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
 	"hpcc/internal/workload"
@@ -104,5 +107,58 @@ func TestCompletedWindowAccounting(t *testing.T) {
 	s.CompletedWindow = 4
 	if got, want := hashResult(runLoadT(t, s)), hashResult(base); got != want {
 		t.Fatalf("completed window 4: %+v, want %+v", got, want)
+	}
+}
+
+// A scenario without PFC runs paper footnote 6's lossy egress with
+// α = 1: a data frame is dropped exactly when its egress queue plus the
+// frame would exceed the switch's free buffer. Frames of random sizes
+// from one host of a star fan out, skewed, to the other three, with
+// random pauses between bursts; each admission decision is checked
+// against the switch state just before it.
+func TestLossyEgressDropsBeyondFreeBuffer(t *testing.T) {
+	const buffer = 100_000
+	eng := sim.NewEngine()
+	m := StartManual(eng, LoadScenario{Scheme: ByNameMust("dcqcn"), Topo: StarTopo(4), BufferBytes: buffer})
+	nw := m.Network
+	sw := nw.Switches[0]
+	var in *fabric.Port
+	for _, p := range sw.Ports() {
+		if p.Peer().ID() == nw.Hosts[0].ID() {
+			in = p
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	seq := map[int]int64{}
+	var dropped, admitted int
+	for burst := 0; burst < 400; burst++ {
+		for n := rng.Intn(60); n > 0; n-- {
+			dst := 1 + rng.Intn(3)*rng.Intn(2) // host 1 gets two thirds
+			payload := int32(1 + rng.Intn(packet.DefaultMTU))
+			p := &packet.Packet{
+				Type: packet.Data, Prio: fabric.PrioData, FlowID: int32(dst),
+				Src: int32(nw.Hosts[0].ID()), Dst: int32(nw.Hosts[dst].ID()),
+				Size: payload + packet.HeaderBytes, PayloadLen: payload, Seq: seq[dst],
+			}
+			seq[dst] += int64(payload)
+			eg := sw.Ports()[sw.Route(nw.Hosts[dst].ID())[0]]
+			q, free := eg.QueueBytes(fabric.PrioData), buffer-sw.BufferUsed()
+			want := q+int64(p.Size) > free
+			before := sw.Drops()
+			sw.HandleArrival(p, in)
+			if got := sw.Drops() > before; got != want {
+				t.Fatalf("frame %d B to an egress queue of %d B with %d B free: dropped %v, want %v",
+					p.Size, q, free, got, want)
+			}
+			if want {
+				dropped++
+			} else {
+				admitted++
+			}
+		}
+		eng.RunUntil(eng.Now() + sim.Time(rng.Intn(1000))*sim.Nanosecond)
+	}
+	if dropped < 100 || admitted < 100 {
+		t.Fatalf("%d frames dropped and %d admitted; the fixture must exercise both", dropped, admitted)
 	}
 }

@@ -44,8 +44,7 @@ func data(flow int32, src, dst NodeID, seq int64, size int32) *packet.Packet {
 // intData is data as a sender whose scheme uses INT emits it: a frame
 // from Pool.GetINT, with an empty stack for the switches to stamp.
 func intData(flow int32, src, dst NodeID, seq int64, size int32) *packet.Packet {
-	var pool *packet.Pool // nil: a fresh frame per call
-	p := pool.GetINT()
+	p := packet.NewPool().GetINT()
 	p.Type, p.FlowID, p.Src, p.Dst = packet.Data, flow, int32(src), int32(dst)
 	p.Prio, p.Size, p.Seq, p.PayloadLen = PrioData, size, seq, size-packet.HeaderBytes
 	return p

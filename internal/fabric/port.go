@@ -39,8 +39,6 @@ func (f *fifo[T]) pop() T {
 	return e
 }
 
-func (f *fifo[T]) peek() T { return f.buf[f.head] }
-
 func (f *fifo[T]) empty() bool { return f.head == len(f.buf) }
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }

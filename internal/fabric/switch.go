@@ -27,7 +27,8 @@ type SwitchConfig struct {
 
 	// INTEnabled makes the switch stamp a telemetry record into data
 	// packets at dequeue. INTQuantize additionally rounds each record
-	// through the Figure-7 wire precision, emulating the ASIC.
+	// to the Figure-7 wire precision with packet.Hop.Quantize, emulating
+	// the ASIC.
 	INTEnabled  bool
 	INTQuantize bool
 

@@ -129,35 +129,62 @@ func TestStragglerAfterFlowEndDoesNotResurrectRecvState(t *testing.T) {
 	// harmless); the ring only needs to cover in-flight stragglers.
 }
 
+// A lost tail has no later packet to trigger a NACK, so only the RTO
+// recovers it. The timer ticks every 1 ms from the flow's start, and a
+// tick retransmits only once 1 ms has passed since the last ACK
+// progress: the tail goes out again at the first tick at least 1 ms
+// after the last progress, and at no other time.
 func TestTailLossRecoveredByRTO(t *testing.T) {
-	// Drop the very last packet of a flow once: only the RTO can
-	// recover it (no later packet triggers a NACK). Use a dropping
-	// switch wrapper: a tiny lossy buffer sized to drop the tail...
-	// deterministic alternative: deliver all but the tail by hand.
-	eng := sim.NewEngine()
-	cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(line100)} },
-		BaseRTT: 10 * sim.Microsecond}
-	a := New(eng, 1, cfg)
-	b := New(eng, 2, cfg)
-	dropper := &tailDropper{eng: eng}
-	ap, da := fabric.Connect(eng, a, dropper, 0, 0, line100, sim.Microsecond)
-	a.AttachPort(ap)
-	dropper.ports = append(dropper.ports, da)
-	db, bp := fabric.Connect(eng, dropper, b, 1, 0, line100, sim.Microsecond)
-	dropper.ports = append(dropper.ports, db)
-	b.AttachPort(bp)
-	dropper.dropSeq = 9000 // the last packet of a 10 KB flow
+	for _, c := range []struct {
+		name  string
+		start sim.Time
+		size  int64
+		rate  sim.Rate
+	}{
+		{"short flow", 0, 10_000, line100},
+		{"flow longer than a tick", 300 * sim.Microsecond, 1_000_000, 5 * sim.Gbps},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(c.rate)} },
+				BaseRTT: 10 * sim.Microsecond}
+			a := New(eng, 1, cfg)
+			b := New(eng, 2, cfg)
+			dropper := &tailDropper{eng: eng, dropSeq: c.size - 1000}
+			ap, da := fabric.Connect(eng, a, dropper, 0, 0, line100, sim.Microsecond)
+			a.AttachPort(ap)
+			dropper.ports = append(dropper.ports, da)
+			db, bp := fabric.Connect(eng, dropper, b, 1, 0, line100, sim.Microsecond)
+			dropper.ports = append(dropper.ports, db)
+			b.AttachPort(bp)
 
-	f := a.StartFlow(1, b.ID(), 10_000, 0, nil)
-	eng.Run()
-	if !f.Done() {
-		t.Fatal("tail loss never recovered")
-	}
-	if f.Retransmits() == 0 {
-		t.Fatal("no retransmission recorded")
-	}
-	if f.FCT() < RTO {
-		t.Fatalf("FCT %v shorter than the RTO that recovery needed", f.FCT())
+			var f *Flow
+			var progress []sim.Time
+			eng.At(c.start, func() {
+				f = a.StartFlow(1, b.ID(), c.size, 0, nil)
+				f.OnProgress = func(*Flow, int64) { progress = append(progress, eng.Now()) }
+			})
+			eng.Run()
+			if !f.Done() || len(dropper.sent) != 2 || f.Retransmits() != 1 {
+				t.Fatalf("done %v, the lost chunk sent at %v, %d retransmits; want done, sent twice, 1",
+					f.Done(), dropper.sent, f.Retransmits())
+			}
+			resent := dropper.sent[1]
+			last := progress[0]
+			for _, at := range progress {
+				if at < resent {
+					last = at
+				}
+			}
+			want := c.start + sim.Millisecond
+			for want-last < sim.Millisecond {
+				want += sim.Millisecond
+			}
+			if resent != want {
+				t.Fatalf("last progress at %v, tail resent at %v; want the first tick (start %v + k·1ms) ≥ 1ms later, %v",
+					last, resent, c.start, want)
+			}
+		})
 	}
 }
 
@@ -195,21 +222,26 @@ func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
 }
 
 // tailDropper forwards between its two ports, dropping the data packet
-// with Seq == dropSeq exactly once.
+// with Seq == dropSeq exactly once. sent records the send time of every
+// copy of that packet.
 type tailDropper struct {
 	eng     *sim.Engine
 	ports   []*fabric.Port
 	dropSeq int64
 	dropped bool
+	sent    []sim.Time
 }
 
 func (d *tailDropper) ID() fabric.NodeID { return 100 }
 func (d *tailDropper) OnDequeue(p *packet.Packet, ingress int, from *fabric.Port) {
 }
 func (d *tailDropper) HandleArrival(p *packet.Packet, in *fabric.Port) {
-	if p.Type == packet.Data && p.Seq == d.dropSeq && !d.dropped {
-		d.dropped = true
-		return
+	if p.Type == packet.Data && p.Seq == d.dropSeq {
+		d.sent = append(d.sent, p.SendTS)
+		if !d.dropped {
+			d.dropped = true
+			return
+		}
 	}
 	out := d.ports[0]
 	if in == d.ports[0] {

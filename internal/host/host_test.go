@@ -19,15 +19,15 @@ type mockCC struct {
 	env  cc.Env
 
 	acks    int
-	cnps    int
+	cnpAt   []sim.Time
 	lastEv  cc.AckEvent
 	rttSeen []sim.Time
 }
 
-func (m *mockCC) Name() string     { return "mock" }
-func (m *mockCC) Init(env cc.Env)  { m.env = env }
-func (m *mockCC) OnCNP(sim.Time)   { m.cnps++ }
-func (m *mockCC) RateBps() float64 { return m.rate }
+func (m *mockCC) Name() string       { return "mock" }
+func (m *mockCC) Init(env cc.Env)    { m.env = env }
+func (m *mockCC) OnCNP(now sim.Time) { m.cnpAt = append(m.cnpAt, now) }
+func (m *mockCC) RateBps() float64   { return m.rate }
 func (m *mockCC) WindowBytes() float64 {
 	if m.w <= 0 {
 		return cc.Unlimited()
@@ -307,10 +307,15 @@ func TestIRNInflightCappedAtBDP(t *testing.T) {
 	}
 }
 
+// The CNP rule under continuous marking: the receiver answers the first
+// marked frame of a flow, then the first marked frame at least 50 µs
+// after its last CNP. With a 25 Gbps bottleneck draining back to back,
+// every gap between a flow's CNPs is at least 50 µs and less than 50 µs
+// plus one 1064 B frame time (340.48 ns).
 func TestCNPGeneration(t *testing.T) {
-	mock := &mockCC{w: 0, rate: float64(line100)}
+	mock := &mockCC{rate: float64(line100)}
 	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond}
-	// Force marking from the first packet.
+	// Every data frame is marked: the post-enqueue depth is above KMax.
 	scfg := fabric.SwitchConfig{ECNEnabled: true, KMin: 1, KMax: 2, PMax: 1}
 	eng := sim.NewEngine()
 	sw := fabric.NewSwitch(eng, 1000, scfg)
@@ -325,15 +330,16 @@ func TestCNPGeneration(t *testing.T) {
 	sw.InstallRoute(a.ID(), []int{0})
 	sw.InstallRoute(b.ID(), []int{1})
 
-	a.StartFlow(1, b.ID(), 3_000_000, 0, nil)
+	f := a.StartFlow(1, b.ID(), 3_000_000, 0, nil)
 	eng.Run()
-	if mock.cnps == 0 {
-		t.Fatal("no CNPs delivered to the sender")
+	if !f.Done() || sw.Drops() != 0 || len(mock.cnpAt) < 10 {
+		t.Fatalf("done %v, %d drops, %d CNPs; want done, none, at least 10", f.Done(), sw.Drops(), len(mock.cnpAt))
 	}
-	// Rate-limited to one per 50µs: 3MB at ~25G takes ≈ 1 ms → at most
-	// ~21 CNPs (plus slack for recovery tail).
-	if mock.cnps > 40 {
-		t.Fatalf("cnps = %d, exceeds the 50µs rate limit", mock.cnps)
+	const frame = 340_480 * sim.Picosecond
+	for i := 1; i < len(mock.cnpAt); i++ {
+		if gap := mock.cnpAt[i] - mock.cnpAt[i-1]; gap < 50*sim.Microsecond || gap >= 50*sim.Microsecond+frame {
+			t.Fatalf("CNP %d came %v after CNP %d, want in [50µs, 50µs+%v)", i, gap, i-1, frame)
+		}
 	}
 }
 

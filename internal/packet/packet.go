@@ -3,11 +3,9 @@
 // header that HPCC relies on (Figure 7 of the paper).
 //
 // Inside the simulator, packets carry INT records as structured fields at
-// full precision (the "decoding layer" style: no per-packet byte-slice
-// allocation). A separate bit-exact codec for the Figure-7 wire format
-// lives in codec.go and is used to validate that the quantized ASIC
-// representation round-trips; switches can optionally quantize their
-// stamps through it to emulate hardware precision.
+// full precision, with no per-packet byte encoding. Hop.Quantize is the
+// one statement of the Figure-7 wire precision; switches apply it to
+// their stamps when asked to emulate hardware (SwitchConfig.INTQuantize).
 package packet
 
 import (

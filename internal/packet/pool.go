@@ -48,11 +48,8 @@ func newStacked() *Packet {
 func NewPool() *Pool { return &Pool{} }
 
 // Get returns a zeroed packet with no INT stack, recycling a freed one
-// when available. A nil pool degrades to plain allocation.
+// when available.
 func (pl *Pool) Get() *Packet {
-	if pl == nil {
-		return &Packet{} // only tests run without a pool
-	}
 	pl.gets++
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
@@ -70,11 +67,8 @@ func (pl *Pool) Get() *Packet {
 // GetINT returns a zeroed packet whose INT field points at an empty
 // stack, recycling a freed one when available. Only NHops and PathID are
 // reset: Records never reads a hop slot at or beyond NHops, so stale
-// slots need no scrubbing. A nil pool degrades to plain allocation.
+// slots need no scrubbing.
 func (pl *Pool) GetINT() *Packet {
-	if pl == nil {
-		return newStacked() // only tests run without a pool
-	}
 	pl.gets++
 	if n := len(pl.freeINT); n > 0 {
 		p := pl.freeINT[n-1]
@@ -91,11 +85,8 @@ func (pl *Pool) GetINT() *Packet {
 
 // Put recycles a packet the simulation has fully consumed onto the free
 // list matching whether it carries an INT stack. The caller must not
-// touch p afterwards. Nil pool and nil packet are no-ops.
+// touch p afterwards.
 func (pl *Pool) Put(p *Packet) {
-	if pl == nil || p == nil {
-		return
-	}
 	pl.puts++
 	free := &pl.free
 	if p.INT != nil {

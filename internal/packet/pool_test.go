@@ -82,14 +82,3 @@ func TestPoolCyclesAllocFree(t *testing.T) {
 		}
 	}
 }
-
-func TestNilPoolAllocates(t *testing.T) {
-	var pl *Pool
-	if p := pl.Get(); p == nil || p.INT != nil {
-		t.Fatalf("nil Get = %+v", p)
-	}
-	if p := pl.GetINT(); p == nil || p.INT == nil {
-		t.Fatalf("nil GetINT = %+v", p)
-	}
-	pl.Put(&Packet{}) // a no-op, not a panic
-}
