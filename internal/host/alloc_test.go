@@ -11,15 +11,16 @@ import (
 // in-place ACK conversion at the receiver, window/rate reaction at the
 // sender — allocates nothing: what a 200-packet flow allocates is its
 // setup alone. With unbounded retention (CompletedWindow 0, as here)
-// that is six objects a flow: the Flow, its send and RTO callbacks, its
-// Schedule closure, the CC instance and the receiver's recvState.
+// that is five objects a flow: the Flow, its send and RTO callbacks, its
+// Schedule closure and the CC instance (the receiver's state is a slot
+// in its receive-QP slice).
 func TestSteadyStateAllocsPerPacketUnderBudget(t *testing.T) {
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	const flowBytes = 200_000 // 200 packets per run
 	id := int32(0)
 	run := func() {
 		id++
-		nw.hosts[0].StartFlow(id, nw.hosts[1].ID(), flowBytes, 0, nil)
+		nw.hosts[0].StartFlow(id, nw.hosts[1], flowBytes, 0, nil)
 		nw.eng.Run()
 	}
 	// Warm pools, FIFOs and the event heap.
@@ -27,7 +28,7 @@ func TestSteadyStateAllocsPerPacketUnderBudget(t *testing.T) {
 		run()
 	}
 
-	// Two over the six for the flow map's amortized growth.
+	// Three over the five for the QP slices' amortized growth.
 	if avg := testing.AllocsPerRun(30, run); avg > 8 {
 		t.Fatalf("a 200-packet flow allocates %.1f objects, want its setup only (≤ 8)", avg)
 	}
@@ -61,7 +62,7 @@ func TestFlowLifecycleAllocFree(t *testing.T) {
 // flat while ACKs stream back (reusable AckEvent, pooled ACK release).
 func TestLongFlowMidstreamAllocFree(t *testing.T) {
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
-	nw.hosts[0].StartFlow(1, nw.hosts[1].ID(), 1<<40, 0, nil) // effectively infinite
+	nw.hosts[0].StartFlow(1, nw.hosts[1], 1<<40, 0, nil) // effectively infinite
 	// Past slow start: window and pacer in steady oscillation.
 	nw.eng.RunUntil(2 * sim.Millisecond)
 

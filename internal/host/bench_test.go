@@ -15,7 +15,7 @@ func BenchmarkHPCCFlowEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := nw.hosts[0].StartFlow(int32(i+1), nw.hosts[1].ID(), 100_000, 0, nil)
+		f := nw.hosts[0].StartFlow(int32(i+1), nw.hosts[1], 100_000, 0, nil)
 		nw.eng.Run()
 		if !f.Done() {
 			b.Fatal("flow unfinished")

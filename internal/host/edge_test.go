@@ -19,32 +19,62 @@ func TestZeroSizeFlowCompletes(t *testing.T) {
 	}
 }
 
+// A control frame finds its flow only by QPN, and only while that QP is
+// bound to the flow the frame names: an ACK, NACK or CNP whose QPN now
+// belongs to a later flow is ignored, as are frames for unknown flows,
+// unissued QPNs and QPN 0.
 func TestStaleAckIgnored(t *testing.T) {
-	// ACKs for unknown or completed flows must be dropped silently.
-	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
-	f := nw.start(0, 1, 10_000, nil)
+	cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(sim.Gbps)} },
+		BaseRTT: 10 * sim.Microsecond, CompletedWindow: 1}
+	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, sim.Microsecond)
+	a := nw.hosts[0]
+	old := nw.start(0, 1, 10_000, nil)
 	nw.eng.Run()
-	if !f.Done() {
-		t.Fatal("setup: flow unfinished")
+	oldID, oldQP := old.ID, old.qp
+	nw.start(0, 1, 10_000, nil) // completing it evicts old and frees its QP
+	nw.eng.Run()
+	f := nw.start(0, 1, 1_000_000, nil) // 8 ms at 1 Gbps
+	if f.qp != oldQP {
+		t.Fatalf("setup: the later flow got QP %d, want the freed QP %d", f.qp, oldQP)
 	}
-	stale := &packet.Packet{Type: packet.Ack, FlowID: f.ID, Src: 2, Dst: 1, Prio: fabric.PrioCtrl, Size: 64, AckSeq: 99}
-	nw.hosts[0].HandleArrival(stale, nw.hosts[0].Ports()[0])
-	unknown := &packet.Packet{Type: packet.Ack, FlowID: 999, Src: 2, Dst: 1, Prio: fabric.PrioCtrl, Size: 64}
-	nw.hosts[0].HandleArrival(unknown, nw.hosts[0].Ports()[0])
-	// Also NACK and CNP for unknown flows.
-	nw.hosts[0].HandleArrival(&packet.Packet{Type: packet.Nack, FlowID: 999, Size: 64}, nw.hosts[0].Ports()[0])
-	nw.hosts[0].HandleArrival(&packet.Packet{Type: packet.CNP, FlowID: 999, Size: 64}, nw.hosts[0].Ports()[0])
+	nw.eng.RunUntil(nw.eng.Now() + 100*sim.Microsecond)
+	acked, sent := f.Acked(), f.PacketsSent()
+
+	for _, addr := range []struct{ flow, qp int32 }{
+		{oldID, oldQP}, {999, oldQP}, {f.ID, 0}, {f.ID, -1}, {f.ID, 1 << 20}, {0, 0},
+	} {
+		for _, typ := range []packet.Type{packet.Ack, packet.Nack, packet.CNP} {
+			a.HandleArrival(&packet.Packet{Type: typ, FlowID: addr.flow, DstQP: addr.qp,
+				Prio: fabric.PrioCtrl, Size: packet.CtrlBytes, AckSeq: 1_000_000}, a.Ports()[0])
+		}
+	}
+	if f.Done() || f.Acked() != acked || f.PacketsSent() != sent || f.Retransmits() != 0 || len(f.alg.(*mockCC).cnpAt) != 0 {
+		t.Fatalf("stale frames reached the later flow: done %v, acked %d → %d, sent %d → %d, %d rewinds, %d CNPs",
+			f.Done(), acked, f.Acked(), sent, f.PacketsSent(), f.Retransmits(), len(f.alg.(*mockCC).cnpAt))
+	}
+	nw.eng.Run()
+	if !f.Done() || f.Retransmits() != 0 {
+		t.Fatalf("later flow done %v with %d rewinds, want done with none", f.Done(), f.Retransmits())
+	}
 }
 
-func TestDuplicateFlowIDPanics(t *testing.T) {
+// A zero-byte flow sends no frame, so it opens no receive QP at its
+// destination: a thousand of them leave none open.
+func TestZeroByteFlowsOpenNoReceiveQP(t *testing.T) {
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
-	nw.hosts[0].StartFlow(42, nw.hosts[1].ID(), 1000, 0, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate flow id did not panic")
+	for i := 0; i < 1000; i++ {
+		nw.start(0, 1, 0, nil)
+	}
+	nw.eng.Run()
+	b := nw.hosts[1]
+	if n := b.OpenRecvQPs(); n != 0 {
+		t.Fatalf("1000 zero-byte flows left %d receive QPs open", n)
+	}
+	for _, h := range nw.hosts {
+		if err := h.AuditFreeLists(); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	nw.hosts[0].StartFlow(42, nw.hosts[1].ID(), 1000, 0, nil)
+	}
 }
 
 func TestNackSuppressionOnePerEpisode(t *testing.T) {
@@ -58,8 +88,9 @@ func TestNackSuppressionOnePerEpisode(t *testing.T) {
 	h.AttachPort(hp)
 	sink.port = sp
 
+	qp := h.openRecv(5, 1)
 	mk := func(seq int64) *packet.Packet {
-		return &packet.Packet{Type: packet.Data, FlowID: 5, Src: 1, Dst: 2, Prio: fabric.PrioData,
+		return &packet.Packet{Type: packet.Data, FlowID: 5, DstQP: qp, Src: 1, Dst: 2, Prio: fabric.PrioData,
 			Size: 1064, Seq: seq, PayloadLen: 1000}
 	}
 	h.handleData(mk(0), hp) // in order: ACK
@@ -100,33 +131,56 @@ func (c *countingNode) HandleArrival(p *packet.Packet, in *fabric.Port) {
 	}
 }
 
-// Regression: a duplicate data packet arriving after the flow's
-// receiver state was freed (an RTO retransmission racing the final ACK)
-// must not resurrect — and then leak — a recvState, nor emit a spurious
-// NACK.
+// Regression: a duplicate data packet arriving after the flow's last
+// byte was delivered (an RTO retransmission racing the final ACK) must
+// not resurrect — and then leak — receiver state, nor emit a spurious
+// ACK or NACK.
 func TestStragglerAfterFlowEndDoesNotResurrectRecvState(t *testing.T) {
+	checkStragglerDropped(t, 0)
+}
+
+// Exact straggler drop: however many flows finished at the receiver
+// since — here one more than the ring of finished QPs holds, so the
+// flow's QPN has been recycled to a later flow — a duplicate of a
+// finished flow is dropped, not taken for a new flow.
+func TestStragglerPastRingIsDropped(t *testing.T) {
+	checkStragglerDropped(t, doneRingSize+1)
+}
+
+// checkStragglerDropped finishes a 10-packet flow, then later more
+// one-packet flows toward the same host, then replays the flow's first
+// and last chunks at the receiver: it must send nothing and open
+// nothing.
+func checkStragglerDropped(t *testing.T, later int) {
+	t.Helper()
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	f := nw.start(0, 1, 10_000, nil)
 	nw.eng.Run()
-	if !f.Done() {
-		t.Fatal("setup: flow unfinished")
+	for i := 0; i < later; i++ {
+		nw.start(0, 1, 1000, nil)
+		nw.eng.Run()
 	}
 	recv := nw.hosts[1]
-	if recv.recv[f.ID] != nil {
-		t.Fatal("setup: receiver state not freed at flow end")
+	if !f.Done() || recv.OpenRecvQPs() != 0 {
+		t.Fatalf("setup: flow done %v, %d receive QPs open", f.Done(), recv.OpenRecvQPs())
 	}
-	// A straggler duplicate of the flow's last chunk shows up late.
-	straggler := &packet.Packet{
-		Type: packet.Data, FlowID: f.ID, Src: int32(nw.hosts[0].ID()), Dst: int32(recv.ID()),
-		Prio: fabric.PrioData, Size: 1064, Seq: 9_000, PayloadLen: 1000, FlowEnd: true,
+	sent := recv.Ports()[0].PacketsSent()
+	for _, seq := range []int64{0, 9_000} {
+		recv.HandleArrival(&packet.Packet{
+			Type: packet.Data, FlowID: f.ID, DstQP: f.peerQP, Src: int32(nw.hosts[0].ID()), Dst: int32(recv.ID()),
+			Prio: fabric.PrioData, Size: 1064, Seq: seq, PayloadLen: 1000, FlowEnd: seq == 9_000,
+		}, recv.Ports()[0])
 	}
-	recv.handleData(straggler, recv.Ports()[0])
 	nw.eng.Run()
-	if recv.recv[f.ID] != nil {
-		t.Fatalf("straggler resurrected receiver state: %+v", recv.recv[f.ID])
+	if n := recv.Ports()[0].PacketsSent() - sent; n != 0 || recv.OpenRecvQPs() != 0 {
+		t.Fatalf("stragglers %d finished flows later: %d frames sent, %d receive QPs open; want none",
+			later, n, recv.OpenRecvQPs())
 	}
-	// Far beyond the completed-flow ring, resurrection is allowed (and
-	// harmless); the ring only needs to cover in-flight stragglers.
+	for _, h := range nw.hosts {
+		if err := h.AuditFreeLists(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // A lost tail has no later packet to trigger a NACK, so only the RTO
@@ -161,7 +215,7 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 			var f *Flow
 			var progress []sim.Time
 			eng.At(c.start, func() {
-				f = a.StartFlow(1, b.ID(), c.size, 0, nil)
+				f = a.StartFlow(1, b, c.size, 0, nil)
 				f.OnProgress = func(*Flow, int64) { progress = append(progress, eng.Now()) }
 			})
 			eng.Run()
@@ -205,7 +259,7 @@ func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
 	dropper.ports = append(dropper.ports, db)
 	b.AttachPort(bp)
 
-	f := a.StartFlow(1, b.ID(), 200_000, 0, nil)
+	f := a.StartFlow(1, b, 200_000, 0, nil)
 	eng.Run()
 	if !dropper.dropped {
 		t.Fatal("setup: the chunk at 50 000 was never sent")

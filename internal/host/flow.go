@@ -13,11 +13,14 @@ import (
 // MTU-sized packets, enforces the CC window and pacing rate, and runs
 // loss recovery.
 type Flow struct {
-	ID   int32
-	host *Host
-	dst  fabric.NodeID
-	size int64
-	port *fabric.Port
+	ID int32
+	// qp is the flow's sender QPN at its host; peerQP its receive QPN
+	// at dst, the DstQP of its data frames.
+	qp, peerQP int32
+	host       *Host
+	dst        fabric.NodeID
+	size       int64
+	port       *fabric.Port
 
 	// Bound to this *Flow rather than to one transfer, and therefore
 	// kept when the host recycles it (StartFlow): the CC instance
@@ -179,6 +182,7 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 	}
 	p.Type = packet.Data
 	p.FlowID = f.ID
+	p.DstQP = f.peerQP
 	p.Src = int32(f.host.id)
 	p.Dst = int32(f.dst)
 	p.Prio = fabric.PrioData
@@ -187,7 +191,7 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 	p.PayloadLen = payload
 	p.SendTS = now
 	// Mark the chunk carrying the flow's last byte so the receiver can
-	// free its reassembly state once everything before it landed.
+	// finish its receive QP once everything before it landed.
 	p.FlowEnd = seq+int64(payload) >= f.size
 	f.port.Enqueue(p, -1)
 	f.pktsSent++

@@ -3,6 +3,10 @@
 // generation, and the two loss-recovery modes the paper evaluates —
 // go-back-N (RoCEv2 default) and IRN-style selective repeat (§5.3,
 // Figure 12).
+// As on an RDMA NIC, a frame finds its connection's state at its
+// destination host only by the queue-pair number it carries
+// (Packet.DstQP, the BTH DestQP field): each host keeps its sender and
+// receive QPs in slices indexed by QPN; nothing is keyed by flow ID.
 package host
 
 import (
@@ -49,7 +53,7 @@ type Config struct {
 	// long campaigns: at most this many completed sender flows are
 	// retained (a ring of recent completions for post-run inspection);
 	// older ones are folded into aggregate counters (EvictedFlows) and
-	// dropped from the flow map, so the map stops growing with
+	// their sender QPs freed, so the QP slice stops growing with
 	// campaign length. An evicted flow's *Flow — with its timer
 	// callbacks and CC instance — is recycled by a later StartFlow, so
 	// the flow lifecycle stops allocating once the window has filled:
@@ -80,62 +84,45 @@ type Host struct {
 	cfg   Config
 	pool  *packet.Pool
 	ports []*fabric.Port
-	flows map[int32]*Flow
-	recv  map[int32]*recvState
 
-	// RDMA READ requester state: flow ID -> (expected bytes, callback).
-	reads map[int32]*pendingRead
+	// Queue pairs, indexed by QPN (Packet.DstQP); slot 0 is never
+	// issued. A sender QP holds its *Flow, a receive QP its recvState
+	// in place. A slot answers a frame only while its flow ID equals
+	// the frame's; freed QPNs wait on the free lists for reuse.
+	sendQP   []*Flow
+	sendFree []int32
+	recv     []recvState
+	recvFree []int32
 
 	// wrapFree recycles the cc.Env.Schedule trampolines so timer-driven
 	// CC schemes (DCQCN's per-flow clocks) do not allocate per tick.
 	wrapFree []*schedWrap
 
-	// doneRing remembers the most recently completed inbound flows so a
-	// straggler duplicate (e.g. an RTO retransmission that was still in
-	// flight when the original copy finished the flow) is dropped
-	// instead of recreating — and then leaking — a recvState. Flow IDs
-	// are never reused network-wide, so a hit always means straggler.
+	// doneRing holds the QPNs of the most recently finished receive
+	// QPs. A finished QP stays bound, dropping straggler duplicates of
+	// its flow, until doneRingSize later completions push it out and
+	// its QPN goes to recvFree: as on a NIC, a QPN is not reissued
+	// while the old connection's frames may still be in flight.
 	doneRing [doneRingSize]int32
 	doneHead int
 
-	// Completed-flow retention ring (Config.CompletedWindow): the IDs
-	// of the most recent completions, plus aggregate counters for the
-	// flows already evicted from the map.
-	retired     []int32
+	// Completed-flow retention ring (Config.CompletedWindow): the most
+	// recent completions, plus aggregate counters for the flows already
+	// evicted from it.
+	retired     []*Flow
 	retiredHead int
 	evicted     int
 	evictedPkts uint64
 
-	// Free lists (Config.CompletedWindow > 0): sender flows evicted
-	// from the retention ring and receiver states freed at FlowEnd,
-	// reused by StartFlow and handleData in place of an allocation.
+	// flowFree holds the sender flows evicted from the retention ring
+	// (Config.CompletedWindow > 0), reused by StartFlow and Read in
+	// place of an allocation.
 	flowFree []*Flow
-	recvFree []*recvState
 }
 
-// doneRingSize bounds the completed-inbound-flow memory (power of two).
+// doneRingSize is how many finished receive QPs a host keeps bound
+// (power of two).
 const doneRingSize = 64
-
-func (h *Host) noteRecvDone(flowID int32) {
-	h.doneRing[h.doneHead&(doneRingSize-1)] = flowID
-	h.doneHead++
-}
-
-// recentlyRecvDone reports whether flowID completed within the last
-// doneRingSize inbound completions. Only consulted on the per-flow slow
-// path (no receiver state yet). Flow ID 0 is indistinguishable from an
-// empty slot and is never treated as recently done.
-func (h *Host) recentlyRecvDone(flowID int32) bool {
-	if flowID == 0 {
-		return false
-	}
-	for _, id := range h.doneRing {
-		if id == flowID {
-			return true
-		}
-	}
-	return false
-}
 
 // schedWrap adapts one cc.Env.Schedule call onto the engine: it guards
 // the callback behind the flow's liveness and follows it with trySend,
@@ -172,11 +159,6 @@ func (h *Host) scheduleCC(f *Flow, d sim.Time, fn func()) {
 	h.eng.After(d, w.run)
 }
 
-type pendingRead struct {
-	size   int64
-	onDone func()
-}
-
 // New creates a host. Ports are attached afterwards (via topology
 // builders) with AttachPort.
 func New(eng *sim.Engine, id fabric.NodeID, cfg Config) *Host {
@@ -185,14 +167,13 @@ func New(eng *sim.Engine, id fabric.NodeID, cfg Config) *Host {
 		pool = packet.NewPool()
 	}
 	return &Host{
-		id:    id,
-		eng:   eng,
-		now:   eng.Now,
-		cfg:   cfg,
-		pool:  pool,
-		flows: make(map[int32]*Flow),
-		recv:  make(map[int32]*recvState),
-		reads: make(map[int32]*pendingRead),
+		id:     id,
+		eng:    eng,
+		now:    eng.Now,
+		cfg:    cfg,
+		pool:   pool,
+		sendQP: make([]*Flow, 1), // QPN 0 is never issued
+		recv:   make([]recvState, 1),
 	}
 }
 
@@ -233,58 +214,77 @@ func (h *Host) HandleArrival(p *packet.Packet, in *fabric.Port) {
 	case packet.Data:
 		h.handleData(p, in)
 	case packet.Ack:
-		if f := h.flows[p.FlowID]; f != nil {
+		if f := h.sender(p); f != nil {
 			f.handleAck(p)
 		}
 		h.pool.Put(p)
 	case packet.Nack:
-		if f := h.flows[p.FlowID]; f != nil {
+		if f := h.sender(p); f != nil {
 			f.handleNack(p)
 		}
 		h.pool.Put(p)
 	case packet.CNP:
-		if f := h.flows[p.FlowID]; f != nil && !f.done {
+		if f := h.sender(p); f != nil && !f.done {
 			f.alg.OnCNP(h.eng.Now())
 			f.trySend()
 		}
 		h.pool.Put(p)
 	case packet.ReadReq:
-		// RDMA READ responder: stream the requested bytes back as a
-		// plain data flow owned by this host. READ flow IDs are
-		// negative, so the multi-homing hash must use the magnitude —
-		// a negative remainder would index out of range.
-		port := int(p.FlowID) % len(h.ports)
-		if port < 0 {
-			port = -port
+		// RDMA READ responder: stream the requested bytes back on the
+		// flow the READ reserved (Read). READ flow IDs are negative, so
+		// the multi-homing hash must use the magnitude — a negative
+		// remainder would index out of range.
+		if f := h.sender(p); f != nil {
+			port := int(p.FlowID) % len(h.ports)
+			if port < 0 {
+				port = -port
+			}
+			h.start(f, fabric.NodeID(p.Src), p.Seq, port, nil)
 		}
-		h.StartFlow(p.FlowID, fabric.NodeID(p.Src), p.Seq, port, nil)
 		h.pool.Put(p)
 	default:
 		panic(fmt.Sprintf("host: unknown packet type %v", p.Type))
 	}
 }
 
-// StartFlow creates and starts a sender flow of size bytes toward dst,
-// bound to the local port portIdx. id must be unique network-wide.
-// onDone, if non-nil, fires at completion (all bytes cumulatively
-// ACKed).
-func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, onDone func(*Flow)) *Flow {
-	if _, dup := h.flows[id]; dup {
-		panic(fmt.Sprintf("host: duplicate flow id %d", id))
+// sender returns the flow bound to the sender QP a frame names, or nil
+// when that QP is free or now bound to a later flow (a stale frame).
+func (h *Host) sender(p *packet.Packet) *Flow {
+	if uint(p.DstQP) < uint(len(h.sendQP)) {
+		if f := h.sendQP[p.DstQP]; f != nil && f.ID == p.FlowID {
+			return f
+		}
 	}
+	return nil
+}
+
+// StartFlow creates and starts a sender flow of size bytes toward host
+// dst, bound to the local port portIdx. Like RDMA connection setup, it
+// opens the flow's receive QP at dst before the first frame; a
+// zero-byte flow sends none and opens none. id must be unique
+// network-wide and non-zero (topology.Network mints such IDs). onDone,
+// if non-nil, fires at completion (all bytes cumulatively ACKed).
+func (h *Host) StartFlow(id int32, dst *Host, size int64, portIdx int, onDone func(*Flow)) *Flow {
+	f := h.bindFlow(id)
+	if size > 0 {
+		f.peerQP = dst.openRecv(id, f.qp)
+	}
+	return h.start(f, dst.id, size, portIdx, onDone)
+}
+
+// start launches the transfer of a flow bound by bindFlow.
+func (h *Host) start(f *Flow, dst fabric.NodeID, size int64, portIdx int, onDone func(*Flow)) *Flow {
 	port := h.ports[portIdx]
-	f := h.getFlow()
-	f.ID, f.dst, f.size, f.port = id, dst, size, port
+	f.dst, f.size, f.port = dst, size, port
 	f.started, f.onDone, f.alive = h.eng.Now(), onDone, true
 	f.env.LineRate = port.Rate()
-	f.env.Seed = h.cfg.Seed ^ int64(id)
+	f.env.Seed = h.cfg.Seed ^ int64(f.ID)
 	if h.cfg.FlowCtl == IRN {
 		f.sacked = make(map[int64]int32)
 		f.rtx = make(map[int64]int32)
 		f.irnCap = f.env.BDP()
 	}
 	f.alg.Init(f.env)
-	h.flows[id] = f
 	if size <= 0 {
 		// Degenerate zero-byte transfer: complete immediately (after
 		// the current event, so the caller sees the handle first).
@@ -296,8 +296,23 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 	return f
 }
 
-// getFlow returns a blank flow for StartFlow, recycled when it can be:
-// a recycled flow keeps everything newFlow bound to its pointer and has
+// bindFlow binds a blank flow for transfer id to a free sender QP.
+func (h *Host) bindFlow(id int32) *Flow {
+	f := h.getFlow()
+	f.ID = id
+	if n := len(h.sendFree); n > 0 {
+		f.qp = h.sendFree[n-1]
+		h.sendFree = h.sendFree[:n-1]
+		h.sendQP[f.qp] = f
+	} else {
+		f.qp = int32(len(h.sendQP))
+		h.sendQP = append(h.sendQP, f)
+	}
+	return f
+}
+
+// getFlow returns a blank flow for bindFlow, recycled when it can be: a
+// recycled flow keeps everything newFlow bound to its pointer and has
 // every other field reset by one whole-struct assignment.
 func (h *Host) getFlow() *Flow {
 	n := len(h.flowFree)
@@ -335,60 +350,74 @@ func (h *Host) newFlow() *Flow {
 
 // Read issues an RDMA READ: the responder streams size bytes back to
 // this host as flow id. onDone fires here (at the requester) once all
-// bytes have arrived in order. The request rides the control class.
-func (h *Host) Read(id int32, responder fabric.NodeID, size int64, portIdx int, onDone func()) {
-	h.reads[id] = &pendingRead{size: size, onDone: onDone}
+// bytes have arrived in order. Like connection setup, Read reserves the
+// responder's sender QP for the response, bound to a receive QP it
+// opens here; the request, addressed to that sender QP, rides the
+// control class.
+func (h *Host) Read(id int32, responder *Host, size int64, portIdx int, onDone func()) {
+	f := responder.bindFlow(id)
+	f.peerQP = h.openRecv(id, f.qp)
+	h.recv[f.peerQP].readSize, h.recv[f.peerQP].readDone = size, onDone
 	req := h.pool.Get()
 	req.Type = packet.ReadReq
 	req.FlowID = id
+	req.DstQP = f.qp
 	req.Src = int32(h.id)
-	req.Dst = int32(responder)
+	req.Dst = int32(responder.id)
 	req.Prio = fabric.PrioCtrl
 	req.Size = packet.CtrlBytes
 	req.Seq = size
 	h.ports[portIdx].Enqueue(req, -1)
 }
 
-// Flows returns the host's sender flows (live and retained completed
-// ones; with Config.CompletedWindow set, older completions are evicted
-// into the EvictedFlows aggregate).
-func (h *Host) Flows() map[int32]*Flow { return h.flows }
+// Flows returns the host's sender flows by ID (live and retained
+// completed ones; with Config.CompletedWindow set, older completions
+// are evicted into the EvictedFlows aggregate). The map is built from
+// the sender QPs on each call.
+func (h *Host) Flows() map[int32]*Flow {
+	m := make(map[int32]*Flow, len(h.sendQP))
+	for _, f := range h.sendQP {
+		if f != nil && f.port != nil { // a READ's reserved flow has not started
+			m[f.ID] = f
+		}
+	}
+	return m
+}
 
 // EvictedFlows returns how many completed flows were evicted from the
-// flow map under Config.CompletedWindow, and their total data packets
-// sent (retransmissions included) — so whole-run accounting stays exact
-// under bounded memory.
+// retention ring under Config.CompletedWindow, and their total data
+// packets sent (retransmissions included) — so whole-run accounting
+// stays exact under bounded memory.
 func (h *Host) EvictedFlows() (flows int, pkts uint64) { return h.evicted, h.evictedPkts }
 
 // noteFlowDone records a completion in the retention ring and evicts
 // the oldest retained completion once the window is full. Called after
 // the flow's onDone observers ran; an evicted flow's stats are folded
 // into the aggregate counters first, so nothing is lost. The evicted
-// *Flow then goes to the free list — unless a handle to it left the
-// simulator (pinned).
+// flow's sender QP is freed, and its *Flow goes to the free list —
+// unless a handle to it left the simulator (pinned).
 func (h *Host) noteFlowDone(f *Flow) {
 	w := h.cfg.CompletedWindow
 	if w <= 0 {
 		return
 	}
 	if len(h.retired) < w {
-		h.retired = append(h.retired, f.ID)
+		h.retired = append(h.retired, f)
 		return
 	}
-	old := h.retired[h.retiredHead]
-	h.retired[h.retiredHead] = f.ID
+	g := h.retired[h.retiredHead]
+	h.retired[h.retiredHead] = f
 	h.retiredHead++
 	if h.retiredHead == len(h.retired) {
 		h.retiredHead = 0
 	}
-	if g := h.flows[old]; g != nil && g.done {
-		h.evicted++
-		h.evictedPkts += g.pktsSent
-		if !g.pinned {
-			// The free list grows to the host's peak live flow count,
-			// then recycles in place.
-			h.flowFree = append(h.flowFree, g)
-		}
-		delete(h.flows, old)
+	h.evicted++
+	h.evictedPkts += g.pktsSent
+	h.sendQP[g.qp] = nil
+	h.sendFree = append(h.sendFree, g.qp)
+	if !g.pinned {
+		// The free list grows to the host's peak live flow count, then
+		// recycles in place.
+		h.flowFree = append(h.flowFree, g)
 	}
 }

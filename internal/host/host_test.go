@@ -67,7 +67,7 @@ func buildStar(n int, hcfg Config, scfg fabric.SwitchConfig, hostRate sim.Rate, 
 
 func (nw *net) start(src, dst int, size int64, onDone func(*Flow)) *Flow {
 	nw.nextID++
-	return nw.hosts[src].StartFlow(nw.nextID, nw.hosts[dst].ID(), size, 0, onDone)
+	return nw.hosts[src].StartFlow(nw.nextID, nw.hosts[dst], size, 0, onDone)
 }
 
 const line100 = 100 * sim.Gbps
@@ -201,7 +201,7 @@ func TestGoBackNRecovery(t *testing.T) {
 	sw.InstallRoute(a.ID(), []int{0})
 	sw.InstallRoute(b.ID(), []int{1})
 
-	f := a.StartFlow(1, b.ID(), 2_000_000, 0, nil)
+	f := a.StartFlow(1, b, 2_000_000, 0, nil)
 	eng.Run()
 	if !f.Done() {
 		t.Fatal("flow did not complete despite GBN recovery")
@@ -215,9 +215,9 @@ func TestGoBackNRecovery(t *testing.T) {
 	if f.Acked() != 2_000_000 {
 		t.Fatalf("sender saw %d bytes acked, want 2000000", f.Acked())
 	}
-	// Delivery of the final byte frees the receiver's reassembly state.
-	if b.recv[1] != nil {
-		t.Fatalf("receiver state not freed at flow end: %+v", b.recv[1])
+	// Delivery of the final byte finishes the receiver's QP.
+	if n := b.OpenRecvQPs(); n != 0 {
+		t.Fatalf("%d receive QPs still open at flow end", n)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestIRNRecovery(t *testing.T) {
 	sw.InstallRoute(a.ID(), []int{0})
 	sw.InstallRoute(b.ID(), []int{1})
 
-	f := a.StartFlow(1, b.ID(), 2_000_000, 0, nil)
+	f := a.StartFlow(1, b, 2_000_000, 0, nil)
 	eng.Run()
 	if !f.Done() {
 		t.Fatal("flow did not complete despite IRN recovery")
@@ -249,8 +249,8 @@ func TestIRNRecovery(t *testing.T) {
 	if f.Acked() != 2_000_000 {
 		t.Fatalf("sender saw %d bytes acked, want 2000000", f.Acked())
 	}
-	if b.recv[1] != nil {
-		t.Fatalf("receiver state not freed at flow end: %+v", b.recv[1])
+	if n := b.OpenRecvQPs(); n != 0 {
+		t.Fatalf("%d receive QPs still open at flow end", n)
 	}
 }
 
@@ -330,7 +330,7 @@ func TestCNPGeneration(t *testing.T) {
 	sw.InstallRoute(a.ID(), []int{0})
 	sw.InstallRoute(b.ID(), []int{1})
 
-	f := a.StartFlow(1, b.ID(), 3_000_000, 0, nil)
+	f := a.StartFlow(1, b, 3_000_000, 0, nil)
 	eng.Run()
 	if !f.Done() || sw.Drops() != 0 || len(mock.cnpAt) < 10 {
 		t.Fatalf("done %v, %d drops, %d CNPs; want done, none, at least 10", f.Done(), sw.Drops(), len(mock.cnpAt))

@@ -11,7 +11,7 @@ func TestRDMARead(t *testing.T) {
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	done := false
 	// Host 0 reads 500 KB from host 1: the data flows 1 -> 0.
-	nw.hosts[0].Read(1, nw.hosts[1].ID(), 500_000, 0, func() { done = true })
+	nw.hosts[0].Read(1, nw.hosts[1], 500_000, 0, func() { done = true })
 	nw.eng.Run()
 	if !done {
 		t.Fatal("READ completion never fired at the requester")
@@ -24,9 +24,11 @@ func TestRDMARead(t *testing.T) {
 	if got := f.Acked(); got != 500_000 {
 		t.Fatalf("responder streamed %d acked bytes, want 500000", got)
 	}
-	// The requester's reassembly state is freed once the stream lands.
-	if nw.hosts[0].recv[1] != nil {
-		t.Fatal("requester receiver state not freed after READ completion")
+	// The requester's receive QP finished once the stream landed, and
+	// its READ is settled.
+	rq := &nw.hosts[0].recv[f.peerQP]
+	if rq.flowID != 1 || !rq.finished() || rq.readDone != nil || nw.hosts[0].OpenRecvQPs() != 0 {
+		t.Fatalf("requester receive QP %d: flow %d, finished %v, READ pending %v", f.peerQP, rq.flowID, rq.finished(), rq.readDone != nil)
 	}
 }
 
@@ -35,7 +37,7 @@ func TestRDMAReadUnderIRN(t *testing.T) {
 	cfg.FlowCtl = IRN
 	nw := buildStar(2, cfg, fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	done := false
-	nw.hosts[0].Read(7, nw.hosts[1].ID(), 123_456, 0, func() { done = true })
+	nw.hosts[0].Read(7, nw.hosts[1], 123_456, 0, func() { done = true })
 	nw.eng.Run()
 	if !done {
 		t.Fatal("READ completion never fired under IRN")

@@ -6,20 +6,49 @@ import (
 	"hpcc/internal/sim"
 )
 
-// recvState is the per-flow receiver: cumulative reassembly plus the
-// NACK (go-back-N) or out-of-order buffer (IRN) machinery, and DCQCN's
-// CNP rate limiter. It is freed as soon as the flow's final byte has
-// been delivered in order (the sender marks the last chunk with
-// FlowEnd), so long campaigns do not accumulate dead receiver state;
-// with Config.CompletedWindow set it goes to the host's free list.
+// recvState is a receive QP: the per-flow receiver state — cumulative
+// reassembly plus the NACK (go-back-N) or out-of-order buffer (IRN)
+// machinery, and DCQCN's CNP rate limiter — with the sender QPN its
+// ACK, NACK and CNP frames are addressed to and the RDMA READ it
+// completes, if any. It lives in Host.recv at its QPN, from openRecv
+// until doneRing recycles it after the flow's final byte was delivered
+// in order (the sender marks the last chunk with FlowEnd).
 type recvState struct {
+	flowID   int32 // 0 while the QPN is free
+	peerQP   int32 // the flow's sender QPN at the peer
 	rcvNxt   int64
-	nackSent bool            // GBN: one NACK per out-of-sequence episode
 	ooo      map[int64]int32 // IRN: buffered out-of-order chunks
 	lastCNP  sim.Time
+	endSeq   int64  // flow length, learned from the FlowEnd marker
+	readSize int64  // RDMA READ: the bytes requested
+	readDone func() // RDMA READ: the requester's callback, nil once fired
+	nackSent bool   // GBN: one NACK per out-of-sequence episode
 	hasCNP   bool
-	endSeq   int64 // flow length, learned from the FlowEnd marker
 	hasEnd   bool
+}
+
+// finished reports whether every byte up to the FlowEnd marker arrived.
+func (rs *recvState) finished() bool { return rs.hasEnd && rs.rcvNxt >= rs.endSeq }
+
+// openRecv opens a receive QP for inbound flow id, answering to the
+// sender QP peer, in the zero state a flow's first frame finds, and
+// returns its QPN.
+func (h *Host) openRecv(id, peer int32) int32 {
+	var qp int32
+	if n := len(h.recvFree); n > 0 {
+		qp = h.recvFree[n-1]
+		h.recvFree = h.recvFree[:n-1]
+	} else {
+		// h.recv grows to the host's peak open + doneRingSize QPs.
+		qp = int32(len(h.recv))
+		h.recv = append(h.recv, recvState{})
+	}
+	rs := &h.recv[qp]
+	*rs = recvState{flowID: id, peerQP: peer}
+	if h.cfg.FlowCtl == IRN {
+		rs.ooo = make(map[int64]int32) // the reorder map is not recycled with the QP
+	}
+	return qp
 }
 
 // handleData runs the receiver side: reassemble, acknowledge, and
@@ -27,30 +56,15 @@ type recvState struct {
 // here: it is either converted in place into its own ACK (which also
 // reuses the INT stack without copying it) or returned to the pool.
 func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
-	flowID := p.FlowID
-	rs := h.recv[flowID]
-	if rs == nil {
-		if h.recentlyRecvDone(flowID) {
-			// Straggler duplicate of a flow whose reassembly state was
-			// already freed: the sender has (or is about to get) the
-			// final cumulative ACK, so drop it rather than recreate —
-			// and leak — receiver state or emit a spurious NACK.
-			h.pool.Put(p)
-			return
-		}
-		if n := len(h.recvFree); n > 0 {
-			rs = h.recvFree[n-1]
-			h.recvFree = h.recvFree[:n-1]
-		} else {
-			// Bounded by the host's peak concurrent inbound flows when
-			// CompletedWindow > 0.
-			rs = &recvState{}
-		}
-		if h.cfg.FlowCtl == IRN {
-			rs.ooo = make(map[int64]int32) // the reorder map is not recycled with rs
-		}
-		h.recv[flowID] = rs
+	qp := p.DstQP
+	if qp <= 0 || int(qp) >= len(h.recv) || h.recv[qp].flowID != p.FlowID || h.recv[qp].finished() {
+		// No open receive QP: a straggler duplicate of a finished flow
+		// (e.g. an RTO retransmission racing the final ACK). Drop it:
+		// no ACK, no NACK, no state.
+		h.pool.Put(p)
+		return
 	}
+	rs := &h.recv[qp]
 	now := h.eng.Now()
 	if p.FlowEnd {
 		rs.hasEnd = true
@@ -61,7 +75,7 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	if p.ECNCE && (!rs.hasCNP || now-rs.lastCNP >= CNPInterval) {
 		rs.hasCNP = true
 		rs.lastCNP = now
-		h.sendCtrl(in, p, packet.CNP, 0, 0)
+		h.sendCtrl(in, p, rs.peerQP, packet.CNP, 0, 0)
 	}
 
 	switch h.cfg.FlowCtl {
@@ -70,18 +84,17 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 		case p.Seq == rs.rcvNxt:
 			rs.rcvNxt += int64(p.PayloadLen)
 			rs.nackSent = false
-			h.sendAck(in, p, rs.rcvNxt)
-			h.checkReadDone(flowID, rs)
+			h.sendAck(in, p, rs)
 		case p.Seq > rs.rcvNxt:
 			// Out of sequence: NACK once per episode, drop payload.
 			if !rs.nackSent {
 				rs.nackSent = true
-				h.sendCtrl(in, p, packet.Nack, rs.rcvNxt, p.Seq)
+				h.sendCtrl(in, p, rs.peerQP, packet.Nack, rs.rcvNxt, p.Seq)
 			}
 			h.pool.Put(p)
 		default:
 			// Duplicate of already-delivered data: re-ACK to resync.
-			h.sendAck(in, p, rs.rcvNxt)
+			h.sendAck(in, p, rs)
 		}
 	case IRN:
 		switch {
@@ -96,49 +109,36 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 				delete(rs.ooo, rs.rcvNxt)
 				rs.rcvNxt += int64(l)
 			}
-			h.sendAck(in, p, rs.rcvNxt)
-			h.checkReadDone(flowID, rs)
+			h.sendAck(in, p, rs)
 		case p.Seq > rs.rcvNxt:
 			if _, dup := rs.ooo[p.Seq]; !dup {
 				rs.ooo[p.Seq] = p.PayloadLen
 			}
 			// Selective ACK: cumulative position + the received seq.
-			h.sendAck(in, p, rs.rcvNxt)
+			h.sendAck(in, p, rs)
 		default:
-			h.sendAck(in, p, rs.rcvNxt)
+			h.sendAck(in, p, rs)
 		}
 	}
 
 	// End of flow: every byte up to the FlowEnd marker arrived in
-	// order, so the reassembly state is dead. The flow ID goes into the
-	// completed ring so straggler duplicates still in flight are
-	// dropped above instead of resurrecting state; even past the ring's
-	// horizon a resurrected episode is harmless for correctness — its
-	// NACK/re-ACK lands on a sender flow that is already done (control
-	// frames are never dropped and stay FIFO on the flow's path, so the
-	// final cumulative ACK gets there first) and is ignored.
-	if rs.hasEnd && rs.rcvNxt >= rs.endSeq {
-		delete(h.recv, flowID)
-		h.noteRecvDone(flowID)
-		if h.cfg.CompletedWindow > 0 {
-			*rs = recvState{}
-			// The free list grows to the host's peak concurrent inbound
-			// flows, then recycles in place.
-			h.recvFree = append(h.recvFree, rs)
+	// order. The QP joins the ring of finished QPs, which recycles the
+	// QP that finished doneRingSize completions ago.
+	if rs.finished() {
+		slot := &h.doneRing[h.doneHead&(doneRingSize-1)]
+		h.doneHead++
+		if old := *slot; old != 0 {
+			h.recv[old].flowID = 0
+			h.recvFree = append(h.recvFree, old)
 		}
+		*slot = qp
 	}
-}
-
-// checkReadDone fires a pending RDMA READ completion once the read's
-// response stream has fully arrived in order.
-func (h *Host) checkReadDone(flowID int32, rs *recvState) {
-	pr := h.reads[flowID]
-	if pr == nil || rs.rcvNxt < pr.size {
-		return
-	}
-	delete(h.reads, flowID)
-	if pr.onDone != nil {
-		pr.onDone()
+	// A pending RDMA READ completes once its response stream has fully
+	// arrived in order. Last, because onDone may open receive QPs here
+	// and so move h.recv.
+	if done := rs.readDone; done != nil && rs.rcvNxt >= rs.readSize {
+		rs.readDone = nil
+		done()
 	}
 }
 
@@ -147,7 +147,7 @@ func (h *Host) checkReadDone(flowID int32, rs *recvState) {
 // receiver copies all the meta-data recorded by the switches to the
 // ACK") — and transmits it. Reusing the struct avoids both the ACK
 // allocation and a copy of the 208-byte INT stack per data packet.
-func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, cumSeq int64) {
+func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, rs *recvState) {
 	size := int32(packet.AckBytes)
 	if h.cfg.INT {
 		size += packet.INTOverhead
@@ -156,18 +156,20 @@ func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, cumSeq int64) {
 	p.Src, p.Dst = p.Dst, p.Src
 	p.Prio = fabric.PrioCtrl
 	p.Size = size
-	p.AckSeq = cumSeq
+	p.DstQP = rs.peerQP
+	p.AckSeq = rs.rcvNxt
 	p.DataSeq = p.Seq
 	p.EchoTS = p.SendTS
 	p.ECE = p.ECNCE
 	via.Enqueue(p, -1)
 }
 
-// sendCtrl emits a NACK or CNP toward the sender of p.
-func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, typ packet.Type, expSeq, gotSeq int64) {
+// sendCtrl emits a NACK or CNP toward the sender of p, at its QP qp.
+func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, qp int32, typ packet.Type, expSeq, gotSeq int64) {
 	ctrl := h.pool.Get()
 	ctrl.Type = typ
 	ctrl.FlowID = p.FlowID
+	ctrl.DstQP = qp
 	ctrl.Src = p.Dst
 	ctrl.Dst = p.Src
 	ctrl.Prio = fabric.PrioCtrl

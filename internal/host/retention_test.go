@@ -1,6 +1,8 @@
 package host
 
 import (
+	"math/rand"
+
 	"testing"
 
 	"hpcc/internal/cc"
@@ -9,8 +11,8 @@ import (
 	"hpcc/internal/sim"
 )
 
-// With CompletedWindow set, the per-host flow map must plateau at the
-// window while a long run keeps completing flows — the bounded-memory
+// With CompletedWindow set, the per-host sender-QP slice must plateau
+// at the window while a long run keeps completing flows — the bounded-memory
 // contract for multi-minute campaigns — and the evicted aggregate must
 // keep whole-run accounting exact.
 func TestCompletedWindowPlateaus(t *testing.T) {
@@ -30,7 +32,7 @@ func TestCompletedWindowPlateaus(t *testing.T) {
 		nw.start(0, 1, 3_000, func(f *Flow) {
 			done++
 			sentPkts += f.PacketsSent()
-			if n := len(nw.hosts[0].Flows()); n > maxLive {
+			if n := len(nw.hosts[0].sendQP) - 1; n > maxLive {
 				maxLive = n
 			}
 			launch(i + 1)
@@ -42,10 +44,10 @@ func TestCompletedWindowPlateaus(t *testing.T) {
 	if done != rounds {
 		t.Fatalf("completed %d flows, want %d", done, rounds)
 	}
-	// The map may briefly hold window+live flows; it must not grow with
-	// the round count.
+	// The slice may briefly hold window+live flows; it must not grow
+	// with the round count.
 	if maxLive > hcfg.CompletedWindow+2 {
-		t.Fatalf("flow map grew to %d entries (window %d): memory does not plateau",
+		t.Fatalf("%d sender QPs issued (window %d): memory does not plateau",
 			maxLive, hcfg.CompletedWindow)
 	}
 	h := nw.hosts[0]
@@ -149,5 +151,59 @@ func TestRecycledFlowDropsStaleCCTimers(t *testing.T) {
 	}
 	if stale != 0 {
 		t.Fatalf("%d CC timer callbacks armed by a finished transfer ran against a later one", stale)
+	}
+}
+
+// QP hygiene under the tightest retention: with CompletedWindow 1, 2 400
+// flows and 400 RDMA READs between random pairs of a lossy 4-host star,
+// arriving in bursts of 40, recycle every sender and receive QP many
+// times over, and every host's QPs stay bound or free (never both,
+// never neither), checked every 10 µs of the run and at its end.
+func TestQPAuditUnderWindowOne(t *testing.T) {
+	hcfg := hpccConfig()
+	hcfg.CompletedWindow = 1
+	scfg := fabric.SwitchConfig{INTEnabled: true, BufferBytes: 150_000, LossyEgressAlpha: 1}
+	nw := buildStar(4, hcfg, scfg, line100, sim.Microsecond)
+	rng := rand.New(rand.NewSource(1))
+	const total = 2800
+	done := 0
+	for i := 0; i < total; i++ {
+		src := rng.Intn(4)
+		dst := (src + 1 + rng.Intn(3)) % 4
+		size := int64(1+rng.Intn(20)) * 1000
+		id := -int32(i + 1)
+		nw.eng.At(sim.Time(i/40)*40*sim.Microsecond, func() {
+			if id%7 == 0 {
+				nw.hosts[src].Read(id, nw.hosts[dst], size, 0, func() { done++ })
+			} else {
+				nw.start(src, dst, size, func(*Flow) { done++ })
+			}
+		})
+	}
+	audit := func() {
+		t.Helper()
+		for _, h := range nw.hosts {
+			if err := h.AuditFreeLists(); err != nil {
+				t.Fatalf("at %v: %v", nw.eng.Now(), err)
+			}
+		}
+	}
+	for at := sim.Time(0); done < total && at < 50*sim.Millisecond; at += 10 * sim.Microsecond {
+		nw.eng.RunUntil(at)
+		audit()
+	}
+	nw.eng.Run()
+	audit()
+	drops := nw.sw.Drops()
+	for _, h := range nw.hosts {
+		if n := h.OpenRecvQPs(); n != 0 || done != total || drops == 0 {
+			t.Fatalf("%d of %d transfers done, %d drops, %d receive QPs open at host %d; want all done, some drops, none open",
+				done, total, drops, n, h.ID())
+		}
+		// About 700 transfers a host, at most a few dozen at once.
+		if len(h.recv) > 150 || len(h.sendQP) > 150 {
+			t.Fatalf("host %d issued %d receive and %d sender QPs for %d transfers in all: QPs are not recycled",
+				h.ID(), len(h.recv)-1, len(h.sendQP)-1, total)
+		}
 	}
 }

@@ -119,8 +119,8 @@ type Packet struct {
 	Type Type
 	Prio uint8 // priority queue index (0 = control, highest)
 	// FlowEnd (data) marks the chunk carrying the flow's final byte, so
-	// the receiver can free its per-flow reassembly state once
-	// everything up to it has been delivered in order.
+	// the receiver can finish the flow's receive QP once everything up
+	// to it has been delivered in order.
 	FlowEnd  bool
 	ECNCE    bool  // data: congestion-experienced mark set by switches
 	ECE      bool  // ACK: ECN echo
@@ -131,6 +131,10 @@ type Packet struct {
 	Src, Dst   int32 // host node IDs (network-wide)
 	Size       int32 // total wire size, bytes
 	PayloadLen int32 // data
+	// DstQP (all but PFC) is the BTH DestQP field: the queue-pair number
+	// of the frame's connection at its destination host, the only way
+	// the frame finds its state there; it fills PayloadLen's padding.
+	DstQP int32
 
 	Seq     int64    // data: byte offset of first payload byte
 	SendTS  sim.Time // data: sender timestamp, echoed in the ACK for RTT

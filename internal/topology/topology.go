@@ -39,7 +39,7 @@ func (n *Network) StartFlow(src, dst int, size int64, onDone func(*host.Flow)) *
 	if np := len(h.Ports()); np > 1 {
 		port = int(uint32(n.nextFlow) * 2654435761 % uint32(np))
 	}
-	return h.StartFlow(n.nextFlow, n.Hosts[dst].ID(), size, port, onDone)
+	return h.StartFlow(n.nextFlow, n.Hosts[dst], size, port, onDone)
 }
 
 // StartRead issues an RDMA READ (§4.2): host requester pulls size
@@ -50,7 +50,7 @@ func (n *Network) StartFlow(src, dst int, size int64, onDone func(*host.Flow)) *
 func (n *Network) StartRead(requester, responder int, size int64, onDone func()) {
 	n.nextRead++
 	h := n.Hosts[requester]
-	h.Read(-n.nextRead, n.Hosts[responder].ID(), size, 0, onDone)
+	h.Read(-n.nextRead, n.Hosts[responder], size, 0, onDone)
 }
 
 // HostIndex maps a host's node ID back to its index in Hosts (-1 for a

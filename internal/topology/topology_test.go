@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -313,5 +314,50 @@ func TestValidateRejects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: Validate = %v, want an error naming %s", c.spec, err, c.want)
 		}
+	}
+}
+
+// Flow IDs are minted once, here: StartFlow's ascend from 1 and
+// StartRead's descend from −1, interleaved in any order, and none
+// repeats. Hosts rely on it — a QP answers a frame only while its flow
+// ID matches.
+func TestFlowIDsAreMintedOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	nw := StarSpec{N: 4}.Build(eng, hcfg(), scfg())
+	var flows []int32
+	for i := 0; i < 60; i++ {
+		if i%3 == 0 {
+			nw.StartRead(i%4, (i+1)%4, 2_000, nil)
+			continue
+		}
+		flows = append(flows, nw.StartFlow(i%4, (i+2)%4, 2_000, nil).ID)
+	}
+	eng.Run()
+	var reads []int32
+	seen := make(map[int32]bool)
+	for _, h := range nw.Hosts {
+		for id, f := range h.Flows() {
+			if seen[id] || f.ID != id || !f.Done() {
+				t.Fatalf("flow %d: seen before %v, keyed as %d, done %v", f.ID, seen[id], id, f.Done())
+			}
+			seen[id] = true
+			if id < 0 {
+				reads = append(reads, id)
+			}
+		}
+	}
+	slices.Sort(reads)
+	for i, id := range flows {
+		if id != int32(i+1) {
+			t.Fatalf("StartFlow IDs %v, want 1, 2, 3, …", flows)
+		}
+	}
+	for i, id := range reads {
+		if id != int32(i-len(reads)) {
+			t.Fatalf("StartRead IDs %v, want …, −2, −1", reads)
+		}
+	}
+	if len(seen) != 60 || len(reads) != 20 {
+		t.Fatalf("%d distinct IDs (%d READs) for 60 transfers (20 READs)", len(seen), len(reads))
 	}
 }
