@@ -33,6 +33,13 @@ func (e *Env) BDP() float64 {
 	return e.LineRate.BytesPerSec() * e.BaseRTT.Seconds()
 }
 
+// RateWindow returns the window of a rate-based scheme's +win variant
+// (§5.1): rate × T in bytes for a rate in bits per second, and never
+// less than one MTU.
+func (e *Env) RateWindow(rate float64) float64 {
+	return max(rate/8*e.BaseRTT.Seconds(), float64(e.MTU))
+}
+
 // AckEvent carries everything an ACK tells the sender.
 type AckEvent struct {
 	Now        sim.Time

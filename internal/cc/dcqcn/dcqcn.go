@@ -176,11 +176,7 @@ func (d *DCQCN) WindowBytes() float64 {
 	if !d.cfg.Window {
 		return cc.Unlimited()
 	}
-	w := d.rc / 8 * d.env.BaseRTT.Seconds()
-	if w < float64(d.env.MTU) {
-		w = float64(d.env.MTU)
-	}
-	return w
+	return d.env.RateWindow(d.rc)
 }
 
 // RateBps implements cc.Algorithm.

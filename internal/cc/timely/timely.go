@@ -111,11 +111,7 @@ func (t *Timely) WindowBytes() float64 {
 	if !t.cfg.Window {
 		return cc.Unlimited()
 	}
-	w := t.rate / 8 * t.env.BaseRTT.Seconds()
-	if w < float64(t.env.MTU) {
-		w = float64(t.env.MTU)
-	}
-	return w
+	return t.env.RateWindow(t.rate)
 }
 
 // RateBps implements cc.Algorithm.

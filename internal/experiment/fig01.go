@@ -4,6 +4,7 @@ import (
 	"hpcc/internal/cc/dcqcn"
 	"hpcc/internal/fabric"
 	"hpcc/internal/sim"
+	"hpcc/internal/stats"
 	"hpcc/internal/topology"
 	"hpcc/internal/workload"
 )
@@ -51,38 +52,27 @@ func Fig01(dur sim.Time, seed int64) *Fig01Result {
 	eng.RunUntil(dur + 10*sim.Millisecond)
 
 	res := &Fig01Result{PauseTimeByTier: map[string]float64{}}
-	elapsed := float64(eng.Now())
-	classTime := map[string]float64{}
-	classPorts := map[string]float64{}
-	var hostPause sim.Time
-	hostPorts := 0
 	// Switch 0 is the Agg, 1..4 the ToRs (builder order in Pod).
 	agg := nw.Switches[0]
+	var aggTor, torAgg, hostTor []*fabric.Port
 	for _, sw := range nw.Switches {
 		for _, p := range sw.Ports() {
-			class := "tor->host"
 			if sw == agg {
-				class = "agg->tor"
+				aggTor = append(aggTor, p)
 			} else if p.Peer() == agg {
-				class = "tor->agg"
+				torAgg = append(torAgg, p)
 			}
-			classTime[class] += float64(p.PausedFor(fabric.PrioData))
-			classPorts[class]++
 		}
 		res.PFCFrames += sw.PFCFramesSent()
 	}
 	for _, h := range nw.Hosts {
-		for _, p := range h.Ports() {
-			hostPause += p.PausedFor(fabric.PrioData)
-			hostPorts++
-		}
+		hostTor = append(hostTor, h.Ports()...)
 	}
-	classTime["host->tor"] = float64(hostPause)
-	classPorts["host->tor"] = float64(hostPorts)
-	for class, t := range classTime {
-		res.PauseTimeByTier[class] = t / (elapsed * classPorts[class])
-	}
-	res.SuppressedBandwidthFrac = float64(hostPause) / (elapsed * float64(hostPorts))
+	pause := func(ports []*fabric.Port) float64 { return stats.PFCPauseFraction(ports, fabric.PrioData, eng.Now()) }
+	res.PauseTimeByTier["agg->tor"] = pause(aggTor)
+	res.PauseTimeByTier["tor->agg"] = pause(torAgg)
+	res.PauseTimeByTier["host->tor"] = pause(hostTor)
+	res.SuppressedBandwidthFrac = res.PauseTimeByTier["host->tor"]
 	res.Drops = nw.TotalDrops()
 	return res
 }

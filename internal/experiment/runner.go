@@ -350,7 +350,7 @@ func mustRunLoad(s LoadScenario) *LoadResult {
 // per-flow and per-port packet counts (including flows already evicted
 // into host aggregate counters).
 func collectFabric(res *LoadResult, nw *topology.Network, elapsed sim.Time) {
-	res.PauseFrac = stats.PFCPauseFraction(nw.Switches, fabric.PrioData, elapsed)
+	res.PauseFrac = stats.PFCPauseFraction(nw.SwitchPorts(), fabric.PrioData, elapsed)
 	res.Drops = nw.TotalDrops()
 	for _, h := range nw.Hosts {
 		evicted, pkts := h.EvictedFlows()

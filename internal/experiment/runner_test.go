@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	hpcccc "hpcc/internal/cc/hpcc"
 	"hpcc/internal/fabric"
+	"hpcc/internal/host"
 	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 	"hpcc/internal/topology"
@@ -161,4 +163,65 @@ func TestLossyEgressDropsBeyondFreeBuffer(t *testing.T) {
 	if dropped < 100 || admitted < 100 {
 		t.Fatalf("%d frames dropped and %d admitted; the fixture must exercise both", dropped, admitted)
 	}
+}
+
+// decodeSchedule reads a lossy 4-host star scenario from fuzz bytes: the
+// first byte picks go-back-N (even) or IRN (odd), then every 5 bytes
+// are one flow (at most 16): source and destination in [-1, 4] (so
+// either may be out of range or both equal), a size from 1 B to 256 KB,
+// and a start in 20 µs steps up to 5.1 ms against a 2 ms arrival
+// window. It also returns how many flows start inside the window.
+func decodeSchedule(data []byte) (s LoadScenario, inWindow int) {
+	s = LoadScenario{
+		Scheme:      HPCC(hpcccc.Config{}),
+		Topo:        topology.StarSpec{N: 4},
+		Until:       2 * sim.Millisecond,
+		Drain:       5 * sim.Millisecond,
+		BufferBytes: 64 << 10,
+		Seed:        1,
+	}
+	if len(data) > 0 {
+		s.FlowCtl = host.FlowControl(data[0] % 2)
+		data = data[1:]
+	}
+	var flows workload.FlowList
+	for ; len(data) >= 5 && len(flows) < 16; data = data[5:] {
+		f := workload.FlowSpec{
+			Src:  int(data[0]%6) - 1,
+			Dst:  int(data[1]%6) - 1,
+			Size: 1 + int64(data[2])<<10 + int64(data[3])<<2,
+			At:   sim.Time(data[4]) * 20 * sim.Microsecond,
+		}
+		if f.At <= s.Until {
+			inWindow++
+		}
+		flows = append(flows, f)
+	}
+	s.Traffic = []workload.Generator{flows}
+	return s, inWindow
+}
+
+// FuzzSchedule runs arbitrary FlowList traces (decodeSchedule) through
+// RunLoad. It must return Validate's error, or a result in which every
+// flow inside the arrival window started and each finished or is
+// counted censored: FCT.Count() + Censored == Started == the flows in
+// the window. It must never panic. Seeds live in
+// testdata/fuzz/FuzzSchedule.
+func FuzzSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, inWindow := decodeSchedule(data)
+		want := s.Validate()
+		res, err := RunLoad(s)
+		switch {
+		case want != nil:
+			if res != nil || err == nil || err.Error() != want.Error() {
+				t.Fatalf("RunLoad = %v, %v; want Validate's error %q", res, err, want)
+			}
+		case err != nil:
+			t.Fatalf("RunLoad: %v, but Validate accepted the scenario", err)
+		case res.FCT.Count()+res.Censored != res.Started || res.Started != inWindow:
+			t.Fatalf("%d finished + %d censored, %d started; want %d started, all accounted for",
+				res.FCT.Count(), res.Censored, res.Started, inWindow)
+		}
+	})
 }

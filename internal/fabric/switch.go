@@ -93,7 +93,6 @@ type Switch struct {
 	drops     uint64
 	pfcSent   uint64
 	maxUsed   int64
-	enqueued  uint64
 	ecnMarked uint64
 	routeErrs uint64
 }
@@ -237,7 +236,6 @@ func (s *Switch) HandleArrival(p *packet.Packet, in *Port) {
 	if s.used > s.maxUsed {
 		s.maxUsed = s.used
 	}
-	s.enqueued++
 	inIdx := in.Index()
 	s.ingressB[inIdx][prio] += size
 

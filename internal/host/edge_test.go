@@ -275,6 +275,73 @@ func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
 	}
 }
 
+// IRN never resends data the receiver has acknowledged. A hole requeued
+// while its retransmission is in flight is dropped when the cumulative
+// ACK that fills it arrives, even if the pacer has not sent it yet. The
+// path's round trip (≈ 20 µs) exceeds 1.5 T, so the selective ACKs for
+// frames sent at line rate just before the retransmission arrive after
+// the throttle window and requeue the hole; the mock then cuts its rate,
+// as a CC would on loss, to frames more than a round trip apart, so the
+// requeued hole is still unsent when the retransmission's ACK arrives.
+func TestIRNNeverResendsAckedData(t *testing.T) {
+	const T = 10 * sim.Microsecond
+	eng := sim.NewEngine()
+	mock := &mockCC{rate: float64(line100)}
+	cfg := Config{CC: func() cc.Algorithm { return mock }, FlowCtl: IRN, BaseRTT: T}
+	a := New(eng, 1, cfg)
+	b := New(eng, 2, cfg)
+	// ackedAtSend holds the sender's Acked() when each data frame left,
+	// in send order, which the FIFO link keeps.
+	var ackedAtSend []int64
+	var stale []int64
+	w := &dataWatch{tailDropper: tailDropper{eng: eng, dropSeq: 50_000}, onData: func(p *packet.Packet) {
+		if p.Seq < ackedAtSend[0] {
+			stale = append(stale, p.Seq)
+		}
+		ackedAtSend = ackedAtSend[1:]
+	}}
+	ap, da := fabric.Connect(eng, a, w, 0, 0, line100, 5*sim.Microsecond)
+	a.AttachPort(ap)
+	w.ports = append(w.ports, da)
+	db, bp := fabric.Connect(eng, w, b, 1, 0, line100, 5*sim.Microsecond)
+	w.ports = append(w.ports, db)
+	b.AttachPort(bp)
+
+	f := a.StartFlow(1, b, 300_000, 0, nil)
+	for sent := uint64(0); ; {
+		// An event that advances Acked() does so before it sends.
+		for ; sent < f.PacketsSent(); sent++ {
+			ackedAtSend = append(ackedAtSend, f.Acked())
+		}
+		if f.Retransmits() > 0 {
+			mock.rate = 0.3e9 // 1064 B frames 28.4 µs apart
+		}
+		if !eng.Step() {
+			break
+		}
+	}
+	if !f.Done() || len(w.sent) < 2 {
+		t.Fatalf("setup: done %v, the dropped chunk sent %d times", f.Done(), len(w.sent))
+	}
+	if len(stale) > 0 {
+		t.Fatalf("data frames at %v left the sender below its cumulative ACK", stale)
+	}
+}
+
+// dataWatch is a tailDropper that shows every data frame to onData
+// before forwarding or dropping it.
+type dataWatch struct {
+	tailDropper
+	onData func(p *packet.Packet)
+}
+
+func (w *dataWatch) HandleArrival(p *packet.Packet, in *fabric.Port) {
+	if p.Type == packet.Data {
+		w.onData(p)
+	}
+	w.tailDropper.HandleArrival(p, in)
+}
+
 // tailDropper forwards between its two ports, dropping the data packet
 // with Seq == dropSeq exactly once. sent records the send time of every
 // copy of that packet.

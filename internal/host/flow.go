@@ -1,8 +1,6 @@
 package host
 
 import (
-	"math"
-
 	"hpcc/internal/cc"
 	"hpcc/internal/fabric"
 	"hpcc/internal/packet"
@@ -12,6 +10,11 @@ import (
 // Flow is one sender-side queue pair: it segments size bytes into
 // MTU-sized packets, enforces the CC window and pacing rate, and runs
 // loss recovery.
+//
+// Loss recovery keys on sndUna: a sender sees its cumulative ACK
+// sequence in order (the package doc's invariant), so IRN holds at most
+// one hole, the chunk at sndUna, and a GBN NACK has nothing to
+// acknowledge: the ACKs for every byte below its sequence came first.
 type Flow struct {
 	ID int32
 	// qp is the flow's sender QPN at its host; peerQP its receive QPN
@@ -49,8 +52,8 @@ type Flow struct {
 	// IRN state.
 	sacked      map[int64]int32 // out-of-order acked chunks: seq -> len
 	sackedBytes int64
-	rtx         map[int64]int32 // pending selective retransmits: seq -> len
-	irnCap      float64         // fixed one-BDP inflight cap
+	rtxHole     bool    // the chunk at sndUna awaits a selective retransmit
+	irnCap      float64 // fixed one-BDP inflight cap
 	lastRtxSeq  int64
 	lastRtxAt   sim.Time
 
@@ -123,25 +126,17 @@ func (f *Flow) window() float64 {
 	return w
 }
 
-// nextChunk picks the next (seq, payload) to transmit: pending
-// selective retransmits first (IRN), then new data.
+// chunk returns the payload length of the chunk starting at seq.
+func (f *Flow) chunk(seq int64) int32 { return int32(min(f.size-seq, packet.DefaultMTU)) }
+
+// nextChunk picks the next (seq, payload) to transmit: IRN's pending
+// hole at sndUna first, then new data.
 func (f *Flow) nextChunk() (seq int64, payload int32, isRtx bool) {
-	if len(f.rtx) > 0 {
-		seq = math.MaxInt64
-		//hpcclint:allow determinism -- min-scan; the minimum key is order-independent
-		for s := range f.rtx {
-			if s < seq {
-				seq = s
-			}
-		}
-		return seq, f.rtx[seq], true
-	}
-	if f.sndNxt < f.size {
-		p := f.size - f.sndNxt
-		if p > packet.DefaultMTU {
-			p = packet.DefaultMTU
-		}
-		return f.sndNxt, int32(p), false
+	switch {
+	case f.rtxHole:
+		return f.sndUna, f.chunk(f.sndUna), true
+	case f.sndNxt < f.size:
+		return f.sndNxt, f.chunk(f.sndNxt), false
 	}
 	return 0, 0, false
 }
@@ -197,7 +192,7 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 	f.pktsSent++
 	if isRtx {
 		f.pktsRtx++
-		delete(f.rtx, seq)
+		f.rtxHole = false
 	} else {
 		f.sndNxt = seq + int64(payload)
 	}
@@ -242,6 +237,7 @@ func (f *Flow) handleAck(p *packet.Packet) {
 		newly = p.AckSeq - f.sndUna
 		f.sndUna = p.AckSeq
 		f.lastProgress = now
+		f.rtxHole = false // the hole was filled
 	}
 	if f.host.cfg.FlowCtl == IRN {
 		f.irnOnAck(p, now)
@@ -272,7 +268,7 @@ func (f *Flow) handleAck(p *packet.Packet) {
 }
 
 // irnOnAck maintains the selective-repeat state: record out-of-order
-// deliveries and queue gap retransmissions.
+// deliveries and requeue the hole at sndUna.
 func (f *Flow) irnOnAck(p *packet.Packet, now sim.Time) {
 	// Clear sacked chunks the cumulative ACK has overtaken.
 	for s, l := range f.sacked {
@@ -282,27 +278,17 @@ func (f *Flow) irnOnAck(p *packet.Packet, now sim.Time) {
 		}
 	}
 	if p.DataSeq > p.AckSeq {
-		// The receiver holds DataSeq but still waits at AckSeq: a gap.
+		// The receiver holds DataSeq but still waits at AckSeq, which
+		// is sndUna: a gap.
 		if _, dup := f.sacked[p.DataSeq]; !dup && p.DataSeq >= f.sndUna {
-			// Length of the sacked chunk: MTU-bounded remainder.
-			l := f.size - p.DataSeq
-			if l > packet.DefaultMTU {
-				l = packet.DefaultMTU
-			}
-			f.sacked[p.DataSeq] = int32(l)
-			f.sackedBytes += l
+			l := f.chunk(p.DataSeq)
+			f.sacked[p.DataSeq] = l
+			f.sackedBytes += int64(l)
 		}
-		// Queue the missing chunk at AckSeq unless recently requeued.
-		if p.AckSeq != f.lastRtxSeq || now-f.lastRtxAt > f.host.cfg.BaseRTT {
-			gapLen := f.size - p.AckSeq
-			if gapLen > packet.DefaultMTU {
-				gapLen = packet.DefaultMTU
-			}
-			if gapLen > 0 && p.AckSeq < f.sndNxt {
-				f.rtx[p.AckSeq] = int32(gapLen)
-				f.lastRtxSeq = p.AckSeq
-				f.lastRtxAt = now
-			}
+		// Requeue the hole unless recently requeued.
+		if f.sndUna < f.sndNxt && (f.sndUna != f.lastRtxSeq || now-f.lastRtxAt > f.host.cfg.BaseRTT) {
+			f.rtxHole = true
+			f.lastRtxSeq, f.lastRtxAt = f.sndUna, now
 		}
 	}
 }
@@ -312,9 +298,6 @@ func (f *Flow) irnOnAck(p *packet.Packet, now sim.Time) {
 func (f *Flow) handleNack(p *packet.Packet) {
 	if f.done || f.host.cfg.FlowCtl != GoBackN {
 		return
-	}
-	if p.AckSeq > f.sndUna {
-		f.sndUna = p.AckSeq // NACK also acknowledges everything before the gap
 	}
 	if p.AckSeq < f.sndNxt {
 		f.sndNxt = p.AckSeq
@@ -340,14 +323,8 @@ func (f *Flow) onRTO() {
 		if f.host.cfg.FlowCtl == GoBackN {
 			f.sndNxt = f.sndUna
 			f.pktsRtx++ // count the rewind episode
-		} else {
-			l := f.size - f.sndUna
-			if l > packet.DefaultMTU {
-				l = packet.DefaultMTU
-			}
-			if l > 0 && f.sndUna < f.sndNxt {
-				f.rtx[f.sndUna] = int32(l)
-			}
+		} else if f.sndUna < f.sndNxt {
+			f.rtxHole = true
 		}
 		f.lastProgress = now
 		f.trySend()
@@ -380,8 +357,7 @@ func (f *Flow) teardown(now sim.Time) {
 	f.sendEv = sim.Timer{}
 	f.host.eng.Cancel(f.rtoEv)
 	f.rtoEv = sim.Timer{}
-	// Drop the IRN recovery maps: every handler that touches them is
-	// gated on the flow being live.
+	// Drop the IRN sack map: every handler that touches it is gated on
+	// the flow being live.
 	f.sacked = nil
-	f.rtx = nil
 }

@@ -7,6 +7,14 @@
 // destination host only by the queue-pair number it carries
 // (Packet.DstQP, the BTH DestQP field): each host keeps its sender and
 // receive QPs in slices indexed by QPN; nothing is keyed by flow ID.
+//
+// Loss recovery rests on one fabric invariant: the control frames of a
+// flow arrive in the order they were sent. ACKs, NACKs and CNPs of one
+// flow share (Src, Dst, FlowID), so every switch hashes them onto one
+// ECMP path; they leave the receiver by the port its data came in on;
+// and they ride the control class, a FIFO that is never paused or
+// dropped (fabric's TestControlFramesOfAFlowArriveInOrder). A sender
+// therefore sees its cumulative ACK sequence in order (see Flow).
 package host
 
 import (
@@ -281,7 +289,6 @@ func (h *Host) start(f *Flow, dst fabric.NodeID, size int64, portIdx int, onDone
 	f.env.Seed = h.cfg.Seed ^ int64(f.ID)
 	if h.cfg.FlowCtl == IRN {
 		f.sacked = make(map[int64]int32)
-		f.rtx = make(map[int64]int32)
 		f.irnCap = f.env.BDP()
 	}
 	f.alg.Init(f.env)

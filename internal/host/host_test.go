@@ -260,21 +260,30 @@ func TestIRNRecovery(t *testing.T) {
 // 3T/2 (it was lost too).
 func TestIRNRequeueThrottle(t *testing.T) {
 	const T = 10 * sim.Microsecond
-	h := New(sim.NewEngine(), 1, Config{CC: func() cc.Algorithm { return &mockCC{} }, FlowCtl: IRN, BaseRTT: T})
-	f := &Flow{host: h, size: 1_000_000, sndUna: 50_000, sndNxt: 100_000,
-		sacked: make(map[int64]int32), rtx: make(map[int64]int32)}
-	// The receiver holds 60 000 but still waits at the hole at 50 000.
-	sack := &packet.Packet{Type: packet.Ack, AckSeq: 50_000, DataSeq: 60_000}
+	cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(10 * sim.Gbps)} }, FlowCtl: IRN, BaseRTT: T}
+	// 10 µs per link: a 40 µs round trip keeps ≈ 50 KB unacknowledged.
+	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, T)
+	f := nw.start(0, 1, 1_000_000, nil)
 	const t0 = 100 * sim.Microsecond
+	nw.eng.RunUntil(t0)
+	hole := f.Acked()
+	if hole == 0 || f.sndNxt <= hole {
+		t.Fatalf("setup: acked %d of %d sent bytes, want a part", hole, f.sndNxt)
+	}
+	// The receiver holds hole + 10 000 but still waits at the hole.
+	sack := &packet.Packet{Type: packet.Ack, AckSeq: hole, DataSeq: hole + 10_000}
 	for _, c := range []struct {
 		at      sim.Time
 		requeue bool
 	}{{t0, true}, {t0 + T/2, false}, {t0 + 3*T/2, true}} {
 		f.irnOnAck(sack, c.at)
-		if _, got := f.rtx[50_000]; got != c.requeue {
+		seq, payload, rtx := f.nextChunk()
+		if got := rtx && seq == hole; got != c.requeue {
 			t.Errorf("t0 + %v: requeued %v, want %v", c.at-t0, got, c.requeue)
 		}
-		clear(f.rtx) // the sender retransmits what was queued
+		if rtx {
+			f.emit(c.at, seq, payload, true) // the sender retransmits what was queued
+		}
 	}
 }
 

@@ -266,20 +266,16 @@ func (tp *Throughput) Rate(tag int, from, to sim.Time) float64 {
 	return float64(total) * 8 / dur / 1e9
 }
 
-// PFCPauseFraction sums pause time across all ports of the switches and
-// normalizes by (elapsed × ports): the "fraction of pause time" metric
-// of Figure 11b/11d.
-func PFCPauseFraction(switches []*fabric.Switch, prio uint8, elapsed sim.Time) float64 {
+// PFCPauseFraction sums the ports' pause time at prio and normalizes
+// by (elapsed × ports): the "fraction of pause time" metric of Figure
+// 11b/11d over switch ports, and fig1's per-class shares.
+func PFCPauseFraction(ports []*fabric.Port, prio uint8, elapsed sim.Time) float64 {
 	var total sim.Time
-	ports := 0
-	for _, sw := range switches {
-		for _, p := range sw.Ports() {
-			total += p.PausedFor(prio)
-			ports++
-		}
+	for _, p := range ports {
+		total += p.PausedFor(prio)
 	}
-	if ports == 0 || elapsed <= 0 {
+	if len(ports) == 0 || elapsed <= 0 {
 		return 0
 	}
-	return float64(total) / (float64(elapsed) * float64(ports))
+	return float64(total) / (float64(elapsed) * float64(len(ports)))
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hpcc/internal/fabric"
@@ -479,10 +480,24 @@ func (g GraphSpec) Validate() error {
 	// other host: a switch link through switches alone, within
 	// packet.MaxHops switches (each pushes one INT record); a host link
 	// only to that host. A switch's hop count to a host is the number
-	// of switches on its shortest path there.
-	adj, d := g.adjacency(), make([]int, g.Hosts+g.Switches)
+	// of switches on its shortest path there. Hosts are nodes
+	// 0..Hosts-1 and switches follow, as Build numbers them.
+	node := func(v GraphNode) fabric.NodeID {
+		if v.Switch {
+			return fabric.NodeID(g.Hosts + v.Index)
+		}
+		return fabric.NodeID(v.Index)
+	}
+	adj := make([][]edge, g.Hosts+g.Switches)
+	for _, l := range g.Links {
+		a, b := node(l.A), node(l.B)
+		adj[a] = append(adj[a], edge{peer: b})
+		adj[b] = append(adj[b], edge{peer: a})
+	}
+	unreached := append(slices.Repeat([]int32{-2}, g.Hosts), slices.Repeat([]int32{-1}, g.Switches)...)
+	dist, queue := make([]int32, len(adj)), []fabric.NodeID(nil)
 	for dst := 0; dst < g.Hosts; dst++ {
-		g.shortest(adj, dst, d)
+		queue = hops(adj, unreached, fabric.NodeID(dst), dist, queue)
 		for src, links := range adj[:g.Hosts] {
 			if src == dst {
 				continue
@@ -490,15 +505,15 @@ func (g GraphSpec) Validate() error {
 			if len(links) == 0 {
 				return fmt.Errorf("topology: GraphSpec host %d has no link", src)
 			}
-			for _, to := range links {
-				switch {
+			for _, e := range links {
+				switch to := int(e.peer); {
 				case to == dst: // a direct link
 				case to < g.Hosts:
 					return fmt.Errorf("topology: GraphSpec host %d links to host %d, which cannot forward to host %d", src, to, dst)
-				case d[to] < 0:
+				case dist[to] < 0:
 					return fmt.Errorf("topology: GraphSpec hosts %d and %d are not joined through switches", src, dst)
-				case d[to] > packet.MaxHops:
-					return fmt.Errorf("topology: GraphSpec hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, d[to], packet.MaxHops)
+				case dist[to] > packet.MaxHops:
+					return fmt.Errorf("topology: GraphSpec hosts %d and %d are %d switches apart; INT records at most %d hops", src, dst, dist[to], packet.MaxHops)
 				}
 			}
 		}
@@ -541,45 +556,4 @@ func (g GraphSpec) Rate() sim.Rate {
 		}
 	}
 	return fastest
-}
-
-// adjacency lists each node's link peers. Hosts are nodes
-// 0..Hosts-1, switches follow.
-func (g GraphSpec) adjacency() [][]int {
-	node := func(n GraphNode) int {
-		if n.Switch {
-			return g.Hosts + n.Index
-		}
-		return n.Index
-	}
-	adj := make([][]int, g.Hosts+g.Switches)
-	for _, l := range g.Links {
-		a, b := node(l.A), node(l.B)
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	return adj
-}
-
-// shortest fills d with every node's hop count from host src, -1 where
-// unreached. Like Builder.Build's routing, it expands no host but src:
-// hosts do not forward, so a path enters another host only to end
-// there.
-func (g GraphSpec) shortest(adj [][]int, src int, d []int) {
-	for i := range d {
-		d[i] = -1
-	}
-	d[src] = 0
-	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
-		cur := queue[0]
-		if cur < g.Hosts && cur != src {
-			continue
-		}
-		for _, to := range adj[cur] {
-			if d[to] < 0 {
-				d[to] = d[cur] + 1
-				queue = append(queue, to)
-			}
-		}
-	}
 }

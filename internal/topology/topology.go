@@ -230,18 +230,7 @@ func (b *Builder) Build(floor sim.Time) *Network {
 	// in one allocation. Only dst is a host the search reaches.
 	for k := len(b.hosts) - 1; k >= 0; k-- {
 		dst := b.hosts[k]
-		copy(dist, unreached)
-		dist[dst.ID()] = 0
-		queue = append(queue[:0], dst.ID())
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			for _, e := range b.adj[cur] {
-				if dist[e.peer] == -1 {
-					dist[e.peer] = dist[cur] + 1
-					queue = append(queue, e.peer)
-				}
-			}
-		}
+		queue = hops(b.adj, unreached, dst.ID(), dist, queue)
 		for i, sw := range b.switches {
 			d := dist[sw.ID()]
 			if d < 0 {
@@ -284,4 +273,26 @@ func (b *Builder) Build(floor sim.Time) *Network {
 		h.SetBaseRTT(n.BaseRTT)
 	}
 	return n
+}
+
+// hops fills dist with every node's hop count to dst by a breadth-first
+// search over adj, which starts from unreached: -1 for a switch and -2
+// for a host. Hosts do not forward, so the search enters no host but
+// dst, and a node it never reaches keeps its unreached value. It
+// returns queue refilled with dst and then every reached switch,
+// nearest first.
+func hops(adj [][]edge, unreached []int32, dst fabric.NodeID, dist []int32, queue []fabric.NodeID) []fabric.NodeID {
+	copy(dist, unreached)
+	dist[dst] = 0
+	queue = append(queue[:0], dst)
+	for qi := 0; qi < len(queue); qi++ {
+		cur := queue[qi]
+		for _, e := range adj[cur] {
+			if dist[e.peer] == -1 {
+				dist[e.peer] = dist[cur] + 1
+				queue = append(queue, e.peer)
+			}
+		}
+	}
+	return queue
 }

@@ -135,7 +135,7 @@ func (n *Network) Drops() uint64 { return n.m.Network.TotalDrops() }
 // PFCPauseFraction returns the fraction of (switch-port × time) spent
 // paused so far.
 func (n *Network) PFCPauseFraction() float64 {
-	return stats.PFCPauseFraction(n.m.Network.Switches, fabric.PrioData, n.eng.Now())
+	return stats.PFCPauseFraction(n.m.Network.SwitchPorts(), fabric.PrioData, n.eng.Now())
 }
 
 // Done reports whether the flow completed (every byte acknowledged).
