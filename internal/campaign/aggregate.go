@@ -162,7 +162,7 @@ func meanCI(vals []float64, digits int) string {
 	var sq float64
 	for _, v := range vals {
 		d := v - mean
-		sq += d * d
+		sq += float64(d * d)
 	}
 	sd := math.Sqrt(sq / (n - 1))
 	hw := 1.96 * sd / math.Sqrt(n)

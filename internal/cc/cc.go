@@ -83,6 +83,12 @@ type Factory func() Algorithm
 // Unlimited is the WindowBytes value of rate-only schemes.
 func Unlimited() float64 { return math.Inf(1) }
 
+// EWMA returns (1−g)·old + g·sample, each product rounded by a
+// conversion so that no GOARCH fuses it into a multiply-add.
+func EWMA(old, sample, g float64) float64 {
+	return float64((1-g)*old) + float64(g*sample)
+}
+
 // Clamp bounds v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

@@ -128,7 +128,7 @@ func (d *DCQCN) increase() {
 	case d.timeStage <= FastRecoveryTh && d.byteStage <= FastRecoveryTh:
 		// Fast recovery: close half the gap to the target.
 	case d.timeStage > FastRecoveryTh && d.byteStage > FastRecoveryTh:
-		d.rt += 10 * d.rai
+		d.rt += float64(10 * d.rai)
 	default:
 		d.rt += d.rai
 	}
@@ -157,9 +157,9 @@ func (d *DCQCN) OnCNP(now sim.Time) {
 		return
 	}
 	d.lastDecrease = now
-	d.alpha = (1-G)*d.alpha + G
+	d.alpha = cc.EWMA(d.alpha, 1, G)
 	d.rt = d.rc
-	d.rc = d.rc * (1 - d.alpha/2)
+	d.rc = d.rc * (1 - float64(d.alpha/2))
 	d.timeStage = 0
 	d.byteStage = 0
 	d.bytesSince = 0

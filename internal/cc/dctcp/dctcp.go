@@ -58,9 +58,9 @@ func (d *DCTCP) OnAck(ev *cc.AckEvent) {
 	// One observation window has elapsed.
 	if d.ackedBytes > 0 {
 		f := float64(d.markedBytes) / float64(d.ackedBytes)
-		d.alpha = (1-G)*d.alpha + G*f
+		d.alpha = cc.EWMA(d.alpha, f, G)
 		if d.markedBytes > 0 {
-			d.w = d.w * (1 - d.alpha/2)
+			d.w = d.w * (1 - float64(d.alpha/2))
 		} else {
 			d.w += float64(d.env.MTU) // one MSS per RTT
 		}

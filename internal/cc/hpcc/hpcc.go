@@ -254,7 +254,7 @@ func (h *HPCC) measureInflight(ev *cc.AckEvent) float64 {
 		tau = 0
 	}
 	frac := float64(tau) / float64(h.env.BaseRTT)
-	h.u = (1-frac)*h.u + frac*u
+	h.u = cc.EWMA(h.u, u, frac)
 	return h.u
 }
 

@@ -79,7 +79,7 @@ func (t *Timely) OnAck(ev *cc.AckEvent) {
 	}
 	newDiff := float64(rtt - t.prevRTT)
 	t.prevRTT = rtt
-	t.rttDiff = (1-EWMA)*t.rttDiff + EWMA*newDiff
+	t.rttDiff = cc.EWMA(t.rttDiff, newDiff, EWMA)
 	gradient := t.rttDiff / float64(t.env.BaseRTT)
 
 	switch {
@@ -87,7 +87,7 @@ func (t *Timely) OnAck(ev *cc.AckEvent) {
 		t.rate += t.addStep
 		t.negCount = 0
 	case rtt > THigh:
-		t.rate *= 1 - Beta*(1-float64(THigh)/float64(rtt))
+		t.rate *= 1 - float64(Beta*(1-float64(THigh)/float64(rtt)))
 		t.negCount = 0
 	case gradient <= 0:
 		t.negCount++
@@ -95,9 +95,9 @@ func (t *Timely) OnAck(ev *cc.AckEvent) {
 		if t.negCount >= HAIAfter {
 			n = 5
 		}
-		t.rate += n * t.addStep
+		t.rate += float64(n * t.addStep)
 	default:
-		t.rate *= 1 - Beta*gradient
+		t.rate *= 1 - float64(Beta*gradient)
 		t.negCount = 0
 	}
 	t.rate = cc.Clamp(t.rate, float64(t.env.LineRate/1000), float64(t.env.LineRate))

@@ -91,7 +91,7 @@ func TheoryLemmaTable(samples int, seed int64) *Table {
 		s := randomTheorySystem(rng)
 		r := make([]float64, len(s.A[0]))
 		for j := range r {
-			r[j] = rng.Float64()*200 + 1
+			r[j] = float64(rng.Float64()*200) + 1
 		}
 		if s.Feasible(s.Step(r)) {
 			feasibleAfter1++

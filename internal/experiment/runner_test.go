@@ -203,10 +203,11 @@ func decodeSchedule(data []byte) (s LoadScenario, inWindow int) {
 
 // FuzzSchedule runs arbitrary FlowList traces (decodeSchedule) through
 // RunLoad. It must return Validate's error, or a result in which every
-// flow inside the arrival window started and each finished or is
-// counted censored: FCT.Count() + Censored == Started == the flows in
-// the window. It must never panic. Seeds live in
-// testdata/fuzz/FuzzSchedule.
+// flow inside the arrival window started and finished by the end of the
+// drain, under go-back-N and IRN alike: Censored == 0 and FCT.Count() ==
+// Started == the flows in the window. Every input fits the 5 ms drain:
+// 16 flows of at most 256 KB are 4 MB, 0.34 ms at 100 Gbps. It must
+// never panic. Seeds live in testdata/fuzz/FuzzSchedule.
 func FuzzSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, inWindow := decodeSchedule(data)
@@ -219,9 +220,9 @@ func FuzzSchedule(f *testing.F) {
 			}
 		case err != nil:
 			t.Fatalf("RunLoad: %v, but Validate accepted the scenario", err)
-		case res.FCT.Count()+res.Censored != res.Started || res.Started != inWindow:
-			t.Fatalf("%d finished + %d censored, %d started; want %d started, all accounted for",
-				res.FCT.Count(), res.Censored, res.Started, inWindow)
+		case res.Censored != 0 || res.FCT.Count() != res.Started || res.Started != inWindow:
+			t.Fatalf("%v: %d finished, %d censored, %d started; want all %d started and finished",
+				s.FlowCtl, res.FCT.Count(), res.Censored, res.Started, inWindow)
 		}
 	})
 }

@@ -36,25 +36,31 @@ func TestSteadyStateAllocsPerPacketUnderBudget(t *testing.T) {
 
 // Bounded retention makes the whole flow lifecycle allocation-free: once
 // the window has filled, StartFlow, the receiver's first-packet setup,
-// completion and eviction all run on recycled objects.
+// completion and eviction all run on recycled objects, IRN's chunk sets
+// included.
 func TestFlowLifecycleAllocFree(t *testing.T) {
-	hcfg := hpccConfig()
-	hcfg.CompletedWindow = 16
-	nw := buildStar(2, hcfg, fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
-	run := func() {
-		nw.start(0, 1, 1000, nil)
-		nw.eng.Run()
-	}
-	for i := 0; i < 40; i++ {
-		run()
-	}
-	if avg := testing.AllocsPerRun(200, run); avg != 0 {
-		t.Fatalf("start→complete of a 1-packet flow allocates %.2f objects with CompletedWindow 16, want 0", avg)
-	}
-	for _, h := range nw.hosts {
-		if err := h.AuditFreeLists(); err != nil {
-			t.Fatal(err)
-		}
+	for _, fc := range []FlowControl{GoBackN, IRN} {
+		t.Run(fc.String(), func(t *testing.T) {
+			hcfg := hpccConfig()
+			hcfg.FlowCtl = fc
+			hcfg.CompletedWindow = 16
+			nw := buildStar(2, hcfg, fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
+			run := func() {
+				nw.start(0, 1, 1000, nil)
+				nw.eng.Run()
+			}
+			for i := 0; i < 40; i++ {
+				run()
+			}
+			if avg := testing.AllocsPerRun(200, run); avg != 0 {
+				t.Fatalf("start→complete of a 1-packet flow allocates %.2f objects with CompletedWindow 16, want 0", avg)
+			}
+			for _, h := range nw.hosts {
+				if err := h.AuditFreeLists(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

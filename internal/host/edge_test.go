@@ -183,28 +183,33 @@ func checkStragglerDropped(t *testing.T, later int) {
 	}
 }
 
-// A lost tail has no later packet to trigger a NACK, so only the RTO
-// recovers it. The timer ticks every 1 ms from the flow's start, and a
-// tick retransmits only once 1 ms has passed since the last ACK
-// progress: the tail goes out again at the first tick at least 1 ms
-// after the last progress, and at no other time.
+// A lost tail has no later packet to trigger a NACK or a selective ACK,
+// so only the RTO recovers it. The timer ticks every 1 ms from the
+// flow's start, and a tick retransmits only once 1 ms has passed since
+// the last ACK progress: the tail goes out again at the first tick at
+// least 1 ms after the last progress, and at no other time. Under IRN
+// that tick counts every unacknowledged chunk lost, so a tail of k lost
+// chunks is resent, paced but past the window, before the next tick.
 func TestTailLossRecoveredByRTO(t *testing.T) {
 	for _, c := range []struct {
 		name  string
+		fc    FlowControl
 		start sim.Time
 		size  int64
 		rate  sim.Rate
+		lost  int
 	}{
-		{"short flow", 0, 10_000, line100},
-		{"flow longer than a tick", 300 * sim.Microsecond, 1_000_000, 5 * sim.Gbps},
+		{"short flow", GoBackN, 0, 10_000, line100, 1},
+		{"flow longer than a tick", GoBackN, 300 * sim.Microsecond, 1_000_000, 5 * sim.Gbps, 1},
+		{"IRN tail of 3 chunks", IRN, 0, 10_000, line100, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(c.rate)} },
-				BaseRTT: 10 * sim.Microsecond}
+				FlowCtl: c.fc, BaseRTT: 10 * sim.Microsecond}
 			a := New(eng, 1, cfg)
 			b := New(eng, 2, cfg)
-			dropper := &tailDropper{eng: eng, dropSeq: c.size - 1000}
+			dropper := &tailDropper{eng: eng, dropSeq: c.size - int64(c.lost)*1000, lost: c.lost}
 			ap, da := fabric.Connect(eng, a, dropper, 0, 0, line100, sim.Microsecond)
 			a.AttachPort(ap)
 			dropper.ports = append(dropper.ports, da)
@@ -219,11 +224,11 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 				f.OnProgress = func(*Flow, int64) { progress = append(progress, eng.Now()) }
 			})
 			eng.Run()
-			if !f.Done() || len(dropper.sent) != 2 || f.Retransmits() != 1 {
-				t.Fatalf("done %v, the lost chunk sent at %v, %d retransmits; want done, sent twice, 1",
-					f.Done(), dropper.sent, f.Retransmits())
+			if !f.Done() || len(dropper.sent) != 2*c.lost || f.Retransmits() != uint64(c.lost) {
+				t.Fatalf("done %v, the %d lost chunks sent at %v, %d retransmits; want done, each sent twice, %d",
+					f.Done(), c.lost, dropper.sent, f.Retransmits(), c.lost)
 			}
-			resent := dropper.sent[1]
+			resent := dropper.sent[c.lost]
 			last := progress[0]
 			for _, at := range progress {
 				if at < resent {
@@ -238,6 +243,10 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 				t.Fatalf("last progress at %v, tail resent at %v; want the first tick (start %v + k·1ms) ≥ 1ms later, %v",
 					last, resent, c.start, want)
 			}
+			if end := dropper.sent[2*c.lost-1]; end >= want+RTO {
+				t.Fatalf("tail resent from %v to %v; want every lost chunk resent before the next tick at %v",
+					resent, end, want+RTO)
+			}
 		})
 	}
 }
@@ -251,7 +260,7 @@ func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
 		FlowCtl: IRN, BaseRTT: 5 * sim.Microsecond}
 	a := New(eng, 1, cfg)
 	b := New(eng, 2, cfg)
-	dropper := &tailDropper{eng: eng, dropSeq: 50_000}
+	dropper := &tailDropper{eng: eng, dropSeq: 50_000, lost: 1}
 	ap, da := fabric.Connect(eng, a, dropper, 0, 0, line100, sim.Microsecond)
 	a.AttachPort(ap)
 	dropper.ports = append(dropper.ports, da)
@@ -261,7 +270,7 @@ func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
 
 	f := a.StartFlow(1, b, 200_000, 0, nil)
 	eng.Run()
-	if !dropper.dropped {
+	if dropper.dropped != 1 {
 		t.Fatal("setup: the chunk at 50 000 was never sent")
 	}
 	if !f.Done() || f.Acked() != 200_000 {
@@ -276,7 +285,7 @@ func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
 }
 
 // IRN never resends data the receiver has acknowledged. A hole requeued
-// while its retransmission is in flight is dropped when the cumulative
+// while its retransmission is in flight is skipped once the cumulative
 // ACK that fills it arrives, even if the pacer has not sent it yet. The
 // path's round trip (≈ 20 µs) exceeds 1.5 T, so the selective ACKs for
 // frames sent at line rate just before the retransmission arrive after
@@ -294,7 +303,7 @@ func TestIRNNeverResendsAckedData(t *testing.T) {
 	// in send order, which the FIFO link keeps.
 	var ackedAtSend []int64
 	var stale []int64
-	w := &dataWatch{tailDropper: tailDropper{eng: eng, dropSeq: 50_000}, onData: func(p *packet.Packet) {
+	w := &dataWatch{tailDropper: tailDropper{eng: eng, dropSeq: 50_000, lost: 1}, onData: func(p *packet.Packet) {
 		if p.Seq < ackedAtSend[0] {
 			stale = append(stale, p.Seq)
 		}
@@ -342,14 +351,16 @@ func (w *dataWatch) HandleArrival(p *packet.Packet, in *fabric.Port) {
 	w.tailDropper.HandleArrival(p, in)
 }
 
-// tailDropper forwards between its two ports, dropping the data packet
-// with Seq == dropSeq exactly once. sent records the send time of every
-// copy of that packet.
+// tailDropper forwards between its two ports, dropping the first copy
+// of each of the lost data packets from Seq dropSeq on (1000-byte
+// chunks, sent first in order). sent records the send time of every
+// copy of those packets.
 type tailDropper struct {
 	eng     *sim.Engine
 	ports   []*fabric.Port
 	dropSeq int64
-	dropped bool
+	lost    int
+	dropped int
 	sent    []sim.Time
 }
 
@@ -357,10 +368,10 @@ func (d *tailDropper) ID() fabric.NodeID { return 100 }
 func (d *tailDropper) OnDequeue(p *packet.Packet, ingress int, from *fabric.Port) {
 }
 func (d *tailDropper) HandleArrival(p *packet.Packet, in *fabric.Port) {
-	if p.Type == packet.Data && p.Seq == d.dropSeq {
+	if p.Type == packet.Data && p.Seq >= d.dropSeq && p.Seq < d.dropSeq+int64(d.lost)*1000 {
 		d.sent = append(d.sent, p.SendTS)
-		if !d.dropped {
-			d.dropped = true
+		if p.Seq == d.dropSeq+int64(d.dropped)*1000 {
+			d.dropped++
 			return
 		}
 	}

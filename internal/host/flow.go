@@ -12,9 +12,10 @@ import (
 // loss recovery.
 //
 // Loss recovery keys on sndUna: a sender sees its cumulative ACK
-// sequence in order (the package doc's invariant), so IRN holds at most
-// one hole, the chunk at sndUna, and a GBN NACK has nothing to
-// acknowledge: the ACKs for every byte below its sequence came first.
+// sequence in order (the package doc's invariant), so a GBN NACK has
+// nothing to acknowledge: the ACKs for every byte below its sequence
+// came first. IRN counts every unACKed, unSACKed chunk below lostEnd
+// lost, and one cursor, rtxNxt, walks those chunks in order.
 type Flow struct {
 	ID int32
 	// qp is the flow's sender QPN at its host; peerQP its receive QPN
@@ -49,13 +50,11 @@ type Flow struct {
 	// records it keeps).
 	ackEv cc.AckEvent
 
-	// IRN state.
-	sacked      map[int64]int32 // out-of-order acked chunks: seq -> len
-	sackedBytes int64
-	rtxHole     bool    // the chunk at sndUna awaits a selective retransmit
-	irnCap      float64 // fixed one-BDP inflight cap
-	lastRtxSeq  int64
-	lastRtxAt   sim.Time
+	// IRN state: SACKed chunks, the end of the chunks counted lost, the
+	// recovery cursor, and when a gap ACK last sent it back to sndUna.
+	sacked          chunkSet
+	lostEnd, rtxNxt int64
+	lastRtxAt       sim.Time
 
 	started  sim.Time
 	finished sim.Time
@@ -111,17 +110,17 @@ func (f *Flow) PacketsSent() uint64 { return f.pktsSent }
 // Retransmits returns the number of retransmitted packets.
 func (f *Flow) Retransmits() uint64 { return f.pktsRtx }
 
-// inflight returns the unacknowledged bytes currently in the network.
+// inflight returns sndNxt − sndUna, as RoCE's window and IRN's BDP-FC count.
 func (f *Flow) inflight() int64 {
-	return f.sndNxt - f.sndUna - f.sackedBytes
+	return f.sndNxt - f.sndUna
 }
 
 // window returns the effective inflight cap: the CC window, further
 // bounded by IRN's fixed BDP cap in IRN mode.
 func (f *Flow) window() float64 {
 	w := f.alg.WindowBytes()
-	if f.host.cfg.FlowCtl == IRN && w > f.irnCap {
-		w = f.irnCap
+	if f.host.cfg.FlowCtl == IRN {
+		w = min(w, f.env.BDP())
 	}
 	return w
 }
@@ -129,12 +128,16 @@ func (f *Flow) window() float64 {
 // chunk returns the payload length of the chunk starting at seq.
 func (f *Flow) chunk(seq int64) int32 { return int32(min(f.size-seq, packet.DefaultMTU)) }
 
-// nextChunk picks the next (seq, payload) to transmit: IRN's pending
-// hole at sndUna first, then new data.
+// nextChunk picks the next (seq, payload) to transmit: IRN's next lost
+// chunk at or after the cursor first, then new data.
 func (f *Flow) nextChunk() (seq int64, payload int32, isRtx bool) {
+	f.rtxNxt = max(f.rtxNxt, f.sndUna)
+	for f.rtxNxt < f.lostEnd && f.sacked.has(f.rtxNxt) {
+		f.rtxNxt += packet.DefaultMTU
+	}
 	switch {
-	case f.rtxHole:
-		return f.sndUna, f.chunk(f.sndUna), true
+	case f.rtxNxt < f.lostEnd:
+		return f.rtxNxt, f.chunk(f.rtxNxt), true
 	case f.sndNxt < f.size:
 		return f.sndNxt, f.chunk(f.sndNxt), false
 	}
@@ -153,9 +156,10 @@ func (f *Flow) trySend() {
 		if payload == 0 {
 			return
 		}
-		// Window gate; a flow with nothing inflight may always send one
+		// Window gate for new data (a retransmission does not extend
+		// sndNxt); a flow with nothing inflight may always send one
 		// packet so a sub-MTU window cannot deadlock it.
-		if f.inflight() > 0 && float64(f.inflight()+int64(payload)) > f.window() {
+		if !isRtx && f.inflight() > 0 && float64(f.inflight()+int64(payload)) > f.window() {
 			return
 		}
 		if now < f.nextSendAt {
@@ -192,7 +196,7 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 	f.pktsSent++
 	if isRtx {
 		f.pktsRtx++
-		f.rtxHole = false
+		f.rtxNxt = seq + int64(payload)
 	} else {
 		f.sndNxt = seq + int64(payload)
 	}
@@ -237,7 +241,6 @@ func (f *Flow) handleAck(p *packet.Packet) {
 		newly = p.AckSeq - f.sndUna
 		f.sndUna = p.AckSeq
 		f.lastProgress = now
-		f.rtxHole = false // the hole was filled
 	}
 	if f.host.cfg.FlowCtl == IRN {
 		f.irnOnAck(p, now)
@@ -267,29 +270,18 @@ func (f *Flow) handleAck(p *packet.Packet) {
 	f.trySend()
 }
 
-// irnOnAck maintains the selective-repeat state: record out-of-order
-// deliveries and requeue the hole at sndUna.
+// irnOnAck takes a gap ACK (the receiver holds DataSeq, waits at sndUna):
+// it SACKs DataSeq, counts every chunk below it lost, and sends the
+// cursor back to sndUna at most once per base RTT T, not over resends
+// that may still be in flight.
 func (f *Flow) irnOnAck(p *packet.Packet, now sim.Time) {
-	// Clear sacked chunks the cumulative ACK has overtaken.
-	for s, l := range f.sacked {
-		if s < f.sndUna {
-			delete(f.sacked, s)
-			f.sackedBytes -= int64(l)
-		}
+	if p.DataSeq <= p.AckSeq {
+		return
 	}
-	if p.DataSeq > p.AckSeq {
-		// The receiver holds DataSeq but still waits at AckSeq, which
-		// is sndUna: a gap.
-		if _, dup := f.sacked[p.DataSeq]; !dup && p.DataSeq >= f.sndUna {
-			l := f.chunk(p.DataSeq)
-			f.sacked[p.DataSeq] = l
-			f.sackedBytes += int64(l)
-		}
-		// Requeue the hole unless recently requeued.
-		if f.sndUna < f.sndNxt && (f.sndUna != f.lastRtxSeq || now-f.lastRtxAt > f.host.cfg.BaseRTT) {
-			f.rtxHole = true
-			f.lastRtxSeq, f.lastRtxAt = f.sndUna, now
-		}
+	f.sacked.add(p.DataSeq)
+	f.lostEnd = max(f.lostEnd, p.DataSeq)
+	if now-f.lastRtxAt > f.host.cfg.BaseRTT {
+		f.rtxNxt, f.lastRtxAt = f.sndUna, now
 	}
 }
 
@@ -319,12 +311,12 @@ func (f *Flow) onRTO() {
 	}
 	now := f.host.eng.Now()
 	if f.inflight() > 0 && now-f.lastProgress >= RTO {
-		// Timed out: rewind (GBN) or requeue the unacked head (IRN).
+		// Timed out: rewind (GBN), or count every unacked chunk lost (IRN).
 		if f.host.cfg.FlowCtl == GoBackN {
 			f.sndNxt = f.sndUna
 			f.pktsRtx++ // count the rewind episode
-		} else if f.sndUna < f.sndNxt {
-			f.rtxHole = true
+		} else {
+			f.lostEnd, f.rtxNxt = f.sndNxt, f.sndUna
 		}
 		f.lastProgress = now
 		f.trySend()
@@ -357,7 +349,4 @@ func (f *Flow) teardown(now sim.Time) {
 	f.sendEv = sim.Timer{}
 	f.host.eng.Cancel(f.rtoEv)
 	f.rtoEv = sim.Timer{}
-	// Drop the IRN sack map: every handler that touches it is gated on
-	// the flow being live.
-	f.sacked = nil
 }

@@ -14,7 +14,8 @@
 // ECMP path; they leave the receiver by the port its data came in on;
 // and they ride the control class, a FIFO that is never paused or
 // dropped (fabric's TestControlFramesOfAFlowArriveInOrder). A sender
-// therefore sees its cumulative ACK sequence in order (see Flow).
+// therefore sees its cumulative ACK sequence in order, and both modes
+// key on it (see Flow). IRN keeps one chunkSet scoreboard at each end.
 package host
 
 import (
@@ -80,7 +81,9 @@ const (
 	// CNPInterval is the minimum gap between CNPs per flow at the
 	// receiver (DCQCN's NP state machine).
 	CNPInterval = 50 * sim.Microsecond
-	// RTO is the retransmission-timeout backstop for lossy modes.
+	// RTO is the retransmission-timeout backstop for lossy modes: one
+	// 1 ms timer for GBN and IRN, so Figure 12's lossy columns differ
+	// only in recovery (IRN's RTO_low/RTO_high would be a second timer).
 	RTO = sim.Millisecond
 )
 
@@ -287,10 +290,6 @@ func (h *Host) start(f *Flow, dst fabric.NodeID, size int64, portIdx int, onDone
 	f.started, f.onDone, f.alive = h.eng.Now(), onDone, true
 	f.env.LineRate = port.Rate()
 	f.env.Seed = h.cfg.Seed ^ int64(f.ID)
-	if h.cfg.FlowCtl == IRN {
-		f.sacked = make(map[int64]int32)
-		f.irnCap = f.env.BDP()
-	}
 	f.alg.Init(f.env)
 	if size <= 0 {
 		// Degenerate zero-byte transfer: complete immediately (after
@@ -332,7 +331,7 @@ func (h *Host) getFlow() *Flow {
 	h.flowFree = h.flowFree[:n-1]
 	// A new generation: CC timers the previous transfer left armed die
 	// in their trampolines (scheduleCC).
-	*f = Flow{host: h, sendFn: f.sendFn, rtoFn: f.rtoFn, alg: f.alg, env: f.env, gen: f.gen + 1}
+	*f = Flow{host: h, sendFn: f.sendFn, rtoFn: f.rtoFn, alg: f.alg, env: f.env, gen: f.gen + 1, sacked: f.sacked[:0]}
 	return f
 }
 

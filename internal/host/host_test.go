@@ -254,10 +254,10 @@ func TestIRNRecovery(t *testing.T) {
 	}
 }
 
-// IRN requeues a gap at most once per base RTT T: selective ACKs for
-// the same hole at t0, t0 + T/2 and t0 + 3T/2 requeue it at t0, not at
-// T/2 (the first retransmission may still be in flight), and again at
-// 3T/2 (it was lost too).
+// IRN sends its recovery cursor back to a gap at most once per base RTT
+// T: selective ACKs for the same hole at t0, t0 + T/2 and t0 + 3T/2
+// requeue it at t0, not at T/2 (the first retransmission may still be in
+// flight), and again at 3T/2 (it was lost too).
 func TestIRNRequeueThrottle(t *testing.T) {
 	const T = 10 * sim.Microsecond
 	cfg := Config{CC: func() cc.Algorithm { return &mockCC{rate: float64(10 * sim.Gbps)} }, FlowCtl: IRN, BaseRTT: T}
@@ -289,8 +289,8 @@ func TestIRNRequeueThrottle(t *testing.T) {
 
 // IRN caps inflight bytes at one BDP whatever the CC window allows
 // (§4.1): under a window of 4 BDP and a path whose RTT holds 4 BDP,
-// sndNxt − sndUna − sacked never exceeds max(BDP, one MTU) after any
-// event, and reaches the cap, so the cap is what binds.
+// sndNxt − sndUna never exceeds max(BDP, one MTU) after any event, and
+// reaches the cap, so the cap is what binds.
 func TestIRNInflightCappedAtBDP(t *testing.T) {
 	const T = 10 * sim.Microsecond
 	bdp := line100.BytesPerSec() * T.Seconds()

@@ -1,34 +1,35 @@
 package host
 
 import (
+	"math"
+
 	"hpcc/internal/fabric"
 	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
 
 // recvState is a receive QP: the per-flow receiver state — cumulative
-// reassembly plus the NACK (go-back-N) or out-of-order buffer (IRN)
-// machinery, and DCQCN's CNP rate limiter — with the sender QPN its
-// ACK, NACK and CNP frames are addressed to and the RDMA READ it
-// completes, if any. It lives in Host.recv at its QPN, from openRecv
-// until doneRing recycles it after the flow's final byte was delivered
-// in order (the sender marks the last chunk with FlowEnd).
+// reassembly plus go-back-N's NACK or IRN's out-of-order chunk set, and
+// DCQCN's CNP rate limiter — with the sender QPN its ACK, NACK and CNP
+// frames are addressed to and the RDMA READ it completes, if any. It
+// lives in Host.recv at its QPN, from openRecv until doneRing recycles
+// it after the flow's final byte was delivered in order (the sender
+// marks the last chunk with FlowEnd).
 type recvState struct {
 	flowID   int32 // 0 while the QPN is free
 	peerQP   int32 // the flow's sender QPN at the peer
 	rcvNxt   int64
-	ooo      map[int64]int32 // IRN: buffered out-of-order chunks
+	ooo      chunkSet // IRN: buffered out-of-order chunks, kept by openRecv
 	lastCNP  sim.Time
-	endSeq   int64  // flow length, learned from the FlowEnd marker
+	endSeq   int64  // flow length from the FlowEnd marker, MaxInt64 until then
 	readSize int64  // RDMA READ: the bytes requested
 	readDone func() // RDMA READ: the requester's callback, nil once fired
 	nackSent bool   // GBN: one NACK per out-of-sequence episode
 	hasCNP   bool
-	hasEnd   bool
 }
 
 // finished reports whether every byte up to the FlowEnd marker arrived.
-func (rs *recvState) finished() bool { return rs.hasEnd && rs.rcvNxt >= rs.endSeq }
+func (rs *recvState) finished() bool { return rs.rcvNxt >= rs.endSeq }
 
 // openRecv opens a receive QP for inbound flow id, answering to the
 // sender QP peer, in the zero state a flow's first frame finds, and
@@ -44,10 +45,7 @@ func (h *Host) openRecv(id, peer int32) int32 {
 		h.recv = append(h.recv, recvState{})
 	}
 	rs := &h.recv[qp]
-	*rs = recvState{flowID: id, peerQP: peer}
-	if h.cfg.FlowCtl == IRN {
-		rs.ooo = make(map[int64]int32) // the reorder map is not recycled with the QP
-	}
+	*rs = recvState{flowID: id, peerQP: peer, endSeq: math.MaxInt64, ooo: rs.ooo[:0]}
 	return qp
 }
 
@@ -67,7 +65,6 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	rs := &h.recv[qp]
 	now := h.eng.Now()
 	if p.FlowEnd {
-		rs.hasEnd = true
 		rs.endSeq = p.Seq + int64(p.PayloadLen)
 	}
 
@@ -100,20 +97,14 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 		switch {
 		case p.Seq == rs.rcvNxt:
 			rs.rcvNxt += int64(p.PayloadLen)
-			// Absorb any now-contiguous buffered chunks.
-			for {
-				l, ok := rs.ooo[rs.rcvNxt]
-				if !ok {
-					break
-				}
-				delete(rs.ooo, rs.rcvNxt)
-				rs.rcvNxt += int64(l)
+			// Absorb now-contiguous buffered chunks; only the last, which
+			// carries FlowEnd and finishes the QP, may be short.
+			for !rs.finished() && rs.ooo.has(rs.rcvNxt) {
+				rs.rcvNxt = min(rs.rcvNxt+packet.DefaultMTU, rs.endSeq)
 			}
 			h.sendAck(in, p, rs)
 		case p.Seq > rs.rcvNxt:
-			if _, dup := rs.ooo[p.Seq]; !dup {
-				rs.ooo[p.Seq] = p.PayloadLen
-			}
+			rs.ooo.add(p.Seq)
 			// Selective ACK: cumulative position + the received seq.
 			h.sendAck(in, p, rs)
 		default:

@@ -95,7 +95,7 @@ func (s *Sketch) AddN(v float64, n uint64) {
 		return
 	}
 	s.count += n
-	s.sum += v * float64(n)
+	s.sum += float64(v * float64(n))
 	if v < s.min {
 		s.min = v
 	}

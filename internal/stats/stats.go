@@ -32,13 +32,13 @@ func percentileOf(n int, at func(int) float64, p float64) float64 {
 	if n == 1 {
 		return at(0)
 	}
-	rank := p / 100 * float64(n-1)
+	rank := float64(p / 100 * float64(n-1))
 	lo := int(rank)
 	if lo >= n-1 {
 		return at(n - 1)
 	}
 	frac := rank - float64(lo)
-	return at(lo)*(1-frac) + at(lo+1)*frac
+	return float64(at(lo)*(1-frac)) + float64(at(lo+1)*frac)
 }
 
 // Summary bundles the order statistics the paper quotes.
@@ -125,7 +125,7 @@ func Jain(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 1

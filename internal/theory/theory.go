@@ -162,7 +162,7 @@ func RandomSystem(rng *rand.Rand, maxI, maxJ int) *System {
 	s := &System{A: make([][]bool, i), C: make([]float64, i)}
 	for k := range s.A {
 		s.A[k] = make([]bool, j)
-		s.C[k] = rng.Float64()*99 + 1
+		s.C[k] = float64(rng.Float64()*99) + 1
 	}
 	for p := 0; p < j; p++ {
 		// Guarantee at least one resource per path.

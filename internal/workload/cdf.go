@@ -70,7 +70,7 @@ func (c *CDF) Name() string { return c.name }
 // Sample draws one flow size by inverse-transform sampling with linear
 // interpolation inside segments. Sizes are at least 1 byte.
 func (c *CDF) Sample(rng *rand.Rand) int64 {
-	u := rng.Float64()
+	u := float64(rng.Float64()) // rounded: arm64 fuses Float64's scaling into u - lo.Prob
 	i := sort.Search(len(c.points), func(i int) bool { return c.points[i].Prob >= u })
 	if i == 0 {
 		i = 1
@@ -81,7 +81,7 @@ func (c *CDF) Sample(rng *rand.Rand) int64 {
 		size = float64(hi.Bytes)
 	} else {
 		frac := (u - lo.Prob) / (hi.Prob - lo.Prob)
-		size = float64(lo.Bytes) + frac*float64(hi.Bytes-lo.Bytes)
+		size = float64(lo.Bytes) + float64(frac*float64(hi.Bytes-lo.Bytes))
 	}
 	if size < 1 {
 		size = 1
@@ -96,7 +96,7 @@ func (c *CDF) Mean() float64 {
 	for i := 1; i < len(c.points); i++ {
 		lo, hi := c.points[i-1], c.points[i]
 		dp := hi.Prob - lo.Prob
-		mean += dp * float64(lo.Bytes+hi.Bytes) / 2
+		mean += float64(dp * float64(lo.Bytes+hi.Bytes) / 2)
 	}
 	return mean
 }
