@@ -102,16 +102,6 @@ func TestRunLoadRejectsHostileSpecs(t *testing.T) {
 	}
 }
 
-// Bounded completed-flow retention must not change any aggregate.
-func TestCompletedWindowAccounting(t *testing.T) {
-	base := runLoadT(t, dumbbellLoad())
-	s := dumbbellLoad()
-	s.CompletedWindow = 4
-	if got, want := hashResult(runLoadT(t, s)), hashResult(base); got != want {
-		t.Fatalf("completed window 4: %+v, want %+v", got, want)
-	}
-}
-
 // A scenario without PFC runs paper footnote 6's lossy egress with
 // α = 1: a data frame is dropped exactly when its egress queue plus the
 // frame would exceed the switch's free buffer. Frames of random sizes

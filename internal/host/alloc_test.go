@@ -21,7 +21,7 @@ func TestSteadyStateAllocsPerPacketUnderBudget(t *testing.T) {
 	run := func() {
 		id++
 		nw.hosts[0].StartFlow(id, nw.hosts[1], flowBytes, 0, nil)
-		nw.eng.Run()
+		nw.run(t)
 	}
 	// Warm pools, FIFOs and the event heap.
 	for i := 0; i < 10; i++ {
@@ -47,7 +47,7 @@ func TestFlowLifecycleAllocFree(t *testing.T) {
 			nw := buildStar(2, hcfg, fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 			run := func() {
 				nw.start(0, 1, 1000, nil)
-				nw.eng.Run()
+				nw.run(t)
 			}
 			for i := 0; i < 40; i++ {
 				run()

@@ -13,7 +13,7 @@ func TestZeroSizeFlowCompletes(t *testing.T) {
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	done := false
 	f := nw.start(0, 1, 0, func(*Flow) { done = true })
-	nw.eng.Run()
+	nw.run(t)
 	if !f.Done() || !done {
 		t.Fatal("zero-size flow did not complete")
 	}
@@ -29,10 +29,10 @@ func TestStaleAckIgnored(t *testing.T) {
 	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, sim.Microsecond)
 	a := nw.hosts[0]
 	old := nw.start(0, 1, 10_000, nil)
-	nw.eng.Run()
+	nw.run(t)
 	oldID, oldQP := old.ID, old.qp
 	nw.start(0, 1, 10_000, nil) // completing it evicts old and frees its QP
-	nw.eng.Run()
+	nw.run(t)
 	f := nw.start(0, 1, 1_000_000, nil) // 8 ms at 1 Gbps
 	if f.qp != oldQP {
 		t.Fatalf("setup: the later flow got QP %d, want the freed QP %d", f.qp, oldQP)
@@ -49,12 +49,12 @@ func TestStaleAckIgnored(t *testing.T) {
 		}
 	}
 	if f.Done() || f.Acked() != acked || f.PacketsSent() != sent || f.Retransmits() != 0 || len(f.alg.(*mockCC).cnpAt) != 0 {
-		t.Fatalf("stale frames reached the later flow: done %v, acked %d → %d, sent %d → %d, %d rewinds, %d CNPs",
+		t.Fatalf("stale frames reached the later flow: done %v, acked %d → %d, sent %d → %d, %d retransmits, %d CNPs",
 			f.Done(), acked, f.Acked(), sent, f.PacketsSent(), f.Retransmits(), len(f.alg.(*mockCC).cnpAt))
 	}
-	nw.eng.Run()
+	nw.run(t)
 	if !f.Done() || f.Retransmits() != 0 {
-		t.Fatalf("later flow done %v with %d rewinds, want done with none", f.Done(), f.Retransmits())
+		t.Fatalf("later flow done %v with %d retransmits, want done with none", f.Done(), f.Retransmits())
 	}
 }
 
@@ -65,7 +65,7 @@ func TestZeroByteFlowsOpenNoReceiveQP(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		nw.start(0, 1, 0, nil)
 	}
-	nw.eng.Run()
+	nw.run(t)
 	b := nw.hosts[1]
 	if n := b.OpenRecvQPs(); n != 0 {
 		t.Fatalf("1000 zero-byte flows left %d receive QPs open", n)
@@ -97,13 +97,13 @@ func TestNackSuppressionOnePerEpisode(t *testing.T) {
 	h.handleData(mk(2000), hp)
 	h.handleData(mk(3000), hp)
 	h.handleData(mk(4000), hp) // three OOS arrivals: one NACK
-	eng.Run()
+	runIdle(t, eng, h)
 	if sink.nacks != 1 {
 		t.Fatalf("NACKs = %d, want 1 (suppressed per episode)", sink.nacks)
 	}
 	h.handleData(mk(1000), hp) // fills the gap: ACK, re-arms NACK
 	h.handleData(mk(5000), hp) // new episode: second NACK
-	eng.Run()
+	runIdle(t, eng, h)
 	if sink.nacks != 2 {
 		t.Fatalf("NACKs = %d, want 2 after a new episode", sink.nacks)
 	}
@@ -155,10 +155,10 @@ func checkStragglerDropped(t *testing.T, later int) {
 	t.Helper()
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	f := nw.start(0, 1, 10_000, nil)
-	nw.eng.Run()
+	nw.run(t)
 	for i := 0; i < later; i++ {
 		nw.start(0, 1, 1000, nil)
-		nw.eng.Run()
+		nw.run(t)
 	}
 	recv := nw.hosts[1]
 	if !f.Done() || recv.OpenRecvQPs() != 0 {
@@ -171,7 +171,7 @@ func checkStragglerDropped(t *testing.T, later int) {
 			Prio: fabric.PrioData, Size: 1064, Seq: seq, PayloadLen: 1000, FlowEnd: seq == 9_000,
 		}, recv.Ports()[0])
 	}
-	nw.eng.Run()
+	nw.run(t)
 	if n := recv.Ports()[0].PacketsSent() - sent; n != 0 || recv.OpenRecvQPs() != 0 {
 		t.Fatalf("stragglers %d finished flows later: %d frames sent, %d receive QPs open; want none",
 			later, n, recv.OpenRecvQPs())
@@ -187,9 +187,10 @@ func checkStragglerDropped(t *testing.T, later int) {
 // so only the RTO recovers it. The timer ticks every 1 ms from the
 // flow's start, and a tick retransmits only once 1 ms has passed since
 // the last ACK progress: the tail goes out again at the first tick at
-// least 1 ms after the last progress, and at no other time. Under IRN
-// that tick counts every unacknowledged chunk lost, so a tail of k lost
-// chunks is resent, paced but past the window, before the next tick.
+// least 1 ms after the last progress, and at no other time. That tick
+// rewinds GBN to the cumulative ACK and counts every unacknowledged chunk
+// lost under IRN, so a tail of k lost chunks is resent, k retransmitted
+// packets, before the next tick.
 func TestTailLossRecoveredByRTO(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -201,6 +202,7 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 	}{
 		{"short flow", GoBackN, 0, 10_000, line100, 1},
 		{"flow longer than a tick", GoBackN, 300 * sim.Microsecond, 1_000_000, 5 * sim.Gbps, 1},
+		{"GBN tail of 3 chunks", GoBackN, 0, 10_000, line100, 3},
 		{"IRN tail of 3 chunks", IRN, 0, 10_000, line100, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -223,7 +225,7 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 				f = a.StartFlow(1, b, c.size, 0, nil)
 				f.OnProgress = func(*Flow, int64) { progress = append(progress, eng.Now()) }
 			})
-			eng.Run()
+			runIdle(t, eng, a, b)
 			if !f.Done() || len(dropper.sent) != 2*c.lost || f.Retransmits() != uint64(c.lost) {
 				t.Fatalf("done %v, the %d lost chunks sent at %v, %d retransmits; want done, each sent twice, %d",
 					f.Done(), c.lost, dropper.sent, f.Retransmits(), c.lost)
@@ -269,7 +271,7 @@ func TestIRNRetransmitsDroppedChunkOnce(t *testing.T) {
 	b.AttachPort(bp)
 
 	f := a.StartFlow(1, b, 200_000, 0, nil)
-	eng.Run()
+	runIdle(t, eng, a, b)
 	if dropper.dropped != 1 {
 		t.Fatal("setup: the chunk at 50 000 was never sent")
 	}
@@ -317,7 +319,7 @@ func TestIRNNeverResendsAckedData(t *testing.T) {
 	b.AttachPort(bp)
 
 	f := a.StartFlow(1, b, 300_000, 0, nil)
-	for sent := uint64(0); ; {
+	for sent, limit := uint64(0), eng.Now()+idleBound; ; {
 		// An event that advances Acked() does so before it sends.
 		for ; sent < f.PacketsSent(); sent++ {
 			ackedAtSend = append(ackedAtSend, f.Acked())
@@ -325,10 +327,11 @@ func TestIRNNeverResendsAckedData(t *testing.T) {
 		if f.Retransmits() > 0 {
 			mock.rate = 0.3e9 // 1064 B frames 28.4 µs apart
 		}
-		if !eng.Step() {
+		if eng.Now() >= limit || !eng.Step() {
 			break
 		}
 	}
+	checkIdle(t, eng, a, b)
 	if !f.Done() || len(w.sent) < 2 {
 		t.Fatalf("setup: done %v, the dropped chunk sent %d times", f.Done(), len(w.sent))
 	}

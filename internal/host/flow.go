@@ -21,8 +21,8 @@ type Flow struct {
 	// qp is the flow's sender QPN at its host; peerQP its receive QPN
 	// at dst, the DstQP of its data frames.
 	qp, peerQP int32
-	host       *Host
 	dst        fabric.NodeID
+	host       *Host
 	size       int64
 	port       *fabric.Port
 
@@ -35,11 +35,13 @@ type Flow struct {
 	env cc.Env
 	gen uint32
 
-	sndNxt, sndUna int64
-	nextSendAt     sim.Time
-	sendEv         sim.Timer
-	rtoEv          sim.Timer
-	lastProgress   sim.Time
+	// sndMax is the end of the highest byte ever sent: a frame below it
+	// is a retransmission, whichever mode resent it.
+	sndNxt, sndUna, sndMax int64
+	nextSendAt             sim.Time
+	sendEv                 sim.Timer
+	rtoEv                  sim.Timer
+	lastProgress           sim.Time
 
 	// sendFn/rtoFn are the flow's timer callbacks, built once per *Flow
 	// (Host.newFlow) so re-arming the pacer or the RTO never allocates a
@@ -107,7 +109,9 @@ func (f *Flow) Alg() cc.Algorithm { return f.alg }
 // retransmissions, reported separately by Retransmits).
 func (f *Flow) PacketsSent() uint64 { return f.pktsSent }
 
-// Retransmits returns the number of retransmitted packets.
+// Retransmits returns the number of retransmitted packets: frames sent
+// below the highest byte already sent, counted alike under GBN (a
+// rewind resends each frame again) and IRN (each selective resend).
 func (f *Flow) Retransmits() uint64 { return f.pktsRtx }
 
 // inflight returns sndNxt − sndUna, as RoCE's window and IRN's BDP-FC count.
@@ -191,14 +195,18 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 	p.SendTS = now
 	// Mark the chunk carrying the flow's last byte so the receiver can
 	// finish its receive QP once everything before it landed.
-	p.FlowEnd = seq+int64(payload) >= f.size
+	end := seq + int64(payload)
+	p.FlowEnd = end >= f.size
 	f.port.Enqueue(p, -1)
 	f.pktsSent++
-	if isRtx {
+	if seq < f.sndMax {
 		f.pktsRtx++
-		f.rtxNxt = seq + int64(payload)
+	}
+	f.sndMax = max(f.sndMax, end)
+	if isRtx {
+		f.rtxNxt = end
 	} else {
-		f.sndNxt = seq + int64(payload)
+		f.sndNxt = end
 	}
 	// Pace the next transmission at the CC rate.
 	rate := f.alg.RateBps()
@@ -291,10 +299,7 @@ func (f *Flow) handleNack(p *packet.Packet) {
 	if f.done || f.host.cfg.FlowCtl != GoBackN {
 		return
 	}
-	if p.AckSeq < f.sndNxt {
-		f.sndNxt = p.AckSeq
-		f.pktsRtx++ // count the rewind episode
-	}
+	f.sndNxt = min(f.sndNxt, p.AckSeq)
 	f.trySend()
 }
 
@@ -314,7 +319,6 @@ func (f *Flow) onRTO() {
 		// Timed out: rewind (GBN), or count every unacked chunk lost (IRN).
 		if f.host.cfg.FlowCtl == GoBackN {
 			f.sndNxt = f.sndUna
-			f.pktsRtx++ // count the rewind episode
 		} else {
 			f.lostEnd, f.rtxNxt = f.sndNxt, f.sndUna
 		}

@@ -1,7 +1,9 @@
 package host
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +74,45 @@ func (nw *net) start(src, dst int, size int64, onDone func(*Flow)) *Flow {
 
 const line100 = 100 * sim.Gbps
 
+// idleBound is the virtual time a test may run for. A flow that never
+// finishes re-arms its 1 ms RTO forever, so a run until nothing is
+// pending would end only at go test's timeout.
+const idleBound = 100 * sim.Millisecond
+
+// runIdle fires eng's events until none is pending, for at most
+// idleBound of virtual time, and then checks that none is.
+func runIdle(t *testing.T, eng *sim.Engine, hosts ...*Host) {
+	t.Helper()
+	for limit := eng.Now() + idleBound; eng.Now() < limit && eng.Step(); {
+	}
+	checkIdle(t, eng, hosts...)
+}
+
+// checkIdle fails the test if eng has events pending, naming the
+// unfinished flows of hosts.
+func checkIdle(t *testing.T, eng *sim.Engine, hosts ...*Host) {
+	t.Helper()
+	if eng.Pending() == 0 {
+		return
+	}
+	var open []string
+	for _, h := range hosts {
+		for _, f := range h.sendQP {
+			if f != nil && f.alive && !f.done {
+				open = append(open, fmt.Sprintf("flow %d (node %d → %d, %d of %d B acked, %d retransmits)",
+					f.ID, h.ID(), f.dst, f.Acked(), f.size, f.Retransmits()))
+			}
+		}
+	}
+	t.Fatalf("at %v, %d events still pending; unfinished: %s", eng.Now(), eng.Pending(), strings.Join(open, ", "))
+}
+
+// run is runIdle over the star.
+func (nw *net) run(t *testing.T) {
+	t.Helper()
+	runIdle(t, nw.eng, nw.hosts...)
+}
+
 func hpccConfig() Config {
 	return Config{
 		CC:      hpcccc.New(hpcccc.Config{}),
@@ -84,7 +125,7 @@ func TestFlowCompletesHPCC(t *testing.T) {
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	var fct sim.Time
 	f := nw.start(0, 1, 1<<20, func(f *Flow) { fct = f.FCT() })
-	nw.eng.Run()
+	nw.run(t)
 	if !f.Done() {
 		t.Fatal("flow did not complete")
 	}
@@ -121,7 +162,7 @@ func TestWindowLimitsInflight(t *testing.T) {
 		}
 	}
 	nw.eng.After(0, sample)
-	nw.eng.Run()
+	nw.run(t)
 	if !f.Done() {
 		t.Fatal("flow did not complete")
 	}
@@ -136,7 +177,7 @@ func TestPacingHalvesThroughput(t *testing.T) {
 	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, sim.Microsecond)
 	var fct sim.Time
 	nw.start(0, 1, 1_000_000, func(f *Flow) { fct = f.FCT() })
-	nw.eng.Run()
+	nw.run(t)
 	// 1000 packets × 1064 B at 50 Gbps ≈ 170 µs.
 	want := (50 * sim.Gbps).TxTime(1_064_000)
 	if fct < want || fct > want+20*sim.Microsecond {
@@ -150,7 +191,7 @@ func TestRTTMeasurement(t *testing.T) {
 	// Two 5µs links each way → base RTT 20µs + serialization.
 	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, 5*sim.Microsecond)
 	nw.start(0, 1, 10_000, nil)
-	nw.eng.Run()
+	nw.run(t)
 	if len(mock.rttSeen) == 0 {
 		t.Fatal("no RTT samples")
 	}
@@ -165,7 +206,7 @@ func TestAckEventFields(t *testing.T) {
 	cfg := Config{CC: func() cc.Algorithm { return mock }, INT: true, BaseRTT: 10 * sim.Microsecond}
 	nw := buildStar(2, cfg, fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	nw.start(0, 1, 5_000, nil)
-	nw.eng.Run()
+	nw.run(t)
 	if mock.acks != 5 {
 		t.Fatalf("acks = %d, want 5 (one per packet)", mock.acks)
 	}
@@ -202,7 +243,7 @@ func TestGoBackNRecovery(t *testing.T) {
 	sw.InstallRoute(b.ID(), []int{1})
 
 	f := a.StartFlow(1, b, 2_000_000, 0, nil)
-	eng.Run()
+	runIdle(t, eng, a, b)
 	if !f.Done() {
 		t.Fatal("flow did not complete despite GBN recovery")
 	}
@@ -239,7 +280,7 @@ func TestIRNRecovery(t *testing.T) {
 	sw.InstallRoute(b.ID(), []int{1})
 
 	f := a.StartFlow(1, b, 2_000_000, 0, nil)
-	eng.Run()
+	runIdle(t, eng, a, b)
 	if !f.Done() {
 		t.Fatal("flow did not complete despite IRN recovery")
 	}
@@ -301,13 +342,14 @@ func TestIRNInflightCappedAtBDP(t *testing.T) {
 	f := nw.start(0, 1, int64(20*bdp), nil)
 	limit := max(int64(bdp), int64(packet.DefaultMTU))
 	var peak int64
-	for nw.eng.Step() {
+	for end := nw.eng.Now() + idleBound; nw.eng.Now() < end && nw.eng.Step(); {
 		infl := f.inflight()
 		if infl > limit {
 			t.Fatalf("at %v: inflight %d bytes, want at most %d (one BDP)", nw.eng.Now(), infl, limit)
 		}
 		peak = max(peak, infl)
 	}
+	checkIdle(t, nw.eng, nw.hosts...)
 	if !f.Done() {
 		t.Fatal("flow did not complete")
 	}
@@ -340,7 +382,7 @@ func TestCNPGeneration(t *testing.T) {
 	sw.InstallRoute(b.ID(), []int{1})
 
 	f := a.StartFlow(1, b, 3_000_000, 0, nil)
-	eng.Run()
+	runIdle(t, eng, a, b)
 	if !f.Done() || sw.Drops() != 0 || len(mock.cnpAt) < 10 {
 		t.Fatalf("done %v, %d drops, %d CNPs; want done, none, at least 10", f.Done(), sw.Drops(), len(mock.cnpAt))
 	}
@@ -359,7 +401,7 @@ func TestSubMTUWindowNoDeadlock(t *testing.T) {
 	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond}
 	nw := buildStar(2, cfg, fabric.SwitchConfig{}, line100, sim.Microsecond)
 	f := nw.start(0, 1, 10_000, nil)
-	nw.eng.Run()
+	nw.run(t)
 	if !f.Done() {
 		t.Fatal("sub-MTU window deadlocked the flow")
 	}
@@ -373,7 +415,7 @@ func TestPFCPausesHostPort(t *testing.T) {
 	nw := buildStar(3, cfg, scfg, line100, sim.Microsecond)
 	f1 := nw.start(0, 2, 500_000, nil)
 	f2 := nw.start(1, 2, 500_000, nil)
-	nw.eng.Run()
+	nw.run(t)
 	if !f1.Done() || !f2.Done() {
 		t.Fatal("incast flows did not complete")
 	}
@@ -386,7 +428,7 @@ func TestMultipleFlowsSharePort(t *testing.T) {
 	nw := buildStar(3, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	f1 := nw.start(0, 1, 300_000, nil)
 	f2 := nw.start(0, 2, 300_000, nil)
-	nw.eng.Run()
+	nw.run(t)
 	if !f1.Done() || !f2.Done() {
 		t.Fatal("concurrent flows on one NIC did not finish")
 	}
@@ -403,7 +445,7 @@ func TestFlowCompletionProperty(t *testing.T) {
 		}
 		nw := buildStar(2, cfg, fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 		fl := nw.start(0, 1, size, nil)
-		nw.eng.Run()
+		nw.run(t)
 		return fl.Done() && fl.Acked() >= size
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

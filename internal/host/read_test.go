@@ -12,7 +12,7 @@ func TestRDMARead(t *testing.T) {
 	done := false
 	// Host 0 reads 500 KB from host 1: the data flows 1 -> 0.
 	nw.hosts[0].Read(1, nw.hosts[1], 500_000, 0, func() { done = true })
-	nw.eng.Run()
+	nw.run(t)
 	if !done {
 		t.Fatal("READ completion never fired at the requester")
 	}
@@ -38,7 +38,7 @@ func TestRDMAReadUnderIRN(t *testing.T) {
 	nw := buildStar(2, cfg, fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
 	done := false
 	nw.hosts[0].Read(7, nw.hosts[1], 123_456, 0, func() { done = true })
-	nw.eng.Run()
+	nw.run(t)
 	if !done {
 		t.Fatal("READ completion never fired under IRN")
 	}
@@ -49,7 +49,7 @@ func TestUnlimitedSchedulerByDefault(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		nw.start(0, 1, 2_000, nil)
 	}
-	nw.eng.Run()
+	nw.run(t)
 	for id, f := range nw.hosts[0].Flows() {
 		if !f.Done() {
 			t.Fatalf("flow %d unfinished with unlimited scheduler", id)

@@ -39,7 +39,7 @@ func TestCompletedWindowPlateaus(t *testing.T) {
 		})
 	}
 	launch(0)
-	nw.eng.Run()
+	nw.run(t)
 
 	if done != rounds {
 		t.Fatalf("completed %d flows, want %d", done, rounds)
@@ -78,7 +78,7 @@ func TestCompletedWindowOffRetainsAll(t *testing.T) {
 		nw.start(0, 1, 2_000, func(*Flow) { launch(i + 1) })
 	}
 	launch(0)
-	nw.eng.Run()
+	nw.run(t)
 	if n := len(nw.hosts[0].Flows()); n != rounds {
 		t.Fatalf("retained %d flows, want all %d", n, rounds)
 	}
@@ -144,7 +144,7 @@ func TestRecycledFlowDropsStaleCCTimers(t *testing.T) {
 		}
 	}
 	next(nil)
-	nw.eng.Run()
+	nw.run(t)
 
 	if left != 0 || instances > 3 {
 		t.Fatalf("%d flows left, %d CC instances for %d flows: flows were not recycled", left, instances, rounds)
@@ -192,7 +192,7 @@ func TestQPAuditUnderWindowOne(t *testing.T) {
 		nw.eng.RunUntil(at)
 		audit()
 	}
-	nw.eng.Run()
+	nw.run(t)
 	audit()
 	drops := nw.sw.Drops()
 	for _, h := range nw.hosts {

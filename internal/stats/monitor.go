@@ -159,23 +159,6 @@ func (m *QueueMonitor) Summary() Summary {
 	return summarizeDepths(m.Depths())
 }
 
-// DepthQuantile returns the p-th percentile of per-port queue depth
-// (bytes). Empty monitors report 0.
-func (m *QueueMonitor) DepthQuantile(p float64) float64 {
-	if m.sketch != nil {
-		return quantileOrZero(m.sketch, p)
-	}
-	ds := m.Depths()
-	var n int64
-	for _, d := range ds {
-		n += d.Count
-	}
-	if n == 0 {
-		return 0
-	}
-	return percentileDepths(ds, n, p)
-}
-
 // depthCountBytes is the logical size of one exact-mode row: a depth
 // and its count.
 const depthCountBytes = 16

@@ -124,7 +124,7 @@ func TestDepthCountsMatchExpandedSamples(t *testing.T) {
 			return false
 		}
 		for _, p := range []float64{0, 0.1, 25, 50, 95, 99, 99.9, 100} {
-			if got, want := m.DepthQuantile(p), Percentile(xs, p); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := percentileDepths(m.Depths(), int64(len(xs)), p), Percentile(xs, p); math.Float64bits(got) != math.Float64bits(want) {
 				t.Logf("p%v = %v, want %v", p, got, want)
 				return false
 			}
@@ -142,11 +142,12 @@ func TestDepthCountsMatchExpandedSamples(t *testing.T) {
 			m.count(d)
 			fs[i] = float64(d)
 		}
-		if m.Summary() != Summarize(fs) || m.DepthQuantile(0) != Percentile(fs, 0) || m.DepthQuantile(100) != Percentile(fs, 100) {
+		ds, n := m.Depths(), int64(len(fs))
+		if m.Summary() != Summarize(fs) || percentileDepths(ds, n, 0) != Percentile(fs, 0) || percentileDepths(ds, n, 100) != Percentile(fs, 100) {
 			t.Errorf("%v: summary %+v, want %+v", xs, m.Summary(), Summarize(fs))
 		}
 	}
-	if m := NewQueueMonitor(sim.NewEngine(), nil, 0, sim.Microsecond, 0); m.Summary() != (Summary{}) || m.DepthQuantile(50) != 0 {
-		t.Error("empty monitor: want the zero summary and depth 0")
+	if m := NewQueueMonitor(sim.NewEngine(), nil, 0, sim.Microsecond, 0); m.Summary() != (Summary{}) {
+		t.Error("empty monitor: want the zero summary")
 	}
 }
