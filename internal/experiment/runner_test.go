@@ -102,6 +102,17 @@ func TestRunLoadRejectsHostileSpecs(t *testing.T) {
 	}
 }
 
+// Bounded completed-flow retention must not change any aggregate: the
+// capped run renders exactly as the uncapped one.
+func TestCompletedWindowAccounting(t *testing.T) {
+	base := runLoadT(t, dumbbellLoad())
+	s := dumbbellLoad()
+	s.CompletedWindow = 4
+	if got, want := renderResult(runLoadT(t, s)), renderResult(base); got != want {
+		t.Fatalf("completed window 4:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // A scenario without PFC runs paper footnote 6's lossy egress with
 // α = 1: a data frame is dropped exactly when its egress queue plus the
 // frame would exceed the switch's free buffer. Frames of random sizes
