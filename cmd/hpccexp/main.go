@@ -17,7 +17,6 @@
 //	hpccexp fig2 fig3
 //	hpccexp -parallel 8 all
 //	hpccexp -seeds 5 -json fig10 > fig10.json
-//	hpccexp -csv 'fig9-*' > fig9.csv
 //
 // The default scale is CI-friendly; -scale bench roughly quadruples the
 // flow counts, -scale paper uses the full 320-host FatTree (slow).
@@ -45,7 +44,6 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
 		list      = flag.Bool("list", false, "list registered scenarios and exit")
 		asJSON    = flag.Bool("json", false, "emit one JSON document instead of text tables")
-		asCSV     = flag.Bool("csv", false, "emit CSV sections instead of text tables")
 		timing    = flag.Bool("timing", true, "print per-job wall-clock/event timing to stderr")
 	)
 	flag.Usage = func() {
@@ -63,10 +61,6 @@ func main() {
 	}
 	if flag.NArg() == 0 {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *asJSON && *asCSV {
-		fmt.Fprintln(os.Stderr, "hpccexp: -json and -csv are mutually exclusive")
 		os.Exit(2)
 	}
 
@@ -93,12 +87,9 @@ func main() {
 		report.WriteTiming(os.Stderr, res)
 	}
 
-	switch {
-	case *asJSON:
+	if *asJSON {
 		err = report.WriteJSON(os.Stdout, res, map[string]string{"scale": *scaleName})
-	case *asCSV:
-		err = report.WriteCSV(os.Stdout, res)
-	default:
+	} else {
 		err = report.WriteText(os.Stdout, res)
 	}
 	if err != nil {

@@ -6,7 +6,7 @@
 // whether the run has absorbed a thousand flows or a million.
 //
 // The run itself uses SketchStats, the streaming statistics mode: the
-// result's percentiles come from mergeable quantile sketches (within 1%
+// result's percentiles come from quantile sketches (within 1%
 // of exact) and retained stat memory stays a few KB
 // regardless of flow count — the mode long campaigns run in.
 package main

@@ -61,7 +61,7 @@ type Experiment struct {
 	CompletedFlowWindow int
 	// SketchStats switches result statistics to streaming mode: instead
 	// of retaining every FCT record and a count per distinct queue
-	// depth, observations stream into mergeable DDSketch-style quantile
+	// depth, observations stream into DDSketch-style quantile
 	// sketches (per-size-bucket slowdowns, the short-flow class,
 	// per-port queue depth), so retained stat memory is O(sketch
 	// buckets) — a few KB — regardless of flow count or horizon. Every

@@ -1,6 +1,6 @@
 // Package analysis checks the simulator's determinism invariant: no
-// wall clock, global RNG, goroutines or order-sensitive map iteration in
-// simulation packages, the bug classes that break byte-identical results
+// wall clock, global RNG, goroutines or map iteration in simulation
+// packages, the bug classes that break byte-identical results
 // from run to run and across campaign worker counts (-parallel N). The
 // golden tests catch such a regression only after it lands; this check
 // runs on every `go test ./internal/analysis`.
@@ -164,8 +164,8 @@ func (c *checker) reportf(pos token.Pos, format string, args ...any) {
 // file flags the constructs that make a simulation package's results
 // differ from run to run or with the campaign's worker count
 // (-parallel N): wall-clock reads, draws from the global math/rand
-// source, goroutine launches, and iteration over maps where the body's
-// effects depend on iteration order. The invariant is pinned at runtime
+// source, goroutine launches, and any iteration over a map, whose order
+// is randomized per process. The invariant is pinned at runtime
 // by the golden tests (internal/experiment/golden_test.go) and the CI
 // run-twice and -parallel smokes; this check catches it at test time.
 func (c *checker) file(f *ast.File) {
@@ -177,7 +177,10 @@ func (c *checker) file(f *ast.File) {
 			c.reportf(n.Pos(), "go statement in a simulation package: goroutine interleaving is not replayable; "+
 				"run the world single-threaded per engine")
 		case *ast.RangeStmt:
-			c.checkMapRange(n)
+			if _, ok := c.info.TypeOf(n.X).Underlying().(*types.Map); ok {
+				c.reportf(n.Pos(), "range over a map in a simulation package: map order is randomized per process; "+
+					"iterate sorted keys")
+			}
 		}
 		return true
 	})
@@ -209,104 +212,12 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 	}
 }
 
-// checkMapRange flags `range m` over a map when the loop body's effect
-// depends on iteration order: calls that may schedule events or emit
-// output, appends to outer slices, and non-commutative writes to outer
-// state. Commutative integer accumulation (+=, -=, ^=, |=, &= and
-// ++/--) is exempt; floating-point accumulation is not, because
-// rounding makes even a sum order-sensitive.
-func (c *checker) checkMapRange(rng *ast.RangeStmt) {
-	info := c.info
-	if _, ok := info.TypeOf(rng.X).Underlying().(*types.Map); !ok {
-		return
-	}
-	// An object is outer state unless it is declared inside the range
-	// statement (the key/value variables included).
-	isOuter := func(obj types.Object) bool {
-		return obj != nil && (obj.Pos() < rng.Pos() || obj.Pos() >= rng.Body.End())
-	}
-	// rootObj resolves the base identifier of an lvalue (x, x.f, x[i],
-	// *x ... chains).
-	rootObj := func(e ast.Expr) types.Object {
-		for {
-			switch x := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				return info.ObjectOf(x)
-			case *ast.SelectorExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			default:
-				return nil
-			}
-		}
-	}
-	isFloat := func(e ast.Expr) bool {
-		b, ok := info.TypeOf(e).Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsFloat != 0
-	}
-	// isPure reports whether the call is a conversion or a builtin that
-	// neither schedules events nor emits output.
-	isPure := func(call *ast.CallExpr) bool {
-		tv := info.Types[call.Fun]
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		return tv.IsType() || ok && tv.IsBuiltin() &&
-			slices.Contains([]string{"delete", "len", "cap", "min", "max", "append", "clear", "copy"}, id.Name)
-	}
-
-	var hazard string
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if hazard != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if !isPure(n) {
-				hazard = "calls a function, which may schedule events or emit output"
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" || !isOuter(rootObj(lhs)) {
-					continue
-				}
-				switch n.Tok {
-				case token.ADD_ASSIGN, token.SUB_ASSIGN, token.XOR_ASSIGN,
-					token.OR_ASSIGN, token.AND_ASSIGN:
-					if isFloat(lhs) {
-						hazard = "floating-point accumulation into outer state; rounding is order-sensitive"
-					}
-				default:
-					// Plain assignment or appends into outer state:
-					// the final value depends on which key came last.
-					hazard = "writes outer state in iteration order"
-				}
-			}
-		case *ast.IncDecStmt:
-			if isOuter(rootObj(n.X)) && isFloat(n.X) {
-				hazard = "floating-point accumulation into outer state; rounding is order-sensitive"
-			}
-		case *ast.SendStmt:
-			hazard = "sends on a channel in iteration order"
-		case *ast.GoStmt, *ast.DeferStmt:
-			hazard = "launches work in iteration order"
-		}
-		return true
-	})
-	if hazard != "" {
-		c.reportf(rng.Pos(),
-			"iteration over a map with an order-sensitive body (%s): map order is randomized per process, "+
-				"so this diverges from run to run; iterate sorted keys, make the body commutative,", hazard)
-	}
-}
-
 // simScope lists the package names under internal/ whose code runs
 // inside (or schedules) the deterministic simulation: the check applies
 // to exactly these and their subpackages. internal/campaign is included
 // because its worker pool brackets every scenario run, internal/packet
 // because every hop runs its code, internal/stats because its sketches
-// hold every result and campaign merges them.
+// and FCT sets hold every result.
 // TestDeterminismScopeIsClosed keeps the list closed under imports.
 var simScope = []string{"sim", "fabric", "host", "topology", "workload", "cc", "campaign", "packet", "stats"}
 

@@ -103,9 +103,9 @@ func TestSimulationPackagesAreDeterministic(t *testing.T) {
 // sees the packages in simScope, so every package of this module that
 // they import must be in the scope too, or a wall-clock read there would
 // be invisible to the simulation that calls it. The one exception is
-// campaign → experiment: campaign uses only experiment's Table and Dist
-// types (whose stats sketches are in scope) and runs scenarios through
-// Job.Run function values, which no static call edge follows.
+// campaign → experiment: campaign uses only experiment's Table type
+// and runs scenarios through Job.Run function values, which no static
+// call edge follows.
 func TestDeterminismScopeIsClosed(t *testing.T) {
 	const exceptFrom, exceptTo = "hpcc/internal/campaign", "hpcc/internal/experiment"
 	exceptionUsed := false

@@ -1,6 +1,6 @@
 // Package fabric is a determinism-check fixture: its import path
 // matches the sim scope, so wall clock, global RNG, goroutines and
-// order-sensitive map ranges are flagged here.
+// map ranges are flagged here.
 package fabric
 
 import (
@@ -53,34 +53,35 @@ func (f *fab) elapsed(t0 time.Time) {
 	_ = time.Since(t0) // want `time\.Since in a simulation package`
 }
 
-// commutative integer accumulation over a map is order-insensitive.
+// Commutative integer accumulation over a map is flagged too: one rule
+// covers every map range, and an escape says why order does not matter.
 func (f *fab) commutative() {
-	for _, p := range f.ports {
+	for _, p := range f.ports { // want `range over a map in a simulation package`
 		f.total += p.pkts
 	}
 }
 
 func (f *fab) floatSum() {
-	for _, p := range f.ports { // want `iteration over a map with an order-sensitive body`
+	for _, p := range f.ports { // want `range over a map in a simulation package`
 		f.sumB += p.bytes
 	}
 }
 
 func (f *fab) appendOrder() {
-	for id := range f.ports { // want `iteration over a map with an order-sensitive body`
+	for id := range f.ports { // want `range over a map in a simulation package`
 		f.out = append(f.out, id)
 	}
 }
 
 func (f *fab) emits() {
-	for id, p := range f.ports { // want `iteration over a map with an order-sensitive body`
+	for id, p := range f.ports { // want `range over a map in a simulation package`
 		fmt.Println(id, p.pkts)
 	}
 }
 
-// delete during iteration is order-insensitive and exempt.
+// delete during iteration is flagged too.
 func (f *fab) sweep() {
-	for id := range f.ports {
+	for id := range f.ports { // want `range over a map in a simulation package`
 		delete(f.ports, id)
 	}
 }

@@ -73,41 +73,8 @@ func aggregate(units []UnitResult) []*experiment.Table {
 		}
 		t.AddNote("numeric cells: mean±95%% CI over %d seeds (%s); notes reflect seed %d",
 			len(units), strings.Join(seeds, ","), units[0].Seed)
-		poolDists(t, ti, units)
 	}
 	return out
-}
-
-// poolDists merges every replicate's attached distribution sketches
-// into one pooled distribution per name and reports its percentiles.
-// This answers a different question than the mean±CI cells: a cell like
-// "p99" averaged over seeds is the expected per-run p99 (each run's
-// tail computed over its own flows), while the pooled percentile is the
-// p99 of all flows from all seeds as one population — the number a
-// single run with Seeds× the flows would report. Tails are
-// concentration-sensitive, so the two can differ; campaigns get both.
-func poolDists(t *experiment.Table, ti int, units []UnitResult) {
-	if len(t.Dists) == 0 {
-		return
-	}
-	for _, u := range units[1:] {
-		if len(u.Tables[ti].Dists) != len(t.Dists) {
-			t.AddNote("distribution pooling skipped (replicate dist shapes differ)")
-			return
-		}
-	}
-	for di := range t.Dists {
-		merged := units[0].Tables[ti].Dists[di].Sketch.Clone()
-		for _, u := range units[1:] {
-			merged.Merge(u.Tables[ti].Dists[di].Sketch)
-		}
-		t.Dists[di].Sketch = merged
-		if merged.Count() > 0 {
-			t.AddNote("pooled %s over %d seeds: p50 %.2f  p95 %.2f  p99 %.2f  p99.9 %.2f  n %d (percentiles of the pooled distribution, not the mean of per-seed percentiles)",
-				t.Dists[di].Name, len(units),
-				merged.Quantile(50), merged.Quantile(95), merged.Quantile(99), merged.Quantile(99.9), merged.Count())
-		}
-	}
 }
 
 func sameShape(units []UnitResult) bool {
@@ -141,9 +108,6 @@ func cloneTables(in []*experiment.Table) []*experiment.Table {
 		}
 		for _, row := range t.Rows {
 			c.Rows = append(c.Rows, append([]string(nil), row...))
-		}
-		for _, d := range t.Dists {
-			c.Dists = append(c.Dists, experiment.Dist{Name: d.Name, Sketch: d.Sketch.Clone()})
 		}
 		out[i] = c
 	}

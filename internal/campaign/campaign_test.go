@@ -8,7 +8,6 @@ import (
 
 	"hpcc/internal/experiment"
 	"hpcc/internal/sim"
-	"hpcc/internal/stats"
 )
 
 // render prints a result the way the CLI's text sink does (job order,
@@ -145,65 +144,6 @@ func TestMultiSeedAggregation(t *testing.T) {
 	note := strings.Join(tab.Notes, "\n")
 	if !strings.Contains(note, "mean±95% CI over 4 seeds") {
 		t.Fatalf("missing aggregation note: %q", note)
-	}
-}
-
-// Distribution sketches attached to tables pool across seeds: the
-// aggregated table carries one merged sketch per name whose population
-// is the union of every replicate's, plus a note with its percentiles.
-func TestMultiSeedDistPooling(t *testing.T) {
-	distJob := Job{
-		Name: "dist",
-		Run: func(seed int64) []*experiment.Table {
-			rng := sim.NewRNG(seed, "dist")
-			tab := &experiment.Table{Title: "dist", Cols: []string{"k", "v"}}
-			tab.AddRow("r0", fmt.Sprintf("%.3f", rng.Float64()))
-			sk := stats.NewSketch(0)
-			for i := 0; i < 500; i++ {
-				sk.Add(1 + 4*rng.ExpFloat64())
-			}
-			tab.AddDist("slowdown", sk)
-			return []*experiment.Table{tab}
-		},
-	}
-	res := Run(Config{Parallel: 2, Seeds: 4, BaseSeed: 9}, []Job{distJob})
-	job := res.Jobs[0]
-	tab := job.Tables[0]
-	if len(tab.Dists) != 1 {
-		t.Fatalf("dists = %d, want 1", len(tab.Dists))
-	}
-	pooled := tab.Dists[0].Sketch
-	if pooled.Count() != 4*500 {
-		t.Fatalf("pooled count = %d, want %d", pooled.Count(), 4*500)
-	}
-	// Pooling must match one sketch fed every replicate's values — the
-	// single-run-with-4x-the-flows answer — regardless of merge order.
-	want := stats.NewSketch(0)
-	for _, u := range job.Units {
-		rng := sim.NewRNG(u.Seed, "dist")
-		rng.Float64() // the cell draw precedes the dist draws
-		for i := 0; i < 500; i++ {
-			want.Add(1 + 4*rng.ExpFloat64())
-		}
-	}
-	for _, p := range []float64{50, 95, 99, 99.9} {
-		if g, w := pooled.Quantile(p), want.Quantile(p); g != w {
-			t.Fatalf("pooled p%v = %v, want %v", p, g, w)
-		}
-	}
-	// Pooling clones: replicate sketches must come through unmutated.
-	if n := job.Units[0].Tables[0].Dists[0].Sketch.Count(); n != 500 {
-		t.Fatalf("replicate 0 sketch mutated: count = %d, want 500", n)
-	}
-	note := strings.Join(tab.Notes, "\n")
-	if !strings.Contains(note, "pooled slowdown over 4 seeds") ||
-		!strings.Contains(note, "not the mean of per-seed percentiles") {
-		t.Fatalf("missing pooled-distribution note: %q", note)
-	}
-	// Single-seed campaigns pass the replicate sketch through verbatim.
-	one := Run(Config{Parallel: 1, Seeds: 1, BaseSeed: 9}, []Job{distJob})
-	if n := one.Jobs[0].Tables[0].Dists[0].Sketch.Count(); n != 500 {
-		t.Fatalf("single-seed dist count = %d, want 500", n)
 	}
 }
 

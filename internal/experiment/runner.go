@@ -96,7 +96,7 @@ type LoadScenario struct {
 
 	// SketchStats switches result statistics to streaming mode: FCT
 	// records and queue samples are not retained; every observation
-	// streams into mergeable quantile sketches instead (per-size-bucket
+	// streams into quantile sketches instead (per-size-bucket
 	// slowdowns, short-flow latency, per-port queue depth), so retained
 	// stat memory is O(sketch buckets) regardless of flow count or
 	// horizon. Quantiles come out within stats.DefaultRelativeAccuracy

@@ -41,7 +41,6 @@ func sweepTables(g *Grid[*LoadResult]) []*Table {
 				f1(lr.Queue.P99/1024),
 				f2(lr.PauseFrac*100),
 				fmt.Sprintf("%d", lr.Censored))
-			t.AddDist(fmt.Sprintf("slowdown %s @%s%%", s, load), lr.FCT.SlowdownSketch())
 		}
 	}
 	t.AddNote("same FB_Hadoop + FatTree fixture as Figure 11, swept past the paper's 50%% operating point")
@@ -83,7 +82,6 @@ func parkingLotTables(g *Grid[*LoadResult]) []*Table {
 			f1(lr.Queue.P99/1024),
 			fmt.Sprintf("%d", lr.Drops),
 			fmt.Sprintf("%d", lr.Censored))
-		sum.AddDist("slowdown "+s, lr.FCT.SlowdownSketch())
 	}
 	return []*Table{fct, sum}
 }

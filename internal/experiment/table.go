@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"hpcc/internal/stats"
 )
 
 // Table is a printable result grid: one per reproduced figure panel.
@@ -14,19 +12,6 @@ type Table struct {
 	Cols  []string
 	Rows  [][]string
 	Notes []string
-	// Dists carries the raw streaming distributions behind rendered
-	// percentile cells. They are not printed (text output stays
-	// byte-identical); campaign aggregation merges them across seeds so
-	// multi-seed percentiles can come from the pooled distribution
-	// rather than a mean of per-seed percentiles, and the JSON sink
-	// reports them.
-	Dists []Dist
-}
-
-// Dist is one named distribution attached to a table.
-type Dist struct {
-	Name   string
-	Sketch *stats.Sketch
 }
 
 // AddRow appends a row of already-formatted cells.
@@ -35,11 +20,6 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 // AddNote appends a caption line printed under the table.
 func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
-}
-
-// AddDist attaches a named distribution sketch to the table.
-func (t *Table) AddDist(name string, sk *stats.Sketch) {
-	t.Dists = append(t.Dists, Dist{Name: name, Sketch: sk})
 }
 
 // Fprint renders the table with aligned columns.

@@ -1,11 +1,9 @@
-// Package report renders campaign results into structured sinks: the
-// aligned text tables the figures have always printed, plus JSON and
-// CSV for mechanical consumption (BENCH_*.json-style trajectories,
-// spreadsheets, plotting scripts).
+// Package report renders campaign results in one of two forms: the
+// aligned text tables the figures have always printed, or one JSON
+// document for mechanical consumption (trajectories, plotting scripts).
 package report
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -70,21 +68,6 @@ type (
 		Cols  []string   `json:"cols"`
 		Rows  [][]string `json:"rows"`
 		Notes []string   `json:"notes,omitempty"`
-		Dists []DistDoc  `json:"dists,omitempty"`
-	}
-	// DistDoc summarizes one distribution sketch attached to a table —
-	// in multi-seed campaigns, pooled across all seeds (percentiles of
-	// the combined population, unlike the mean±CI cells which average
-	// per-run percentiles).
-	DistDoc struct {
-		Name string  `json:"name"`
-		N    uint64  `json:"n"`
-		Mean float64 `json:"mean"`
-		P50  float64 `json:"p50"`
-		P95  float64 `json:"p95"`
-		P99  float64 `json:"p99"`
-		P999 float64 `json:"p999"`
-		Max  float64 `json:"max"`
 	}
 )
 
@@ -116,70 +99,13 @@ func WriteJSON(w io.Writer, res *campaign.Result, labels map[string]string) erro
 			jd.Error = job.Err.Error()
 		}
 		for _, t := range job.Tables {
-			td := TableDoc{Title: t.Title, Cols: t.Cols, Rows: t.Rows, Notes: t.Notes}
-			for _, d := range t.Dists {
-				sk := d.Sketch
-				if sk == nil || sk.Count() == 0 {
-					continue // empty sketches have NaN quantiles, which JSON cannot carry
-				}
-				td.Dists = append(td.Dists, DistDoc{
-					Name: d.Name,
-					N:    sk.Count(),
-					Mean: sk.Mean(),
-					P50:  sk.Quantile(50),
-					P95:  sk.Quantile(95),
-					P99:  sk.Quantile(99),
-					P999: sk.Quantile(99.9),
-					Max:  sk.Max(),
-				})
-			}
-			jd.Tables = append(jd.Tables, td)
+			jd.Tables = append(jd.Tables, TableDoc{Title: t.Title, Cols: t.Cols, Rows: t.Rows, Notes: t.Notes})
 		}
 		doc.Jobs = append(doc.Jobs, jd)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// WriteCSV emits one rectangular CSV section per table, preceded by
-// "# job"/"# table" comment lines and followed by "# note" lines, with
-// a blank line between sections.
-func WriteCSV(w io.Writer, res *campaign.Result) error {
-	for i := range res.Jobs {
-		job := &res.Jobs[i]
-		if job.Err != nil {
-			if _, err := fmt.Fprintf(w, "# job %s FAILED: %v\n\n", job.Name, job.Err); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, t := range job.Tables {
-			if _, err := fmt.Fprintf(w, "# job %s\n# table %s\n", job.Name, t.Title); err != nil {
-				return err
-			}
-			cw := csv.NewWriter(w)
-			if err := cw.Write(t.Cols); err != nil {
-				return err
-			}
-			if err := cw.WriteAll(t.Rows); err != nil {
-				return err
-			}
-			cw.Flush()
-			if err := cw.Error(); err != nil {
-				return err
-			}
-			for _, n := range t.Notes {
-				if _, err := fmt.Fprintf(w, "# note %s\n", n); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // WriteTiming prints the per-job wall-clock/event-count summary. It

@@ -75,19 +75,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var b bytes.Buffer
-	if err := WriteCSV(&b, sampleResult()); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"# job sample", "# table Sample panel", "size,p95", "10K,2.75", "# note a note", "# job broken FAILED"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("csv output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestWriteTiming(t *testing.T) {
 	var b bytes.Buffer
 	if err := WriteTiming(&b, sampleResult()); err != nil {

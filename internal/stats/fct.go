@@ -54,7 +54,7 @@ const ShortFlowLimit = 7_000
 // count, and goldens stay byte-identical.
 //
 // Streaming mode (NewStreamingFCT) retains no records: each completion
-// streams into mergeable quantile sketches — one over all slowdowns,
+// streams into quantile sketches — one over all slowdowns,
 // one per flow-size bucket, one for the short-flow class (slowdown and
 // FCT) — so memory is O(buckets) however many flows complete, every
 // quantile is within the sketch's relative accuracy of the exact
@@ -202,21 +202,6 @@ func (s *FCTSet) RetainedBytes() int64 {
 		total += b.RetainedBytes()
 	}
 	return total
-}
-
-// SlowdownSketch returns a sketch of every flow's slowdown: streaming
-// sets clone their running sketch, exact sets build one from the
-// records. The campaign layer pools these across seeds so multi-seed
-// percentiles come from the pooled distribution.
-func (s *FCTSet) SlowdownSketch() *Sketch {
-	if s.str != nil {
-		return s.str.all.Clone()
-	}
-	sk := NewSketch(0)
-	for _, r := range s.Records {
-		sk.Add(r.Slowdown())
-	}
-	return sk
 }
 
 // Slowdowns returns every record's slowdown (exact mode only; streaming

@@ -32,7 +32,7 @@ type QueueMonitor struct {
 	OnSample func(TimePoint)
 
 	// Sketch mode (EnableSketch): per-port depth observations stream
-	// into a mergeable quantile sketch instead of the exact counts, so
+	// into a quantile sketch instead of the exact counts, so
 	// retention is O(buckets) whatever depths the run sees. OnSample
 	// still fires every tick, so time-series observers keep working.
 	sketch *Sketch // cumulative per-port depths; non-nil => sketch mode
@@ -71,7 +71,7 @@ func NewQueueMonitor(eng *sim.Engine, ports []*fabric.Port, prio uint8, interval
 func (m *QueueMonitor) Stop() { m.until = -1 }
 
 // EnableSketch switches the monitor to sketch mode: no exact depth
-// counts are kept, every per-port observation streams into mergeable
+// counts are kept, every per-port observation streams into quantile
 // sketches instead. Call it right after NewQueueMonitor, before the
 // first tick.
 func (m *QueueMonitor) EnableSketch() { m.sketch = NewSketch(0) }

@@ -2,14 +2,11 @@ package stats
 
 import "math"
 
-// Sketch is a mergeable streaming quantile sketch in the DDSketch
-// family: values land in geometric buckets gamma^k, so every quantile
-// estimate is within a configurable relative accuracy α of an exact
-// order statistic, memory is O(buckets) regardless of how many values
-// stream in, and two sketches built with the same α merge exactly by
-// bucket-count addition — merging is commutative and associative, so
-// per-seed sketches pool into precisely the sketch a single pass over
-// all values would have built.
+// Sketch is a streaming quantile sketch in the DDSketch family: values
+// land in geometric buckets gamma^k, so every quantile estimate is
+// within a configurable relative accuracy α of an exact order
+// statistic, and memory is O(buckets) regardless of how many values
+// stream in.
 //
 // It is the linear-memory-retention replacement for FCT-record and
 // queue-sample slices: million-flow campaigns keep per-size-bucket
@@ -155,7 +152,8 @@ func (s *Sketch) growUp(by int) {
 // collapse folds the lowest buckets together until the store fits
 // maxBins again — the DDSketch collapsing-lowest policy: tail quantiles
 // (the ones the paper reports) keep full accuracy, the low extreme
-// degrades. Deterministic, so pooled merges stay byte-identical.
+// degrades. Deterministic: the same values in the same order give the
+// same store.
 func (s *Sketch) collapse() {
 	drop := len(s.bins) - s.maxBins
 	if drop <= 0 {
@@ -173,9 +171,6 @@ func (s *Sketch) collapse() {
 
 // Count returns how many values have been inserted.
 func (s *Sketch) Count() uint64 { return s.count }
-
-// Sum returns the exact running sum of inserted values.
-func (s *Sketch) Sum() float64 { return s.sum }
 
 // Mean returns the exact mean (0 when empty).
 func (s *Sketch) Mean() float64 {
@@ -261,40 +256,6 @@ func (s *Sketch) Summary() Summary {
 	}
 }
 
-// Merge adds o's distribution into s, exactly: bucket counts add, so
-// the result is identical (bit-for-bit) to a sketch that saw both
-// streams in any order. Both sketches must share the same α; merging
-// mismatched accuracies is a wiring bug and panics. o is unchanged.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if s.gamma != o.gamma {
-		panic("stats: merging sketches with different relative accuracy")
-	}
-	s.count += o.count
-	s.sum += o.sum
-	s.zeros += o.zeros
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	for i, n := range o.bins {
-		if n != 0 {
-			s.bucket(o.lo + i).add(n)
-		}
-	}
-}
-
-// Clone returns an independent copy.
-func (s *Sketch) Clone() *Sketch {
-	c := *s
-	c.bins = append([]uint64(nil), s.bins...)
-	return &c
-}
-
 // Reset empties the sketch, keeping its buffers.
 func (s *Sketch) Reset() {
 	s.bins = s.bins[:0]
@@ -305,8 +266,8 @@ func (s *Sketch) Reset() {
 
 // RetainedBytes is the sketch's logical stat footprint: occupied
 // buckets plus the fixed header. It is a function of the distribution
-// alone — merge order cannot change it — which is what lets the
-// memory-regression gate compare runs.
+// alone — capacity the dense store grew to does not count — which is
+// what lets the memory-regression gate compare runs.
 func (s *Sketch) RetainedBytes() int64 {
 	occupied := int64(0)
 	for _, n := range s.bins {

@@ -7,38 +7,6 @@ import (
 	"testing"
 )
 
-// keyCounts flattens a sketch's dense store to logical (key -> count),
-// ignoring physical padding, which legitimately differs by build order.
-func keyCounts(s *Sketch) map[int]uint64 {
-	out := map[int]uint64{}
-	for i, n := range s.bins {
-		if n != 0 {
-			out[s.lo+i] = n
-		}
-	}
-	return out
-}
-
-func sameSketch(t *testing.T, a, b *Sketch, label string) {
-	t.Helper()
-	// The running sum is the one field float addition order can nudge in
-	// the last bits; everything rank-based must match exactly.
-	sumDrift := math.Abs(a.sum - b.sum)
-	if a.count != b.count || a.zeros != b.zeros || sumDrift > 1e-9*math.Abs(b.sum) || a.min != b.min || a.max != b.max {
-		t.Fatalf("%s: scalar state differs: (%d,%d,%g,%g,%g) vs (%d,%d,%g,%g,%g)",
-			label, a.count, a.zeros, a.sum, a.min, a.max, b.count, b.zeros, b.sum, b.min, b.max)
-	}
-	ka, kb := keyCounts(a), keyCounts(b)
-	if len(ka) != len(kb) {
-		t.Fatalf("%s: %d occupied buckets vs %d", label, len(ka), len(kb))
-	}
-	for k, n := range ka {
-		if kb[k] != n {
-			t.Fatalf("%s: bucket %d = %d vs %d", label, k, n, kb[k])
-		}
-	}
-}
-
 // The core guarantee: every quantile estimate is within the configured
 // relative accuracy of the exact order statistics bracketing that rank,
 // across distribution shapes (uniform, exponential, lognormal,
@@ -78,59 +46,6 @@ func TestSketchAccuracyProperty(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Merge must be exact: bucket counts add, so any split of the stream
-// into parts, merged in any order, reproduces the single-pass sketch's
-// logical state bit-for-bit — quantiles, counts, sums, extremes and
-// occupied buckets all identical.
-func TestSketchMergeOrderInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var xs []float64
-	for i := 0; i < 4000; i++ {
-		switch i % 10 {
-		case 0:
-			xs = append(xs, 0) // zero-bucket traffic
-		default:
-			xs = append(xs, math.Exp(rng.NormFloat64()*3))
-		}
-	}
-	single := NewSketch(0.01)
-	for _, v := range xs {
-		single.Add(v)
-	}
-
-	for _, k := range []int{2, 4, 8} {
-		parts := make([]*Sketch, k)
-		for i := range parts {
-			parts[i] = NewSketch(0.01)
-		}
-		for i, v := range xs {
-			parts[i%k].Add(v)
-		}
-		for trial := 0; trial < 4; trial++ {
-			merged := NewSketch(0.01)
-			for _, i := range rng.Perm(k) {
-				merged.Merge(parts[i])
-			}
-			sameSketch(t, merged, single, "merge")
-			if merged.RetainedBytes() != single.RetainedBytes() {
-				t.Fatalf("k=%d: retained %d vs %d bytes", k,
-					merged.RetainedBytes(), single.RetainedBytes())
-			}
-		}
-	}
-}
-
-func TestSketchMergeAccuracyMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging sketches with different α should panic")
-		}
-	}()
-	a, b := NewSketch(0.01), NewSketch(0.02)
-	b.Add(1)
-	a.Merge(b)
 }
 
 // Hot-path contract: once the value range has been seen, Add
