@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,8 +32,8 @@ func TestFifoBasics(t *testing.T) {
 	}
 }
 
-// Property: any interleaving of pushes and pops preserves FIFO order,
-// across the ring's compaction paths.
+// Property: any interleaving of pushes and pops preserves FIFO order as
+// the ring wraps and grows.
 func TestFifoOrderProperty(t *testing.T) {
 	f := func(seed int64, ops uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -67,32 +68,71 @@ func TestFifoOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: compaction never loses or duplicates entries even under
-// long runs that repeatedly cross the compaction threshold.
-func TestFifoCompactionProperty(t *testing.T) {
+// The ring keeps FIFO order while its head wraps around under
+// interleaved pushes and pops, grows only when full — never past 16 or
+// the next power of two of the longest the queue has been — and a warm
+// push/pop cycle allocates nothing.
+func TestFifoRingWrapsAndStaysTight(t *testing.T) {
 	var q fifo[entry]
-	id := int64(0)
-	popped := int64(0)
-	// Sawtooth: grow to 400, drain to 100, repeatedly.
-	for round := 0; round < 20; round++ {
-		for q.len() < 400 {
-			id++
-			q.push(entry{&packet.Packet{Seq: id}, -1})
+	pushed, popped, peak, wrapped := int64(0), int64(0), 0, false
+	push := func() {
+		pushed++
+		q.push(entry{&packet.Packet{Seq: pushed}, int(pushed)})
+	}
+	pop := func() {
+		popped++
+		if e := q.pop(); e.p.Seq != popped || e.ingress != int(popped) {
+			t.Fatalf("popped seq %d ingress %d, want %d", e.p.Seq, e.ingress, popped)
 		}
-		for q.len() > 100 {
-			popped++
-			if q.pop().p.Seq != popped {
-				t.Fatalf("round %d: out of order at %d", round, popped)
-			}
+	}
+	check := func() {
+		peak = max(peak, q.len())
+		if want := max(16, 1<<bits.Len(uint(peak-1))); len(q.buf) > want {
+			t.Fatalf("ring of %d slots after a peak of %d entries, want at most %d", len(q.buf), peak, want)
+		}
+		wrapped = wrapped || q.head+q.n > len(q.buf)
+	}
+	// Sawtooth: two pushes per pop up to hi, two pops per push down to lo.
+	for _, r := range []struct{ lo, hi int }{{2, 12}, {5, 40}, {30, 300}, {100, 400}, {0, 1}} {
+		for q.len() < r.hi {
+			push()
+			check()
+			push()
+			check()
+			pop()
+			check()
+		}
+		for q.len() > r.lo+1 {
+			pop()
+			check()
+			pop()
+			check()
+			push()
+			check()
+		}
+		for q.len() > r.lo {
+			pop()
 		}
 	}
 	for !q.empty() {
-		popped++
-		if q.pop().p.Seq != popped {
-			t.Fatalf("drain: out of order at %d", popped)
-		}
+		pop()
 	}
-	if popped != id {
-		t.Fatalf("popped %d of %d pushed", popped, id)
+	if popped != pushed || !wrapped {
+		t.Fatalf("popped %d of %d pushed, head wrapped: %v; want all, true", popped, pushed, wrapped)
+	}
+	e := entry{&packet.Packet{}, 0}
+	for i := 0; i < 10; i++ {
+		q.push(e)
+	}
+	// AllocsPerRun truncates its average, so each run laps the ring: a
+	// cost paid once a lap shows too.
+	lap := len(q.buf)
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < lap; i++ {
+			q.push(e)
+			q.pop()
+		}
+	}); avg != 0 {
+		t.Errorf("a lap of %d warm push/pop cycles allocates %.2f times, want 0", lap, avg)
 	}
 }

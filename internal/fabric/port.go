@@ -10,38 +10,50 @@ type entry struct {
 	ingress int // arriving port index at the owner, -1 if locally generated
 }
 
-// fifo is an amortized O(1) queue.
+// fifo is a FIFO ring. Its length is zero or a power of two, at least
+// 16, and it doubles only when full, so it never holds more than the
+// next power of two of the longest the queue has been, and a warm queue
+// pushes and pops without allocating or copying.
 type fifo[T any] struct {
 	buf  []T
-	head int
+	head int // slot of the oldest entry
+	n    int // entries queued
 }
 
 func (f *fifo[T]) push(e T) {
-	f.buf = append(f.buf, e) // capacity is reused after pop/reset (TestForwardingHotPathAllocFree)
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = e
+	f.n++
 }
 
+// pop removes the oldest entry. A queue that drains restarts at slot 0,
+// so a lightly used port keeps touching the same few cache lines.
 func (f *fifo[T]) pop() T {
 	var zero T
 	e := f.buf[f.head]
 	f.buf[f.head] = zero
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
+	f.n--
+	if f.n == 0 {
 		f.head = 0
-	} else if f.head > 256 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		for i := n; i < len(f.buf); i++ {
-			f.buf[i] = zero
-		}
-		f.buf = f.buf[:n]
-		f.head = 0
+	} else {
+		f.head = (f.head + 1) & (len(f.buf) - 1)
 	}
 	return e
 }
 
-func (f *fifo[T]) empty() bool { return f.head == len(f.buf) }
+// grow doubles a full ring, moving the head to slot 0.
+func (f *fifo[T]) grow() {
+	buf := make([]T, max(2*len(f.buf), 16))
+	n := copy(buf, f.buf[f.head:])
+	copy(buf[n:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
+}
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+func (f *fifo[T]) empty() bool { return f.n == 0 }
+
+func (f *fifo[T]) len() int { return f.n }
 
 // Port is one direction of a duplex link: the transmitter owned by a
 // node. It serializes packets from strict-priority queues onto the link,
@@ -56,9 +68,10 @@ type Port struct {
 	// receiver can identify its ingress and reach back upstream (PFC).
 	peerPort *Port
 
-	index int // position in owner's port list
-	rate  sim.Rate
-	delay sim.Time
+	index   int // position in owner's port list
+	rate    sim.Rate
+	perByte sim.Time // rate.PsPerByte(), the serialization time of one byte
+	delay   sim.Time
 
 	// wireKey is the directed link's build-time structural ID — the
 	// canonical rank class of this wire's delivery events (see
@@ -114,7 +127,7 @@ type Port struct {
 func (pt *Port) SetPauseHook(fn func(prio uint8, paused bool)) { pt.pauseHook = fn }
 
 func newPort(eng *sim.Engine, owner Node, index int, rate sim.Rate, delay sim.Time) *Port {
-	pt := &Port{eng: eng, owner: owner, index: index, rate: rate, delay: delay}
+	pt := &Port{eng: eng, owner: owner, index: index, rate: rate, perByte: rate.PsPerByte(), delay: delay}
 	pt.kickFn = func() {
 		pt.kickArmed = false
 		pt.kickEv = sim.Timer{}
@@ -276,7 +289,7 @@ func (pt *Port) kick() {
 // resume, INT stamp), the deferred kick is armed if frames wait behind
 // it, and the frame is handed to the wire for delivery at the peer.
 func (pt *Port) serialize(p *packet.Packet, ingress int, now sim.Time) {
-	pt.busyUntil = now + pt.rate.TxTime(int(p.Size))
+	pt.busyUntil = now + sim.Time(p.Size)*pt.perByte // rate.TxTime(p.Size), without its division
 	pt.txBytes += uint64(p.Size)
 	pt.pktsSent++
 	pt.owner.OnDequeue(p, ingress, pt)

@@ -1,47 +1,53 @@
 package packet
 
-// Pool is a free list of Packet structs. A plain Packet is 80 bytes (the
-// 80-byte size class); a frame that carries INT is allocated by GetINT
-// as one 288-byte object holding the Packet and, beside it, the INT
-// stack its INT field points at. The simulator used to heap-allocate one
-// frame per data packet *and* per ACK; recycling them at the terminal
-// consumption points (host ACK processing, switch drops, PFC
-// consumption) makes the per-packet hot path allocation-free in steady
-// state.
+import "hpcc/internal/sim"
+
+// Pool is a free list of Packet structs. A plain Packet is 80 bytes; a
+// frame that carries INT comes from GetINT as one 288-byte stacked
+// value holding the Packet and, beside it, the INT stack its INT field
+// points at. Frames are recycled at their terminal consumption points
+// (host ACK processing, switch drops, PFC consumption), so the
+// per-packet hot path allocates nothing in steady state.
 //
 // A frame never gains or loses its stack, so the pool keeps two free
-// lists and Put files each frame on the one it came from.
+// lists and Put files each frame on the one it came from. A miss on a
+// list carves a new frame out of that kind's current chunk (see
+// sim.Chunks): chunks grow from 8 frames to 256 plain or 128 stacked
+// ones, so a deep-queued fabric warms its pool a few hundred frames per
+// allocation and a small test or star cell reserves only a few dozen.
 //
-// A Pool belongs to one simulated network (hosts and switches built by
-// a topology.Builder share one); the whole world runs on a single
-// goroutine, so there is no locking and recycling order is
-// deterministic. Get and GetINT return zeroed packets; Put does not
-// scrub, so a frame already handed to tracing/tests stays readable until
-// reuse.
+// The free lists have no cap. A Pool belongs to one simulated network —
+// topology.Builder hands one to every host and switch it builds — so a
+// list can never hold more frames than the pool itself carved, and its
+// length is bounded by the most frames the network ever had in flight
+// at once. A frame let go from a list would free no memory anyway: its
+// chunk stays alive while any frame carved from it is. After a run
+// drains, the lists hold every frame the pool allocated
+// (TestPoolRecoversEveryFrame).
+//
+// The whole world runs on a single goroutine, so there is no locking
+// and recycling order is deterministic. Get and GetINT return zeroed
+// packets; Put does not scrub, so a frame already handed to tracing or
+// tests stays readable until reuse.
 type Pool struct {
 	free, freeINT []*Packet
+	plain         sim.Chunks[Packet]
+	stacks        sim.Chunks[stacked]
 
-	gets, news, puts uint64
+	gets, news uint64
 }
 
-// maxPoolFree bounds each free list (at 4096: ≈ 0.3 MB of plain frames,
-// ≈ 1.2 MB of stacked ones); beyond it, Put lets packets go to the
-// garbage collector. This keeps lossy scenarios — where drops strand
-// packets at switch pools — from accumulating unbounded free lists.
-const maxPoolFree = 4096
+// Chunk bounds: 256 plain frames or 128 stacked ones, about 20 and 36 KB.
+const (
+	plainChunk   = 256
+	stackedChunk = 128
+)
 
-// stacked is the single allocation behind a GetINT frame: the INT stack
-// sits right after the Packet, so the two share cache lines and cost one
-// allocation.
+// stacked is the value behind a GetINT frame: the INT stack sits right
+// after the Packet, so the two share cache lines and one chunk slot.
 type stacked struct {
 	p   Packet
 	int INTHeader
-}
-
-func newStacked() *Packet {
-	s := &stacked{}
-	s.p.INT = &s.int
-	return &s.p
 }
 
 // NewPool returns an empty pool.
@@ -61,7 +67,7 @@ func (pl *Pool) Get() *Packet {
 	pl.news++
 	// A miss warms the free list once; the steady state recycles
 	// (TestSteadyStateAllocsPerPacketUnderBudget).
-	return &Packet{}
+	return pl.plain.Take(plainChunk)
 }
 
 // GetINT returns a zeroed packet whose INT field points at an empty
@@ -80,20 +86,19 @@ func (pl *Pool) GetINT() *Packet {
 		return p
 	}
 	pl.news++
-	return newStacked()
+	s := pl.stacks.Take(stackedChunk)
+	s.p.INT = &s.int
+	return &s.p
 }
 
 // Put recycles a packet the simulation has fully consumed onto the free
 // list matching whether it carries an INT stack. The caller must not
 // touch p afterwards.
 func (pl *Pool) Put(p *Packet) {
-	pl.puts++
-	free := &pl.free
 	if p.INT != nil {
-		free = &pl.freeINT
-	}
-	if len(*free) < maxPoolFree {
-		*free = append(*free, p)
+		pl.freeINT = append(pl.freeINT, p)
+	} else {
+		pl.free = append(pl.free, p)
 	}
 }
 
@@ -101,5 +106,9 @@ func (pl *Pool) Put(p *Packet) {
 // tests and diagnostics).
 func (pl *Pool) Recycled() uint64 { return pl.gets - pl.news }
 
-// Allocated returns how many Gets fell through to the heap.
+// Allocated returns how many Gets found their free list empty and
+// carved a new frame.
 func (pl *Pool) Allocated() uint64 { return pl.news }
+
+// Free returns how many frames wait on the free lists.
+func (pl *Pool) Free() uint64 { return uint64(len(pl.free) + len(pl.freeINT)) }

@@ -52,22 +52,6 @@ func TestPoolKeepsFrameKinds(t *testing.T) {
 	}
 }
 
-// Each free list stops at maxPoolFree: the surplus goes to the garbage
-// collector rather than growing the pool without bound.
-func TestPoolCapsEachList(t *testing.T) {
-	pl := NewPool()
-	var frames []*Packet
-	for i := 0; i < maxPoolFree+10; i++ {
-		frames = append(frames, pl.Get(), pl.GetINT())
-	}
-	for _, p := range frames {
-		pl.Put(p)
-	}
-	if len(pl.free) != maxPoolFree || len(pl.freeINT) != maxPoolFree {
-		t.Fatalf("free lists hold %d plain and %d stacked frames, want %d each", len(pl.free), len(pl.freeINT), maxPoolFree)
-	}
-}
-
 // A warm pool recycles without allocating, for either kind of frame.
 func TestPoolCyclesAllocFree(t *testing.T) {
 	pl := NewPool()

@@ -87,7 +87,8 @@ type Engine struct {
 	seq     uint64
 	q       heap4 // pending events that may be cancelled or fire at irregular times
 	stopped bool
-	pool    []*Event // freelist for fired events
+	pool    []*Event      // freelist for fired events
+	events  Chunks[Event] // where the freelist's misses are carved from
 	fired   uint64
 	high    int // most events ever pending at once
 
@@ -155,6 +156,10 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 	return Timer{ev: ev, gen: ev.gen}
 }
 
+// eventChunk bounds the chunks new events are carved from: 256 events
+// of 80 bytes.
+const eventChunk = 256
+
 // newEvent takes an event off the free list and ranks it.
 func (e *Engine) newEvent(t Time, key, seq uint64) *Event {
 	var ev *Event
@@ -162,9 +167,11 @@ func (e *Engine) newEvent(t Time, key, seq uint64) *Event {
 		ev = e.pool[n-1]
 		e.pool = e.pool[:n-1]
 	} else {
-		// A miss warms the free list once; the steady state reuses
-		// recycled events (TestEngineSteadyStateAllocs).
-		ev = &Event{index: -1}
+		// A miss warms the free list once, a chunk at a time; the
+		// steady state reuses recycled events
+		// (TestEngineSteadyStateAllocs).
+		ev = e.events.Take(eventChunk)
+		ev.index = -1
 	}
 	ev.at, ev.key, ev.seq = t, key, seq
 	return ev

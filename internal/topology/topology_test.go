@@ -203,6 +203,55 @@ func TestINTFreeSchemeNeverAllocatesStack(t *testing.T) {
 	}
 }
 
+// A network's pool gets back every frame it hands out. Each run is a
+// 31-to-1 incast of 200 KB flows on a 512 KB buffer that ends frames
+// at switches as well as hosts — drops under DCQCN go-back-N and HPCC
+// IRN, PFC frames (and, without headroom, drops) under HPCC with PFC —
+// and is run until the engine is empty. The free lists must then hold
+// exactly the frames the pool carved: one fewer is a frame lost, one
+// more a frame Put twice.
+func TestPoolRecoversEveryFrame(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		hc   host.Config
+		sc   fabric.SwitchConfig
+	}{
+		{"dcqcn-gbn",
+			host.Config{CC: dcqcn.New(dcqcn.Config{})},
+			fabric.SwitchConfig{ECNEnabled: true, LossyEgressAlpha: 1}},
+		{"hpcc-irn",
+			host.Config{CC: hpcccc.New(hpcccc.Config{}), INT: true, FlowCtl: host.IRN},
+			fabric.SwitchConfig{INTEnabled: true, ECNEnabled: true, LossyEgressAlpha: 1}},
+		{"hpcc-pfc",
+			host.Config{CC: hpcccc.New(hpcccc.Config{}), INT: true},
+			fabric.SwitchConfig{INTEnabled: true, ECNEnabled: true, PFCEnabled: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pool := packet.NewPool()
+			c.hc.BaseRTT, c.hc.Pool = 13*sim.Microsecond, pool
+			c.sc.BufferBytes = 512 << 10
+			eng := sim.NewEngine()
+			nw := ScaledFatTree().Build(eng, c.hc, c.sc)
+			done := 0
+			for i := 1; i < len(nw.Hosts); i++ {
+				nw.StartFlow(i, 0, 200_000, func(*host.Flow) { done++ })
+			}
+			eng.Run()
+			var pfc uint64
+			for _, s := range nw.Switches {
+				pfc += s.PFCFramesSent()
+			}
+			if done != len(nw.Hosts)-1 || (c.sc.PFCEnabled && pfc == 0) || (!c.sc.PFCEnabled && nw.TotalDrops() == 0) {
+				t.Fatalf("%d/%d flows done, %d drops, %d PFC frames; want all, and drops or PFC frames as the run is lossy or not",
+					done, len(nw.Hosts)-1, nw.TotalDrops(), pfc)
+			}
+			if pool.Free() != pool.Allocated() {
+				t.Fatalf("free lists hold %d frames, the pool carved %d", pool.Free(), pool.Allocated())
+			}
+		})
+	}
+}
+
 // links lists every port of a built network, hosts first, as
 // "rate/delay", so two networks built alike print alike.
 func links(nw *Network) string {
