@@ -43,9 +43,9 @@ type FlowEvent struct {
 
 // Obs carries the optional observer callbacks a scenario attaches to a
 // run: per-flow FCT records, periodic queue samples, PFC pause
-// transitions, and — in sketch-stats mode — closed interval windows of
-// queue statistics. The public API's Observer values and
-// Network.TraceQueues ride these hooks.
+// transitions, and closed interval windows of queue statistics. The
+// public API's Observer values and Network.TraceQueues ride these
+// hooks.
 type Obs struct {
 	OnFlow  func(FlowEvent)
 	OnQueue func(stats.TimePoint)

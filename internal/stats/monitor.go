@@ -165,14 +165,11 @@ const depthCountBytes = 16
 
 // RetainedBytes is the monitor's logical stat footprint: one depth and
 // its count per distinct depth in exact mode, occupied sketch buckets
-// in sketch mode.
+// in sketch mode. The flush window belongs to the OnFlush consumer and
+// is left out in both, so attaching one never changes the figure.
 func (m *QueueMonitor) RetainedBytes() int64 {
 	if m.sketch != nil {
-		total := m.sketch.RetainedBytes()
-		if m.window != nil && m.window.Count() > 0 {
-			total += m.window.RetainedBytes()
-		}
-		return total
+		return m.sketch.RetainedBytes()
 	}
 	return int64(len(m.seen)) * depthCountBytes
 }

@@ -52,9 +52,10 @@ func routedOneWay(t *testing.T, nw *Network) sim.Time {
 	return worst
 }
 
-// exampleGraph is examples/custom's fabric with its host rate and link
-// delay as parameters: two racks of 4 hosts under ToRs dual-homed to
-// two spines, and a 2-host storage rack under spine 0 only.
+// exampleGraph is the root package's ExampleCustom fabric with its
+// host rate and link delay as parameters: two racks of 4 hosts under
+// ToRs dual-homed to two spines, and a 2-host storage rack under spine
+// 0 only.
 func exampleGraph(rate sim.Rate, delay sim.Time) GraphSpec {
 	var g GraphSpec
 	spine0, spine1 := g.AddSwitch(), g.AddSwitch()

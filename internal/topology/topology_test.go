@@ -204,32 +204,38 @@ func TestINTFreeSchemeNeverAllocatesStack(t *testing.T) {
 }
 
 // A network's pool gets back every frame it hands out. Each run is a
-// 31-to-1 incast of 200 KB flows on a 512 KB buffer that ends frames
-// at switches as well as hosts — drops under DCQCN go-back-N and HPCC
-// IRN, PFC frames (and, without headroom, drops) under HPCC with PFC —
-// and is run until the engine is empty. The free lists must then hold
-// exactly the frames the pool carved: one fewer is a frame lost, one
-// more a frame Put twice.
+// 31-to-1 incast of 200 KB flows that ends frames at switches as well
+// as hosts — drops under DCQCN go-back-N and HPCC IRN, PFC frames under
+// HPCC with PFC — and is run until the engine is empty. The free lists
+// must then hold exactly the frames the pool carved: one fewer is a
+// frame lost, one more a frame Put twice. With PFC on and a buffer
+// above the ToR's headroom sum, nothing may drop.
 func TestPoolRecoversEveryFrame(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		hc   host.Config
-		sc   fabric.SwitchConfig
+		name     string
+		hc       host.Config
+		sc       fabric.SwitchConfig
+		lossless bool // PFC with a buffer above the headroom sum: 0 drops
 	}{
 		{"dcqcn-gbn",
 			host.Config{CC: dcqcn.New(dcqcn.Config{})},
-			fabric.SwitchConfig{ECNEnabled: true, LossyEgressAlpha: 1}},
+			fabric.SwitchConfig{ECNEnabled: true, LossyEgressAlpha: 1, BufferBytes: 512 << 10}, false},
 		{"hpcc-irn",
 			host.Config{CC: hpcccc.New(hpcccc.Config{}), INT: true, FlowCtl: host.IRN},
-			fabric.SwitchConfig{INTEnabled: true, ECNEnabled: true, LossyEgressAlpha: 1}},
+			fabric.SwitchConfig{INTEnabled: true, ECNEnabled: true, LossyEgressAlpha: 1, BufferBytes: 512 << 10}, false},
+		// 512 KB is below a ScaledFatTree ToR's headroom sum, ≈ 627 KB of
+		// 2·(rate × delay) + 2 frames per ingress port, which PFC does not
+		// reserve: this run pauses and still drops, and go-back-N recovers.
 		{"hpcc-pfc",
 			host.Config{CC: hpcccc.New(hpcccc.Config{}), INT: true},
-			fabric.SwitchConfig{INTEnabled: true, ECNEnabled: true, PFCEnabled: true}},
+			fabric.SwitchConfig{INTEnabled: true, ECNEnabled: true, PFCEnabled: true, BufferBytes: 512 << 10}, false},
+		{"hpcc-pfc-1mb",
+			host.Config{CC: hpcccc.New(hpcccc.Config{}), INT: true},
+			fabric.SwitchConfig{INTEnabled: true, ECNEnabled: true, PFCEnabled: true, BufferBytes: 1 << 20}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pool := packet.NewPool()
 			c.hc.BaseRTT, c.hc.Pool = 13*sim.Microsecond, pool
-			c.sc.BufferBytes = 512 << 10
 			eng := sim.NewEngine()
 			nw := ScaledFatTree().Build(eng, c.hc, c.sc)
 			done := 0
@@ -244,6 +250,9 @@ func TestPoolRecoversEveryFrame(t *testing.T) {
 			if done != len(nw.Hosts)-1 || (c.sc.PFCEnabled && pfc == 0) || (!c.sc.PFCEnabled && nw.TotalDrops() == 0) {
 				t.Fatalf("%d/%d flows done, %d drops, %d PFC frames; want all, and drops or PFC frames as the run is lossy or not",
 					done, len(nw.Hosts)-1, nw.TotalDrops(), pfc)
+			}
+			if c.lossless && nw.TotalDrops() != 0 {
+				t.Fatalf("PFC on a %d KB buffer dropped %d frames, want 0", c.sc.BufferBytes>>10, nw.TotalDrops())
 			}
 			if pool.Free() != pool.Allocated() {
 				t.Fatalf("free lists hold %d frames, the pool carved %d", pool.Free(), pool.Allocated())

@@ -2,9 +2,11 @@ package hpcc_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -339,24 +341,23 @@ func TestObserversStream(t *testing.T) {
 }
 
 // The PFC observer sees pause/resume transitions when a deep incast
-// overwhelms a slow link in lossless mode.
+// overwhelms a link in lossless mode. The dumbbell's 400 Gbps core
+// carries the incast into the receivers' switch, so one ingress port
+// holds the whole backlog and crosses the pause threshold.
 func TestPFCObserverStreams(t *testing.T) {
 	var events []hpcc.PFCEvent
 	_, err := hpcc.Experiment{
 		Scheme:   "dcqcn",
-		Topology: hpcc.Star{Hosts: 17, LinkRateGbps: 25},
+		Topology: hpcc.Dumbbell{Pairs: 16, CoreRateGbps: 400},
 		Traffic:  []hpcc.Traffic{hpcc.Incast{FanIn: 16, FlowSizeBytes: 500_000, LoadFraction: 0.5}},
-		Horizon:  2 * time.Millisecond,
-		Drain:    20 * time.Millisecond,
+		Horizon:  200 * time.Microsecond,
+		Drain:    5 * time.Millisecond,
 		Observers: []hpcc.Observer{
 			hpcc.PFCObserver{OnEvent: func(e hpcc.PFCEvent) { events = append(events, e) }},
 		},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Skip("no PFC events at this scale (pause threshold not reached)")
 	}
 	pauses, resumes := 0, 0
 	for _, e := range events {
@@ -635,6 +636,43 @@ func TestExperimentValidation(t *testing.T) {
 		}
 		if _, err := e.Start(); err == nil {
 			t.Errorf("case %d: Start accepted invalid experiment", i)
+		}
+	}
+}
+
+// A StatsObserver only reads the run: for exact and sketch statistics,
+// with the horizon on a flush boundary (4 ms) and halfway through a
+// window (4.5 ms), the result is the same with and without one.
+func TestStatsObserverLeavesResult(t *testing.T) {
+	for _, sketch := range []bool{false, true} {
+		for _, horizon := range []time.Duration{4 * time.Millisecond, 4500 * time.Microsecond} {
+			t.Run(fmt.Sprintf("sketch=%v/horizon=%v", sketch, horizon), func(t *testing.T) {
+				t.Parallel()
+				e := hpcc.Experiment{
+					Topology:    hpcc.Pod{},
+					Traffic:     []hpcc.Traffic{hpcc.Poisson{CDF: hpcc.WebSearchCDF(), Load: 0.5}},
+					MaxFlows:    100,
+					Horizon:     horizon,
+					Drain:       10 * time.Millisecond,
+					SketchStats: sketch,
+				}
+				bare, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				flushes := 0
+				e.Observers = []hpcc.Observer{hpcc.StatsObserver{OnFlush: func(hpcc.StatsFlush) { flushes++ }}}
+				watched, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if flushes == 0 {
+					t.Fatal("no flush")
+				}
+				if !reflect.DeepEqual(bare, watched) {
+					t.Errorf("a StatsObserver changed the result\nwithout: %+v\nwith:    %+v", *bare, *watched)
+				}
+			})
 		}
 	}
 }
