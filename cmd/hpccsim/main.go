@@ -7,6 +7,12 @@
 //	hpccsim -scheme hpcc -topo pod -workload websearch -load 0.5
 //	hpccsim -scheme dcqcn -topo fattree -workload fbhadoop -incast
 //	hpccsim -json -scheme hpcc -load 0.5 > result.json
+//	hpccsim -topo fattree -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// -cpuprofile profiles exactly the simulation, and -memprofile writes a
+// heap profile taken after a forced GC once it ends, so it shows what
+// the run retains rather than its transient garbage; read either with
+// go tool pprof.
 package main
 
 import (
@@ -14,11 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
 	"hpcc"
-	"hpcc/internal/prof"
 )
 
 // options holds the scenario flags.
@@ -29,6 +36,7 @@ type options struct {
 	flows                             int
 	duration, drain                   time.Duration
 	seed                              int64
+	cpuProfile, memProfile            string
 }
 
 // registerFlags registers the scenario flags on fs and returns the
@@ -47,7 +55,44 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.lossy, "lossy", false, "disable PFC (go-back-N recovery)")
 	fs.BoolVar(&o.sketch, "sketch", false, "streaming statistics: constant-memory DDSketch quantiles instead of exact per-flow retention")
 	fs.Int64Var(&o.seed, "seed", 1, "RNG seed")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile (post-GC, retained memory) to this file on exit")
 	return o
+}
+
+// run executes exp under the requested profiles: the CPU profile covers
+// exactly the simulation, and the heap profile is written once it ends,
+// after a GC has flushed its transient garbage.
+func (o *options) run(exp hpcc.Experiment) (*hpcc.SimResult, error) {
+	var cpu *os.File
+	if o.cpuProfile != "" {
+		var err error
+		if cpu, err = os.Create(o.cpuProfile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	res, err := exp.Run()
+	if cpu != nil {
+		pprof.StopCPUProfile()
+		if cerr := cpu.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil && o.memProfile != "" {
+		var mem *os.File
+		if mem, err = os.Create(o.memProfile); err == nil {
+			runtime.GC()
+			err = pprof.Lookup("heap").WriteTo(mem, 0)
+			if cerr := mem.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	return res, err
 }
 
 // experiment maps the flags onto the Experiment they describe: Poisson
@@ -101,26 +146,14 @@ func (o *options) experiment() (hpcc.Experiment, error) {
 func main() {
 	opts := registerFlags(flag.CommandLine)
 	asJSON := flag.Bool("json", false, "emit the result as one JSON document")
-	profiles := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	exp, err := opts.experiment()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hpccsim:", err)
 		os.Exit(1)
 	}
-	stopProf, err := profiles.Start()
+	res, err := opts.run(exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hpccsim:", err)
-		os.Exit(1)
-	}
-
-	res, err := exp.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hpccsim:", err)
-		os.Exit(1)
-	}
-	// Profiles cover the simulation itself; flush before reporting.
-	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, "hpccsim:", err)
 		os.Exit(1)
 	}

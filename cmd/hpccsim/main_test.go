@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"flag"
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -118,6 +120,33 @@ func TestRunValidation(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%q: error %v, want one containing %s", c.args, err, c.want)
+		}
+	}
+}
+
+// -cpuprofile and -memprofile each leave a non-empty gzip-framed pprof
+// profile behind a tiny run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	cmd := exec.Command(os.Args[0], "-cpuprofile", cpu, "-memprofile", mem,
+		"-flows", "20", "-duration", "1ms", "-drain", "1ms")
+	cmd.Env = append(os.Environ(), "HPCCSIM_RUN_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("hpccsim: %v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+			t.Fatalf("%s: %d bytes of profile, %v; want a non-empty gzip stream", filepath.Base(path), n, err)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (e Experiment) edges() []int64 {
 }
 
 // Run executes the experiment to its horizon plus drain and summarizes
-// FCT-slowdown, queue and PFC statistics.
+// FCT-slowdown, queue and PFC statistics. Its errors are Start's.
 func (e Experiment) Run() (*SimResult, error) {
 	sc, err := e.scenario()
 	if err != nil {
@@ -158,7 +158,10 @@ func (e Experiment) Run() (*SimResult, error) {
 // and observers, and returns a Network for manual driving — start
 // explicit flows, issue READs, advance virtual time. Traffic arrivals
 // respect the Horizon (default 5 ms of virtual time); queue observers
-// sample over the same window.
+// sample over the same window. The error is a spec outside its valid
+// range or, once the fabric is built, a lossless fabric with a switch
+// whose buffer is below its PFC headroom sum: over its ports, 2 × rate
+// × delay plus two largest frames.
 func (e Experiment) Start() (*Network, error) {
 	sc, err := e.scenario()
 	if err != nil {
@@ -168,11 +171,13 @@ func (e Experiment) Start() (*Network, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	return &Network{
-		eng:    eng,
-		m:      experiment.StartManual(eng, sc),
-		scheme: sc.Scheme.Name,
-	}, nil
+	m := experiment.StartManual(eng, sc)
+	for _, sw := range m.Network.Switches {
+		if err := sw.CheckHeadroom(); err != nil {
+			return nil, err
+		}
+	}
+	return &Network{eng: eng, m: m, scheme: sc.Scheme.Name}, nil
 }
 
 // SimResult summarizes one load experiment.

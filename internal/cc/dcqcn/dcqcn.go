@@ -25,9 +25,6 @@ type Config struct {
 	// MinDecGap is Td, the minimum gap between two rate decreases;
 	// default 4 µs (vendor default in Figure 2).
 	MinDecGap sim.Time
-	// ByteCounter advances the increase stages every this many sent
-	// bytes (10 MB default); negative disables the byte counter.
-	ByteCounter int64
 	// Window, when true, adds the HPCC-style inflight cap W = Rc × T
 	// ("DCQCN+win", §5.1).
 	Window bool
@@ -41,6 +38,9 @@ const (
 	// FastRecoveryTh is F, the number of increase stages spent in fast
 	// recovery.
 	FastRecoveryTh = 5
+	// ByteCounter is B: every this many acknowledged bytes advance the
+	// byte-counter increase stage.
+	ByteCounter = 10 << 20
 )
 
 func (c *Config) normalize() {
@@ -49,9 +49,6 @@ func (c *Config) normalize() {
 	}
 	if c.MinDecGap == 0 {
 		c.MinDecGap = 4 * sim.Microsecond
-	}
-	if c.ByteCounter == 0 {
-		c.ByteCounter = 10 << 20
 	}
 }
 
@@ -142,7 +139,7 @@ func (d *DCQCN) increase() {
 // OnAck implements cc.Algorithm: only the byte counter consumes ACKs.
 func (d *DCQCN) OnAck(ev *cc.AckEvent) {
 	d.bytesSince += ev.AckedBytes
-	if d.cfg.ByteCounter > 0 && d.bytesSince >= d.cfg.ByteCounter {
+	if d.bytesSince >= ByteCounter {
 		d.bytesSince = 0
 		d.byteStage++
 		d.increase()

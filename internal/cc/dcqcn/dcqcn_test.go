@@ -116,13 +116,13 @@ func TestDecreaseGapTd(t *testing.T) {
 	}
 }
 
-// With the byte counter off, the rate timer alone drives the increase:
+// With no ACKs, the rate timer alone drives the increase:
 // after a cut, F = 5 timer events of fast recovery keep Rt and halve
 // Rt − Rc each, and the 6th is additive, raising Rt by exactly RateAI
 // (40 Mbps at 25 Gbps).
 func TestFastRecoveryApproachesTarget(t *testing.T) {
 	th := &timerHarness{}
-	d := newDCQCN(th, Config{RateIncTimer: 100 * sim.Microsecond, ByteCounter: -1})
+	d := newDCQCN(th, Config{RateIncTimer: 100 * sim.Microsecond})
 	// Two cuts pull Rt to half the line rate, so an additive step is not
 	// hidden by the cap at line rate.
 	d.OnCNP(th.Now())
@@ -148,12 +148,12 @@ func TestFastRecoveryApproachesTarget(t *testing.T) {
 
 func TestAdditiveThenHyperIncrease(t *testing.T) {
 	th := &timerHarness{}
-	cfg := Config{RateIncTimer: 100 * sim.Microsecond, ByteCounter: -1}
+	cfg := Config{RateIncTimer: 100 * sim.Microsecond}
 	d := newDCQCN(th, cfg)
 	d.OnCNP(th.Now())
 	// After F=5 timer ticks, timeStage exceeds F: additive increase
-	// raises Rt by RateAI each tick. Byte counter disabled, so HAI
-	// (needs both counters past F) never triggers.
+	// raises Rt by RateAI each tick. No ACK advances the byte counter,
+	// so HAI (needs both counters past F) never triggers.
 	th.AdvanceTo(20*100*sim.Microsecond + sim.Microsecond)
 	if d.TargetRate() <= d.RateBps()/2 {
 		t.Fatal("target rate did not grow under AI")
@@ -166,23 +166,35 @@ func TestAdditiveThenHyperIncrease(t *testing.T) {
 	}
 }
 
+// The byte counter raises the rate once ByteCounter bytes have been
+// acknowledged since its last event, not a byte earlier, and then
+// counts afresh.
 func TestByteCounterTriggersIncrease(t *testing.T) {
 	th := &timerHarness{}
-	cfg := Config{RateIncTimer: sim.Second, ByteCounter: 100_000}
+	cfg := Config{RateIncTimer: sim.Second}
 	d := newDCQCN(th, cfg)
 	d.OnCNP(th.Now())
 	r1 := d.RateBps()
-	// 100 KB of ACKed bytes: one byte-counter increase event (fast
+	d.OnAck(&cc.AckEvent{AckedBytes: ByteCounter - 1})
+	if d.RateBps() != r1 {
+		t.Fatalf("%d B acknowledged moved the rate %v → %v", ByteCounter-1, r1, d.RateBps())
+	}
+	// The byte that completes ByteCounter: one increase event (fast
 	// recovery: halve the gap to target).
-	d.OnAck(&cc.AckEvent{AckedBytes: 100_000})
-	if d.RateBps() <= r1 {
+	d.OnAck(&cc.AckEvent{AckedBytes: 1})
+	r2 := d.RateBps()
+	if r2 <= r1 {
 		t.Fatal("byte counter did not trigger an increase")
+	}
+	d.OnAck(&cc.AckEvent{AckedBytes: ByteCounter - 1})
+	if d.RateBps() != r2 {
+		t.Fatalf("the count did not restart: %d B more moved the rate %v → %v", ByteCounter-1, r2, d.RateBps())
 	}
 }
 
 func TestHyperIncreaseWhenBothExceed(t *testing.T) {
 	th := &timerHarness{}
-	cfg := Config{RateIncTimer: 100 * sim.Microsecond, ByteCounter: 10_000}
+	cfg := Config{RateIncTimer: 100 * sim.Microsecond}
 	d := newDCQCN(th, cfg)
 	// Two spaced CNPs pull the target rate well below line rate so the
 	// increase steps are observable (Rt saturates at line otherwise).
@@ -191,12 +203,12 @@ func TestHyperIncreaseWhenBothExceed(t *testing.T) {
 	d.OnCNP(th.Now())
 	// Drive the byte counter past F.
 	for i := 0; i < 6; i++ {
-		d.OnAck(&cc.AckEvent{AckedBytes: 10_000})
+		d.OnAck(&cc.AckEvent{AckedBytes: ByteCounter})
 	}
 	// And the timer counter past F.
 	th.AdvanceTo(th.Now() + 6*100*sim.Microsecond + sim.Microsecond)
 	rtBefore := d.TargetRate()
-	d.OnAck(&cc.AckEvent{AckedBytes: 10_000}) // both counters > F: HAI
+	d.OnAck(&cc.AckEvent{AckedBytes: ByteCounter}) // both counters > F: HAI
 	got := d.TargetRate() - rtBefore
 	if math.Abs(got-float64(400*sim.Mbps)) > 1 {
 		t.Fatalf("HAI step = %v, want %v", got, float64(400*sim.Mbps))

@@ -68,7 +68,7 @@ func Fig01(dur sim.Time, seed int64) *Fig01Result {
 	for _, h := range nw.Hosts {
 		hostTor = append(hostTor, h.Ports()...)
 	}
-	pause := func(ports []*fabric.Port) float64 { return stats.PFCPauseFraction(ports, fabric.PrioData, eng.Now()) }
+	pause := func(ports []*fabric.Port) float64 { return stats.PFCPauseFraction(ports, eng.Now()) }
 	res.PauseTimeByTier["agg->tor"] = pause(aggTor)
 	res.PauseTimeByTier["tor->agg"] = pause(torAgg)
 	res.PauseTimeByTier["host->tor"] = pause(hostTor)

@@ -127,7 +127,7 @@ func TestHandBuiltFiguresGolden(t *testing.T) {
 			for _, sw := range nw.Switches {
 				c := sw.Config()
 				fmt.Fprintln(&b, c.BufferBytes, c.PFCEnabled, fabric.PFCAlpha, fabric.PFCResumeHysteresis,
-					c.ECNEnabled, c.KMin, c.KMax, c.PMax, c.INTEnabled, c.INTQuantize, c.LossyEgressAlpha, c.Seed)
+					c.ECNEnabled, c.KMin, c.KMax, fabric.PMax, c.INTEnabled, c.INTQuantize, c.LossyEgressAlpha, c.Seed)
 			}
 			for _, hst := range nw.Hosts {
 				c := hst.Config()

@@ -294,7 +294,7 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*ManualNet, *s
 	if fct == nil && s.Obs.OnQueue == nil && s.Obs.OnQueueFlush == nil {
 		return m, nil
 	}
-	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), fabric.PrioData, QueueSample, s.Until)
+	mon := stats.NewQueueMonitor(eng, nw.EdgePorts(), QueueSample, s.Until)
 	mon.OnSample = s.Obs.OnQueue
 	if s.SketchStats {
 		mon.EnableSketch()
@@ -304,8 +304,9 @@ func (s *LoadScenario) start(eng *sim.Engine, fct *stats.FCTSet) (*ManualNet, *s
 }
 
 // RunLoad executes the scenario to its horizon and collects results.
-// The error is Validate's: the scenario is refused before anything is
-// built.
+// The error is Validate's, before anything is built, or that of a PFC
+// switch whose buffer is below its headroom sum
+// (fabric.Switch.CheckHeadroom), before the run starts.
 func RunLoad(s LoadScenario) (*LoadResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -317,6 +318,11 @@ func RunLoad(s LoadScenario) (*LoadResult, error) {
 		res.FCT = stats.NewStreamingFCT(s.FCTBucketEdges, 0)
 	}
 	m, mon := s.start(eng, &res.FCT)
+	for _, sw := range m.Network.Switches {
+		if err := sw.CheckHeadroom(); err != nil {
+			return nil, err
+		}
+	}
 
 	eng.RunUntil(s.Until + s.Drain)
 	mon.Stop()
@@ -350,7 +356,7 @@ func mustRunLoad(s LoadScenario) *LoadResult {
 // per-flow and per-port packet counts (including flows already evicted
 // into host aggregate counters).
 func collectFabric(res *LoadResult, nw *topology.Network, elapsed sim.Time) {
-	res.PauseFrac = stats.PFCPauseFraction(nw.SwitchPorts(), fabric.PrioData, elapsed)
+	res.PauseFrac = stats.PFCPauseFraction(nw.SwitchPorts(), elapsed)
 	res.Drops = nw.TotalDrops()
 	for _, h := range nw.Hosts {
 		evicted, pkts := h.EvictedFlows()

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,13 +140,13 @@ func TestLossyEgressDropsBeyondFreeBuffer(t *testing.T) {
 			dst := 1 + rng.Intn(3)*rng.Intn(2) // host 1 gets two thirds
 			payload := int32(1 + rng.Intn(packet.DefaultMTU))
 			p := &packet.Packet{
-				Type: packet.Data, Prio: fabric.PrioData, FlowID: int32(dst),
+				Type: packet.Data, FlowID: int32(dst),
 				Src: int32(nw.Hosts[0].ID()), Dst: int32(nw.Hosts[dst].ID()),
 				Size: payload + packet.HeaderBytes, PayloadLen: payload, Seq: seq[dst],
 			}
 			seq[dst] += int64(payload)
 			eg := sw.Ports()[sw.Route(nw.Hosts[dst].ID())[0]]
-			q, free := eg.QueueBytes(fabric.PrioData), buffer-sw.BufferUsed()
+			q, free := eg.QueueBytes(), buffer-sw.BufferUsed()
 			want := q+int64(p.Size) > free
 			before := sw.Drops()
 			sw.HandleArrival(p, in)
@@ -226,4 +227,64 @@ func FuzzSchedule(f *testing.F) {
 				s.FlowCtl, res.FCT.Count(), res.Censored, res.Started, inWindow)
 		}
 	})
+}
+
+// PFC's headroom rule on ScaledFatTree, 1 µs links. An ingress port
+// needs 2 × rate × delay + 2 largest frames: 2 × 50 000 + 2 × 1 106 =
+// 102 212 B at 400 Gbps and 27 212 B at 100 Gbps under HPCC's INT
+// frames (102 128 and 27 128 B with DCQCN's 1 064 B frames). A core
+// (4 fabric ports) needs 408 848 B, an aggregation switch (6) 613 272 B
+// and a ToR (4 + 8 hosts) 626 544 B. RunLoad refuses a PFC buffer below
+// a switch's sum, naming the first such switch in build order with both
+// numbers: 256 KB fails at core 0, 512 KB at aggregation switch 2.
+// Above every sum, a k-to-1 incast of 200 KB flows drops no frame and
+// every flow finishes, at 768 KB, 1 MB and 2 MB for k = 7, 15 and 31;
+// most of those runs pause.
+func TestPFCHeadroom(t *testing.T) {
+	paused := 0
+	for i, scheme := range []string{"hpcc", "dcqcn"} {
+		for _, c := range []struct {
+			buf int64
+			sw  int      // the switch refused, -1 for none
+			sum [2]int64 // its headroom sum under hpcc and dcqcn
+		}{
+			{256 << 10, 0, [2]int64{408_848, 408_512}},
+			{512 << 10, 2, [2]int64{613_272, 612_768}},
+			{768 << 10, -1, [2]int64{}},
+			{1 << 20, -1, [2]int64{}},
+			{2 << 20, -1, [2]int64{}},
+		} {
+			for _, fanIn := range []int{7, 15, 31} {
+				var flows workload.FlowList
+				for src := 1; src <= fanIn; src++ {
+					flows = append(flows, workload.FlowSpec{Src: src, Dst: 0, Size: 200_000})
+				}
+				res, err := RunLoad(LoadScenario{
+					Scheme: ByNameMust(scheme), Topo: FatTreeTopo(topology.ScaledFatTree()),
+					Traffic: []workload.Generator{flows}, Until: sim.Millisecond, Drain: 10 * sim.Millisecond,
+					PFC: true, BufferBytes: c.buf, Seed: 1,
+				})
+				if c.sw >= 0 {
+					want := fmt.Sprintf("fabric: PFC switch %d has a %d B buffer, below its headroom sum of %d B", c.sw, c.buf, c.sum[i])
+					if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "necessary for a lossless fabric, not a guarantee") {
+						t.Fatalf("%s, %d B buffer: error %v, want one starting %q", scheme, c.buf, err, want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s, %d B buffer: %v", scheme, c.buf, err)
+				}
+				if res.Drops != 0 || res.Censored != 0 || res.FCT.Count() != fanIn {
+					t.Fatalf("%s, %d B buffer, %d-to-1: %d drops, %d censored, %d of %d flows done; want 0, 0, all",
+						scheme, c.buf, fanIn, res.Drops, res.Censored, res.FCT.Count(), fanIn)
+				}
+				if res.PauseFrac > 0 {
+					paused++
+				}
+			}
+		}
+	}
+	if paused < 9 {
+		t.Fatalf("%d of 18 lossless runs paused; the fixture must exercise PFC", paused)
+	}
 }

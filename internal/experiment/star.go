@@ -102,7 +102,7 @@ func runStar(c starCell) *StarRun {
 		// StarSpec links host i to switch port i.
 		port := m.Network.Switches[0].Ports()[c.Sink]
 		watch := func() {
-			mon := stats.NewQueueMonitor(eng, []*fabric.Port{port}, fabric.PrioData, sim.Microsecond, c.Dur)
+			mon := stats.NewQueueMonitor(eng, []*fabric.Port{port}, sim.Microsecond, c.Dur)
 			mon.OnSample = func(tp stats.TimePoint) { r.Queue = append(r.Queue, tp) }
 		}
 		if c.QueueFrom == 0 {

@@ -20,7 +20,7 @@ func (r *recyclingSink) OnDequeue(p *packet.Packet, ingress int, from *Port) {
 }
 func (r *recyclingSink) HandleArrival(p *packet.Packet, in *Port) {
 	if p.Type == packet.PFC {
-		in.SetPaused(p.PFCPrio, p.PFCPause)
+		in.SetPaused(p.PFCPause)
 		r.pool.Put(p)
 		return
 	}
@@ -52,7 +52,6 @@ func TestForwardingHotPathAllocFree(t *testing.T) {
 			p.Type = packet.Data
 			p.FlowID = 1
 			p.Src, p.Dst = 1, 2
-			p.Prio = PrioData
 			p.Size = 1064
 			p.PayloadLen = 1000
 			p.Seq = int64(i) * 1000

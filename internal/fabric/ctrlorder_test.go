@@ -72,13 +72,13 @@ func checkControlOrder(t *testing.T, pfc bool, seed int64) {
 		eng.At(at, func() {
 			sent[flow]++
 			sa.Enqueue(&packet.Packet{Type: typ, FlowID: flow, Src: int32(src.id), Dst: int32(dst.id),
-				Prio: PrioCtrl, Size: size, Seq: sent[flow], AckSeq: 1000 * sent[flow]}, -1)
+				Size: size, Seq: sent[flow], AckSeq: 1000 * sent[flow]}, -1)
 		})
 	}
 	eng.Run()
 
 	drops := a.Drops() + b.Drops()
-	paused := sa.PausedFor(PrioData)
+	paused := sa.PausedFor()
 	switch {
 	case !pfc && drops == 0:
 		t.Fatalf("seed %d, PFC off: the flood dropped nothing", seed)
@@ -87,7 +87,7 @@ func checkControlOrder(t *testing.T, pfc bool, seed int64) {
 	}
 	var got [flows + 1]int64
 	for _, r := range dst.got {
-		if r.p.Prio != PrioCtrl {
+		if r.p.Type == packet.Data {
 			continue
 		}
 		f := r.p.FlowID

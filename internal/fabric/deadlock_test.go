@@ -22,8 +22,7 @@ func (s *stallingHost) HandleArrival(p *packet.Packet, in *Port) {
 	if !s.stalled && len(s.got) >= s.stallAfter {
 		s.stalled = true
 		in.Enqueue(&packet.Packet{
-			Type: packet.PFC, Prio: PrioCtrl, Size: packet.CtrlBytes,
-			PFCPrio: PrioData, PFCPause: true,
+			Type: packet.PFC, Size: packet.CtrlBytes, PFCPause: true,
 		}, -1)
 	}
 }
@@ -80,7 +79,7 @@ func TestPFCStormDeadlockCycle(t *testing.T) {
 		for k := 0; k < 120; k++ {
 			hostPorts[i].Enqueue(&packet.Packet{
 				Type: packet.Data, FlowID: int32(i), Src: int32(hosts[i].id), Dst: int32(dst),
-				Prio: PrioData, Size: 1064, Seq: int64(k) * 1000, PayloadLen: 1000,
+				Size: 1064, Seq: int64(k) * 1000, PayloadLen: 1000,
 			}, -1)
 		}
 	}
@@ -90,7 +89,7 @@ func TestPFCStormDeadlockCycle(t *testing.T) {
 	pausedRings := 0
 	for i := range s {
 		for _, p := range s[i].Ports() {
-			if p.Index() != 0 && p.Paused(PrioData) {
+			if p.Index() != 0 && p.Paused() {
 				pausedRings++
 			}
 		}

@@ -26,7 +26,7 @@ func (m *mockHost) ID() NodeID { return m.id }
 
 func (m *mockHost) HandleArrival(p *packet.Packet, in *Port) {
 	if p.Type == packet.PFC {
-		in.SetPaused(p.PFCPrio, p.PFCPause)
+		in.SetPaused(p.PFCPause)
 		return
 	}
 	m.got = append(m.got, arrival{p, m.eng.Now(), in})
@@ -37,7 +37,7 @@ func (m *mockHost) OnDequeue(p *packet.Packet, ingress int, from *Port) {}
 func data(flow int32, src, dst NodeID, seq int64, size int32) *packet.Packet {
 	return &packet.Packet{
 		Type: packet.Data, FlowID: flow, Src: int32(src), Dst: int32(dst),
-		Prio: PrioData, Size: size, Seq: seq, PayloadLen: size - packet.HeaderBytes,
+		Size: size, Seq: seq, PayloadLen: size - packet.HeaderBytes,
 	}
 }
 
@@ -46,7 +46,7 @@ func data(flow int32, src, dst NodeID, seq int64, size int32) *packet.Packet {
 func intData(flow int32, src, dst NodeID, seq int64, size int32) *packet.Packet {
 	p := packet.NewPool().GetINT()
 	p.Type, p.FlowID, p.Src, p.Dst = packet.Data, flow, int32(src), int32(dst)
-	p.Prio, p.Size, p.Seq, p.PayloadLen = PrioData, size, seq, size-packet.HeaderBytes
+	p.Size, p.Seq, p.PayloadLen = size, seq, size-packet.HeaderBytes
 	return p
 }
 
@@ -109,7 +109,7 @@ func TestStrictPriority(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ab.Enqueue(data(1, 1, 2, int64(i)*1000, 1064), -1)
 	}
-	ctrl := &packet.Packet{Type: packet.Ack, FlowID: 9, Src: 1, Dst: 2, Prio: PrioCtrl, Size: 64}
+	ctrl := &packet.Packet{Type: packet.Ack, FlowID: 9, Src: 1, Dst: 2, Size: 64}
 	ab.Enqueue(ctrl, -1)
 	eng.Run()
 	if len(b.got) != 4 {
@@ -128,16 +128,16 @@ func TestPortPauseResume(t *testing.T) {
 	ab, _ := Connect(eng, a, b, 0, 0, sim.Gbps, 0)
 	a.ports = append(a.ports, ab)
 
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
 	eng.RunUntil(sim.Millisecond)
 	if len(b.got) != 0 {
 		t.Fatal("data transmitted while paused")
 	}
-	if ab.PausedFor(PrioData) != sim.Millisecond {
-		t.Fatalf("PausedFor = %v, want 1ms", ab.PausedFor(PrioData))
+	if ab.PausedFor() != sim.Millisecond {
+		t.Fatalf("PausedFor = %v, want 1ms", ab.PausedFor())
 	}
-	ab.SetPaused(PrioData, false)
+	ab.SetPaused(false)
 	eng.Run()
 	if len(b.got) != 1 {
 		t.Fatal("data not transmitted after resume")
@@ -154,9 +154,9 @@ func TestPauseDoesNotBlockControl(t *testing.T) {
 	ab, _ := Connect(eng, a, b, 0, 0, sim.Gbps, 0)
 	a.ports = append(a.ports, ab)
 
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
-	ab.Enqueue(&packet.Packet{Type: packet.Ack, Src: 1, Dst: 2, Prio: PrioCtrl, Size: 64}, -1)
+	ab.Enqueue(&packet.Packet{Type: packet.Ack, Src: 1, Dst: 2, Size: 64}, -1)
 	eng.Run()
 	if len(b.got) != 1 || b.got[0].p.Type != packet.Ack {
 		t.Fatalf("control should pass a data pause; got %d arrivals", len(b.got))
@@ -185,7 +185,7 @@ func TestSwitchForwardsAndCounts(t *testing.T) {
 }
 
 func TestECNMarking(t *testing.T) {
-	cfg := SwitchConfig{ECNEnabled: true, KMin: 3000, KMax: 6000, PMax: 1.0}
+	cfg := SwitchConfig{ECNEnabled: true, KMin: 3000, KMax: 6000}
 	eng, a, s, b := lineTopoAsym(t, cfg, 400*sim.Gbps, 100*sim.Gbps, 0)
 	// Blast packets so the egress queue exceeds KMax: beyond it every
 	// packet must be marked.
@@ -330,7 +330,7 @@ func TestPFCPauseTriggersUpstream(t *testing.T) {
 	if as.PauseEvents() == 0 {
 		t.Fatal("upstream port never paused")
 	}
-	if as.PausedFor(PrioData) == 0 {
+	if as.PausedFor() == 0 {
 		t.Fatal("no pause time accumulated")
 	}
 	if s.Drops() != 0 {
@@ -339,7 +339,7 @@ func TestPFCPauseTriggersUpstream(t *testing.T) {
 	if len(b.got) != 200 {
 		t.Fatalf("arrivals = %d, want 200 (lossless)", len(b.got))
 	}
-	if as.Paused(PrioData) {
+	if as.Paused() {
 		t.Fatal("port still paused after drain")
 	}
 }

@@ -118,7 +118,7 @@ func TestStaleKickCancelledAtTie(t *testing.T) {
 	}
 }
 
-// A kick that fires into a paused priority does not serialize and does
+// A kick that fires into paused data does not serialize and does
 // not re-arm; the later resume must restart service itself, even when
 // it lands after the port has long gone idle.
 func TestPausedKickThenLateResume(t *testing.T) {
@@ -131,8 +131,8 @@ func TestPausedKickThenLateResume(t *testing.T) {
 	ser := sim.Gbps.TxTime(1064)
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
 	ab.Enqueue(data(1, 1, 2, 1000, 1064), -1)
-	ab.SetPaused(PrioData, true) // the kick at ser will find data paused
-	eng.At(3*ser, func() { ab.SetPaused(PrioData, false) })
+	ab.SetPaused(true) // the kick at ser will find data paused
+	eng.At(3*ser, func() { ab.SetPaused(false) })
 	eng.Run()
 	if len(b.got) != 2 {
 		t.Fatalf("arrivals = %d, want 2", len(b.got))
@@ -159,8 +159,8 @@ func TestResumeAtBusyUntilTie(t *testing.T) {
 	ser := sim.Gbps.TxTime(1064)
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1) // serializing until ser
 	ab.Enqueue(data(1, 1, 2, 1000, 1064), -1)
-	ab.SetPaused(PrioData, true)
-	eng.At(ser, func() { ab.SetPaused(PrioData, false) })
+	ab.SetPaused(true)
+	eng.At(ser, func() { ab.SetPaused(false) })
 	eng.Run()
 	if len(b.got) != 2 {
 		t.Fatalf("arrivals = %d, want 2", len(b.got))
@@ -173,8 +173,9 @@ func TestResumeAtBusyUntilTie(t *testing.T) {
 	}
 }
 
-// TotalQueueBytes is now a running sum; it must track the per-priority
-// breakdown through enqueues and serializations.
+// TotalQueueBytes is a running sum; it must track the frames in both
+// class queues, and QueueBytes those in the data queue, through
+// enqueues and serializations.
 func TestTotalQueueBytesRunningSum(t *testing.T) {
 	eng := sim.NewEngine()
 	a := &mockHost{id: 1, eng: eng}
@@ -184,17 +185,21 @@ func TestTotalQueueBytesRunningSum(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
-		var want int64
-		for prio := 0; prio < NumPrio; prio++ {
-			want += ab.QueueBytes(uint8(prio))
+		ringBytes := func(f *fifo[entry]) (n int64) {
+			for i := 0; i < f.n; i++ {
+				n += int64(f.buf[(f.head+i)&(len(f.buf)-1)].p.Size)
+			}
+			return n
 		}
-		if got := ab.TotalQueueBytes(); got != want {
-			t.Fatalf("%s: TotalQueueBytes = %d, per-prio sum = %d", label, got, want)
+		data, ctrl := ringBytes(&ab.data), ringBytes(&ab.ctrl)
+		if ab.QueueBytes() != data || ab.TotalQueueBytes() != data+ctrl {
+			t.Fatalf("%s: QueueBytes = %d, TotalQueueBytes = %d; the queues hold %d data and %d control bytes",
+				label, ab.QueueBytes(), ab.TotalQueueBytes(), data, ctrl)
 		}
 	}
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1) // serializes inline, not queued
 	ab.Enqueue(data(1, 1, 2, 1000, 1064), -1)
-	ab.Enqueue(&packet.Packet{Type: packet.Ack, Src: 1, Dst: 2, Prio: PrioCtrl, Size: 64}, -1)
+	ab.Enqueue(&packet.Packet{Type: packet.Ack, Src: 1, Dst: 2, Size: 64}, -1)
 	check("after enqueues")
 	if ab.TotalQueueBytes() == 0 {
 		t.Fatal("nothing queued behind the inline serialization")
@@ -243,15 +248,14 @@ func TestZeroKeyWiresTieInSerializationOrder(t *testing.T) {
 	}
 }
 
-// enqueueQueued is Enqueue without the cut-through: the frame is always
-// pushed onto its priority queue and kick pops it back. It is the
-// reference the cut-through must be indistinguishable from.
+// enqueueQueued is Enqueue of a data frame without the cut-through: the
+// frame is always pushed onto the data queue and kick pops it back. It
+// is the reference the cut-through must be indistinguishable from.
 func enqueueQueued(pt *Port, p *packet.Packet, ingress int) {
-	prio := p.Prio
-	pt.queues[prio].push(entry{p, ingress})
-	pt.qBytes[prio] += int64(p.Size)
+	pt.data.push(entry{p, ingress})
+	pt.qBytes += int64(p.Size)
 	pt.totQBytes += int64(p.Size)
-	pt.rxQ[prio] += uint64(p.Size)
+	pt.rxQ += uint64(p.Size)
 	if pt.totQBytes > pt.maxQBytes {
 		pt.maxQBytes = pt.totQBytes
 	}
@@ -285,7 +289,7 @@ func TestCutThroughMatchesQueuedPath(t *testing.T) {
 		if last.p != p || p.INT.NHops != 1 {
 			t.Fatalf("last arrival %+v with %d INT hops, want the test frame with 1", last.p, p.INT.NHops)
 		}
-		return outcome{last.at, p.INT.Hops[0], eg.MaxQueueBytes(), eg.PacketsSent(), eg.TxBytes(), eg.RxQueueBytes(PrioData), eng.Fired()}
+		return outcome{last.at, p.INT.Hops[0], eg.MaxQueueBytes(), eg.PacketsSent(), eg.TxBytes(), eg.RxQueueBytes(), eng.Fired()}
 	}
 	direct := run((*Port).Enqueue)
 	queued := run(enqueueQueued)
@@ -297,8 +301,8 @@ func TestCutThroughMatchesQueuedPath(t *testing.T) {
 	}
 }
 
-// A frame whose priority is paused must wait in its queue even on an
-// empty, idle port, and leave only when the priority resumes.
+// A data frame must wait in its queue while data is paused, even on an
+// empty, idle port, and leave only when data resumes.
 func TestCutThroughHoldsPausedPriority(t *testing.T) {
 	eng := sim.NewEngine()
 	a := &mockHost{id: 1, eng: eng}
@@ -306,14 +310,14 @@ func TestCutThroughHoldsPausedPriority(t *testing.T) {
 	ab, _ := Connect(eng, a, b, 0, 0, sim.Gbps, 0)
 	a.ports = append(a.ports, ab)
 
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
-	if ab.QueueLen(PrioData) != 1 || ab.PacketsSent() != 0 || eng.Pending() != 0 {
+	if ab.QueueLen() != 1 || ab.PacketsSent() != 0 || eng.Pending() != 0 {
 		t.Fatalf("paused frame: queued %d, sent %d, pending %d; want 1, 0, 0",
-			ab.QueueLen(PrioData), ab.PacketsSent(), eng.Pending())
+			ab.QueueLen(), ab.PacketsSent(), eng.Pending())
 	}
 	resume := 5 * sim.Microsecond
-	eng.At(resume, func() { ab.SetPaused(PrioData, false) })
+	eng.At(resume, func() { ab.SetPaused(false) })
 	eng.Run()
 	if want := resume + sim.Gbps.TxTime(1064); len(b.got) != 1 || b.got[0].at != want {
 		t.Fatalf("arrivals %v, want one at %v", b.got, want)
@@ -331,13 +335,13 @@ func TestCutThroughWaitsForFrameEnd(t *testing.T) {
 
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
 	ab.Enqueue(data(1, 1, 2, 1000, 1064), -1)
-	if ab.QueueLen(PrioData) != 1 || ab.PacketsSent() != 1 {
-		t.Fatalf("mid-frame enqueue: queued %d, sent %d; want 1, 1", ab.QueueLen(PrioData), ab.PacketsSent())
+	if ab.QueueLen() != 1 || ab.PacketsSent() != 1 {
+		t.Fatalf("mid-frame enqueue: queued %d, sent %d; want 1, 1", ab.QueueLen(), ab.PacketsSent())
 	}
 }
 
-// An idle port whose queues hold only paused frames still serves an
-// unpaused frame at once, but through the queue accounting: the
+// An idle port whose data queue holds only paused frames still serves a
+// control frame at once, but through the queue accounting: the
 // high-water mark counts the paused backlog too.
 func TestCutThroughBehindPausedBacklog(t *testing.T) {
 	eng := sim.NewEngine()
@@ -346,13 +350,13 @@ func TestCutThroughBehindPausedBacklog(t *testing.T) {
 	ab, _ := Connect(eng, a, b, 0, 0, sim.Gbps, 0)
 	a.ports = append(a.ports, ab)
 
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	ab.Enqueue(data(1, 1, 2, 0, 1064), -1)
 	ab.Enqueue(data(1, 1, 2, 1000, 1064), -1)
-	ab.Enqueue(&packet.Packet{Type: packet.Ack, Src: 1, Dst: 2, Prio: PrioCtrl, Size: 64}, -1)
-	if ab.PacketsSent() != 1 || ab.QueueLen(PrioCtrl) != 0 {
-		t.Fatalf("control frame behind a paused backlog: sent %d, queued %d; want 1, 0",
-			ab.PacketsSent(), ab.QueueLen(PrioCtrl))
+	ab.Enqueue(&packet.Packet{Type: packet.Ack, Src: 1, Dst: 2, Size: 64}, -1)
+	if ab.PacketsSent() != 1 || ab.TotalQueueBytes() != 2*1064 {
+		t.Fatalf("control frame behind a paused backlog: sent %d, %d B queued; want 1, the 2128 B of data",
+			ab.PacketsSent(), ab.TotalQueueBytes())
 	}
 	if got, want := ab.MaxQueueBytes(), int64(2*1064+64); got != want {
 		t.Fatalf("MaxQueueBytes = %d, want %d (paused backlog + control frame)", got, want)
@@ -392,7 +396,7 @@ func TestEmptyPortHasNoArmedKick(t *testing.T) {
 	}
 
 	a.ports[0].Enqueue(data(1, a.id, b.id, 200_000, 1064), -1)
-	a.ports[0].SetPaused(PrioData, true)
-	a.ports[0].SetPaused(PrioData, false)
+	a.ports[0].SetPaused(true)
+	a.ports[0].SetPaused(false)
 	check()
 }

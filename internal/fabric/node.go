@@ -1,8 +1,16 @@
 // Package fabric models the network data plane: duplex links, egress
-// ports with strict-priority queues, and shared-buffer switches
-// implementing WRED/ECN marking, dynamic-threshold PFC, ECMP routing and
-// INT stamping at dequeue — the full substrate the HPCC paper's
-// evaluation runs on.
+// ports, and shared-buffer switches implementing WRED/ECN marking,
+// dynamic-threshold PFC, ECMP routing and INT stamping at dequeue — the
+// full substrate the HPCC paper's evaluation runs on.
+//
+// Frames travel in two traffic classes, and a frame's class is its
+// type. Data frames (packet.Data) form the lossless data class: PFC
+// pauses it, switches charge it to the shared buffer, ECN-mark it and
+// stamp INT into it. Every other frame — ACK, NACK, CNP, PFC and RDMA
+// READ requests — rides the control class, a queue each port serves
+// ahead of data that is never paused, buffered against the shared
+// buffer, marked or stamped. The split matches production RoCE
+// deployments, where ACKs travel on a dedicated class.
 package fabric
 
 import (
@@ -27,15 +35,6 @@ type Node interface {
 	// checks and INT stamping.
 	OnDequeue(p *packet.Packet, ingress int, from *Port)
 }
-
-// Priority levels. Control traffic (ACK/NACK/CNP/PFC) rides the highest
-// priority and is never paused; data uses PrioData. The split matches
-// production RoCE deployments where ACKs travel on a dedicated class.
-const (
-	PrioCtrl = 0
-	PrioData = 1
-	NumPrio  = 2
-)
 
 // Connect wires a full-duplex link between nodes a and b with the given
 // rate and one-way propagation delay, returning the two directional

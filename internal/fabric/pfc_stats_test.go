@@ -21,25 +21,21 @@ func onePort(rate sim.Rate, delay sim.Time) (*sim.Engine, *Port, *mockHost) {
 // pause episodes.
 func TestPausedForIncludesInProgressPause(t *testing.T) {
 	eng, ab, _ := onePort(sim.Gbps, 0)
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	eng.RunUntil(300 * sim.Microsecond)
-	if got := ab.PausedFor(PrioData); got != 300*sim.Microsecond {
+	if got := ab.PausedFor(); got != 300*sim.Microsecond {
 		t.Fatalf("mid-pause PausedFor = %v, want 300µs", got)
 	}
 	eng.RunUntil(500 * sim.Microsecond)
-	ab.SetPaused(PrioData, false)
-	if got := ab.PausedFor(PrioData); got != 500*sim.Microsecond {
+	ab.SetPaused(false)
+	if got := ab.PausedFor(); got != 500*sim.Microsecond {
 		t.Fatalf("post-resume PausedFor = %v, want 500µs", got)
 	}
 	// A second episode accumulates on top of the first.
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	eng.RunUntil(600 * sim.Microsecond)
-	if got := ab.PausedFor(PrioData); got != 600*sim.Microsecond {
+	if got := ab.PausedFor(); got != 600*sim.Microsecond {
 		t.Fatalf("second-episode PausedFor = %v, want 600µs", got)
-	}
-	// The other priority never paused.
-	if got := ab.PausedFor(PrioCtrl); got != 0 {
-		t.Fatalf("control-class PausedFor = %v, want 0", got)
 	}
 }
 
@@ -47,17 +43,17 @@ func TestPausedForIncludesInProgressPause(t *testing.T) {
 // (same state) and resumes must not increment it.
 func TestPauseEventsCountsOnlyTransitions(t *testing.T) {
 	_, ab, _ := onePort(sim.Gbps, 0)
-	ab.SetPaused(PrioData, true)
-	ab.SetPaused(PrioData, true) // redundant pause: no transition
+	ab.SetPaused(true)
+	ab.SetPaused(true) // redundant pause: no transition
 	if got := ab.PauseEvents(); got != 1 {
 		t.Fatalf("PauseEvents after redundant pause = %d, want 1", got)
 	}
-	ab.SetPaused(PrioData, false)
-	ab.SetPaused(PrioData, false) // redundant resume
+	ab.SetPaused(false)
+	ab.SetPaused(false) // redundant resume
 	if got := ab.PauseEvents(); got != 1 {
 		t.Fatalf("PauseEvents after resume = %d, want 1 (resumes don't count)", got)
 	}
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	if got := ab.PauseEvents(); got != 2 {
 		t.Fatalf("PauseEvents after second pause = %d, want 2", got)
 	}
@@ -67,7 +63,7 @@ func TestPauseEventsCountsOnlyTransitions(t *testing.T) {
 // (and packets queued after it) drain without any new Enqueue poke.
 func TestResumeKickRestartsPausedQueue(t *testing.T) {
 	eng, ab, b := onePort(100*sim.Gbps, sim.Microsecond)
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	for i := 0; i < 5; i++ {
 		ab.Enqueue(data(1, 1, 2, int64(i)*1000, 1064), -1)
 	}
@@ -75,10 +71,10 @@ func TestResumeKickRestartsPausedQueue(t *testing.T) {
 	if len(b.got) != 0 {
 		t.Fatalf("%d packets transmitted while paused", len(b.got))
 	}
-	if got := ab.QueueLen(PrioData); got != 5 {
+	if got := ab.QueueLen(); got != 5 {
 		t.Fatalf("queued = %d, want 5", got)
 	}
-	ab.SetPaused(PrioData, false)
+	ab.SetPaused(false)
 	eng.Run()
 	if len(b.got) != 5 {
 		t.Fatalf("arrivals after resume = %d, want 5", len(b.got))
@@ -91,14 +87,14 @@ func TestResumeKickRestartsPausedQueue(t *testing.T) {
 	}
 	// A second pause/resume cycle keeps working (the paused flag and
 	// kick interplay has no one-shot behaviour).
-	ab.SetPaused(PrioData, true)
+	ab.SetPaused(true)
 	ab.Enqueue(data(1, 1, 2, 5000, 1064), -1)
-	ab.SetPaused(PrioData, false)
+	ab.SetPaused(false)
 	eng.Run()
 	if len(b.got) != 6 {
 		t.Fatalf("arrivals after second cycle = %d, want 6", len(b.got))
 	}
-	if ab.Paused(PrioData) {
+	if ab.Paused() {
 		t.Fatal("port left paused")
 	}
 }

@@ -56,9 +56,10 @@ func (f *fifo[T]) empty() bool { return f.n == 0 }
 func (f *fifo[T]) len() int { return f.n }
 
 // Port is one direction of a duplex link: the transmitter owned by a
-// node. It serializes packets from strict-priority queues onto the link,
-// honors per-priority PFC pause, and keeps the counters INT exposes
-// (cumulative tx bytes) plus pause-time statistics.
+// node. It serializes the frames of two classes onto the link: control
+// frames first and never paused, then data frames, which a PFC pause
+// holds. It keeps the counters INT exposes (cumulative tx bytes) plus
+// pause-time statistics.
 type Port struct {
 	eng   *sim.Engine
 	owner Node
@@ -86,10 +87,13 @@ type Port struct {
 	// assigns non-zero keys.
 	wireKey uint64
 
-	queues    [NumPrio]fifo[entry]
-	qBytes    [NumPrio]int64
-	totQBytes int64 // running sum of qBytes; kept so Enqueue's high-water update is O(1)
-	paused    [NumPrio]bool
+	// The two class queues, each FIFO. qBytes counts the data class
+	// only; totQBytes counts both, so Enqueue's cut-through test and
+	// high-water update are O(1).
+	ctrl, data fifo[entry]
+	qBytes     int64
+	totQBytes  int64
+	paused     bool // the data class is PFC-paused
 
 	// Lazy service state. The transmitter owns no standing tx-complete
 	// event: busyUntil records when the frame being serialized (if any)
@@ -107,24 +111,24 @@ type Port struct {
 	kickEv    sim.Timer
 	kickFn    func() // reusable closure built once at wiring time
 
-	txBytes uint64          // cumulative bytes fully handed to the serializer
-	rxQ     [NumPrio]uint64 // cumulative bytes enqueued, per priority (INT rxRate ablation)
+	txBytes uint64 // cumulative bytes fully handed to the serializer
+	rxQ     uint64 // cumulative data bytes enqueued (INT rxRate ablation)
 
 	// Statistics.
 	pktsSent    uint64
-	pauseStart  [NumPrio]sim.Time
-	pausedFor   [NumPrio]sim.Time
+	pauseStart  sim.Time
+	pausedFor   sim.Time
 	pauseEvents uint64
 	maxQBytes   int64
 
 	// pauseHook, if set, observes every pause/resume transition of this
 	// transmitter (the observer layer's PFC event stream).
-	pauseHook func(prio uint8, paused bool)
+	pauseHook func(paused bool)
 }
 
 // SetPauseHook installs fn to observe every PFC pause/resume transition
 // applied to this port. Pass nil to remove.
-func (pt *Port) SetPauseHook(fn func(prio uint8, paused bool)) { pt.pauseHook = fn }
+func (pt *Port) SetPauseHook(fn func(paused bool)) { pt.pauseHook = fn }
 
 func newPort(eng *sim.Engine, owner Node, index int, rate sim.Rate, delay sim.Time) *Port {
 	pt := &Port{eng: eng, owner: owner, index: index, rate: rate, perByte: rate.PsPerByte(), delay: delay}
@@ -153,23 +157,22 @@ func (pt *Port) Delay() sim.Time { return pt.delay }
 // Peer returns the node at the far end of the link.
 func (pt *Port) Peer() Node { return pt.peer }
 
-// QueueBytes returns the bytes currently queued at priority prio.
-func (pt *Port) QueueBytes(prio uint8) int64 { return pt.qBytes[prio] }
+// QueueBytes returns the data bytes currently queued.
+func (pt *Port) QueueBytes() int64 { return pt.qBytes }
 
-// QueueLen returns the number of packets queued at priority prio.
-func (pt *Port) QueueLen(prio uint8) int { return pt.queues[prio].len() }
+// QueueLen returns the number of data frames queued.
+func (pt *Port) QueueLen() int { return pt.data.len() }
 
-// TotalQueueBytes returns the bytes queued across all priorities
-// (maintained as a running sum; O(1)).
+// TotalQueueBytes returns the bytes queued in both classes.
 func (pt *Port) TotalQueueBytes() int64 { return pt.totQBytes }
 
 // TxBytes returns the cumulative transmitted byte counter (the INT
 // txBytes field).
 func (pt *Port) TxBytes() uint64 { return pt.txBytes }
 
-// RxQueueBytes returns the cumulative bytes ever enqueued at prio (the
-// INT rxBytes counter used by the HPCC-rxRate ablation).
-func (pt *Port) RxQueueBytes(prio uint8) uint64 { return pt.rxQ[prio] }
+// RxQueueBytes returns the cumulative data bytes ever enqueued (the INT
+// rxBytes counter used by the HPCC-rxRate ablation).
+func (pt *Port) RxQueueBytes() uint64 { return pt.rxQ }
 
 // PacketsSent returns the number of packets fully serialized.
 func (pt *Port) PacketsSent() uint64 { return pt.pktsSent }
@@ -180,59 +183,65 @@ func (pt *Port) MaxQueueBytes() int64 { return pt.maxQBytes }
 // PauseEvents returns how many pause transitions this port received.
 func (pt *Port) PauseEvents() uint64 { return pt.pauseEvents }
 
-// PausedFor returns the cumulative time the given priority has spent
+// PausedFor returns the cumulative time the data class has spent
 // paused, including an in-progress pause.
-func (pt *Port) PausedFor(prio uint8) sim.Time {
-	d := pt.pausedFor[prio]
-	if pt.paused[prio] {
-		d += pt.eng.Now() - pt.pauseStart[prio]
+func (pt *Port) PausedFor() sim.Time {
+	d := pt.pausedFor
+	if pt.paused {
+		d += pt.eng.Now() - pt.pauseStart
 	}
 	return d
 }
 
-// Paused reports whether prio is currently paused.
-func (pt *Port) Paused(prio uint8) bool { return pt.paused[prio] }
+// Paused reports whether the data class is currently paused.
+func (pt *Port) Paused() bool { return pt.paused }
 
-// SetPaused applies a PFC pause or resume to one priority. The packet
+// SetPaused applies a PFC pause or resume to the data class. The frame
 // currently being serialized, if any, always completes (hardware cannot
 // abort a frame mid-flight).
-func (pt *Port) SetPaused(prio uint8, pause bool) {
-	if pt.paused[prio] == pause {
+func (pt *Port) SetPaused(pause bool) {
+	if pt.paused == pause {
 		return
 	}
-	pt.paused[prio] = pause
+	pt.paused = pause
 	if pause {
-		pt.pauseStart[prio] = pt.eng.Now()
+		pt.pauseStart = pt.eng.Now()
 		pt.pauseEvents++
 	} else {
-		pt.pausedFor[prio] += pt.eng.Now() - pt.pauseStart[prio]
+		pt.pausedFor += pt.eng.Now() - pt.pauseStart
 		pt.kick()
 	}
 	if pt.pauseHook != nil {
-		pt.pauseHook(prio, pause)
+		pt.pauseHook(pause)
 	}
 }
 
-// Enqueue queues p at its priority for transmission. ingress is the
+// Enqueue queues p in its class for transmission. ingress is the
 // owner's port index the packet arrived on (-1 if locally generated).
 //
 // A frame that meets an idle transmitter (frame ended, queues empty, no
-// kick armed, its priority not paused) cuts through: it is serialized
-// at once, exactly as kick would after pushing and popping it back.
+// kick armed, its class not paused) cuts through: it is serialized at
+// once, exactly as kick would after pushing and popping it back.
 func (pt *Port) Enqueue(p *packet.Packet, ingress int) {
-	prio := p.Prio
 	size := int64(p.Size)
-	pt.rxQ[prio] += uint64(p.Size)
+	isData := p.Type == packet.Data
+	if isData {
+		pt.rxQ += uint64(p.Size)
+	}
 	now := pt.eng.Now()
-	if pt.totQBytes == 0 && !pt.kickArmed && !pt.paused[prio] && now >= pt.busyUntil {
+	if pt.totQBytes == 0 && !pt.kickArmed && !(isData && pt.paused) && now >= pt.busyUntil {
 		if size > pt.maxQBytes {
 			pt.maxQBytes = size
 		}
 		pt.serialize(p, ingress, now)
 		return
 	}
-	pt.queues[prio].push(entry{p, ingress})
-	pt.qBytes[prio] += size
+	if isData {
+		pt.data.push(entry{p, ingress})
+		pt.qBytes += size
+	} else {
+		pt.ctrl.push(entry{p, ingress})
+	}
 	pt.totQBytes += size
 	if pt.totQBytes > pt.maxQBytes {
 		pt.maxQBytes = pt.totQBytes
@@ -242,8 +251,8 @@ func (pt *Port) Enqueue(p *packet.Packet, ingress int) {
 
 // kick services the transmitter. Mid-frame (now < busyUntil) it arms at
 // most one deferred kick at the frame boundary and returns; otherwise
-// it serializes the head of the highest eligible (unpaused, nonempty)
-// priority queue — strict priority, lower index first — and, when more
+// it serializes the head of the control queue, or if that is empty the
+// head of the data queue unless data is paused, and, when more
 // packets remain queued, re-arms the deferred kick for the new frame's
 // end, exactly when the eager per-packet tx-complete event used to
 // fire. A drained queue arms nothing: the next Enqueue or PFC resume
@@ -260,15 +269,12 @@ func (pt *Port) kick() {
 		}
 		return
 	}
-	var prio int = -1
-	for i := 0; i < NumPrio; i++ {
-		if !pt.paused[i] && !pt.queues[i].empty() {
-			prio = i
-			break
+	q := &pt.ctrl
+	if q.empty() {
+		if pt.paused || pt.data.empty() {
+			return
 		}
-	}
-	if prio < 0 {
-		return
+		q = &pt.data
 	}
 	if pt.kickArmed {
 		// A kick armed for this very instant became redundant: another
@@ -278,9 +284,12 @@ func (pt *Port) kick() {
 		pt.eng.Cancel(pt.kickEv)
 		pt.kickEv = sim.Timer{}
 	}
-	e := pt.queues[prio].pop()
-	pt.qBytes[prio] -= int64(e.p.Size)
-	pt.totQBytes -= int64(e.p.Size)
+	e := q.pop()
+	size := int64(e.p.Size)
+	if q == &pt.data {
+		pt.qBytes -= size
+	}
+	pt.totQBytes -= size
 	pt.serialize(e.p, e.ingress, now)
 }
 

@@ -18,12 +18,11 @@ type SwitchConfig struct {
 	// dynamic pause threshold.
 	PFCEnabled bool
 
-	// ECNEnabled turns on WRED marking on the data priority: packets
-	// are CE-marked with probability rising linearly from 0 at KMin to
-	// PMax at KMax, and always above KMax (DCQCN-style marking).
+	// ECNEnabled turns on WRED marking of data frames: they are
+	// CE-marked with probability rising linearly from 0 at KMin to PMax
+	// at KMax, and always above KMax (DCQCN-style marking).
 	ECNEnabled bool
 	KMin, KMax int64
-	PMax       float64
 
 	// INTEnabled makes the switch stamp a telemetry record into data
 	// packets at dequeue. INTQuantize additionally rounds each record
@@ -48,9 +47,11 @@ type SwitchConfig struct {
 }
 
 const (
-	// PFCAlpha is the dynamic-threshold fraction: an ingress (port,
-	// priority) is paused when its buffered bytes exceed PFCAlpha ×
-	// (free buffer); the paper pauses at 11% of the free buffer (§5.1).
+	// PMax is the WRED marking probability at KMax.
+	PMax = 0.2
+	// PFCAlpha is the dynamic-threshold fraction: an ingress port's data
+	// class is paused when its buffered bytes exceed PFCAlpha × (free
+	// buffer); the paper pauses at 11% of the free buffer (§5.1).
 	PFCAlpha = 0.11
 	// PFCResumeHysteresis is how many bytes below the pause threshold
 	// the ingress must drain before a resume frame is sent.
@@ -68,9 +69,6 @@ func (c *SwitchConfig) Normalize() {
 	if c.KMax == 0 {
 		c.KMax = 400 << 10
 	}
-	if c.PMax == 0 {
-		c.PMax = 0.2
-	}
 }
 
 // Switch is a shared-buffer output-queued switch with ECMP routing,
@@ -85,9 +83,9 @@ type Switch struct {
 	ports  []*Port
 	routes [][]int // ECMP port set by destination NodeID (IDs are dense); built at wiring time
 
-	used      int64 // shared buffer bytes in use (data priorities)
-	ingressB  [][NumPrio]int64
-	pauseSent [][NumPrio]bool
+	used      int64   // shared buffer bytes in use (data class only)
+	ingressB  []int64 // buffered data bytes by ingress port
+	pauseSent []bool  // by ingress port: a pause went upstream, no resume yet
 
 	// Statistics.
 	drops     uint64
@@ -125,8 +123,8 @@ func (s *Switch) AttachPort(p *Port) {
 		panic("fabric: port attached out of order")
 	}
 	s.ports = append(s.ports, p)
-	s.ingressB = append(s.ingressB, [NumPrio]int64{})
-	s.pauseSent = append(s.pauseSent, [NumPrio]bool{})
+	s.ingressB = append(s.ingressB, 0)
+	s.pauseSent = append(s.pauseSent, false)
 }
 
 // Ports returns the switch's ports in index order.
@@ -170,6 +168,33 @@ func (s *Switch) BufferUsed() int64 { return s.used }
 // MaxBufferUsed returns the shared-buffer high-water mark.
 func (s *Switch) MaxBufferUsed() int64 { return s.maxUsed }
 
+// CheckHeadroom refuses a PFC switch whose shared buffer is below its
+// headroom sum: over its ports, 2 × (rate × delay) + 2 largest data
+// frames, the bytes an ingress can still receive after it sends a
+// pause. The pause threshold reserves none of it, so a smaller buffer
+// drops frames under enough fan-in. Clearing the sum is a necessary
+// condition for a lossless fabric, not a guarantee.
+func (s *Switch) CheckHeadroom() error {
+	if !s.cfg.PFCEnabled {
+		return nil
+	}
+	frame := int64(packet.DefaultMTU + packet.HeaderBytes)
+	if s.cfg.INTEnabled {
+		frame += packet.INTOverhead
+	}
+	var sum int64
+	for _, pt := range s.ports {
+		inFlight := int64(float64(pt.rate) * float64(pt.delay) / float64(8*sim.Second))
+		sum += 2*inFlight + 2*frame
+	}
+	if s.cfg.BufferBytes < sum {
+		return fmt.Errorf("fabric: PFC switch %d has a %d B buffer, below its headroom sum of %d B "+
+			"(2 × rate × delay + 2 frames of %d B per port); clearing that sum is necessary for a lossless fabric, not a guarantee",
+			s.id, s.cfg.BufferBytes, sum, frame)
+	}
+	return nil
+}
+
 // ecmpHash deterministically picks among n equal-cost ports based on
 // flow identity, so one flow always follows one path (per-flow ECMP).
 func ecmpHash(p *packet.Packet, salt NodeID, n int) int {
@@ -190,7 +215,7 @@ func (s *Switch) HandleArrival(p *packet.Packet, in *Port) {
 	if p.Type == packet.PFC {
 		// A pause frame from the downstream neighbor: stop/resume our
 		// transmitter on that link.
-		in.SetPaused(p.PFCPrio, p.PFCPause)
+		in.SetPaused(p.PFCPause)
 		s.pool.Put(p)
 		return
 	}
@@ -207,12 +232,11 @@ func (s *Switch) HandleArrival(p *packet.Packet, in *Port) {
 		egIdx = cand[ecmpHash(p, s.id, len(cand))]
 	}
 	eg := s.ports[egIdx]
-	prio := p.Prio
 	size := int64(p.Size)
 
-	if prio == PrioCtrl {
-		// Control traffic bypasses shared-buffer accounting (tiny
-		// frames on a dedicated class, never dropped or paused).
+	if p.Type != packet.Data {
+		// The control class bypasses shared-buffer accounting (tiny
+		// frames, never dropped or paused).
 		eg.Enqueue(p, -1)
 		return
 	}
@@ -220,7 +244,7 @@ func (s *Switch) HandleArrival(p *packet.Packet, in *Port) {
 	// Lossy-mode dynamic egress threshold (paper footnote 6).
 	if !s.cfg.PFCEnabled && s.cfg.LossyEgressAlpha > 0 {
 		limit := int64(s.cfg.LossyEgressAlpha * float64(s.cfg.BufferBytes-s.used))
-		if eg.QueueBytes(prio)+size > limit {
+		if eg.QueueBytes()+size > limit {
 			s.drops++
 			s.pool.Put(p)
 			return
@@ -237,16 +261,16 @@ func (s *Switch) HandleArrival(p *packet.Packet, in *Port) {
 		s.maxUsed = s.used
 	}
 	inIdx := in.Index()
-	s.ingressB[inIdx][prio] += size
+	s.ingressB[inIdx] += size
 
 	// WRED / ECN marking on the post-enqueue queue depth.
-	if s.cfg.ECNEnabled && p.Type == packet.Data {
-		q := eg.QueueBytes(prio) + size
+	if s.cfg.ECNEnabled {
+		q := eg.QueueBytes() + size
 		if q > s.cfg.KMax {
 			p.ECNCE = true
 			s.ecnMarked++
 		} else if q > s.cfg.KMin {
-			prob := float64(q-s.cfg.KMin) / float64(s.cfg.KMax-s.cfg.KMin) * s.cfg.PMax
+			prob := float64(q-s.cfg.KMin) / float64(s.cfg.KMax-s.cfg.KMin) * PMax
 			if s.rng.Float64() < prob {
 				p.ECNCE = true
 				s.ecnMarked++
@@ -258,10 +282,10 @@ func (s *Switch) HandleArrival(p *packet.Packet, in *Port) {
 
 	// PFC: pause the upstream if this ingress now exceeds the dynamic
 	// threshold.
-	if s.cfg.PFCEnabled && !s.pauseSent[inIdx][prio] {
-		if s.ingressB[inIdx][prio] > s.pfcThreshold() {
-			s.pauseSent[inIdx][prio] = true
-			s.sendPFC(in, prio, true)
+	if s.cfg.PFCEnabled && !s.pauseSent[inIdx] {
+		if s.ingressB[inIdx] > s.pfcThreshold() {
+			s.pauseSent[inIdx] = true
+			s.sendPFC(in, true)
 		}
 	}
 }
@@ -275,12 +299,10 @@ func (s *Switch) pfcThreshold() int64 {
 	return int64(PFCAlpha * float64(free))
 }
 
-func (s *Switch) sendPFC(via *Port, prio uint8, pause bool) {
+func (s *Switch) sendPFC(via *Port, pause bool) {
 	f := s.pool.Get()
 	f.Type = packet.PFC
-	f.Prio = PrioCtrl
 	f.Size = packet.CtrlBytes
-	f.PFCPrio = prio
 	f.PFCPause = pause
 	s.pfcSent++
 	via.Enqueue(f, -1)
@@ -290,18 +312,17 @@ func (s *Switch) sendPFC(via *Port, prio uint8, pause bool) {
 // stamping at the egress, in that order.
 func (s *Switch) OnDequeue(p *packet.Packet, ingress int, from *Port) {
 	if ingress >= 0 {
-		prio := p.Prio
 		size := int64(p.Size)
 		s.used -= size
-		s.ingressB[ingress][prio] -= size
-		if s.cfg.PFCEnabled && s.pauseSent[ingress][prio] {
+		s.ingressB[ingress] -= size
+		if s.cfg.PFCEnabled && s.pauseSent[ingress] {
 			resumeAt := s.pfcThreshold() - PFCResumeHysteresis
 			if resumeAt < 0 {
 				resumeAt = 0
 			}
-			if s.ingressB[ingress][prio] <= resumeAt {
-				s.pauseSent[ingress][prio] = false
-				s.sendPFC(s.ports[ingress], prio, false)
+			if s.ingressB[ingress] <= resumeAt {
+				s.pauseSent[ingress] = false
+				s.sendPFC(s.ports[ingress], false)
 			}
 		}
 	}
@@ -310,8 +331,8 @@ func (s *Switch) OnDequeue(p *packet.Packet, ingress int, from *Port) {
 			B:       from.Rate(),
 			TS:      s.eng.Now(),
 			TxBytes: from.TxBytes(),
-			RxBytes: from.RxQueueBytes(p.Prio),
-			QLen:    from.QueueBytes(p.Prio),
+			RxBytes: from.RxQueueBytes(),
+			QLen:    from.QueueBytes(),
 		}
 		if s.cfg.INTQuantize {
 			hop = hop.Quantize()

@@ -15,17 +15,18 @@ import (
 // the egress paused every packet's depth is known, so over many
 // switches the marked count must lie within 4σ of Σ p(q).
 func TestWREDMarkingProbability(t *testing.T) {
-	const kMin, kMax, pMax = 20_000, 80_000, 0.4
+	const kMin, kMax = 20_000, 80_000
+	const pMax = 0.2 // the paper's DCQCN setting, not PMax
 	var marked, want, variance float64
 	for seed := int64(1); seed <= 40; seed++ {
-		cfg := SwitchConfig{ECNEnabled: true, KMin: kMin, KMax: kMax, PMax: pMax, Seed: seed}
+		cfg := SwitchConfig{ECNEnabled: true, KMin: kMin, KMax: kMax, Seed: seed}
 		_, a, s, b := lineTopo(t, cfg, 100*sim.Gbps, 0)
 		in, eg := s.Ports()[0], s.Ports()[1]
-		eg.SetPaused(PrioData, true)
-		for i := int64(0); eg.QueueBytes(PrioData) <= 2*kMax; i++ {
+		eg.SetPaused(true)
+		for i := int64(0); eg.QueueBytes() <= 2*kMax; i++ {
 			p := data(1, a.id, b.id, i*1000, 1064)
 			s.HandleArrival(p, in)
-			switch q := eg.QueueBytes(PrioData); {
+			switch q := eg.QueueBytes(); {
 			case q > kMax && !p.ECNCE:
 				t.Fatalf("seed %d: packet at depth %d > KMax not marked", seed, q)
 			case q <= kMin && p.ECNCE:
@@ -71,7 +72,7 @@ func TestPFCThresholdProperty(t *testing.T) {
 			s.InstallRoute(h.id, []int{i})
 		}
 		eg := s.Ports()[1] // toward host 2; hosts 1 and 3 send
-		eg.SetPaused(PrioData, true)
+		eg.SetPaused(true)
 
 		// The model, and the frames each upstream host saw this step.
 		var used int64
@@ -80,7 +81,7 @@ func TestPFCThresholdProperty(t *testing.T) {
 		var fifo []struct{ in, size int64 }
 		var got [3][]bool
 		for i, h := range hosts {
-			h.ports[0].SetPauseHook(func(prio uint8, p bool) { got[i] = append(got[i], p) })
+			h.ports[0].SetPauseHook(func(p bool) { got[i] = append(got[i], p) })
 		}
 		frames := uint64(0)
 		// step applies one arrival (in >= 0) or dequeue (in < 0) and
@@ -96,8 +97,8 @@ func TestPFCThresholdProperty(t *testing.T) {
 					paused[in], want[in] = true, []bool{true}
 				}
 			} else {
-				eg.SetPaused(PrioData, false) // serializes the head frame
-				eg.SetPaused(PrioData, true)
+				eg.SetPaused(false) // serializes the head frame
+				eg.SetPaused(true)
 				head := fifo[0]
 				fifo = fifo[1:]
 				used -= head.size
@@ -147,8 +148,8 @@ func TestPFCThresholdProperty(t *testing.T) {
 			}
 		}
 		// Drained: every pause has been paired with its resume.
-		return !paused[0] && !paused[2] && !hosts[0].ports[0].Paused(PrioData) &&
-			!hosts[2].ports[0].Paused(PrioData) && s.Drops() == 0
+		return !paused[0] && !paused[2] && !hosts[0].ports[0].Paused() &&
+			!hosts[2].ports[0].Paused() && s.Drops() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@ import "fmt"
 // as simulation state: a recycled *Flow or QPN handed out twice, or one
 // a live structure still points to, would let one transfer scribble
 // over another. Every QPN but 0 is either bound or free, never both; a
-// bound sender QP's flow names its own slot; and a finished receive QP
-// stays bound only while it sits in the ring of finished QPs.
+// bound sender QP's flow names its own slot; and a receive QP is freed
+// when its flow finishes.
 func (h *Host) AuditFreeLists() error {
 	held := make(map[*Flow]int)
 	for qp, f := range h.sendQP {
@@ -39,19 +39,9 @@ func (h *Host) AuditFreeLists() error {
 	if err := auditQPs("receive", len(h.recv), h.recvFree, func(qp int) bool { return h.recv[qp].flowID != 0 }); err != nil {
 		return fmt.Errorf("host %d: %v", h.id, err)
 	}
-	ring := make(map[int32]bool)
-	for _, qp := range h.doneRing {
-		if qp == 0 {
-			continue
-		}
-		if rs := &h.recv[qp]; ring[qp] || rs.flowID == 0 || !rs.finished() {
-			return fmt.Errorf("host %d: the ring holds receive QP %d twice, free or unfinished", h.id, qp)
-		}
-		ring[qp] = true
-	}
 	for qp := 1; qp < len(h.recv); qp++ {
-		if rs := &h.recv[qp]; rs.flowID != 0 && rs.finished() && !ring[int32(qp)] {
-			return fmt.Errorf("host %d: finished receive QP %d (flow %d) is bound outside the ring", h.id, qp, rs.flowID)
+		if rs := &h.recv[qp]; rs.flowID != 0 && rs.finished() {
+			return fmt.Errorf("host %d: finished receive QP %d (flow %d) is still bound", h.id, qp, rs.flowID)
 		}
 	}
 	return nil
@@ -83,12 +73,11 @@ func auditQPs(kind string, n int, free []int32, bound func(qp int) bool) error {
 	return nil
 }
 
-// OpenRecvQPs returns how many receive QPs are bound to a flow whose
-// bytes have not all arrived.
+// OpenRecvQPs returns how many receive QPs are bound to a flow.
 func (h *Host) OpenRecvQPs() int {
 	n := 0
 	for qp := 1; qp < len(h.recv); qp++ {
-		if rs := &h.recv[qp]; rs.flowID != 0 && !rs.finished() {
+		if h.recv[qp].flowID != 0 {
 			n++
 		}
 	}

@@ -188,7 +188,6 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 	p.DstQP = f.peerQP
 	p.Src = int32(f.host.id)
 	p.Dst = int32(f.dst)
-	p.Prio = fabric.PrioData
 	p.Size = size
 	p.Seq = seq
 	p.PayloadLen = payload

@@ -109,14 +109,6 @@ type Host struct {
 	// CC schemes (DCQCN's per-flow clocks) do not allocate per tick.
 	wrapFree []*schedWrap
 
-	// doneRing holds the QPNs of the most recently finished receive
-	// QPs. A finished QP stays bound, dropping straggler duplicates of
-	// its flow, until doneRingSize later completions push it out and
-	// its QPN goes to recvFree: as on a NIC, a QPN is not reissued
-	// while the old connection's frames may still be in flight.
-	doneRing [doneRingSize]int32
-	doneHead int
-
 	// Completed-flow retention ring (Config.CompletedWindow): the most
 	// recent completions, plus aggregate counters for the flows already
 	// evicted from it.
@@ -130,10 +122,6 @@ type Host struct {
 	// place of an allocation.
 	flowFree []*Flow
 }
-
-// doneRingSize is how many finished receive QPs a host keeps bound
-// (power of two).
-const doneRingSize = 64
 
 // schedWrap adapts one cc.Env.Schedule call onto the engine: it guards
 // the callback behind the flow's liveness and follows it with trySend,
@@ -220,7 +208,7 @@ func (h *Host) OnDequeue(p *packet.Packet, ingress int, from *fabric.Port) {}
 func (h *Host) HandleArrival(p *packet.Packet, in *fabric.Port) {
 	switch p.Type {
 	case packet.PFC:
-		in.SetPaused(p.PFCPrio, p.PFCPause)
+		in.SetPaused(p.PFCPause)
 		h.pool.Put(p)
 	case packet.Data:
 		h.handleData(p, in)
@@ -370,7 +358,6 @@ func (h *Host) Read(id int32, responder *Host, size int64, portIdx int, onDone f
 	req.DstQP = f.qp
 	req.Src = int32(h.id)
 	req.Dst = int32(responder.id)
-	req.Prio = fabric.PrioCtrl
 	req.Size = packet.CtrlBytes
 	req.Seq = size
 	h.ports[portIdx].Enqueue(req, -1)

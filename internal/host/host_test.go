@@ -367,7 +367,7 @@ func TestCNPGeneration(t *testing.T) {
 	mock := &mockCC{rate: float64(line100)}
 	cfg := Config{CC: func() cc.Algorithm { return mock }, BaseRTT: 10 * sim.Microsecond}
 	// Every data frame is marked: the post-enqueue depth is above KMax.
-	scfg := fabric.SwitchConfig{ECNEnabled: true, KMin: 1, KMax: 2, PMax: 1}
+	scfg := fabric.SwitchConfig{ECNEnabled: true, KMin: 1, KMax: 2}
 	eng := sim.NewEngine()
 	sw := fabric.NewSwitch(eng, 1000, scfg)
 	a := New(eng, 1, cfg)

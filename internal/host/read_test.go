@@ -24,10 +24,10 @@ func TestRDMARead(t *testing.T) {
 	if got := f.Acked(); got != 500_000 {
 		t.Fatalf("responder streamed %d acked bytes, want 500000", got)
 	}
-	// The requester's receive QP finished once the stream landed, and
+	// The requester's receive QP was freed once the stream landed, and
 	// its READ is settled.
 	rq := &nw.hosts[0].recv[f.peerQP]
-	if rq.flowID != 1 || !rq.finished() || rq.readDone != nil || nw.hosts[0].OpenRecvQPs() != 0 {
+	if rq.flowID != 0 || !rq.finished() || rq.readDone != nil || nw.hosts[0].OpenRecvQPs() != 0 {
 		t.Fatalf("requester receive QP %d: flow %d, finished %v, READ pending %v", f.peerQP, rq.flowID, rq.finished(), rq.readDone != nil)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // reassembly plus go-back-N's NACK or IRN's out-of-order chunk set, and
 // DCQCN's CNP rate limiter — with the sender QPN its ACK, NACK and CNP
 // frames are addressed to and the RDMA READ it completes, if any. It
-// lives in Host.recv at its QPN, from openRecv until doneRing recycles
-// it after the flow's final byte was delivered in order (the sender
-// marks the last chunk with FlowEnd).
+// lives in Host.recv at its QPN, from openRecv until the flow's final
+// byte was delivered in order (the sender marks the last chunk with
+// FlowEnd); then its QPN is freed.
 type recvState struct {
 	flowID   int32 // 0 while the QPN is free
 	peerQP   int32 // the flow's sender QPN at the peer
@@ -40,7 +40,7 @@ func (h *Host) openRecv(id, peer int32) int32 {
 		qp = h.recvFree[n-1]
 		h.recvFree = h.recvFree[:n-1]
 	} else {
-		// h.recv grows to the host's peak open + doneRingSize QPs.
+		// h.recv grows to the host's peak of open QPs.
 		qp = int32(len(h.recv))
 		h.recv = append(h.recv, recvState{})
 	}
@@ -55,10 +55,12 @@ func (h *Host) openRecv(id, peer int32) int32 {
 // reuses the INT stack without copying it) or returned to the pool.
 func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	qp := p.DstQP
-	if qp <= 0 || int(qp) >= len(h.recv) || h.recv[qp].flowID != p.FlowID || h.recv[qp].finished() {
+	if qp <= 0 || int(qp) >= len(h.recv) || h.recv[qp].flowID != p.FlowID {
 		// No open receive QP: a straggler duplicate of a finished flow
-		// (e.g. an RTO retransmission racing the final ACK). Drop it:
-		// no ACK, no NACK, no state.
+		// (e.g. an RTO retransmission racing the final ACK). Its QPN was
+		// freed at finish, and flow IDs are network-unique, so a QPN
+		// reissued since names another flow. Drop it: no ACK, no NACK,
+		// no state.
 		h.pool.Put(p)
 		return
 	}
@@ -113,20 +115,15 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	}
 
 	// End of flow: every byte up to the FlowEnd marker arrived in
-	// order. The QP joins the ring of finished QPs, which recycles the
-	// QP that finished doneRingSize completions ago.
+	// order, so the QP is freed.
 	if rs.finished() {
-		slot := &h.doneRing[h.doneHead&(doneRingSize-1)]
-		h.doneHead++
-		if old := *slot; old != 0 {
-			h.recv[old].flowID = 0
-			h.recvFree = append(h.recvFree, old)
-		}
-		*slot = qp
+		rs.flowID = 0
+		h.recvFree = append(h.recvFree, qp)
 	}
 	// A pending RDMA READ completes once its response stream has fully
-	// arrived in order. Last, because onDone may open receive QPs here
-	// and so move h.recv.
+	// arrived in order. Its fields are read before onDone runs, because
+	// onDone may open receive QPs here, reissuing this QPN or moving
+	// h.recv.
 	if done := rs.readDone; done != nil && rs.rcvNxt >= rs.readSize {
 		rs.readDone = nil
 		done()
@@ -145,7 +142,6 @@ func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, rs *recvState) {
 	}
 	p.Type = packet.Ack
 	p.Src, p.Dst = p.Dst, p.Src
-	p.Prio = fabric.PrioCtrl
 	p.Size = size
 	p.DstQP = rs.peerQP
 	p.AckSeq = rs.rcvNxt
@@ -163,7 +159,6 @@ func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, qp int32, typ packet
 	ctrl.DstQP = qp
 	ctrl.Src = p.Dst
 	ctrl.Dst = p.Src
-	ctrl.Prio = fabric.PrioCtrl
 	ctrl.Size = packet.CtrlBytes
 	ctrl.AckSeq = expSeq
 	ctrl.DataSeq = gotSeq

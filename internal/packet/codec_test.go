@@ -87,8 +87,8 @@ func TestPacketString(t *testing.T) {
 	if got := p.String(); got != "DATA f7 seq=1000 len=1000" {
 		t.Errorf("String = %q", got)
 	}
-	p = &Packet{Type: PFC, PFCPause: true, PFCPrio: 3}
-	if got := p.String(); got != "PFC PAUSE prio=3" {
+	p = &Packet{Type: PFC, PFCPause: true}
+	if got := p.String(); got != "PFC PAUSE" {
 		t.Errorf("String = %q", got)
 	}
 }

@@ -110,22 +110,22 @@ func (h *INTHeader) Records() []Hop {
 
 // Packet is a simulated frame. One struct covers every frame type; each
 // field's comment names the frame types that use it, and the one-byte
-// fields sit together so the struct is 80 bytes. Packets come from
+// fields sit together so the struct is 80 bytes. A frame's traffic
+// class is its type: Data rides the lossless data class, every other
+// type the control class (see package fabric). Packets come from
 // per-network free-list Pools and are recycled at their terminal
 // consumption points (ACK processing, switch drops, PFC consumption);
 // the simulator never aliases a packet after handing it to the next
 // node.
 type Packet struct {
 	Type Type
-	Prio uint8 // priority queue index (0 = control, highest)
 	// FlowEnd (data) marks the chunk carrying the flow's final byte, so
 	// the receiver can finish the flow's receive QP once everything up
 	// to it has been delivered in order.
 	FlowEnd  bool
-	ECNCE    bool  // data: congestion-experienced mark set by switches
-	ECE      bool  // ACK: ECN echo
-	PFCPrio  uint8 // PFC: the paused priority
-	PFCPause bool  // PFC: true = pause, false = resume
+	ECNCE    bool // data: congestion-experienced mark set by switches
+	ECE      bool // ACK: ECN echo
+	PFCPause bool // PFC: true = pause the data class, false = resume it
 
 	FlowID     int32 // sender-assigned flow identifier
 	Src, Dst   int32 // host node IDs (network-wide)
@@ -163,7 +163,7 @@ func (p *Packet) String() string {
 		if p.PFCPause {
 			op = "PAUSE"
 		}
-		return fmt.Sprintf("PFC %s prio=%d", op, p.PFCPrio)
+		return "PFC " + op
 	default:
 		return p.Type.String()
 	}

@@ -13,7 +13,6 @@ import (
 type QueueMonitor struct {
 	eng      *sim.Engine
 	ports    []*fabric.Port
-	prio     uint8
 	interval sim.Time
 	until    sim.Time
 	tickFn   func() // m.tick bound once: re-arming with the method value would allocate a closure per tick
@@ -60,8 +59,8 @@ type TimePoint struct {
 }
 
 // NewQueueMonitor starts sampling immediately; it stops after until.
-func NewQueueMonitor(eng *sim.Engine, ports []*fabric.Port, prio uint8, interval, until sim.Time) *QueueMonitor {
-	m := &QueueMonitor{eng: eng, ports: ports, prio: prio, interval: interval, until: until}
+func NewQueueMonitor(eng *sim.Engine, ports []*fabric.Port, interval, until sim.Time) *QueueMonitor {
+	m := &QueueMonitor{eng: eng, ports: ports, interval: interval, until: until}
 	m.tickFn = m.tick
 	eng.After(interval, m.tickFn)
 	return m
@@ -98,7 +97,7 @@ func (m *QueueMonitor) tick() {
 	}
 	total := 0.0
 	for _, p := range m.ports {
-		d := p.QueueBytes(m.prio)
+		d := p.QueueBytes()
 		q := float64(d)
 		total += q
 		if m.sketch != nil {
@@ -180,7 +179,6 @@ type PFCEvent struct {
 	At     sim.Time
 	Switch int // index into the watched switch list
 	Port   int // port index at that switch
-	Prio   uint8
 	Paused bool
 }
 
@@ -191,8 +189,8 @@ func WatchPFC(eng *sim.Engine, switches []*fabric.Switch, fn func(PFCEvent)) {
 	for si, sw := range switches {
 		for pi, p := range sw.Ports() {
 			si, pi, p := si, pi, p
-			p.SetPauseHook(func(prio uint8, paused bool) {
-				fn(PFCEvent{At: eng.Now(), Switch: si, Port: pi, Prio: prio, Paused: paused})
+			p.SetPauseHook(func(paused bool) {
+				fn(PFCEvent{At: eng.Now(), Switch: si, Port: pi, Paused: paused})
 			})
 		}
 	}
@@ -246,13 +244,13 @@ func (tp *Throughput) Rate(tag int, from, to sim.Time) float64 {
 	return float64(total) * 8 / dur / 1e9
 }
 
-// PFCPauseFraction sums the ports' pause time at prio and normalizes
+// PFCPauseFraction sums the ports' data-class pause time and normalizes
 // by (elapsed × ports): the "fraction of pause time" metric of Figure
-// 11b/11d over switch ports, and fig1's per-class shares.
-func PFCPauseFraction(ports []*fabric.Port, prio uint8, elapsed sim.Time) float64 {
+// 11b/11d over switch ports, and fig1's per-tier shares.
+func PFCPauseFraction(ports []*fabric.Port, elapsed sim.Time) float64 {
 	var total sim.Time
 	for _, p := range ports {
-		total += p.PausedFor(prio)
+		total += p.PausedFor()
 	}
 	if len(ports) == 0 || elapsed <= 0 {
 		return 0

@@ -15,7 +15,7 @@ import (
 // Exact mode streams every tick to OnSample.
 func TestQueueMonitorUncapped(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewQueueMonitor(eng, nil, 0, 10*sim.Microsecond, sim.Millisecond)
+	m := NewQueueMonitor(eng, nil, 10*sim.Microsecond, sim.Millisecond)
 	ticks := 0
 	m.OnSample = func(TimePoint) { ticks++ }
 	eng.Run()
@@ -30,7 +30,7 @@ func TestQueueMonitorUncapped(t *testing.T) {
 func TestQueueMonitorSketchFlushCadence(t *testing.T) {
 	const interval = 10 * sim.Microsecond
 	eng := sim.NewEngine()
-	m := NewQueueMonitor(eng, nil, 0, interval, 10*sim.Millisecond)
+	m := NewQueueMonitor(eng, nil, interval, 10*sim.Millisecond)
 	m.EnableSketch()
 	var flushes []QueueFlush
 	m.OnFlush = func(f QueueFlush) { flushes = append(flushes, f) }
@@ -79,13 +79,13 @@ func TestExactQueueRetainedBytesFlatInHorizon(t *testing.T) {
 		var ports []*fabric.Port
 		for i := range 4 {
 			p, _ := fabric.Connect(eng, sink{}, sink{}, 0, 0, 100*sim.Gbps, sim.Microsecond)
-			p.SetPaused(fabric.PrioData, true)
+			p.SetPaused(true)
 			for range i + 1 {
-				p.Enqueue(&packet.Packet{Prio: fabric.PrioData, Size: 1000}, -1)
+				p.Enqueue(&packet.Packet{Type: packet.Data, Size: 1000}, -1)
 			}
 			ports = append(ports, p)
 		}
-		m := NewQueueMonitor(eng, ports, fabric.PrioData, 10*sim.Microsecond, horizon)
+		m := NewQueueMonitor(eng, ports, 10*sim.Microsecond, horizon)
 		eng.Run()
 		return m
 	}
@@ -109,7 +109,7 @@ func TestExactQueueRetainedBytesFlatInHorizon(t *testing.T) {
 func TestDepthCountsMatchExpandedSamples(t *testing.T) {
 	f := func(seed int64, n uint8, spread uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewQueueMonitor(sim.NewEngine(), nil, 0, sim.Microsecond, 0)
+		m := NewQueueMonitor(sim.NewEngine(), nil, sim.Microsecond, 0)
 		xs := make([]float64, int(n)+1)
 		for i := range xs {
 			d := rng.Int63n(int64(spread) + 1)
@@ -136,7 +136,7 @@ func TestDepthCountsMatchExpandedSamples(t *testing.T) {
 	}
 	// The edge multisets, one sample and all samples equal, explicitly.
 	for _, xs := range [][]int64{{7}, {0}, {5, 5, 5, 5}, {0, 0}} {
-		m := NewQueueMonitor(sim.NewEngine(), nil, 0, sim.Microsecond, 0)
+		m := NewQueueMonitor(sim.NewEngine(), nil, sim.Microsecond, 0)
 		fs := make([]float64, len(xs))
 		for i, d := range xs {
 			m.count(d)
@@ -147,7 +147,7 @@ func TestDepthCountsMatchExpandedSamples(t *testing.T) {
 			t.Errorf("%v: summary %+v, want %+v", xs, m.Summary(), Summarize(fs))
 		}
 	}
-	if m := NewQueueMonitor(sim.NewEngine(), nil, 0, sim.Microsecond, 0); m.Summary() != (Summary{}) {
+	if m := NewQueueMonitor(sim.NewEngine(), nil, sim.Microsecond, 0); m.Summary() != (Summary{}) {
 		t.Error("empty monitor: want the zero summary")
 	}
 }

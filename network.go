@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"hpcc/internal/experiment"
-	"hpcc/internal/fabric"
 	"hpcc/internal/host"
 	"hpcc/internal/sim"
 	"hpcc/internal/stats"
@@ -122,7 +121,7 @@ func (n *Network) TraceQueues(interval, dur time.Duration) *[]QueueSample {
 	if every == 0 {
 		every = experiment.QueueSample
 	}
-	mon := stats.NewQueueMonitor(n.eng, n.m.Network.SwitchPorts(), fabric.PrioData, every, n.eng.Now()+toSim(dur))
+	mon := stats.NewQueueMonitor(n.eng, n.m.Network.SwitchPorts(), every, n.eng.Now()+toSim(dur))
 	mon.OnSample = func(tp stats.TimePoint) {
 		*out = append(*out, QueueSample{At: fromSim(tp.T), TotalBytes: int64(tp.V)})
 	}
@@ -135,7 +134,7 @@ func (n *Network) Drops() uint64 { return n.m.Network.TotalDrops() }
 // PFCPauseFraction returns the fraction of (switch-port × time) spent
 // paused so far.
 func (n *Network) PFCPauseFraction() float64 {
-	return stats.PFCPauseFraction(n.m.Network.SwitchPorts(), fabric.PrioData, n.eng.Now())
+	return stats.PFCPauseFraction(n.m.Network.SwitchPorts(), n.eng.Now())
 }
 
 // Done reports whether the flow completed (every byte acknowledged).

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -636,6 +637,37 @@ func TestExperimentValidation(t *testing.T) {
 		}
 		if _, err := e.Start(); err == nil {
 			t.Errorf("case %d: Start accepted invalid experiment", i)
+		}
+	}
+}
+
+// A lossless fabric whose switch buffer (32 MB) is below its PFC
+// headroom sum is refused by Run and Start alike: two 100 Gbps links of
+// 1 ms need 2 × (2 × 12.5 MB + 2 frames) ≈ 50 MB. The same fabric runs
+// lossy, and with 100 µs links (≈ 5 MB) lossless too.
+func TestLosslessNeedsHeadroom(t *testing.T) {
+	star := func(delay time.Duration) *hpcc.Custom {
+		var c hpcc.Custom
+		a, b, sw := c.AddHost(), c.AddHost(), c.AddSwitch()
+		c.Link(a, sw, 100, delay)
+		c.Link(b, sw, 100, delay)
+		return &c
+	}
+	lossy := false
+	tiny := []hpcc.Traffic{hpcc.Schedule{{Src: 0, Dst: 1, SizeBytes: 1000}}}
+	long := hpcc.Experiment{Topology: star(time.Millisecond), Traffic: tiny}
+	if _, err := long.Run(); err == nil || !strings.Contains(err.Error(), "headroom sum of 50004424 B") {
+		t.Errorf("Run: %v, want the headroom error", err)
+	}
+	if _, err := long.Start(); err == nil || !strings.Contains(err.Error(), "headroom sum of 50004424 B") {
+		t.Errorf("Start: %v, want the headroom error", err)
+	}
+	for _, e := range []hpcc.Experiment{
+		{Topology: star(time.Millisecond), Traffic: tiny, Lossless: &lossy},
+		{Topology: star(100 * time.Microsecond), Traffic: tiny},
+	} {
+		if _, err := e.Run(); err != nil {
+			t.Errorf("%+v: %v", e, err)
 		}
 	}
 }
