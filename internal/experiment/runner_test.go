@@ -103,6 +103,38 @@ func TestRunLoadRejectsHostileSpecs(t *testing.T) {
 	}
 }
 
+// An incast whose period rounds to 0 ps passes Validate and fires
+// every event at one instant; the per-generator arrival cap ends it
+// after MaxFlows events of FanIn flows each, so RunLoad returns instead
+// of never.
+func TestIncastStopsAtMaxFlows(t *testing.T) {
+	s := LoadScenario{
+		Scheme:   ByNameMust("hpcc"),
+		Topo:     topology.StarSpec{N: 4},
+		Traffic:  []workload.Generator{workload.IncastSpec{FanIn: 2, Size: 1, LoadFrac: 1e9}},
+		MaxFlows: 51,
+		Until:    500 * sim.Microsecond,
+		Drain:    sim.Millisecond,
+		PFC:      true,
+	}
+	done := make(chan *LoadResult, 1)
+	go func() {
+		res, err := RunLoad(s)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res != nil && (res.Started != 2*s.MaxFlows || res.Censored != 0) {
+			t.Fatalf("%d incast flows started, %d censored, want %d and 0", res.Started, res.Censored, 2*s.MaxFlows)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("RunLoad still running after 20 s")
+	}
+}
+
 // Bounded completed-flow retention must not change any aggregate: the
 // capped run renders exactly as the uncapped one.
 func TestCompletedWindowAccounting(t *testing.T) {

@@ -11,7 +11,7 @@ type Event struct {
 	seq   uint64
 	gen   uint64
 	fn    func()
-	index int // heap slot; -1 when not queued
+	index int // heap slot; -2-i at slot i of the far set; -1 when not queued
 
 	// sink and arg replace fn on a delivery that fit no lane (see
 	// Engine.Deliver); sink is nil on every other event.
@@ -82,10 +82,17 @@ func (t Timer) When() Time {
 // for concurrent use; one engine's world runs on one goroutine, which
 // is what makes runs deterministic. (Independent engines may run on
 // concurrent goroutines — the campaign runner does.)
+//
+// A pending event waits on a delivery lane (see Deliver), in the heap if
+// due before the boundary farB, or else in the far set: an unsorted
+// slice with O(1) arm and cancel, so a retransmission backstop cancelled
+// microseconds after it is armed never costs a sift. Where an event
+// waited never shows in the firing order (see next).
 type Engine struct {
 	now     Time
 	seq     uint64
 	q       heap4 // pending events that may be cancelled or fire at irregular times
+	horizon Time  // farB-1 while far events wait, else maxTime; next reads it per event
 	stopped bool
 	pool    []*Event      // freelist for fired events
 	events  Chunks[Event] // where the freelist's misses are carved from
@@ -104,11 +111,14 @@ type Engine struct {
 	inFlight  int
 	delivered uint64
 	offLane   uint64
+
+	far  []*Event
+	farB Time // heap events are due before it, far events at or after it
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{}
+	e := &Engine{farB: farSpan, horizon: maxTime}
 	noteEngine(e)
 	return e
 }
@@ -118,7 +128,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled, not-yet-fired events,
 // deliveries in flight included.
-func (e *Engine) Pending() int { return e.q.len() + e.inFlight }
+func (e *Engine) Pending() int { return e.q.len() + len(e.far) + e.inFlight }
 
 // PendingHighWater returns the largest Pending has been. Every frame in
 // flight on a wire counts, so on a busy fabric this is mostly the lanes'
@@ -151,9 +161,54 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 	ev := e.newEvent(t, key, e.seq)
 	e.seq++
 	ev.fn = fn
-	e.q.push(ev)
+	if t < e.farB {
+		e.q.push(ev)
+	} else {
+		e.farPush(ev)
+	}
 	e.notePending()
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// farSpan is how far past the earliest event migrate moves farB: ≈ 268
+// µs, beyond every periodic congestion-control tick (DCQCN's 55 µs, the
+// 50 µs CNP interval) and short of the 1 ms retransmission backstop.
+const farSpan Time = 1 << 28
+
+// farPush puts an event due at or after farB into the far set; every
+// other event that is not a lane's goes into the heap.
+func (e *Engine) farPush(ev *Event) {
+	ev.index = -2 - len(e.far)
+	e.far = append(e.far, ev)
+	e.horizon = e.farB - 1
+}
+
+// migrate moves farB to farSpan past the earliest of c (the candidate of
+// next, maxTime for none) and the far events — to maxTime, taking them
+// all, if that overflows — and the far events before it into the heap.
+func (e *Engine) migrate(c Time) {
+	m := c
+	for _, ev := range e.far {
+		m = min(m, ev.at)
+	}
+	e.farB = maxTime
+	if m <= maxTime-farSpan {
+		e.farB = m + farSpan
+	}
+	kept := e.far[:0]
+	for _, ev := range e.far {
+		if ev.at < e.farB || e.farB == maxTime {
+			e.q.push(ev)
+		} else {
+			kept = append(kept, ev)
+			ev.index = -1 - len(kept)
+		}
+	}
+	clear(e.far[len(kept):])
+	e.far, e.horizon = kept, maxTime
+	if len(kept) > 0 {
+		e.horizon = e.farB - 1
+	}
 }
 
 // eventChunk bounds the chunks new events are carved from: 256 events
@@ -205,8 +260,23 @@ func (e *Engine) Cancel(t Timer) {
 		return
 	}
 	ev.gen++ // invalidate every outstanding handle
-	e.q.remove(ev)
+	if ev.index >= 0 {
+		e.q.remove(ev)
+	} else {
+		e.farRemove(ev)
+	}
 	e.recycle(ev)
+}
+
+// farRemove swap-removes an event from the far set.
+func (e *Engine) farRemove(ev *Event) {
+	i, n := -2-ev.index, len(e.far)-1
+	last := e.far[n]
+	e.far[i], last.index = last, ev.index
+	e.far[n], e.far, ev.index = nil, e.far[:n], -1
+	if n == 0 {
+		e.horizon = maxTime
+	}
 }
 
 func (e *Engine) recycle(ev *Event) {
@@ -214,18 +284,26 @@ func (e *Engine) recycle(ev *Event) {
 	e.pool = append(e.pool, ev)
 }
 
-// PeekTime returns the fire time of the earliest pending event.
+// PeekTime returns the fire time of the earliest pending event. It
+// reads the far set only when the lanes and heap have nothing due
+// before farB, and moves nothing.
 func (e *Engine) PeekTime() (Time, bool) {
-	root := e.q.min()
-	if i := e.minLane(); i >= 0 {
-		if at := e.lanes[i].front().at; root == nil || at < root.at {
-			return at, true
-		}
-	}
-	if root == nil {
+	if e.Pending() == 0 {
 		return 0, false
 	}
-	return root.at, true
+	at := maxTime
+	if root := e.q.min(); root != nil {
+		at = root.at
+	}
+	if i := e.minLane(); i >= 0 {
+		at = min(at, e.lanes[i].front().at)
+	}
+	if at > e.horizon {
+		for _, ev := range e.far {
+			at = min(at, ev.at)
+		}
+	}
+	return at, true
 }
 
 // fire executes a heap event that has already been popped.

@@ -137,21 +137,22 @@ func TestEngineStop(t *testing.T) {
 }
 
 // PendingHighWater is the deepest the pending set has been: holds that
-// refill a pop's hole do not raise it, and a run that stops one
-// picosecond short leaves the boundary's events queued.
+// refill a pop's hole do not raise it, timers waiting in the far set
+// count like heap events, and a run that stops one picosecond short
+// leaves the boundary's events queued.
 func TestPendingHighWater(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
 	for i := 1; i <= 5; i++ {
 		e.At(Time(i)*Microsecond, nop)
 	}
-	e.Cancel(e.At(Millisecond, nop)) // six queued, briefly
+	e.Cancel(e.At(Millisecond, nop)) // six queued, briefly, the sixth in the far set
 	for i := 0; i < 3; i++ {
 		e.Step()
 		e.After(Millisecond, nop) // a hold: depth stays at five
 	}
-	if got := e.PendingHighWater(); got != 6 || e.Pending() != 5 {
-		t.Fatalf("high water %d with %d pending, want 6 with 5", got, e.Pending())
+	if got := e.PendingHighWater(); got != 6 || e.Pending() != 5 || len(e.far) != 3 {
+		t.Fatalf("high water %d with %d pending, %d of them far, want 6 with 5, 3 far", got, e.Pending(), len(e.far))
 	}
 	e.RunUntil(5*Microsecond - 1)
 	if e.Pending() != 4 || e.Now() != 5*Microsecond-1 {
@@ -327,8 +328,8 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 }
 
 // The scheduler must not allocate at steady depth: a hold fills the
-// hole its pop left, a cancel takes its slot back out, and fired events
-// recycle through the free list.
+// hole its pop left, a cancel takes its slot back out of the heap or
+// the far set, and fired events recycle through the free list.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
@@ -362,17 +363,33 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
+	// farCancel arms a 1 ms retransmission backstop and cancels it: the
+	// timer never leaves the far set.
+	missed := 0
+	farCancel := func() {
+		for k := 0; k < 512; k++ {
+			t := e.After(Millisecond, nop)
+			if t.ev.index > -2 {
+				missed++
+			}
+			e.Cancel(t)
+		}
+	}
 	for _, c := range []struct {
 		name string
 		op   func()
 	}{
 		{"hold", hold(false)}, {"cancel", cancel(false)},
 		{"hold/keyed", hold(true)}, {"cancel/keyed", cancel(true)},
+		{"cancel/far", farCancel},
 	} {
 		c.op() // warm the free list and the heap array
 		if n := testing.AllocsPerRun(20, c.op); n != 0 {
 			t.Errorf("%s at depth %d allocates %v objects per 512 ops, want 0", c.name, e.Pending(), n)
 		}
+	}
+	if missed > 0 {
+		t.Errorf("%d 1 ms timers went to the heap, not the far set", missed)
 	}
 
 	// Deliveries: 512 frames in flight over a few offset classes ride the

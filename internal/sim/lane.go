@@ -120,7 +120,11 @@ func (e *Engine) Deliver(at Time, key uint64, sink Sink, arg any) {
 			e.offLane++
 			ev := e.newEvent(at, key, seq)
 			ev.sink, ev.arg = sink, arg
-			e.q.push(ev)
+			if at < e.farB {
+				e.q.push(ev)
+			} else {
+				e.farPush(ev)
+			}
 			e.notePending()
 			return
 		}
@@ -171,15 +175,18 @@ func (e *Engine) minLane() int {
 // earliest lane head or the heap root, whichever ranks first under the
 // one canonical (time, key, seq) order. Every lane is sorted and the
 // heap yields its minimum, so the minimum over lane heads and root is
-// the minimum of the whole pending set — which of the two structures an
-// event sits in never shows in the firing order.
+// the minimum of lanes and heap. Far events are all due at or after
+// farB, so a candidate due by the horizon is the minimum of the whole
+// pending set; past it, pastLimit may bring far events into the heap
+// and choose again. Where an event waited never shows in the order.
 func (e *Engine) next(last Time) bool {
+	lim := min(last, e.horizon)
 	if i := e.minLane(); i >= 0 {
 		l := &e.lanes[i]
 		root := e.q.min()
 		if f := l.front(); root == nil || f.before(&root.rank) {
-			if f.at > last {
-				return false
+			if f.at > lim {
+				return e.pastLimit(f.at, last)
 			}
 			e.now = f.at
 			sink, arg := f.sink, f.arg
@@ -198,10 +205,27 @@ func (e *Engine) next(last Time) bool {
 			return true
 		}
 	}
-	ev := e.q.popThrough(last)
+	ev := e.q.popThrough(lim)
 	if ev == nil {
-		return false
+		at := maxTime
+		if root := e.q.min(); root != nil {
+			at = root.at
+		}
+		return e.pastLimit(at, last)
 	}
 	e.fire(ev)
 	return true
+}
+
+// pastLimit decides for next about a candidate due at at, maxTime for
+// none, that is past last or the horizon. Due by the horizon, it is the
+// earliest pending event, so nothing is due by last; past it, far events
+// may come first, but not by last if the horizon reaches last. Otherwise
+// migrate brings them in and the choice is made again.
+func (e *Engine) pastLimit(at, last Time) bool {
+	if at <= e.horizon || e.horizon >= last {
+		return false
+	}
+	e.migrate(at)
+	return e.next(last)
 }

@@ -50,13 +50,43 @@ type simulator interface {
 	deliver(at Time, key uint64, fn func())
 	RunUntil(deadline Time)
 	audit(t *testing.T)
+	// boundary is the real engine's farB, which the oracle replays, so
+	// both can be driven to the far set's edge.
+	boundary() Time
 }
 
-type realEngine struct{ *Engine }
+// realEngine records what the oracle replays and what the program
+// covered.
+type realEngine struct {
+	*Engine
+	bounds *[]Time
+	cov    *farCoverage
+}
+
+// farCoverage counts the far set's two exits: timers that waited there
+// and fired after a migration, and timers cancelled straight from it.
+type farCoverage struct{ migrated, cancelled int }
 
 func (e realEngine) schedule(at Time, key uint64, fn func()) func() {
-	t := e.AtKey(at, key, fn)
-	return func() { e.Cancel(t) }
+	far := false
+	t := e.AtKey(at, key, func() {
+		if far {
+			e.cov.migrated++
+		}
+		fn()
+	})
+	far = t.ev.index <= -2
+	return func() {
+		if t.Armed() && t.ev.index <= -2 {
+			e.cov.cancelled++
+		}
+		e.Cancel(t)
+	}
+}
+
+func (e realEngine) boundary() Time {
+	*e.bounds = append(*e.bounds, e.farB)
+	return e.farB
 }
 
 // fnSink runs a delivery's argument as a callback.
@@ -66,10 +96,13 @@ func (fnSink) Arrive(arg any) { arg.(func())() }
 
 func (e realEngine) deliver(at Time, key uint64, fn func()) { e.Deliver(at, key, fnSink{}, fn) }
 
-// audit checks the lanes' structure: frames rank-sorted head to tail,
+// audit checks the lanes' structure — frames rank-sorted head to tail,
 // tails naming each lane's last frame, a drained lane back at slot 0,
 // unclaimed lanes empty, the in-flight count exact and a cached minimum
-// lane really the minimum.
+// lane really the minimum — and the far set's: every heap event due
+// before farB, every far event at or after it with its back-pointer
+// right, the horizon farB-1 exactly while the far set holds events, and
+// Pending the sum of the three places.
 func (e realEngine) audit(t *testing.T) {
 	t.Helper()
 	n := 0
@@ -103,20 +136,56 @@ func (e realEngine) audit(t *testing.T) {
 	if n != e.inFlight {
 		t.Fatalf("lanes hold %d frames, engine counts %d in flight", n, e.inFlight)
 	}
+	heapLen := 0
+	for i := range e.q.q {
+		if i == 0 && e.q.hole {
+			continue
+		}
+		heapLen++
+		if at := e.q.q[i].at; at >= e.farB {
+			t.Fatalf("heap slot %d is due at %v, not before farB %v", i, at, e.farB)
+		}
+	}
+	for i, ev := range e.far {
+		if ev.index != -2-i || ev.at < e.farB {
+			t.Fatalf("far slot %d holds an event at %v with index %d, want at or after farB %v with index %d",
+				i, ev.at, ev.index, e.farB, -2-i)
+		}
+	}
+	want := maxTime
+	if len(e.far) > 0 {
+		want = e.farB - 1
+	}
+	if e.horizon != want {
+		t.Fatalf("horizon %v with %d far events, want %v", e.horizon, len(e.far), want)
+	}
+	if p := heapLen + n + len(e.far); e.Pending() != p {
+		t.Fatalf("Pending %d, but heap, lanes and far set hold %d", e.Pending(), p)
+	}
 }
 
 // oracleEngine is the simplest engine that can be right: events are
 // never pooled, deliveries are ordinary events, and the pending set is
 // the container/heap oracle.
 type oracleEngine struct {
-	now Time
-	seq uint64
-	q   eventQueue
+	now    Time
+	seq    uint64
+	q      eventQueue
+	bounds []Time // the real engine's boundary answers, in order
 }
 
 func (o *oracleEngine) Now() Time        { return o.now }
 func (o *oracleEngine) Pending() int     { return len(o.q) }
 func (o *oracleEngine) audit(*testing.T) {}
+
+func (o *oracleEngine) boundary() Time {
+	if len(o.bounds) == 0 {
+		return 0 // the programs diverged; comparing the logs shows where
+	}
+	b := o.bounds[0]
+	o.bounds = o.bounds[1:]
+	return b
+}
 
 func (o *oracleEngine) PeekTime() (Time, bool) {
 	if len(o.q) == 0 {
@@ -243,12 +312,18 @@ func TestSchedulerEquivalence(t *testing.T) {
 			return func() {
 				note(me)
 				// Zero to two follow-up timers with varied gaps, including
-				// zero-gap ties and far-future tails.
+				// zero-gap ties, far-future tails, gaps past the far span
+				// and times at the far boundary and a picosecond either
+				// side of it.
 				for k := []int{0, 1, 1, 1, 2, 2}[rng.Intn(6)]; k > 0; k-- {
 					gaps := []Time{0, Time(rng.Intn(5)) * Nanosecond,
 						Time(rng.Intn(1000)) * Nanosecond,
-						Time(rng.Intn(100)) * Microsecond}
-					timer(e.Now()+gaps[rng.Intn(len(gaps))], keys[rng.Intn(len(keys))])
+						Time(rng.Intn(100)) * Microsecond,
+						farSpan + Time(rng.Int63n(int64(farSpan))),
+						e.boundary() + Time(rng.Intn(3)-1) - e.Now()}
+					if gap := gaps[rng.Intn(len(gaps))]; gap >= 0 {
+						timer(e.Now()+gap, keys[rng.Intn(len(keys))])
+					}
 				}
 				now := e.Now()
 				switch rng.Intn(10) {
@@ -274,6 +349,10 @@ func TestSchedulerEquivalence(t *testing.T) {
 					at := now + Time(rng.Intn(2000))*Nanosecond
 					deliver(at, keys[rng.Intn(len(keys))])
 					marks = append(marks, at)
+				case 8: // a frame at the far boundary, against far timers there
+					if at := e.boundary() + Time(rng.Intn(3)-1); at >= now {
+						deliver(at, keys[rng.Intn(len(keys))])
+					}
 				}
 				// Randomly cancel an old handle (often already fired —
 				// exercising stale-handle safety).
@@ -287,10 +366,16 @@ func TestSchedulerEquivalence(t *testing.T) {
 			timer(Time(rng.Intn(2000))*Nanosecond, keys[rng.Intn(len(keys))])
 		}
 		// Run in bounded slices, so deadlines fall between, on and past
-		// pending events.
+		// pending events, and on, beside and across the far boundary.
 		for e.Pending() > 0 {
 			deadline := e.Now() + Time(1+rng.Intn(3000))*Nanosecond
-			if len(marks) > 0 && rng.Intn(2) == 0 {
+			if rng.Intn(8) == 0 {
+				b := e.boundary() + Time(rng.Intn(3)-1)
+				if rng.Intn(2) == 0 {
+					b += Time(rng.Int63n(int64(farSpan)))
+				}
+				deadline = max(deadline, b)
+			} else if len(marks) > 0 && rng.Intn(2) == 0 {
 				if m := marks[len(marks)-1]; m > e.Now() {
 					deadline = m
 				}
@@ -308,11 +393,13 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 	var onLane, offLane uint64
 	lanes := 0
+	var cov farCoverage
 	f := func(seed int64) bool {
 		const n = 600
-		want := run(&oracleEngine{}, seed, n)
 		eng := NewEngine()
-		got := run(realEngine{eng}, seed, n)
+		var bounds []Time
+		got := run(realEngine{eng, &bounds, &cov}, seed, n)
+		want := run(&oracleEngine{bounds: bounds}, seed, n)
 		onLane += eng.Delivered() - eng.OffLane()
 		offLane += eng.OffLane()
 		lanes = max(lanes, eng.used)
@@ -333,6 +420,26 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 	if onLane == 0 || offLane == 0 || lanes != numLanes {
 		t.Fatalf("%d deliveries rode %d lanes and %d the heap: the program must exercise both, on every lane", onLane, lanes, offLane)
+	}
+	if cov.migrated == 0 || cov.cancelled == 0 {
+		t.Fatalf("%d far timers fired after a migration and %d were cancelled from the far set: the program must exercise both", cov.migrated, cov.cancelled)
+	}
+	t.Logf("far timers: %d fired after a migration, %d cancelled from the far set", cov.migrated, cov.cancelled)
+}
+
+// Times within farSpan of the latest representable instant move farB
+// to it, past which it cannot go: the far set then empties into the
+// heap whole, and events at that instant still fire, in rank order.
+func TestFarBoundarySaturates(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	for _, at := range []Time{maxTime, maxTime - 1, maxTime - farSpan, Microsecond, maxTime} {
+		e.At(at, func() { got = append(got, at) })
+	}
+	e.Run()
+	want := []Time{Microsecond, maxTime - farSpan, maxTime - 1, maxTime, maxTime}
+	if fmt.Sprint(got) != fmt.Sprint(want) || e.Pending() != 0 || e.farB != maxTime {
+		t.Fatalf("fired %v with %d pending and farB %v, want %v, 0 and maxTime", got, e.Pending(), e.farB, want)
 	}
 }
 
@@ -626,5 +733,31 @@ func BenchmarkEngineCancel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Cancel(e.After(Time(1+i%997)*Nanosecond, nop))
+	}
+}
+
+// BenchmarkEngineFarTimers is a RoCE sender's retransmission backstop
+// at ≈ 100 live flows: a hold over 100 short events, and each op also
+// arms a 1 ms timer and cancels the one armed 100 ops earlier, long
+// before it is due — the far set's arm/cancel pattern.
+func BenchmarkEngineFarTimers(b *testing.B) {
+	const live = 100
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	nop := func() {}
+	delay := func() Time { return Time(1+rng.Intn(1000)) * Nanosecond }
+	var rto [live]Timer
+	for i := range rto {
+		e.After(delay(), nop)
+		rto[i] = e.After(Millisecond, nop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(delay(), nop)
+		e.Step()
+		k := i % live
+		e.Cancel(rto[k])
+		rto[k] = e.After(Millisecond, nop)
 	}
 }

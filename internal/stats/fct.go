@@ -101,14 +101,16 @@ func (s *FCTSet) Add(r FCTRecord) {
 		return
 	}
 	st := s.str
+	// The slowdown sketches share one α, so one key serves all three.
 	sl := r.Slowdown()
-	st.all.Add(sl)
+	k := st.all.key(sl)
+	st.all.addKeyed(sl, k, 1)
 	if r.Size <= ShortFlowLimit {
-		st.short.Add(sl)
+		st.short.addKeyed(sl, k, 1)
 		st.shortUS.Add(r.FCT.Microseconds())
 	}
 	if i := bucketIndex(st.edges, r.Size); i >= 0 {
-		st.buckets[i].Add(sl)
+		st.buckets[i].addKeyed(sl, k, 1)
 	}
 }
 

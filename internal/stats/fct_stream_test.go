@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,32 @@ func TestStreamingFCTRetainedBytesFlat(t *testing.T) {
 	}
 	if s4 >= e1 {
 		t.Errorf("streaming footprint %d not below exact %d at 20K flows", s4, e1)
+	}
+}
+
+// Add computes a record's slowdown key once for the all, short and
+// bucket sketches; each must end exactly as if the slowdown had gone
+// through its own Sketch.Add.
+func TestStreamingFCTSharedKeyMatchesAdd(t *testing.T) {
+	set := NewStreamingFCT(nil, 0)
+	st := set.str
+	all, short := NewSketch(0), NewSketch(0)
+	buckets := make([]*Sketch, len(st.edges))
+	for i := range buckets {
+		buckets[i] = NewSketch(0)
+	}
+	for _, r := range randRecords(rand.New(rand.NewSource(5)), 5000) {
+		set.Add(r)
+		all.Add(r.Slowdown())
+		if r.Size <= ShortFlowLimit {
+			short.Add(r.Slowdown())
+		}
+		if i := bucketIndex(st.edges, r.Size); i >= 0 {
+			buckets[i].Add(r.Slowdown())
+		}
+	}
+	if !reflect.DeepEqual(st.all, all) || !reflect.DeepEqual(st.short, short) || !reflect.DeepEqual(st.buckets, buckets) {
+		t.Fatal("a slowdown sketch differs from one fed through Sketch.Add")
 	}
 }
 

@@ -70,8 +70,11 @@ func newSketchMax(alpha float64, maxBins int) *Sketch {
 }
 
 // key maps a value to its bucket index: the smallest k with
-// gamma^k >= v.
+// gamma^k >= v (0 for a value the zero bucket counts).
 func (s *Sketch) key(v float64) int {
+	if v < minIndexable {
+		return 0
+	}
 	return int(math.Ceil(math.Log(v) * s.invLogG))
 }
 
@@ -88,9 +91,14 @@ func (s *Sketch) Add(v float64) { s.AddN(v, 1) }
 
 // AddN inserts a value n times.
 func (s *Sketch) AddN(v float64, n uint64) {
-	if n == 0 {
-		return
+	if n > 0 {
+		s.addKeyed(v, s.key(v), n)
 	}
+}
+
+// addKeyed is AddN, n > 0, for a caller that has v's key k: one key
+// serves every sketch of the same α.
+func (s *Sketch) addKeyed(v float64, k int, n uint64) {
 	s.count += n
 	s.sum += float64(v * float64(n))
 	if v < s.min {
@@ -103,7 +111,7 @@ func (s *Sketch) AddN(v float64, n uint64) {
 		s.zeros += n
 		return
 	}
-	s.bucket(s.key(v)).add(n)
+	s.bucket(k).add(n)
 }
 
 // binref is a settable cell of the dense store.

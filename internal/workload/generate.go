@@ -104,7 +104,9 @@ func (spec IncastSpec) Validate(int) error {
 	return nil
 }
 
-// Install starts the incast events, the first half a period in.
+// Install starts the incast events, the first half a period in, until
+// env.MaxFlows of them (0 = unlimited; a period of 0 ps needs it) have
+// fired or env.Until has passed. An event is one arrival of FanIn flows.
 func (spec IncastSpec) Install(nw *topology.Network, env Env) {
 	rng := sim.NewRNG(env.Seed, "incast")
 	n := len(nw.Hosts)
@@ -112,11 +114,13 @@ func (spec IncastSpec) Install(nw *topology.Network, env Env) {
 	eventBytes := float64(fanIn) * float64(spec.Size)
 	capacityBps := float64(n) * env.HostRate.BytesPerSec()
 	period := sim.Time(eventBytes / (capacityBps * spec.LoadFrac) * float64(sim.Second))
+	events := 0
 	var fire func()
 	fire = func() {
-		if env.Until > 0 && nw.Eng.Now() > env.Until {
+		if env.MaxFlows > 0 && events == env.MaxFlows || env.Until > 0 && nw.Eng.Now() > env.Until {
 			return
 		}
+		events++
 		recv := rng.Intn(n)
 		senders := rng.Perm(n)
 		cnt := 0

@@ -19,7 +19,7 @@ import (
 type Env struct {
 	HostRate sim.Rate
 	Until    sim.Time // arrival window end (0 = unlimited)
-	MaxFlows int      // default cap on generated flows (0 = unlimited)
+	MaxFlows int      // default cap on arrivals: flows, requests, incast events (0 = unlimited)
 	// OnDone observes each completed sender flow.
 	OnDone func(*host.Flow)
 	// OnRead observes each completed RDMA READ at the requester:
