@@ -102,6 +102,8 @@ func runStar(c starCell) *StarRun {
 		// StarSpec links host i to switch port i.
 		port := m.Network.Switches[0].Ports()[c.Sink]
 		watch := func() {
+			// One sample a µs after QueueFrom, up to Dur.
+			r.Queue = make([]stats.TimePoint, 0, (c.Dur-c.QueueFrom)/sim.Microsecond)
 			mon := stats.NewQueueMonitor(eng, []*fabric.Port{port}, sim.Microsecond, c.Dur)
 			mon.OnSample = func(tp stats.TimePoint) { r.Queue = append(r.Queue, tp) }
 		}

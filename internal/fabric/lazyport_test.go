@@ -185,13 +185,15 @@ func TestTotalQueueBytesRunningSum(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
-		ringBytes := func(f *fifo[entry]) (n int64) {
-			for i := 0; i < f.n; i++ {
-				n += int64(f.buf[(f.head+i)&(len(f.buf)-1)].p.Size)
+		queueBytes := func(q *packet.Queue) (n int64) {
+			for range q.Len() {
+				p, in := q.Pop()
+				n += int64(p.Size)
+				q.Push(p, in)
 			}
 			return n
 		}
-		data, ctrl := ringBytes(&ab.data), ringBytes(&ab.ctrl)
+		data, ctrl := queueBytes(&ab.data), queueBytes(&ab.ctrl)
 		if ab.QueueBytes() != data || ab.TotalQueueBytes() != data+ctrl {
 			t.Fatalf("%s: QueueBytes = %d, TotalQueueBytes = %d; the queues hold %d data and %d control bytes",
 				label, ab.QueueBytes(), ab.TotalQueueBytes(), data, ctrl)
@@ -252,7 +254,7 @@ func TestZeroKeyWiresTieInSerializationOrder(t *testing.T) {
 // frame is always pushed onto the data queue and kick pops it back. It
 // is the reference the cut-through must be indistinguishable from.
 func enqueueQueued(pt *Port, p *packet.Packet, ingress int) {
-	pt.data.push(entry{p, ingress})
+	pt.data.Push(p, ingress)
 	pt.qBytes += int64(p.Size)
 	pt.totQBytes += int64(p.Size)
 	pt.rxQ += uint64(p.Size)

@@ -5,56 +5,6 @@ import (
 	"hpcc/internal/sim"
 )
 
-type entry struct {
-	p       *packet.Packet
-	ingress int // arriving port index at the owner, -1 if locally generated
-}
-
-// fifo is a FIFO ring. Its length is zero or a power of two, at least
-// 16, and it doubles only when full, so it never holds more than the
-// next power of two of the longest the queue has been, and a warm queue
-// pushes and pops without allocating or copying.
-type fifo[T any] struct {
-	buf  []T
-	head int // slot of the oldest entry
-	n    int // entries queued
-}
-
-func (f *fifo[T]) push(e T) {
-	if f.n == len(f.buf) {
-		f.grow()
-	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = e
-	f.n++
-}
-
-// pop removes the oldest entry. A queue that drains restarts at slot 0,
-// so a lightly used port keeps touching the same few cache lines.
-func (f *fifo[T]) pop() T {
-	var zero T
-	e := f.buf[f.head]
-	f.buf[f.head] = zero
-	f.n--
-	if f.n == 0 {
-		f.head = 0
-	} else {
-		f.head = (f.head + 1) & (len(f.buf) - 1)
-	}
-	return e
-}
-
-// grow doubles a full ring, moving the head to slot 0.
-func (f *fifo[T]) grow() {
-	buf := make([]T, max(2*len(f.buf), 16))
-	n := copy(buf, f.buf[f.head:])
-	copy(buf[n:], f.buf[:f.head])
-	f.buf, f.head = buf, 0
-}
-
-func (f *fifo[T]) empty() bool { return f.n == 0 }
-
-func (f *fifo[T]) len() int { return f.n }
-
 // Port is one direction of a duplex link: the transmitter owned by a
 // node. It serializes the frames of two classes onto the link: control
 // frames first and never paused, then data frames, which a PFC pause
@@ -90,7 +40,7 @@ type Port struct {
 	// The two class queues, each FIFO. qBytes counts the data class
 	// only; totQBytes counts both, so Enqueue's cut-through test and
 	// high-water update are O(1).
-	ctrl, data fifo[entry]
+	ctrl, data packet.Queue
 	qBytes     int64
 	totQBytes  int64
 	paused     bool // the data class is PFC-paused
@@ -161,7 +111,7 @@ func (pt *Port) Peer() Node { return pt.peer }
 func (pt *Port) QueueBytes() int64 { return pt.qBytes }
 
 // QueueLen returns the number of data frames queued.
-func (pt *Port) QueueLen() int { return pt.data.len() }
+func (pt *Port) QueueLen() int { return pt.data.Len() }
 
 // TotalQueueBytes returns the bytes queued in both classes.
 func (pt *Port) TotalQueueBytes() int64 { return pt.totQBytes }
@@ -237,10 +187,10 @@ func (pt *Port) Enqueue(p *packet.Packet, ingress int) {
 		return
 	}
 	if isData {
-		pt.data.push(entry{p, ingress})
+		pt.data.Push(p, ingress)
 		pt.qBytes += size
 	} else {
-		pt.ctrl.push(entry{p, ingress})
+		pt.ctrl.Push(p, ingress)
 	}
 	pt.totQBytes += size
 	if pt.totQBytes > pt.maxQBytes {
@@ -270,8 +220,8 @@ func (pt *Port) kick() {
 		return
 	}
 	q := &pt.ctrl
-	if q.empty() {
-		if pt.paused || pt.data.empty() {
+	if q.Len() == 0 {
+		if pt.paused || pt.data.Len() == 0 {
 			return
 		}
 		q = &pt.data
@@ -284,13 +234,13 @@ func (pt *Port) kick() {
 		pt.eng.Cancel(pt.kickEv)
 		pt.kickEv = sim.Timer{}
 	}
-	e := q.pop()
-	size := int64(e.p.Size)
+	p, ingress := q.Pop()
+	size := int64(p.Size)
 	if q == &pt.data {
 		pt.qBytes -= size
 	}
 	pt.totQBytes -= size
-	pt.serialize(e.p, e.ingress, now)
+	pt.serialize(p, ingress, now)
 }
 
 // serialize puts p on the wire at now: the transmitter is busy until its

@@ -255,7 +255,7 @@ func (f *Flow) handleAck(p *packet.Packet) {
 
 	ev := &f.ackEv
 	ev.Now = now
-	ev.RTT = now - p.EchoTS
+	ev.RTT = now - p.SendTS
 	ev.AckSeq = p.AckSeq
 	ev.SndNxt = f.sndNxt
 	ev.AckedBytes = newly
@@ -277,16 +277,16 @@ func (f *Flow) handleAck(p *packet.Packet) {
 	f.trySend()
 }
 
-// irnOnAck takes a gap ACK (the receiver holds DataSeq, waits at sndUna):
-// it SACKs DataSeq, counts every chunk below it lost, and sends the
+// irnOnAck takes a gap ACK (the receiver holds Seq, waits at sndUna):
+// it SACKs Seq, counts every chunk below it lost, and sends the
 // cursor back to sndUna at most once per base RTT T, not over resends
 // that may still be in flight.
 func (f *Flow) irnOnAck(p *packet.Packet, now sim.Time) {
-	if p.DataSeq <= p.AckSeq {
+	if p.Seq <= p.AckSeq {
 		return
 	}
-	f.sacked.add(p.DataSeq)
-	f.lostEnd = max(f.lostEnd, p.DataSeq)
+	f.sacked.add(p.Seq)
+	f.lostEnd = max(f.lostEnd, p.Seq)
 	if now-f.lastRtxAt > f.host.cfg.BaseRTT {
 		f.rtxNxt, f.lastRtxAt = f.sndUna, now
 	}

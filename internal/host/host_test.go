@@ -312,7 +312,7 @@ func TestIRNRequeueThrottle(t *testing.T) {
 		t.Fatalf("setup: acked %d of %d sent bytes, want a part", hole, f.sndNxt)
 	}
 	// The receiver holds hole + 10 000 but still waits at the hole.
-	sack := &packet.Packet{Type: packet.Ack, AckSeq: hole, DataSeq: hole + 10_000}
+	sack := &packet.Packet{Type: packet.Ack, AckSeq: hole, Seq: hole + 10_000}
 	for _, c := range []struct {
 		at      sim.Time
 		requeue bool

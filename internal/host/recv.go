@@ -74,7 +74,7 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 	if p.ECNCE && (!rs.hasCNP || now-rs.lastCNP >= CNPInterval) {
 		rs.hasCNP = true
 		rs.lastCNP = now
-		h.sendCtrl(in, p, rs.peerQP, packet.CNP, 0, 0)
+		h.sendCtrl(in, p, rs.peerQP, packet.CNP, 0)
 	}
 
 	switch h.cfg.FlowCtl {
@@ -88,7 +88,7 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 			// Out of sequence: NACK once per episode, drop payload.
 			if !rs.nackSent {
 				rs.nackSent = true
-				h.sendCtrl(in, p, rs.peerQP, packet.Nack, rs.rcvNxt, p.Seq)
+				h.sendCtrl(in, p, rs.peerQP, packet.Nack, rs.rcvNxt)
 			}
 			h.pool.Put(p)
 		default:
@@ -131,9 +131,9 @@ func (h *Host) handleData(p *packet.Packet, in *fabric.Port) {
 }
 
 // sendAck converts data packet p into its own ACK in place — flipping
-// src/dst, echoing its timestamp, ECN mark and INT stack (§3.1: "the
-// receiver copies all the meta-data recorded by the switches to the
-// ACK") — and transmits it. Reusing the struct avoids both the ACK
+// src/dst, keeping its Seq and timestamp, echoing its ECN mark and INT
+// stack (§3.1: "the receiver copies all the meta-data recorded by the
+// switches to the ACK") — and transmits it. Reusing the struct avoids both the ACK
 // allocation and a copy of the 208-byte INT stack per data packet.
 func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, rs *recvState) {
 	size := int32(packet.AckBytes)
@@ -145,14 +145,12 @@ func (h *Host) sendAck(via *fabric.Port, p *packet.Packet, rs *recvState) {
 	p.Size = size
 	p.DstQP = rs.peerQP
 	p.AckSeq = rs.rcvNxt
-	p.DataSeq = p.Seq
-	p.EchoTS = p.SendTS
 	p.ECE = p.ECNCE
 	via.Enqueue(p, -1)
 }
 
 // sendCtrl emits a NACK or CNP toward the sender of p, at its QP qp.
-func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, qp int32, typ packet.Type, expSeq, gotSeq int64) {
+func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, qp int32, typ packet.Type, expSeq int64) {
 	ctrl := h.pool.Get()
 	ctrl.Type = typ
 	ctrl.FlowID = p.FlowID
@@ -161,7 +159,6 @@ func (h *Host) sendCtrl(via *fabric.Port, p *packet.Packet, qp int32, typ packet
 	ctrl.Dst = p.Src
 	ctrl.Size = packet.CtrlBytes
 	ctrl.AckSeq = expSeq
-	ctrl.DataSeq = gotSeq
-	ctrl.EchoTS = p.SendTS
+	ctrl.Seq, ctrl.SendTS = p.Seq, p.SendTS
 	via.Enqueue(ctrl, -1)
 }

@@ -110,22 +110,23 @@ func (h *INTHeader) Records() []Hop {
 
 // Packet is a simulated frame. One struct covers every frame type; each
 // field's comment names the frame types that use it, and the one-byte
-// fields sit together so the struct is 80 bytes. A frame's traffic
-// class is its type: Data rides the lossless data class, every other
-// type the control class (see package fabric). Packets come from
-// per-network free-list Pools and are recycled at their terminal
-// consumption points (ACK processing, switch drops, PFC consumption);
-// the simulator never aliases a packet after handing it to the next
-// node.
+// fields sit together with Queue's ingress index so the struct is 72
+// bytes. A frame's traffic class is its type: Data rides the lossless
+// data class, every other type the control class (see package fabric).
+// Packets come from per-network free-list Pools and are recycled at
+// their terminal consumption points (ACK processing, switch drops, PFC
+// consumption); the simulator never aliases a packet after handing it
+// to the next node.
 type Packet struct {
 	Type Type
 	// FlowEnd (data) marks the chunk carrying the flow's final byte, so
 	// the receiver can finish the flow's receive QP once everything up
 	// to it has been delivered in order.
 	FlowEnd  bool
-	ECNCE    bool // data: congestion-experienced mark set by switches
-	ECE      bool // ACK: ECN echo
-	PFCPause bool // PFC: true = pause the data class, false = resume it
+	ECNCE    bool  // data: congestion-experienced mark set by switches
+	ECE      bool  // ACK: ECN echo
+	PFCPause bool  // PFC: true = pause the data class, false = resume it
+	ingress  int16 // the port index Queue.Push recorded, in the flags' padding
 
 	FlowID     int32 // sender-assigned flow identifier
 	Src, Dst   int32 // host node IDs (network-wide)
@@ -136,15 +137,14 @@ type Packet struct {
 	// the frame finds its state there; it fills PayloadLen's padding.
 	DstQP int32
 
-	Seq     int64    // data: byte offset of first payload byte
-	SendTS  sim.Time // data: sender timestamp, echoed in the ACK for RTT
-	AckSeq  int64    // ACK / NACK: cumulative ACK, the next expected byte
-	DataSeq int64    // ACK / NACK: sequence of the data packet that triggered it (IRN selective repeat)
-	EchoTS  sim.Time // ACK / NACK: echoed SendTS
+	Seq    int64    // data: offset of the first payload byte; ACK / NACK / CNP: its data frame's (IRN selective repeat)
+	SendTS sim.Time // data: sender timestamp; ACK / NACK / CNP: its data frame's, for the RTT sample
+	AckSeq int64    // ACK / NACK: cumulative ACK, the next expected byte
 
 	// INT is the telemetry stack of a data frame from Pool.GetINT and of
 	// the ACK made from it; nil on every frame that carries none.
-	INT *INTHeader
+	INT  *INTHeader
+	next *Packet // the frame behind this one in its Queue or Pool free list
 }
 
 // String renders a short trace line for debugging.

@@ -5,14 +5,15 @@ import (
 	"unsafe"
 )
 
-// Every frame lives in the size class of what it carries: a plain frame
-// in the 80-byte class, a frame with an INT stack in one 288-byte object.
+// Every frame is sized to what it carries: a plain frame in 72 bytes, a
+// frame with an INT stack in one 288-byte object, its 280 bytes padded
+// to 4.5 cache lines.
 func TestFrameLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 80 {
-		t.Errorf("Sizeof(Packet) = %d, want 80", got)
+	if got := unsafe.Sizeof(Packet{}); got != 72 {
+		t.Errorf("Sizeof(Packet) = %d, want 72", got)
 	}
-	if got := unsafe.Sizeof(stacked{}); got > 288 {
-		t.Errorf("Sizeof(stacked) = %d, want at most 288", got)
+	if got := unsafe.Sizeof(stacked{}); got != 288 {
+		t.Errorf("Sizeof(stacked) = %d, want 288", got)
 	}
 	p := NewPool().GetINT()
 	if uintptr(unsafe.Pointer(p.INT)) != uintptr(unsafe.Pointer(p))+unsafe.Offsetof(stacked{}.int) {
@@ -64,5 +65,26 @@ func TestPoolCyclesAllocFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(1000, func() { pl.Put(c.get()) }); avg != 0 {
 			t.Errorf("%s→Put allocates %.2f times per cycle, want 0", c.name, avg)
 		}
+	}
+}
+
+// Free counts frames, not list links: after every carved frame comes
+// back it equals Allocated, and a frame Put twice shows as one too many
+// even though the second Put only relinks it.
+func TestPoolFreeCountsEveryPut(t *testing.T) {
+	pl := NewPool()
+	a, b, c := pl.Get(), pl.GetINT(), pl.Get()
+	if pl.Free() != 0 {
+		t.Fatalf("Free = %d with every frame out, want 0", pl.Free())
+	}
+	pl.Put(a)
+	pl.Put(b)
+	pl.Put(c)
+	if pl.Free() != pl.Allocated() {
+		t.Fatalf("Free = %d after every frame came back, want %d", pl.Free(), pl.Allocated())
+	}
+	pl.Put(a)
+	if pl.Free() != pl.Allocated()+1 {
+		t.Fatalf("Free = %d after a double Put, want %d", pl.Free(), pl.Allocated()+1)
 	}
 }

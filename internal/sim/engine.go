@@ -176,8 +176,12 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) Timer {
 const farSpan Time = 1 << 28
 
 // farPush puts an event due at or after farB into the far set; every
-// other event that is not a lane's goes into the heap.
+// other event that is not a lane's goes into the heap. The first takes
+// room for 128, above the 98 a campaign engine's far set peaks at.
 func (e *Engine) farPush(ev *Event) {
+	if e.far == nil {
+		e.far = make([]*Event, 0, 128)
+	}
 	ev.index = -2 - len(e.far)
 	e.far = append(e.far, ev)
 	e.horizon = e.farB - 1

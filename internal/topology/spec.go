@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -47,6 +48,15 @@ func nonNegative(spec, names string, delay sim.Time, rates ...sim.Rate) error {
 	return nil
 }
 
+// fitPorts rejects a switch with more ports than packet.MaxPorts, the
+// most a port queue can name as a frame's ingress.
+func fitPorts(spec string, sw, ports int) error {
+	if ports > packet.MaxPorts {
+		return fmt.Errorf("topology: %s switch %d has %d ports, want at most %d", spec, sw, ports, packet.MaxPorts)
+	}
+	return nil
+}
+
 // StarSpec is the §5.4 micro-benchmark fixture: N hosts around one
 // switch. Defaults: 17 hosts, 100 Gbps, 1 µs links. N is at least 2,
 // and no preset takes a negative rate or delay.
@@ -74,7 +84,7 @@ func (s StarSpec) Validate() error {
 	if s.N < 2 {
 		return fmt.Errorf("topology: StarSpec.N: %d hosts, want at least 2", s.N)
 	}
-	return nonNegative("StarSpec", "Delay HostRate", s.Delay, s.HostRate)
+	return cmp.Or(nonNegative("StarSpec", "Delay HostRate", s.Delay, s.HostRate), fitPorts("StarSpec", 0, s.N))
 }
 
 func (s StarSpec) Build(eng *sim.Engine, hcfg host.Config, scfg fabric.SwitchConfig) *Network {
@@ -123,7 +133,8 @@ func (s DumbbellSpec) Validate() error {
 	if s.Pairs < 0 {
 		return fmt.Errorf("topology: DumbbellSpec.Pairs: %d is negative", s.Pairs)
 	}
-	return nonNegative("DumbbellSpec", "Delay HostRate CoreRate", s.Delay, s.HostRate, s.CoreRate)
+	return cmp.Or(nonNegative("DumbbellSpec", "Delay HostRate CoreRate", s.Delay, s.HostRate, s.CoreRate),
+		fitPorts("DumbbellSpec", 0, s.Pairs+1))
 }
 
 // Build adds the senders to the left switch and the receivers to the
@@ -259,7 +270,8 @@ func (s PodSpec) Validate() error {
 	if s.Servers < 0 || s.Servers%2 != 0 {
 		return fmt.Errorf("topology: PodSpec.Servers: %d, want an even count ≥ 0", s.Servers)
 	}
-	return nonNegative("PodSpec", "LinkDelay HostRate FabricRate", s.LinkDelay, s.HostRate, s.FabricRate)
+	return cmp.Or(nonNegative("PodSpec", "LinkDelay HostRate FabricRate", s.LinkDelay, s.HostRate, s.FabricRate),
+		fitPorts("PodSpec", 1, s.Servers/2+1)) // a ToR
 }
 
 // Build wires the testbed PoD: ToR1+ToR2 serve the first half of the
@@ -353,7 +365,10 @@ func (s FatTreeSpec) Validate() error {
 		return fmt.Errorf("topology: FatTreeSpec{Cores, Aggs, ToRs, HostsPerToR}: %d, %d, %d, %d, want all ≥ 1 with at least 2 hosts, or all 0 for ScaledFatTree's",
 			s.Cores, s.Aggs, s.ToRs, s.HostsPerToR)
 	}
-	return nonNegative("FatTreeSpec", "LinkDelay HostRate FabricRate", s.LinkDelay, s.HostRate, s.FabricRate)
+	return cmp.Or(nonNegative("FatTreeSpec", "LinkDelay HostRate FabricRate", s.LinkDelay, s.HostRate, s.FabricRate),
+		// The first Core, Agg and ToR, in Build's order.
+		fitPorts("FatTreeSpec", 0, s.Aggs), fitPorts("FatTreeSpec", s.Cores, s.Cores+s.ToRs),
+		fitPorts("FatTreeSpec", s.Cores+s.Aggs, s.Aggs+s.HostsPerToR))
 }
 
 // NumHosts returns the host count of the spec.
@@ -448,10 +463,10 @@ func (g *GraphSpec) Link(a, b GraphNode, rate sim.Rate, delay sim.Time) {
 
 // Validate needs at least 2 hosts and 1 link, every link between two
 // distinct nodes this graph added at a positive rate with no negative
-// delay, and every host joined to every other
-// through switches alone, on each of its links, no more than
-// packet.MaxHops switches apart: hosts do not forward, and each switch
-// on a path pushes one INT record.
+// delay, no switch with more than packet.MaxPorts links, and every host
+// joined to every other through switches alone, on each of its links,
+// no more than packet.MaxHops switches apart: hosts do not forward, and
+// each switch on a path pushes one INT record.
 func (g GraphSpec) Validate() error {
 	if g.Hosts < 2 {
 		return fmt.Errorf("topology: GraphSpec.Hosts: %d, want at least 2", g.Hosts)
@@ -493,6 +508,11 @@ func (g GraphSpec) Validate() error {
 		a, b := node(l.A), node(l.B)
 		adj[a] = append(adj[a], edge{peer: b})
 		adj[b] = append(adj[b], edge{peer: a})
+	}
+	for sw, links := range adj[g.Hosts:] {
+		if err := fitPorts("GraphSpec", sw, len(links)); err != nil {
+			return err
+		}
 	}
 	unreached := append(slices.Repeat([]int32{-2}, g.Hosts), slices.Repeat([]int32{-1}, g.Switches)...)
 	dist, queue := make([]int32, len(adj)), []fabric.NodeID(nil)

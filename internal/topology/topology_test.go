@@ -375,6 +375,36 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// A switch can have at most packet.MaxPorts ports, the most a port
+// queue can name as a frame's ingress. Validate refuses a spec that
+// builds a bigger one, naming the switch and its port count; the graph
+// is refused before the reachability walk, so nothing here is slow.
+func TestValidateRejectsTooManyPorts(t *testing.T) {
+	var g GraphSpec
+	sw := g.AddSwitch()
+	for range packet.MaxPorts + 1 {
+		g.Link(g.AddHost(), sw, 0, 0)
+	}
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{g, "GraphSpec switch 0 has 32768 ports"},
+		{StarSpec{N: packet.MaxPorts + 1}, "StarSpec switch 0 has 32768 ports"},
+		{DumbbellSpec{Pairs: packet.MaxPorts}, "DumbbellSpec switch 0 has 32768 ports"},
+		{PodSpec{Servers: 2 * packet.MaxPorts}, "PodSpec switch 1 has 32768 ports"},
+		{FatTreeSpec{Cores: 1, Aggs: 1, ToRs: 2, HostsPerToR: packet.MaxPorts}, "FatTreeSpec switch 2 has 32768 ports"},
+		{FatTreeSpec{Cores: 2, Aggs: 1, ToRs: packet.MaxPorts - 1, HostsPerToR: 1}, "FatTreeSpec switch 2 has 32768 ports"},
+	} {
+		if err := c.spec.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%T: Validate = %v, want an error containing %q", c.spec, err, c.want)
+		}
+	}
+	if err := (StarSpec{N: packet.MaxPorts}).Validate(); err != nil {
+		t.Errorf("a star of %d hosts: %v", packet.MaxPorts, err)
+	}
+}
+
 // Flow IDs are minted once, here: StartFlow's ascend from 1 and
 // StartRead's descend from −1, interleaved in any order, and none
 // repeats. Hosts rely on it — a QP answers a frame only while its flow
